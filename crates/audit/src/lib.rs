@@ -97,15 +97,11 @@ impl AuditReport {
     /// Render the per-rule table. Deterministic: byte-identical for every
     /// `--jobs` value (nothing here reads clocks or thread state).
     pub fn render(&self) -> String {
-        let scale = match self.scale {
-            Scale::Test => "test",
-            Scale::Full => "full",
-            Scale::Large => "large",
-            Scale::Planet => "planet",
-        };
         let mut out = format!(
-            "=== AUDIT (seed {}, scale {scale}, faults {}) ===\n",
-            self.seed, self.faults
+            "=== AUDIT (seed {}, scale {}, faults {}) ===\n",
+            self.seed,
+            self.scale.as_str(),
+            self.faults
         );
         let mut checks = 0u64;
         for r in &self.rules {

@@ -213,8 +213,9 @@ impl RibStats {
 /// layout changes.
 pub const PERF_SCHEMA: &str = "bb-perf-report/v1";
 
-/// Structured perf report for one `repro` invocation.
-#[derive(Debug, Clone, PartialEq)]
+/// Structured perf report for one `repro` invocation. `Default` is the
+/// all-zero report: callers set the sections their run produced.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerfReport {
     pub experiment: String,
     pub scale: String,

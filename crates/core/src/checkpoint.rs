@@ -570,7 +570,13 @@ impl Heartbeat {
     /// — durability after power loss buys nothing, and paying the manifest
     /// writer's sync cost every beat would make heartbeats expensive enough
     /// to throttle.
+    ///
+    /// Concurrent savers are safe: each call writes its own temp file
+    /// (pid plus a process-wide counter), so two beats racing in one
+    /// directory never rename each other's temp file away; the last rename
+    /// wins with a whole record.
     pub fn save(&self, dir: &Path) -> BbResult<()> {
+        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         std::fs::create_dir_all(dir)
             .map_err(|e| BbError::io(format!("create checkpoint dir {}", dir.display()), e))?;
         let path = dir.join(HEARTBEAT_NAME);
@@ -581,11 +587,21 @@ impl Heartbeat {
         if let Some(e) = crate::export::injected_enospc(&path) {
             return Err(e);
         }
-        let tmp = dir.join(format!("{HEARTBEAT_NAME}.tmp"));
-        std::fs::write(&tmp, self.encode())
-            .map_err(|e| BbError::io(format!("write {}", tmp.display()), e))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| BbError::io(format!("rename {} -> {}", tmp.display(), path.display()), e))
+        let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let tmp = dir.join(format!("{HEARTBEAT_NAME}.{}.{seq}.tmp", std::process::id()));
+        let saved = std::fs::write(&tmp, self.encode())
+            .map_err(|e| BbError::io(format!("write {}", tmp.display()), e))
+            .and_then(|()| {
+                std::fs::rename(&tmp, &path).map_err(|e| {
+                    BbError::io(format!("rename {} -> {}", tmp.display(), path.display()), e)
+                })
+            });
+        // Unique temp names are never overwritten by a later beat, so a
+        // failed save removes its own leftover.
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        saved
     }
 
     /// Load the heartbeat from `dir`. Missing file is [`BbError::Io`].
@@ -1020,7 +1036,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("bb_hb_test_{}", std::process::id()));
         hb.save(&dir).unwrap();
-        assert!(!dir.join(format!("{HEARTBEAT_NAME}.tmp")).exists());
+        assert_eq!(tmp_files(&dir), Vec::<String>::new());
         assert_eq!(Heartbeat::load(&dir).unwrap(), hb);
         // Overwrite in place — the watcher always reads a whole record.
         let hb2 = Heartbeat {
@@ -1034,6 +1050,38 @@ mod tests {
         assert!(Heartbeat::decode(b"bbhb/v99\nwindows 1\n").is_err());
         assert!(Heartbeat::decode(b"bbhb/v1\nwindows x\n").is_err());
         assert!(Heartbeat::load(Path::new("/nonexistent_bb_hb")).is_err());
+    }
+
+    fn tmp_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_heartbeat_saves_never_collide() {
+        // A shard's progress hook and its `on_final` beat can save at the
+        // same instant; with one shared temp name, one writer's rename
+        // found the file already renamed away.
+        let dir = std::env::temp_dir().join(format!("bb_hb_race_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (dir, start) = (&dir, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..200u64 {
+                        Heartbeat::now(t * 1000 + i, t).save(dir).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(Heartbeat::load(&dir).is_ok());
+        assert_eq!(tmp_files(&dir), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

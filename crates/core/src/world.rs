@@ -25,6 +25,31 @@ pub enum Scale {
     Planet,
 }
 
+impl Scale {
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Full => "full",
+            Scale::Large => "large",
+            Scale::Planet => "planet",
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "full" => Ok(Scale::Full),
+            "large" => Ok(Scale::Large),
+            "planet" => Ok(Scale::Planet),
+            other => Err(format!("unknown scale {other:?}; use test|full|large|planet")),
+        }
+    }
+}
+
 /// Everything needed to build a [`Scenario`].
 #[derive(Debug, Clone, Serialize)]
 pub struct ScenarioConfig {
@@ -276,6 +301,16 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_label_roundtrips() {
+        for s in [Scale::Test, Scale::Full, Scale::Large, Scale::Planet] {
+            assert_eq!(s.as_str().parse::<Scale>(), Ok(s));
+        }
+        let err = "huge".parse::<Scale>().unwrap_err();
+        assert!(err.contains("unknown scale \"huge\""), "{err}");
+        assert!("".parse::<Scale>().is_err());
+    }
 
     #[test]
     fn test_scale_builds_quickly_and_validates() {

@@ -1,33 +1,40 @@
 //! `repro` — regenerate every figure and statistic of the paper.
 //!
 //! ```text
-//! repro [EXPERIMENT] [--scale test|full|large|planet] [--seed N] [--jobs N]
-//!       [--timing] [--faults off|light|heavy] [--keep-going]
-//!       [--snapshot PATH] [--checkpoint DIR] [--resume DIR] [--shard I/N]
-//! repro propagate [--scale ...] [--seed N] [--jobs N] [--snapshot PATH]
-//!       [--origins K] [--prefixes K] [--csv DIR] [--timing]
-//!       [--timing-json PATH]
-//! repro merge SHARD_DIR... [--csv DIR] [--report]
-//! repro orchestrate N [--dir DIR] [--scale ...] [--seed N] [--csv DIR]
-//!       [--chaos off|light|heavy] [--hang-timeout SECS] [--timing-json PATH]
-//! repro serve --dir DIR [--windows N] [--epoch K] [--epsilon E]
-//!       [--mem-limit BYTES] [--epoch-deadline SECS] [--scale ...] [--seed N]
-//!       [--jobs N] [--faults ...] [--csv DIR] [--chaos] [--timing]
-//!       [--timing-json PATH]
+//! repro [EXPERIMENT] [FLAGS]    EXPERIMENT: all (default), audit, or one of
+//!                               the `EXPERIMENT_NAMES` below
+//! repro propagate | merge SHARD_DIR... | orchestrate N | serve --dir DIR [FLAGS]
 //!
-//! EXPERIMENT: all (default) | fig1 | fig2 | s311 | fig3 | fig4 | fig5 |
-//!             calib | goodput | xpeer | xgroom | xsites | xonenet | xsplit |
-//!             audit
+//! FLAG                        EXP  propagate  merge  orchestrate  serve
+//! --scale SCALE                x       x                 x          x
+//! --seed N                     x       x                 x          x
+//! --jobs N                     x       x                 x          x
+//! --faults LEVEL               x                         x          x
+//! --csv DIR                    x       x        x        x          x
+//! --snapshot PATH              x       x
+//! --timing                     x       x                            x
+//! --timing-json PATH           x       x                 x          x
+//! --keep-going, --shard I/N    x
+//! --checkpoint/--resume DIR    x
+//! --origins K, --prefixes K            x
+//! --report                                      x
+//! --dir DIR                                              x          x
+//! --chaos LEVEL                                          x
+//! --chaos (switch)                                                  x
+//! --hang-timeout SECS                                    x
+//! --windows N, --epoch K                                            x
+//! --epsilon E, --mem-limit BYTES                                    x
+//! --epoch-deadline SECS                                             x
+//! --help, -h                   x       x        x        x          x
+//!
+//! SCALE: test|full|large|planet; LEVEL: off|light|heavy
 //! ```
 //!
-//! `repro propagate` is the planet-tier propagation smoke: it builds the
-//! selected world (a generated preset, or a real AS-relationship snapshot
-//! via `--snapshot`), fully propagates routes from `--origins K` eyeball
-//! ASes sharded across `--jobs` workers, samples every table for
-//! valley-freeness (exit 1 on violation), reports the interned-path RIB
-//! memory against the naive per-AS `Vec<AsId>` encoding, and runs a
-//! bounded spray slice over the first `--prefixes K` client prefixes.
-//! Stdout and `--csv` exports are byte-identical for every `--jobs` value.
+//! Every other flag, a flag missing its value, and a value out of range
+//! (`--hang-timeout` and `--epoch-deadline` take finite seconds > 0) is a
+//! usage error: exit 2 with a one-line diagnostic. `propagate`,
+//! `merge`, `orchestrate` and `serve` are documented on their `run_*`
+//! functions below.
 //!
 //! `--snapshot PATH` (main campaign and `propagate`) replaces the
 //! generated topology with one built from a CAIDA-style AS-relationship
@@ -43,40 +50,6 @@
 //! experiment, conflicting flags, stale checkpoint); 130 = interrupted
 //! (SIGINT/SIGTERM drain — resumable when `--checkpoint` was set; an
 //! orchestrated run kills its children and is resumable the same way).
-//!
-//! `repro orchestrate N` is the self-healing way to run a sharded
-//! campaign: it spawns the N shard runs as child processes, watches each
-//! child's heartbeat file (`heartbeat.bbhb`, progress counters rewritten
-//! atomically during the run), and classifies failures as crashes (nonzero
-//! exit), hangs (heartbeat content stale past `--hang-timeout`), or fatal
-//! usage errors (exit 2, never retried). Crashed and hung shards are
-//! restarted with bounded, seed-keyed backoff; every restart resumes from
-//! that shard's own checkpoint — torn manifests are salvaged to their
-//! valid prefix first — so the auto-invoked merge at the end is
-//! byte-identical to an unsharded run no matter how many workers died.
-//! `--chaos light|heavy` turns on a deterministic process-level fault
-//! injector (children crashed, stalled, and one manifest torn, all keyed
-//! on the seed) so the recovery machinery can be exercised reproducibly.
-//!
-//! `repro serve` is the streaming (daemon) shape of the §3.1 spray
-//! campaign: it advances measurement windows on the simulated clock in
-//! epochs of `--epoch K` windows, and at every epoch boundary flushes its
-//! entire accumulated state to a versioned `snapshot.bbsn` file (atomic
-//! temp-file + fsync + rename + dir-fsync), so a SIGKILL at any instant
-//! costs at most one epoch of (deterministically resampled) work and a
-//! restart with the same `--dir` resumes to *byte-identical* eventual
-//! output. `--epsilon ε > 0` switches from exact row retention to
-//! bounded-memory mergeable quantile sketches per ⟨PoP, prefix⟩ group
-//! (O(1) memory per key no matter how many windows stream through);
-//! `--mem-limit BYTES` arms a resource governor that coarsens every
-//! sketch one level per round — halving memory, doubling ε — whenever the
-//! counter-based resident accounting crosses the limit, so the daemon
-//! degrades resolution instead of growing toward an OOM kill. Snapshot
-//! resume is keyed (seed, scale, faults, ε, epoch size, CSV, code
-//! schema); a mismatched snapshot is rejected (exit 2), never silently
-//! reused. A per-epoch watchdog (`--epoch-deadline`) counts and reports
-//! overruns without ever intervening — wall-clock never shapes output
-//! bytes.
 //!
 //! `repro audit` builds the same shared worlds and studies as the figures
 //! and sweeps them through `bb-audit`'s invariant rules (valley-free
@@ -118,12 +91,17 @@
 //! byte-identical to the unsharded run. Any mismatch is a usage error
 //! (exit 2), never a silent partial merge.
 
+use beating_bgp::bench::PerfReport;
 use beating_bgp::cdn::EgressController;
 use beating_bgp::core::ext::{
     availability, ecs, fabric, grooming, hybrid, peering_reduction, single_network, site_count,
     split_tcp,
 };
 use beating_bgp::core::checkpoint::{CampaignKey, Checkpoint, Heartbeat, UnitResult};
+use beating_bgp::core::export::{
+    fig1_csv_bytes, fig2_csv_bytes, fig3_csv_bytes, fig4_csv_bytes, fig5_csv_bytes,
+    write_atomic_bytes,
+};
 use beating_bgp::core::{calibration, study_anycast, study_egress, study_tiers};
 use beating_bgp::core::{BbResult, Scale, Scenario, ScenarioConfig};
 use beating_bgp::exec::supervisor::{self, SupervisionReport};
@@ -131,6 +109,8 @@ use beating_bgp::exec::timing;
 use beating_bgp::netsim::FaultLevel;
 use beating_bgp::measure::{BeaconConfig, ProbeConfig, SprayConfig};
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -142,31 +122,158 @@ const EXPERIMENT_NAMES: [&str; 18] = [
     "xgroom", "xsites", "xecs", "xavail", "xhybrid", "xfabric", "xablate", "xsplit",
 ];
 
-struct Args {
-    experiment: String,
+/// Every option `repro` parses into one place. [`Cli::shared`] fills the
+/// flags several subcommands share (see the table in the header); each
+/// subcommand names the subset it accepts when it builds its [`Cli`]. The
+/// fields from `experiment` on belong to the main campaign alone.
+struct Opts {
     scale: Scale,
     seed: u64,
-    csv_dir: Option<std::path::PathBuf>,
     /// Worker count for parallel sections; 0 = available cores.
     jobs: usize,
-    timing: bool,
-    /// Write a structured perf report (phases, counters, cache stats) here.
-    timing_json: Option<std::path::PathBuf>,
     /// Fault-injection level for the measurement pipelines.
     faults: FaultLevel,
-    /// Keep running surviving experiments when one fails or panics.
-    keep_going: bool,
-    /// Flush a checkpoint manifest here after every completed experiment.
-    checkpoint: Option<std::path::PathBuf>,
-    /// Resume from the checkpoint manifest in this directory (implies
-    /// checkpointing back to the same directory).
-    resume: Option<std::path::PathBuf>,
-    /// `(index, count)` from `--shard I/N`: run only slice I of the
-    /// selected experiments, suppress stdout, checkpoint the units.
-    shard: Option<(usize, usize)>,
+    csv_dir: Option<PathBuf>,
     /// Build every world from this CAIDA-style AS-relationship snapshot
     /// instead of the generated topology.
     snapshot: Option<String>,
+    timing: bool,
+    /// Write a structured perf report (phases, counters, cache stats) here.
+    timing_json: Option<PathBuf>,
+    experiment: String,
+    /// Keep running surviving experiments when one fails or panics.
+    keep_going: bool,
+    /// Flush a checkpoint manifest here after every completed experiment.
+    checkpoint: Option<PathBuf>,
+    /// Resume from the checkpoint manifest in this directory (implies
+    /// checkpointing back to the same directory).
+    resume: Option<PathBuf>,
+    /// `(index, count)` from `--shard I/N`: run only slice I of the
+    /// selected experiments, suppress stdout, checkpoint the units.
+    shard: Option<(usize, usize)>,
+}
+
+/// One subcommand's argument walker. The subcommand loops over
+/// `cli.args`, matches its own flags, and hands everything else to
+/// [`Cli::shared`]; every bad value is a one-line usage error (exit 2).
+struct Cli {
+    /// Diagnostic prefix: `repro`, `repro serve`, ...
+    cmd: &'static str,
+    args: std::vec::IntoIter<String>,
+    /// The shared flags this subcommand accepts, space-separated.
+    accepts: &'static str,
+    opts: Opts,
+}
+
+impl Cli {
+    /// Walk `argv` after its first `skip` entries (the binary name, plus
+    /// the subcommand name for subcommands).
+    fn new(cmd: &'static str, skip: usize, accepts: &'static str) -> Cli {
+        Cli {
+            cmd,
+            args: std::env::args().skip(skip).collect::<Vec<_>>().into_iter(),
+            accepts,
+            opts: Opts {
+                scale: Scale::Full,
+                seed: 42,
+                jobs: 0,
+                faults: FaultLevel::Off,
+                csv_dir: None,
+                snapshot: None,
+                timing: false,
+                timing_json: None,
+                experiment: "all".to_string(),
+                keep_going: false,
+                checkpoint: None,
+                resume: None,
+                shard: None,
+            },
+        }
+    }
+
+    /// Exit 2 with `"{cmd}: {msg}"`.
+    fn usage(&self, msg: impl std::fmt::Display) -> ! {
+        eprintln!("{}: {msg}", self.cmd);
+        std::process::exit(2)
+    }
+
+    /// The value after `flag`, parsed as `T` and accepted by `check`. A
+    /// missing, unparsable or rejected value exits 2 with
+    /// `"{cmd}: {flag} needs {what}"`.
+    fn value<T: FromStr>(&mut self, flag: &str, what: &str, check: impl Fn(&T) -> bool) -> T {
+        let raw = self.args.next();
+        parse_or_exit(raw.as_deref(), check, || {
+            format!("{}: {flag} needs {what}", self.cmd)
+        })
+    }
+
+    /// The value after an enumerated flag (`--scale`, `--faults`,
+    /// `--chaos`). A missing or unknown value exits 2 with the type's own
+    /// message, which names the choices.
+    fn choice<T: FromStr<Err = String>>(&mut self, flag: &str) -> T {
+        let raw = self.args.next().unwrap_or_default();
+        raw.parse()
+            .unwrap_or_else(|e| self.usage(format_args!("{flag}: {e}")))
+    }
+
+    /// Parse `flag` into [`Opts`] if it is a shared flag this subcommand
+    /// accepts; `false` leaves it to the subcommand.
+    fn shared(&mut self, flag: &str) -> bool {
+        if !self.accepts.split(' ').any(|f| f == flag) {
+            return false;
+        }
+        match flag {
+            "--scale" => self.opts.scale = self.choice(flag),
+            "--seed" => self.opts.seed = self.value(flag, "a number", any),
+            "--jobs" => self.opts.jobs = self.value(flag, "a number", any),
+            "--faults" => self.opts.faults = self.choice(flag),
+            "--csv" => {
+                let dir: PathBuf = self.value(flag, "a directory", any);
+                if let Err(e) = std::fs::create_dir_all(&dir) {
+                    self.usage(format_args!("--csv: cannot create {}: {e}", dir.display()));
+                }
+                self.opts.csv_dir = Some(dir);
+            }
+            "--snapshot" => self.opts.snapshot = Some(self.value(flag, "a file path", any)),
+            "--timing" => self.opts.timing = true,
+            "--timing-json" => self.opts.timing_json = Some(self.value(flag, "a file path", any)),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// Parse `raw` as `T` and require `check`, or exit 2 with `msg()`: the one
+/// value check behind every flag and every `BB_REPRO_*` hook.
+fn parse_or_exit<T: FromStr>(
+    raw: Option<&str>,
+    check: impl Fn(&T) -> bool,
+    msg: impl FnOnce() -> String,
+) -> T {
+    match raw.map(str::parse::<T>) {
+        Some(Ok(v)) if check(&v) => v,
+        _ => {
+            eprintln!("{}", msg());
+            std::process::exit(2)
+        }
+    }
+}
+
+/// Accept any value that parses.
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+/// Duration flags: `Duration::from_secs_f64` panics on negative, infinite
+/// and NaN seconds, so only finite positive values get through.
+fn positive_secs(s: &f64) -> bool {
+    s.is_finite() && *s > 0.0
+}
+
+/// Print a subcommand's usage text on stdout and exit 0.
+fn help(text: &str) -> ! {
+    println!("{text}");
+    std::process::exit(0)
 }
 
 /// Set by the SIGINT/SIGTERM handlers; the supervisor's cancel hook reads
@@ -195,133 +302,24 @@ fn install_signal_drain() {
 #[cfg(not(unix))]
 fn install_signal_drain() {}
 
-fn parse_args() -> Args {
-    let mut experiment = "all".to_string();
-    let mut scale = Scale::Full;
-    let mut seed = 42u64;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut jobs = 0usize;
-    let mut timing = false;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let mut faults = FaultLevel::Off;
-    let mut keep_going = false;
-    let mut checkpoint: Option<std::path::PathBuf> = None;
-    let mut resume: Option<std::path::PathBuf> = None;
-    let mut shard: Option<(usize, usize)> = None;
-    let mut snapshot: Option<String> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    Some("large") => Scale::Large,
-                    Some("planet") => Scale::Planet,
-                    other => {
-                        eprintln!("unknown scale {other:?}; use test|full|large|planet");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--timing" => timing = true,
-            "--faults" => {
-                i += 1;
-                faults = match argv.get(i).map(String::as_str).unwrap_or("").parse() {
-                    Ok(level) => level,
-                    Err(e) => {
-                        eprintln!("--faults: {e}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--keep-going" => keep_going = true,
-            "--timing-json" => {
-                i += 1;
-                timing_json = Some(std::path::PathBuf::from(
-                    argv.get(i).cloned().unwrap_or_else(|| {
-                        eprintln!("--timing-json needs a file path");
-                        std::process::exit(2);
-                    }),
-                ));
-            }
-            "--csv" => {
-                i += 1;
-                let dir = std::path::PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--csv needs a directory");
-                    std::process::exit(2);
-                }));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("--csv: cannot create {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-                csv_dir = Some(dir);
-            }
-            "--snapshot" => {
-                i += 1;
-                snapshot = Some(argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--snapshot needs a file path");
-                    std::process::exit(2);
-                }));
-            }
+fn parse_args() -> Opts {
+    let shared = "--scale --seed --jobs --faults --csv --snapshot --timing --timing-json";
+    let mut cli = Cli::new("repro", 1, shared);
+    while let Some(arg) = cli.args.next() {
+        match arg.as_str() {
+            "--keep-going" => cli.opts.keep_going = true,
             "--checkpoint" => {
-                i += 1;
-                checkpoint = Some(std::path::PathBuf::from(
-                    argv.get(i).cloned().unwrap_or_else(|| {
-                        eprintln!("--checkpoint needs a directory");
-                        std::process::exit(2);
-                    }),
-                ));
+                cli.opts.checkpoint = Some(cli.value("--checkpoint", "a directory", any));
             }
-            "--resume" => {
-                i += 1;
-                resume = Some(std::path::PathBuf::from(argv.get(i).cloned().unwrap_or_else(
-                    || {
-                        eprintln!("--resume needs a directory");
-                        std::process::exit(2);
-                    },
-                )));
-            }
+            "--resume" => cli.opts.resume = Some(cli.value("--resume", "a directory", any)),
             "--shard" => {
-                i += 1;
-                let spec = argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--shard needs I/N (e.g. 0/3)");
-                    std::process::exit(2);
-                });
-                shard = match spec.split_once('/') {
-                    Some((a, b)) => match (a.parse::<usize>(), b.parse::<usize>()) {
-                        (Ok(idx), Ok(n)) if n >= 1 && idx < n => Some((idx, n)),
-                        _ => {
-                            eprintln!("--shard: bad spec {spec:?}; need I/N with 0 <= I < N");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("--shard: bad spec {spec:?}; need I/N with 0 <= I < N");
-                        std::process::exit(2);
-                    }
+                let spec: String = cli.value("--shard", "I/N (e.g. 0/3)", any);
+                let parts = spec.split_once('/').map(|(a, b)| (a.parse(), b.parse()));
+                cli.opts.shard = match parts {
+                    Some((Ok(idx), Ok(n))) if n >= 1 && idx < n => Some((idx, n)),
+                    _ => cli.usage(format_args!(
+                        "--shard: bad spec {spec:?}; need I/N with 0 <= I < N"
+                    )),
                 };
             }
             "--help" | "-h" => {
@@ -330,110 +328,70 @@ fn parse_args() -> Args {
                      [--timing] [--timing-json PATH] [--csv DIR] \
                      [--faults off|light|heavy] [--keep-going] [--snapshot PATH] \
                      [--checkpoint DIR] [--resume DIR] [--shard I/N]\n\
-                     repro propagate [--scale S] [--seed N] [--jobs N] [--snapshot PATH] \
-                     [--origins K] [--prefixes K] [--csv DIR] [--timing] [--timing-json PATH]\n\
-                     repro merge SHARD_DIR... [--csv DIR] [--report]\n\
-                     repro orchestrate N [--dir DIR] [--chaos off|light|heavy] \
-                     [--hang-timeout SECS]\n\
-                     repro serve --dir DIR [--windows N] [--epoch K] [--epsilon E] \
-                     [--mem-limit BYTES]\n\
+                     repro merge SHARD_DIR...  stitch shard checkpoints into the campaign stdout\n\
+                     repro orchestrate N       run N self-healing shard processes, then merge\n\
+                     repro propagate           planet-tier route propagation smoke\n\
+                     repro serve --dir DIR     streaming daemon with resumable snapshots\n\
+                     (`repro SUBCOMMAND --help` lists each subcommand's flags)\n\
                      experiments: all fig1 fig2 s311 fig3 fig4 fig5 calib goodput \
                      xpeer xgroom xsites xonenet xsplit xablate xavail xhybrid xfabric xecs audit\n\
                      audit      sweep the built worlds and studies through bb-audit's\n\
-                     {:11}invariant rules + metamorphic relations (exit 1 on violation)\n\
+                     {0:11}invariant rules + metamorphic relations (exit 1 on violation)\n\
                      --jobs N   worker threads (default: available cores); output is\n\
-                     {:11}byte-identical for every N\n\
+                     {0:11}byte-identical for every N\n\
                      --timing   per-experiment wall-clock, sample counters, and cache\n\
-                     {:11}stats on stderr\n\
+                     {0:11}stats on stderr\n\
                      --timing-json PATH  write the structured perf report (phases,\n\
-                     {:11}samples/sec, plan compile vs query time, cache rates) as JSON\n\
+                     {0:11}samples/sec, plan compile vs query time, cache rates) as JSON\n\
                      --faults L  inject measurement faults (probe loss, timeouts, BGP\n\
-                     {:11}route churn) at level L; off (default) is byte-identical\n\
-                     {:11}to a build without the fault plane\n\
+                     {0:11}route churn) at level L; off (default) is byte-identical\n\
+                     {0:11}to a build without the fault plane\n\
                      --keep-going  on experiment failure or panic, print a diagnostic\n\
-                     {:11}and continue; survivors print normally, exit code 1\n\
+                     {0:11}and continue; survivors print normally, exit code 1\n\
                      --snapshot PATH  build the worlds from a CAIDA-style AS-relationship\n\
-                     {:11}snapshot (a|b|-1 provider-customer, a|b|0 peer) instead of\n\
-                     {:11}the generated topology; bad snapshots are usage errors\n\
+                     {0:11}snapshot (a|b|-1 provider-customer, a|b|0 peer) instead of\n\
+                     {0:11}the generated topology; bad snapshots are usage errors\n\
                      --checkpoint DIR  flush a resumable checkpoint manifest after each\n\
-                     {:11}completed experiment; SIGINT/SIGTERM drain gracefully\n\
+                     {0:11}completed experiment; SIGINT/SIGTERM drain gracefully\n\
                      --resume DIR  replay completed experiments from DIR's checkpoint\n\
-                     {:11}(stale checkpoints are rejected, exit 2), continue the rest\n\
+                     {0:11}(stale checkpoints are rejected, exit 2), continue the rest\n\
                      --shard I/N  run slice I of the selected experiments into the\n\
-                     {:11}checkpoint (no stdout); `repro merge` stitches the shards\n\
-                     {:11}byte-identically to the unsharded run\n\
-                     merge DIR...  validate + merge shard checkpoints, print the\n\
-                     {:11}campaign stdout; --csv re-emits the captured exports;\n\
-                     {:11}--report prints a per-shard diagnosis on failure\n\
-                     orchestrate N  spawn N supervised shard processes, restart\n\
-                     {:11}crashed/hung ones from their checkpoints, auto-merge\n\
-                     propagate  planet-tier propagation smoke: shard full route\n\
-                     {:11}propagation from --origins K eyeballs across --jobs workers,\n\
-                     {:11}check valley-freeness, report interned vs naive RIB bytes,\n\
-                     {:11}spray the first --prefixes K client prefixes\n\
-                     serve      streaming daemon: advance the spray campaign in\n\
-                     {:11}epochs, snapshot state atomically every epoch, resume\n\
-                     {:11}after SIGKILL byte-identically; --epsilon E > 0 uses\n\
-                     {:11}bounded-memory sketches, --mem-limit arms the governor\n\
+                     {0:11}checkpoint (no stdout); `repro merge` stitches the shards\n\
+                     {0:11}byte-identically to the unsharded run\n\
                      exit codes: 0 ok, 1 runtime failure, 2 usage error, \
                      130 interrupted (resumable)",
-                    "", "", "", "", "", "", "", "", "", "", "", "", "", "", "", "", "",
-                    "", "", "", "", ""
+                    ""
                 );
                 std::process::exit(0);
             }
-            e => experiment = e.to_string(),
+            flag if cli.shared(flag) => {}
+            flag if flag.starts_with("--") => cli.usage(format_args!("unknown flag {flag}")),
+            e => cli.opts.experiment = e.to_string(),
         }
-        i += 1;
     }
+    let o = &cli.opts;
     // Flag-combination conflicts are usage errors (exit 2), never silent
     // precedence: `--resume DIR` already implies checkpointing back into
     // DIR, so a *different* `--checkpoint` directory contradicts it.
-    if let (Some(c), Some(r)) = (&checkpoint, &resume) {
+    if let (Some(c), Some(r)) = (&o.checkpoint, &o.resume) {
         if c != r {
-            eprintln!(
+            cli.usage(format_args!(
                 "--checkpoint {} conflicts with --resume {}; --resume already checkpoints back into the same directory",
                 c.display(),
                 r.display()
-            );
-            std::process::exit(2);
+            ));
         }
     }
-    if experiment == "audit" && (checkpoint.is_some() || resume.is_some()) {
-        eprintln!("audit runs standalone and does not support --checkpoint/--resume");
-        std::process::exit(2);
+    if o.experiment == "audit" && (o.checkpoint.is_some() || o.resume.is_some()) {
+        cli.usage("audit runs standalone and does not support --checkpoint/--resume");
     }
-    if shard.is_some() && checkpoint.is_none() && resume.is_none() {
-        eprintln!(
+    if o.shard.is_some() && o.checkpoint.is_none() && o.resume.is_none() {
+        cli.usage(
             "--shard requires --checkpoint DIR: a shard's only output is its \
-             checkpoint manifest (stitch the shards with `repro merge`)"
+             checkpoint manifest (stitch the shards with `repro merge`)",
         );
-        std::process::exit(2);
     }
-    Args {
-        experiment,
-        scale,
-        seed,
-        csv_dir,
-        jobs,
-        timing,
-        timing_json,
-        faults,
-        keep_going,
-        checkpoint,
-        resume,
-        shard,
-        snapshot,
-    }
-}
-
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Full => "full",
-        Scale::Large => "large",
-        Scale::Planet => "planet",
-    }
+    cli.opts
 }
 
 /// Build a scenario, mapping usage-class failures (an unreadable or
@@ -453,20 +411,16 @@ fn build_world_or_exit(cfg: ScenarioConfig) -> Scenario {
     }
 }
 
-/// Assemble the structured perf report from the timing registry, the
-/// sample counters, the subsystem caches, and the supervision report.
-fn perf_report(
-    args: &Args,
-    wall_s: f64,
-    supervision: &SupervisionReport,
-    route_cache_by_experiment: Vec<beating_bgp::bench::ExperimentCacheStats>,
-) -> beating_bgp::bench::PerfReport {
-    use beating_bgp::bench::{CounterSample, PerfReport, PhaseTiming, RouteCacheStats};
+/// The perf-report sections every in-process run fills the same way: the
+/// timing registry's phases and counters, the route cache, and the closed
+/// congestion races. Callers add the sections their run produced.
+fn run_report(experiment: &str, scale: Scale, seed: u64, wall_s: f64) -> PerfReport {
+    use beating_bgp::bench::{CounterSample, PhaseTiming, RouteCacheStats};
     let (hits, misses, resident) = beating_bgp::exec::cache_stats();
     PerfReport {
-        experiment: args.experiment.clone(),
-        scale: scale_label(args.scale).to_string(),
-        seed: args.seed,
+        experiment: experiment.to_string(),
+        scale: scale.as_str().to_string(),
+        seed,
         jobs: beating_bgp::exec::jobs(),
         wall_s,
         phases: timing::snapshot()
@@ -481,32 +435,48 @@ fn perf_report(
             .into_iter()
             .map(|(label, count)| CounterSample { label, count })
             .collect(),
-        total_samples: 0,
-        samples_per_sec: 0.0,
-        plan_compile_s: 0.0,
-        plan_query_s: 0.0,
         route_cache: RouteCacheStats {
             hits: hits as u64,
             misses: misses as u64,
             resident: resident as u64,
         },
+        congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
+        ..PerfReport::default()
+    }
+}
+
+/// Finalize `report` and write it to the `--timing-json` path; exit 1 if
+/// the file cannot be written.
+fn write_timing_json(path: &Path, report: PerfReport) {
+    if let Err(e) = std::fs::write(path, report.finalize().to_json()) {
+        eprintln!("--timing-json: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
+/// The campaign's perf report: the shared sections plus fault counts,
+/// supervision, and per-experiment route-cache deltas.
+fn perf_report(
+    args: &Opts,
+    wall_s: f64,
+    supervision: &SupervisionReport,
+    route_cache_by_experiment: Vec<beating_bgp::bench::ExperimentCacheStats>,
+) -> PerfReport {
+    let base = run_report(&args.experiment, args.scale, args.seed, wall_s);
+    let get = |label: &str| {
+        base.counters
+            .iter()
+            .find(|c| c.label == label)
+            .map_or(0, |c| c.count)
+    };
+    PerfReport {
         route_cache_by_experiment,
-        faults: {
-            let counters = timing::counters();
-            let get = |label: &str| {
-                counters
-                    .iter()
-                    .find(|(l, _)| l == label)
-                    .map(|&(_, c)| c)
-                    .unwrap_or(0)
-            };
-            beating_bgp::bench::FaultStats {
-                samples_lost: get("faults:samples_lost"),
-                timeouts: get("faults:timeouts"),
-                retries: get("faults:retries"),
-                windows_dropped: get("faults:windows_dropped"),
-                panics_isolated: beating_bgp::exec::panics_isolated() as u64,
-            }
+        faults: beating_bgp::bench::FaultStats {
+            samples_lost: get("faults:samples_lost"),
+            timeouts: get("faults:timeouts"),
+            retries: get("faults:retries"),
+            windows_dropped: get("faults:windows_dropped"),
+            panics_isolated: beating_bgp::exec::panics_isolated() as u64,
         },
         supervision: beating_bgp::bench::SupervisionStats {
             attempts: supervision.attempts,
@@ -517,12 +487,38 @@ fn perf_report(
             skipped: supervision.count("skipped") as u64,
             budget_exhausted: supervision.budget_exhausted,
         },
-        orchestration: None,
-        serve: None,
-        rib: None,
-        congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
+        ..base
     }
-    .finalize()
+}
+
+/// Write captured `(file name, bytes)` exports into the `--csv` directory.
+fn write_unit_files(dir: &Path, files: &[(String, Vec<u8>)]) -> BbResult<()> {
+    files
+        .iter()
+        .try_for_each(|(fname, bytes)| write_atomic_bytes(&dir.join(fname), bytes))
+}
+
+/// Write one export into the `--csv` directory; exit 1 if it cannot land.
+fn export_or_exit(who: &str, dir: &Path, fname: &str, bytes: &[u8]) {
+    if let Err(e) = write_atomic_bytes(&dir.join(fname), bytes) {
+        eprintln!("{who}: CSV export failed: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Print the `=== INTERRUPTED ===` block on stderr, one indented line per
+/// entry of `lines`, and exit 130. `resumable` runs left their progress on
+/// disk, and the header says so.
+fn interrupted_exit(resumable: bool, lines: &[String]) -> ! {
+    eprintln!(
+        "=== INTERRUPTED{} ===",
+        if resumable { " (resumable)" } else { "" }
+    );
+    for line in lines {
+        eprintln!("  {line}");
+    }
+    eprintln!("=== END INTERRUPTED ===");
+    std::process::exit(130)
 }
 
 fn spray_cfg(scale: Scale) -> SprayConfig {
@@ -560,64 +556,46 @@ fn spray_cfg(scale: Scale) -> SprayConfig {
 /// key mismatches, which experiments are missing) is printed to stderr
 /// before any exit-2, instead of only the first error encountered.
 fn run_merge() -> ! {
-    use beating_bgp::core::checkpoint;
-    let argv: Vec<String> = std::env::args().skip(2).collect();
-    let mut dirs: Vec<std::path::PathBuf> = Vec::new();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
+    let mut cli = Cli::new("repro merge", 2, "--csv");
+    let mut dirs: Vec<PathBuf> = Vec::new();
     let mut report = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--csv" => {
-                i += 1;
-                let dir = std::path::PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--csv needs a directory");
-                    std::process::exit(2);
-                }));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("--csv: cannot create {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-                csv_dir = Some(dir);
-            }
+    while let Some(arg) = cli.args.next() {
+        match arg.as_str() {
             "--report" => report = true,
-            "--help" | "-h" => {
-                println!(
-                    "repro merge SHARD_DIR... [--csv DIR] [--report]\n\
-                     stitch shard checkpoints (written by `repro --shard I/N --checkpoint`)\n\
-                     into the campaign's stdout, byte-identical to the unsharded run;\n\
-                     --csv re-emits the CSV exports captured in the shard manifests\n\
-                     --report prints a per-shard diagnosis (salvaged/corrupt manifests,\n\
-                     missing experiments, key mismatches) before any failure exit\n\
-                     exit codes: 0 ok, 2 shards invalid/incomplete/mismatched"
-                );
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("repro merge: unknown flag {flag}");
-                std::process::exit(2);
-            }
-            dir => dirs.push(std::path::PathBuf::from(dir)),
+            "--help" | "-h" => help(
+                "repro merge SHARD_DIR... [--csv DIR] [--report]\n\
+                 stitch shard checkpoints (written by `repro --shard I/N --checkpoint`)\n\
+                 into the campaign's stdout, byte-identical to the unsharded run;\n\
+                 --csv re-emits the CSV exports captured in the shard manifests\n\
+                 --report prints a per-shard diagnosis (salvaged/corrupt manifests,\n\
+                 missing experiments, key mismatches) before any failure exit\n\
+                 exit codes: 0 ok, 2 shards invalid/incomplete/mismatched",
+            ),
+            flag if cli.shared(flag) => {}
+            flag if flag.starts_with("--") => cli.usage(format_args!("unknown flag {flag}")),
+            dir => dirs.push(PathBuf::from(dir)),
         }
-        i += 1;
     }
     if dirs.is_empty() {
-        eprintln!("repro merge: no shard directories given");
-        std::process::exit(2);
+        cli.usage("no shard directories given");
     }
-    let shards: Vec<checkpoint::Checkpoint> = if report {
+    let shards = if report {
         merge_report(&dirs)
     } else {
-        dirs.iter()
-            .map(|d| {
-                checkpoint::Checkpoint::load(d).unwrap_or_else(|e| {
-                    eprintln!("repro merge: {}: {e}", d.display());
-                    std::process::exit(2);
-                })
-            })
-            .collect()
+        load_shards("repro merge", &dirs)
     };
-    finish_merge("repro merge", &dirs, shards, csv_dir.as_deref())
+    finish_merge("repro merge", &dirs, shards, cli.opts.csv_dir.as_deref())
+}
+
+/// Strict-load every shard manifest; an unreadable one exits 2.
+fn load_shards(who: &str, dirs: &[PathBuf]) -> Vec<Checkpoint> {
+    let load = |d: &PathBuf| {
+        Checkpoint::load(d).unwrap_or_else(|e| {
+            eprintln!("{who}: {}: {e}", d.display());
+            std::process::exit(2);
+        })
+    };
+    dirs.iter().map(load).collect()
 }
 
 /// The `--report` loading path: examine every shard directory with the
@@ -726,12 +704,7 @@ fn finish_merge(
         stdout.push_str(&unit.stdout);
         if let Some(dir) = &csv_dir {
             for (fname, bytes) in &unit.files {
-                if let Err(e) =
-                    beating_bgp::core::export::write_atomic_bytes(&dir.join(fname), bytes)
-                {
-                    eprintln!("{who}: writing {fname}: {e}");
-                    std::process::exit(1);
-                }
+                export_or_exit(who, dir, fname, bytes);
             }
         }
     }
@@ -749,9 +722,12 @@ fn finish_merge(
 
 /// `repro orchestrate N`: the self-healing way to run a sharded campaign.
 ///
-/// Spawns one `repro all --shard I/N --checkpoint` child per shard, watches
-/// heartbeats, restarts crashed/hung children from their own checkpoints
-/// (salvaging torn manifests first), then auto-merges — stdout is
+/// Spawns one `repro all --shard I/N --checkpoint` child per shard and
+/// watches each child's `heartbeat.bbhb`. A failure is a crash (nonzero
+/// exit), a hang (heartbeat content stale past `--hang-timeout`), or a
+/// fatal usage error (exit 2, never retried). Crashed and hung children
+/// restart with bounded, seed-keyed backoff from their own checkpoints
+/// (salvaging torn manifests first), then the shards auto-merge — stdout is
 /// byte-identical to the unsharded run. `--chaos light|heavy` switches on a
 /// deterministic fault plan, keyed entirely on the seed:
 ///
@@ -772,12 +748,6 @@ fn run_orchestrate() -> ! {
     use beating_bgp::exec::orchestrator::{orchestrate, OrchestratorPolicy, ShardSpec};
     use std::process::{Command, Stdio};
 
-    #[derive(Clone, Copy, PartialEq)]
-    enum Chaos {
-        Off,
-        Light,
-        Heavy,
-    }
     /// Fault injected into one shard's first launch.
     #[derive(Clone, Copy, PartialEq)]
     enum Fault {
@@ -788,126 +758,63 @@ fn run_orchestrate() -> ! {
         Stall { exp: &'static str },
     }
 
-    let argv: Vec<String> = std::env::args().skip(2).collect();
+    let shared = "--scale --seed --jobs --faults --csv --timing-json";
+    let mut cli = Cli::new("repro orchestrate", 2, shared);
     let mut n: Option<usize> = None;
-    let mut base: Option<std::path::PathBuf> = None;
-    let mut scale = "full".to_string();
-    let mut seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut faults = "off".to_string();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut chaos = Chaos::Off;
+    let mut base: Option<PathBuf> = None;
+    let mut chaos = FaultLevel::Off;
     let mut hang_timeout = 30.0f64;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let need = |i: &mut usize, what: &str| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("{what} needs a value");
-            std::process::exit(2);
-        })
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--dir" => base = Some(std::path::PathBuf::from(need(&mut i, "--dir"))),
-            "--scale" => {
-                scale = need(&mut i, "--scale");
-                if !matches!(scale.as_str(), "test" | "full" | "large" | "planet") {
-                    eprintln!("unknown scale {scale:?}; use test|full|large|planet");
-                    std::process::exit(2);
-                }
-            }
-            "--seed" => {
-                seed = need(&mut i, "--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--jobs" => {
-                jobs = Some(need(&mut i, "--jobs").parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs needs a number");
-                    std::process::exit(2);
-                }));
-            }
-            "--faults" => {
-                faults = need(&mut i, "--faults");
-                if faults.parse::<FaultLevel>().is_err() {
-                    eprintln!("--faults: unknown level {faults:?}; use off|light|heavy");
-                    std::process::exit(2);
-                }
-            }
-            "--csv" => {
-                let dir = std::path::PathBuf::from(need(&mut i, "--csv"));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("--csv: cannot create {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-                csv_dir = Some(dir);
-            }
-            "--chaos" => {
-                chaos = match need(&mut i, "--chaos").as_str() {
-                    "off" => Chaos::Off,
-                    "light" => Chaos::Light,
-                    "heavy" => Chaos::Heavy,
-                    other => {
-                        eprintln!("--chaos: unknown level {other:?}; use off|light|heavy");
-                        std::process::exit(2);
-                    }
-                };
-            }
+    while let Some(arg) = cli.args.next() {
+        match arg.as_str() {
+            "--dir" => base = Some(cli.value("--dir", "a directory", any)),
+            "--chaos" => chaos = cli.choice("--chaos"),
             "--hang-timeout" => {
-                hang_timeout = need(&mut i, "--hang-timeout").parse().unwrap_or_else(|_| {
-                    eprintln!("--hang-timeout needs seconds");
-                    std::process::exit(2);
-                });
+                hang_timeout = cli.value("--hang-timeout", "finite seconds > 0", positive_secs);
             }
-            "--timing-json" => {
-                timing_json = Some(std::path::PathBuf::from(need(&mut i, "--timing-json")));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "repro orchestrate N [--dir DIR] [--scale test|full|large] [--seed N]\n\
-                     \u{20}                   [--jobs N] [--faults off|light|heavy] [--csv DIR]\n\
-                     \u{20}                   [--chaos off|light|heavy] [--hang-timeout SECS]\n\
-                     \u{20}                   [--timing-json PATH]\n\
-                     spawn N shard processes (repro all --shard I/N), monitor heartbeats,\n\
-                     restart crashed/hung shards from their checkpoints (torn manifests\n\
-                     are salvaged), then merge — stdout is byte-identical to `repro all`.\n\
-                     --dir DIR    shard checkpoints live here (default: a seed/scale-keyed\n\
-                     \u{20}            temp directory; reruns resume from it)\n\
-                     --chaos L    deterministic fault plan: light = one shard crashes;\n\
-                     \u{20}            heavy = one stalls, the rest crash, one manifest torn\n\
-                     exit codes: 0 ok, 1 shard failed permanently (partial checkpoints\n\
-                     kept), 2 usage error, 130 interrupted (children killed, resumable)"
-                );
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("repro orchestrate: unknown flag {flag}");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => help(
+                "repro orchestrate N [--dir DIR] [--scale test|full|large] [--seed N]\n\
+                 \u{20}                   [--jobs N] [--faults off|light|heavy] [--csv DIR]\n\
+                 \u{20}                   [--chaos off|light|heavy] [--hang-timeout SECS]\n\
+                 \u{20}                   [--timing-json PATH]\n\
+                 spawn N shard processes (repro all --shard I/N), monitor heartbeats,\n\
+                 restart crashed/hung shards from their checkpoints (torn manifests\n\
+                 are salvaged), then merge — stdout is byte-identical to `repro all`.\n\
+                 --dir DIR    shard checkpoints live here (default: a seed/scale-keyed\n\
+                 \u{20}            temp directory; reruns resume from it)\n\
+                 --chaos L    deterministic fault plan: light = one shard crashes;\n\
+                 \u{20}            heavy = one stalls, the rest crash, one manifest torn\n\
+                 exit codes: 0 ok, 1 shard failed permanently (partial checkpoints\n\
+                 kept), 2 usage error, 130 interrupted (children killed, resumable)",
+            ),
+            flag if cli.shared(flag) => {}
+            flag if flag.starts_with("--") => cli.usage(format_args!("unknown flag {flag}")),
             count => {
-                n = Some(count.parse().unwrap_or_else(|_| {
-                    eprintln!("repro orchestrate: bad shard count {count:?}");
-                    std::process::exit(2);
-                }));
+                n = Some(
+                    count
+                        .parse()
+                        .unwrap_or_else(|_| cli.usage(format_args!("bad shard count {count:?}"))),
+                );
             }
         }
-        i += 1;
     }
-    let n = n.unwrap_or_else(|| {
-        eprintln!("repro orchestrate: shard count required (e.g. `repro orchestrate 3`)");
-        std::process::exit(2);
-    });
+    let n = n.unwrap_or_else(|| cli.usage("shard count required (e.g. `repro orchestrate 3`)"));
     if n == 0 || n > EXPERIMENT_NAMES.len() {
-        eprintln!(
-            "repro orchestrate: shard count must be 1..={} (one experiment per shard at most)",
+        cli.usage(format_args!(
+            "shard count must be 1..={} (one experiment per shard at most)",
             EXPERIMENT_NAMES.len()
-        );
-        std::process::exit(2);
+        ));
     }
+    let Opts {
+        scale,
+        seed,
+        jobs,
+        faults,
+        csv_dir,
+        timing_json,
+        ..
+    } = cli.opts;
     let base = base.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("bb_orchestrate_{seed}_{scale}"))
+        std::env::temp_dir().join(format!("bb_orchestrate_{seed}_{}", scale.as_str()))
     });
 
     // --- Chaos plan: which shard gets which first-launch fault. ---
@@ -925,8 +832,8 @@ fn run_orchestrate() -> ! {
     let crash_point =
         |i: usize| 1 + (derive_seed(seed, 0xC4A6 ^ i as u64) as usize) % slice(i).len().max(1);
     let plan: Vec<Fault> = match chaos {
-        Chaos::Off => vec![Fault::None; n],
-        Chaos::Light => {
+        FaultLevel::Off => vec![Fault::None; n],
+        FaultLevel::Light => {
             let victim = (derive_seed(seed, 0xC4A5) % n as u64) as usize;
             (0..n)
                 .map(|i| {
@@ -938,7 +845,7 @@ fn run_orchestrate() -> ! {
                 })
                 .collect()
         }
-        Chaos::Heavy => {
+        FaultLevel::Heavy => {
             let stalled = (derive_seed(seed, 0x57A11) % n as u64) as usize;
             (0..n)
                 .map(|i| {
@@ -957,7 +864,7 @@ fn run_orchestrate() -> ! {
     // Heavy chaos also tears the first crashing shard's manifest before its
     // restart, forcing the salvage path end to end.
     let tear_victim: Option<usize> = match chaos {
-        Chaos::Heavy => plan.iter().position(|f| matches!(f, Fault::Crash { .. })),
+        FaultLevel::Heavy => plan.iter().position(|f| matches!(f, Fault::Crash { .. })),
         _ => None,
     };
 
@@ -974,13 +881,10 @@ fn run_orchestrate() -> ! {
     });
 
     eprintln!(
-        "[repro] orchestrate: {n} shard(s), scale {scale}, seed {seed}, faults {faults}, \
-         chaos {}, dir {}",
-        match chaos {
-            Chaos::Off => "off",
-            Chaos::Light => "light",
-            Chaos::Heavy => "heavy",
-        },
+        "[repro] orchestrate: {n} shard(s), scale {}, seed {seed}, faults {}, chaos {}, dir {}",
+        scale.as_str(),
+        faults.as_str(),
+        chaos.as_str(),
         base.display()
     );
 
@@ -1016,11 +920,11 @@ fn run_orchestrate() -> ! {
         let mut cmd = Command::new(&exe);
         cmd.arg("all")
             .arg("--scale")
-            .arg(&scale)
+            .arg(scale.as_str())
             .arg("--seed")
             .arg(seed.to_string())
             .arg("--faults")
-            .arg(&faults)
+            .arg(faults.as_str())
             .arg("--shard")
             .arg(format!("{i}/{n}"));
         // Resume whenever a manifest exists (even a torn one — the child
@@ -1030,8 +934,8 @@ fn run_orchestrate() -> ! {
         } else {
             cmd.arg("--checkpoint").arg(&dir);
         }
-        if let Some(j) = jobs {
-            cmd.arg("--jobs").arg(j.to_string());
+        if jobs != 0 {
+            cmd.arg("--jobs").arg(jobs.to_string());
         }
         // Shards must capture CSV exports in their manifests (the campaign
         // key records whether CSV was on) so the merge can re-emit them.
@@ -1112,47 +1016,17 @@ fn run_orchestrate() -> ! {
             .collect(),
     };
     if let Some(path) = &timing_json {
-        use beating_bgp::bench as bench;
-        let perf = bench::PerfReport {
+        // The work ran in the children: only the orchestration section.
+        let perf = PerfReport {
             experiment: "orchestrate".to_string(),
-            scale: scale.clone(),
+            scale: scale.as_str().to_string(),
             seed,
-            jobs: jobs.unwrap_or(0),
+            jobs,
             wall_s,
-            phases: Vec::new(),
-            counters: Vec::new(),
-            total_samples: 0,
-            samples_per_sec: 0.0,
-            plan_compile_s: 0.0,
-            plan_query_s: 0.0,
-            route_cache: bench::RouteCacheStats { hits: 0, misses: 0, resident: 0 },
-            route_cache_by_experiment: Vec::new(),
-            faults: bench::FaultStats {
-                samples_lost: 0,
-                timeouts: 0,
-                retries: 0,
-                windows_dropped: 0,
-                panics_isolated: 0,
-            },
-            supervision: bench::SupervisionStats {
-                attempts: 0,
-                retries: 0,
-                panics_absorbed: 0,
-                recovered: 0,
-                failed: 0,
-                skipped: 0,
-                budget_exhausted: false,
-            },
             orchestration: Some(stats),
-            serve: None,
-            rib: None,
-            congestion_races_closed: 0,
-        }
-        .finalize();
-        if let Err(e) = std::fs::write(path, perf.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+            ..PerfReport::default()
+        };
+        write_timing_json(path, perf);
     }
     eprintln!(
         "[repro] orchestrate: {} launch(es), {} restart(s), {} crash(es), {} hang(s), \
@@ -1166,14 +1040,14 @@ fn run_orchestrate() -> ! {
     );
 
     if report.cancelled {
-        eprintln!("=== INTERRUPTED (resumable) ===");
-        eprintln!(
-            "  children killed; shard checkpoints kept in {} — rerun the same \
-             command to resume",
-            base.display()
+        interrupted_exit(
+            true,
+            &[format!(
+                "children killed; shard checkpoints kept in {} — rerun the same \
+                 command to resume",
+                base.display()
+            )],
         );
-        eprintln!("=== END INTERRUPTED ===");
-        std::process::exit(130);
     }
     if !report.all_completed() {
         for s in &report.shards {
@@ -1201,16 +1075,8 @@ fn run_orchestrate() -> ! {
     // Every shard completed: strict-load the manifests (salvage was a
     // restart-time concern; a completed shard's manifest must be whole)
     // and emit the campaign output.
-    let dirs: Vec<std::path::PathBuf> = (0..n).map(shard_dir).collect();
-    let shards: Vec<Checkpoint> = dirs
-        .iter()
-        .map(|d| {
-            Checkpoint::load(d).unwrap_or_else(|e| {
-                eprintln!("repro orchestrate: {}: {e}", d.display());
-                std::process::exit(2);
-            })
-        })
-        .collect();
+    let dirs: Vec<PathBuf> = (0..n).map(shard_dir).collect();
+    let shards = load_shards("repro orchestrate", &dirs);
     finish_merge("repro orchestrate", &dirs, shards, csv_dir.as_deref())
 }
 
@@ -1233,149 +1099,79 @@ fn run_orchestrate() -> ! {
 /// memory, doubling ε) instead of letting resident state grow — decisions
 /// land only at epoch boundaries, which the snapshot key pins, so
 /// degraded-mode output is as deterministic and resumable as everything
-/// else.
+/// else. The key is (seed, scale, faults, ε, epoch size, CSV, code schema);
+/// a mismatched snapshot is rejected (exit 2), never silently reused. The
+/// per-epoch watchdog (`--epoch-deadline`) only counts overruns: wall-clock
+/// never shapes output bytes.
 fn run_serve() -> ! {
     use beating_bgp::core::serve::{Governor, ServeMode, ServeState};
     use beating_bgp::core::snapshot::{ServeKey, Snapshot, SNAPSHOT_NAME};
     use beating_bgp::measure::SprayEngine;
 
-    let argv: Vec<String> = std::env::args().skip(2).collect();
-    let mut scale = Scale::Full;
-    let mut seed = 42u64;
-    let mut jobs = 0usize;
-    let mut faults = FaultLevel::Off;
-    let mut dir: Option<std::path::PathBuf> = None;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
+    let shared = "--scale --seed --jobs --faults --csv --timing --timing-json";
+    let mut cli = Cli::new("repro serve", 2, shared);
+    let mut dir: Option<PathBuf> = None;
     let mut windows: Option<u64> = None;
     let mut epoch = 32u64;
     let mut epsilon = 0.0f64;
     let mut mem_limit: Option<u64> = None;
     let mut epoch_deadline = 60.0f64;
     let mut chaos = false;
-    let mut timing = false;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let usage = |msg: &str| -> ! {
-        eprintln!("repro serve: {msg}");
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    Some("large") => Scale::Large,
-                    Some("planet") => Scale::Planet,
-                    other => usage(&format!("unknown scale {other:?}; use test|full|large|planet")),
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--jobs needs a number"));
-            }
-            "--faults" => {
-                i += 1;
-                faults = match argv.get(i).map(String::as_str).unwrap_or("").parse() {
-                    Ok(level) => level,
-                    Err(e) => usage(&format!("--faults: {e}")),
-                };
-            }
-            "--dir" => {
-                i += 1;
-                dir = Some(std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--dir needs a directory")),
-                ));
-            }
-            "--csv" => {
-                i += 1;
-                let d = std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--csv needs a directory")),
-                );
-                if let Err(e) = std::fs::create_dir_all(&d) {
-                    usage(&format!("--csv: cannot create {}: {e}", d.display()));
-                }
-                csv_dir = Some(d);
-            }
-            "--windows" => {
-                i += 1;
-                windows = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--windows needs a number")),
-                );
-            }
-            "--epoch" => {
-                i += 1;
-                epoch = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&k| k >= 1)
-                    .unwrap_or_else(|| usage("--epoch needs a window count >= 1"));
-            }
+    while let Some(arg) = cli.args.next() {
+        match arg.as_str() {
+            "--dir" => dir = Some(cli.value("--dir", "a directory", any)),
+            "--windows" => windows = Some(cli.value("--windows", "a number", any)),
+            "--epoch" => epoch = cli.value("--epoch", "a window count >= 1", |&k: &u64| k >= 1),
             "--epsilon" => {
-                i += 1;
-                epsilon = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|e: &f64| (0.0..1.0).contains(e))
-                    .unwrap_or_else(|| usage("--epsilon needs a value in [0, 1)"));
+                epsilon = cli.value("--epsilon", "a value in [0, 1)", |e: &f64| (0.0..1.0).contains(e));
             }
             "--mem-limit" => {
-                i += 1;
-                mem_limit = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&b| b > 0)
-                        .unwrap_or_else(|| usage("--mem-limit needs a byte count > 0")),
-                );
+                mem_limit = Some(cli.value("--mem-limit", "a byte count > 0", |&b: &u64| b > 0));
             }
             "--epoch-deadline" => {
-                i += 1;
-                epoch_deadline = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|s: &f64| *s > 0.0)
-                    .unwrap_or_else(|| usage("--epoch-deadline needs seconds > 0"));
+                epoch_deadline = cli.value("--epoch-deadline", "finite seconds > 0", positive_secs);
             }
             "--chaos" => chaos = true,
-            "--timing" => timing = true,
-            "--timing-json" => {
-                i += 1;
-                timing_json = Some(std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--timing-json needs a file path")),
-                ));
-            }
-            other => usage(&format!("unknown flag {other:?}")),
+            "--help" | "-h" => help(
+                "repro serve --dir DIR [--windows N] [--epoch K] [--epsilon E] [--mem-limit BYTES]\n\
+                 \u{20}           [--epoch-deadline SECS] [--scale test|full|large|planet] [--seed N]\n\
+                 \u{20}           [--jobs N] [--faults off|light|heavy] [--csv DIR] [--chaos]\n\
+                 \u{20}           [--timing] [--timing-json PATH]\n\
+                 stream the spray campaign in epochs of K windows (default 32), flushing\n\
+                 a snapshot to DIR after every epoch; rerunning with the same DIR resumes\n\
+                 byte-identically. N defaults to the batch campaign's window count.\n\
+                 --epsilon E        E > 0 keeps bounded-memory sketches instead of rows\n\
+                 --mem-limit BYTES  coarsen the sketches rather than grow past BYTES\n\
+                 --epoch-deadline   count epochs slower than SECS (default 60; advisory)\n\
+                 --chaos            crash (exit 101) after a seed-keyed epoch, fresh runs only\n\
+                 exit codes: 0 ok, 1 runtime failure, 2 usage error or stale snapshot,\n\
+                 130 interrupted (resumable)",
+            ),
+            flag if cli.shared(flag) => {}
+            other => cli.usage(format_args!("unknown flag {other:?}")),
         }
-        i += 1;
     }
     let dir = dir.unwrap_or_else(|| {
-        usage("--dir DIR is required: the serve directory holds the snapshot the daemon resumes from")
+        cli.usage(
+            "--dir DIR is required: the serve directory holds the snapshot the daemon resumes from",
+        )
     });
     if mem_limit.is_some() && epsilon == 0.0 {
-        usage(
+        cli.usage(
             "--mem-limit needs --epsilon E > 0: exact mode retains every row by \
              contract and the governor refuses to discard data",
         );
     }
+    let Opts {
+        scale,
+        seed,
+        jobs,
+        faults,
+        csv_dir,
+        timing,
+        timing_json,
+        ..
+    } = cli.opts;
 
     beating_bgp::exec::set_jobs(jobs);
     install_signal_drain();
@@ -1408,7 +1204,7 @@ fn run_serve() -> ! {
     let mode = ServeMode::from_eps(epsilon);
     let key = ServeKey::new(
         seed,
-        scale_label(scale),
+        scale.as_str(),
         faults.as_str(),
         epsilon,
         epoch,
@@ -1421,15 +1217,12 @@ fn run_serve() -> ! {
     // trust would poison every epoch after it.
     let snapshot_path = dir.join(SNAPSHOT_NAME);
     let (mut state, mut epochs_flushed, mut coarsenings, resumed) = if snapshot_path.exists() {
-        let snap = Snapshot::load(&dir).unwrap_or_else(|e| {
-            eprintln!("repro serve: {}: {e}", snapshot_path.display());
-            std::process::exit(2);
+        let loaded = Snapshot::load(&dir).and_then(|snap| {
+            snap.validate(&key)?;
+            let state = ServeState::decode(&snap.state)?;
+            Ok((snap, state))
         });
-        if let Err(e) = snap.validate(&key) {
-            eprintln!("repro serve: {}: {e}", snapshot_path.display());
-            std::process::exit(2);
-        }
-        let state = ServeState::decode(&snap.state).unwrap_or_else(|e| {
+        let (snap, state) = loaded.unwrap_or_else(|e| {
             eprintln!("repro serve: {}: {e}", snapshot_path.display());
             std::process::exit(2);
         });
@@ -1469,6 +1262,19 @@ fn run_serve() -> ! {
     let mut deadline_misses = 0u64;
     let mut peak_resident = state.resident_bytes();
 
+    // Snapshot and heartbeat writers fail closed (exit 1, named path):
+    // the previous epoch's snapshot is still whole on disk, so a rerun
+    // resumes from it and loses at most this epoch.
+    let write_failed = |what: &str, e: beating_bgp::core::BbError, intact: &str| -> ! {
+        eprintln!("repro serve: {what} failed: {e}");
+        eprintln!(
+            "repro serve: {intact} in {} is intact; rerun the same command to \
+             resume after freeing space",
+            dir.display()
+        );
+        std::process::exit(1)
+    };
+
     while state.windows_done() < total_windows && !INTERRUPTED.load(Ordering::Relaxed) {
         let started = std::time::Instant::now();
         let lo = state.windows_done();
@@ -1502,27 +1308,12 @@ fn run_serve() -> ! {
             coarsenings,
             state: state.encode(),
         };
-        // Snapshot and heartbeat writers fail closed (exit 1, named path):
-        // the previous epoch's snapshot is still whole on disk, so a rerun
-        // resumes from it and loses at most this epoch.
         if let Err(e) = timing::time("serve:flush", || snap.save(&dir)) {
-            eprintln!("repro serve: snapshot flush failed: {e}");
-            eprintln!(
-                "repro serve: previous snapshot in {} is intact; rerun the same \
-                 command to resume after freeing space",
-                dir.display()
-            );
-            std::process::exit(1);
+            write_failed("snapshot flush", e, "previous snapshot");
         }
         let hb = Heartbeat::now(state.windows_done(), epochs_flushed);
         if let Err(e) = hb.save(&dir) {
-            eprintln!("repro serve: heartbeat write failed: {e}");
-            eprintln!(
-                "repro serve: snapshot in {} is intact; rerun the same command to \
-                 resume after freeing space",
-                dir.display()
-            );
-            std::process::exit(1);
+            write_failed("heartbeat write", e, "snapshot");
         }
         // Live sketch-mode figure export at every epoch boundary: the
         // whole point of the sketch is that a current figure is always
@@ -1530,16 +1321,7 @@ fn run_serve() -> ! {
         // recomputing bootstrap CIs per epoch would swamp sampling.)
         if let (Some(csv), ServeMode::Sketch { .. }) = (&csv_dir, mode) {
             if let Ok(fig) = state.sketch_fig1(engine.targets()) {
-                let path = csv.join("fig1.csv");
-                if let Err(e) =
-                    beating_bgp::core::export::write_atomic_bytes(
-                        &path,
-                        &beating_bgp::core::export::fig1_csv_bytes(&fig),
-                    )
-                {
-                    eprintln!("repro serve: live CSV export failed: {e}");
-                    std::process::exit(1);
-                }
+                export_or_exit("repro serve", csv, "fig1.csv", &fig1_csv_bytes(&fig));
             }
         }
         if watchdog.observe(started) {
@@ -1557,16 +1339,18 @@ fn run_serve() -> ! {
     if state.windows_done() < total_windows {
         // Signal drain: the last completed epoch is on disk; mid-epoch
         // windows are resampled deterministically on resume.
-        eprintln!("=== INTERRUPTED (resumable) ===");
-        eprintln!(
-            "  {}/{} windows ingested; snapshot flushed to {}",
-            state.windows_done(),
-            total_windows,
-            snapshot_path.display()
+        interrupted_exit(
+            true,
+            &[
+                format!(
+                    "{}/{} windows ingested; snapshot flushed to {}",
+                    state.windows_done(),
+                    total_windows,
+                    snapshot_path.display()
+                ),
+                "rerun the same command to resume".to_string(),
+            ],
         );
-        eprintln!("  rerun the same command to resume");
-        eprintln!("=== END INTERRUPTED ===");
-        std::process::exit(130);
     }
 
     // Campaign horizon reached: emit the figure.
@@ -1577,56 +1361,36 @@ fn run_serve() -> ! {
     let eps_in_force = state.current_eps();
     let resident_bytes = state.resident_bytes();
     let windows_done = state.windows_done();
-    let render = match mode {
+    let figure = || match mode {
         ServeMode::Exact => {
-            let rows = state.into_rows().unwrap_or_else(|e| {
-                eprintln!("repro serve: {e}");
-                std::process::exit(1);
-            });
+            let rows = state.into_rows()?;
             let dataset = beating_bgp::measure::SprayDataset {
                 targets: engine.into_targets(),
                 rows,
             };
             let study = timing::time("egress:analyze", || {
                 study_egress::analyze(&scenario, &spray_config, dataset)
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("repro serve: {e}");
-                std::process::exit(1);
-            });
-            if let Some(csv) = &csv_dir {
-                if let Err(e) = beating_bgp::core::export::write_atomic_bytes(
-                    &csv.join("fig1.csv"),
-                    &beating_bgp::core::export::fig1_csv_bytes(&study.fig1),
-                ) {
-                    eprintln!("repro serve: CSV export failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-            format!("{}\n", study.fig1.render())
+            })?;
+            let render = format!("{}\n", study.fig1.render());
+            Ok((study.fig1, render))
         }
         ServeMode::Sketch { .. } => {
-            let fig = state.sketch_fig1(engine.targets()).unwrap_or_else(|e| {
-                eprintln!("repro serve: {e}");
-                std::process::exit(1);
-            });
-            if let Some(csv) = &csv_dir {
-                if let Err(e) = beating_bgp::core::export::write_atomic_bytes(
-                    &csv.join("fig1.csv"),
-                    &beating_bgp::core::export::fig1_csv_bytes(&fig),
-                ) {
-                    eprintln!("repro serve: CSV export failed: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let fig = state.sketch_fig1(engine.targets())?;
             let mut s = fig.render();
             if let Some(note) = state.sketch_disclosure() {
                 s.push_str(&note);
             }
             s.push('\n');
-            s
+            Ok((fig, s))
         }
     };
+    let (fig, render) = figure().unwrap_or_else(|e: beating_bgp::core::BbError| {
+        eprintln!("repro serve: {e}");
+        std::process::exit(1);
+    });
+    if let Some(csv) = &csv_dir {
+        export_or_exit("repro serve", csv, "fig1.csv", &fig1_csv_bytes(&fig));
+    }
     print!("{render}");
 
     let wall_s = t0.elapsed().as_secs_f64();
@@ -1638,56 +1402,8 @@ fn run_serve() -> ! {
         );
     }
     if let Some(path) = &timing_json {
-        use beating_bgp::bench as bench;
-        let perf = bench::PerfReport {
-            experiment: "serve".to_string(),
-            scale: scale_label(scale).to_string(),
-            seed,
-            jobs: beating_bgp::exec::jobs(),
-            wall_s,
-            phases: timing::snapshot()
-                .into_iter()
-                .map(|(label, total_s, calls)| bench::PhaseTiming {
-                    label,
-                    total_s,
-                    calls,
-                })
-                .collect(),
-            counters: timing::counters()
-                .into_iter()
-                .map(|(label, count)| bench::CounterSample { label, count })
-                .collect(),
-            total_samples: 0,
-            samples_per_sec: 0.0,
-            plan_compile_s: 0.0,
-            plan_query_s: 0.0,
-            route_cache: {
-                let (hits, misses, resident) = beating_bgp::exec::cache_stats();
-                bench::RouteCacheStats {
-                    hits: hits as u64,
-                    misses: misses as u64,
-                    resident: resident as u64,
-                }
-            },
-            route_cache_by_experiment: Vec::new(),
-            faults: bench::FaultStats {
-                samples_lost: 0,
-                timeouts: 0,
-                retries: 0,
-                windows_dropped: 0,
-                panics_isolated: 0,
-            },
-            supervision: bench::SupervisionStats {
-                attempts: 0,
-                retries: 0,
-                panics_absorbed: 0,
-                recovered: 0,
-                failed: 0,
-                skipped: 0,
-                budget_exhausted: false,
-            },
-            orchestration: None,
-            serve: Some(bench::ServeStats {
+        let perf = PerfReport {
+            serve: Some(beating_bgp::bench::ServeStats {
                 mode: mode_label.to_string(),
                 epsilon,
                 epsilon_in_force: eps_in_force,
@@ -1699,14 +1415,9 @@ fn run_serve() -> ! {
                 deadline_misses,
                 resumed,
             }),
-            rib: None,
-            congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
-        }
-        .finalize();
-        if let Err(e) = std::fs::write(path, perf.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+            ..run_report("serve", scale, seed, wall_s)
+        };
+        write_timing_json(path, perf);
     }
     std::process::exit(0);
 }
@@ -1725,108 +1436,37 @@ fn run_propagate() -> ! {
     use beating_bgp::bgp::{valley_free, Announcement};
     use beating_bgp::topology::{AsClass, AsId};
 
-    let argv: Vec<String> = std::env::args().skip(2).collect();
-    let mut scale = Scale::Full;
-    let mut seed = 42u64;
-    let mut jobs = 0usize;
-    let mut snapshot: Option<String> = None;
+    let shared = "--scale --seed --jobs --csv --snapshot --timing --timing-json";
+    let mut cli = Cli::new("repro propagate", 2, shared);
     let mut origins = 16usize;
     let mut prefixes = 64usize;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut timing_flag = false;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let usage = |msg: &str| -> ! {
-        eprintln!("repro propagate: {msg}");
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    Some("large") => Scale::Large,
-                    Some("planet") => Scale::Planet,
-                    other => usage(&format!("unknown scale {other:?}; use test|full|large|planet")),
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--jobs needs a number"));
-            }
-            "--snapshot" => {
-                i += 1;
-                snapshot = Some(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--snapshot needs a file path")),
-                );
-            }
-            "--origins" => {
-                i += 1;
-                origins = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--origins needs a count >= 1"));
-            }
-            "--prefixes" => {
-                i += 1;
-                prefixes = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--prefixes needs a count >= 1"));
-            }
-            "--csv" => {
-                i += 1;
-                let dir = std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--csv needs a directory")),
-                );
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    usage(&format!("--csv: cannot create {}: {e}", dir.display()));
-                }
-                csv_dir = Some(dir);
-            }
-            "--timing" => timing_flag = true,
-            "--timing-json" => {
-                i += 1;
-                timing_json = Some(std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--timing-json needs a file path")),
-                ));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "repro propagate [--scale test|full|large|planet] [--seed N] [--jobs N]\n\
-                     \u{20}               [--snapshot PATH] [--origins K] [--prefixes K]\n\
-                     \u{20}               [--csv DIR] [--timing] [--timing-json PATH]\n\
-                     propagate full routing tables from K eyeball origins, sharded\n\
-                     across --jobs workers; check sampled paths for valley-freeness;\n\
-                     report interned vs naive RIB bytes; spray the first K prefixes\n\
-                     exit codes: 0 ok, 1 propagation invariant violated, 2 usage error"
-                );
-                std::process::exit(0);
-            }
-            flag => usage(&format!("unknown argument {flag:?}")),
+    while let Some(arg) = cli.args.next() {
+        match arg.as_str() {
+            "--origins" => origins = cli.value("--origins", "a count >= 1", |&n: &usize| n >= 1),
+            "--prefixes" => prefixes = cli.value("--prefixes", "a count >= 1", |&n: &usize| n >= 1),
+            "--help" | "-h" => help(
+                "repro propagate [--scale test|full|large|planet] [--seed N] [--jobs N]\n\
+                 \u{20}               [--snapshot PATH] [--origins K] [--prefixes K]\n\
+                 \u{20}               [--csv DIR] [--timing] [--timing-json PATH]\n\
+                 propagate full routing tables from K eyeball origins, sharded\n\
+                 across --jobs workers; check sampled paths for valley-freeness;\n\
+                 report interned vs naive RIB bytes; spray the first K prefixes\n\
+                 exit codes: 0 ok, 1 propagation invariant violated, 2 usage error",
+            ),
+            flag if cli.shared(flag) => {}
+            flag => cli.usage(format_args!("unknown argument {flag:?}")),
         }
-        i += 1;
     }
+    let Opts {
+        scale,
+        seed,
+        jobs,
+        csv_dir,
+        snapshot,
+        timing,
+        timing_json,
+        ..
+    } = cli.opts;
 
     beating_bgp::exec::set_jobs(jobs);
     let t0 = std::time::Instant::now();
@@ -1836,7 +1476,7 @@ fn run_propagate() -> ! {
     let scenario = timing::time("world:propagate", || build_world_or_exit(cfg));
     let topo = &scenario.topo;
 
-    println!("=== PROPAGATE (scale {}, seed {seed}) ===", scale_label(scale));
+    println!("=== PROPAGATE (scale {}, seed {seed}) ===", scale.as_str());
     println!(
         "world: {} ases, {} links, fingerprint {:016x}",
         topo.as_count(),
@@ -1944,76 +1584,14 @@ fn run_propagate() -> ! {
     );
 
     if let Some(dir) = &csv_dir {
-        if let Err(e) =
-            beating_bgp::core::export::write_atomic_bytes(&dir.join("propagate.csv"), csv.as_bytes())
-        {
-            eprintln!("--csv: {e}");
-            std::process::exit(1);
-        }
+        export_or_exit("repro propagate", dir, "propagate.csv", csv.as_bytes());
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    if timing_flag {
+    if timing {
         eprint!("{}", timing::report());
     }
     if let Some(path) = &timing_json {
-        use beating_bgp::bench as bench;
-        let perf = bench::PerfReport {
-            experiment: "propagate".to_string(),
-            scale: scale_label(scale).to_string(),
-            seed,
-            jobs: beating_bgp::exec::jobs(),
-            wall_s,
-            phases: timing::snapshot()
-                .into_iter()
-                .map(|(label, total_s, calls)| bench::PhaseTiming {
-                    label,
-                    total_s,
-                    calls,
-                })
-                .collect(),
-            counters: timing::counters()
-                .into_iter()
-                .map(|(label, count)| bench::CounterSample { label, count })
-                .collect(),
-            total_samples: 0,
-            samples_per_sec: 0.0,
-            plan_compile_s: 0.0,
-            plan_query_s: 0.0,
-            route_cache: {
-                let (hits, misses, resident) = beating_bgp::exec::cache_stats();
-                bench::RouteCacheStats {
-                    hits: hits as u64,
-                    misses: misses as u64,
-                    resident: resident as u64,
-                }
-            },
-            route_cache_by_experiment: Vec::new(),
-            faults: bench::FaultStats {
-                samples_lost: 0,
-                timeouts: 0,
-                retries: 0,
-                windows_dropped: 0,
-                panics_isolated: 0,
-            },
-            supervision: bench::SupervisionStats {
-                attempts: 0,
-                retries: 0,
-                panics_absorbed: 0,
-                recovered: 0,
-                failed: 0,
-                skipped: 0,
-                budget_exhausted: false,
-            },
-            orchestration: None,
-            serve: None,
-            rib: None,
-            congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
-        }
-        .finalize();
-        if let Err(e) = std::fs::write(path, perf.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        write_timing_json(path, run_report("propagate", scale, seed, wall_s));
     }
     std::process::exit(if failed { 1 } else { 0 });
 }
@@ -2022,17 +1600,12 @@ fn main() {
     // Fail fast on a malformed injection hook: a typo'd BB_REPRO_ENOSPC
     // must be a usage error even when the chosen command never writes.
     beating_bgp::core::export::validate_injection_env();
-    if std::env::args().nth(1).as_deref() == Some("merge") {
-        run_merge();
-    }
-    if std::env::args().nth(1).as_deref() == Some("propagate") {
-        run_propagate();
-    }
-    if std::env::args().nth(1).as_deref() == Some("orchestrate") {
-        run_orchestrate();
-    }
-    if std::env::args().nth(1).as_deref() == Some("serve") {
-        run_serve();
+    match std::env::args().nth(1).as_deref() {
+        Some("merge") => run_merge(),
+        Some("propagate") => run_propagate(),
+        Some("orchestrate") => run_orchestrate(),
+        Some("serve") => run_serve(),
+        _ => {}
     }
     let args = parse_args();
     let t0 = std::time::Instant::now();
@@ -2185,15 +1758,27 @@ fn main() {
             files: Vec::new(),
         })
     };
-    // The `--csv` contract is enforced structurally: exporting consumes the
-    // parsed directory by value, so a call without the flag cannot compile
-    // (this used to be a runtime `.expect`, i.e. a panic where the exit-code
-    // contract promises usage errors → 2; flag conflicts are now rejected in
-    // `parse_args` instead).
-    let export_csv = |dir: &std::path::Path, fname: &str, bytes: Vec<u8>| -> BbResult<Vec<(String, Vec<u8>)>> {
-        beating_bgp::core::export::write_atomic_bytes(&dir.join(fname), &bytes)?;
-        Ok(vec![(fname.to_string(), bytes)])
-    };
+    // A figure's stdout chunk is its rendered chart. With `--csv`, its data
+    // is exported as `{name}.csv` too; the bytes are built only then. The
+    // `--csv` contract is enforced structurally: the export reads the parsed
+    // directory, so no path writes without the flag (this used to be a
+    // runtime `.expect`, i.e. a panic where the exit-code contract promises
+    // usage errors → 2; flag conflicts are now rejected in `parse_args`).
+    let figure =
+        |name: &str, render: String, csv_bytes: &dyn Fn() -> Vec<u8>| -> BbResult<UnitResult> {
+            let files = match &args.csv_dir {
+                Some(dir) => {
+                    let files = vec![(format!("{name}.csv"), csv_bytes())];
+                    write_unit_files(dir, &files)?;
+                    files
+                }
+                None => Vec::new(),
+            };
+            Ok(UnitResult {
+                stdout: format!("{render}\n"),
+                files,
+            })
+        };
     type Exp<'a> = (&'static str, Box<dyn Fn() -> BbResult<UnitResult> + Sync + 'a>);
     let experiments: Vec<Exp> = vec![
         (
@@ -2204,28 +1789,14 @@ fn main() {
             "fig1",
             Box::new(|| {
                 let study = egress_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig1.csv", beating_bgp::core::export::fig1_csv_bytes(&study.fig1))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig1.render()),
-                    files,
-                })
+                figure("fig1", study.fig1.render(), &|| fig1_csv_bytes(&study.fig1))
             }),
         ),
         (
             "fig2",
             Box::new(|| {
                 let study = egress_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig2.csv", beating_bgp::core::export::fig2_csv_bytes(&study.fig2))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig2.render()),
-                    files,
-                })
+                figure("fig2", study.fig2.render(), &|| fig2_csv_bytes(&study.fig2))
             }),
         ),
         (
@@ -2244,42 +1815,21 @@ fn main() {
             "fig3",
             Box::new(|| {
                 let study = anycast_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig3.csv", beating_bgp::core::export::fig3_csv_bytes(&study.fig3))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig3.render()),
-                    files,
-                })
+                figure("fig3", study.fig3.render(), &|| fig3_csv_bytes(&study.fig3))
             }),
         ),
         (
             "fig4",
             Box::new(|| {
                 let study = anycast_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig4.csv", beating_bgp::core::export::fig4_csv_bytes(&study.fig4))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig4.render()),
-                    files,
-                })
+                figure("fig4", study.fig4.render(), &|| fig4_csv_bytes(&study.fig4))
             }),
         ),
         (
             "fig5",
             Box::new(|| {
                 let study = tiers_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig5.csv", beating_bgp::core::export::fig5_csv_bytes(&study.fig5))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig5.render()),
-                    files,
-                })
+                figure("fig5", study.fig5.render(), &|| fig5_csv_bytes(&study.fig5))
             }),
         ),
         (
@@ -2505,7 +2055,7 @@ fn main() {
     let ckpt_dir = args.resume.clone().or_else(|| args.checkpoint.clone());
     let campaign_key = CampaignKey::new(
         args.seed,
-        scale_label(args.scale),
+        args.scale.as_str(),
         args.faults.as_str(),
         names.join(","),
         args.csv_dir.is_some(),
@@ -2564,18 +2114,20 @@ fn main() {
     // guarantees the previous manifest is still whole, so exiting 1 here
     // (with the failing path in the message) loses at most the window
     // since the last successful flush — rerunning resumes from it.
+    fn write_failed(what: &str, e: beating_bgp::core::BbError, intact: &str, dir: &Path) -> ! {
+        eprintln!("repro: {what} failed: {e}");
+        eprintln!(
+            "repro: {intact} in {} is intact; rerun with --resume after freeing space",
+            dir.display()
+        );
+        std::process::exit(1)
+    }
     let flush = |shared: &(std::path::PathBuf, Mutex<Checkpoint>)| {
         let mut ck = shared.1.lock().unwrap_or_else(|e| e.into_inner());
         ck.windows_done = beating_bgp::measure::progress::windows_done();
         timing::time("checkpoint:flush", || {
             if let Err(e) = ck.save(&shared.0) {
-                eprintln!("repro: checkpoint flush failed: {e}");
-                eprintln!(
-                    "repro: previous manifest in {} is intact; rerun with --resume \
-                     after freeing space",
-                    shared.0.display()
-                );
-                std::process::exit(1);
+                write_failed("checkpoint flush", e, "previous manifest", &shared.0);
             }
         });
     };
@@ -2597,13 +2149,7 @@ fn main() {
             );
             timing::time("checkpoint:heartbeat", || {
                 if let Err(e) = hb.save(&shared.0) {
-                    eprintln!("repro: heartbeat write failed: {e}");
-                    eprintln!(
-                        "repro: checkpoint in {} is intact; rerun with --resume \
-                         after freeing space",
-                        shared.0.display()
-                    );
-                    std::process::exit(1);
+                    write_failed("heartbeat write", e, "checkpoint", &shared.0);
                 }
             });
         }
@@ -2658,41 +2204,44 @@ fn main() {
     // BB_REPRO_STALL=<name>[:secs] sleeps that long (default 30s) before
     // running <name>, first attempt only — a deterministic hang, stale
     // heartbeat included, that a restarted attempt does not repeat.
-    let poison = std::env::var("BB_REPRO_POISON").ok();
-    let (poison_name, poison_attempts): (Option<String>, u32) = match poison {
+    // Every hook value goes through the flags' value check: malformed is
+    // a usage error (exit 2), never silently ignored.
+    let hook = |var: &str| std::env::var(var).ok();
+    let (poison_name, poison_attempts): (Option<String>, u32) = match hook("BB_REPRO_POISON") {
         None => (None, 0),
         Some(spec) => match spec.split_once(':') {
             Some((name, k)) => (
                 Some(name.to_string()),
-                k.parse().unwrap_or_else(|_| {
-                    eprintln!("BB_REPRO_POISON: bad attempt count in {spec:?}");
-                    std::process::exit(2);
+                parse_or_exit(Some(k), any, || {
+                    format!("BB_REPRO_POISON: bad attempt count in {spec:?}")
                 }),
             ),
             None => (Some(spec), u32::MAX),
         },
     };
-    let unit_limit: Option<usize> = std::env::var("BB_REPRO_UNIT_LIMIT")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let crash_after: Option<usize> = std::env::var("BB_REPRO_CRASH").ok().map(|s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("BB_REPRO_CRASH: bad unit count {s:?}");
-            std::process::exit(2);
+    let unit_limit: Option<usize> = hook("BB_REPRO_UNIT_LIMIT").map(|s| {
+        parse_or_exit(Some(&s), any, || {
+            format!("BB_REPRO_UNIT_LIMIT: bad unit count {s:?}")
         })
     });
-    let stall: Option<(String, f64)> = std::env::var("BB_REPRO_STALL").ok().map(|spec| {
-        match spec.split_once(':') {
+    let crash_after: Option<usize> = hook("BB_REPRO_CRASH").map(|s| {
+        parse_or_exit(Some(&s), any, || {
+            format!("BB_REPRO_CRASH: bad unit count {s:?}")
+        })
+    });
+    // Finite and non-negative: `Duration::from_secs_f64` panics otherwise.
+    let stall: Option<(String, f64)> =
+        hook("BB_REPRO_STALL").map(|spec| match spec.split_once(':') {
             Some((name, secs)) => (
                 name.to_string(),
-                secs.parse().unwrap_or_else(|_| {
-                    eprintln!("BB_REPRO_STALL: bad seconds in {spec:?}");
-                    std::process::exit(2);
-                }),
+                parse_or_exit(
+                    Some(secs),
+                    |s: &f64| s.is_finite() && *s >= 0.0,
+                    || format!("BB_REPRO_STALL: bad seconds in {spec:?}"),
+                ),
             ),
             None => (spec, 30.0),
-        }
-    });
+        });
     let finalized = AtomicUsize::new(0);
     let cancel = || {
         INTERRUPTED.load(Ordering::Relaxed)
@@ -2781,41 +2330,46 @@ fn main() {
     // path reproduces the full byte-identical output anyway.
     let interrupted = outcomes.iter().any(|o| o.is_none());
     if interrupted {
-        match &ck_shared {
-            Some(shared) => {
-                flush(shared);
-                let done = shared.1.lock().unwrap_or_else(|e| e.into_inner()).units.len();
-                eprintln!("=== INTERRUPTED (resumable) ===");
-                eprintln!(
-                    "  completed {done}/{} experiments; checkpoint flushed to {}",
+        let Some(shared) = &ck_shared else {
+            interrupted_exit(
+                false,
+                &[
+                    "campaign stopped early with no --checkpoint directory; completed \
+                     work was discarded"
+                        .to_string(),
+                ],
+            );
+        };
+        flush(shared);
+        let done = shared
+            .1
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .units
+            .len();
+        let shard_suffix = args
+            .shard
+            .map(|(idx, n)| format!(" --shard {idx}/{n}"))
+            .unwrap_or_default();
+        interrupted_exit(
+            true,
+            &[
+                format!(
+                    "completed {done}/{} experiments; checkpoint flushed to {}",
                     selected.len(),
                     shared.0.display()
-                );
-                let shard_suffix = args
-                    .shard
-                    .map(|(idx, n)| format!(" --shard {idx}/{n}"))
-                    .unwrap_or_default();
-                eprintln!(
-                    "  resume with: repro {} --resume {} --seed {} --scale {} --faults {}{}",
+                ),
+                format!(
+                    "resume with: repro {} --resume {} --seed {} --scale {} --faults {}{}",
                     args.experiment,
                     shared.0.display(),
                     args.seed,
-                    scale_label(args.scale),
+                    args.scale.as_str(),
                     args.faults.as_str(),
                     shard_suffix
-                );
-                eprintln!("=== END INTERRUPTED ===");
-            }
-            None => {
-                eprintln!("=== INTERRUPTED ===");
-                eprintln!(
-                    "  campaign stopped early with no --checkpoint directory; completed \
-                     work was discarded"
-                );
-                eprintln!("=== END INTERRUPTED ===");
-            }
-        }
-        std::process::exit(130);
+                ),
+            ],
+        );
     }
 
     // Assemble stdout in selection order: replayed units contribute their
@@ -2833,12 +2387,8 @@ fn main() {
         if let Some(unit) = replay.get(name) {
             stdout.push_str(&unit.stdout);
             if let Some(dir) = &args.csv_dir {
-                for (fname, bytes) in &unit.files {
-                    if let Err(e) =
-                        beating_bgp::core::export::write_atomic_bytes(&dir.join(fname), bytes)
-                    {
-                        failures.push((name, format!("replaying cached export: {e}")));
-                    }
+                if let Err(e) = write_unit_files(dir, &unit.files) {
+                    failures.push((name, format!("replaying cached export: {e}")));
                 }
             }
             continue;
@@ -2923,11 +2473,7 @@ fn main() {
         );
     }
     if let Some(path) = &args.timing_json {
-        let report = perf_report(&args, wall_s, &sup_report, cache_by_exp.clone());
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        write_timing_json(path, perf_report(&args, wall_s, &sup_report, cache_by_exp));
     }
     if !failures.is_empty() {
         // Partial run under --keep-going: survivors printed, but the run

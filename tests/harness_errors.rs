@@ -102,6 +102,47 @@ fn audit_with_checkpoint_or_resume_exits_2() {
     );
 }
 
+/// Every subcommand goes through the same flag parser: `--help` prints its
+/// own usage and exits 0; an unknown flag, a value flag with nothing after
+/// it, and a non-finite or non-positive duration are usage errors.
+#[test]
+fn every_subcommand_parses_flags_the_same_way() {
+    // (argv prefix, first words of its --help usage)
+    let table: [(&[&str], &str); 5] = [
+        (&["all"], "repro [EXPERIMENT]"),
+        (&["merge"], "repro merge SHARD_DIR..."),
+        (&["orchestrate", "2"], "repro orchestrate N"),
+        (&["serve", "--dir", "/nonexistent_bb_serve"], "repro serve --dir DIR"),
+        (&["propagate"], "repro propagate ["),
+    ];
+    for (prefix, usage) in table {
+        let with = |extra: &[&'static str]| -> Vec<&'static str> { [prefix, extra].concat() };
+        let help = repro(&with(&["--help"]));
+        assert_eq!(help.status.code(), Some(0), "{prefix:?} --help");
+        let stdout = String::from_utf8(help.stdout).unwrap();
+        assert!(stdout.starts_with(usage), "{prefix:?} --help printed:\n{stdout}");
+
+        assert_usage_error(&with(&["--no-such-flag"]), "--no-such-flag");
+        let trailing = if prefix[0] == "merge" { "--csv" } else { "--seed" };
+        assert_usage_error(&with(&[trailing]), &format!("{trailing} needs"));
+    }
+    assert_usage_error(&["merge", "shard0", "--seed"], "unknown flag --seed");
+}
+
+#[test]
+fn bad_durations_exit_2_not_panic() {
+    for bad in ["-1", "0", "inf", "NaN"] {
+        assert_usage_error(
+            &["orchestrate", "1", "--hang-timeout", bad],
+            "--hang-timeout needs finite seconds > 0",
+        );
+        assert_usage_error(
+            &["serve", "--dir", "/nonexistent_bb_serve", "--epoch-deadline", bad],
+            "--epoch-deadline needs finite seconds > 0",
+        );
+    }
+}
+
 #[test]
 fn unknown_audit_violate_rule_exits_2() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
