@@ -12,6 +12,11 @@ use bb_topology::{AsId, InterconnectId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Largest prepend an offer may carry. Real routers cap AS-path
+/// prepending far lower; the cap keeps `1 + prepend` and every path length
+/// built on it from overflowing, and bounds the propagation bucket queue.
+pub const MAX_PREPEND: u32 = 255;
+
 /// An announcement that does not belong to the topology it is being
 /// propagated over — built against a different world (easy once CAIDA
 /// snapshots load at runtime) or against a since-mutated one. Surfaced as
@@ -36,6 +41,12 @@ pub enum AnnouncementError {
     },
     /// An offered link implies no business relationship in this topology.
     MissingRelationship { origin: AsId, neighbor: AsId },
+    /// An offer prepends more than [`MAX_PREPEND`].
+    PrependTooLong {
+        origin: AsId,
+        link: InterconnectId,
+        prepend: u32,
+    },
 }
 
 impl std::fmt::Display for AnnouncementError {
@@ -64,6 +75,15 @@ impl std::fmt::Display for AnnouncementError {
                 f,
                 "announcement from {origin} offers a link to {neighbor} but the topology \
                  records no business relationship between them"
+            ),
+            AnnouncementError::PrependTooLong {
+                origin,
+                link,
+                prepend,
+            } => write!(
+                f,
+                "announcement from {origin} prepends {prepend} on {link:?}, above the \
+                 limit of {MAX_PREPEND}"
             ),
         }
     }
@@ -231,7 +251,8 @@ impl Announcement {
 
     /// Check that this announcement belongs to `topo`: the origin exists,
     /// every offered link exists, touches the origin, and implies a
-    /// relationship. Propagation calls this before seeding so mismatched
+    /// relationship, and no offer prepends more than [`MAX_PREPEND`].
+    /// Propagation calls this before seeding so mismatched or oversized
     /// announcements fail closed rather than panicking mid-campaign.
     pub fn validate(&self, topo: &Topology) -> Result<(), AnnouncementError> {
         if self.origin.index() >= topo.as_count() {
@@ -240,7 +261,7 @@ impl Announcement {
                 as_count: topo.as_count(),
             });
         }
-        for &link in self.offers.keys() {
+        for (&link, offer) in &self.offers {
             if link.index() >= topo.link_count() {
                 return Err(AnnouncementError::UnknownLink {
                     origin: self.origin,
@@ -262,6 +283,13 @@ impl Announcement {
                 return Err(AnnouncementError::MissingRelationship {
                     origin: self.origin,
                     neighbor,
+                });
+            }
+            if offer.prepend > MAX_PREPEND {
+                return Err(AnnouncementError::PrependTooLong {
+                    origin: self.origin,
+                    link,
+                    prepend: offer.prepend,
                 });
             }
         }

@@ -30,12 +30,9 @@ pub mod propagation;
 pub mod rib;
 pub mod route;
 
-pub use announcement::{Announcement, AnnouncementError, Offer, Scope};
+pub use announcement::{Announcement, AnnouncementError, Offer, Scope, MAX_PREPEND};
 pub use arena::{EntryHandle, EntryPool, PathArena, PathHandle};
 pub use decision::{better, RouteClass};
-pub use propagation::{
-    compute_routes, compute_routes_reference, try_compute_routes, valley_free, PathError,
-    RoutingTable,
-};
+pub use propagation::{compute_routes, try_compute_routes, valley_free, PathError, RoutingTable};
 pub use rib::{provider_rib, CandidateRoute, PopRib, ProviderRouteClass};
 pub use route::BestRoute;

@@ -3,35 +3,39 @@
 //! Computes, for one origin announcement, the best route every AS in the
 //! topology holds toward the origin. Propagation happens in the classic
 //! three phases (customer routes bubble up, customer routes cross one peer
-//! edge, then everything flows down to customers), each phase running a
-//! Dijkstra-style relaxation on AS-path length so prepending is honored.
+//! edge, then everything flows down to customers), each phase relaxing
+//! routes in order of AS-path length so prepending is honored.
 //!
 //! The result is valley-free by construction: an AS-level traffic path
 //! climbs customer→provider edges, crosses at most one peer edge, and then
 //! descends provider→customer edges. `valley_free` checks that property and
 //! the test-suite applies it to every path.
 //!
-//! # Planet-scale storage and the frontier worklist
+//! # Planet-scale storage, the frontier worklist and the bucket queue
 //!
 //! Routes live in a flat `Vec<Option<BestRoute>>` of `Copy` records; AS
 //! paths are interned post-fixpoint into a shared-suffix [`PathArena`]
 //! (§DESIGN 5g) and entry links into an [`EntryPool`], so table memory is
 //! O(routed ASes), not O(Σ path lengths). The export rounds between phases
 //! walk only the frontier of ASes that actually hold a route (installation
-//! order is tracked in a worklist) instead of sweeping and cloning all
-//! `0..n` slots. Because `consider` installs by a strict total order, the
-//! fixpoint is independent of candidate arrival order, and the worklist
-//! version is route-for-route identical to the legacy whole-table sweep —
-//! kept as [`compute_routes_reference`] and checked by a differential
-//! proptest.
+//! order is tracked in a worklist) instead of sweeping all `0..n` slots.
+//! Neighbors come from the topology's [`RelAdjacency`], built once per
+//! topology content rather than once per table.
+//!
+//! Each phase drains a bucket queue indexed by path length. Every
+//! expansion adds exactly one hop, so bucket `L` is complete before it
+//! drains; sorting it by `(via, asn)` expands nodes in the same order a
+//! `(len, via, asn)` min-heap would pop them, which keeps the work
+//! counters ([`RoutingTable::work`]) stable. Because `consider` installs
+//! by a strict total order, the routes themselves do not depend on that
+//! order at all; `tests/proptest_routing.rs` checks them against an
+//! independent heap-and-sweep oracle written over the public API.
 
 use crate::announcement::{Announcement, AnnouncementError, Scope};
 use crate::arena::{EntryHandle, EntryPool, PathArena, PathHandle};
 use crate::decision::RouteClass;
 use crate::route::BestRoute;
-use bb_topology::{AsId, BusinessRel, InterconnectId, Topology};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use bb_topology::{AsId, BusinessRel, InterconnectId, RelAdjacency, Topology};
 
 /// Why a path could not be produced for an AS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,81 +157,6 @@ impl RoutingTable {
     }
 }
 
-/// Per-relationship CSR adjacency, built once per `compute_routes` call so
-/// the hot relaxation loops index flat arrays instead of allocating a
-/// filtered `Vec` per visited AS (`Topology::providers_of` et al.).
-struct RelCsr {
-    providers: Csr,
-    peers: Csr,
-    customers: Csr,
-}
-
-struct Csr {
-    off: Vec<u32>,
-    dat: Vec<u32>,
-}
-
-impl Csr {
-    fn row(&self, asn: AsId) -> &[u32] {
-        &self.dat[self.off[asn.index()] as usize..self.off[asn.index() + 1] as usize]
-    }
-}
-
-impl RelCsr {
-    fn build(topo: &Topology) -> RelCsr {
-        let n = topo.as_count();
-        // Count per (asn, kind), then prefix-sum and fill. Parallel links
-        // between the same pair repeat the neighbor; that is harmless for
-        // the fixpoint (duplicate candidates never win the strict order)
-        // so rows are not deduplicated.
-        let mut cnt = vec![[0u32; 3]; n];
-        for i in 0..n {
-            let asn = AsId(i as u32);
-            for &(nb, _) in topo.adjacency(asn) {
-                match topo.relationship(asn, nb) {
-                    Some(BusinessRel::CustomerOf) => cnt[i][0] += 1,
-                    Some(BusinessRel::Peer) => cnt[i][1] += 1,
-                    Some(BusinessRel::ProviderOf) => cnt[i][2] += 1,
-                    None => {}
-                }
-            }
-        }
-        let csr = |k: usize| {
-            let mut off = Vec::with_capacity(n + 1);
-            let mut total = 0u32;
-            off.push(0);
-            for row in cnt.iter() {
-                total += row[k];
-                off.push(total);
-            }
-            Csr {
-                dat: vec![0; total as usize],
-                off,
-            }
-        };
-        let (mut providers, mut peers, mut customers) = (csr(0), csr(1), csr(2));
-        let mut cursor = vec![[0u32; 3]; n];
-        for i in 0..n {
-            let asn = AsId(i as u32);
-            for &(nb, _) in topo.adjacency(asn) {
-                let (csr, k) = match topo.relationship(asn, nb) {
-                    Some(BusinessRel::CustomerOf) => (&mut providers, 0),
-                    Some(BusinessRel::Peer) => (&mut peers, 1),
-                    Some(BusinessRel::ProviderOf) => (&mut customers, 2),
-                    None => continue,
-                };
-                csr.dat[(csr.off[i] + cursor[i][k]) as usize] = nb.0;
-                cursor[i][k] += 1;
-            }
-        }
-        RelCsr {
-            providers,
-            peers,
-            customers,
-        }
-    }
-}
-
 /// Fixpoint state: flat route slots plus the worklist of routed ASes in
 /// installation order (the frontier the export rounds walk).
 struct Builder {
@@ -281,44 +210,69 @@ impl Builder {
         }
     }
 
-    /// Dijkstra-style relaxation of one phase: starting from `seeds`,
-    /// routes of `class` spread along the CSR edges.
-    fn relax_phase(&mut self, edges: &Csr, seeds: Vec<(AsId, BestRoute)>, class: RouteClass) {
-        let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::new();
+    /// Relaxation of one phase on AS-path length: starting from `seeds`,
+    /// routes of `class` spread to every neighbor toward which the holder
+    /// has relationship `toward`.
+    ///
+    /// `buckets[len]` queues the `(via, asn)` keys of routes installed at
+    /// that length. Expanding a length-`len` route only ever queues length
+    /// `len + 1`, so each bucket is final when its turn comes. Parallel
+    /// links repeat a neighbor in its row; the repeat never strictly beats
+    /// the copy it duplicates, so it is counted but not installed.
+    fn relax_phase(
+        &mut self,
+        adj: &RelAdjacency,
+        toward: BusinessRel,
+        seeds: Vec<(AsId, BestRoute)>,
+        class: RouteClass,
+    ) {
+        fn enqueue(buckets: &mut Vec<Vec<(u32, u32)>>, len: u32, via: u32, asn: AsId) {
+            let len = len as usize;
+            if buckets.len() <= len {
+                buckets.resize_with(len + 1, Vec::new);
+            }
+            buckets[len].push((via, asn.0));
+        }
+        let mut buckets: Vec<Vec<(u32, u32)>> = Vec::new();
         for (asn, route) in seeds {
-            let key = (route.path_len, route.via.map_or(u32::MAX, |v| v.0), asn.0);
+            let (len, via) = (route.path_len, route.via.map_or(u32::MAX, |v| v.0));
             if self.consider(asn, route) {
-                heap.push(Reverse(key));
+                enqueue(&mut buckets, len, via, asn);
             }
         }
-        while let Some(Reverse((len, via, asn))) = heap.pop() {
-            let asn = AsId(asn);
-            // Skip stale heap entries, and never expand NO_EXPORT routes.
-            let Some(cur) = self.best[asn.index()] else { continue };
-            if cur.class != class
-                || cur.path_len != len
-                || cur.via.map_or(u32::MAX, |v| v.0) != via
-            {
-                continue;
-            }
-            if cur.no_export {
-                continue;
-            }
-            for i in 0..edges.row(asn).len() {
-                let nxt = AsId(edges.row(asn)[i]);
-                let cand = BestRoute {
-                    class,
-                    path_len: len + 1,
-                    via: Some(asn),
-                    path: PathHandle::NONE,
-                    entry: EntryHandle::NONE,
-                    no_export: false,
+        let mut len = 0;
+        while len < buckets.len() {
+            let mut bucket = std::mem::take(&mut buckets[len]);
+            bucket.sort_unstable();
+            let len_u32 = len as u32;
+            for (via, asn) in bucket {
+                let asn = AsId(asn);
+                // Skip stale entries, and never expand NO_EXPORT routes.
+                let Some(cur) = self.best[asn.index()] else {
+                    continue;
                 };
-                let key = (cand.path_len, asn.0, nxt.0);
-                if self.consider(nxt, cand) {
-                    heap.push(Reverse(key));
+                if cur.class != class
+                    || cur.path_len != len_u32
+                    || cur.via.map_or(u32::MAX, |v| v.0) != via
+                    || cur.no_export
+                {
+                    continue;
+                }
+                for &nxt in adj.row(asn, toward) {
+                    let cand = BestRoute {
+                        class,
+                        path_len: len_u32 + 1,
+                        via: Some(asn),
+                        path: PathHandle::NONE,
+                        entry: EntryHandle::NONE,
+                        no_export: false,
+                    };
+                    if self.consider(nxt, cand) {
+                        enqueue(&mut buckets, len_u32 + 1, asn.0, nxt);
+                    }
                 }
             }
+            len += 1;
         }
     }
 
@@ -422,32 +376,17 @@ pub fn try_compute_routes(
     topo: &Topology,
     announcement: &Announcement,
 ) -> Result<RoutingTable, AnnouncementError> {
-    run(topo, announcement, true)
-}
-
-/// The legacy three-phase implementation whose export rounds sweep all
-/// `0..n` route slots. Kept as the oracle for the differential proptest
-/// that pins the frontier worklist to be route-for-route identical.
-pub fn compute_routes_reference(topo: &Topology, announcement: &Announcement) -> RoutingTable {
-    run(topo, announcement, false).unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn run(
-    topo: &Topology,
-    announcement: &Announcement,
-    frontier: bool,
-) -> Result<RoutingTable, AnnouncementError> {
     announcement.validate(topo)?;
     let n = topo.as_count();
     let origin = announcement.origin;
-    let csr = RelCsr::build(topo);
+    let adj = topo.rel_adjacency();
     let mut b = Builder::new(n, origin);
 
     // --- Seed first hops from the announcement. ---
     // The class at a first-hop neighbor is determined by how it relates to
     // the origin: the origin's providers hear a customer route, etc.
     // `validate` above guarantees every offered link exists, touches the
-    // origin, and implies a relationship.
+    // origin, implies a relationship, and prepends at most `MAX_PREPEND`.
     let mut customer_seeds = Vec::new();
     let mut peer_seeds = Vec::new();
     let mut provider_seeds = Vec::new();
@@ -473,32 +412,37 @@ fn run(
     }
 
     // --- Phase 1: customer routes climb provider edges. ---
-    b.relax_phase(&csr.providers, customer_seeds, RouteClass::Customer);
+    b.relax_phase(
+        adj,
+        BusinessRel::CustomerOf,
+        customer_seeds,
+        RouteClass::Customer,
+    );
 
     // --- Phase 2: customer routes cross one peer edge. ---
     // Candidates: every AS holding a customer route (incl. the origin via
     // the announcement seeds above, which already carry entry links)
     // exports to its peers. Peer routes do not propagate further among
     // peers, so this is a single relaxation round, not a search.
-    let phase1_frontier = b.routed.len();
     let mut peer_candidates: Vec<(AsId, BestRoute)> = peer_seeds;
+    // Walks only the routed worklist.
     let export_across = |b: &Builder,
-                             edges: &Csr,
-                             class: RouteClass,
-                             customer_only: bool,
-                             frontier_len: usize,
-                             out: &mut Vec<(AsId, BestRoute)>| {
-        let mut push = |asn: AsId, route: &BestRoute| {
+                         toward: BusinessRel,
+                         class: RouteClass,
+                         customer_only: bool,
+                         out: &mut Vec<(AsId, BestRoute)>| {
+        for &asn in &b.routed {
+            let route = b.best[asn.index()].expect("routed ASes hold a route");
             if route.is_origin() || route.no_export {
-                return; // origin's exports are governed by the announcement;
-                        // NO_EXPORT routes stop here
+                continue; // origin's exports are governed by the announcement;
+                          // NO_EXPORT routes stop here
             }
             if customer_only && route.class != RouteClass::Customer {
-                return;
+                continue;
             }
-            for &nxt in edges.row(asn) {
+            for &nxt in adj.row(asn, toward) {
                 out.push((
-                    AsId(nxt),
+                    nxt,
                     BestRoute {
                         class,
                         path_len: route.path_len + 1,
@@ -509,28 +453,13 @@ fn run(
                     },
                 ));
             }
-        };
-        if frontier {
-            // Walk only ASes that actually hold a route.
-            for i in 0..frontier_len {
-                let asn = b.routed[i];
-                push(asn, b.best[asn.index()].as_ref().unwrap());
-            }
-        } else {
-            // Legacy: sweep every slot in ascending AS order.
-            for i in 0..b.best.len() {
-                if let Some(route) = &b.best[i] {
-                    push(AsId(i as u32), route);
-                }
-            }
         }
     };
     export_across(
         &b,
-        &csr.peers,
+        BusinessRel::Peer,
         RouteClass::Peer,
         true,
-        phase1_frontier,
         &mut peer_candidates,
     );
     for (asn, cand) in peer_candidates {
@@ -539,17 +468,20 @@ fn run(
 
     // --- Phase 3: everything descends customer edges. ---
     // Every routed AS exports to its customers; provider routes cascade.
-    let phase2_frontier = b.routed.len();
     let mut provider_cands: Vec<(AsId, BestRoute)> = provider_seeds;
     export_across(
         &b,
-        &csr.customers,
+        BusinessRel::ProviderOf,
         RouteClass::Provider,
         false,
-        phase2_frontier,
         &mut provider_cands,
     );
-    b.relax_phase(&csr.customers, provider_cands, RouteClass::Provider);
+    b.relax_phase(
+        adj,
+        BusinessRel::ProviderOf,
+        provider_cands,
+        RouteClass::Provider,
+    );
 
     Ok(b.finalize())
 }
@@ -594,6 +526,7 @@ pub fn valley_free(topo: &Topology, path: &[AsId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::announcement::MAX_PREPEND;
     use bb_topology::{generate, AsClass, TopologyConfig};
 
     fn topo() -> Topology {
@@ -755,18 +688,57 @@ mod tests {
     }
 
     #[test]
-    fn frontier_matches_reference_sweep() {
+    fn work_counters_are_pinned() {
+        // The bucket queue must expand nodes in the order the former
+        // `(len, via, asn)` min-heap popped them. Origin AS34's install
+        // count depends on that order (an unsorted drain gives 156, not
+        // 164), so drift shows up here as a changed counter.
         let t = topo();
-        for origin in t.ases_of_class(AsClass::Eyeball).take(5) {
-            let ann = Announcement::full(&t, origin.id);
-            let fast = compute_routes(&t, &ann);
-            let slow = compute_routes_reference(&t, &ann);
-            for node in t.ases() {
-                assert_eq!(fast.route(node.id), slow.route(node.id));
-                assert_eq!(fast.as_path(node.id), slow.as_path(node.id));
-                assert_eq!(fast.entry_links(node.id), slow.entry_links(node.id));
+        let pinned = [
+            (AsId(33), (470, 121), (470, 116)),
+            (AsId(34), (439, 164), (439, 155)),
+        ];
+        for (o, full_work, prepended_work) in pinned {
+            assert_eq!(
+                compute_routes(&t, &Announcement::full(&t, o)).work(),
+                full_work
+            );
+            let mut ann = Announcement::full(&t, o);
+            for (i, &(_, l)) in t.adjacency(o).iter().enumerate() {
+                if i % 3 == 1 {
+                    ann.prepend_link(l, 2);
+                }
             }
+            assert_eq!(compute_routes(&t, &ann).work(), prepended_work, "{o}");
         }
+    }
+
+    #[test]
+    fn oversized_prepend_fails_closed() {
+        // Without the cap, `1 + prepend` overflows: a debug build panics
+        // and a release build wraps to a length-0 route that beats every
+        // real one.
+        let t = topo();
+        let o = eyeball(&t);
+        let link = t.adjacency(o)[0].1;
+        for prepend in [MAX_PREPEND + 1, u32::MAX] {
+            let mut ann = Announcement::full(&t, o);
+            ann.prepend_link(link, prepend);
+            let err = try_compute_routes(&t, &ann).unwrap_err();
+            assert_eq!(
+                err,
+                AnnouncementError::PrependTooLong {
+                    origin: o,
+                    link,
+                    prepend
+                }
+            );
+            assert!(err.to_string().contains("prepend"), "{err}");
+        }
+        let mut ann = Announcement::full(&t, o);
+        ann.prepend_link(link, MAX_PREPEND);
+        let table = try_compute_routes(&t, &ann).expect("the cap itself is allowed");
+        assert_eq!(table.reachable_count(), t.as_count());
     }
 
     #[test]
@@ -858,39 +830,6 @@ mod tests {
         // down (prov -> o is ProviderOf) then up (o -> prov is CustomerOf):
         let path = vec![prov, o, prov];
         assert!(!valley_free(&t, &path));
-    }
-
-    #[test]
-    fn snapshot_backed_world_propagates_valley_free() {
-        // The CAIDA ingestion backend feeds the same propagation pipeline:
-        // a full announcement from a snapshot eyeball reaches the whole
-        // hierarchy with valley-free paths, and the frontier worklist stays
-        // byte-identical to the reference sweep.
-        let snapshot = "\
-1|2|-1\n1|3|-1\n2|3|0\n2|4|-1\n3|5|-1\n4|5|0\n3|6|-1\n4|6|0\n";
-        let cfg = bb_topology::SnapshotConfig {
-            seed: 9,
-            atlas: bb_geo::atlas::AtlasConfig {
-                seed: 9,
-                city_density: 0.3,
-            },
-            max_ases: None,
-        };
-        let t = bb_topology::build_from_snapshot(snapshot, &cfg).unwrap();
-        let origin = t
-            .ases_of_class(AsClass::Eyeball)
-            .next()
-            .expect("snapshot has eyeballs")
-            .id;
-        let ann = Announcement::full(&t, origin);
-        let table = compute_routes(&t, &ann);
-        let reference = compute_routes_reference(&t, &ann);
-        assert_eq!(table.reachable_count(), t.as_count());
-        for node in t.ases() {
-            let path = table.as_path(node.id).expect("reachable");
-            assert!(valley_free(&t, &path), "path {path:?} has a valley");
-            assert_eq!(reference.as_path(node.id).as_deref(), Some(&path[..]));
-        }
     }
 }
 

@@ -743,6 +743,23 @@ mod tests {
     }
 
     #[test]
+    fn try_cached_routes_rejects_oversized_prepend() {
+        let topo = bb_topology::generate(&bb_topology::TopologyConfig::small(23));
+        let origin = topo.ases()[0].id;
+        let link = topo.adjacency(origin)[0].1;
+        let mut ann = Announcement::full(&topo, origin);
+        ann.prepend_link(link, u32::MAX);
+        let expected = bb_bgp::AnnouncementError::PrependTooLong {
+            origin,
+            link,
+            prepend: u32::MAX,
+        };
+        assert_eq!(try_cached_routes(&topo, &ann).unwrap_err(), expected);
+        // Nothing was cached under the rejected key: a retry fails again.
+        assert_eq!(try_cached_routes(&topo, &ann).unwrap_err(), expected);
+    }
+
+    #[test]
     fn miss_publishes_rib_counters() {
         let topo = bb_topology::generate(&bb_topology::TopologyConfig::small(29));
         let ann = Announcement::full(&topo, topo.ases()[1].id);

@@ -5,6 +5,67 @@ use crate::ids::{AsId, InterconnectId};
 use crate::link::{BusinessRel, Interconnect, LinkKind};
 use bb_geo::{Atlas, CityId};
 use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// The adjacency split by business relationship: for each AS, the
+/// neighbors it is a customer of, peers with, and is a provider of.
+///
+/// Rows keep adjacency order and repeat a neighbor once per parallel
+/// interconnect, so a row is exactly the relationship-filtered
+/// [`Topology::adjacency`]. Stored as three CSR arrays, so route
+/// propagation's inner loops walk flat slices.
+#[derive(Debug, Clone)]
+pub struct RelAdjacency {
+    /// One CSR per relationship, in [`RelAdjacency::SLOTS`] order.
+    rows: [Csr; 3],
+}
+
+#[derive(Debug, Clone)]
+struct Csr {
+    off: Vec<u32>,
+    dat: Vec<AsId>,
+}
+
+impl RelAdjacency {
+    const SLOTS: [BusinessRel; 3] = [
+        BusinessRel::CustomerOf,
+        BusinessRel::Peer,
+        BusinessRel::ProviderOf,
+    ];
+
+    /// Each interconnect's own `rel`, oriented by endpoint, classifies the
+    /// entry: no per-pair relationship lookups.
+    fn build(adj: &[Vec<(AsId, InterconnectId)>], links: &[Interconnect]) -> RelAdjacency {
+        let rows = Self::SLOTS.map(|rel| {
+            let mut off = Vec::with_capacity(adj.len() + 1);
+            let mut dat = Vec::new();
+            off.push(0);
+            for (i, row) in adj.iter().enumerate() {
+                let asn = AsId(i as u32);
+                dat.extend(
+                    row.iter()
+                        .filter(|&&(_, l)| links[l.index()].rel_of(asn) == rel)
+                        .map(|&(nb, _)| nb),
+                );
+                off.push(dat.len() as u32);
+            }
+            dat.shrink_to_fit();
+            Csr { off, dat }
+        });
+        RelAdjacency { rows }
+    }
+
+    /// Neighbors toward which `asn` has relationship `rel`, one entry per
+    /// interconnect, in adjacency order.
+    pub fn row(&self, asn: AsId, rel: BusinessRel) -> &[AsId] {
+        let csr = &self.rows[match rel {
+            BusinessRel::CustomerOf => 0,
+            BusinessRel::Peer => 1,
+            BusinessRel::ProviderOf => 2,
+        }];
+        &csr.dat[csr.off[asn.index()] as usize..csr.off[asn.index() + 1] as usize]
+    }
+}
 
 /// The full AS-level topology, including the geographic atlas it is
 /// embedded in.
@@ -27,6 +88,9 @@ pub struct Topology {
     rels: HashMap<(AsId, AsId), BusinessRel>,
     /// FNV-1a fold of every mutation applied so far (see [`Topology::fingerprint`]).
     content_hash: u64,
+    /// Built on first [`Topology::rel_adjacency`] call; `add_as` and
+    /// `add_interconnect` drop it.
+    rel_adj: OnceLock<RelAdjacency>,
 }
 
 impl Topology {
@@ -39,6 +103,7 @@ impl Topology {
             adj: Vec::new(),
             rels: HashMap::new(),
             content_hash: FNV_OFFSET,
+            rel_adj: OnceLock::new(),
         }
     }
 
@@ -127,6 +192,7 @@ impl Topology {
             exit_fidelity,
         });
         self.adj.push(Vec::new());
+        self.rel_adj.take();
         id
     }
 
@@ -188,6 +254,7 @@ impl Topology {
         });
         self.adj[a.index()].push((b, id));
         self.adj[b.index()].push((a, id));
+        self.rel_adj.take();
         id
     }
 
@@ -242,6 +309,13 @@ impl Topology {
     /// (neighbor, link) pairs of `asn`, one per interconnect.
     pub fn adjacency(&self, asn: AsId) -> &[(AsId, InterconnectId)] {
         &self.adj[asn.index()]
+    }
+
+    /// The adjacency split by relationship, built on first use and kept
+    /// until the next `add_as` or `add_interconnect`. A clone carries it.
+    pub fn rel_adjacency(&self) -> &RelAdjacency {
+        self.rel_adj
+            .get_or_init(|| RelAdjacency::build(&self.adj, &self.links))
     }
 
     /// Distinct neighbor ASes of `asn`.

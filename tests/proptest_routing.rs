@@ -1,56 +1,315 @@
-//! Property-based tests of the routing core on randomized topologies.
+//! Property-based tests of the routing core on randomized topologies, and
+//! a differential test of `compute_routes` against an independent oracle.
 
+use beating_bgp::bgp::decision::better_at;
 use beating_bgp::bgp::propagation::valley_free;
 use beating_bgp::bgp::{
-    compute_routes, compute_routes_reference, provider_rib, Announcement, RoutingTable, Scope,
+    compute_routes, provider_rib, Announcement, RouteClass, RoutingTable, Scope,
 };
-use beating_bgp::topology::{generate, AsClass, Topology, TopologyConfig};
+use beating_bgp::topology::{
+    generate, AsClass, AsId, BusinessRel, InterconnectId, Topology, TopologyConfig,
+};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn world(seed: u64) -> Topology {
     generate(&TopologyConfig::small(seed))
 }
 
-/// Assert the frontier-worklist table equals the legacy whole-table-sweep
-/// oracle on every observable: route class, path length, via, NO_EXPORT
-/// marking, entry links, and the materialized AS path.
-fn assert_tables_equal(
+/// One AS's best route as the oracle computes it.
+#[derive(Debug, Clone)]
+struct OracleRoute {
+    class: RouteClass,
+    path_len: u32,
+    via: Option<AsId>,
+    no_export: bool,
+    entry_links: Vec<InterconnectId>,
+}
+
+/// Gao-Rexford propagation written from the public API alone:
+/// `adjacency`, `relationship`, `offers_by_neighbor` and `better_at`. It
+/// shares no adjacency rows or queue with `compute_routes`. Each phase is a
+/// `(len, via, asn)` min-heap relaxation, and the exports between phases
+/// sweep the whole table in AS order.
+fn oracle(topo: &Topology, ann: &Announcement) -> Vec<Option<OracleRoute>> {
+    let n = topo.as_count();
+    let origin = ann.origin;
+    let mut best: Vec<Option<OracleRoute>> = vec![None; n];
+    best[origin.index()] = Some(OracleRoute {
+        class: RouteClass::Customer,
+        path_len: 0,
+        via: None,
+        no_export: false,
+        entry_links: Vec::new(),
+    });
+    let key = |r: &OracleRoute| (r.class, r.path_len, r.via.unwrap_or(AsId(u32::MAX)));
+    let consider = |best: &mut Vec<Option<OracleRoute>>, asn: AsId, cand: OracleRoute| {
+        let wins = match &best[asn.index()] {
+            None => true,
+            Some(inc) => better_at(asn, key(&cand), key(inc)),
+        };
+        if wins {
+            best[asn.index()] = Some(cand);
+        }
+        wins
+    };
+    // Neighbors toward which `asn` has relationship `rel`, once per link.
+    let toward = |asn: AsId, rel: BusinessRel| -> Vec<AsId> {
+        topo.adjacency(asn)
+            .iter()
+            .filter(|&&(nb, _)| topo.relationship(asn, nb) == Some(rel))
+            .map(|&(nb, _)| nb)
+            .collect()
+    };
+    let hop = |class: RouteClass, from: AsId, len: u32| OracleRoute {
+        class,
+        path_len: len + 1,
+        via: Some(from),
+        no_export: false,
+        entry_links: Vec::new(),
+    };
+    let relax = |best: &mut Vec<Option<OracleRoute>>,
+                 seeds: Vec<(AsId, OracleRoute)>,
+                 class: RouteClass,
+                 rel: BusinessRel| {
+        let mut heap = BinaryHeap::new();
+        for (asn, route) in seeds {
+            let k = (route.path_len, route.via.map_or(u32::MAX, |v| v.0), asn.0);
+            if consider(best, asn, route) {
+                heap.push(Reverse(k));
+            }
+        }
+        while let Some(Reverse((len, via, asn))) = heap.pop() {
+            let asn = AsId(asn);
+            let cur = best[asn.index()].as_ref().expect("queued ASes hold routes");
+            let stale = cur.class != class
+                || cur.path_len != len
+                || cur.via.map_or(u32::MAX, |v| v.0) != via;
+            if stale || cur.no_export {
+                continue;
+            }
+            for nxt in toward(asn, rel) {
+                if consider(best, nxt, hop(class, asn, len)) {
+                    heap.push(Reverse((len + 1, asn.0, nxt.0)));
+                }
+            }
+        }
+    };
+    // Every exporting AS (not the origin, not NO_EXPORT, optionally only
+    // customer routes) offers its route one hop further toward `rel`.
+    let sweep =
+        |best: &[Option<OracleRoute>], class: RouteClass, rel: BusinessRel, customer_only: bool| {
+            let mut out = Vec::new();
+            for (i, route) in best.iter().enumerate() {
+                let asn = AsId(i as u32);
+                let Some(route) = route else { continue };
+                if asn == origin || route.no_export {
+                    continue;
+                }
+                if customer_only && route.class != RouteClass::Customer {
+                    continue;
+                }
+                for nxt in toward(asn, rel) {
+                    out.push((nxt, hop(class, asn, route.path_len)));
+                }
+            }
+            out
+        };
+
+    let mut seeds: [Vec<(AsId, OracleRoute)>; 3] = Default::default();
+    for offer in ann.offers_by_neighbor(topo) {
+        let rel = topo
+            .relationship(origin, offer.neighbor)
+            .expect("offered links are adjacent");
+        let class = RouteClass::from_neighbor_rel(rel);
+        seeds[class as usize].push((
+            offer.neighbor,
+            OracleRoute {
+                class,
+                path_len: 1 + offer.prepend,
+                via: Some(origin),
+                no_export: offer.scope == Scope::NoExport,
+                entry_links: offer.entry_links,
+            },
+        ));
+    }
+    let [customer_seeds, mut peer_cands, mut provider_cands] = seeds;
+    relax(
+        &mut best,
+        customer_seeds,
+        RouteClass::Customer,
+        BusinessRel::CustomerOf,
+    );
+    peer_cands.extend(sweep(&best, RouteClass::Peer, BusinessRel::Peer, true));
+    for (asn, cand) in peer_cands {
+        consider(&mut best, asn, cand);
+    }
+    provider_cands.extend(sweep(
+        &best,
+        RouteClass::Provider,
+        BusinessRel::ProviderOf,
+        false,
+    ));
+    relax(
+        &mut best,
+        provider_cands,
+        RouteClass::Provider,
+        BusinessRel::ProviderOf,
+    );
+    best
+}
+
+/// The oracle's AS path from `asn` to the origin, following `via`.
+fn oracle_path(routes: &[Option<OracleRoute>], asn: AsId) -> Option<Vec<AsId>> {
+    let mut path = vec![asn];
+    let mut cur = routes[asn.index()].as_ref()?;
+    while let Some(v) = cur.via {
+        if path.len() > routes.len() {
+            return None; // a via cycle
+        }
+        path.push(v);
+        cur = routes[v.index()].as_ref()?;
+    }
+    Some(path)
+}
+
+/// Assert `table` equals the oracle on every observable: route class,
+/// path length, via, NO_EXPORT marking, entry links, and the materialized
+/// AS path.
+fn assert_matches_oracle(
     topo: &Topology,
-    frontier: &RoutingTable,
-    reference: &RoutingTable,
+    table: &RoutingTable,
+    ann: &Announcement,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(frontier.reachable_count(), reference.reachable_count());
+    let expected = oracle(topo, ann);
+    prop_assert_eq!(
+        table.reachable_count(),
+        expected.iter().filter(|r| r.is_some()).count()
+    );
     for node in topo.ases() {
-        let f = frontier.route(node.id);
-        let r = reference.route(node.id);
-        match (f, r) {
+        match (table.route(node.id), &expected[node.id.index()]) {
             (None, None) => {}
             (Some(f), Some(r)) => {
                 prop_assert_eq!(f.class, r.class, "class diverged at {:?}", node.id);
                 prop_assert_eq!(f.path_len, r.path_len, "path_len diverged at {:?}", node.id);
                 prop_assert_eq!(f.via, r.via, "via diverged at {:?}", node.id);
                 prop_assert_eq!(
-                    f.no_export, r.no_export,
+                    f.no_export,
+                    r.no_export,
                     "no_export diverged at {:?}",
                     node.id
                 );
                 prop_assert_eq!(
-                    frontier.entry_links(node.id),
-                    reference.entry_links(node.id),
+                    table.entry_links(node.id),
+                    &r.entry_links[..],
                     "entry links diverged at {:?}",
                     node.id
                 );
                 prop_assert_eq!(
-                    frontier.as_path(node.id),
-                    reference.as_path(node.id),
+                    table.as_path(node.id),
+                    oracle_path(&expected, node.id),
                     "as_path diverged at {:?}",
                     node.id
                 );
             }
-            (f, r) => prop_assert!(false, "reachability diverged at {:?}: {f:?} vs {r:?}", node.id),
+            (f, r) => prop_assert!(
+                false,
+                "reachability diverged at {:?}: {f:?} vs {r:?}",
+                node.id
+            ),
         }
     }
     Ok(())
+}
+
+/// A randomized mix of withheld, plain, prepended and NO_EXPORT offers:
+/// two knob bits per origin link.
+fn engineered(topo: &Topology, origin: AsId, knobs: u64, prepend: u32) -> Announcement {
+    let mut ann = Announcement::empty(origin);
+    for (i, &(_, link)) in topo.adjacency(origin).iter().enumerate() {
+        match (knobs >> ((2 * i) % 64)) & 0b11 {
+            0b00 => {}
+            0b01 => {
+                ann.offer(link, 0);
+            }
+            0b10 => {
+                ann.offer(link, prepend);
+            }
+            _ => {
+                ann.offer_scoped(link, 0, Scope::NoExport);
+            }
+        }
+    }
+    ann
+}
+
+#[test]
+fn frontier_matches_reference_sweep() {
+    let topo = world(21);
+    for origin in topo.ases_of_class(AsClass::Eyeball).take(5) {
+        let ann = Announcement::full(&topo, origin.id);
+        assert_matches_oracle(&topo, &compute_routes(&topo, &ann), &ann).unwrap();
+    }
+}
+
+#[test]
+fn snapshot_backed_world_propagates_valley_free() {
+    // The CAIDA ingestion backend feeds the same propagation pipeline: a
+    // full announcement from a snapshot eyeball reaches the whole
+    // hierarchy with valley-free paths that match the oracle.
+    let snapshot = "\
+1|2|-1\n1|3|-1\n2|3|0\n2|4|-1\n3|5|-1\n4|5|0\n3|6|-1\n4|6|0\n";
+    let cfg = beating_bgp::topology::SnapshotConfig {
+        seed: 9,
+        atlas: beating_bgp::geo::atlas::AtlasConfig {
+            seed: 9,
+            city_density: 0.3,
+        },
+        max_ases: None,
+    };
+    let topo = beating_bgp::topology::build_from_snapshot(snapshot, &cfg).unwrap();
+    let origin = topo
+        .ases_of_class(AsClass::Eyeball)
+        .next()
+        .expect("snapshot has eyeballs")
+        .id;
+    let ann = Announcement::full(&topo, origin);
+    let table = compute_routes(&topo, &ann);
+    assert_eq!(table.reachable_count(), topo.as_count());
+    for node in topo.ases() {
+        let path = table.as_path(node.id).expect("reachable");
+        assert!(valley_free(&topo, &path), "path {path:?} has a valley");
+    }
+    assert_matches_oracle(&topo, &table, &ann).unwrap();
+}
+
+/// The seed-42 planet world `repro propagate` builds: for 4 origins picked
+/// the way `repro propagate --origins 4` picks them, `compute_routes`
+/// matches the oracle on the full announcement and on an engineered one
+/// (withheld, prepended and NO_EXPORT offers). Slow in a debug build; run
+/// with `cargo test --release --test proptest_routing -- --ignored`.
+#[test]
+#[ignore]
+fn planet_world_matches_oracle() {
+    use beating_bgp::core::{Scale, Scenario, ScenarioConfig};
+    let scenario = Scenario::build(ScenarioConfig::facebook(42, Scale::Planet));
+    let topo = &scenario.topo;
+    let eyeballs: Vec<AsId> = topo.ases_of_class(AsClass::Eyeball).map(|n| n.id).collect();
+    let k = 4;
+    for i in 0..k {
+        let origin = eyeballs[i * eyeballs.len() / k];
+        let full = Announcement::full(topo, origin);
+        assert_matches_oracle(topo, &compute_routes(topo, &full), &full).unwrap();
+        // Fixed knobs: the engineered mix must keep at least one offer.
+        let mut knobs = 0x9e37_79b9_7f4a_7c15u64.rotate_left(i as u32 * 7);
+        let mut ann = engineered(topo, origin, knobs, 3);
+        while ann.is_empty() {
+            knobs = knobs.rotate_left(1) | 1;
+            ann = engineered(topo, origin, knobs, 3);
+        }
+        assert_matches_oracle(topo, &compute_routes(topo, &ann), &ann).unwrap();
+    }
 }
 
 proptest! {
@@ -138,22 +397,20 @@ proptest! {
         }
     }
 
-    /// Differential oracle: the frontier/delta worklist propagation must
-    /// equal the legacy whole-table sweep on a plain full announcement.
+    /// Differential oracle: `compute_routes` must equal the independent
+    /// heap-and-sweep oracle on a plain full announcement.
     #[test]
     fn frontier_equals_reference_full(seed in 0u64..5000, origin_pick in 0usize..40) {
         let topo = world(seed);
         let eyeballs: Vec<_> = topo.ases_of_class(AsClass::Eyeball).collect();
         let origin = eyeballs[origin_pick % eyeballs.len()].id;
         let ann = Announcement::full(&topo, origin);
-        let frontier = compute_routes(&topo, &ann);
-        let reference = compute_routes_reference(&topo, &ann);
-        assert_tables_equal(&topo, &frontier, &reference)?;
+        assert_matches_oracle(&topo, &compute_routes(&topo, &ann), &ann)?;
     }
 
     /// Differential oracle under traffic engineering: a randomized mix of
     /// withheld, prepended, and NO_EXPORT-scoped offers must still produce
-    /// identical tables from both propagation strategies.
+    /// the oracle's table.
     #[test]
     fn frontier_equals_reference_engineered(
         seed in 0u64..5000,
@@ -162,26 +419,9 @@ proptest! {
     ) {
         let topo = world(seed);
         let origin = topo.ases_of_class(AsClass::Eyeball).next().unwrap().id;
-        let mut ann = Announcement::empty(origin);
-        for (i, &(_, link)) in topo.adjacency(origin).iter().enumerate() {
-            // Two knob bits per link: withhold / plain / prepend / NO_EXPORT.
-            match (knobs >> ((2 * i) % 64)) & 0b11 {
-                0b00 => {}
-                0b01 => { ann.offer(link, 0); }
-                0b10 => { ann.offer(link, prepend); }
-                _ => { ann.offer_scoped(link, 0, Scope::NoExport); }
-            }
-        }
-        if ann.is_empty() {
-            // Everything withheld: both strategies must agree it's empty.
-            let frontier = compute_routes(&topo, &Announcement::full(&topo, origin));
-            let reference = compute_routes_reference(&topo, &Announcement::full(&topo, origin));
-            assert_tables_equal(&topo, &frontier, &reference)?;
-            return Ok(());
-        }
-        let frontier = compute_routes(&topo, &ann);
-        let reference = compute_routes_reference(&topo, &ann);
-        assert_tables_equal(&topo, &frontier, &reference)?;
+        let ann = engineered(&topo, origin, knobs, prepend);
+        // Everything withheld still has to agree: only the origin routes.
+        assert_matches_oracle(&topo, &compute_routes(&topo, &ann), &ann)?;
     }
 
     /// The provider RIB is policy-sorted and only contains export-legal
