@@ -921,13 +921,8 @@ fn ablation_relation(seed: u64, poison: bool) -> RuleReport {
     let improvable = |independent: bool| {
         let mut cfg = ScenarioConfig::facebook(seed, Scale::Test);
         if independent {
-            // Mirror the xablate "independent" arm: no shared metro or
-            // last-mile events, frequent long severe per-link episodes.
-            cfg.congestion.metro_events_per_day = 0.0;
-            cfg.congestion.lastmile_events_per_day = 0.0;
-            cfg.congestion.link_events_per_day = 2.0;
-            cfg.congestion.event_duration_mean_min = 90.0;
-            cfg.congestion.event_severity = (0.35, 0.7);
+            // The xablate "independent" arm.
+            cfg.congestion = bb_netsim::CongestionConfig::independent();
         }
         let scenario = Scenario::build(cfg);
         bb_core::study_egress::run(&scenario, &mr_spray_cfg())

@@ -40,9 +40,10 @@ pub struct SprayConfig {
     pub top_k: usize,
     /// World fingerprint for the process-wide target memo. `Some(key)`
     /// lets repeat campaigns over a content-identical world (same
-    /// topology/provider/workload — e.g. the xablate arms, which vary only
-    /// congestion) reuse the first build's targets instead of recomputing
-    /// routes. `None` (default) always builds. The key must capture every
+    /// topology/provider/workload — e.g. the xablate independent-congestion
+    /// arm, which varies only congestion) reuse the first build's targets
+    /// instead of recomputing routes. `None` (default) always builds. The
+    /// key must capture every
     /// input that shapes the target set (see `ScenarioConfig::world_key`).
     #[serde(skip)]
     pub targets_memo: Option<u64>,
@@ -84,6 +85,48 @@ fn cached_targets(
     let t = Arc::new(build_targets(topo, provider, workload, top_k));
     cache.insert(key, Arc::clone(&t));
     t
+}
+
+/// Per target, the jitter term of every (window, route) median,
+/// window-major: `table[ti][wi * routes + ri]`.
+type JitterTable = Vec<Vec<f64>>;
+
+/// Everything the jitter term of a window median depends on. Congestion is
+/// absent on purpose: it enters the median only through `det`, so campaigns
+/// that differ only in congestion share one table. The memo's `HashMap`
+/// compares whole keys by equality, never by hash alone.
+#[derive(PartialEq, Eq, Hash)]
+struct JitterKey {
+    seed: u64,
+    sessions_per_window: usize,
+    rtt_samples_per_session: usize,
+    /// `RttModel` `(jitter_sigma, jitter_median_ms)` bits.
+    rtt_model: (u64, u64),
+    /// Routes per target, in target order.
+    routes: Vec<usize>,
+    windows: Vec<Window>,
+}
+
+/// Process-wide jitter memo of whole-campaign calls. One cell per key, so
+/// concurrent campaigns of the same shape run the jitter pass once and
+/// campaigns of different shapes never wait on each other.
+static JITTER_CACHE: OnceLock<Mutex<HashMap<JitterKey, Arc<OnceLock<Arc<JitterTable>>>>>> =
+    OnceLock::new();
+
+/// RNG seed of one (window, target, route) cell: sampling is keyed on the
+/// cell, never on worker schedule or call chunking. Chained SplitMix64
+/// mixing keeps the streams of adjacent cells uncorrelated; a single
+/// shift-XOR of the indices lets `ri` and `ti` bits cancel.
+fn cell_seed(seed: u64, w: Window, ti: usize, ri: usize) -> u64 {
+    bb_exec::derive_seed(
+        bb_exec::derive_seed(bb_exec::derive_seed(seed, w.0 as u64), ti as u64),
+        ri as u64,
+    )
+}
+
+/// The log-normal jitter of a standard-normal deviate `z`.
+fn jitter_of(model: &RttModel, z: f64) -> f64 {
+    model.jitter_median_ms * (model.jitter_sigma * z).exp()
 }
 
 /// One pre-realized route of a ⟨PoP, prefix⟩.
@@ -312,13 +355,15 @@ impl SprayEngine {
         // jitter is the jitter of the session's min deviate (one exp per
         // session — `sample_min_rtt` has always exploited this) and (b)
         // with an odd session count the window median — an exact order
-        // statistic under `quantile_select` — commutes with the map too:
-        // one exp per (window, route) instead of one per session, same
-        // bits.
+        // statistic under `quantile_select` — commutes with the map and
+        // with adding `det`: the median is `det + J`, and the jitter term
+        // J depends on the RNG stream alone, never on congestion. So a
+        // fault-free odd-session call runs in two passes, same bits: the
+        // jitter pass tabulates J (memoized for whole campaigns, see
+        // `jitter_table`) and the fold below adds `det`.
         let monotone_jitter = rtt_model.jitter_sigma >= 0.0 && rtt_model.jitter_median_ms >= 0.0;
-        let odd_sessions = cfg.sessions_per_window % 2 == 1;
-        let jitter_of =
-            |min_z: f64| rtt_model.jitter_median_ms * (rtt_model.jitter_sigma * min_z).exp();
+        let jitter = (faults.is_none() && monotone_jitter && cfg.sessions_per_window % 2 == 1)
+            .then(|| self.jitter_table(windows));
 
         // One task per target; the in-order merge keeps the row order of
         // the old sequential nesting (target-major, window-minor).
@@ -346,56 +391,48 @@ impl SprayEngine {
                 let mut utils = Vec::with_capacity(target.routes.len());
                 let mut counts = Vec::with_capacity(target.routes.len());
                 for ri in 0..target.routes.len() {
-                    // Deterministic per (seed, window, target, route)
-                    // sampling. Chained SplitMix64 mixing: the raw
-                    // shift-XOR scheme used previously left low-entropy,
-                    // correlated streams for adjacent (window, target,
-                    // route) triples (e.g. ri and ti bits could cancel).
-                    let route_rng_seed = bb_exec::derive_seed(
-                        bb_exec::derive_seed(bb_exec::derive_seed(cfg.seed, w.0 as u64), ti as u64),
-                        ri as u64,
-                    );
                     match faults {
                         None => {
                             let det = batch.det_rtt_ms(ri, t, drow);
-                            let mut rng = StdRng::seed_from_u64(route_rng_seed);
-                            if monotone_jitter {
-                                ktally.batches += 1;
-                                ktally.cos_skipped += batch_session_min_z(
-                                    &mut rng,
-                                    cfg.sessions_per_window,
-                                    cfg.rtt_samples_per_session,
-                                    &mut jscratch,
-                                    &mut min_z,
-                                );
-                                let med = if odd_sessions {
-                                    let z =
-                                        bb_stats::quantile::quantile_select(&mut min_z, 0.5);
-                                    det + jitter_of(z)
-                                } else {
-                                    for (slot, &z) in sessions.iter_mut().zip(&min_z) {
-                                        *slot = det + jitter_of(z);
+                            let med = match &jitter {
+                                Some(table) => det + table[ti][wi * target.routes.len() + ri],
+                                None => {
+                                    // Even session count (the median
+                                    // averages two sessions, so the map
+                                    // runs per session) or a non-monotone
+                                    // model (the full scalar loop).
+                                    let mut rng =
+                                        StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
+                                    if monotone_jitter {
+                                        ktally.batches += 1;
+                                        ktally.cos_skipped += batch_session_min_z(
+                                            &mut rng,
+                                            cfg.sessions_per_window,
+                                            cfg.rtt_samples_per_session,
+                                            &mut jscratch,
+                                            &mut min_z,
+                                        );
+                                        for (slot, &z) in sessions.iter_mut().zip(&min_z) {
+                                            *slot = det + jitter_of(rtt_model, z);
+                                        }
+                                    } else {
+                                        for s in sessions.iter_mut() {
+                                            *s = sample_min_rtt(
+                                                det,
+                                                rtt_model,
+                                                cfg.rtt_samples_per_session,
+                                                &mut rng,
+                                            );
+                                        }
                                     }
                                     bb_stats::quantile::quantile_select(&mut sessions, 0.5)
-                                };
-                                medians.push(med);
-                            } else {
-                                for s in sessions.iter_mut() {
-                                    *s = sample_min_rtt(
-                                        det,
-                                        &rtt_model,
-                                        cfg.rtt_samples_per_session,
-                                        &mut rng,
-                                    );
                                 }
-                                medians.push(bb_stats::quantile::quantile_select(
-                                    &mut sessions,
-                                    0.5,
-                                ));
-                            }
+                            };
+                            medians.push(med);
                             counts.push(cfg.sessions_per_window as u32);
                         }
                         Some(fp) => {
+                            let route_rng_seed = cell_seed(cfg.seed, w, ti, ri);
                             // Churn is a property of the route, not the
                             // window: the same key across all windows.
                             let route_key = FaultPlane::stream_key(&[
@@ -445,7 +482,7 @@ impl SprayEngine {
                                                     &mut jscratch,
                                                     &mut min_z,
                                                 );
-                                                det + jitter_of(min_z[0])
+                                                det + jitter_of(rtt_model, min_z[0])
                                             } else {
                                                 sample_min_rtt(
                                                     det,
@@ -511,6 +548,94 @@ impl SprayEngine {
         );
         out
     }
+
+    /// The jitter table of `windows`. A whole-campaign call goes through
+    /// the process-wide memo, so repeat campaigns of the same shape (the
+    /// xablate independent-congestion arm after fig1) skip the jitter pass;
+    /// any other window list (a streaming chunk, which never repeats)
+    /// builds its table and drops it with the call.
+    fn jitter_table(&self, windows: &[Window]) -> Arc<JitterTable> {
+        if windows != self.batch_windows().as_slice() {
+            return Arc::new(self.jitter_pass(windows));
+        }
+        let cfg = &self.cfg;
+        let key = JitterKey {
+            seed: cfg.seed,
+            sessions_per_window: cfg.sessions_per_window,
+            rtt_samples_per_session: cfg.rtt_samples_per_session,
+            rtt_model: (
+                self.rtt_model.jitter_sigma.to_bits(),
+                self.rtt_model.jitter_median_ms.to_bits(),
+            ),
+            routes: self.targets.iter().map(|t| t.routes.len()).collect(),
+            windows: windows.to_vec(),
+        };
+        let route_windows = key.routes.iter().sum::<usize>() * windows.len();
+        let cell = {
+            let cache = JITTER_CACHE.get_or_init(Default::default);
+            let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(cache.entry(key).or_default())
+        };
+        let mut built = false;
+        let table = Arc::clone(cell.get_or_init(|| {
+            built = true;
+            Arc::new(self.jitter_pass(windows))
+        }));
+        bb_exec::timing::add_count(
+            "kernel:spray:jitter_reused",
+            if built { 0 } else { route_windows },
+        );
+        table
+    }
+
+    /// The jitter pass: for every (target, window, route) cell, the jitter
+    /// of the median session's min deviate. Fault-free, monotone model,
+    /// odd session count only (see `sample_windows`).
+    fn jitter_pass(&self, windows: &[Window]) -> JitterTable {
+        let cfg = &self.cfg;
+        let per_target: Vec<(Vec<f64>, KernelTally)> = bb_exec::timing::time("spray:jitter", || {
+            bb_exec::par_map(&self.targets, |ti, target| {
+                let mut jscratch = JitterScratch::default();
+                let mut min_z: Vec<f64> = Vec::with_capacity(cfg.sessions_per_window);
+                let mut ktally = KernelTally::default();
+                let mut table = Vec::with_capacity(windows.len() * target.routes.len());
+                for &w in windows {
+                    for ri in 0..target.routes.len() {
+                        let mut rng = StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
+                        ktally.batches += 1;
+                        ktally.cos_skipped += batch_session_min_z(
+                            &mut rng,
+                            cfg.sessions_per_window,
+                            cfg.rtt_samples_per_session,
+                            &mut jscratch,
+                            &mut min_z,
+                        );
+                        let z = bb_stats::quantile::quantile_select(&mut min_z, 0.5);
+                        table.push(jitter_of(&self.rtt_model, z));
+                    }
+                }
+                (table, ktally)
+            })
+        });
+        let mut ktally = KernelTally::default();
+        let table = per_target
+            .into_iter()
+            .map(|(jitter, target_ktally)| {
+                ktally.merge(target_ktally);
+                jitter
+            })
+            .collect();
+        ktally.publish();
+        table
+    }
+}
+
+#[cfg(test)]
+fn jitter_memo_entries(seed: u64) -> usize {
+    JITTER_CACHE.get().map_or(0, |cache| {
+        let cache = cache.lock().unwrap_or_else(|e| e.into_inner());
+        cache.keys().filter(|k| k.seed == seed).count()
+    })
 }
 
 /// Run the spray campaign.
@@ -630,10 +755,16 @@ mod tests {
     use bb_topology::{generate, TopologyConfig};
     use bb_workload::{generate_workload, WorkloadConfig};
 
-    fn tiny_campaign() -> (Topology, SprayDataset) {
+    /// A Test-scale world (the topology `Scale::Test` generates).
+    fn world() -> (Topology, Provider, Workload) {
         let mut topo = generate(&TopologyConfig::small(81));
         let provider = build_provider(&mut topo, &ProviderConfig::facebook_like(8));
         let workload = generate_workload(&topo, &WorkloadConfig::default());
+        (topo, provider, workload)
+    }
+
+    fn tiny_campaign() -> (Topology, SprayDataset) {
+        let (topo, provider, workload) = world();
         let congestion = CongestionModel::new(8, CongestionConfig::default());
         let cfg = SprayConfig {
             days: 0.5,
@@ -810,5 +941,187 @@ mod tests {
                 .collect();
             assert_eq!(end_cities.len(), 1, "all routes reach the same client");
         }
+    }
+
+    /// Checks a fault-free call against the scalar oracle, bit for bit:
+    /// every session through `sample_min_rtt` on its own seeded stream,
+    /// then `quantile_select`. `det` comes from the table-free
+    /// `det_rtt_ms_at`, so the oracle shares neither pass with the engine.
+    fn assert_matches_oracle(engine: &SprayEngine, windows: &[Window], rows: &[Vec<WindowRow>]) {
+        let cfg = &engine.cfg;
+        assert_eq!(rows.len(), engine.targets.len());
+        for (ti, target_rows) in rows.iter().enumerate() {
+            assert_eq!(target_rows.len(), windows.len());
+            for (row, &w) in target_rows.iter().zip(windows) {
+                assert_eq!(row.window, w);
+                assert_eq!(row.route_median_ms.len(), engine.targets[ti].routes.len());
+                for (ri, &got) in row.route_median_ms.iter().enumerate() {
+                    let seed = bb_exec::derive_seed(
+                        bb_exec::derive_seed(bb_exec::derive_seed(cfg.seed, w.0 as u64), ti as u64),
+                        ri as u64,
+                    );
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let det = engine.batches[ti].det_rtt_ms_at(ri, w.midpoint());
+                    let mut sessions: Vec<f64> = (0..cfg.sessions_per_window)
+                        .map(|_| {
+                            sample_min_rtt(
+                                det,
+                                &RttModel::default(),
+                                cfg.rtt_samples_per_session,
+                                &mut rng,
+                            )
+                        })
+                        .collect();
+                    let want = bb_stats::quantile::quantile_select(&mut sessions, 0.5);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "target {ti} window {} route {ri}: {got} != {want}",
+                        w.0
+                    );
+                }
+            }
+        }
+    }
+
+    /// Samples the whole campaign of `cfg` under `congestion` and checks it
+    /// against the oracle.
+    fn sample_checked(
+        (topo, provider, workload): &(Topology, Provider, Workload),
+        congestion: CongestionConfig,
+        cfg: &SprayConfig,
+    ) {
+        let model = CongestionModel::new(8, congestion);
+        let engine = SprayEngine::new(topo, provider, workload, &model, cfg);
+        let windows = engine.batch_windows();
+        assert_matches_oracle(&engine, &windows, &engine.sample_windows(&windows, None));
+    }
+
+    // The memo is process-wide and tests run concurrently, so every memo
+    // test uses spray seeds of its own and counts only its own entries.
+
+    #[test]
+    fn congestion_change_reuses_the_jitter_table_and_matches_the_oracle() {
+        let w = world();
+        let cfg = SprayConfig {
+            seed: 0x_7177_0001,
+            days: 0.5,
+            window_stride: 8,
+            sessions_per_window: 5,
+            ..Default::default()
+        };
+        sample_checked(&w, CongestionConfig::default(), &cfg);
+        sample_checked(&w, CongestionConfig::independent(), &cfg);
+        assert_eq!(
+            jitter_memo_entries(cfg.seed),
+            1,
+            "the second campaign must reuse the first one's table"
+        );
+    }
+
+    #[test]
+    fn every_key_input_gets_its_own_jitter_table() {
+        let w = world();
+        let base = SprayConfig {
+            seed: 0x_7177_0002,
+            days: 0.5,
+            window_stride: 8,
+            sessions_per_window: 5,
+            ..Default::default()
+        };
+        sample_checked(&w, CongestionConfig::default(), &base);
+        // Each variant changes one key input of `base`; a key that missed
+        // it would serve `base`'s table.
+        let variants = [
+            SprayConfig {
+                seed: 0x_7177_0003,
+                ..base.clone()
+            },
+            SprayConfig {
+                sessions_per_window: 7,
+                ..base.clone()
+            },
+            SprayConfig {
+                rtt_samples_per_session: 3,
+                ..base.clone()
+            },
+            SprayConfig {
+                window_stride: 4,
+                ..base.clone()
+            },
+            SprayConfig {
+                days: 1.0,
+                ..base.clone()
+            },
+            // Two routes per target instead of three: the routes shape.
+            SprayConfig {
+                top_k: 2,
+                ..base.clone()
+            },
+        ];
+        for cfg in &variants {
+            sample_checked(&w, CongestionConfig::default(), cfg);
+        }
+        // `base` and the five variants that keep its seed.
+        assert_eq!(jitter_memo_entries(base.seed), 6);
+        assert_eq!(jitter_memo_entries(0x_7177_0003), 1);
+    }
+
+    #[test]
+    fn streaming_chunks_bypass_the_memo_and_match_the_whole_campaign() {
+        let (topo, provider, workload) = world();
+        let model = CongestionModel::new(8, CongestionConfig::default());
+        let cfg = SprayConfig {
+            seed: 0x_7177_0004,
+            days: 1.0,
+            window_stride: 4,
+            sessions_per_window: 5,
+            ..Default::default()
+        };
+        let engine = SprayEngine::new(&topo, &provider, &workload, &model, &cfg);
+        let windows = engine.batch_windows();
+        assert!(windows.len() > 8, "the campaign spans several chunks");
+        // `repro serve`'s shape: 8 windows per call.
+        let chunked = || {
+            let mut rows = vec![Vec::new(); engine.targets().len()];
+            for chunk in windows.chunks(8) {
+                for (ti, part) in engine.sample_windows(chunk, None).into_iter().enumerate() {
+                    rows[ti].extend(part);
+                }
+            }
+            rows
+        };
+        let first = chunked();
+        assert_eq!(jitter_memo_entries(cfg.seed), 0);
+        let whole = engine.sample_windows(&windows, None);
+        assert_eq!(jitter_memo_entries(cfg.seed), 1);
+        assert_eq!(first, whole);
+        assert_eq!(chunked(), whole);
+        assert_eq!(jitter_memo_entries(cfg.seed), 1);
+        assert_matches_oracle(&engine, &windows, &whole);
+    }
+
+    #[test]
+    fn even_and_planet_session_counts_match_the_oracle() {
+        let w = world();
+        // Even: the median averages two sessions, so there is no table.
+        let even = SprayConfig {
+            seed: 0x_7177_0005,
+            days: 0.5,
+            window_stride: 8,
+            sessions_per_window: 6,
+            ..Default::default()
+        };
+        sample_checked(&w, CongestionConfig::default(), &even);
+        assert_eq!(jitter_memo_entries(even.seed), 0);
+        // The planet-scale campaign shape.
+        let planet = SprayConfig {
+            seed: 0x_7177_0006,
+            days: 1.0,
+            window_stride: 16,
+            sessions_per_window: 5,
+            ..Default::default()
+        };
+        sample_checked(&w, CongestionConfig::default(), &planet);
     }
 }

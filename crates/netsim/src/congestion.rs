@@ -94,6 +94,22 @@ impl Default for CongestionConfig {
     }
 }
 
+impl CongestionConfig {
+    /// The early literature's independent-paths world, the X-ABLATE
+    /// counterpart of the default: no shared metro or last-mile events,
+    /// only frequent, long, severe episodes on individual links.
+    pub fn independent() -> Self {
+        Self {
+            link_events_per_day: 2.0,
+            metro_events_per_day: 0.0,
+            lastmile_events_per_day: 0.0,
+            event_duration_mean_min: 90.0,
+            event_severity: (0.35, 0.7),
+            ..Self::default()
+        }
+    }
+}
+
 /// One transient congestion event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CongestionEvent {

@@ -106,7 +106,7 @@ use beating_bgp::core::{calibration, study_anycast, study_egress, study_tiers};
 use beating_bgp::core::{BbResult, Scale, Scenario, ScenarioConfig};
 use beating_bgp::exec::supervisor::{self, SupervisionReport};
 use beating_bgp::exec::timing;
-use beating_bgp::netsim::FaultLevel;
+use beating_bgp::netsim::{CongestionConfig, FaultLevel};
 use beating_bgp::measure::{BeaconConfig, ProbeConfig, SprayConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -1947,24 +1947,21 @@ fn main() {
 
                 // (1) Correlated congestion: without shared destination-side
                 // keys, performance-aware routing finds far more exploitable
-                // windows — the pre-2010 literature's world.
+                // windows — the pre-2010 literature's world. The default arm
+                // is the fig1 study itself (the Facebook world already runs
+                // the default congestion); only the independent arm builds a
+                // world, and its campaign reuses fig1's jitter table.
                 out.push_str("  [correlated congestion]\n");
-                for (label, metro, lastmile, link) in [
-                    ("correlated (default)", 0.10, 0.35, 0.25),
-                    ("independent", 0.0, 0.0, 2.0),
-                ] {
+                let correlated = egress_study()?;
+                let independent = {
                     let mut cfg = with_faults(ScenarioConfig::facebook(args.seed, args.scale));
-                    cfg.congestion.metro_events_per_day = metro;
-                    cfg.congestion.lastmile_events_per_day = lastmile;
-                    cfg.congestion.link_events_per_day = link;
-                    if label == "independent" {
-                        // Early-literature world: long, severe, route-specific
-                        // congestion episodes.
-                        cfg.congestion.event_duration_mean_min = 90.0;
-                        cfg.congestion.event_severity = (0.35, 0.7);
-                    }
-                    let scenario = Scenario::try_build(cfg)?;
-                    let study = study_egress::run(&scenario, &spray_cfg(args.scale))?;
+                    cfg.congestion = CongestionConfig::independent();
+                    study_egress::run(&Scenario::try_build(cfg)?, &spray_cfg(args.scale))?
+                };
+                for (label, study) in [
+                    ("correlated (default)", correlated),
+                    ("independent", &independent),
+                ] {
                     writeln!(
                         out,
                         "    {label:<22} median-improvable>=5ms {:.1}%  windows-improvable {:.1}%  degrade-together {:.0}%",

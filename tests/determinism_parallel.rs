@@ -85,3 +85,32 @@ fn spray_rows_with_planned_paths_identical_across_job_counts() {
         "planned-path spray rows differ between jobs=1 and jobs=4"
     );
 }
+
+fn repro_stdout(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "repro {args:?} exited with {}", out.status);
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// xablate's default-congestion arm is the shared fig1 study, so a lone
+/// `repro xablate` builds that cell itself while `repro all` reuses the
+/// fig1 build — at 2 workers xablate may block on the cell while another
+/// worker fills it. Either way the block must be byte-identical.
+#[test]
+fn xablate_alone_matches_its_block_in_all_for_any_job_count() {
+    for jobs in ["1", "2"] {
+        let common = ["--scale", "test", "--seed", "5", "--jobs", jobs];
+        let alone = repro_stdout(&[&["xablate"], &common[..]].concat());
+        let all = repro_stdout(&[&["all"], &common[..]].concat());
+        let start = all.find("X-ABLATE:").expect("all prints an X-ABLATE block");
+        let block = match all[start..].find("\n\n") {
+            Some(end) => &all[start..start + end + 2],
+            None => &all[start..],
+        };
+        assert!(block.contains("independent"), "{block}");
+        assert_eq!(alone, block, "xablate differs from its block in all at --jobs {jobs}");
+    }
+}

@@ -35,6 +35,7 @@ fn timing_json_emits_schema_v1() {
         "\"label\": \"spray:windows\"",
         "\"counters\": [",
         "\"label\": \"samples:spray\"",
+        "\"label\": \"kernel:spray:jitter_reused\"",
         "\"route_cache\": {",
         "\"hit_rate\":",
         "\"faults\": {",
