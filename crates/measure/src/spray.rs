@@ -12,9 +12,9 @@ use bb_bgp::{provider_rib, Announcement, ProviderRouteClass};
 use bb_cdn::Provider;
 use bb_geo::CityId;
 use bb_netsim::{
-    batch_session_min_z, realize_path, sample_min_rtt, CongestionKey, CongestionModel,
-    CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable, PathPlan, PathPlanBatch,
-    RealizeSpec, RealizedPath, RttModel, SimTime, UtilProbe, Window,
+    batch_session_median_z, batch_session_min_z, realize_path, sample_min_rtt, CongestionKey,
+    CongestionModel, CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable,
+    PathPlan, PathPlanBatch, RealizeSpec, RealizedPath, RttModel, SimTime, UtilProbe, Window,
 };
 use bb_topology::{AsId, InterconnectId, Topology};
 use bb_workload::{PrefixId, Workload};
@@ -184,22 +184,23 @@ impl SprayDataset {
 /// never changes the reported totals).
 #[derive(Debug, Default, Clone, Copy)]
 struct KernelTally {
-    /// `batch_session_min_z` invocations.
+    /// Batch kernel invocations (`batch_session_min_z` or
+    /// `batch_session_median_z`).
     batches: usize,
-    /// `cos` evaluations elided by the batch kernel's `-r > min` cutoff.
-    cos_skipped: usize,
+    /// Deviates the batch kernels resolved through libm.
+    exact_evals: usize,
 }
 
 impl KernelTally {
     fn merge(&mut self, other: KernelTally) {
         self.batches += other.batches;
-        self.cos_skipped += other.cos_skipped;
+        self.exact_evals += other.exact_evals;
     }
 
     fn publish(&self) {
         if self.batches > 0 {
             bb_exec::timing::add_count("kernel:spray:batches", self.batches);
-            bb_exec::timing::add_count("kernel:spray:cos_skipped", self.cos_skipped);
+            bb_exec::timing::add_count("kernel:spray:exact_evals", self.exact_evals);
         }
     }
 }
@@ -405,7 +406,7 @@ impl SprayEngine {
                                         StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
                                     if monotone_jitter {
                                         ktally.batches += 1;
-                                        ktally.cos_skipped += batch_session_min_z(
+                                        ktally.exact_evals += batch_session_min_z(
                                             &mut rng,
                                             cfg.sessions_per_window,
                                             cfg.rtt_samples_per_session,
@@ -475,7 +476,7 @@ impl SprayEngine {
                                                 ));
                                             if monotone_jitter {
                                                 ktally.batches += 1;
-                                                ktally.cos_skipped += batch_session_min_z(
+                                                ktally.exact_evals += batch_session_min_z(
                                                     &mut rng,
                                                     1,
                                                     cfg.rtt_samples_per_session,
@@ -596,21 +597,19 @@ impl SprayEngine {
         let per_target: Vec<(Vec<f64>, KernelTally)> = bb_exec::timing::time("spray:jitter", || {
             bb_exec::par_map(&self.targets, |ti, target| {
                 let mut jscratch = JitterScratch::default();
-                let mut min_z: Vec<f64> = Vec::with_capacity(cfg.sessions_per_window);
                 let mut ktally = KernelTally::default();
                 let mut table = Vec::with_capacity(windows.len() * target.routes.len());
                 for &w in windows {
                     for ri in 0..target.routes.len() {
                         let mut rng = StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
-                        ktally.batches += 1;
-                        ktally.cos_skipped += batch_session_min_z(
+                        let (z, evals) = batch_session_median_z(
                             &mut rng,
                             cfg.sessions_per_window,
                             cfg.rtt_samples_per_session,
                             &mut jscratch,
-                            &mut min_z,
                         );
-                        let z = bb_stats::quantile::quantile_select(&mut min_z, 0.5);
+                        ktally.batches += 1;
+                        ktally.exact_evals += evals;
                         table.push(jitter_of(&self.rtt_model, z));
                     }
                 }

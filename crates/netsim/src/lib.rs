@@ -47,6 +47,7 @@ pub use fault::{churn_races_closed, FaultConfig, FaultLevel, FaultPlane, MAX_BAS
 pub use goodput::goodput_mbps;
 pub use path::{realize_path, RealizeSpec, RealizedPath, Segment, TracerouteHop};
 pub use rtt::{
-    batch_session_min_z, path_base_rtt_ms, path_rtt_ms, sample_min_rtt, JitterScratch, RttModel,
+    batch_session_median_z, batch_session_min_z, path_base_rtt_ms, path_rtt_ms, sample_min_rtt,
+    JitterScratch, RttModel, APPROX_Z_ERR,
 };
 pub use time::{SimTime, Window, WINDOW_MINUTES};

@@ -145,6 +145,63 @@ proptest! {
         prop_assert!(checked > 0, "no realizable path in topology {}", topo_seed);
     }
 
+    /// The batched jitter kernel is the scalar session walk, bit for bit:
+    /// `batch_session_min_z` yields each session's `sample_min_rtt` and
+    /// leaves the RNG stream where the scalar walk leaves it.
+    #[test]
+    fn batch_min_z_matches_scalar_walk(
+        seed in 0u64..u64::MAX,
+        sessions in 1usize..=9,
+        samples in 1usize..=8,
+    ) {
+        use beating_bgp::netsim::{batch_session_min_z, sample_min_rtt, JitterScratch, RttModel};
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        let rm = RttModel::default();
+        let mut scalar_rng = StdRng::seed_from_u64(seed);
+        let scalar: Vec<f64> = (0..sessions)
+            .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
+            .collect();
+        let mut batch_rng = StdRng::seed_from_u64(seed);
+        let mut min_z = Vec::new();
+        batch_session_min_z(&mut batch_rng, sessions, samples, &mut JitterScratch::default(), &mut min_z);
+        prop_assert_eq!(min_z.len(), sessions);
+        for (s, &z) in scalar.iter().zip(&min_z) {
+            let batch = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
+            prop_assert_eq!(batch.to_bits(), s.to_bits(), "seed {}", seed);
+        }
+        prop_assert_eq!(batch_rng.next_u64(), scalar_rng.next_u64());
+    }
+
+    /// The median entry point (odd session count) is the median of the
+    /// scalar session minima: `quantile_select(…, 0.5)`, bit for bit.
+    #[test]
+    fn batch_median_z_matches_scalar_median(
+        seed in 0u64..u64::MAX,
+        half in 0usize..=4,
+        samples in 1usize..=8,
+    ) {
+        use beating_bgp::netsim::{batch_session_median_z, sample_min_rtt, JitterScratch, RttModel};
+        use beating_bgp::stats::quantile_select;
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        let sessions = 2 * half + 1;
+        let rm = RttModel::default();
+        let mut scalar_rng = StdRng::seed_from_u64(seed);
+        let mut scalar: Vec<f64> = (0..sessions)
+            .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
+            .collect();
+        let want = quantile_select(&mut scalar, 0.5);
+        let mut batch_rng = StdRng::seed_from_u64(seed);
+        let (z, _) =
+            batch_session_median_z(&mut batch_rng, sessions, samples, &mut JitterScratch::default());
+        let got = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "seed {}", seed);
+        prop_assert_eq!(batch_rng.next_u64(), scalar_rng.next_u64());
+    }
+
     /// Quantile edge cases: q=0 is the minimum, q=1 is the maximum, equal
     /// weights reduce the weighted quantile to the unweighted one, and
     /// duplicate-heavy inputs stay within the data range. `quantile_select`

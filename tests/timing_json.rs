@@ -36,6 +36,7 @@ fn timing_json_emits_schema_v1() {
         "\"counters\": [",
         "\"label\": \"samples:spray\"",
         "\"label\": \"kernel:spray:jitter_reused\"",
+        "\"label\": \"kernel:spray:exact_evals\"",
         "\"route_cache\": {",
         "\"hit_rate\":",
         "\"faults\": {",
