@@ -1,8 +1,7 @@
 //! Performance telemetry for the `repro` driver.
 //!
-//! The Criterion benchmark targets live in `benches/`; this library holds
-//! the structured perf report that `repro --timing-json PATH` emits after a
-//! run. The report captures per-phase wall-clock, sample-throughput
+//! This library holds the structured perf report that
+//! `repro --timing-json PATH` emits after a run. The report captures per-phase wall-clock, sample-throughput
 //! counters, plan-compile vs query time, and cache statistics so perf
 //! regressions show up as a diffable artifact (`BENCH_<scale>.json`)
 //! instead of an anecdote.

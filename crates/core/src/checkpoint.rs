@@ -24,9 +24,10 @@
 //! The topology is a pure function of `(scale, seed)`, which the key
 //! already pins; see DESIGN.md §5b.)
 //!
-//! **Format.** `bbck/v1` is a line-oriented header with length-prefixed raw
-//! blobs, so stdout and CSV bytes round-trip exactly (no escaping, no
-//! encoding). Every blob carries an FNV-1a 64 checksum verified on load:
+//! **Format.** `bbck/v1` is the [`crate::framed`] shape: a line-oriented
+//! header with length-prefixed raw blobs, so stdout and CSV bytes
+//! round-trip exactly (no escaping, no encoding). Every blob carries an
+//! FNV-1a 64 checksum verified on load:
 //!
 //! ```text
 //! bbck/v1
@@ -72,15 +73,21 @@
 
 use crate::error::{BbError, BbResult};
 use crate::export::write_atomic_bytes;
+use crate::framed::{self, FieldFn, Flag, Format, Key, Reader, Writer};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
+
+pub use crate::framed::fnv1a;
 
 /// Manifest file name inside a checkpoint directory.
 pub const MANIFEST_NAME: &str = "checkpoint.bbck";
 
-/// On-disk format version (parser compatibility).
-pub const FORMAT: &str = "bbck/v1";
+/// On-disk format of the manifest.
+pub const FORMAT: Format = Format {
+    version: "bbck/v1",
+    noun: "manifest",
+    refusal: "refusing to salvage",
+};
 
 /// Output-schema version of the *code*. Bump whenever any experiment's
 /// stdout or CSV format changes, so checkpoints written by older builds are
@@ -94,18 +101,8 @@ pub const HEARTBEAT_NAME: &str = "heartbeat.bbhb";
 /// On-disk format version of the heartbeat record.
 pub const HEARTBEAT_FORMAT: &str = "bbhb/v1";
 
-/// FNV-1a 64-bit hash — the checksum guarding every blob in the manifest.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Identity of one campaign: a checkpoint is valid only for an exact match.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CampaignKey {
     pub seed: u64,
     /// Scale label (`test`/`full`/`large`).
@@ -136,6 +133,27 @@ impl CampaignKey {
             csv,
             code_schema: CODE_SCHEMA,
         }
+    }
+
+    /// The selected experiment names, in run order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.experiments.split(',').filter(|e| !e.is_empty())
+    }
+
+    /// The selected experiments `covered` says no unit provides.
+    pub fn missing(&self, covered: impl Fn(&str) -> bool) -> Vec<&str> {
+        self.names().filter(|e| !covered(e)).collect()
+    }
+}
+
+impl Key for CampaignKey {
+    fn fields(&mut self, f: &mut FieldFn<'_>) -> BbResult<()> {
+        f("seed", &mut self.seed)?;
+        f("scale", &mut self.scale)?;
+        f("faults", &mut self.faults)?;
+        f("experiments", &mut self.experiments)?;
+        f("csv", &mut Flag(&mut self.csv))?;
+        f("code_schema", &mut self.code_schema)
     }
 }
 
@@ -181,75 +199,24 @@ impl Checkpoint {
     /// Reject the manifest unless its key matches `expect` exactly, naming
     /// the first mismatching field.
     pub fn validate(&self, expect: &CampaignKey) -> BbResult<()> {
-        let k = &self.key;
-        let mismatch = |field: &str, have: &str, want: &str| {
-            Err(BbError::checkpoint(format!(
-                "{field} mismatch: checkpoint has {have}, this run wants {want} \
-                 (refusing to reuse a stale checkpoint)"
-            )))
-        };
-        if k.code_schema != expect.code_schema {
-            return mismatch(
-                "code_schema",
-                &k.code_schema.to_string(),
-                &expect.code_schema.to_string(),
-            );
-        }
-        if k.seed != expect.seed {
-            return mismatch("seed", &k.seed.to_string(), &expect.seed.to_string());
-        }
-        if k.scale != expect.scale {
-            return mismatch("scale", &k.scale, &expect.scale);
-        }
-        if k.faults != expect.faults {
-            return mismatch("faults", &k.faults, &expect.faults);
-        }
-        if k.experiments != expect.experiments {
-            return mismatch("experiments", &k.experiments, &expect.experiments);
-        }
-        if k.csv != expect.csv {
-            return mismatch("csv", bool_str(k.csv), bool_str(expect.csv));
-        }
-        Ok(())
+        framed::validate(&FORMAT, &self.key, expect)
     }
 
     /// Serialize to `bbck/v1` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let k = &self.key;
-        let mut head = String::new();
-        let _ = writeln!(head, "{FORMAT}");
-        let _ = writeln!(head, "seed {}", k.seed);
-        let _ = writeln!(head, "scale {}", k.scale);
-        let _ = writeln!(head, "faults {}", k.faults);
-        let _ = writeln!(head, "experiments {}", k.experiments);
-        let _ = writeln!(head, "csv {}", bool_str(k.csv));
-        let _ = writeln!(head, "code_schema {}", k.code_schema);
-        let _ = writeln!(head, "windows_done {}", self.windows_done);
-        let mut out = head.into_bytes();
+        let mut w = Writer::new(FORMAT.version);
+        w.key(&self.key);
+        w.field("windows_done", self.windows_done);
         for (name, unit) in &self.units {
-            let stdout = unit.stdout.as_bytes();
-            let _ = writeln!(
-                str_sink(&mut out),
-                "unit {name} {} {} {:016x}",
-                unit.files.len(),
-                stdout.len(),
-                fnv1a(stdout)
+            w.blob(
+                format_args!("unit {name} {}", unit.files.len()),
+                unit.stdout.as_bytes(),
             );
-            out.extend_from_slice(stdout);
-            out.push(b'\n');
             for (fname, bytes) in &unit.files {
-                let _ = writeln!(
-                    str_sink(&mut out),
-                    "file {fname} {} {:016x}",
-                    bytes.len(),
-                    fnv1a(bytes)
-                );
-                out.extend_from_slice(bytes);
-                out.push(b'\n');
+                w.blob(format_args!("file {fname}"), bytes);
             }
         }
-        out.extend_from_slice(b"end\n");
-        out
+        w.end()
     }
 
     /// Atomically write the manifest into `dir`.
@@ -262,44 +229,26 @@ impl Checkpoint {
     /// Load and parse the manifest from `dir`. Parse/checksum failures are
     /// [`BbError::Checkpoint`]; a missing file is [`BbError::Io`].
     pub fn load(dir: &Path) -> BbResult<Checkpoint> {
-        let path = dir.join(MANIFEST_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode(&bytes)
+        Self::decode(&framed::read(dir, MANIFEST_NAME)?)
     }
 
     /// Like [`Checkpoint::load`], but a manifest whose trailing record is
     /// cut off at EOF loads the valid prefix instead of failing (see
     /// [`Checkpoint::decode_salvaging`]).
     pub fn load_salvaging(dir: &Path) -> BbResult<(Checkpoint, Option<Salvage>)> {
-        let path = dir.join(MANIFEST_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode_salvaging(&bytes)
+        Self::decode_salvaging(&framed::read(dir, MANIFEST_NAME)?)
     }
 
     /// Parse `bbck/v1` bytes. Any damage — truncation included — is an
     /// error; use [`Checkpoint::decode_salvaging`] to recover the valid
     /// prefix of a torn manifest.
     pub fn decode(bytes: &[u8]) -> BbResult<Checkpoint> {
-        let mut p = Parser { bytes, pos: 0 };
-        let (key, windows_done) = parse_header(&mut p)?;
-        let mut units = BTreeMap::new();
-        loop {
-            match parse_unit(&mut p)? {
-                UnitParse::End => break,
-                UnitParse::Unit(name, unit) => {
-                    units.insert(name, unit);
-                }
-                UnitParse::Torn(what) => {
-                    return Err(BbError::checkpoint(format!("truncated manifest ({what})")));
-                }
-            }
-        }
-        Ok(Checkpoint {
-            key,
-            units,
-            windows_done,
+        let (ck, salvage) = Self::decode_salvaging(bytes)?;
+        salvage.map_or(Ok(ck), |s| {
+            Err(BbError::checkpoint(format!(
+                "truncated manifest ({})",
+                s.dropped
+            )))
         })
     }
 
@@ -314,25 +263,17 @@ impl Checkpoint {
     /// malformed line with its bytes fully present, a torn header — is
     /// still an error: replaying corrupt bytes would break byte-identity.
     pub fn decode_salvaging(bytes: &[u8]) -> BbResult<(Checkpoint, Option<Salvage>)> {
-        let mut p = Parser { bytes, pos: 0 };
-        let (key, windows_done) = parse_header(&mut p)?;
+        // A torn header is never salvageable: without the full key the
+        // prefix cannot be validated.
+        let mut r = Reader::open(bytes, FORMAT)?;
+        let key = r.key()?;
+        let windows_done = r.field("windows_done")?;
         let mut units = BTreeMap::new();
-        let salvage = loop {
-            let record_start = p.pos;
-            match parse_unit(&mut p)? {
-                UnitParse::End => break None,
-                UnitParse::Unit(name, unit) => {
-                    units.insert(name, unit);
-                }
-                UnitParse::Torn(dropped) => {
-                    break Some(Salvage {
-                        dropped,
-                        kept_units: units.len(),
-                        bytes_dropped: bytes.len() - record_start,
-                    });
-                }
-            }
-        };
+        let salvage = parse_units(&mut r, &mut units)?.map(|(start, dropped)| Salvage {
+            dropped,
+            kept_units: units.len(),
+            bytes_dropped: bytes.len() - start,
+        });
         Ok((
             Checkpoint {
                 key,
@@ -366,149 +307,72 @@ impl std::fmt::Display for Salvage {
     }
 }
 
-/// Parse the `bbck/v1` header lines. A torn header is never salvageable —
-/// without the full [`CampaignKey`] the prefix cannot be validated.
-fn parse_header(p: &mut Parser<'_>) -> BbResult<(CampaignKey, u64)> {
-    // A zero-length manifest is its own diagnosis (an atomic writer can
-    // never produce one — it means the file was created by something else
-    // or zeroed by filesystem damage), not a generic truncation.
-    if p.bytes.is_empty() {
-        return Err(BbError::checkpoint(
-            "manifest is empty (0 bytes at byte offset 0) — not a torn \
-             write; refusing to salvage",
-        ));
-    }
-    let version = p.line()?;
-    if version != FORMAT {
-        return Err(BbError::checkpoint(format!(
-            "unsupported format {version:?}, this build reads {FORMAT}"
-        )));
-    }
-    let seed: u64 = p.field("seed")?;
-    let scale = p.field_str("scale")?;
-    let faults = p.field_str("faults")?;
-    let experiments = p.field_str("experiments")?;
-    let csv = match p.field_str("csv")?.as_str() {
-        "1" => true,
-        "0" => false,
-        other => {
-            return Err(BbError::checkpoint(format!("bad csv flag {other:?}")));
-        }
-    };
-    let code_schema: u32 = p.field("code_schema")?;
-    let windows_done: u64 = p.field("windows_done")?;
-    Ok((
-        CampaignKey {
-            seed,
-            scale,
-            faults,
-            experiments,
-            csv,
-            code_schema,
-        },
-        windows_done,
-    ))
-}
-
-/// One record from the unit section of a manifest.
-enum UnitParse {
-    Unit(String, UnitResult),
-    End,
-    /// The trailing record runs past EOF — truncation, the only damage
-    /// [`Checkpoint::decode_salvaging`] recovers from. Carries a
-    /// description of what was cut. Corruption with the bytes fully
-    /// present (checksum mismatch, malformed line) is an `Err` instead.
-    Torn(String),
-}
-
-fn parse_unit(p: &mut Parser<'_>) -> BbResult<UnitParse> {
-    let line = match p.line_opt()? {
-        Some(line) => line,
-        None => return Ok(UnitParse::Torn("record header cut at EOF".to_string())),
-    };
-    if line == "end" {
-        return Ok(UnitParse::End);
-    }
-    let mut tok = line.split(' ');
-    if tok.next() != Some("unit") {
-        return Err(BbError::checkpoint(format!(
-            "expected `unit` or `end`, got {line:?}"
-        )));
-    }
-    let name = tok
-        .next()
-        .ok_or_else(|| BbError::checkpoint("unit line missing name"))?
-        .to_string();
-    let n_files: usize = parse_tok(tok.next(), "unit file count")?;
-    let stdout_len: usize = parse_tok(tok.next(), "unit stdout length")?;
-    let sum: u64 = parse_hex(tok.next(), "unit stdout checksum")?;
-    let blob_at = p.pos;
-    let stdout_bytes = match p.blob_opt(stdout_len, &name)? {
-        Some(blob) => blob,
-        None => {
-            return Ok(UnitParse::Torn(format!(
-                "stdout blob of unit {name} cut at EOF"
-            )));
-        }
-    };
-    if fnv1a(stdout_bytes) != sum {
-        return Err(BbError::checkpoint(format!(
-            "checksum mismatch in stdout of unit {name} \
-             (blob at byte offset {blob_at}, mid-file corruption — not a \
-             torn tail, refusing to salvage)"
-        )));
-    }
-    let stdout = String::from_utf8(stdout_bytes.to_vec())
-        .map_err(|_| BbError::checkpoint(format!("unit {name} stdout is not UTF-8")))?;
-    let mut files = Vec::with_capacity(n_files);
-    for _ in 0..n_files {
-        let fline = match p.line_opt()? {
-            Some(line) => line,
-            None => {
-                return Ok(UnitParse::Torn(format!(
-                    "file record of unit {name} cut at EOF"
-                )));
-            }
+/// Read unit records into `units` up to `end`. A trailing record that runs
+/// past EOF — truncation, the only damage
+/// [`Checkpoint::decode_salvaging`] recovers from — ends the read with its
+/// start offset and a description of what was cut. Corruption with the
+/// bytes fully present (checksum mismatch, malformed line) is an `Err`.
+fn parse_units(
+    r: &mut Reader<'_>,
+    units: &mut BTreeMap<String, UnitResult>,
+) -> BbResult<Option<(usize, String)>> {
+    loop {
+        let start = r.pos();
+        let torn = |what: &str| Ok(Some((start, format!("{what} cut at EOF"))));
+        let Some(line) = r.line_opt()? else {
+            return torn("record header");
         };
-        let mut ftok = fline.split(' ');
-        if ftok.next() != Some("file") {
-            return Err(BbError::checkpoint(format!(
-                "expected `file` in unit {name}, got {fline:?}"
-            )));
+        if line == "end" {
+            return Ok(None);
         }
-        let fname = ftok
-            .next()
-            .ok_or_else(|| BbError::checkpoint("file line missing name"))?
-            .to_string();
-        let len: usize = parse_tok(ftok.next(), "file length")?;
-        let fsum: u64 = parse_hex(ftok.next(), "file checksum")?;
-        let fblob_at = p.pos;
-        let blob = match p.blob_opt(len, &fname)? {
-            Some(blob) => blob,
-            None => {
-                return Ok(UnitParse::Torn(format!(
-                    "blob of file {fname} in unit {name} cut at EOF"
-                )));
+        let unit = framed::record(&line).and_then(|(head, len, sum)| match head[..] {
+            ["unit", name, n_files] => {
+                Some((name.to_string(), n_files.parse::<u64>().ok()?, len, sum))
             }
-        };
-        if fnv1a(blob) != fsum {
+            _ => None,
+        });
+        let Some((name, n_files, len, sum)) = unit else {
             return Err(BbError::checkpoint(format!(
-                "checksum mismatch in file {fname} of unit {name} \
-                 (blob at byte offset {fblob_at}, mid-file corruption — \
-                 not a torn tail, refusing to salvage)"
+                "expected `unit` or `end`, got {line:?}"
             )));
+        };
+        let what = format!("stdout of unit {name}");
+        let Some(stdout) = r.blob(len, sum, &what)? else {
+            return torn(&what);
+        };
+        let stdout = String::from_utf8(stdout.to_vec())
+            .map_err(|_| BbError::checkpoint(format!("unit {name} stdout is not UTF-8")))?;
+        // The file count comes off the file: files are read one record at
+        // a time, never preallocated from it.
+        let mut files = Vec::new();
+        for _ in 0..n_files {
+            let Some(fline) = r.line_opt()? else {
+                return torn(&format!("file record of unit {name}"));
+            };
+            let file = framed::record(&fline).and_then(|(head, len, sum)| match head[..] {
+                ["file", fname] => Some((fname, len, sum)),
+                _ => None,
+            });
+            let Some((fname, len, sum)) = file else {
+                return Err(BbError::checkpoint(format!(
+                    "expected `file` in unit {name}, got {fline:?}"
+                )));
+            };
+            let what = format!("file {fname} of unit {name}");
+            let Some(blob) = r.blob(len, sum, &what)? else {
+                return torn(&what);
+            };
+            files.push((fname.to_string(), blob.to_vec()));
         }
-        files.push((fname, blob.to_vec()));
+        units.insert(name, UnitResult { stdout, files });
     }
-    Ok(UnitParse::Unit(name, UnitResult { stdout, files }))
 }
 
 /// Per-shard liveness record for orchestrated runs: progress counters plus
 /// a wall timestamp, rewritten next to the manifest every few thousand
 /// measurement windows. Advisory telemetry only — the orchestrator detects
 /// a hung shard by watching the *content* stop changing against its own
-/// monotonic clock, so the timestamp never needs clock agreement between
-/// writer and watcher.
+/// monotonic clock, so nothing ever parses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Heartbeat {
     /// Measurement windows completed so far in this shard process.
@@ -533,34 +397,13 @@ impl Heartbeat {
         }
     }
 
+    /// The `bbhb/v1` record: format line and three fields, no `end`.
     pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "{HEARTBEAT_FORMAT}\nwindows {}\nunits {}\nstamp_ms {}\n",
-            self.windows_done, self.units_done, self.stamp_ms
-        )
-        .into_bytes()
-    }
-
-    pub fn decode(bytes: &[u8]) -> BbResult<Heartbeat> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| BbError::checkpoint("heartbeat is not UTF-8"))?;
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(v) if v == HEARTBEAT_FORMAT => {}
-            other => {
-                return Err(BbError::checkpoint(format!(
-                    "bad heartbeat header {other:?}, this build reads {HEARTBEAT_FORMAT}"
-                )));
-            }
-        }
-        let windows_done = heartbeat_field(lines.next(), "windows")?;
-        let units_done = heartbeat_field(lines.next(), "units")?;
-        let stamp_ms = heartbeat_field(lines.next(), "stamp_ms")?;
-        Ok(Heartbeat {
-            windows_done,
-            units_done,
-            stamp_ms,
-        })
+        let mut w = Writer::new(HEARTBEAT_FORMAT);
+        w.field("windows", self.windows_done);
+        w.field("units", self.units_done);
+        w.field("stamp_ms", self.stamp_ms);
+        w.finish()
     }
 
     /// Atomically replace the heartbeat in `dir` (temp file + rename, so a
@@ -590,12 +433,8 @@ impl Heartbeat {
         let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = dir.join(format!("{HEARTBEAT_NAME}.{}.{seq}.tmp", std::process::id()));
         let saved = std::fs::write(&tmp, self.encode())
-            .map_err(|e| BbError::io(format!("write {}", tmp.display()), e))
-            .and_then(|()| {
-                std::fs::rename(&tmp, &path).map_err(|e| {
-                    BbError::io(format!("rename {} -> {}", tmp.display(), path.display()), e)
-                })
-            });
+            .and_then(|()| std::fs::rename(&tmp, &path))
+            .map_err(|e| BbError::io(format!("write {} -> {}", tmp.display(), path.display()), e));
         // Unique temp names are never overwritten by a later beat, so a
         // failed save removes its own leftover.
         if saved.is_err() {
@@ -603,30 +442,6 @@ impl Heartbeat {
         }
         saved
     }
-
-    /// Load the heartbeat from `dir`. Missing file is [`BbError::Io`].
-    pub fn load(dir: &Path) -> BbResult<Heartbeat> {
-        let path = dir.join(HEARTBEAT_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode(&bytes)
-    }
-}
-
-fn heartbeat_field(line: Option<&str>, name: &str) -> BbResult<u64> {
-    let line = line
-        .ok_or_else(|| BbError::checkpoint(format!("heartbeat missing {name} line")))?;
-    let (key, value) = line
-        .split_once(' ')
-        .ok_or_else(|| BbError::checkpoint(format!("malformed heartbeat {name} line {line:?}")))?;
-    if key != name {
-        return Err(BbError::checkpoint(format!(
-            "expected heartbeat {name} line, got {line:?}"
-        )));
-    }
-    value
-        .parse()
-        .map_err(|_| BbError::checkpoint(format!("bad heartbeat {name} value")))
 }
 
 /// Stitch shard checkpoints back into one campaign checkpoint.
@@ -636,7 +451,8 @@ fn heartbeat_field(line: Option<&str>, name: &str) -> BbResult<u64> {
 /// shard's slice), so shards of the same campaign carry identical keys and
 /// a shard of a *different* campaign can never slip in. The merge enforces:
 ///
-/// * all shard keys identical (first mismatching field named),
+/// * all shard keys identical, and written by this build's
+///   [`CODE_SCHEMA`] (first mismatching field named),
 /// * units present in more than one shard byte-identical across them,
 /// * together the shards cover every experiment in the key.
 ///
@@ -646,6 +462,10 @@ pub fn merge_shards(shards: &[Checkpoint]) -> BbResult<Checkpoint> {
     let first = shards
         .first()
         .ok_or_else(|| BbError::checkpoint("no shard manifests to merge"))?;
+    first.validate(&CampaignKey {
+        code_schema: CODE_SCHEMA,
+        ..first.key.clone()
+    })?;
     for s in &shards[1..] {
         s.validate(&first.key)?;
     }
@@ -653,26 +473,19 @@ pub fn merge_shards(shards: &[Checkpoint]) -> BbResult<Checkpoint> {
     for s in shards {
         merged.windows_done += s.windows_done;
         for (name, unit) in &s.units {
-            match merged.units.get(name) {
-                Some(have) if have != unit => {
-                    return Err(BbError::checkpoint(format!(
-                        "unit {name} differs between shards (same key, different \
-                         bytes — corrupt shard or non-deterministic build)"
-                    )));
-                }
-                Some(_) => {}
-                None => {
-                    merged.units.insert(name.clone(), unit.clone());
-                }
+            if merged.units.get(name).is_some_and(|have| have != unit) {
+                return Err(BbError::checkpoint(format!(
+                    "unit {name} differs between shards (same key, different \
+                     bytes — corrupt shard or non-deterministic build)"
+                )));
             }
+            merged
+                .units
+                .entry(name.clone())
+                .or_insert_with(|| unit.clone());
         }
     }
-    let missing: Vec<&str> = first
-        .key
-        .experiments
-        .split(',')
-        .filter(|e| !e.is_empty() && !merged.units.contains_key(*e))
-        .collect();
+    let missing = first.key.missing(|e| merged.units.contains_key(e));
     if !missing.is_empty() {
         return Err(BbError::checkpoint(format!(
             "shards do not cover the campaign: missing {}",
@@ -680,109 +493,6 @@ pub fn merge_shards(shards: &[Checkpoint]) -> BbResult<Checkpoint> {
         )));
     }
     Ok(merged)
-}
-
-fn bool_str(b: bool) -> &'static str {
-    if b {
-        "1"
-    } else {
-        "0"
-    }
-}
-
-/// `std::fmt::Write` adapter over a byte buffer (header lines are ASCII).
-fn str_sink(buf: &mut Vec<u8>) -> StrSink<'_> {
-    StrSink(buf)
-}
-
-struct StrSink<'a>(&'a mut Vec<u8>);
-
-impl std::fmt::Write for StrSink<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-pub(crate) struct Parser<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    /// Next `\n`-terminated header line as UTF-8 (without the newline).
-    pub(crate) fn line(&mut self) -> BbResult<String> {
-        let at = self.pos;
-        self.line_opt()?.ok_or_else(|| {
-            BbError::checkpoint(format!(
-                "truncated manifest (missing newline at byte offset {at})"
-            ))
-        })
-    }
-
-    /// Like [`Parser::line`], but truncation (no newline before EOF) is
-    /// `Ok(None)` so callers can tell a torn tail from corrupt data. A
-    /// complete line that is not UTF-8 is still an error.
-    pub(crate) fn line_opt(&mut self) -> BbResult<Option<String>> {
-        let rest = &self.bytes[self.pos..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            return Ok(None);
-        };
-        let line = &rest[..nl];
-        self.pos += nl + 1;
-        String::from_utf8(line.to_vec())
-            .map(Some)
-            .map_err(|_| BbError::checkpoint("non-UTF-8 header line"))
-    }
-
-    /// Header line `"{name} {value}"`, value parsed.
-    pub(crate) fn field<T: std::str::FromStr>(&mut self, name: &str) -> BbResult<T> {
-        self.field_str(name)?
-            .parse()
-            .map_err(|_| BbError::checkpoint(format!("bad {name} value")))
-    }
-
-    /// Header line `"{name} {value}"`, value as string.
-    pub(crate) fn field_str(&mut self, name: &str) -> BbResult<String> {
-        let line = self.line()?;
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| BbError::checkpoint(format!("malformed {name} line {line:?}")))?;
-        if key != name {
-            return Err(BbError::checkpoint(format!(
-                "expected {name} line, got {line:?}"
-            )));
-        }
-        Ok(value.to_string())
-    }
-
-    /// `len` raw bytes followed by a `\n` separator. A blob running past
-    /// EOF (truncation) is `Ok(None)` so callers can tell a torn tail from
-    /// corrupt data; a wrong terminator byte with the data fully present
-    /// means a bad length prefix — corruption, an error.
-    pub(crate) fn blob_opt(&mut self, len: usize, what: &str) -> BbResult<Option<&'a [u8]>> {
-        if self.pos + len + 1 > self.bytes.len() {
-            return Ok(None);
-        }
-        let blob = &self.bytes[self.pos..self.pos + len];
-        if self.bytes[self.pos + len] != b'\n' {
-            return Err(BbError::checkpoint(format!(
-                "blob for {what} not newline-terminated (bad length?)"
-            )));
-        }
-        self.pos += len + 1;
-        Ok(Some(blob))
-    }
-}
-
-fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> BbResult<T> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| BbError::checkpoint(format!("bad {what}")))
-}
-
-fn parse_hex(tok: Option<&str>, what: &str) -> BbResult<u64> {
-    tok.and_then(|t| u64::from_str_radix(t, 16).ok())
-        .ok_or_else(|| BbError::checkpoint(format!("bad {what}")))
 }
 
 #[cfg(test)]
@@ -1026,30 +736,27 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_roundtrip_and_atomic_save() {
+    fn heartbeat_bytes_and_atomic_save() {
         let hb = Heartbeat {
             windows_done: 123_456,
             units_done: 7,
             stamp_ms: 1_700_000_000_000,
         };
-        assert_eq!(Heartbeat::decode(&hb.encode()).unwrap(), hb);
+        let want = b"bbhb/v1\nwindows 123456\nunits 7\nstamp_ms 1700000000000\n";
+        assert_eq!(hb.encode(), want);
 
         let dir = std::env::temp_dir().join(format!("bb_hb_test_{}", std::process::id()));
         hb.save(&dir).unwrap();
         assert_eq!(tmp_files(&dir), Vec::<String>::new());
-        assert_eq!(Heartbeat::load(&dir).unwrap(), hb);
+        assert_eq!(std::fs::read(dir.join(HEARTBEAT_NAME)).unwrap(), want);
         // Overwrite in place — the watcher always reads a whole record.
         let hb2 = Heartbeat {
             windows_done: 200_000,
             ..hb
         };
         hb2.save(&dir).unwrap();
-        assert_eq!(Heartbeat::load(&dir).unwrap(), hb2);
+        assert_eq!(std::fs::read(dir.join(HEARTBEAT_NAME)).unwrap(), hb2.encode());
         std::fs::remove_dir_all(&dir).ok();
-
-        assert!(Heartbeat::decode(b"bbhb/v99\nwindows 1\n").is_err());
-        assert!(Heartbeat::decode(b"bbhb/v1\nwindows x\n").is_err());
-        assert!(Heartbeat::load(Path::new("/nonexistent_bb_hb")).is_err());
     }
 
     fn tmp_files(dir: &Path) -> Vec<String> {
@@ -1079,7 +786,8 @@ mod tests {
                 });
             }
         });
-        assert!(Heartbeat::load(&dir).is_ok());
+        let beat = std::fs::read(dir.join(HEARTBEAT_NAME)).unwrap();
+        assert!(beat.starts_with(b"bbhb/v1\nwindows ") && beat.ends_with(b"\n"));
         assert_eq!(tmp_files(&dir), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).ok();
     }

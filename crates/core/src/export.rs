@@ -162,11 +162,6 @@ pub fn fig1_csv_bytes(fig: &Fig1) -> Vec<u8> {
     )
 }
 
-/// Export Figure 1.
-pub fn fig1_csv(fig: &Fig1, dir: &Path) -> BbResult<()> {
-    write_atomic_bytes(&dir.join("fig1.csv"), &fig1_csv_bytes(fig))
-}
-
 /// Render Figure 2 as CSV bytes.
 pub fn fig2_csv_bytes(fig: &Fig2) -> Vec<u8> {
     let mut series: Vec<(&str, Vec<(f64, f64)>)> = Vec::new();
@@ -181,11 +176,6 @@ pub fn fig2_csv_bytes(fig: &Fig2) -> Vec<u8> {
         "series,diff_ms,cum_fraction_of_traffic",
         &series,
     )
-}
-
-/// Export Figure 2.
-pub fn fig2_csv(fig: &Fig2, dir: &Path) -> BbResult<()> {
-    write_atomic_bytes(&dir.join("fig2.csv"), &fig2_csv_bytes(fig))
 }
 
 /// Render Figure 3 (CCDFs) as CSV bytes.
@@ -205,11 +195,6 @@ pub fn fig3_csv_bytes(fig: &Fig3) -> Vec<u8> {
     )
 }
 
-/// Export Figure 3.
-pub fn fig3_csv(fig: &Fig3, dir: &Path) -> BbResult<()> {
-    write_atomic_bytes(&dir.join("fig3.csv"), &fig3_csv_bytes(fig))
-}
-
 /// Render Figure 4 as CSV bytes.
 pub fn fig4_csv_bytes(fig: &Fig4) -> Vec<u8> {
     render_series(
@@ -220,11 +205,6 @@ pub fn fig4_csv_bytes(fig: &Fig4) -> Vec<u8> {
             ("p75", fig.p75_improvement.points().collect()),
         ],
     )
-}
-
-/// Export Figure 4.
-pub fn fig4_csv(fig: &Fig4, dir: &Path) -> BbResult<()> {
-    write_atomic_bytes(&dir.join("fig4.csv"), &fig4_csv_bytes(fig))
 }
 
 /// Render Figure 5 (per-country table) as CSV bytes.
@@ -248,11 +228,6 @@ pub fn fig5_csv_bytes(fig: &Fig5) -> Vec<u8> {
         );
     }
     f
-}
-
-/// Export Figure 5.
-pub fn fig5_csv(fig: &Fig5, dir: &Path) -> BbResult<()> {
-    write_atomic_bytes(&dir.join("fig5.csv"), &fig5_csv_bytes(fig))
 }
 
 #[cfg(test)]
@@ -287,7 +262,7 @@ mod tests {
             coverage: Coverage::default(),
         };
         let dir = tmpdir();
-        fig1_csv(&fig, &dir).unwrap();
+        write_atomic_bytes(&dir.join("fig1.csv"), &fig1_csv_bytes(&fig)).unwrap();
         let content = std::fs::read_to_string(dir.join("fig1.csv")).unwrap();
         assert!(content.starts_with("series,diff_ms"));
         // 3 series × 3 points + header.
@@ -309,7 +284,7 @@ mod tests {
             coverage: Coverage::default(),
         };
         let dir = tmpdir();
-        fig3_csv(&fig, &dir).unwrap();
+        write_atomic_bytes(&dir.join("fig3.csv"), &fig3_csv_bytes(&fig)).unwrap();
         let content = std::fs::read_to_string(dir.join("fig3.csv")).unwrap();
         assert!(content.contains("world,"));
         assert!(content.contains("europe,"));
@@ -333,7 +308,7 @@ mod tests {
             coverage: Coverage::default(),
         };
         let dir = tmpdir();
-        fig5_csv(&fig, &dir).unwrap();
+        write_atomic_bytes(&dir.join("fig5.csv"), &fig5_csv_bytes(&fig)).unwrap();
         let content = std::fs::read_to_string(dir.join("fig5.csv")).unwrap();
         assert!(content.contains("IN,India,South Asia,-51.8,12,600"));
     }
@@ -369,7 +344,8 @@ mod tests {
             frac_worse: 0.17,
             coverage: Coverage::default(),
         };
-        let err = fig4_csv(&fig, Path::new("/nonexistent_bb_dir")).unwrap_err();
+        let path = Path::new("/nonexistent_bb_dir/fig4.csv");
+        let err = write_atomic_bytes(path, &fig4_csv_bytes(&fig)).unwrap_err();
         match err {
             BbError::Io { context, .. } => assert!(context.contains("fig4.csv"), "{context}"),
             other => panic!("expected Io error, got {other:?}"),

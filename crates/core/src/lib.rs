@@ -24,7 +24,8 @@
 //! and their ASCII rendering; [`export`] writes figure data as CSV.
 //! [`serve`] and [`snapshot`] are the streaming plane: bounded-memory
 //! campaign state and the crash-safe `bbsn/v1` epoch flushes behind
-//! `repro serve`.
+//! `repro serve`. [`framed`] is the one codec under checkpoint manifests,
+//! snapshots and heartbeats.
 
 pub mod calibration;
 pub mod checkpoint;
@@ -32,6 +33,7 @@ pub mod error;
 pub mod export;
 pub mod ext;
 pub mod figures;
+pub mod framed;
 pub mod serve;
 pub mod snapshot;
 pub mod study_anycast;

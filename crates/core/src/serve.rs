@@ -32,10 +32,12 @@
 
 use crate::error::{BbError, BbResult};
 use crate::figures::{Coverage, Fig1};
+use crate::snapshot::{ServeKey, Snapshot, SNAPSHOT_NAME};
 use crate::study_egress::MEANINGFUL_MS;
 use bb_measure::{SprayTarget, WindowRow};
 use bb_netsim::Window;
 use bb_stats::{Cdf, QuantileSketch};
+use std::path::Path;
 
 /// How a serve run aggregates the window stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,6 +110,15 @@ pub struct ServeState {
     repr: Repr,
     /// Windows fully ingested (across all targets).
     windows_done: u64,
+}
+
+/// A serve run picked up by [`ServeState::resume`]: its checked state and
+/// the epochs and coarsening rounds flushed before the restart.
+#[derive(Debug)]
+pub struct Resumed {
+    pub state: ServeState,
+    pub epochs: u64,
+    pub coarsenings: u64,
 }
 
 /// Serialization magic for [`ServeState::encode`].
@@ -336,6 +347,63 @@ impl ServeState {
         }
     }
 
+    /// Pick a serve run up from the snapshot in `dir`, `None` if there is
+    /// none (a fresh start). A stale key, damaged bytes, or a state blob
+    /// that disagrees with the header's window count, the key's mode or
+    /// the engine's `route_counts` is an error: resuming from state we
+    /// cannot trust would poison every epoch after it.
+    pub fn resume(
+        dir: &Path,
+        key: &ServeKey,
+        route_counts: &[usize],
+    ) -> BbResult<Option<Resumed>> {
+        if !dir.join(SNAPSHOT_NAME).exists() {
+            return Ok(None);
+        }
+        let mut snap = Snapshot::load(dir)?;
+        snap.validate(key)?;
+        let state = ServeState::decode(&std::mem::take(&mut snap.state))?;
+        if state.windows_done != snap.windows_done {
+            return Err(BbError::checkpoint(format!(
+                "snapshot header says {} windows but state blob carries {} — \
+                 refusing to resume",
+                snap.windows_done,
+                state.windows_done
+            )));
+        }
+        state.check_shape(ServeMode::from_eps(key.eps()), route_counts)?;
+        Ok(Some(Resumed {
+            state,
+            epochs: snap.epochs,
+            coarsenings: snap.coarsenings,
+        }))
+    }
+
+    /// Reject a state whose mode, target count or any target's route count
+    /// differs from the run resuming it: ingesting into it would index
+    /// past its routes or build the wrong figure.
+    fn check_shape(&self, mode: ServeMode, route_counts: &[usize]) -> BbResult<()> {
+        let fits = |ti: usize, n: usize| match &self.repr {
+            Repr::Exact { rows } => rows[ti].iter().all(|r| r.route_median_ms.len() == n),
+            Repr::Sketch { groups } => groups[ti].routes.len() == n,
+        };
+        let targets = match &self.repr {
+            Repr::Exact { rows } => rows.len(),
+            Repr::Sketch { groups } => groups.len(),
+        };
+        let fitting = targets == route_counts.len()
+            && route_counts.iter().enumerate().all(|(ti, &n)| fits(ti, n));
+        if self.mode != mode || !fitting {
+            return Err(BbError::checkpoint(format!(
+                "serve state ({:?}, {targets} targets) does not match this run ({mode:?}, \
+                 {} targets with their route counts) — refusing to resume",
+                self.mode,
+                route_counts.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Canonical binary encoding: every float as raw IEEE bits, sketches
     /// via their own canonical codec. Equal state ⇒ equal bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -395,7 +463,9 @@ impl ServeState {
 
     /// Decode [`encode`](Self::encode)'s output. Strict: any structural
     /// mismatch rejects (the blob travels inside a checksummed snapshot,
-    /// so damage here means a codec bug or foreign bytes).
+    /// so damage here means a codec bug or foreign bytes). Counts come off
+    /// the blob, so nothing is preallocated from them: a damaged count
+    /// runs out of bytes instead of out of memory.
     pub fn decode(bytes: &[u8]) -> BbResult<ServeState> {
         let bad = |what: &str| BbError::checkpoint(format!("corrupt serve state: {what}"));
         let rest = bytes
@@ -408,27 +478,27 @@ impl ServeState {
         let n_targets = c.u32().ok_or_else(|| bad("missing target count"))? as usize;
         let (mode, repr) = match mode_tag {
             0 => {
-                let mut rows = Vec::with_capacity(n_targets);
+                let mut rows = Vec::new();
                 for _ in 0..n_targets {
                     let n_rows = c.u32().ok_or_else(|| bad("missing row count"))? as usize;
-                    let mut target_rows = Vec::with_capacity(n_rows);
+                    let mut target_rows = Vec::new();
                     for _ in 0..n_rows {
                         let window = Window(c.u32().ok_or_else(|| bad("row window"))?);
                         let pop = bb_geo::CityId(c.u32().ok_or_else(|| bad("row pop"))?);
                         let prefix =
                             bb_workload::PrefixId(c.u32().ok_or_else(|| bad("row prefix"))?);
                         let n_routes = c.u32().ok_or_else(|| bad("row route count"))? as usize;
-                        let mut medians = Vec::with_capacity(n_routes);
+                        let mut medians = Vec::new();
                         for _ in 0..n_routes {
                             medians.push(f64::from_bits(
                                 c.u64().ok_or_else(|| bad("row median"))?,
                             ));
                         }
-                        let mut utils = Vec::with_capacity(n_routes);
+                        let mut utils = Vec::new();
                         for _ in 0..n_routes {
                             utils.push(f64::from_bits(c.u64().ok_or_else(|| bad("row util"))?));
                         }
-                        let mut samples = Vec::with_capacity(n_routes);
+                        let mut samples = Vec::new();
                         for _ in 0..n_routes {
                             samples.push(c.u32().ok_or_else(|| bad("row samples"))?);
                         }
@@ -449,7 +519,7 @@ impl ServeState {
                 (ServeMode::Exact, Repr::Exact { rows })
             }
             1 => {
-                let mut groups = Vec::with_capacity(n_targets);
+                let mut groups = Vec::new();
                 for _ in 0..n_targets {
                     let windows_total = c.u64().ok_or_else(|| bad("group windows_total"))?;
                     let windows_kept = c.u64().ok_or_else(|| bad("group windows_kept"))?;
@@ -460,7 +530,7 @@ impl ServeState {
                     )
                     .ok_or_else(|| bad("diff sketch"))?;
                     let n_routes = c.u32().ok_or_else(|| bad("route sketch count"))? as usize;
-                    let mut routes = Vec::with_capacity(n_routes);
+                    let mut routes = Vec::new();
                     for _ in 0..n_routes {
                         let len = c.u32().ok_or_else(|| bad("route sketch length"))? as usize;
                         routes.push(
@@ -655,6 +725,20 @@ mod tests {
         assert!(s.sketch_fig1(&[]).is_err());
         let s = ServeState::new(ServeMode::Sketch { eps: 0.1 }, &[3]);
         assert!(s.into_rows().is_err());
+    }
+
+    #[test]
+    fn resume_checks_mode_and_route_counts_against_the_run() {
+        for mode in [ServeMode::Exact, ServeMode::Sketch { eps: 0.02 }] {
+            let mut s = ServeState::new(mode, &[3, 2]);
+            s.ingest(vec![chunk(0..4).remove(0), vec![row(0, &[40.0, 38.0], 1.0)]], 4);
+            s.check_shape(mode, &[3, 2]).expect("matching shape");
+            for routes in [&[3][..], &[3, 3], &[2, 2], &[3, 2, 1]] {
+                assert!(s.check_shape(mode, routes).is_err(), "{routes:?}");
+            }
+            let other = ServeMode::from_eps(if mode.eps() == 0.0 { 0.02 } else { 0.0 });
+            assert!(s.check_shape(other, &[3, 2]).is_err());
+        }
     }
 
     #[test]

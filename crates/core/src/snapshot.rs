@@ -21,8 +21,8 @@
 //! past its old horizon is the whole point of a streaming daemon, and
 //! windows already sampled are never re-sampled.
 //!
-//! **Format.** `bbsn/v1` is the same line-oriented header +
-//! length-prefixed checksummed blob shape as `bbck/v1`:
+//! **Format.** `bbsn/v1` is the [`crate::framed`] shape that `bbck/v1`
+//! also uses: the key, three counters, one state blob, `end`.
 //!
 //! ```text
 //! bbsn/v1
@@ -45,23 +45,28 @@
 //! snapshot is always written atomically by this code, so a torn or
 //! checksum-failing snapshot means filesystem damage or foreign bytes —
 //! it is rejected outright and the daemon exits rather than resume from
-//! a state it cannot trust.
+//! a state it cannot trust. [`crate::serve::ServeState::resume`] is the
+//! one entry point a restarting daemon calls.
 
-use crate::checkpoint::{fnv1a, Parser, CODE_SCHEMA};
+use crate::checkpoint::CODE_SCHEMA;
 use crate::error::{BbError, BbResult};
 use crate::export::write_atomic_bytes;
-use std::fmt::Write as _;
+use crate::framed::{self, FieldFn, Flag, Format, Key, Reader, Writer};
 use std::path::Path;
 
 /// Snapshot file name inside a serve directory.
 pub const SNAPSHOT_NAME: &str = "snapshot.bbsn";
 
-/// On-disk format version (parser compatibility).
-pub const FORMAT: &str = "bbsn/v1";
+/// On-disk format of the snapshot.
+pub const FORMAT: Format = Format {
+    version: "bbsn/v1",
+    noun: "snapshot",
+    refusal: "refusing to resume",
+};
 
 /// Identity of one serve campaign: a snapshot is valid only for an exact
 /// match.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeKey {
     pub seed: u64,
     /// Scale label (`test`/`full`/`large`).
@@ -104,6 +109,26 @@ impl ServeKey {
     }
 }
 
+impl Key for ServeKey {
+    fn fields(&mut self, f: &mut FieldFn<'_>) -> BbResult<()> {
+        f("seed", &mut self.seed)?;
+        f("scale", &mut self.scale)?;
+        f("faults", &mut self.faults)?;
+        f("eps_bits", &mut self.eps_bits)?;
+        f("epoch_windows", &mut self.epoch_windows)?;
+        f("csv", &mut Flag(&mut self.csv))?;
+        f("code_schema", &mut self.code_schema)
+    }
+
+    /// ε is reported as a number, not as its bits.
+    fn show(field: &'static str, text: String) -> (&'static str, String) {
+        match (field, text.parse()) {
+            ("eps_bits", Ok(bits)) => ("eps", f64::from_bits(bits).to_string()),
+            _ => (field, text),
+        }
+    }
+}
+
 /// One flushed serve epoch: the key, progress counters, and the opaque
 /// [`crate::serve::ServeState`] blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,74 +148,18 @@ impl Snapshot {
     /// Reject the snapshot unless its key matches `expect` exactly,
     /// naming the first mismatching field.
     pub fn validate(&self, expect: &ServeKey) -> BbResult<()> {
-        let k = &self.key;
-        let mismatch = |field: &str, have: &str, want: &str| {
-            Err(BbError::checkpoint(format!(
-                "snapshot {field} mismatch: snapshot has {have}, this run wants {want} \
-                 (refusing to resume from a stale snapshot)"
-            )))
-        };
-        if k.code_schema != expect.code_schema {
-            return mismatch(
-                "code_schema",
-                &k.code_schema.to_string(),
-                &expect.code_schema.to_string(),
-            );
-        }
-        if k.seed != expect.seed {
-            return mismatch("seed", &k.seed.to_string(), &expect.seed.to_string());
-        }
-        if k.scale != expect.scale {
-            return mismatch("scale", &k.scale, &expect.scale);
-        }
-        if k.faults != expect.faults {
-            return mismatch("faults", &k.faults, &expect.faults);
-        }
-        if k.eps_bits != expect.eps_bits {
-            return mismatch(
-                "eps",
-                &format!("{}", k.eps()),
-                &format!("{}", expect.eps()),
-            );
-        }
-        if k.epoch_windows != expect.epoch_windows {
-            return mismatch(
-                "epoch_windows",
-                &k.epoch_windows.to_string(),
-                &expect.epoch_windows.to_string(),
-            );
-        }
-        if k.csv != expect.csv {
-            return mismatch(
-                "csv",
-                if k.csv { "1" } else { "0" },
-                if expect.csv { "1" } else { "0" },
-            );
-        }
-        Ok(())
+        framed::validate(&FORMAT, &self.key, expect)
     }
 
     /// Serialize to `bbsn/v1` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let k = &self.key;
-        let mut head = String::new();
-        let _ = writeln!(head, "{FORMAT}");
-        let _ = writeln!(head, "seed {}", k.seed);
-        let _ = writeln!(head, "scale {}", k.scale);
-        let _ = writeln!(head, "faults {}", k.faults);
-        let _ = writeln!(head, "eps_bits {}", k.eps_bits);
-        let _ = writeln!(head, "epoch_windows {}", k.epoch_windows);
-        let _ = writeln!(head, "csv {}", if k.csv { 1 } else { 0 });
-        let _ = writeln!(head, "code_schema {}", k.code_schema);
-        let _ = writeln!(head, "windows_done {}", self.windows_done);
-        let _ = writeln!(head, "epochs {}", self.epochs);
-        let _ = writeln!(head, "coarsenings {}", self.coarsenings);
-        let _ = writeln!(head, "state {} {:016x}", self.state.len(), fnv1a(&self.state));
-        let mut out = head.into_bytes();
-        out.extend_from_slice(&self.state);
-        out.push(b'\n');
-        out.extend_from_slice(b"end\n");
-        out
+        let mut w = Writer::new(FORMAT.version);
+        w.key(&self.key);
+        w.field("windows_done", self.windows_done);
+        w.field("epochs", self.epochs);
+        w.field("coarsenings", self.coarsenings);
+        w.blob("state", &self.state);
+        w.end()
     }
 
     /// Parse `bbsn/v1` bytes. Strict: any damage — truncation included —
@@ -198,79 +167,29 @@ impl Snapshot {
     /// torn-tail case worth salvaging; a bad snapshot means the daemon
     /// must not resume from it.
     pub fn decode(bytes: &[u8]) -> BbResult<Snapshot> {
-        if bytes.is_empty() {
-            return Err(BbError::checkpoint(
-                "snapshot is empty (0 bytes at byte offset 0) — an atomic \
-                 writer never produces this; refusing to resume",
-            ));
-        }
-        let mut p = Parser { bytes, pos: 0 };
-        let version = p.line()?;
-        if version != FORMAT {
+        let mut r = Reader::open(bytes, FORMAT)?;
+        let key = r.key()?;
+        let windows_done = r.field("windows_done")?;
+        let epochs = r.field("epochs")?;
+        let coarsenings = r.field("coarsenings")?;
+        let line = r.line()?;
+        let state = framed::record(&line).filter(|(head, ..)| head == &["state"]);
+        let Some((_, len, sum)) = state else {
             return Err(BbError::checkpoint(format!(
-                "unsupported snapshot format {version:?}, this build reads {FORMAT}"
+                "expected the state record, got {line:?}"
             )));
-        }
-        let seed: u64 = p.field("seed")?;
-        let scale = p.field_str("scale")?;
-        let faults = p.field_str("faults")?;
-        let eps_bits: u64 = p.field("eps_bits")?;
-        let epoch_windows: u64 = p.field("epoch_windows")?;
-        let csv = match p.field_str("csv")?.as_str() {
-            "1" => true,
-            "0" => false,
-            other => {
-                return Err(BbError::checkpoint(format!("bad csv flag {other:?}")));
-            }
         };
-        let code_schema: u32 = p.field("code_schema")?;
-        let windows_done: u64 = p.field("windows_done")?;
-        let epochs: u64 = p.field("epochs")?;
-        let coarsenings: u64 = p.field("coarsenings")?;
-        let state_line = p.field_str("state")?;
-        let mut tok = state_line.split(' ');
-        let len: usize = tok
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| BbError::checkpoint("bad state length"))?;
-        let sum = tok
-            .next()
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| BbError::checkpoint("bad state checksum"))?;
-        let blob_at = p.pos;
-        let state = match p.blob_opt(len, "serve state")? {
-            Some(blob) => blob,
-            None => {
-                return Err(BbError::checkpoint(format!(
-                    "state blob cut at EOF (byte offset {blob_at}) — snapshots \
-                     are written atomically, refusing to resume from damage"
-                )));
-            }
-        };
-        if fnv1a(state) != sum {
-            return Err(BbError::checkpoint(format!(
-                "checksum mismatch in serve state (blob at byte offset {blob_at}) \
-                 — refusing to resume from a corrupt snapshot"
-            )));
-        }
-        match p.line_opt()? {
-            Some(l) if l == "end" => {}
-            other => {
-                return Err(BbError::checkpoint(format!(
-                    "expected `end` after state blob, got {other:?}"
-                )));
-            }
+        let at = r.pos();
+        let state = r.blob(len, sum, "serve state")?.ok_or_else(|| {
+            BbError::checkpoint(format!(
+                "truncated snapshot (state blob at byte offset {at})"
+            ))
+        })?;
+        if r.line_opt()?.as_deref() != Some("end") {
+            return Err(BbError::checkpoint("expected `end` after the state blob"));
         }
         Ok(Snapshot {
-            key: ServeKey {
-                seed,
-                scale,
-                faults,
-                eps_bits,
-                epoch_windows,
-                csv,
-                code_schema,
-            },
+            key,
             windows_done,
             epochs,
             coarsenings,
@@ -285,14 +204,9 @@ impl Snapshot {
         write_atomic_bytes(&dir.join(SNAPSHOT_NAME), &self.encode())
     }
 
-    /// Load the snapshot from `dir`. Missing file is [`BbError::Io`] (the
-    /// caller treats it as a fresh start); anything else that fails is a
-    /// hard reject.
+    /// Load the snapshot from `dir`. A missing file is [`BbError::Io`].
     pub fn load(dir: &Path) -> BbResult<Snapshot> {
-        let path = dir.join(SNAPSHOT_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode(&bytes)
+        Self::decode(&framed::read(dir, SNAPSHOT_NAME)?)
     }
 }
 

@@ -20,8 +20,9 @@
 //!   ([`FATAL_EXIT`] = 2). Deterministic: respawning reproduces it, so the
 //!   shard fails immediately without burning the restart budget.
 //!
-//! Restarts are bounded twice, exactly like thread-level retries: a
-//! per-shard `max_restarts` and a campaign-wide `restart_budget`. Backoff
+//! Restarts are bounded twice by the same [`RetryPolicy`] thread-level
+//! retries use: a per-shard `max_retries` and a campaign-wide
+//! `retry_budget`. Backoff
 //! before restart `k` of shard `i` reuses [`RetryPolicy::backoff`] — the
 //! delay is derived purely from `(jitter_seed, i, k)`, so a chaos run
 //! replays the same restart schedule every time.
@@ -55,15 +56,11 @@ pub struct ShardSpec {
 /// Restart policy for one orchestrated campaign.
 #[derive(Debug, Clone)]
 pub struct OrchestratorPolicy {
-    /// Restarts allowed per shard after its first launch.
-    pub max_restarts: u32,
-    /// Campaign-wide cap on total restarts across all shards.
-    pub restart_budget: u32,
-    /// Backoff before the first restart; doubles per subsequent restart,
-    /// with jitter derived from `(jitter_seed, shard, attempt)`.
-    pub backoff_base: Duration,
-    /// Keys the deterministic backoff jitter; pass the campaign seed.
-    pub jitter_seed: u64,
+    /// Restarts and their backoff, exactly as for thread-level retries:
+    /// `max_retries` restarts per shard after its first launch, at most
+    /// `retry_budget` across the campaign, backoff doubling from
+    /// `backoff_base` with jitter keyed on `(jitter_seed, shard, attempt)`.
+    pub retry: RetryPolicy,
     /// A running child whose heartbeat content is unchanged for this long
     /// is killed and restarted.
     pub hang_timeout: Duration,
@@ -74,23 +71,12 @@ pub struct OrchestratorPolicy {
 impl Default for OrchestratorPolicy {
     fn default() -> Self {
         Self {
-            max_restarts: 2,
-            restart_budget: 8,
-            backoff_base: Duration::from_millis(50),
-            jitter_seed: 0,
+            retry: RetryPolicy {
+                retry_budget: 8,
+                ..RetryPolicy::default()
+            },
             hang_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(25),
-        }
-    }
-}
-
-impl OrchestratorPolicy {
-    fn retry(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: self.max_restarts,
-            backoff_base: self.backoff_base,
-            retry_budget: self.restart_budget,
-            jitter_seed: self.jitter_seed,
         }
     }
 }
@@ -235,8 +221,8 @@ pub fn orchestrate(
     cancel: &dyn Fn() -> bool,
     spawn: &mut dyn FnMut(usize, u32) -> std::io::Result<Child>,
 ) -> OrchestratorReport {
-    let retry = policy.retry();
-    let mut budget = policy.restart_budget as i64;
+    let retry = &policy.retry;
+    let mut budget = retry.retry_budget as i64;
     let mut budget_exhausted = false;
     let mut cancelled = false;
 
@@ -308,7 +294,7 @@ pub fn orchestrate(
                                 i,
                                 attempt,
                                 msg,
-                                &retry,
+                                retry,
                                 &mut budget,
                                 &mut budget_exhausted,
                                 &mut stats[i].error,
@@ -366,7 +352,7 @@ pub fn orchestrate(
                                 i,
                                 attempt,
                                 msg,
-                                &retry,
+                                retry,
                                 &mut budget,
                                 &mut budget_exhausted,
                                 &mut stats[i].error,
@@ -383,7 +369,7 @@ pub fn orchestrate(
                                 i,
                                 attempt,
                                 msg,
-                                &retry,
+                                retry,
                                 &mut budget,
                                 &mut budget_exhausted,
                                 &mut stats[i].error,
@@ -436,7 +422,7 @@ pub fn orchestrate(
         restarts,
         crashes_detected: crashes,
         hangs_detected: hangs,
-        restart_budget: policy.restart_budget,
+        restart_budget: policy.retry.retry_budget,
         budget_exhausted,
         cancelled,
     }
@@ -480,11 +466,13 @@ mod tests {
 
     fn quick_policy() -> OrchestratorPolicy {
         OrchestratorPolicy {
-            backoff_base: Duration::from_millis(1),
+            retry: RetryPolicy {
+                backoff_base: Duration::from_millis(1),
+                jitter_seed: 42,
+                ..OrchestratorPolicy::default().retry
+            },
             hang_timeout: Duration::from_secs(10),
             poll_interval: Duration::from_millis(5),
-            jitter_seed: 42,
-            ..Default::default()
         }
     }
 
@@ -610,10 +598,14 @@ mod tests {
     #[test]
     fn restart_budget_caps_total_restarts() {
         let (specs, dir) = specs(2, "budget");
+        let quick = quick_policy();
         let policy = OrchestratorPolicy {
-            max_restarts: 5,
-            restart_budget: 1,
-            ..quick_policy()
+            retry: RetryPolicy {
+                max_retries: 5,
+                retry_budget: 1,
+                ..quick.retry
+            },
+            ..quick
         };
         let report = orchestrate(&specs, &policy, &|| false, &mut |_, _| sh("exit 1"));
         assert_eq!(report.count("failed"), 2);
@@ -627,7 +619,7 @@ mod tests {
         let (specs, dir) = specs(1, "cap");
         let report = orchestrate(&specs, &quick_policy(), &|| false, &mut |_, _| sh("exit 3"));
         assert_eq!(report.shards[0].outcome, ShardOutcome::Failed);
-        assert_eq!(report.shards[0].attempts, 3, "1 launch + max_restarts");
+        assert_eq!(report.shards[0].attempts, 3, "1 launch + max_retries");
         assert_eq!(report.shards[0].crashes, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -649,16 +641,6 @@ mod tests {
             "cancel must kill, not wait for the children"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn deterministic_backoff_schedule_is_reused_from_supervisor() {
-        let policy = quick_policy();
-        let retry = policy.retry();
-        // Same derivation as thread-level supervision: exact match, not
-        // merely similar shape.
-        assert_eq!(retry.backoff(3, 1), policy.retry().backoff(3, 1));
-        assert_ne!(retry.backoff(0, 1), retry.backoff(1, 1));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use bb_bgp::{provider_rib, Announcement, ProviderRouteClass};
 use bb_cdn::Provider;
 use bb_geo::CityId;
 use bb_netsim::{
-    batch_session_median_z, batch_session_min_z, realize_path, sample_min_rtt, CongestionKey,
+    batch_session_median_z, batch_session_min_z, realize_path, CongestionKey,
     CongestionModel, CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable,
     PathPlan, PathPlanBatch, RealizeSpec, RealizedPath, RttModel, SimTime, UtilProbe, Window,
 };
@@ -352,7 +352,8 @@ impl SprayEngine {
         let diurnal = DiurnalTable::build(&times, &self.offsets);
 
         // The log-normal jitter map `z ↦ median·exp(sigma·z)` is monotone
-        // non-decreasing for sigma, median ≥ 0, so (a) each session's min
+        // non-decreasing for sigma, median ≥ 0 (the engine always runs
+        // `RttModel::default()`), so (a) each session's min
         // jitter is the jitter of the session's min deviate (one exp per
         // session — `sample_min_rtt` has always exploited this) and (b)
         // with an odd session count the window median — an exact order
@@ -362,8 +363,7 @@ impl SprayEngine {
         // fault-free odd-session call runs in two passes, same bits: the
         // jitter pass tabulates J (memoized for whole campaigns, see
         // `jitter_table`) and the fold below adds `det`.
-        let monotone_jitter = rtt_model.jitter_sigma >= 0.0 && rtt_model.jitter_median_ms >= 0.0;
-        let jitter = (faults.is_none() && monotone_jitter && cfg.sessions_per_window % 2 == 1)
+        let jitter = (faults.is_none() && cfg.sessions_per_window % 2 == 1)
             .then(|| self.jitter_table(windows));
 
         // One task per target; the in-order merge keeps the row order of
@@ -398,33 +398,21 @@ impl SprayEngine {
                             let med = match &jitter {
                                 Some(table) => det + table[ti][wi * target.routes.len() + ri],
                                 None => {
-                                    // Even session count (the median
+                                    // Even session count: the median
                                     // averages two sessions, so the map
-                                    // runs per session) or a non-monotone
-                                    // model (the full scalar loop).
+                                    // runs per session.
                                     let mut rng =
                                         StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
-                                    if monotone_jitter {
-                                        ktally.batches += 1;
-                                        ktally.exact_evals += batch_session_min_z(
-                                            &mut rng,
-                                            cfg.sessions_per_window,
-                                            cfg.rtt_samples_per_session,
-                                            &mut jscratch,
-                                            &mut min_z,
-                                        );
-                                        for (slot, &z) in sessions.iter_mut().zip(&min_z) {
-                                            *slot = det + jitter_of(rtt_model, z);
-                                        }
-                                    } else {
-                                        for s in sessions.iter_mut() {
-                                            *s = sample_min_rtt(
-                                                det,
-                                                rtt_model,
-                                                cfg.rtt_samples_per_session,
-                                                &mut rng,
-                                            );
-                                        }
+                                    ktally.batches += 1;
+                                    ktally.exact_evals += batch_session_min_z(
+                                        &mut rng,
+                                        cfg.sessions_per_window,
+                                        cfg.rtt_samples_per_session,
+                                        &mut jscratch,
+                                        &mut min_z,
+                                    );
+                                    for (slot, &z) in sessions.iter_mut().zip(&min_z) {
+                                        *slot = det + jitter_of(rtt_model, z);
                                     }
                                     bb_stats::quantile::quantile_select(&mut sessions, 0.5)
                                 }
@@ -474,24 +462,15 @@ impl SprayEngine {
                                                     ),
                                                     attempt as u64,
                                                 ));
-                                            if monotone_jitter {
-                                                ktally.batches += 1;
-                                                ktally.exact_evals += batch_session_min_z(
-                                                    &mut rng,
-                                                    1,
-                                                    cfg.rtt_samples_per_session,
-                                                    &mut jscratch,
-                                                    &mut min_z,
-                                                );
-                                                det + jitter_of(rtt_model, min_z[0])
-                                            } else {
-                                                sample_min_rtt(
-                                                    det,
-                                                    &rtt_model,
-                                                    cfg.rtt_samples_per_session,
-                                                    &mut rng,
-                                                )
-                                            }
+                                            ktally.batches += 1;
+                                            ktally.exact_evals += batch_session_min_z(
+                                                &mut rng,
+                                                1,
+                                                cfg.rtt_samples_per_session,
+                                                &mut jscratch,
+                                                &mut min_z,
+                                            );
+                                            det + jitter_of(rtt_model, min_z[0])
                                         },
                                     );
                                     if let Some(v) = got {
@@ -750,7 +729,7 @@ pub fn build_targets(
 mod tests {
     use super::*;
     use bb_cdn::{build_provider, ProviderConfig};
-    use bb_netsim::CongestionConfig;
+    use bb_netsim::{sample_min_rtt, CongestionConfig};
     use bb_topology::{generate, TopologyConfig};
     use bb_workload::{generate_workload, WorkloadConfig};
 

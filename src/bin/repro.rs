@@ -642,20 +642,11 @@ fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
                 }
             }
         }
-        let missing: Vec<&str> = first
+        let missing = first
             .key
-            .experiments
-            .split(',')
-            .filter(|e| {
-                !e.is_empty()
-                    && !loads
-                        .iter()
-                        .flatten()
-                        .any(|(ck, _)| ck.units.contains_key(*e))
-            })
-            .collect();
+            .missing(|e| loads.iter().flatten().any(|(ck, _)| ck.units.contains_key(e)));
         if missing.is_empty() {
-            eprintln!("  campaign: all {} experiments covered", first.key.experiments.split(',').count());
+            eprintln!("  campaign: all {} experiments covered", first.key.names().count());
         } else {
             eprintln!("  campaign: missing {}", missing.join(","));
         }
@@ -677,26 +668,16 @@ fn finish_merge(
     shards: Vec<Checkpoint>,
     csv_dir: Option<&std::path::Path>,
 ) -> ! {
-    use beating_bgp::core::checkpoint;
-    // `merge_shards` checks the shards against *each other*; the binary's
-    // own schema must match too, or the stitched bytes would claim to be
-    // this build's output.
-    if shards[0].key.code_schema != checkpoint::CODE_SCHEMA {
-        eprintln!(
-            "{who}: manifest code_schema {} does not match this binary ({})",
-            shards[0].key.code_schema,
-            checkpoint::CODE_SCHEMA
-        );
-        std::process::exit(2);
-    }
-    let merged = checkpoint::merge_shards(&shards).unwrap_or_else(|e| {
+    // `merge_shards` checks the shards against each other and against this
+    // build's code schema, and that they cover every experiment.
+    let merged = beating_bgp::core::checkpoint::merge_shards(&shards).unwrap_or_else(|e| {
         eprintln!("{who}: {e}");
         std::process::exit(2);
     });
     // Coverage is guaranteed by merge_shards, so assembling in the key's
     // experiment order reproduces the unsharded stdout exactly.
     let mut stdout = String::new();
-    for name in merged.key.experiments.split(',') {
+    for name in merged.key.names() {
         let unit = merged
             .units
             .get(name)
@@ -976,10 +957,12 @@ fn run_orchestrate() -> ! {
     };
 
     let policy = OrchestratorPolicy {
-        max_restarts: 3,
-        restart_budget: (2 * n as u32).max(4),
-        backoff_base: std::time::Duration::from_millis(25),
-        jitter_seed: seed,
+        retry: supervisor::RetryPolicy {
+            max_retries: 3,
+            retry_budget: (2 * n as u32).max(4),
+            backoff_base: std::time::Duration::from_millis(25),
+            jitter_seed: seed,
+        },
         hang_timeout: std::time::Duration::from_secs_f64(hang_timeout),
         poll_interval: std::time::Duration::from_millis(25),
     };
@@ -1211,42 +1194,26 @@ fn run_serve() -> ! {
         csv_dir.is_some(),
     );
 
-    // Fresh start or snapshot resume. A missing snapshot file is a fresh
-    // start; anything else that fails — stale key, torn bytes, checksum
-    // mismatch — is a hard reject (exit 2): resuming from state we cannot
-    // trust would poison every epoch after it.
+    // Fresh start or snapshot resume: no snapshot is a fresh start, and a
+    // snapshot that cannot be trusted is a hard reject (exit 2).
     let snapshot_path = dir.join(SNAPSHOT_NAME);
-    let (mut state, mut epochs_flushed, mut coarsenings, resumed) = if snapshot_path.exists() {
-        let loaded = Snapshot::load(&dir).and_then(|snap| {
-            snap.validate(&key)?;
-            let state = ServeState::decode(&snap.state)?;
-            Ok((snap, state))
-        });
-        let (snap, state) = loaded.unwrap_or_else(|e| {
-            eprintln!("repro serve: {}: {e}", snapshot_path.display());
-            std::process::exit(2);
-        });
-        if state.windows_done() != snap.windows_done {
+    let resume = ServeState::resume(&dir, &key, &route_counts).unwrap_or_else(|e| {
+        eprintln!("repro serve: {}: {e}", snapshot_path.display());
+        std::process::exit(2);
+    });
+    let (mut state, mut epochs_flushed, mut coarsenings, resumed) = match resume {
+        Some(r) => {
             eprintln!(
-                "repro serve: {}: snapshot header says {} windows but state blob \
-                 carries {} — refusing to resume",
-                snapshot_path.display(),
-                snap.windows_done,
-                state.windows_done()
+                "[repro] serve: resuming at window {}/{total_windows} (epoch {}, {} governor \
+                 coarsenings so far) from {}",
+                r.state.windows_done(),
+                r.epochs,
+                r.coarsenings,
+                snapshot_path.display()
             );
-            std::process::exit(2);
+            (r.state, r.epochs, r.coarsenings, true)
         }
-        eprintln!(
-            "[repro] serve: resuming at window {}/{total_windows} (epoch {}, {} governor \
-             coarsenings so far) from {}",
-            snap.windows_done,
-            snap.epochs,
-            snap.coarsenings,
-            snapshot_path.display()
-        );
-        (state, snap.epochs, snap.coarsenings, true)
-    } else {
-        (ServeState::new(mode, &route_counts), 0u64, 0u64, false)
+        None => (ServeState::new(mode, &route_counts), 0u64, 0u64, false),
     };
 
     let governor = mem_limit.map(Governor::new);

@@ -289,6 +289,38 @@ fn zero_length_manifest_is_rejected_with_diagnosis() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// The header `repro calib --scale test --seed 42 --checkpoint` writes.
+const CALIB_HEADER: &str = "bbck/v1\nseed 42\nscale test\nfaults off\nexperiments calib\n\
+                            csv 0\ncode_schema 1\nwindows_done 0\n";
+
+#[test]
+fn crafted_manifests_fail_closed_on_resume() {
+    let base = tmpdir("crafted");
+    let ck = base.join("ck");
+    std::fs::create_dir_all(&ck).unwrap();
+    // A blob length no file can hold, and a file count far past the
+    // records present: neither may index past the bytes or size an
+    // allocation; both must be named as the bad record.
+    for (record, named) in [
+        ("unit calib 0 18446744073709551615 0\nend\n", "impossible length"),
+        ("unit calib 99999999999999999 0 cbf29ce484222325\n\nend\n", "expected `file`"),
+    ] {
+        std::fs::write(ck.join("checkpoint.bbck"), format!("{CALIB_HEADER}{record}")).unwrap();
+        let out = run(
+            &[
+                "calib", "--scale", "test", "--seed", "42",
+                "--resume", ck.to_str().unwrap(),
+            ],
+            &[],
+        );
+        assert_eq!(out.status.code(), Some(2), "{record:?}: {out:?}");
+        assert!(out.stdout.is_empty());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named) && err.contains("unit calib"), "{err}");
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
 #[test]
 fn mid_file_corruption_is_rejected_with_byte_offset_not_salvaged() {
     let base = tmpdir("midcorrupt");

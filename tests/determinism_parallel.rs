@@ -32,11 +32,13 @@ fn fig1_and_fig3_identical_for_any_job_count() {
 
         let facebook = Scenario::build(ScenarioConfig::facebook(42, Scale::Test));
         let egress = study_egress::run(&facebook, &spray).unwrap();
-        export::fig1_csv(&egress.fig1, &dir).unwrap();
+        export::write_atomic_bytes(&dir.join("fig1.csv"), &export::fig1_csv_bytes(&egress.fig1))
+            .unwrap();
 
         let microsoft = Scenario::build(ScenarioConfig::microsoft(42, Scale::Test));
         let anycast = study_anycast::run(&microsoft, &BeaconConfig::default()).unwrap();
-        export::fig3_csv(&anycast.fig3, &dir).unwrap();
+        export::write_atomic_bytes(&dir.join("fig3.csv"), &export::fig3_csv_bytes(&anycast.fig3))
+            .unwrap();
 
         outputs.push((read(&dir, "fig1.csv"), read(&dir, "fig3.csv")));
     }

@@ -253,3 +253,43 @@ fn stale_snapshot_is_rejected_not_reused() {
 
     std::fs::remove_dir_all(&base).ok();
 }
+
+#[test]
+fn crafted_state_blob_fails_closed_on_resume() {
+    use beating_bgp::core::checkpoint::fnv1a;
+    let base = tmpdir("crafted");
+    let dir = base.join("sd");
+    let args = |windows| {
+        [
+            "serve", "--scale", "test", "--seed", "42",
+            "--windows", windows, "--epoch", "8",
+            "--dir", dir.to_str().unwrap(),
+        ]
+    };
+    let seeded = run(&args("8"));
+    assert!(seeded.status.success(), "{seeded:?}");
+
+    // Set the state blob's target count to 0xFFFFFFFF and re-checksum it,
+    // so only the serve-state decoder can catch it — without sizing an
+    // allocation from the count.
+    let snap = dir.join("snapshot.bbsn");
+    let bytes = read_file(&snap);
+    let line_at = bytes.windows(6).position(|w| w == b"\nstate").unwrap() + 1;
+    let blob_at = line_at + bytes[line_at..].iter().position(|&b| b == b'\n').unwrap() + 1;
+    let blob_end = bytes.len() - "\nend\n".len();
+    let mut state = bytes[blob_at..blob_end].to_vec();
+    // Magic (8), mode (1), eps (8), windows_done (8), then the count.
+    state[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut crafted = bytes[..line_at].to_vec();
+    crafted.extend(format!("state {} {:016x}\n", state.len(), fnv1a(&state)).bytes());
+    crafted.extend(&state);
+    crafted.extend(b"\nend\n");
+    std::fs::write(&snap, &crafted).unwrap();
+
+    let out = run(&args("16"));
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("corrupt serve state"), "{err}");
+    std::fs::remove_dir_all(&base).ok();
+}

@@ -144,6 +144,27 @@ fn merge_rejects_mismatched_and_incomplete_shards() {
 }
 
 #[test]
+fn crafted_manifests_fail_closed_in_merge() {
+    let base = tmpdir("crafted");
+    let header = "bbck/v1\nseed 42\nscale test\nfaults off\nexperiments calib\n\
+                  csv 0\ncode_schema 1\nwindows_done 0\n";
+    // A blob length no file can hold, and a file count far past the
+    // records present: the strict decoder names the bad record, exit 2.
+    for (record, named) in [
+        ("unit calib 0 18446744073709551615 0\nend\n", "impossible length"),
+        ("unit calib 99999999999999999 0 cbf29ce484222325\n\nend\n", "expected `file`"),
+    ] {
+        std::fs::write(base.join("checkpoint.bbck"), format!("{header}{record}")).unwrap();
+        let out = run(&["merge", base.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{record:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "a rejected merge must print nothing");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named) && err.contains("unit calib"), "{err}");
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
 fn shard_without_checkpoint_is_a_usage_error() {
     let out = run(&["all", "--scale", "test", "--shard", "0/3"]);
     assert_eq!(out.status.code(), Some(2));
