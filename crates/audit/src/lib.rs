@@ -19,10 +19,10 @@
 //!
 //! ## Self-test hook
 //!
-//! `BB_AUDIT_VIOLATE=<rule>` injects a deliberately-corrupt item into that
+//! `BB_INJECT=violate:<rule>` injects a deliberately-corrupt item into that
 //! rule's input stream (the rule logic itself is untouched), proving the
 //! rule actually fires. The CI audit job loops over every rule name and
-//! asserts a non-zero exit — the same pattern as `BB_REPRO_POISON`.
+//! asserts a non-zero exit — the same pattern as `BB_INJECT=poison:<exp>`.
 
 use bb_core::study_anycast::AnycastStudy;
 use bb_core::study_egress::EgressStudy;
@@ -33,7 +33,7 @@ use bb_netsim::{FaultConfig, FaultLevel, FaultPlane, Outage, MAX_BASE_RTT_MS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Every rule the audit runs, in report order. `BB_AUDIT_VIOLATE` accepts
+/// Every rule the audit runs, in report order. `BB_INJECT=violate:RULE` accepts
 /// exactly these names.
 pub const RULE_NAMES: &[&str] = &[
     "paths.valley_free",
@@ -60,7 +60,7 @@ pub struct AuditOptions {
     /// (report header only).
     pub faults: &'static str,
     /// Rule whose input stream gets a deliberately-corrupt item
-    /// (self-test; from `BB_AUDIT_VIOLATE`).
+    /// (self-test; from `BB_INJECT=violate:<rule>`).
     pub violate: Option<String>,
 }
 
@@ -1183,7 +1183,7 @@ mod tests {
         // Poison each invariant rule directly against the shared studies
         // (the metamorphic rules re-run whole Test slices, so their poison
         // path is covered by `metamorphic_poison_fires` above; the binary-
-        // level BB_AUDIT_VIOLATE loop in CI covers all fourteen end to end).
+        // level BB_INJECT=violate loop in CI covers all fourteen end to end).
         let poisoned = [
             valley_free_rule(&fb, &egress, true),
             planet_valley_free_rule(7, Scale::Test, true),

@@ -425,7 +425,7 @@ impl Heartbeat {
         let path = dir.join(HEARTBEAT_NAME);
         // Heartbeats skip the fsync ladder but are still atomic writers:
         // they share the disk-full injection point with
-        // `write_atomic_bytes`, so `BB_REPRO_ENOSPC` can prove this path
+        // `write_atomic_bytes`, so `BB_INJECT=enospc:N` can prove this path
         // fails closed too (prior heartbeat intact, no torn rename).
         if let Some(e) = crate::export::injected_enospc(&path) {
             return Err(e);

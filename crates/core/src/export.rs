@@ -15,51 +15,25 @@ use crate::figures::{Coverage, Fig1, Fig2, Fig3, Fig4, Fig5};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Process-wide count of atomic-writer invocations. Every writer that must
 /// never tear a file — CSV exports, checkpoint manifests, serve snapshots,
 /// heartbeats — bumps this exactly once per attempt, which is what makes
-/// the `BB_REPRO_ENOSPC` injection below deterministic at `--jobs 1`.
+/// the `BB_INJECT` `enospc:N` fault below deterministic at `--jobs 1`.
 static ATOMIC_WRITES: AtomicU64 = AtomicU64::new(0);
-
-/// `BB_REPRO_ENOSPC=<n>`: the n-th atomic write of the process (1-based)
-/// fails with an injected "No space left on device" before anything
-/// touches the filesystem. Parsed once; a malformed value is a usage
-/// error (exit 2) like the other `BB_REPRO_*` test hooks.
-fn enospc_trip() -> Option<u64> {
-    static TRIP: OnceLock<Option<u64>> = OnceLock::new();
-    *TRIP.get_or_init(|| match std::env::var("BB_REPRO_ENOSPC") {
-        Err(_) => None,
-        Ok(s) => match s.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("BB_REPRO_ENOSPC: bad write count {s:?}");
-                std::process::exit(2);
-            }
-        },
-    })
-}
-
-/// Eagerly parse the `BB_REPRO_ENOSPC` hook so a malformed value is a
-/// usage error (exit 2) at startup, not only when the first atomic write
-/// happens to run — a run with no atomic writes must not silently accept
-/// garbage. Called once from binary startup; harmless to call again.
-pub fn validate_injection_env() {
-    let _ = enospc_trip();
-}
 
 /// Deterministic disk-full injection point, consulted by every atomic
 /// writer before it creates its temp file. Failing *before* the first
 /// filesystem touch is the strictest fail-closed shape: the prior artifact
 /// at `path` is untouched, no `.tmp` sibling is left behind, and no rename
-/// can tear. Returns the injected error on the trip count, `None` otherwise.
+/// can tear. Returns the injected error on the `enospc:N` write, `None`
+/// otherwise.
 pub(crate) fn injected_enospc(path: &Path) -> Option<BbError> {
     let n = ATOMIC_WRITES.fetch_add(1, Ordering::SeqCst) + 1;
-    match enospc_trip() {
+    match crate::inject::current().enospc {
         Some(trip) if n == trip => Some(BbError::io(
             format!("write {}", path.display()),
-            std::io::Error::other("No space left on device (injected by BB_REPRO_ENOSPC)"),
+            std::io::Error::other("No space left on device (injected by BB_INJECT)"),
         )),
         _ => None,
     }

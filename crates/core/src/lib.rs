@@ -25,7 +25,8 @@
 //! [`serve`] and [`snapshot`] are the streaming plane: bounded-memory
 //! campaign state and the crash-safe `bbsn/v1` epoch flushes behind
 //! `repro serve`. [`framed`] is the one codec under checkpoint manifests,
-//! snapshots and heartbeats.
+//! snapshots and heartbeats. [`inject`] is the one registry of deliberate
+//! faults (`BB_INJECT`) that proves each recovery path.
 
 pub mod calibration;
 pub mod checkpoint;
@@ -34,6 +35,7 @@ pub mod export;
 pub mod ext;
 pub mod figures;
 pub mod framed;
+pub mod inject;
 pub mod serve;
 pub mod snapshot;
 pub mod study_anycast;

@@ -137,23 +137,20 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Panic-isolating parallel map
+// Panic isolation
 // ---------------------------------------------------------------------------
 
-/// Why one item of a [`par_map_isolated`] call failed.
+/// Why one attempt of a [`supervisor::supervise`] item failed: it panicked.
 #[derive(Debug, Clone)]
 pub struct ItemFailure {
     /// Input index of the failed item.
     pub index: usize,
-    /// Panic payload (if it was a `&str`/`String`), or the deadline report.
+    /// Panic payload, if it was a `&str`/`String`.
     pub message: String,
-    /// Wall-clock the failing attempt ran before dying — every failure
-    /// variant carries it, so supervision reports and
-    /// `=== EXPERIMENT FAILED ===` blocks can say which unit died and how
-    /// long it lived.
+    /// Wall-clock the failing attempt ran before dying — supervision
+    /// reports and `=== EXPERIMENT FAILED ===` blocks can say which unit
+    /// died and how long it lived.
     pub elapsed: std::time::Duration,
-    /// Whether the failure was an absorbed panic (vs a deadline overrun).
-    pub panicked: bool,
 }
 
 impl std::fmt::Display for ItemFailure {
@@ -171,91 +168,28 @@ impl std::fmt::Display for ItemFailure {
 /// Panics caught and converted to [`ItemFailure`]s since process start.
 static PANICS_ISOLATED: AtomicUsize = AtomicUsize::new(0);
 
-/// Items that finished but blew their advisory deadline, since start.
-static DEADLINES_EXCEEDED: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide count of panics [`par_map_isolated`] absorbed.
+/// Process-wide count of panics [`run_attempt`] absorbed.
 pub fn panics_isolated() -> usize {
     PANICS_ISOLATED.load(Ordering::Relaxed)
 }
 
-/// Process-wide count of advisory per-item deadlines exceeded.
-pub fn deadlines_exceeded() -> usize {
-    DEADLINES_EXCEEDED.load(Ordering::Relaxed)
-}
-
-/// [`par_map`] with per-item panic isolation and an optional per-item
-/// deadline: one poisoned item yields an `Err` slot instead of taking down
-/// the whole run.
-///
-/// Shares the work-claiming engine with [`par_map`] (the wrapped closure
-/// never unwinds, so the engine's in-order slot contract is preserved).
-/// Each caught panic bumps the process-wide poison counter readable via
-/// [`panics_isolated`].
-///
-/// The deadline is **advisory**: threads cannot be cancelled safely, and
-/// dropping still-running items would make output depend on machine speed,
-/// so an over-deadline item runs to completion and is *then* marked failed
-/// (deterministically — callers decide whether to use the computed value).
-/// Callers that need byte-stable output across machines simply pass `None`.
-pub fn par_map_isolated<T, R, F>(
-    items: &[T],
-    deadline: Option<std::time::Duration>,
-    f: F,
-) -> Vec<Result<R, ItemFailure>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(items, |i, item| run_attempt(i, deadline, || f(i, item)))
-}
-
-/// Run one attempt of item `i` under `catch_unwind` plus the advisory
-/// deadline check. Shared by [`par_map_isolated`] and the
-/// [`supervisor`] retry loop so both report failures identically.
-pub(crate) fn run_attempt<R>(
-    i: usize,
-    deadline: Option<std::time::Duration>,
-    f: impl FnOnce() -> R,
-) -> Result<R, ItemFailure> {
+/// Run one attempt of item `i` under `catch_unwind`: a panic becomes an
+/// [`ItemFailure`] and bumps [`panics_isolated`].
+pub(crate) fn run_attempt<R>(i: usize, f: impl FnOnce() -> R) -> Result<R, ItemFailure> {
     let start = Instant::now();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    let elapsed = start.elapsed();
-    match out {
-        Ok(r) => {
-            if let Some(limit) = deadline {
-                if elapsed > limit {
-                    DEADLINES_EXCEEDED.fetch_add(1, Ordering::Relaxed);
-                    return Err(ItemFailure {
-                        index: i,
-                        message: format!(
-                            "deadline exceeded: {:.3}s > {:.3}s",
-                            elapsed.as_secs_f64(),
-                            limit.as_secs_f64()
-                        ),
-                        elapsed,
-                        panicked: false,
-                    });
-                }
-            }
-            Ok(r)
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        PANICS_ISOLATED.fetch_add(1, Ordering::Relaxed);
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "panic with non-string payload".to_string());
+        ItemFailure {
+            index: i,
+            message,
+            elapsed: start.elapsed(),
         }
-        Err(payload) => {
-            PANICS_ISOLATED.fetch_add(1, Ordering::Relaxed);
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            Err(ItemFailure {
-                index: i,
-                message,
-                elapsed,
-                panicked: true,
-            })
-        }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -477,13 +411,6 @@ pub mod timing {
     }
 }
 
-/// Convenience: run `f` and return `(result, wall_clock)`.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, std::time::Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
-
 /// Advisory deadline telemetry for long-running loops (`repro serve`).
 ///
 /// A streaming daemon cannot let a slow epoch change its output — killing
@@ -582,86 +509,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(par_map(&[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_map_isolated_contains_panics() {
-        let items: Vec<u64> = (0..64).collect();
-        let poisoned_before = panics_isolated();
-        // Silence the default hook while we panic on purpose.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = par_map_isolated(&items, None, |_, &x| {
-            if x % 10 == 3 {
-                panic!("poisoned item {x}");
-            }
-            x * 2
-        });
-        std::panic::set_hook(prev);
-
-        assert_eq!(out.len(), items.len());
-        for (i, r) in out.iter().enumerate() {
-            if i % 10 == 3 {
-                let e = r.as_ref().unwrap_err();
-                assert_eq!(e.index, i);
-                assert!(e.message.contains("poisoned item"), "{e}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i as u64 * 2);
-            }
-        }
-        assert_eq!(panics_isolated() - poisoned_before, 7, "0..64 has 7 items ≡3 mod 10");
-    }
-
-    #[test]
-    fn par_map_isolated_deterministic_across_job_counts() {
-        let items: Vec<u64> = (0..100).collect();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut runs: Vec<String> = Vec::new();
-        for jobs in [1usize, 4] {
-            set_jobs(jobs);
-            let out = par_map_isolated(&items, None, |i, &x| {
-                if x == 41 {
-                    panic!("boom");
-                }
-                derive_seed(x, i as u64)
-            });
-            // Render without `elapsed` — wall-clock is measurement, not
-            // payload, and legitimately varies run to run.
-            let rendered: Vec<String> = out
-                .iter()
-                .map(|r| match r {
-                    Ok(v) => format!("ok:{v}"),
-                    Err(e) => format!("err:{}:{}:{}", e.index, e.panicked, e.message),
-                })
-                .collect();
-            runs.push(rendered.join(","));
-        }
-        std::panic::set_hook(prev);
-        set_jobs(0);
-        assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
-    fn par_map_isolated_deadline_is_advisory() {
-        let items = [5u64];
-        let before = deadlines_exceeded();
-        let out = par_map_isolated(
-            &items,
-            Some(std::time::Duration::from_nanos(1)),
-            |_, &x| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                x
-            },
-        );
-        // The item ran to completion but is marked failed afterwards.
-        let e = out[0].as_ref().unwrap_err();
-        assert!(e.message.contains("deadline exceeded"), "{e}");
-        assert!(deadlines_exceeded() > before);
-
-        // A generous deadline passes everything through untouched.
-        let ok = par_map_isolated(&items, Some(std::time::Duration::from_secs(60)), |_, &x| x);
-        assert_eq!(*ok[0].as_ref().unwrap(), 5);
     }
 
     #[test]

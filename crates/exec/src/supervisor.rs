@@ -1,11 +1,11 @@
 //! Supervised execution: retries, deterministic backoff, graceful drain.
 //!
-//! [`par_map_isolated`](crate::par_map_isolated) turns a poisoned item into
-//! an `Err` slot; this module promotes that to a real supervision policy.
-//! [`supervise`] runs items on the same work-claiming engine, but
+//! [`supervise`] runs items on a work-claiming loop like
+//! [`par_map`](crate::par_map)'s, isolates each attempt's panic, and adds
+//! a supervision policy:
 //!
-//! * **failed items are re-run** — panics, advisory-deadline overruns —
-//!   with bounded per-item retries and a campaign-wide retry budget;
+//! * **a panicked item is re-run** with bounded per-item retries and a
+//!   campaign-wide retry budget;
 //! * **backoff is deterministic**: the delay before attempt `k` of item `i`
 //!   is `base · 2^(k-1)` scaled by jitter derived from
 //!   `(jitter_seed, i, k)` via [`derive_seed`](crate::derive_seed) — never
@@ -34,7 +34,7 @@
 use crate::{jobs, run_attempt, ItemFailure};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::atomic::AtomicUsize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Retry policy for one supervised campaign.
 #[derive(Debug, Clone)]
@@ -63,7 +63,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Deadline-free policy that never retries (plain isolation).
+    /// Policy that never retries (plain isolation).
     pub fn no_retries() -> Self {
         Self {
             max_retries: 0,
@@ -115,48 +115,24 @@ impl Disposition {
     }
 }
 
-/// Per-item record in a [`SupervisionReport`].
-#[derive(Debug, Clone)]
-pub struct ItemReport {
-    /// Input index of the item.
-    pub index: usize,
-    /// Attempts actually run (0 for skipped items).
-    pub attempts: u32,
-    /// Panics absorbed across those attempts.
-    pub panics: u32,
-    /// Total wall-clock across all attempts, seconds.
-    pub elapsed_s: f64,
-    pub disposition: Disposition,
-    /// Last failure message, for failed (and recovered) items.
-    pub error: Option<String>,
-}
-
 /// Structured outcome of one [`supervise`] campaign.
 #[derive(Debug, Clone)]
 pub struct SupervisionReport {
-    /// One entry per input item, in input order.
-    pub items: Vec<ItemReport>,
+    /// Each item's disposition, in input order.
+    pub items: Vec<Disposition>,
     /// Total attempts run across all items.
     pub attempts: u64,
     /// Total retries (attempts beyond each item's first).
     pub retries: u64,
     /// Panics absorbed across all attempts.
     pub panics_absorbed: u64,
-    /// The campaign's retry budget, for context in reports.
-    pub retry_budget: u32,
     /// True when a retry was denied because the budget ran out.
     pub budget_exhausted: bool,
-    /// True when the campaign drained early: at least one item was never
-    /// claimed because `cancel()` turned true.
-    pub cancelled: bool,
 }
 
 impl SupervisionReport {
     pub fn count(&self, want: &str) -> usize {
-        self.items
-            .iter()
-            .filter(|i| i.disposition.label() == want)
-            .count()
+        self.items.iter().filter(|d| d.label() == want).count()
     }
 }
 
@@ -172,7 +148,6 @@ impl SupervisionReport {
 pub fn supervise<T, R, F>(
     items: &[T],
     policy: &RetryPolicy,
-    deadline: Option<Duration>,
     cancel: &(dyn Fn() -> bool + Sync),
     on_final: &(dyn Fn(usize, &Result<R, ItemFailure>) + Sync),
     f: F,
@@ -190,13 +165,8 @@ where
     let total_retries = AtomicU64::new(0);
     let total_panics = AtomicU64::new(0);
 
-    struct Meta {
-        attempts: u32,
-        panics: u32,
-        elapsed_s: f64,
-        error: Option<String>,
-    }
-    let mut slots: Vec<Option<(Result<R, ItemFailure>, Meta)>> = Vec::with_capacity(n);
+    // Each finalized item's outcome and attempt count.
+    let mut slots: Vec<Option<(Result<R, ItemFailure>, u32)>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
 
     // Same disjoint-slot contract as `par_map`: the claim counter gives
@@ -215,19 +185,14 @@ where
         if i >= n {
             break;
         }
-        let started = Instant::now();
         let mut attempts = 0u32;
-        let mut panics = 0u32;
         let outcome = loop {
             attempts += 1;
             total_attempts.fetch_add(1, Ordering::Relaxed);
-            match run_attempt(i, deadline, || f(i, attempts - 1, &items[i])) {
+            match run_attempt(i, || f(i, attempts - 1, &items[i])) {
                 Ok(r) => break Ok(r),
                 Err(fail) => {
-                    if fail.panicked {
-                        panics += 1;
-                        total_panics.fetch_add(1, Ordering::Relaxed);
-                    }
+                    total_panics.fetch_add(1, Ordering::Relaxed);
                     if attempts > policy.max_retries {
                         break Err(fail);
                     }
@@ -242,17 +207,11 @@ where
                 }
             }
         };
-        let meta = Meta {
-            attempts,
-            panics,
-            elapsed_s: started.elapsed().as_secs_f64(),
-            error: outcome.as_ref().err().map(|e| e.message.clone()),
-        };
         on_final(i, &outcome);
         // SAFETY: `i` came from a unique fetch_add claim; no other worker
         // touches this slot, and the scope outlives every worker.
         unsafe {
-            *slot_ref.0.add(i) = Some((outcome, meta));
+            *slot_ref.0.add(i) = Some((outcome, attempts));
         }
     };
 
@@ -267,52 +226,26 @@ where
         });
     }
 
-    let mut results = Vec::with_capacity(n);
-    let mut reports = Vec::with_capacity(n);
-    let mut cancelled = false;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some((outcome, meta)) => {
-                let disposition = match (&outcome, meta.attempts) {
-                    (Ok(_), 1) => Disposition::Succeeded,
-                    (Ok(_), a) => Disposition::Recovered { retries: a - 1 },
-                    (Err(_), a) => Disposition::Failed {
-                        retries: a.saturating_sub(1),
-                    },
+    let (results, items) = slots
+        .into_iter()
+        .map(|slot| match slot {
+            Some((outcome, attempts)) => {
+                let disposition = match (&outcome, attempts - 1) {
+                    (Ok(_), 0) => Disposition::Succeeded,
+                    (Ok(_), retries) => Disposition::Recovered { retries },
+                    (Err(_), retries) => Disposition::Failed { retries },
                 };
-                reports.push(ItemReport {
-                    index: i,
-                    attempts: meta.attempts,
-                    panics: meta.panics,
-                    elapsed_s: meta.elapsed_s,
-                    disposition,
-                    error: meta.error,
-                });
-                results.push(Some(outcome));
+                (Some(outcome), disposition)
             }
-            None => {
-                cancelled = true;
-                reports.push(ItemReport {
-                    index: i,
-                    attempts: 0,
-                    panics: 0,
-                    elapsed_s: 0.0,
-                    disposition: Disposition::Skipped,
-                    error: None,
-                });
-                results.push(None);
-            }
-        }
-    }
-
+            None => (None, Disposition::Skipped),
+        })
+        .unzip();
     let report = SupervisionReport {
-        items: reports,
+        items,
         attempts: total_attempts.load(Ordering::Relaxed),
         retries: total_retries.load(Ordering::Relaxed),
         panics_absorbed: total_panics.load(Ordering::Relaxed),
-        retry_budget: policy.retry_budget,
         budget_exhausted: budget_exhausted.load(Ordering::Relaxed),
-        cancelled,
     };
     (results, report)
 }
@@ -346,7 +279,6 @@ mod tests {
             supervise(
                 &items,
                 &quiet_policy(),
-                None,
                 &|| false,
                 &|_, _| {},
                 |_, attempt, &x| {
@@ -365,14 +297,13 @@ mod tests {
                 "item {i}"
             );
         }
-        let r3 = &report.items[3];
-        assert_eq!(r3.disposition, Disposition::Recovered { retries: 1 });
-        assert_eq!(r3.attempts, 2);
-        assert_eq!(r3.panics, 1);
+        assert_eq!(report.items[3], Disposition::Recovered { retries: 1 });
+        assert_eq!(report.attempts, 9, "item 3 ran twice");
+        assert_eq!(report.panics_absorbed, 1);
         assert_eq!(report.count("recovered"), 1);
         assert_eq!(report.count("succeeded"), 7);
         assert_eq!(report.retries, 1);
-        assert!(!report.cancelled);
+        assert_eq!(report.count("skipped"), 0);
         assert!(!report.budget_exhausted);
     }
 
@@ -383,7 +314,6 @@ mod tests {
             supervise(
                 &items,
                 &quiet_policy(),
-                None,
                 &|| false,
                 &|_, _| {},
                 |_, _, _| -> u64 { panic!("always broken") },
@@ -391,13 +321,10 @@ mod tests {
         });
         let fail = results[0].as_ref().unwrap().as_ref().unwrap_err();
         assert!(fail.message.contains("always broken"));
-        assert!(fail.panicked);
-        let item = &report.items[0];
-        assert_eq!(item.disposition, Disposition::Failed { retries: 2 });
-        assert_eq!(item.attempts, 3, "1 attempt + max_retries");
-        assert_eq!(report.attempts, 3);
+        assert_eq!(report.items[0], Disposition::Failed { retries: 2 });
+        assert_eq!(report.attempts, 3, "1 attempt + max_retries");
         assert_eq!(report.retries, 2);
-        assert_eq!(item.error.as_deref(), Some("always broken"));
+        assert_eq!(report.panics_absorbed, 3);
     }
 
     #[test]
@@ -411,7 +338,6 @@ mod tests {
             supervise(
                 &items,
                 &policy,
-                None,
                 &|| false,
                 &|_, _| {},
                 |_, _, _| -> u64 { panic!("broken") },
@@ -419,9 +345,9 @@ mod tests {
         });
         assert_eq!(report.retries, 0, "budget 0 denies every retry");
         assert!(report.budget_exhausted);
+        assert_eq!(report.attempts, 4, "one attempt per item");
         for item in &report.items {
-            assert_eq!(item.attempts, 1);
-            assert!(matches!(item.disposition, Disposition::Failed { retries: 0 }));
+            assert_eq!(*item, Disposition::Failed { retries: 0 });
         }
     }
 
@@ -436,7 +362,6 @@ mod tests {
             supervise(
                 &items,
                 &policy,
-                None,
                 &|| false,
                 &|_, _| {},
                 |_, _, _| -> u64 { panic!("broken") },
@@ -455,7 +380,6 @@ mod tests {
         let (results, report) = supervise(
             &items,
             &RetryPolicy::no_retries(),
-            None,
             &|| finalized.load(Ordering::Relaxed) >= 3,
             &|_, _| {
                 finalized.fetch_add(1, Ordering::Relaxed);
@@ -465,16 +389,14 @@ mod tests {
         crate::set_jobs(0);
         let done = results.iter().filter(|r| r.is_some()).count();
         assert_eq!(done, 3, "drain finishes in-flight items, claims no more");
-        assert!(report.cancelled);
         assert_eq!(report.count("skipped"), 7);
+        assert_eq!(report.attempts, 3);
         // Completed items are correct and in order.
         for (i, r) in results.iter().take(3).enumerate() {
             assert_eq!(*r.as_ref().unwrap().as_ref().unwrap(), i as u64 + 1);
         }
-        // Skipped items report attempts = 0.
         for item in report.items.iter().skip(3) {
-            assert_eq!(item.attempts, 0);
-            assert_eq!(item.disposition, Disposition::Skipped);
+            assert_eq!(*item, Disposition::Skipped);
         }
     }
 
@@ -485,7 +407,6 @@ mod tests {
         let (results, _) = supervise(
             &items,
             &RetryPolicy::no_retries(),
-            None,
             &|| false,
             &|i, outcome| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -532,7 +453,6 @@ mod tests {
                 supervise(
                     &items,
                     &quiet_policy(),
-                    None,
                     &|| false,
                     &|_, _| {},
                     |i, attempt, &x| {
@@ -565,10 +485,9 @@ mod tests {
     fn empty_input_yields_empty_report() {
         let items: Vec<u64> = vec![];
         let (results, report) =
-            supervise(&items, &RetryPolicy::default(), None, &|| false, &|_, _| {}, |_, _, &x| x);
+            supervise(&items, &RetryPolicy::default(), &|| false, &|_, _| {}, |_, _, &x| x);
         assert!(results.is_empty());
         assert!(report.items.is_empty());
         assert_eq!(report.attempts, 0);
-        assert!(!report.cancelled);
     }
 }

@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What can fail.
@@ -86,16 +85,6 @@ impl Outage {
     }
 }
 
-/// Times the read→write upgrade in [`FailureModel::outages`] found the key
-/// already materialized by a racing worker (same double-check pattern as
-/// `CongestionModel::process`).
-static OUTAGE_RACES_CLOSED: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide count of closed outage-materialization races.
-pub fn outage_races_closed() -> usize {
-    OUTAGE_RACES_CLOSED.load(Ordering::Relaxed)
-}
-
 /// The failure plane.
 pub struct FailureModel {
     seed: u64,
@@ -129,7 +118,6 @@ impl FailureModel {
         // have materialized the same key between our read and write.
         let mut cache = self.cache.write();
         if let Some(v) = cache.get(&code) {
-            OUTAGE_RACES_CLOSED.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(v);
         }
         let v: Arc<[Outage]> = self.materialize(key, capacity_gbps).into();

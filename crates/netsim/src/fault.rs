@@ -29,7 +29,6 @@ use crate::time::SimTime;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Fault-injection intensity selected by `repro --faults`.
@@ -137,16 +136,6 @@ impl FaultConfig {
     }
 }
 
-/// Times the read→write upgrade in [`FaultPlane::churn_events`] found the
-/// key already materialized by a racing worker (same double-check pattern
-/// as `CongestionModel::process`).
-static CHURN_RACES_CLOSED: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide count of closed churn-materialization races.
-pub fn churn_races_closed() -> usize {
-    CHURN_RACES_CLOSED.load(Ordering::Relaxed)
-}
-
 /// The measurement fault plane. Cheap to share by reference; churn
 /// processes are cached behind a lock as shared slices.
 pub struct FaultPlane {
@@ -218,7 +207,6 @@ impl FaultPlane {
         // have materialized the same route between our read and write.
         let mut cache = self.churn_cache.write();
         if let Some(v) = cache.get(&route_key) {
-            CHURN_RACES_CLOSED.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(v);
         }
         let v: Arc<[Outage]> = self.materialize_churn(route_key).into();

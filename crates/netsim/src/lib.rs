@@ -42,8 +42,8 @@ pub use congestion::{
     KeyProcess,
 };
 pub use plan::{CongestionPlan, DiurnalTable, OffsetTable, PathPlan, PathPlanBatch, UtilProbe};
-pub use failure::{outage_races_closed, FailureConfig, FailureKey, FailureModel, Outage};
-pub use fault::{churn_races_closed, FaultConfig, FaultLevel, FaultPlane, MAX_BASE_RTT_MS};
+pub use failure::{FailureConfig, FailureKey, FailureModel, Outage};
+pub use fault::{FaultConfig, FaultLevel, FaultPlane, MAX_BASE_RTT_MS};
 pub use goodput::goodput_mbps;
 pub use path::{realize_path, RealizeSpec, RealizedPath, Segment, TracerouteHop};
 pub use rtt::{

@@ -20,7 +20,6 @@
 //! --report                                      x
 //! --dir DIR                                              x          x
 //! --chaos LEVEL                                          x
-//! --chaos (switch)                                                  x
 //! --hang-timeout SECS                                    x
 //! --windows N, --epoch K                                            x
 //! --epsilon E, --mem-limit BYTES                                    x
@@ -59,8 +58,11 @@
 //! four metamorphic relations on `Scale::Test` slices (faults-off
 //! equivalence, jobs independence, ablation directionality, shard
 //! independence).
-//! `BB_AUDIT_VIOLATE=<rule>` injects a corrupt item into that rule's input
-//! stream so CI can prove each rule fires.
+//!
+//! `BB_INJECT=kind[:arg],…` sets deliberate faults that prove each
+//! recovery path (`bb_core::inject` lists the kinds). `main` parses it
+//! once, before dispatch; a malformed value, or a kind the chosen
+//! subcommand cannot honour, is a usage error (exit 2).
 //!
 //! Experiments run concurrently on up to `--jobs` workers, but stdout is
 //! assembled in a fixed order from per-experiment buffers, and every
@@ -103,6 +105,7 @@ use beating_bgp::core::export::{
     write_atomic_bytes,
 };
 use beating_bgp::core::{calibration, study_anycast, study_egress, study_tiers};
+use beating_bgp::core::inject::{Injection, Kind};
 use beating_bgp::core::{BbResult, Scale, Scenario, ScenarioConfig};
 use beating_bgp::exec::supervisor::{self, SupervisionReport};
 use beating_bgp::exec::timing;
@@ -201,10 +204,10 @@ impl Cli {
     /// missing, unparsable or rejected value exits 2 with
     /// `"{cmd}: {flag} needs {what}"`.
     fn value<T: FromStr>(&mut self, flag: &str, what: &str, check: impl Fn(&T) -> bool) -> T {
-        let raw = self.args.next();
-        parse_or_exit(raw.as_deref(), check, || {
-            format!("{}: {flag} needs {what}", self.cmd)
-        })
+        match self.args.next().map(|raw| raw.parse::<T>()) {
+            Some(Ok(v)) if check(&v) => v,
+            _ => self.usage(format_args!("{flag} needs {what}")),
+        }
     }
 
     /// The value after an enumerated flag (`--scale`, `--faults`,
@@ -240,22 +243,6 @@ impl Cli {
             _ => return false,
         }
         true
-    }
-}
-
-/// Parse `raw` as `T` and require `check`, or exit 2 with `msg()`: the one
-/// value check behind every flag and every `BB_REPRO_*` hook.
-fn parse_or_exit<T: FromStr>(
-    raw: Option<&str>,
-    check: impl Fn(&T) -> bool,
-    msg: impl FnOnce() -> String,
-) -> T {
-    match raw.map(str::parse::<T>) {
-        Some(Ok(v)) if check(&v) => v,
-        _ => {
-            eprintln!("{}", msg());
-            std::process::exit(2)
-        }
     }
 }
 
@@ -358,6 +345,8 @@ fn parse_args() -> Opts {
                      --shard I/N  run slice I of the selected experiments into the\n\
                      {0:11}checkpoint (no stdout); `repro merge` stitches the shards\n\
                      {0:11}byte-identically to the unsharded run\n\
+                     BB_INJECT=kind[:arg],...  deliberate faults (poison stall unit-limit\n\
+                     {0:11}crash enospc violate); a bad value is a usage error\n\
                      exit codes: 0 ok, 1 runtime failure, 2 usage error, \
                      130 interrupted (resumable)",
                     ""
@@ -719,25 +708,15 @@ fn finish_merge(
 ///   the first crashed shard's manifest is torn by 16 bytes before its
 ///   restart, forcing the salvage path.
 ///
-/// Faults are injected only into each shard's *first* launch (via the
-/// child env hooks `BB_REPRO_CRASH` / `BB_REPRO_STALL`), and a crash can
-/// only fire after a finalized unit was flushed — so every chaos plan
-/// terminates, and recovery always has progress to resume from.
+/// Faults are injected only into each shard's *first* launch, as the
+/// registry's own `crash`/`stall` values in the child's `BB_INJECT`, and a
+/// crash can only fire after a finalized unit was flushed — so every chaos
+/// plan terminates, and recovery always has progress to resume from.
 fn run_orchestrate() -> ! {
     use beating_bgp::core::checkpoint::{HEARTBEAT_NAME, MANIFEST_NAME};
     use beating_bgp::exec::derive_seed;
     use beating_bgp::exec::orchestrator::{orchestrate, OrchestratorPolicy, ShardSpec};
     use std::process::{Command, Stdio};
-
-    /// Fault injected into one shard's first launch.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Fault {
-        None,
-        /// `BB_REPRO_CRASH`: exit 101 after this many finalized units.
-        Crash { after_units: usize },
-        /// `BB_REPRO_STALL`: sleep before this experiment, attempt 0 only.
-        Stall { exp: &'static str },
-    }
 
     let shared = "--scale --seed --jobs --faults --csv --timing-json";
     let mut cli = Cli::new("repro orchestrate", 2, shared);
@@ -810,42 +789,34 @@ fn run_orchestrate() -> ! {
     // Crash after 1..=slice_len finalized units: always after *some*
     // progress was flushed (so recovery resumes, never thrashes), possibly
     // after all of it (restart finds the shard complete — also legal).
-    let crash_point =
-        |i: usize| 1 + (derive_seed(seed, 0xC4A6 ^ i as u64) as usize) % slice(i).len().max(1);
-    let plan: Vec<Fault> = match chaos {
-        FaultLevel::Off => vec![Fault::None; n],
+    let crash = |i: usize| Injection {
+        crash: Some(1 + derive_seed(seed, 0xC4A6 ^ i as u64) % slice(i).len().max(1) as u64),
+        ..Injection::default()
+    };
+    let plan: Vec<Injection> = match chaos {
+        FaultLevel::Off => vec![Injection::default(); n],
         FaultLevel::Light => {
             let victim = (derive_seed(seed, 0xC4A5) % n as u64) as usize;
             (0..n)
-                .map(|i| {
-                    if i == victim {
-                        Fault::Crash { after_units: crash_point(i) }
-                    } else {
-                        Fault::None
-                    }
-                })
+                .map(|i| if i == victim { crash(i) } else { Injection::default() })
                 .collect()
         }
         FaultLevel::Heavy => {
             let stalled = (derive_seed(seed, 0x57A11) % n as u64) as usize;
-            (0..n)
-                .map(|i| {
-                    if i == stalled {
-                        // Sleep far longer than any sane hang timeout right
-                        // before the slice's last experiment: the watcher
-                        // must kill it, nothing else will.
-                        Fault::Stall { exp: slice(i).last().unwrap_or(&"calib") }
-                    } else {
-                        Fault::Crash { after_units: crash_point(i) }
-                    }
-                })
-                .collect()
+            // The stalled shard sleeps far longer than any sane hang
+            // timeout right before its slice's last experiment: the
+            // watcher must kill it, nothing else will.
+            let stall = |i: usize| Injection {
+                stall: Some((slice(i).last().unwrap_or(&"calib").to_string(), 600.0)),
+                ..Injection::default()
+            };
+            (0..n).map(|i| if i == stalled { stall(i) } else { crash(i) }).collect()
         }
     };
     // Heavy chaos also tears the first crashing shard's manifest before its
     // restart, forcing the salvage path end to end.
     let tear_victim: Option<usize> = match chaos {
-        FaultLevel::Heavy => plan.iter().position(|f| matches!(f, Fault::Crash { .. })),
+        FaultLevel::Heavy => plan.iter().position(|f| f.crash.is_some()),
         _ => None,
     };
 
@@ -925,28 +896,11 @@ fn run_orchestrate() -> ! {
             std::fs::create_dir_all(&shard_csv)?;
             cmd.arg("--csv").arg(&shard_csv);
         }
-        // Never let the orchestrator's own env hooks leak into children;
+        // Never let the orchestrator's own `BB_INJECT` leak into children;
         // chaos faults apply to each shard's first launch only.
-        for var in [
-            "BB_REPRO_POISON",
-            "BB_REPRO_UNIT_LIMIT",
-            "BB_REPRO_CRASH",
-            "BB_REPRO_STALL",
-            "BB_REPRO_ENOSPC",
-            "BB_AUDIT_VIOLATE",
-        ] {
-            cmd.env_remove(var);
-        }
-        if attempt == 0 {
-            match plan[i] {
-                Fault::None => {}
-                Fault::Crash { after_units } => {
-                    cmd.env("BB_REPRO_CRASH", after_units.to_string());
-                }
-                Fault::Stall { exp } => {
-                    cmd.env("BB_REPRO_STALL", format!("{exp}:600"));
-                }
-            }
+        cmd.env_remove("BB_INJECT");
+        if attempt == 0 && plan[i] != Injection::default() {
+            cmd.env("BB_INJECT", plan[i].to_string());
         }
         let log = std::fs::OpenOptions::new()
             .create(true)
@@ -1085,7 +1039,8 @@ fn run_orchestrate() -> ! {
 /// else. The key is (seed, scale, faults, ε, epoch size, CSV, code schema);
 /// a mismatched snapshot is rejected (exit 2), never silently reused. The
 /// per-epoch watchdog (`--epoch-deadline`) only counts overruns: wall-clock
-/// never shapes output bytes.
+/// never shapes output bytes. `BB_INJECT=crash:N` exits 101 right after
+/// this process flushed its N-th epoch, to drill the restart path.
 fn run_serve() -> ! {
     use beating_bgp::core::serve::{Governor, ServeMode, ServeState};
     use beating_bgp::core::snapshot::{ServeKey, Snapshot, SNAPSHOT_NAME};
@@ -1099,7 +1054,6 @@ fn run_serve() -> ! {
     let mut epsilon = 0.0f64;
     let mut mem_limit: Option<u64> = None;
     let mut epoch_deadline = 60.0f64;
-    let mut chaos = false;
     while let Some(arg) = cli.args.next() {
         match arg.as_str() {
             "--dir" => dir = Some(cli.value("--dir", "a directory", any)),
@@ -1114,11 +1068,10 @@ fn run_serve() -> ! {
             "--epoch-deadline" => {
                 epoch_deadline = cli.value("--epoch-deadline", "finite seconds > 0", positive_secs);
             }
-            "--chaos" => chaos = true,
             "--help" | "-h" => help(
                 "repro serve --dir DIR [--windows N] [--epoch K] [--epsilon E] [--mem-limit BYTES]\n\
                  \u{20}           [--epoch-deadline SECS] [--scale test|full|large|planet] [--seed N]\n\
-                 \u{20}           [--jobs N] [--faults off|light|heavy] [--csv DIR] [--chaos]\n\
+                 \u{20}           [--jobs N] [--faults off|light|heavy] [--csv DIR]\n\
                  \u{20}           [--timing] [--timing-json PATH]\n\
                  stream the spray campaign in epochs of K windows (default 32), flushing\n\
                  a snapshot to DIR after every epoch; rerunning with the same DIR resumes\n\
@@ -1126,7 +1079,6 @@ fn run_serve() -> ! {
                  --epsilon E        E > 0 keeps bounded-memory sketches instead of rows\n\
                  --mem-limit BYTES  coarsen the sketches rather than grow past BYTES\n\
                  --epoch-deadline   count epochs slower than SECS (default 60; advisory)\n\
-                 --chaos            crash (exit 101) after a seed-keyed epoch, fresh runs only\n\
                  exit codes: 0 ok, 1 runtime failure, 2 usage error or stale snapshot,\n\
                  130 interrupted (resumable)",
             ),
@@ -1221,11 +1173,8 @@ fn run_serve() -> ! {
         "serve:epoch",
         std::time::Duration::from_secs_f64(epoch_deadline),
     );
-    // `--chaos`: deterministic self-crash (exit 101, like an escaped
-    // panic) right after a seed-keyed epoch's snapshot lands — fresh runs
-    // only, so the restarted daemon completes. Exercises the
-    // kill-mid-campaign path without an external killer.
-    let chaos_epoch = 1 + seed % 3;
+    let inject = beating_bgp::core::inject::current();
+    let mut flushed_here = 0u64;
     let mut deadline_misses = 0u64;
     let mut peak_resident = state.resident_bytes();
 
@@ -1294,9 +1243,10 @@ fn run_serve() -> ! {
         if watchdog.observe(started) {
             deadline_misses += 1;
         }
-        if chaos && !resumed && epochs_flushed == chaos_epoch {
+        flushed_here += 1;
+        if inject.crash.is_some_and(|n| flushed_here >= n) {
             eprintln!(
-                "[repro] serve: --chaos simulated crash after epoch {epochs_flushed} \
+                "[repro] serve: BB_INJECT crash after epoch {epochs_flushed} \
                  (snapshot flushed; rerun the same command to resume)"
             );
             std::process::exit(101);
@@ -1563,18 +1513,41 @@ fn run_propagate() -> ! {
     std::process::exit(if failed { 1 } else { 0 });
 }
 
+/// Parse `BB_INJECT` once and install it; a malformed value, or a kind
+/// `cmd` cannot honour, exits 2 — even when `cmd` would never reach the
+/// fault, a typo must not be silently ignored.
+fn install_injection(cmd: &str, honoured: &[Kind]) -> &'static Injection {
+    beating_bgp::core::inject::install(&EXPERIMENT_NAMES, beating_bgp::audit::RULE_NAMES)
+        .and_then(|inj| inj.require(honoured).map(|()| inj))
+        .unwrap_or_else(|e| {
+            eprintln!("{cmd}: {e}");
+            std::process::exit(2)
+        })
+}
+
 fn main() {
-    // Fail fast on a malformed injection hook: a typo'd BB_REPRO_ENOSPC
-    // must be a usage error even when the chosen command never writes.
-    beating_bgp::core::export::validate_injection_env();
-    match std::env::args().nth(1).as_deref() {
-        Some("merge") => run_merge(),
-        Some("propagate") => run_propagate(),
-        Some("orchestrate") => run_orchestrate(),
-        Some("serve") => run_serve(),
-        _ => {}
+    use Kind::{Crash, Enospc, Poison, Stall, UnitLimit, Violate};
+    let sub = std::env::args().nth(1);
+    let subcommand: Option<(&str, fn() -> !, &[Kind])> = match sub.as_deref() {
+        Some("merge") => Some(("repro merge", run_merge, &[Enospc])),
+        Some("propagate") => Some(("repro propagate", run_propagate, &[Enospc])),
+        Some("orchestrate") => Some(("repro orchestrate", run_orchestrate, &[Enospc])),
+        Some("serve") => Some(("repro serve", run_serve, &[Crash, Enospc])),
+        _ => None,
+    };
+    if let Some((cmd, run, honoured)) = subcommand {
+        install_injection(cmd, honoured);
+        run();
     }
     let args = parse_args();
+    let inject = match args.experiment.as_str() {
+        "audit" => install_injection("repro", &[Violate, Enospc]),
+        // `crash` fires after a checkpoint flush, so it needs a checkpoint.
+        _ if args.checkpoint.is_none() && args.resume.is_none() => {
+            install_injection("repro", &[Poison, Stall, UnitLimit, Enospc])
+        }
+        _ => install_injection("repro", &[Poison, Stall, UnitLimit, Crash, Enospc]),
+    };
     let t0 = std::time::Instant::now();
     beating_bgp::exec::set_jobs(args.jobs);
     let want = |name: &str| args.experiment == "all" || args.experiment == name;
@@ -1668,19 +1641,6 @@ fn main() {
     // through bb-audit's rule catalog. Exit 0 = every rule held, exit 1 =
     // a violation (the build failed its own contract) or a study error.
     if args.experiment == "audit" {
-        let violate = match std::env::var("BB_AUDIT_VIOLATE") {
-            Ok(rule) => {
-                if !beating_bgp::audit::RULE_NAMES.contains(&rule.as_str()) {
-                    eprintln!(
-                        "BB_AUDIT_VIOLATE: unknown rule {rule:?}; rules: {}",
-                        beating_bgp::audit::RULE_NAMES.join(" ")
-                    );
-                    std::process::exit(2);
-                }
-                Some(rule)
-            }
-            Err(_) => None,
-        };
         let run = || -> BbResult<beating_bgp::audit::AuditReport> {
             let egress = egress_study()?;
             let anycast = anycast_study()?;
@@ -1696,7 +1656,7 @@ fn main() {
                     seed: args.seed,
                     scale: args.scale,
                     faults: args.faults.as_str(),
-                    violate,
+                    violate: inject.violate.clone(),
                 },
             ))
         };
@@ -2156,60 +2116,13 @@ fn main() {
         })
         .collect();
 
-    // Test hooks: BB_REPRO_POISON=<name> makes that experiment panic on
-    // every attempt (exercises isolation + --keep-going end to end);
-    // BB_REPRO_POISON=<name>:<k> panics only the first k attempts, so the
-    // supervised-retry recovery path can be driven deterministically.
-    // BB_REPRO_UNIT_LIMIT=<n> cancels the campaign after n finalized
-    // experiments — a deterministic stand-in for SIGTERM in tests.
-    // BB_REPRO_CRASH=<n> hard-exits the process (code 101, like an escaped
-    // panic) right after the n-th experiment is finalized and flushed — a
-    // deterministic worker crash for the orchestrator's chaos plans.
-    // BB_REPRO_STALL=<name>[:secs] sleeps that long (default 30s) before
-    // running <name>, first attempt only — a deterministic hang, stale
-    // heartbeat included, that a restarted attempt does not repeat.
-    // Every hook value goes through the flags' value check: malformed is
-    // a usage error (exit 2), never silently ignored.
-    let hook = |var: &str| std::env::var(var).ok();
-    let (poison_name, poison_attempts): (Option<String>, u32) = match hook("BB_REPRO_POISON") {
-        None => (None, 0),
-        Some(spec) => match spec.split_once(':') {
-            Some((name, k)) => (
-                Some(name.to_string()),
-                parse_or_exit(Some(k), any, || {
-                    format!("BB_REPRO_POISON: bad attempt count in {spec:?}")
-                }),
-            ),
-            None => (Some(spec), u32::MAX),
-        },
-    };
-    let unit_limit: Option<usize> = hook("BB_REPRO_UNIT_LIMIT").map(|s| {
-        parse_or_exit(Some(&s), any, || {
-            format!("BB_REPRO_UNIT_LIMIT: bad unit count {s:?}")
-        })
-    });
-    let crash_after: Option<usize> = hook("BB_REPRO_CRASH").map(|s| {
-        parse_or_exit(Some(&s), any, || {
-            format!("BB_REPRO_CRASH: bad unit count {s:?}")
-        })
-    });
-    // Finite and non-negative: `Duration::from_secs_f64` panics otherwise.
-    let stall: Option<(String, f64)> =
-        hook("BB_REPRO_STALL").map(|spec| match spec.split_once(':') {
-            Some((name, secs)) => (
-                name.to_string(),
-                parse_or_exit(
-                    Some(secs),
-                    |s: &f64| s.is_finite() && *s >= 0.0,
-                    || format!("BB_REPRO_STALL: bad seconds in {spec:?}"),
-                ),
-            ),
-            None => (spec, 30.0),
-        });
+    // `BB_INJECT` drills: `unit-limit` is a deterministic stand-in for
+    // SIGTERM, `crash` for a worker dying (see `on_final`), and `poison` /
+    // `stall` fire in the supervised closure below.
     let finalized = AtomicUsize::new(0);
     let cancel = || {
         INTERRUPTED.load(Ordering::Relaxed)
-            || unit_limit.is_some_and(|limit| finalized.load(Ordering::Relaxed) >= limit)
+            || inject.unit_limit.is_some_and(|n| finalized.load(Ordering::Relaxed) >= n)
     };
     let on_final = |i: usize, outcome: &Result<BbResult<UnitResult>, _>| {
         if let (Ok(Ok(unit)), Some(shared)) = (outcome, &ck_shared) {
@@ -2223,11 +2136,9 @@ fn main() {
             // The injected crash fires only after the unit was flushed, so
             // every crash leaves resumable progress behind — the property
             // the orchestrator's restart path depends on.
-            if crash_after.is_some_and(|n| units_done.load(Ordering::Relaxed) >= n) {
-                eprintln!(
-                    "[repro] BB_REPRO_CRASH: simulated crash after {} finalized unit(s)",
-                    units_done.load(Ordering::Relaxed)
-                );
+            let flushed = units_done.load(Ordering::Relaxed);
+            if inject.crash.is_some_and(|n| flushed as u64 >= n) {
+                eprintln!("[repro] BB_INJECT crash after {flushed} finalized unit(s)");
                 std::process::exit(101);
             }
         }
@@ -2238,8 +2149,8 @@ fn main() {
     // not depend on the worker count or the schedule, one experiment's
     // panic cannot take down its siblings, and a failed/panicked experiment
     // is retried (bounded, deterministic backoff) before being declared
-    // dead. The deadline stays advisory (None): experiments are never
-    // killed mid-flight, so cancellation is always a clean drain.
+    // dead. Experiments are never killed mid-flight, so cancellation is
+    // always a clean drain.
     let policy = supervisor::RetryPolicy {
         max_retries: 2,
         backoff_base: std::time::Duration::from_millis(50),
@@ -2253,15 +2164,14 @@ fn main() {
     let cache_deltas: Mutex<std::collections::BTreeMap<&'static str, (u64, u64)>> =
         Mutex::new(std::collections::BTreeMap::new());
     let (outcomes, sup_report) =
-        supervisor::supervise(&run_list, &policy, None, &cancel, &on_final, |_, attempt, (name, run)| {
-            if poison_name.as_deref() == Some(*name) && attempt < poison_attempts {
-                panic!("poisoned by BB_REPRO_POISON (attempt {attempt})");
+        supervisor::supervise(&run_list, &policy, &cancel, &on_final, |_, attempt, (name, run)| {
+            if inject.poison.as_ref().is_some_and(|(exp, k)| exp == name && attempt < *k) {
+                panic!("poisoned by BB_INJECT (attempt {attempt})");
             }
-            if let Some((stall_name, secs)) = &stall {
-                if stall_name == name && attempt == 0 {
-                    eprintln!("[repro] BB_REPRO_STALL: stalling {name} for {secs}s (attempt 0)");
-                    std::thread::sleep(std::time::Duration::from_secs_f64(*secs));
-                }
+            let stall = inject.stall.as_ref().filter(|(exp, _)| exp == name && attempt == 0);
+            if let Some((_, secs)) = stall {
+                eprintln!("[repro] BB_INJECT stall: {name} sleeps {secs}s (attempt 0)");
+                std::thread::sleep(std::time::Duration::from_secs_f64(*secs));
             }
             let (h0, m0, _) = beating_bgp::exec::cache_stats();
             let out = timing::time(&format!("exp:{name}"), run);

@@ -10,8 +10,8 @@ fn audit(violate: Option<&str>) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(["audit", "--scale", "test", "--seed", "7", "--jobs", "1"]);
     match violate {
-        Some(rule) => cmd.env("BB_AUDIT_VIOLATE", rule),
-        None => cmd.env_remove("BB_AUDIT_VIOLATE"),
+        Some(rule) => cmd.env("BB_INJECT", format!("violate:{rule}")),
+        None => cmd.env_remove("BB_INJECT"),
     };
     cmd.output().expect("spawn repro")
 }

@@ -7,7 +7,7 @@
 //! scale, or schema version) is rejected with exit 2, never silently
 //! reused.
 //!
-//! The mid-campaign stop uses `BB_REPRO_UNIT_LIMIT=<n>`, the deterministic
+//! The mid-campaign stop uses `BB_INJECT=unit-limit:<n>`, the deterministic
 //! stand-in for SIGTERM: it flips the same cancel hook the signal handlers
 //! set, so the drain/flush/exit-130 path is identical, without the races of
 //! killing a half-started process from a test.
@@ -79,7 +79,7 @@ fn kill_and_resume_is_byte_identical_across_job_counts() {
                 "--csv", res_csv.to_str().unwrap(),
                 "--checkpoint", ck.to_str().unwrap(),
             ],
-            &[("BB_REPRO_UNIT_LIMIT", "3")],
+            &[("BB_INJECT", "unit-limit:3")],
         );
         assert_eq!(
             interrupted.status.code(),
@@ -374,7 +374,7 @@ fn transient_poison_recovers_via_supervised_retry() {
 
     let healed = run(
         &["fig5", "--scale", "test", "--seed", "42"],
-        &[("BB_REPRO_POISON", "fig5:2")],
+        &[("BB_INJECT", "poison:fig5:2")],
     );
     assert!(
         healed.status.success(),
@@ -385,7 +385,7 @@ fn transient_poison_recovers_via_supervised_retry() {
     // A persistent poison still fails after the retry budget.
     let dead = run(
         &["fig5", "--scale", "test", "--seed", "42"],
-        &[("BB_REPRO_POISON", "fig5")],
+        &[("BB_INJECT", "poison:fig5")],
     );
     assert_eq!(dead.status.code(), Some(1), "{dead:?}");
     let err = String::from_utf8_lossy(&dead.stderr);
@@ -396,7 +396,7 @@ fn transient_poison_recovers_via_supervised_retry() {
 fn interrupt_without_checkpoint_discards_and_says_so() {
     let out = run(
         &["all", "--scale", "test", "--seed", "42"],
-        &[("BB_REPRO_UNIT_LIMIT", "1")],
+        &[("BB_INJECT", "unit-limit:1")],
     );
     assert_eq!(out.status.code(), Some(130), "{out:?}");
     assert!(out.stdout.is_empty());

@@ -107,7 +107,7 @@ fn poisoned_experiment_degrades_gracefully() {
 
     let poisoned = repro(
         &["all", "--scale", "test", "--seed", "5", "--keep-going"],
-        &[("BB_REPRO_POISON", "fig5")],
+        &[("BB_INJECT", "poison:fig5")],
     );
     assert_eq!(
         poisoned.status.code(),
@@ -141,7 +141,7 @@ fn poisoned_experiment_degrades_gracefully() {
 fn poisoned_run_without_keep_going_prints_nothing() {
     let poisoned = repro(
         &["fig1", "--scale", "test", "--seed", "5"],
-        &[("BB_REPRO_POISON", "fig1")],
+        &[("BB_INJECT", "poison:fig1")],
     );
     assert_eq!(poisoned.status.code(), Some(1));
     assert!(poisoned.stdout.is_empty(), "failed run must not print partial stdout");

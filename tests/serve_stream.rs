@@ -1,9 +1,9 @@
 //! Integration tests for `repro serve`, the crash-tolerant streaming
 //! campaign daemon (ISSUE 9 acceptance criteria):
 //!
-//! - a serve killed mid-campaign (`--chaos` exits 101 right after an epoch
-//!   snapshot lands — the deterministic stand-in for `kill -9`) and then
-//!   restarted with the same command produces stdout and live CSV
+//! - a serve killed mid-campaign (`BB_INJECT=crash:N` exits 101 right after
+//!   the N-th epoch snapshot lands — the deterministic stand-in for
+//!   `kill -9`) and then restarted without the fault produces stdout and live CSV
 //!   byte-identical to an uninterrupted serve, for `--jobs 1` and
 //!   `--jobs 4` alike, including under a heavy fault storm;
 //! - exact mode (`--epsilon 0`) reproduces the batch `fig1` pipeline
@@ -27,9 +27,22 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn run(args: &[&str]) -> Output {
+    run_with(args, None)
+}
+
+/// Run `repro args` with `BB_INJECT` set to `inject`, or unset.
+fn run_with(args: &[&str], inject: Option<&str>) -> Output {
     let mut cmd = repro();
-    cmd.args(args);
+    cmd.args(args).env_remove("BB_INJECT");
+    if let Some(spec) = inject {
+        cmd.env("BB_INJECT", spec);
+    }
     cmd.output().expect("spawn repro")
+}
+
+/// A seed-keyed crash point: exit 101 after epoch `1 + seed % 3`.
+fn crash_spec(seed: u64) -> String {
+    format!("crash:{}", 1 + seed % 3)
 }
 
 fn read_file(path: &Path) -> Vec<u8> {
@@ -56,12 +69,13 @@ fn chaos_crash_and_restart_is_byte_identical_across_job_counts() {
         // Chaos run: crashes (exit 101) right after a seed-keyed epoch's
         // snapshot is flushed, leaving the snapshot whole and no .tmp.
         let crash_dir = base.join("crash");
-        let crashed = run(&[
+        let serve_args = [
             "serve", "--scale", "test", "--seed", "42", "--jobs", jobs,
-            "--windows", "40", "--epoch", "8", "--chaos",
+            "--windows", "40", "--epoch", "8",
             "--dir", crash_dir.to_str().unwrap(),
             "--csv", crash_csv.to_str().unwrap(),
-        ]);
+        ];
+        let crashed = run_with(&serve_args, Some(&crash_spec(42)));
         assert_eq!(
             crashed.status.code(),
             Some(101),
@@ -73,13 +87,8 @@ fn chaos_crash_and_restart_is_byte_identical_across_job_counts() {
             "tmp file must not survive the atomic rename"
         );
 
-        // Restart with the same command: resumed runs never self-crash.
-        let resumed = run(&[
-            "serve", "--scale", "test", "--seed", "42", "--jobs", jobs,
-            "--windows", "40", "--epoch", "8", "--chaos",
-            "--dir", crash_dir.to_str().unwrap(),
-            "--csv", crash_csv.to_str().unwrap(),
-        ]);
+        // Restart with the same command, without the fault.
+        let resumed = run(&serve_args);
         assert!(resumed.status.success(), "resumed serve failed: {resumed:?}");
         let stderr = String::from_utf8_lossy(&resumed.stderr);
         assert!(
@@ -111,18 +120,15 @@ fn chaos_crash_and_restart_survives_a_heavy_fault_storm() {
     assert!(clean.status.success(), "{clean:?}");
 
     let dir = base.join("crash");
-    let crashed = run(&[
+    let serve_args = [
         "serve", "--scale", "test", "--seed", "43", "--jobs", "4",
-        "--faults", "heavy", "--windows", "40", "--epoch", "8", "--chaos",
+        "--faults", "heavy", "--windows", "40", "--epoch", "8",
         "--dir", dir.to_str().unwrap(),
-    ]);
+    ];
+    let crashed = run_with(&serve_args, Some(&crash_spec(43)));
     assert_eq!(crashed.status.code(), Some(101), "{crashed:?}");
 
-    let resumed = run(&[
-        "serve", "--scale", "test", "--seed", "43", "--jobs", "4",
-        "--faults", "heavy", "--windows", "40", "--epoch", "8", "--chaos",
-        "--dir", dir.to_str().unwrap(),
-    ]);
+    let resumed = run(&serve_args);
     assert!(resumed.status.success(), "{resumed:?}");
     assert_eq!(
         clean.stdout, resumed.stdout,
