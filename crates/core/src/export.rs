@@ -16,20 +16,21 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide count of atomic-writer invocations. Every writer that must
-/// never tear a file — CSV exports, checkpoint manifests, serve snapshots,
-/// heartbeats — bumps this exactly once per attempt, which is what makes
-/// the `BB_INJECT` `enospc:N` fault below deterministic at `--jobs 1`.
-static ATOMIC_WRITES: AtomicU64 = AtomicU64::new(0);
+/// Process-wide count of durable writes. Every writer that must never
+/// tear a file — CSV exports, checkpoint manifests, serve snapshots,
+/// heartbeats — and every serve journal append bumps this exactly once per
+/// attempt, which is what makes the `BB_INJECT` `enospc:N` fault below
+/// deterministic at `--jobs 1`.
+static DURABLE_WRITES: AtomicU64 = AtomicU64::new(0);
 
 /// Deterministic disk-full injection point, consulted by every atomic
-/// writer before it creates its temp file. Failing *before* the first
-/// filesystem touch is the strictest fail-closed shape: the prior artifact
-/// at `path` is untouched, no `.tmp` sibling is left behind, and no rename
-/// can tear. Returns the injected error on the `enospc:N` write, `None`
+/// writer before it creates its temp file and by [`append_synced`] before
+/// it writes. Failing *before* the first filesystem touch is the strictest
+/// fail-closed shape: the prior artifact at `path` is untouched, no `.tmp`
+/// sibling is left behind, and no rename can tear. Returns the injected error on the `enospc:N` write, `None`
 /// otherwise.
 pub(crate) fn injected_enospc(path: &Path) -> Option<BbError> {
-    let n = ATOMIC_WRITES.fetch_add(1, Ordering::SeqCst) + 1;
+    let n = DURABLE_WRITES.fetch_add(1, Ordering::SeqCst) + 1;
     match crate::inject::current().enospc {
         Some(trip) if n == trip => Some(BbError::io(
             format!("write {}", path.display()),
@@ -92,6 +93,26 @@ pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> BbResult<()> {
         }
     }
     Ok(())
+}
+
+/// Append `parts` to `file` (opened for append at `path`) and `sync_data`
+/// it — the serve journal's one non-atomic write. A crash mid-append
+/// leaves a torn tail for the reader to salvage; an injected ENOSPC fails
+/// before anything is written.
+pub(crate) fn append_synced(
+    file: &mut std::fs::File,
+    path: &Path,
+    parts: &[&[u8]],
+) -> BbResult<()> {
+    if let Some(e) = injected_enospc(path) {
+        return Err(e);
+    }
+    for part in parts {
+        file.write_all(part)
+            .map_err(|e| BbError::io(format!("append {}", path.display()), e))?;
+    }
+    file.sync_data()
+        .map_err(|e| BbError::io(format!("sync {}", path.display()), e))
 }
 
 /// Coverage disclosure as a leading `#` comment line, so CSV consumers can

@@ -129,7 +129,7 @@ impl Writer {
 
     /// A blob record: `{head} {len} {fnv}`, the raw bytes, then `\n`.
     pub fn blob(&mut self, head: impl Display, bytes: &[u8]) {
-        let _ = writeln!(self.0, "{head} {} {:016x}", bytes.len(), fnv1a(bytes));
+        self.0.extend_from_slice(blob_head(head, bytes).as_bytes());
         self.0.extend_from_slice(bytes);
         self.0.push(b'\n');
     }
@@ -144,6 +144,11 @@ impl Writer {
     pub fn finish(self) -> Vec<u8> {
         self.0
     }
+}
+
+/// The line announcing a blob record: `{head} {len} {fnv}\n`.
+pub(crate) fn blob_head(head: impl Display, bytes: &[u8]) -> String {
+    format!("{head} {} {:016x}\n", bytes.len(), fnv1a(bytes))
 }
 
 /// Read `dir/name`; a missing file is [`BbError::Io`].

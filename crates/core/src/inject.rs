@@ -50,9 +50,11 @@ pub struct Injection {
     /// `unit-limit:N`: stop claiming work after N finalized experiments.
     pub unit_limit: Option<usize>,
     /// `crash:N`: exit 101 once this process has durably flushed its N-th
-    /// unit (a checkpointed experiment, or a `serve` epoch snapshot).
+    /// unit (a checkpointed experiment, or a `serve` epoch: its snapshot
+    /// or journal record).
     pub crash: Option<u64>,
-    /// `enospc:N`: the process's N-th atomic write fails with ENOSPC.
+    /// `enospc:N`: the process's N-th durable write (an atomic file write
+    /// or a serve journal append) fails with ENOSPC.
     pub enospc: Option<u64>,
     /// `violate:RULE`: seed one corrupt item into that audit rule's input.
     pub violate: Option<String>,

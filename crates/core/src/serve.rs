@@ -18,10 +18,12 @@
 //!   declared ε and an explicit sketch-mode disclosure.
 //!
 //! Both representations serialize to a canonical binary blob
-//! ([`ServeState::encode`]) carried inside the `bbsn/v1` snapshot
-//! ([`crate::snapshot`]); every float crosses as raw IEEE bits, so a
-//! kill-and-resume run reconstructs bit-identical accumulator state and
-//! its eventual output matches an uninterrupted run byte for byte.
+//! ([`ServeState::encode`]) carried inside the `bbsn/v1` snapshot, and each
+//! epoch's rows to a record that [`EpochStore`] appends to the `bbjn/v1`
+//! journal ([`crate::snapshot`]). Every float crosses as raw IEEE bits, so a kill-and-resume run —
+//! snapshot decoded, journal records replayed through
+//! [`ServeState::ingest`] — reconstructs bit-identical accumulator state
+//! and its eventual output matches an uninterrupted run byte for byte.
 //!
 //! The [`Governor`] is the degraded-mode lever: when sketch memory
 //! (counter-based accounting, no allocator hooks) crosses the high-water
@@ -31,13 +33,19 @@
 //! is as deterministic and resumable as everything else.
 
 use crate::error::{BbError, BbResult};
+use crate::export::append_synced;
 use crate::figures::{Coverage, Fig1};
-use crate::snapshot::{ServeKey, Snapshot, SNAPSHOT_NAME};
+use crate::framed;
+use crate::snapshot::{
+    save_in, Journal, ServeKey, Snapshot, COMPACT_RATIO, JOURNAL_FORMAT, JOURNAL_NAME,
+    SNAPSHOT_NAME,
+};
 use crate::study_egress::MEANINGFUL_MS;
 use bb_measure::{SprayTarget, WindowRow};
 use bb_netsim::Window;
 use bb_stats::{Cdf, QuantileSketch};
-use std::path::Path;
+use std::fs::File;
+use std::path::{Path, PathBuf};
 
 /// How a serve run aggregates the window stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,13 +120,19 @@ pub struct ServeState {
     windows_done: u64,
 }
 
-/// A serve run picked up by [`ServeState::resume`]: its checked state and
-/// the epochs and coarsening rounds flushed before the restart.
+/// A serve run picked up by [`ServeState::resume`]: its checked state, the
+/// epochs and coarsening rounds flushed before the restart, and the store
+/// that persists the epochs after it.
 #[derive(Debug)]
 pub struct Resumed {
     pub state: ServeState,
     pub epochs: u64,
     pub coarsenings: u64,
+    /// Journal records replayed on top of the snapshot.
+    pub replayed: u64,
+    /// Bytes of a torn last journal record, truncated away.
+    pub torn_bytes: u64,
+    pub store: EpochStore,
 }
 
 /// Serialization magic for [`ServeState::encode`].
@@ -203,6 +217,88 @@ impl ServeState {
             }
         }
         self.windows_done += n_windows;
+    }
+
+    /// Encode one epoch's rows as its journal record into `out` (cleared
+    /// first): the window count, a zero placeholder for the governor's
+    /// coarsening rounds (bytes 8..16, which [`EpochStore::commit`] fills
+    /// in), then exactly what [`ingest`](Self::ingest) reads of each row —
+    /// in exact mode the whole row, in sketch mode its route medians and
+    /// volume (route counts come from the state's shape). Call it before
+    /// `ingest` consumes the rows.
+    fn encode_record(&self, per_target: &[Vec<WindowRow>], n_windows: u64, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(&n_windows.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
+        let routes = self.record_routes();
+        assert_eq!(routes.len(), per_target.len(), "target count changed");
+        for (n_routes, chunk) in routes.into_iter().zip(per_target) {
+            assert_eq!(chunk.len() as u64, n_windows, "one row per window and target");
+            for row in chunk {
+                let Some(n_routes) = n_routes else {
+                    put_row(out, row);
+                    continue;
+                };
+                assert_eq!(row.route_median_ms.len(), n_routes, "route count changed");
+                for &m in &row.route_median_ms {
+                    out.extend_from_slice(&m.to_bits().to_le_bytes());
+                }
+                out.extend_from_slice(&row.volume.to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    /// Per target, what a record row holds: `None` for a whole exact-mode
+    /// row, `Some(n)` for a sketch-mode row of `n` route medians.
+    fn record_routes(&self) -> Vec<Option<usize>> {
+        match &self.repr {
+            Repr::Exact { rows } => vec![None; rows.len()],
+            Repr::Sketch { groups } => groups.iter().map(|g| Some(g.routes.len())).collect(),
+        }
+    }
+
+    /// Replay epoch `epoch`'s [`encode_record`](Self::encode_record) blob:
+    /// ingest its rows, then re-apply its coarsening rounds (without
+    /// consulting a governor). Returns the rounds. A record that does not
+    /// fit this state's shape, or claims more rounds than the sketches can
+    /// take, is an error.
+    fn replay_record(&mut self, epoch: u64, blob: &[u8]) -> BbResult<u64> {
+        let bad = |what: &str| {
+            BbError::checkpoint(format!("corrupt journal record for epoch {epoch}: {what}"))
+        };
+        let mut c = ByteCursor { rest: blob, pos: 0 };
+        let n_windows = c.u64().ok_or_else(|| bad("missing window count"))?;
+        let rounds = c.u64().ok_or_else(|| bad("missing coarsening rounds"))?;
+        // Row counts come off the record: rows are read one at a time, so a
+        // damaged count runs out of bytes, not out of memory.
+        let mut per_target = Vec::new();
+        for n_routes in self.record_routes() {
+            let mut chunk = Vec::new();
+            for _ in 0..n_windows {
+                let row = match n_routes {
+                    None => c.row(),
+                    Some(n) => c.sketch_row(n),
+                };
+                chunk.push(row.ok_or_else(|| bad("truncated row"))?);
+            }
+            per_target.push(chunk);
+        }
+        if c.pos != c.rest.len() {
+            return Err(bad("trailing bytes"));
+        }
+        if self.windows_done.checked_add(n_windows).is_none() {
+            return Err(bad("window count overflows"));
+        }
+        self.ingest(per_target, n_windows);
+        for round in 0..rounds {
+            if !self.coarsen_all() {
+                return Err(bad(&format!(
+                    "{rounds} coarsening rounds recorded, but the sketches bottomed out \
+                     after {round}"
+                )));
+            }
+        }
+        Ok(rounds)
     }
 
     /// Resident memory of the accumulated state, in bytes — counter-based
@@ -347,20 +443,31 @@ impl ServeState {
         }
     }
 
-    /// Pick a serve run up from the snapshot in `dir`, `None` if there is
-    /// none (a fresh start). A stale key, damaged bytes, or a state blob
-    /// that disagrees with the header's window count, the key's mode or
-    /// the engine's `route_counts` is an error: resuming from state we
-    /// cannot trust would poison every epoch after it.
+    /// Pick a serve run up from the snapshot and journal in `dir`, `None`
+    /// if there is no snapshot (a fresh start). The journal's records past
+    /// the snapshot's epoch are replayed in order, and a torn last record
+    /// is truncated from the file. A stale key, damaged bytes, an epoch
+    /// out of sequence, a journal without a snapshot, or a state that
+    /// disagrees with the header's window count, the key's mode or the
+    /// engine's `route_counts` is an error: resuming from state we cannot
+    /// trust would poison every epoch after it.
     pub fn resume(
         dir: &Path,
         key: &ServeKey,
         route_counts: &[usize],
     ) -> BbResult<Option<Resumed>> {
+        let has_journal = dir.join(JOURNAL_NAME).exists();
         if !dir.join(SNAPSHOT_NAME).exists() {
+            if has_journal {
+                return Err(BbError::checkpoint(format!(
+                    "{JOURNAL_NAME} without {SNAPSHOT_NAME}: the snapshot it extends is \
+                     gone — refusing to resume"
+                )));
+            }
             return Ok(None);
         }
-        let mut snap = Snapshot::load(dir)?;
+        let bytes = framed::read(dir, SNAPSHOT_NAME)?;
+        let mut snap = Snapshot::decode(&bytes)?;
         snap.validate(key)?;
         let state = ServeState::decode(&std::mem::take(&mut snap.state))?;
         if state.windows_done != snap.windows_done {
@@ -371,12 +478,21 @@ impl ServeState {
                 state.windows_done
             )));
         }
-        state.check_shape(ServeMode::from_eps(key.eps()), route_counts)?;
-        Ok(Some(Resumed {
+        let mut store = EpochStore::new(dir, key);
+        store.snapshot = Some((snap.epochs, bytes.len() as u64));
+        let mut r = Resumed {
             state,
             epochs: snap.epochs,
             coarsenings: snap.coarsenings,
-        }))
+            replayed: 0,
+            torn_bytes: 0,
+            store,
+        };
+        if has_journal {
+            r.replay_journal(key)?;
+        }
+        r.state.check_shape(ServeMode::from_eps(key.eps()), route_counts)?;
+        Ok(Some(r))
     }
 
     /// Reject a state whose mode, target count or any target's route count
@@ -421,22 +537,7 @@ impl ServeState {
                 for target_rows in rows {
                     out.extend_from_slice(&(target_rows.len() as u32).to_le_bytes());
                     for row in target_rows {
-                        out.extend_from_slice(&row.window.0.to_le_bytes());
-                        out.extend_from_slice(&row.pop.0.to_le_bytes());
-                        out.extend_from_slice(&row.prefix.0.to_le_bytes());
-                        out.extend_from_slice(
-                            &(row.route_median_ms.len() as u32).to_le_bytes(),
-                        );
-                        for &m in &row.route_median_ms {
-                            out.extend_from_slice(&m.to_bits().to_le_bytes());
-                        }
-                        for &u in &row.route_util {
-                            out.extend_from_slice(&u.to_bits().to_le_bytes());
-                        }
-                        for &n in &row.route_samples {
-                            out.extend_from_slice(&n.to_le_bytes());
-                        }
-                        out.extend_from_slice(&row.volume.to_bits().to_le_bytes());
+                        put_row(&mut out, row);
                     }
                 }
             }
@@ -483,36 +584,7 @@ impl ServeState {
                     let n_rows = c.u32().ok_or_else(|| bad("missing row count"))? as usize;
                     let mut target_rows = Vec::new();
                     for _ in 0..n_rows {
-                        let window = Window(c.u32().ok_or_else(|| bad("row window"))?);
-                        let pop = bb_geo::CityId(c.u32().ok_or_else(|| bad("row pop"))?);
-                        let prefix =
-                            bb_workload::PrefixId(c.u32().ok_or_else(|| bad("row prefix"))?);
-                        let n_routes = c.u32().ok_or_else(|| bad("row route count"))? as usize;
-                        let mut medians = Vec::new();
-                        for _ in 0..n_routes {
-                            medians.push(f64::from_bits(
-                                c.u64().ok_or_else(|| bad("row median"))?,
-                            ));
-                        }
-                        let mut utils = Vec::new();
-                        for _ in 0..n_routes {
-                            utils.push(f64::from_bits(c.u64().ok_or_else(|| bad("row util"))?));
-                        }
-                        let mut samples = Vec::new();
-                        for _ in 0..n_routes {
-                            samples.push(c.u32().ok_or_else(|| bad("row samples"))?);
-                        }
-                        let volume =
-                            f64::from_bits(c.u64().ok_or_else(|| bad("row volume"))?);
-                        target_rows.push(WindowRow {
-                            window,
-                            pop,
-                            prefix,
-                            route_median_ms: medians,
-                            route_util: utils,
-                            route_samples: samples,
-                            volume,
-                        });
+                        target_rows.push(c.row().ok_or_else(|| bad("truncated row"))?);
                     }
                     rows.push(target_rows);
                 }
@@ -566,6 +638,25 @@ impl ServeState {
     }
 }
 
+/// One row in the exact-mode encoding: window, PoP, prefix, route count,
+/// then per route its median, utilization and sample count, then volume.
+fn put_row(out: &mut Vec<u8>, row: &WindowRow) {
+    out.extend_from_slice(&row.window.0.to_le_bytes());
+    out.extend_from_slice(&row.pop.0.to_le_bytes());
+    out.extend_from_slice(&row.prefix.0.to_le_bytes());
+    out.extend_from_slice(&(row.route_median_ms.len() as u32).to_le_bytes());
+    for &m in &row.route_median_ms {
+        out.extend_from_slice(&m.to_bits().to_le_bytes());
+    }
+    for &u in &row.route_util {
+        out.extend_from_slice(&u.to_bits().to_le_bytes());
+    }
+    for &n in &row.route_samples {
+        out.extend_from_slice(&n.to_le_bytes());
+    }
+    out.extend_from_slice(&row.volume.to_bits().to_le_bytes());
+}
+
 struct ByteCursor<'a> {
     rest: &'a [u8],
     pos: usize,
@@ -591,6 +682,213 @@ impl<'a> ByteCursor<'a> {
         let b = self.rest.get(self.pos..self.pos + len)?;
         self.pos += len;
         Some(b)
+    }
+    fn f64(&mut self) -> Option<f64> {
+        self.u64().map(f64::from_bits)
+    }
+    /// A [`put_row`] row. Its route count comes off the bytes, so vectors
+    /// grow as values are read, never preallocated from it.
+    fn row(&mut self) -> Option<WindowRow> {
+        let window = Window(self.u32()?);
+        let pop = bb_geo::CityId(self.u32()?);
+        let prefix = bb_workload::PrefixId(self.u32()?);
+        let n_routes = self.u32()?;
+        let route_median_ms = (0..n_routes).map(|_| self.f64()).collect::<Option<_>>()?;
+        let route_util = (0..n_routes).map(|_| self.f64()).collect::<Option<_>>()?;
+        let route_samples = (0..n_routes).map(|_| self.u32()).collect::<Option<_>>()?;
+        Some(WindowRow {
+            window,
+            pop,
+            prefix,
+            route_median_ms,
+            route_util,
+            route_samples,
+            volume: self.f64()?,
+        })
+    }
+    /// A sketch-mode record row: `n_routes` medians and the volume — all
+    /// that sketch-mode [`ServeState::ingest`] reads, so the rest is left
+    /// empty.
+    fn sketch_row(&mut self, n_routes: usize) -> Option<WindowRow> {
+        Some(WindowRow {
+            window: Window(0),
+            pop: bb_geo::CityId(0),
+            prefix: bb_workload::PrefixId(0),
+            route_median_ms: (0..n_routes).map(|_| self.f64()).collect::<Option<_>>()?,
+            route_util: Vec::new(),
+            route_samples: Vec::new(),
+            volume: self.f64()?,
+        })
+    }
+}
+
+impl Resumed {
+    /// Replay the journal's records past the snapshot into the state and
+    /// leave the store ready to append after the last intact one.
+    fn replay_journal(&mut self, key: &ServeKey) -> BbResult<()> {
+        let dir = self.store.dir.clone();
+        let bytes = framed::read(&dir, JOURNAL_NAME)?;
+        let journal = Journal::decode(&bytes)?;
+        framed::validate(&JOURNAL_FORMAT, &journal.key, key)?;
+        let (base, snapshot_epoch) = (journal.base_epoch, self.epochs);
+        if base > snapshot_epoch {
+            return Err(BbError::checkpoint(format!(
+                "journal extends epoch {base}, but the snapshot is at epoch \
+                 {snapshot_epoch} — refusing to resume"
+            )));
+        }
+        // Records at or below the snapshot's epoch were folded into it by
+        // a compaction that crashed before resetting the journal.
+        for &(epoch, blob) in journal.records.iter().filter(|r| r.0 > snapshot_epoch) {
+            if base < snapshot_epoch {
+                return Err(BbError::checkpoint(format!(
+                    "journal based on epoch {base} carries epoch {epoch}, past the \
+                     snapshot's epoch {snapshot_epoch} — refusing to resume"
+                )));
+            }
+            self.coarsenings += self.state.replay_record(epoch, blob)?;
+            self.epochs = epoch;
+            self.replayed += 1;
+        }
+        self.torn_bytes = (bytes.len() - journal.intact_len) as u64;
+        // A journal based on an older snapshot is replaced by the next
+        // append; one based on this snapshot is appended to, after its
+        // torn tail (if any) is cut off.
+        if base == snapshot_epoch {
+            let path = dir.join(JOURNAL_NAME);
+            let file = open_append(&path)?;
+            if self.torn_bytes > 0 {
+                file.set_len(journal.intact_len as u64)
+                    .and_then(|()| file.sync_data())
+                    .map_err(|e| BbError::io(format!("truncate {}", path.display()), e))?;
+            }
+            self.store.journal = Some((file, journal.intact_len as u64));
+        }
+        Ok(())
+    }
+}
+
+fn open_append(path: &Path) -> BbResult<File> {
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(|e| BbError::io(format!("open {}", path.display()), e))
+}
+
+/// What [`EpochStore::commit`] wrote for one epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flush {
+    /// A snapshot: the first epoch with none on disk.
+    Snapshot,
+    /// One journal record, `bytes` long with its record line.
+    Journal { bytes: u64 },
+    /// A snapshot of the whole state, then a header-only journal.
+    Compaction,
+}
+
+/// A serve run's epochs on disk: the last snapshot, plus the journal of
+/// the epochs flushed since (see [`crate::snapshot`]).
+#[derive(Debug)]
+pub struct EpochStore {
+    dir: PathBuf,
+    key: ServeKey,
+    /// Epoch and byte size of the snapshot on disk; `None` before the first.
+    snapshot: Option<(u64, u64)>,
+    /// The journal open for appends and its length; `None` when the next
+    /// record must create it (none yet, or it extends an older snapshot).
+    journal: Option<(File, u64)>,
+    /// The staged epoch record, reused across epochs.
+    record: Vec<u8>,
+}
+
+impl EpochStore {
+    /// A store for a fresh run in `dir` (no snapshot yet).
+    pub fn new(dir: &Path, key: &ServeKey) -> Self {
+        EpochStore {
+            dir: dir.to_path_buf(),
+            key: key.clone(),
+            snapshot: None,
+            journal: None,
+            record: Vec::new(),
+        }
+    }
+
+    /// Encode the epoch's rows as its journal record — exactly what
+    /// [`ServeState::ingest`] reads of them — before `ingest` consumes them.
+    pub fn stage(&mut self, state: &ServeState, per_target: &[Vec<WindowRow>], n_windows: u64) {
+        state.encode_record(per_target, n_windows, &mut self.record);
+    }
+
+    /// Persist epoch `epoch`, whose staged rows `state` has ingested and
+    /// whose governor applied `rounds` coarsening rounds (`coarsenings` in
+    /// all). Appends the staged record to the journal, or writes a
+    /// snapshot when there is none yet or the journal would outgrow
+    /// [`COMPACT_RATIO`] times the last one. An error comes with the
+    /// write that failed; the epochs flushed before it stay intact.
+    pub fn commit(
+        &mut self,
+        state: &ServeState,
+        epoch: u64,
+        coarsenings: u64,
+        rounds: u64,
+    ) -> Result<Flush, (&'static str, BbError)> {
+        self.record[8..16].copy_from_slice(&rounds.to_le_bytes());
+        let head = Journal::record_head(epoch, &self.record);
+        let bytes = (head.len() + self.record.len() + 1) as u64;
+        if let Some((base, snapshot_len)) = self.snapshot {
+            let journal_len = match &self.journal {
+                Some((_, len)) => *len,
+                None => Journal::header(&self.key, base).len() as u64,
+            };
+            if journal_len + bytes <= COMPACT_RATIO * snapshot_len {
+                self.append(base, epoch, &head).map_err(|e| ("journal append", e))?;
+                return Ok(Flush::Journal { bytes });
+            }
+        }
+        let snap = Snapshot {
+            key: self.key.clone(),
+            windows_done: state.windows_done(),
+            epochs: epoch,
+            coarsenings,
+            state: state.encode(),
+        }
+        .encode();
+        save_in(&self.dir, SNAPSHOT_NAME, &snap).map_err(|e| ("snapshot flush", e))?;
+        let compaction = self.snapshot.is_some();
+        self.snapshot = Some((epoch, snap.len() as u64));
+        self.journal = None;
+        if !compaction {
+            return Ok(Flush::Snapshot);
+        }
+        let header = Journal::header(&self.key, epoch);
+        let path = self.dir.join(JOURNAL_NAME);
+        let file = save_in(&self.dir, JOURNAL_NAME, &header)
+            .and_then(|()| open_append(&path))
+            .map_err(|e| ("journal reset", e))?;
+        self.journal = Some((file, header.len() as u64));
+        Ok(Flush::Compaction)
+    }
+
+    /// Append the staged record of `epoch` under its record line `head`,
+    /// creating the journal (based on snapshot epoch `base`) if the store
+    /// has none open.
+    fn append(&mut self, base: u64, epoch: u64, head: &str) -> BbResult<()> {
+        let path = self.dir.join(JOURNAL_NAME);
+        if let Some((file, len)) = &mut self.journal {
+            append_synced(file, &path, &[head.as_bytes(), &self.record, b"\n"])?;
+            *len += (head.len() + self.record.len() + 1) as u64;
+            return Ok(());
+        }
+        let bytes = Journal {
+            key: self.key.clone(),
+            base_epoch: base,
+            records: vec![(epoch, &self.record)],
+            intact_len: 0,
+        }
+        .encode();
+        save_in(&self.dir, JOURNAL_NAME, &bytes)?;
+        self.journal = Some((open_append(&path)?, bytes.len() as u64));
+        Ok(())
     }
 }
 
@@ -739,6 +1037,66 @@ mod tests {
             let other = ServeMode::from_eps(if mode.eps() == 0.0 { 0.02 } else { 0.0 });
             assert!(s.check_shape(other, &[3, 2]).is_err());
         }
+    }
+
+    #[test]
+    fn replayed_records_match_ingest_and_governor() {
+        for mode in [ServeMode::Exact, ServeMode::Sketch { eps: 0.005 }] {
+            let mut live = ServeState::new(mode, &[3]);
+            let mut replayed = live.clone();
+            let mut record = Vec::new();
+            for (i, windows) in [0..8, 8..16, 16..24].into_iter().enumerate() {
+                let c = chunk(windows);
+                live.encode_record(&c, 8, &mut record);
+                live.ingest(c, 8);
+                let gov = Governor::new(if i == 1 { live.resident_bytes() / 2 } else { u64::MAX });
+                let rounds = gov.enforce(&mut live);
+                record[8..16].copy_from_slice(&rounds.to_le_bytes());
+                assert_eq!(replayed.replay_record(i as u64, &record).unwrap(), rounds);
+                assert_eq!(replayed.encode(), live.encode(), "{mode:?} epoch {i}");
+            }
+            assert!(replayed.replay_record(3, &record[..record.len() - 1]).is_err());
+            record.push(0);
+            assert!(replayed.replay_record(3, &record).is_err());
+        }
+        // A record claiming more coarsening rounds than the sketches take.
+        let mut s = ServeState::new(ServeMode::Sketch { eps: 0.02 }, &[3]);
+        let mut record = Vec::new();
+        s.encode_record(&chunk(0..2), 2, &mut record);
+        record[8..16].copy_from_slice(&(MAX_COARSEN_LEVEL as u64 + 1).to_le_bytes());
+        let err = s.replay_record(1, &record).unwrap_err().to_string();
+        assert!(err.contains("bottomed out"), "{err}");
+    }
+
+    #[test]
+    fn epoch_store_compacts_and_resumes_bit_identically() {
+        let dir = std::env::temp_dir().join(format!("bb-epochs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = ServeKey::new(1, "test", "off", 0.0, 1, false);
+        let mut state = ServeState::new(ServeMode::Exact, &[3]);
+        let mut store = EpochStore::new(&dir, &key);
+        let mut flushes = Vec::new();
+        for epoch in 1..=30u64 {
+            let c = chunk(epoch as u32..epoch as u32 + 1);
+            store.stage(&state, &c, 1);
+            state.ingest(c, 1);
+            flushes.push(store.commit(&state, epoch, 0, 0).unwrap());
+            let r = ServeState::resume(&dir, &key, &[3]).unwrap().expect("resumable");
+            assert_eq!((r.epochs, r.torn_bytes), (epoch, 0));
+            assert_eq!(r.state.encode(), state.encode(), "epoch {epoch}");
+        }
+        assert_eq!(flushes[0], Flush::Snapshot);
+        assert!(flushes.contains(&Flush::Compaction), "{flushes:?}");
+        assert!(matches!(flushes[29], Flush::Journal { .. }), "{flushes:?}");
+        // A run with another key is refused, naming the field.
+        let mut other = key.clone();
+        other.mem_limit = 1;
+        let err = ServeState::resume(&dir, &other, &[3]).unwrap_err().to_string();
+        assert!(err.contains("mem_limit mismatch"), "{err}");
+        // A journal whose snapshot is gone is refused.
+        std::fs::remove_file(dir.join(SNAPSHOT_NAME)).unwrap();
+        assert!(ServeState::resume(&dir, &key, &[3]).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

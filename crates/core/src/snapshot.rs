@@ -1,28 +1,41 @@
-//! Serve snapshot epochs: versioned `bbsn/v1` state flushes.
+//! Serve persistence: `bbsn/v1` snapshots and the `bbjn/v1` epoch journal.
 //!
 //! `repro serve` advances measurement windows forever and must survive a
-//! SIGKILL at any instant without losing or corrupting results. Every K
-//! windows (one *epoch*) it serializes its entire accumulated state — the
-//! [`crate::serve::ServeState`] blob — into a `snapshot.bbsn` file in the
-//! serve directory, written with the same atomic temp-file + fsync +
-//! rename + dir-fsync ladder as every other artifact
-//! ([`crate::export::write_atomic_bytes`]). A crash mid-flush leaves the
-//! previous epoch's snapshot intact; a restart resumes from it and
-//! replays forward to byte-identical eventual output.
+//! SIGKILL at any instant without losing or corrupting results. Its serve
+//! directory holds two files:
 //!
-//! **Keying rule.** Like checkpoint manifests, a snapshot is valid only
-//! for the exact campaign that wrote it. The [`ServeKey`] pins seed,
-//! scale, fault profile, the sketch ε (as raw bits — `0` means exact
-//! mode), the epoch size, CSV capture, and the code schema. The epoch
-//! size is in the key because the resource governor coarsens sketches at
-//! epoch boundaries: resuming with a different K would re-time degraded-
-//! mode transitions and change output bytes. The *window target*
-//! (`--windows`) is deliberately not in the key — extending a campaign
-//! past its old horizon is the whole point of a streaming daemon, and
-//! windows already sampled are never re-sampled.
+//! * `snapshot.bbsn` — the whole accumulated state (the
+//!   [`crate::serve::ServeState`] blob) as of some epoch, written with the
+//!   same atomic temp-file + fsync + rename + dir-fsync ladder as every
+//!   other artifact ([`crate::export::write_atomic_bytes`]);
+//! * `journal.bbjn` — one checksummed record per epoch flushed since that
+//!   snapshot, appended and `sync_data`ed. A record holds only what the
+//!   epoch added (its rows, as [`crate::serve::ServeState::ingest`] reads
+//!   them, and the governor's coarsening rounds), so an epoch costs
+//!   O(epoch) bytes, not O(run).
 //!
-//! **Format.** `bbsn/v1` is the [`crate::framed`] shape that `bbck/v1`
-//! also uses: the key, three counters, one state blob, `end`.
+//! The first epoch with no snapshot on disk writes one. Once the journal
+//! would grow past [`COMPACT_RATIO`] times the last snapshot's size, the
+//! epoch is *compacted* instead: an atomic snapshot of the whole state,
+//! then an atomic header-only journal based on it. A crash at any point
+//! leaves a snapshot plus a journal whose intact records extend it; a
+//! restart resumes from them and replays forward to byte-identical
+//! eventual output.
+//!
+//! **Keying rule.** Like checkpoint manifests, a snapshot (and a journal)
+//! is valid only for the exact campaign that wrote it. The [`ServeKey`]
+//! pins seed, scale, fault profile, the sketch ε (as raw bits — `0` means
+//! exact mode), the epoch size, CSV capture, the governor's memory limit
+//! and the code schema. The epoch size and the memory limit are in the key
+//! because the resource governor coarsens sketches at epoch boundaries
+//! whenever the state outgrows the limit: resuming with a different K or
+//! limit would re-time degraded-mode transitions and change output bytes.
+//! The *window target* (`--windows`) is deliberately not in the key —
+//! extending a campaign past its old horizon is the whole point of a
+//! streaming daemon, and windows already sampled are never re-sampled.
+//!
+//! **Snapshot format.** `bbsn/v1` is the [`crate::framed`] shape that
+//! `bbck/v1` also uses: the key, three counters, one state blob, `end`.
 //!
 //! ```text
 //! bbsn/v1
@@ -32,6 +45,7 @@
 //! eps_bits 4576918229304087675
 //! epoch_windows 25
 //! csv 1
+//! mem_limit 0
 //! code_schema 1
 //! windows_done 150
 //! epochs 6
@@ -41,12 +55,34 @@
 //! end
 //! ```
 //!
-//! Unlike the checkpoint manifest there is **no salvage path**: a
-//! snapshot is always written atomically by this code, so a torn or
-//! checksum-failing snapshot means filesystem damage or foreign bytes —
-//! it is rejected outright and the daemon exits rather than resume from
-//! a state it cannot trust. [`crate::serve::ServeState::resume`] is the
-//! one entry point a restarting daemon calls.
+//! There is **no salvage path** for a snapshot: it is always written
+//! atomically, so a torn or checksum-failing snapshot means filesystem
+//! damage or foreign bytes — it is rejected outright and the daemon exits
+//! rather than resume from a state it cannot trust.
+//!
+//! **Journal format.** `bbjn/v1` is the same key, the epoch of the
+//! snapshot it extends, then one record per epoch, with no `end`:
+//!
+//! ```text
+//! bbjn/v1
+//! seed 42
+//! ...                           ← the snapshot's key fields
+//! code_schema 1
+//! base_epoch 6
+//! epoch 7 2320 9a1c...          ← record blob length, fnv64
+//! <2320 raw record bytes>\n
+//! epoch 8 2320 57e0...
+//! ...
+//! ```
+//!
+//! Appends are the one write that is not atomic, so a crash mid-append
+//! leaves a torn last record. [`Journal::decode`] salvages it the way
+//! [`crate::checkpoint::Checkpoint::decode_salvaging`] salvages a torn
+//! manifest: the whole records before it are kept, and the resume
+//! truncates the file to them. Damage with the bytes fully present — a
+//! checksum mismatch, a malformed record line, an epoch out of sequence —
+//! is an error. [`crate::serve::ServeState::resume`] is the one entry
+//! point a restarting daemon calls.
 
 use crate::checkpoint::CODE_SCHEMA;
 use crate::error::{BbError, BbResult};
@@ -57,12 +93,27 @@ use std::path::Path;
 /// Snapshot file name inside a serve directory.
 pub const SNAPSHOT_NAME: &str = "snapshot.bbsn";
 
+/// Journal file name inside a serve directory.
+pub const JOURNAL_NAME: &str = "journal.bbjn";
+
 /// On-disk format of the snapshot.
 pub const FORMAT: Format = Format {
     version: "bbsn/v1",
     noun: "snapshot",
     refusal: "refusing to resume",
 };
+
+/// On-disk format of the journal.
+pub const JOURNAL_FORMAT: Format = Format {
+    version: "bbjn/v1",
+    noun: "journal",
+    refusal: "refusing to resume",
+};
+
+/// An epoch whose record would grow the journal past this multiple of the
+/// last snapshot's size is compacted into a new snapshot instead. Bigger
+/// ratios write fewer snapshots and replay more records on a resume.
+pub const COMPACT_RATIO: u64 = 8;
 
 /// Identity of one serve campaign: a snapshot is valid only for an exact
 /// match.
@@ -79,6 +130,9 @@ pub struct ServeKey {
     pub epoch_windows: u64,
     /// Whether the run exports live CSV.
     pub csv: bool,
+    /// Governor memory limit in bytes (`--mem-limit`); `0` = none. Set it
+    /// through the field: [`ServeKey::new`] leaves it `0`.
+    pub mem_limit: u64,
     /// [`CODE_SCHEMA`] of the build that wrote the snapshot.
     pub code_schema: u32,
 }
@@ -99,6 +153,7 @@ impl ServeKey {
             eps_bits: eps.to_bits(),
             epoch_windows,
             csv,
+            mem_limit: 0,
             code_schema: CODE_SCHEMA,
         }
     }
@@ -117,6 +172,7 @@ impl Key for ServeKey {
         f("eps_bits", &mut self.eps_bits)?;
         f("epoch_windows", &mut self.epoch_windows)?;
         f("csv", &mut Flag(&mut self.csv))?;
+        f("mem_limit", &mut self.mem_limit)?;
         f("code_schema", &mut self.code_schema)
     }
 
@@ -199,14 +255,98 @@ impl Snapshot {
 
     /// Atomically write the snapshot into `dir`.
     pub fn save(&self, dir: &Path) -> BbResult<()> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| BbError::io(format!("create serve dir {}", dir.display()), e))?;
-        write_atomic_bytes(&dir.join(SNAPSHOT_NAME), &self.encode())
+        save_in(dir, SNAPSHOT_NAME, &self.encode())
     }
 
     /// Load the snapshot from `dir`. A missing file is [`BbError::Io`].
     pub fn load(dir: &Path) -> BbResult<Snapshot> {
         Self::decode(&framed::read(dir, SNAPSHOT_NAME)?)
+    }
+}
+
+/// Atomically write `bytes` as `dir/name`, creating `dir` if needed.
+pub(crate) fn save_in(dir: &Path, name: &str, bytes: &[u8]) -> BbResult<()> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| BbError::io(format!("create serve dir {}", dir.display()), e))?;
+    write_atomic_bytes(&dir.join(name), bytes)
+}
+
+/// A decoded `bbjn/v1` journal; record blobs borrow the file's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Journal<'a> {
+    pub key: ServeKey,
+    /// Epoch of the snapshot this journal extends.
+    pub base_epoch: u64,
+    /// `(epoch, record blob)` of every whole record, epochs contiguous
+    /// from `base_epoch + 1`.
+    pub records: Vec<(u64, &'a [u8])>,
+    /// Bytes of the intact prefix; anything past it is a torn last record.
+    /// Set by [`Journal::decode`]; [`Journal::encode`] ignores it.
+    pub intact_len: usize,
+}
+
+impl<'a> Journal<'a> {
+    /// A journal's header: format line, key, base epoch.
+    pub fn header(key: &ServeKey, base_epoch: u64) -> Vec<u8> {
+        let mut w = Writer::new(JOURNAL_FORMAT.version);
+        w.key(key);
+        w.field("base_epoch", base_epoch);
+        w.finish()
+    }
+
+    /// The record line that precedes `blob` (which is followed by `\n`).
+    pub fn record_head(epoch: u64, blob: &[u8]) -> String {
+        framed::blob_head(format_args!("epoch {epoch}"), blob)
+    }
+
+    /// Serialize header and records (what a journal holding them reads).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Self::header(&self.key, self.base_epoch);
+        for &(epoch, blob) in &self.records {
+            out.extend_from_slice(Self::record_head(epoch, blob).as_bytes());
+            out.extend_from_slice(blob);
+            out.push(b'\n');
+        }
+        out
+    }
+
+    /// Parse `bbjn/v1` bytes, salvaging a torn last record (see the module
+    /// docs). A torn header, a malformed record line, a checksum mismatch
+    /// or an epoch out of sequence is an error naming its byte offset.
+    pub fn decode(bytes: &'a [u8]) -> BbResult<Journal<'a>> {
+        let mut r = Reader::open(bytes, JOURNAL_FORMAT)?;
+        let key = r.key()?;
+        let base_epoch: u64 = r.field("base_epoch")?;
+        let mut records = Vec::new();
+        let intact_len = loop {
+            let start = r.pos();
+            let Some(line) = r.line_opt()? else { break start };
+            let epoch = framed::record(&line).and_then(|(head, len, sum)| match head[..] {
+                ["epoch", n] => Some((n.parse::<u64>().ok()?, len, sum)),
+                _ => None,
+            });
+            let Some((epoch, len, sum)) = epoch else {
+                return Err(BbError::checkpoint(format!(
+                    "expected an `epoch` record at journal byte offset {start}, got {line:?}"
+                )));
+            };
+            let want = base_epoch + 1 + records.len() as u64;
+            if epoch != want {
+                return Err(BbError::checkpoint(format!(
+                    "journal record at byte offset {start} is epoch {epoch}, expected {want} \
+                     (gap in the epoch sequence) — refusing to resume"
+                )));
+            }
+            let what = format!("journal record for epoch {epoch}");
+            let Some(blob) = r.blob(len, sum, &what)? else { break start };
+            records.push((epoch, blob));
+        };
+        Ok(Journal {
+            key,
+            base_epoch,
+            records,
+            intact_len,
+        })
     }
 }
 
@@ -255,6 +395,11 @@ mod tests {
         let err = s.validate(&want).unwrap_err().to_string();
         assert!(err.contains("eps mismatch"), "{err}");
 
+        let mut want = s.key.clone();
+        want.mem_limit = 60_000;
+        let err = s.validate(&want).unwrap_err().to_string();
+        assert!(err.contains("mem_limit mismatch: snapshot has 0"), "{err}");
+
         s.validate(&s.key).expect("matching key validates");
     }
 
@@ -288,6 +433,33 @@ mod tests {
         let err = Snapshot::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains("checksum mismatch"), "{err}");
         assert!(err.contains(&format!("byte offset {blob_at}")), "{err}");
+    }
+
+    #[test]
+    fn journal_roundtrips_and_salvages_only_a_torn_tail() {
+        let key = ServeKey::new(42, "test", "off", 0.05, 8, false);
+        let blobs: [&[u8]; 2] = [b"a\nb", &[0, 255, 10]];
+        let j = Journal {
+            key: key.clone(),
+            base_epoch: 3,
+            records: vec![(4, blobs[0]), (5, blobs[1])],
+            intact_len: 0,
+        };
+        let bytes = j.encode();
+        let header = Journal::header(&key, 3);
+        let tail = "mem_limit 0\ncode_schema 1\nbase_epoch 3\n";
+        assert!(String::from_utf8_lossy(&header).ends_with(tail));
+        assert!(bytes[header.len()..].starts_with(Journal::record_head(4, blobs[0]).as_bytes()));
+        let back = Journal::decode(&bytes).unwrap();
+        assert_eq!((back.records.clone(), back.intact_len), (j.records.clone(), bytes.len()));
+        let torn = Journal::decode(&bytes[..bytes.len() - 1]).unwrap();
+        assert_eq!(torn.records, j.records[..1]);
+        assert!(torn.intact_len < bytes.len() - 1);
+        let mut bad = bytes.clone();
+        let last = bad.len() - 2;
+        bad[last] ^= 1;
+        let err = Journal::decode(&bad).unwrap_err().to_string();
+        assert!(err.contains("checksum mismatch in journal record for epoch 5"), "{err}");
     }
 
     #[test]

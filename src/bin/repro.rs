@@ -1020,11 +1020,13 @@ fn run_orchestrate() -> ! {
 /// `repro serve`: the streaming (daemon) shape of the §3.1 spray campaign.
 ///
 /// Advances measurement windows on the simulated clock in epochs of
-/// `--epoch K` windows. At every epoch boundary the entire accumulated
-/// state is flushed as a `bbsn/v1` snapshot (atomic temp-file + fsync +
-/// rename + dir-fsync), so a SIGKILL at any instant costs at most one
-/// epoch of deterministically-resampled work: restarting with the same
-/// `--dir` resumes from the snapshot and the eventual output is
+/// `--epoch K` windows. Every epoch is flushed durably: the first as a
+/// `bbsn/v1` snapshot of the whole state (atomic temp-file + fsync +
+/// rename + dir-fsync), the rest as one fsynced `bbjn/v1` journal record
+/// of the epoch's rows, compacted into a new snapshot once the journal
+/// outgrows the last one. A SIGKILL at any instant costs at most one epoch
+/// of deterministically-resampled work: restarting with the same `--dir`
+/// loads the snapshot, replays the journal, and the eventual output is
 /// byte-identical to an uninterrupted run at the same (seed, scale,
 /// window count) — for every `--jobs` value.
 ///
@@ -1036,14 +1038,15 @@ fn run_orchestrate() -> ! {
 /// memory, doubling ε) instead of letting resident state grow — decisions
 /// land only at epoch boundaries, which the snapshot key pins, so
 /// degraded-mode output is as deterministic and resumable as everything
-/// else. The key is (seed, scale, faults, ε, epoch size, CSV, code schema);
-/// a mismatched snapshot is rejected (exit 2), never silently reused. The
+/// else. The key is (seed, scale, faults, ε, epoch size, CSV, memory limit,
+/// code schema); a mismatched snapshot or journal is rejected (exit 2),
+/// never silently reused. The
 /// per-epoch watchdog (`--epoch-deadline`) only counts overruns: wall-clock
 /// never shapes output bytes. `BB_INJECT=crash:N` exits 101 right after
 /// this process flushed its N-th epoch, to drill the restart path.
 fn run_serve() -> ! {
-    use beating_bgp::core::serve::{Governor, ServeMode, ServeState};
-    use beating_bgp::core::snapshot::{ServeKey, Snapshot, SNAPSHOT_NAME};
+    use beating_bgp::core::serve::{EpochStore, Flush, Governor, ServeMode, ServeState};
+    use beating_bgp::core::snapshot::ServeKey;
     use beating_bgp::measure::SprayEngine;
 
     let shared = "--scale --seed --jobs --faults --csv --timing --timing-json";
@@ -1074,12 +1077,13 @@ fn run_serve() -> ! {
                  \u{20}           [--jobs N] [--faults off|light|heavy] [--csv DIR]\n\
                  \u{20}           [--timing] [--timing-json PATH]\n\
                  stream the spray campaign in epochs of K windows (default 32), flushing\n\
-                 a snapshot to DIR after every epoch; rerunning with the same DIR resumes\n\
-                 byte-identically. N defaults to the batch campaign's window count.\n\
+                 every epoch to DIR (a snapshot, then journal records); rerunning with the\n\
+                 same DIR resumes byte-identically. N defaults to the batch campaign's\n\
+                 window count.\n\
                  --epsilon E        E > 0 keeps bounded-memory sketches instead of rows\n\
                  --mem-limit BYTES  coarsen the sketches rather than grow past BYTES\n\
                  --epoch-deadline   count epochs slower than SECS (default 60; advisory)\n\
-                 exit codes: 0 ok, 1 runtime failure, 2 usage error or stale snapshot,\n\
+                 exit codes: 0 ok, 1 runtime failure, 2 usage error or stale or damaged state,\n\
                  130 interrupted (resumable)",
             ),
             flag if cli.shared(flag) => {}
@@ -1088,7 +1092,8 @@ fn run_serve() -> ! {
     }
     let dir = dir.unwrap_or_else(|| {
         cli.usage(
-            "--dir DIR is required: the serve directory holds the snapshot the daemon resumes from",
+            "--dir DIR is required: the serve directory holds the snapshot and journal the \
+             daemon resumes from",
         )
     });
     if mem_limit.is_some() && epsilon == 0.0 {
@@ -1137,7 +1142,7 @@ fn run_serve() -> ! {
     let total_windows = windows.unwrap_or(batch_horizon);
     let route_counts: Vec<usize> = engine.targets().iter().map(|t| t.routes.len()).collect();
     let mode = ServeMode::from_eps(epsilon);
-    let key = ServeKey::new(
+    let mut key = ServeKey::new(
         seed,
         scale.as_str(),
         faults.as_str(),
@@ -1145,27 +1150,37 @@ fn run_serve() -> ! {
         epoch,
         csv_dir.is_some(),
     );
+    key.mem_limit = mem_limit.unwrap_or(0);
 
-    // Fresh start or snapshot resume: no snapshot is a fresh start, and a
-    // snapshot that cannot be trusted is a hard reject (exit 2).
-    let snapshot_path = dir.join(SNAPSHOT_NAME);
+    // Fresh start or resume: no snapshot is a fresh start, and a snapshot
+    // or journal that cannot be trusted is a hard reject (exit 2).
     let resume = ServeState::resume(&dir, &key, &route_counts).unwrap_or_else(|e| {
-        eprintln!("repro serve: {}: {e}", snapshot_path.display());
+        eprintln!("repro serve: {}: {e}", dir.display());
         std::process::exit(2);
     });
-    let (mut state, mut epochs_flushed, mut coarsenings, resumed) = match resume {
+    let (mut state, mut store, mut epochs_flushed, mut coarsenings, resumed) = match resume {
         Some(r) => {
             eprintln!(
                 "[repro] serve: resuming at window {}/{total_windows} (epoch {}, {} governor \
-                 coarsenings so far) from {}",
+                 coarsenings so far) from the snapshot and {} journal record(s) in {}",
                 r.state.windows_done(),
                 r.epochs,
                 r.coarsenings,
-                snapshot_path.display()
+                r.replayed,
+                dir.display()
             );
-            (r.state, r.epochs, r.coarsenings, true)
+            if r.torn_bytes > 0 {
+                eprintln!(
+                    "[repro] serve: truncated a torn journal tail ({} bytes)",
+                    r.torn_bytes
+                );
+            }
+            (r.state, r.store, r.epochs, r.coarsenings, true)
         }
-        None => (ServeState::new(mode, &route_counts), 0u64, 0u64, false),
+        None => {
+            let store = EpochStore::new(&dir, &key);
+            (ServeState::new(mode, &route_counts), store, 0u64, 0u64, false)
+        }
     };
 
     let governor = mem_limit.map(Governor::new);
@@ -1175,12 +1190,13 @@ fn run_serve() -> ! {
     );
     let inject = beating_bgp::core::inject::current();
     let mut flushed_here = 0u64;
+    let mut compactions = 0u64;
     let mut deadline_misses = 0u64;
     let mut peak_resident = state.resident_bytes();
 
-    // Snapshot and heartbeat writers fail closed (exit 1, named path):
-    // the previous epoch's snapshot is still whole on disk, so a rerun
-    // resumes from it and loses at most this epoch.
+    // Snapshot, journal and heartbeat writers fail closed (exit 1, named
+    // path): the epochs flushed before are still whole on disk, so a rerun
+    // resumes from them and loses at most this epoch.
     let write_failed = |what: &str, e: beating_bgp::core::BbError, intact: &str| -> ! {
         eprintln!("repro serve: {what} failed: {e}");
         eprintln!(
@@ -1200,9 +1216,15 @@ fn run_serve() -> ! {
         let per_target = timing::time("serve:sample", || {
             engine.sample_windows(&chunk, scenario.fault_plane())
         });
+        // `serve:flush` spans all per-epoch persistence: staging the
+        // record here and committing it below.
+        let flush_started = std::time::Instant::now();
+        store.stage(&state, &per_target, hi - lo);
+        let staging = flush_started.elapsed();
         state.ingest(per_target, hi - lo);
+        let mut rounds = 0;
         if let Some(gov) = &governor {
-            let rounds = gov.enforce(&mut state);
+            rounds = gov.enforce(&mut state);
             if rounds > 0 {
                 coarsenings += rounds;
                 eprintln!(
@@ -1217,19 +1239,23 @@ fn run_serve() -> ! {
         }
         peak_resident = peak_resident.max(state.resident_bytes());
         epochs_flushed += 1;
-        let snap = Snapshot {
-            key: key.clone(),
-            windows_done: state.windows_done(),
-            epochs: epochs_flushed,
-            coarsenings,
-            state: state.encode(),
-        };
-        if let Err(e) = timing::time("serve:flush", || snap.save(&dir)) {
-            write_failed("snapshot flush", e, "previous snapshot");
+        let commit_started = std::time::Instant::now();
+        let flushed = store.commit(&state, epochs_flushed, coarsenings, rounds);
+        timing::record("serve:flush", staging + commit_started.elapsed());
+        match flushed {
+            Err((what, e)) => write_failed(what, e, "every epoch flushed before it"),
+            Ok(Flush::Journal { bytes }) => {
+                timing::add_count("serve:journal_bytes", bytes as usize);
+            }
+            Ok(Flush::Compaction) => {
+                compactions += 1;
+                timing::add_count("serve:compactions", 1);
+            }
+            Ok(Flush::Snapshot) => {}
         }
         let hb = Heartbeat::now(state.windows_done(), epochs_flushed);
         if let Err(e) = hb.save(&dir) {
-            write_failed("heartbeat write", e, "snapshot");
+            write_failed("heartbeat write", e, "this epoch's flush");
         }
         // Live sketch-mode figure export at every epoch boundary: the
         // whole point of the sketch is that a current figure is always
@@ -1247,7 +1273,7 @@ fn run_serve() -> ! {
         if inject.crash.is_some_and(|n| flushed_here >= n) {
             eprintln!(
                 "[repro] serve: BB_INJECT crash after epoch {epochs_flushed} \
-                 (snapshot flushed; rerun the same command to resume)"
+                 (epoch flushed; rerun the same command to resume)"
             );
             std::process::exit(101);
         }
@@ -1260,10 +1286,11 @@ fn run_serve() -> ! {
             true,
             &[
                 format!(
-                    "{}/{} windows ingested; snapshot flushed to {}",
+                    "{}/{} windows ingested; every epoch flushed to the snapshot and \
+                     journal (snapshot.bbsn, journal.bbjn) in {}",
                     state.windows_done(),
                     total_windows,
-                    snapshot_path.display()
+                    dir.display()
                 ),
                 "rerun the same command to resume".to_string(),
             ],
@@ -1315,7 +1342,8 @@ fn run_serve() -> ! {
         eprint!("{}", timing::report());
         eprintln!(
             "serve: {windows_done} windows in {epochs_flushed} epochs, {coarsenings} \
-             coarsening(s), resident {resident_bytes} bytes (peak {peak_resident})"
+             coarsening(s), {compactions} compaction(s), resident {resident_bytes} bytes \
+             (peak {peak_resident})"
         );
     }
     if let Some(path) = &timing_json {

@@ -1,11 +1,11 @@
 //! Deterministic disk-full injection (`BB_INJECT=enospc:<n>`): the n-th
-//! atomic write of the process fails with an injected ENOSPC *before*
+//! durable write of the process fails with an injected ENOSPC *before*
 //! anything touches the filesystem. Every durable writer — CSV exports,
-//! checkpoint manifests, heartbeats, serve snapshots — must fail closed:
-//! exit 1, the failing path named on stderr, the previous artifact intact,
-//! and no `.tmp` sibling left behind. The orchestrator scrubs `BB_INJECT`
-//! from its children so a parent-level injection never cascades into
-//! shards. (A malformed count is a usage error on every subcommand, too:
+//! checkpoint manifests, heartbeats, serve snapshots, serve journal
+//! appends — must fail closed: exit 1, the failing path named on stderr,
+//! the previous artifact intact, and no `.tmp` sibling left behind. The
+//! orchestrator scrubs `BB_INJECT` from its children so a parent-level
+//! injection never cascades into shards. (A malformed count is a usage error on every subcommand, too:
 //! `harness_errors.rs` holds that table.)
 
 use std::path::{Path, PathBuf};
@@ -22,7 +22,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run(args: &[&str], env: &[(&str, &str)]) -> Output {
+fn run<S: AsRef<std::ffi::OsStr>>(args: &[S], env: &[(&str, &str)]) -> Output {
     let mut cmd = repro();
     cmd.args(args);
     cmd.env_remove("BB_INJECT");
@@ -150,6 +150,40 @@ fn serve_heartbeat_enospc_fails_closed_then_resumes_identically() {
     assert!(resumed.status.success(), "{resumed:?}");
     assert_eq!(clean.stdout, resumed.stdout, "resume after ENOSPC diverged");
 
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn serve_journal_append_enospc_fails_closed_then_resumes_identically() {
+    let base = tmpdir("journal");
+    let dir = base.join("sd");
+    let args = |dir: &Path| {
+        [
+            "serve", "--scale", "test", "--seed", "42", "--jobs", "1",
+            "--windows", "32", "--epoch", "8", "--epsilon", "0.05",
+            "--dir", dir.to_str().unwrap(),
+        ]
+        .map(String::from)
+    };
+    let run_in = |dir: &Path, env: &[(&str, &str)]| run(&args(dir), env);
+    let clean = run_in(&base.join("clean"), &[]);
+    assert!(clean.status.success(), "{clean:?}");
+
+    // Epoch 1 writes the snapshot (#1) and heartbeat (#2), epoch 2 creates
+    // the journal (#3) and beats (#4): write #5 is epoch 3's append.
+    let tripped = run_in(&dir, &[("BB_INJECT", "enospc:5")]);
+    assert_eq!(tripped.status.code(), Some(1), "{tripped:?}");
+    let err = String::from_utf8_lossy(&tripped.stderr);
+    assert!(err.contains("journal append failed"), "{err}");
+    assert!(err.contains("journal.bbjn"), "failing path not named:\n{err}");
+    assert!(err.contains("rerun the same command to resume"), "{err}");
+    no_tmp_files(&dir);
+
+    let resumed = run_in(&dir, &[]);
+    assert!(resumed.status.success(), "{resumed:?}");
+    let err = String::from_utf8_lossy(&resumed.stderr);
+    assert!(err.contains("resuming at window 16/32"), "{err}");
+    assert_eq!(clean.stdout, resumed.stdout, "resume after ENOSPC diverged");
     std::fs::remove_dir_all(&base).ok();
 }
 

@@ -1,6 +1,6 @@
 //! Mutation tests of the persisted-state decoders: `bbck/v1` checkpoint
-//! manifests, `bbsn/v1` serve snapshots and the `bbsv/v1` serve-state
-//! blob they carry.
+//! manifests, `bbsn/v1` serve snapshots, the `bbsv/v1` serve-state blob
+//! they carry, and the `bbjn/v1` serve journal.
 //!
 //! Encoded values are damaged by random truncation, bit flips and splices.
 //! Whatever the damage, a decoder returns — it never panics and never
@@ -10,7 +10,12 @@
 //!   salvaging decoder either rejects it or keeps a prefix of the
 //!   original units, reporting the salvage;
 //! * a truncated snapshot or state blob is always an error;
-//! * a flipped byte inside a checksummed blob is always an error.
+//! * a journal cut anywhere past its header decodes to a prefix of its
+//!   whole records (a torn tail), and one cut inside the header is an
+//!   error;
+//! * a flipped byte inside a checksummed blob is always an error, and for
+//!   a journal record it names the record's byte offset;
+//! * a journal whose epochs are not contiguous is an error.
 //!
 //! Header fields carry no checksum, so a flipped digit there may decode to
 //! a different value; nothing here asserts otherwise. Three crafted
@@ -19,7 +24,7 @@
 
 use beating_bgp::core::checkpoint::{fnv1a, CampaignKey, Checkpoint, UnitResult};
 use beating_bgp::core::serve::{ServeMode, ServeState};
-use beating_bgp::core::snapshot::{ServeKey, Snapshot};
+use beating_bgp::core::snapshot::{Journal, ServeKey, Snapshot};
 use beating_bgp::geo::CityId;
 use beating_bgp::measure::WindowRow;
 use beating_bgp::netsim::Window;
@@ -163,6 +168,22 @@ fn snapshot(seed: u64) -> Snapshot {
     }
 }
 
+/// Journal bytes: a header based on a small epoch, then a few records of
+/// raw bytes (the decoder never interprets them).
+fn journal(seed: u64) -> Vec<u8> {
+    let mut g = Gen::new(seed);
+    let key = ServeKey::new(seed, "full", "off", 0.01, 8, false);
+    let base_epoch = g.below(100);
+    let blobs: Vec<Vec<u8>> = (0..g.below(6)).map(|_| g.bytes(96)).collect();
+    Journal {
+        key,
+        base_epoch,
+        records: (base_epoch + 1..).zip(blobs.iter().map(Vec::as_slice)).collect(),
+        intact_len: 0,
+    }
+    .encode()
+}
+
 /// Index `frac` of the way into `0..len` (`len > 0`).
 fn at(frac: f64, len: usize) -> usize {
     ((frac * len as f64) as usize).min(len - 1)
@@ -194,6 +215,7 @@ fn decode_all(bytes: &[u8]) {
     let _ = Checkpoint::decode_salvaging(bytes);
     let _ = Snapshot::decode(bytes);
     let _ = ServeState::decode(bytes);
+    let _ = Journal::decode(bytes);
 }
 
 proptest! {
@@ -276,6 +298,78 @@ proptest! {
         let _ = ServeState::decode(&spliced(&bytes, from, 8, at(cut, bytes.len()), true));
     }
 
+    /// A journal cut past its header keeps a prefix of its whole records
+    /// and reports where the intact bytes end; cut inside it, it is an
+    /// error.
+    #[test]
+    fn truncated_journal_is_salvaged_to_whole_records(
+        seed in 0u64..u64::MAX,
+        cut in 0.0f64..1.0,
+    ) {
+        let bytes = journal(seed);
+        let whole = Journal::decode(&bytes).unwrap();
+        prop_assert_eq!(whole.intact_len, bytes.len());
+        prop_assert_eq!(whole.encode(), bytes.clone());
+        // Byte offset where each count of whole records ends.
+        let mut ends = vec![Journal::header(&whole.key, whole.base_epoch).len()];
+        for &(epoch, blob) in &whole.records {
+            let record = Journal::record_head(epoch, blob).len() + blob.len() + 1;
+            ends.push(ends[ends.len() - 1] + record);
+        }
+        let cut = at(cut, bytes.len());
+        match Journal::decode(&bytes[..cut]) {
+            Err(_) => prop_assert!(cut < ends[0], "cut at {} past the header", cut),
+            Ok(pre) => {
+                let kept = ends.iter().filter(|&&end| end <= cut).count() - 1;
+                prop_assert_eq!(&pre.records[..], &whole.records[..kept]);
+                prop_assert_eq!(pre.intact_len, ends[kept]);
+            }
+        }
+    }
+
+    /// A flipped bit inside a whole journal record's blob (or the newline
+    /// closing it) is an error naming the blob's byte offset.
+    #[test]
+    fn flipped_journal_record_byte_names_its_offset(
+        seed in 0u64..u64::MAX,
+        pick in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let bytes = journal(seed);
+        let whole = Journal::decode(&bytes).unwrap();
+        let mut pos = Journal::header(&whole.key, whole.base_epoch).len();
+        let mut targets = Vec::new();
+        for &(epoch, blob) in &whole.records {
+            pos += Journal::record_head(epoch, blob).len();
+            targets.extend((pos..=pos + blob.len()).map(|i| (i, pos)));
+            pos += blob.len() + 1;
+        }
+        if !targets.is_empty() {
+            let (i, blob_at) = targets[at(pick, targets.len())];
+            let err = Journal::decode(&flipped(&bytes, i, bit)).unwrap_err().to_string();
+            prop_assert!(err.contains(&format!("byte offset {blob_at}")), "{}", err);
+        }
+    }
+
+    /// Records whose epochs skip, repeat or go back are an error.
+    #[test]
+    fn non_contiguous_journal_epochs_are_rejected(
+        seed in 0u64..u64::MAX,
+        pick in 0.0f64..1.0,
+        shift in 1u64..5,
+        back in 0u8..2,
+    ) {
+        let bytes = journal(seed);
+        let mut j = Journal::decode(&bytes).unwrap();
+        if !j.records.is_empty() {
+            let i = at(pick, j.records.len());
+            let epoch = &mut j.records[i].0;
+            *epoch = if back == 1 { epoch.saturating_sub(shift) } else { *epoch + shift };
+            let err = Journal::decode(&j.encode()).unwrap_err().to_string();
+            prop_assert!(err.contains("gap in the epoch sequence"), "{}", err);
+        }
+    }
+
     /// Bit flips and splices anywhere in any encoding: every decoder
     /// returns.
     #[test]
@@ -286,7 +380,12 @@ proptest! {
         len in 1usize..64,
         bit in 0u8..8,
     ) {
-        for bytes in [checkpoint(seed).encode(), snapshot(seed).encode(), serve_state(seed).encode()] {
+        for bytes in [
+            checkpoint(seed).encode(),
+            snapshot(seed).encode(),
+            serve_state(seed).encode(),
+            journal(seed),
+        ] {
             let n = bytes.len();
             decode_all(&flipped(&bytes, at(a, n), bit));
             decode_all(&spliced(&bytes, at(a, n), len, at(b, n), true));

@@ -2,16 +2,19 @@
 //! campaign daemon (ISSUE 9 acceptance criteria):
 //!
 //! - a serve killed mid-campaign (`BB_INJECT=crash:N` exits 101 right after
-//!   the N-th epoch snapshot lands — the deterministic stand-in for
+//!   the N-th epoch lands on disk — the deterministic stand-in for
 //!   `kill -9`) and then restarted without the fault produces stdout and live CSV
 //!   byte-identical to an uninterrupted serve, for `--jobs 1` and
-//!   `--jobs 4` alike, including under a heavy fault storm;
+//!   `--jobs 4` alike, in exact and sketch mode, including under a heavy
+//!   fault storm and with journal records that carry governor coarsening
+//!   rounds;
 //! - exact mode (`--epsilon 0`) reproduces the batch `fig1` pipeline
 //!   byte-for-byte, stdout and CSV both;
 //! - sketch mode memory stays flat while the window count grows 10x;
-//! - a snapshot keyed on a different seed/epsilon/epoch is rejected with
-//!   exit 2, never silently reused.
+//! - a snapshot keyed on a different seed/epsilon/epoch/memory limit is
+//!   rejected with exit 2, never silently reused.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -26,12 +29,12 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run(args: &[&str]) -> Output {
+fn run<S: AsRef<OsStr>>(args: &[S]) -> Output {
     run_with(args, None)
 }
 
 /// Run `repro args` with `BB_INJECT` set to `inject`, or unset.
-fn run_with(args: &[&str], inject: Option<&str>) -> Output {
+fn run_with<S: AsRef<OsStr>>(args: &[S], inject: Option<&str>) -> Output {
     let mut cmd = repro();
     cmd.args(args).env_remove("BB_INJECT");
     if let Some(spec) = inject {
@@ -51,35 +54,53 @@ fn read_file(path: &Path) -> Vec<u8> {
 
 #[test]
 fn chaos_crash_and_restart_is_byte_identical_across_job_counts() {
-    for jobs in ["1", "4"] {
-        let base = tmpdir(&format!("chaos_j{jobs}"));
+    // (tag, mode flags, crash point): exact mode crashing after the first
+    // epoch's snapshot, and sketch mode under a memory limit and heavy
+    // faults crashing after epoch 3 — past the governor's coarsening
+    // epochs, so the resume replays journal records carrying their rounds
+    // — and after the last epoch, which leaves the governor no later epoch
+    // to catch up in: only the replayed rounds coarsen the final state.
+    let crash_42 = crash_spec(42);
+    let governed: &[&str] = &["--epsilon", "0.05", "--mem-limit", "60000", "--faults", "heavy"];
+    let cases: [(&str, &[&str], &str); 3] = [
+        ("exact", &[], &crash_42),
+        ("sketch", governed, "crash:3"),
+        ("sketch_last", governed, "crash:5"),
+    ];
+    for ((tag, mode, crash), jobs) in cases
+        .into_iter()
+        .flat_map(|case| ["1", "4"].map(|jobs| (case, jobs)))
+    {
+        let base = tmpdir(&format!("chaos_{tag}_j{jobs}"));
         let clean_csv = base.join("clean-csv");
         let crash_csv = base.join("crash-csv");
+        let args = |dir: &Path, csv: &Path| -> Vec<String> {
+            let mut argv: Vec<String> = [
+                "serve", "--scale", "test", "--seed", "42", "--jobs", jobs,
+                "--windows", "40", "--epoch", "8",
+                "--dir", dir.to_str().unwrap(),
+                "--csv", csv.to_str().unwrap(),
+            ]
+            .map(String::from)
+            .to_vec();
+            argv.extend(mode.iter().map(|a| a.to_string()));
+            argv
+        };
 
         // Uninterrupted reference serve at the same (seed, scale, windows).
-        let clean = run(&[
-            "serve", "--scale", "test", "--seed", "42", "--jobs", jobs,
-            "--windows", "40", "--epoch", "8",
-            "--dir", base.join("clean").to_str().unwrap(),
-            "--csv", clean_csv.to_str().unwrap(),
-        ]);
+        let clean = run(&args(&base.join("clean"), &clean_csv));
         assert!(clean.status.success(), "clean serve failed: {clean:?}");
         assert!(!clean.stdout.is_empty());
 
-        // Chaos run: crashes (exit 101) right after a seed-keyed epoch's
-        // snapshot is flushed, leaving the snapshot whole and no .tmp.
+        // Chaos run: crashes (exit 101) right after the crash point's
+        // epoch is flushed, leaving the snapshot whole and no .tmp.
         let crash_dir = base.join("crash");
-        let serve_args = [
-            "serve", "--scale", "test", "--seed", "42", "--jobs", jobs,
-            "--windows", "40", "--epoch", "8",
-            "--dir", crash_dir.to_str().unwrap(),
-            "--csv", crash_csv.to_str().unwrap(),
-        ];
-        let crashed = run_with(&serve_args, Some(&crash_spec(42)));
+        let serve_args = args(&crash_dir, &crash_csv);
+        let crashed = run_with(&serve_args, Some(crash));
         assert_eq!(
             crashed.status.code(),
             Some(101),
-            "chaos serve must exit 101: {crashed:?}"
+            "chaos serve must exit 101 ({tag}): {crashed:?}"
         );
         assert!(crash_dir.join("snapshot.bbsn").exists(), "snapshot not flushed");
         assert!(
@@ -87,22 +108,25 @@ fn chaos_crash_and_restart_is_byte_identical_across_job_counts() {
             "tmp file must not survive the atomic rename"
         );
 
-        // Restart with the same command, without the fault.
+        // Restart with the same command, without the fault. Every epoch
+        // after the first is a journal record the resume replays.
+        let epochs: u64 = crash["crash:".len()..].parse().unwrap();
         let resumed = run(&serve_args);
         assert!(resumed.status.success(), "resumed serve failed: {resumed:?}");
         let stderr = String::from_utf8_lossy(&resumed.stderr);
         assert!(
-            stderr.contains("serve: resuming at window"),
-            "resume must report its starting window:\n{stderr}"
+            stderr.contains("serve: resuming at window")
+                && stderr.contains(&format!("{} journal record(s)", epochs - 1)),
+            "resume must report its starting window and replayed records:\n{stderr}"
         );
         assert_eq!(
             clean.stdout, resumed.stdout,
-            "resumed serve stdout differs from uninterrupted serve (jobs {jobs})"
+            "resumed serve stdout differs from uninterrupted serve ({tag}, jobs {jobs})"
         );
         assert_eq!(
             read_file(&clean_csv.join("fig1.csv")),
             read_file(&crash_csv.join("fig1.csv")),
-            "resumed serve CSV differs from uninterrupted serve (jobs {jobs})"
+            "resumed serve CSV differs from uninterrupted serve ({tag}, jobs {jobs})"
         );
 
         std::fs::remove_dir_all(&base).ok();
@@ -111,31 +135,37 @@ fn chaos_crash_and_restart_is_byte_identical_across_job_counts() {
 
 #[test]
 fn chaos_crash_and_restart_survives_a_heavy_fault_storm() {
-    let base = tmpdir("storm");
-    let clean = run(&[
-        "serve", "--scale", "test", "--seed", "43", "--jobs", "4",
-        "--faults", "heavy", "--windows", "40", "--epoch", "8",
-        "--dir", base.join("clean").to_str().unwrap(),
-    ]);
-    assert!(clean.status.success(), "{clean:?}");
+    // Exact mode; seed 43 crashes after epoch 2, so the resume replays one
+    // journal record.
+    for jobs in ["1", "4"] {
+        let base = tmpdir(&format!("storm_j{jobs}"));
+        let clean = run(&[
+            "serve", "--scale", "test", "--seed", "43", "--jobs", jobs,
+            "--faults", "heavy", "--windows", "40", "--epoch", "8",
+            "--dir", base.join("clean").to_str().unwrap(),
+        ]);
+        assert!(clean.status.success(), "{clean:?}");
 
-    let dir = base.join("crash");
-    let serve_args = [
-        "serve", "--scale", "test", "--seed", "43", "--jobs", "4",
-        "--faults", "heavy", "--windows", "40", "--epoch", "8",
-        "--dir", dir.to_str().unwrap(),
-    ];
-    let crashed = run_with(&serve_args, Some(&crash_spec(43)));
-    assert_eq!(crashed.status.code(), Some(101), "{crashed:?}");
+        let dir = base.join("crash");
+        let serve_args = [
+            "serve", "--scale", "test", "--seed", "43", "--jobs", jobs,
+            "--faults", "heavy", "--windows", "40", "--epoch", "8",
+            "--dir", dir.to_str().unwrap(),
+        ];
+        let crashed = run_with(&serve_args, Some(&crash_spec(43)));
+        assert_eq!(crashed.status.code(), Some(101), "{crashed:?}");
 
-    let resumed = run(&serve_args);
-    assert!(resumed.status.success(), "{resumed:?}");
-    assert_eq!(
-        clean.stdout, resumed.stdout,
-        "heavy-fault serve must resume byte-identical"
-    );
+        let resumed = run(&serve_args);
+        assert!(resumed.status.success(), "{resumed:?}");
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        assert!(stderr.contains("1 journal record(s)"), "{stderr}");
+        assert_eq!(
+            clean.stdout, resumed.stdout,
+            "heavy-fault serve must resume byte-identical (jobs {jobs})"
+        );
 
-    std::fs::remove_dir_all(&base).ok();
+        std::fs::remove_dir_all(&base).ok();
+    }
 }
 
 #[test]
@@ -214,23 +244,35 @@ fn sketch_memory_stays_flat_while_windows_grow_tenfold() {
 fn stale_snapshot_is_rejected_not_reused() {
     let base = tmpdir("stale");
     let dir = base.join("sd");
-    let seeded = run(&[
-        "serve", "--scale", "test", "--seed", "42",
-        "--windows", "16", "--epoch", "8",
-        "--dir", dir.to_str().unwrap(),
-    ]);
-    assert!(seeded.status.success(), "{seeded:?}");
+    let governed = base.join("governed");
+    let governor = ["--epsilon", "0.05", "--mem-limit", "60000"];
+    for (d, extra) in [(&dir, &[][..]), (&governed, &governor[..])] {
+        let mut argv = vec![
+            "serve", "--scale", "test", "--seed", "42",
+            "--windows", "16", "--epoch", "8",
+            "--dir", d.to_str().unwrap(),
+        ];
+        argv.extend(extra);
+        let seeded = run(&argv);
+        assert!(seeded.status.success(), "{seeded:?}");
+    }
 
     // Each mismatching key field is named; exit 2; stdout stays silent.
-    for (args, field) in [
-        (vec!["--seed", "7", "--windows", "16", "--epoch", "8"], "seed"),
-        (vec!["--seed", "42", "--windows", "16", "--epoch", "4"], "epoch_windows"),
+    for (d, args, field) in [
+        (&dir, vec!["--seed", "7", "--windows", "16", "--epoch", "8"], "seed"),
+        (&dir, vec!["--seed", "42", "--windows", "16", "--epoch", "4"], "epoch_windows"),
         (
+            &dir,
             vec!["--seed", "42", "--windows", "16", "--epoch", "8", "--epsilon", "0.05"],
             "eps",
         ),
+        (
+            &governed,
+            vec!["--seed", "42", "--windows", "24", "--epoch", "8", "--epsilon", "0.05"],
+            "mem_limit",
+        ),
     ] {
-        let mut argv = vec!["serve", "--scale", "test", "--dir", dir.to_str().unwrap()];
+        let mut argv = vec!["serve", "--scale", "test", "--dir", d.to_str().unwrap()];
         argv.extend(args);
         let out = run(&argv);
         assert_eq!(out.status.code(), Some(2), "{field}: {out:?}");
@@ -297,5 +339,72 @@ fn crafted_state_blob_fails_closed_on_resume() {
     assert!(out.stdout.is_empty());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("corrupt serve state"), "{err}");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn journal_damage_fails_closed_and_a_torn_tail_resumes() {
+    let base = tmpdir("journal");
+    let args = |dir: &Path| {
+        [
+            "serve", "--scale", "test", "--seed", "42", "--windows", "40", "--epoch", "8",
+            "--epsilon", "0.05", "--dir", dir.to_str().unwrap(),
+        ]
+        .map(String::from)
+    };
+    let run_in = |dir: &Path, inject| run_with(&args(dir), inject);
+    let clean = run_in(&base.join("clean"), None);
+    assert!(clean.status.success(), "{clean:?}");
+
+    // Epoch 1 is the snapshot; epochs 2 and 3 are journal records.
+    let crashed = |tag: &str| {
+        let dir = base.join(tag);
+        let out = run_in(&dir, Some("crash:3"));
+        assert_eq!(out.status.code(), Some(101), "{out:?}");
+        let bytes = read_file(&dir.join("journal.bbjn"));
+        let line = |epoch: u32| {
+            let needle = format!("\nepoch {epoch} ");
+            bytes.windows(needle.len()).position(|w| w == needle.as_bytes()).unwrap() + 1
+        };
+        let (second, third) = (line(2), line(3));
+        (dir, bytes, second, third)
+    };
+
+    // A last record cut short is a torn tail: truncated, and the resume
+    // matches the uninterrupted run.
+    let (dir, bytes, _, third) = crashed("torn");
+    std::fs::write(dir.join("journal.bbjn"), &bytes[..bytes.len() - 7]).unwrap();
+    let out = run_in(&dir, None);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(out.stdout, clean.stdout, "resume after a torn tail diverged");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("1 journal record(s)") && err.contains("torn journal tail"), "{err}");
+    assert!(read_file(&dir.join("journal.bbjn")).len() > third, "journal not re-extended");
+
+    // Mid-file damage, an epoch gap and a foreign key exit 2, naming why.
+    for (tag, damage, want) in [
+        ("flip", 0, "checksum mismatch in journal record for epoch 2"),
+        ("gap", 1, "is epoch 4, expected 3"),
+        ("key", 2, "seed mismatch: journal has 7"),
+    ] {
+        let (dir, mut bytes, second, third) = crashed(tag);
+        match damage {
+            0 => {
+                let blob = second + bytes[second..].iter().position(|&b| b == b'\n').unwrap() + 1;
+                bytes[blob] ^= 0x20;
+            }
+            1 => bytes[third + "epoch ".len()] = b'4',
+            _ => {
+                let at = bytes.windows(8).position(|w| w == b"seed 42\n").unwrap();
+                bytes.splice(at..at + 8, *b"seed 7\n");
+            }
+        }
+        std::fs::write(dir.join("journal.bbjn"), &bytes).unwrap();
+        let out = run_in(&dir, None);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {out:?}");
+        assert!(out.stdout.is_empty(), "{tag}: stdout must stay silent");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{tag}:\n{err}");
+    }
     std::fs::remove_dir_all(&base).ok();
 }
