@@ -122,7 +122,7 @@ pub use spray::{spray, SprayConfig, SprayDataset, SprayEngine, SprayTarget, Wind
 
 /// Per-campaign fault bookkeeping, accumulated inside `par_map` tasks and
 /// merged into the process-wide `timing` counters once per campaign.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct FaultTally {
     /// Probe attempts that never reported (lost in flight or timed out).
     pub lost: usize,

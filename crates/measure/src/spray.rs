@@ -12,9 +12,9 @@ use bb_bgp::{provider_rib, Announcement, ProviderRouteClass};
 use bb_cdn::Provider;
 use bb_geo::CityId;
 use bb_netsim::{
-    batch_session_median_z, batch_session_min_z, realize_path, CongestionKey,
-    CongestionModel, CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable,
-    PathPlan, PathPlanBatch, RealizeSpec, RealizedPath, RttModel, SimTime, UtilProbe, Window,
+    batch_session_median_z, batch_session_min_z, realize_path, CongestionKey, CongestionModel,
+    CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable, PathPlan, PathPlanBatch,
+    RealizeSpec, RealizedPath, RouteChurn, RttModel, SimTime, UtilProbe, Window,
 };
 use bb_topology::{AsId, InterconnectId, Topology};
 use bb_workload::{PrefixId, Workload};
@@ -122,6 +122,12 @@ fn cell_seed(seed: u64, w: Window, ti: usize, ri: usize) -> u64 {
         bb_exec::derive_seed(bb_exec::derive_seed(seed, w.0 as u64), ti as u64),
         ri as u64,
     )
+}
+
+/// When retry `attempt` of a faulted probe re-observes a window whose
+/// midpoint is `t`: `attempt` backoffs later.
+fn retry_time(fp: &FaultPlane, t: SimTime, attempt: u32) -> SimTime {
+    t + attempt as f64 * fp.config().retry_backoff_min
 }
 
 /// The log-normal jitter of a standard-normal deviate `z`.
@@ -341,6 +347,20 @@ impl SprayEngine {
         windows: &[Window],
         faults: Option<&FaultPlane>,
     ) -> Vec<Vec<WindowRow>> {
+        let (rows, tally) = self.sample_windows_tallied(windows, faults);
+        if faults.is_some() {
+            tally.publish();
+        }
+        rows
+    }
+
+    /// [`sample_windows`](Self::sample_windows), returning the call's fault
+    /// tally instead of publishing it.
+    fn sample_windows_tallied(
+        &self,
+        windows: &[Window],
+        faults: Option<&FaultPlane>,
+    ) -> (Vec<Vec<WindowRow>>, crate::FaultTally) {
         let cfg = &self.cfg;
         let rtt_model = &self.rtt_model;
         // Diurnal factors for every (window midpoint, UTC offset) pair are
@@ -350,6 +370,19 @@ impl SprayEngine {
         // the whole-campaign table would.
         let times: Vec<SimTime> = windows.iter().map(|w| w.midpoint()).collect();
         let diurnal = DiurnalTable::build(&times, &self.offsets);
+        // A faulted retry re-observes its window `attempt · backoff`
+        // minutes after the midpoint, the same instant for every session
+        // of every target: one more table per retry level, so no attempt
+        // evaluates a sine.
+        let retry_diurnal: Vec<DiurnalTable> = faults.map_or_else(Vec::new, |fp| {
+            (1..=fp.config().max_retries)
+                .map(|attempt| {
+                    let shifted: Vec<SimTime> =
+                        times.iter().map(|&t| retry_time(fp, t, attempt)).collect();
+                    DiurnalTable::build(&shifted, &self.offsets)
+                })
+                .collect()
+        });
 
         // The log-normal jitter map `z ↦ median·exp(sigma·z)` is monotone
         // non-decreasing for sigma, median ≥ 0 (the engine always runs
@@ -382,6 +415,23 @@ impl SprayEngine {
             let mut jscratch = JitterScratch::default();
             let mut min_z: Vec<f64> = Vec::with_capacity(cfg.sessions_per_window);
             let mut kept: Vec<f64> = Vec::with_capacity(cfg.sessions_per_window);
+            // Faulted path: churn is a property of the route, not the
+            // window, so each route's key and withdrawal intervals resolve
+            // once per target. `det` is shared by every session of a
+            // (window, route, attempt) and computed on first use.
+            let routes: Vec<(u64, RouteChurn)> = faults.map_or_else(Vec::new, |fp| {
+                (0..target.routes.len())
+                    .map(|ri| {
+                        let key = FaultPlane::stream_key(&[
+                            target.pop.0 as u64,
+                            target.prefix.0 as u64,
+                            ri as u64,
+                        ]);
+                        (key, fp.route_churn(key))
+                    })
+                    .collect()
+            });
+            let mut attempt_det: Vec<Option<f64>> = vec![None; retry_diurnal.len() + 1];
             let mut tally = crate::FaultTally::default();
             let mut ktally = KernelTally::default();
             let mut rows = Vec::with_capacity(windows.len());
@@ -422,14 +472,8 @@ impl SprayEngine {
                         }
                         Some(fp) => {
                             let route_rng_seed = cell_seed(cfg.seed, w, ti, ri);
-                            // Churn is a property of the route, not the
-                            // window: the same key across all windows.
-                            let route_key = FaultPlane::stream_key(&[
-                                target.pop.0 as u64,
-                                target.prefix.0 as u64,
-                                ri as u64,
-                            ]);
-                            if fp.route_withdrawn(route_key, t) {
+                            let (route_key, churn) = &routes[ri];
+                            if churn.withdrawn_at(t) {
                                 // No path: every session of the window is
                                 // lost outright, no retry can help.
                                 tally.lost += cfg.sessions_per_window;
@@ -438,9 +482,10 @@ impl SprayEngine {
                                 counts.push(0);
                             } else {
                                 kept.clear();
+                                attempt_det.fill(None);
                                 for s in 0..cfg.sessions_per_window {
                                     let probe_key = FaultPlane::stream_key(&[
-                                        route_key,
+                                        *route_key,
                                         w.0 as u64,
                                         s as u64,
                                     ]);
@@ -451,9 +496,15 @@ impl SprayEngine {
                                         |attempt| {
                                             // Retries re-observe the path a
                                             // little later (backoff).
-                                            let ta = t + attempt as f64
-                                                * fp.config().retry_backoff_min;
-                                            let det = batch.det_rtt_ms_at(ri, ta);
+                                            let det = *attempt_det[attempt as usize]
+                                                .get_or_insert_with(|| match attempt {
+                                                    0 => batch.det_rtt_ms(ri, t, drow),
+                                                    a => batch.det_rtt_ms(
+                                                        ri,
+                                                        retry_time(fp, t, a),
+                                                        retry_diurnal[a as usize - 1].row(wi),
+                                                    ),
+                                                });
                                             let mut rng =
                                                 StdRng::seed_from_u64(bb_exec::derive_seed(
                                                     bb_exec::derive_seed(
@@ -515,9 +566,6 @@ impl SprayEngine {
             tally.merge(target_tally);
             ktally.merge(target_ktally);
         }
-        if faults.is_some() {
-            tally.publish();
-        }
         ktally.publish();
 
         let route_windows: usize =
@@ -526,7 +574,7 @@ impl SprayEngine {
             "samples:spray",
             route_windows * cfg.sessions_per_window * cfg.rtt_samples_per_session,
         );
-        out
+        (out, tally)
     }
 
     /// The jitter table of `windows`. A whole-campaign call goes through
@@ -1101,5 +1149,146 @@ mod tests {
             ..Default::default()
         };
         sample_checked(&w, CongestionConfig::default(), &planet);
+    }
+
+    /// Per target, per window: the route medians and sample counts.
+    type OracleRows = Vec<Vec<(Vec<f64>, Vec<u32>)>>;
+
+    /// The faulted path's scalar oracle: per session, `faulted_attempts`
+    /// over `route_withdrawn` and the table-free `det_rtt_ms_at`, each
+    /// attempt through `sample_min_rtt` on its own stream, then
+    /// `quantile_select`. Returns the rows, the fault tally, and the
+    /// highest attempt index any probe reached.
+    fn faulted_oracle(
+        engine: &SprayEngine,
+        windows: &[Window],
+        fp: &FaultPlane,
+    ) -> (OracleRows, crate::FaultTally, u32) {
+        let cfg = &engine.cfg;
+        let mut tally = crate::FaultTally::default();
+        let mut deepest = 0;
+        let rows = engine
+            .targets
+            .iter()
+            .enumerate()
+            .map(|(ti, target)| {
+                windows
+                    .iter()
+                    .map(|&w| {
+                        let t = w.midpoint();
+                        let mut medians = Vec::new();
+                        let mut counts = Vec::new();
+                        for ri in 0..target.routes.len() {
+                            let route_key = FaultPlane::stream_key(&[
+                                target.pop.0 as u64,
+                                target.prefix.0 as u64,
+                                ri as u64,
+                            ]);
+                            if fp.route_withdrawn(route_key, t) {
+                                tally.lost += cfg.sessions_per_window;
+                                tally.dropped += 1;
+                                medians.push(f64::NAN);
+                                counts.push(0);
+                                continue;
+                            }
+                            let mut kept: Vec<f64> = (0..cfg.sessions_per_window)
+                                .filter_map(|s| {
+                                    let probe_key =
+                                        FaultPlane::stream_key(&[route_key, w.0 as u64, s as u64]);
+                                    crate::faulted_attempts(fp, probe_key, &mut tally, |attempt| {
+                                        deepest = deepest.max(attempt);
+                                        let ta = t + attempt as f64 * fp.config().retry_backoff_min;
+                                        let det = engine.batches[ti].det_rtt_ms_at(ri, ta);
+                                        let seed = bb_exec::derive_seed(
+                                            bb_exec::derive_seed(
+                                                cell_seed(cfg.seed, w, ti, ri),
+                                                s as u64,
+                                            ),
+                                            attempt as u64,
+                                        );
+                                        sample_min_rtt(
+                                            det,
+                                            &RttModel::default(),
+                                            cfg.rtt_samples_per_session,
+                                            &mut StdRng::seed_from_u64(seed),
+                                        )
+                                    })
+                                })
+                                .collect();
+                            counts.push(kept.len() as u32);
+                            if kept.len() < fp.config().min_samples_per_window {
+                                tally.dropped += 1;
+                                medians.push(f64::NAN);
+                            } else {
+                                medians.push(bb_stats::quantile::quantile_select(&mut kept, 0.5));
+                            }
+                        }
+                        (medians, counts)
+                    })
+                    .collect()
+            })
+            .collect();
+        (rows, tally, deepest)
+    }
+
+    #[test]
+    fn faulted_windows_match_the_scalar_oracle() {
+        use bb_netsim::FaultConfig;
+        let (topo, provider, workload) = world();
+        let model = CongestionModel::new(8, CongestionConfig::default());
+        let cfg = SprayConfig {
+            seed: 0x_7177_0007,
+            days: 1.0,
+            window_stride: 4,
+            sessions_per_window: 5,
+            ..Default::default()
+        };
+        let engine = SprayEngine::new(&topo, &provider, &workload, &model, &cfg);
+        let windows = engine.batch_windows();
+        // Heavy never times out at full scale, so the third config forces
+        // timeouts and a second retry (a second retry table).
+        let timeouts = FaultConfig {
+            max_retries: 2,
+            timeout_ms: 70.0,
+            ..FaultConfig::heavy()
+        };
+        for (name, fc) in [
+            ("light", FaultConfig::light()),
+            ("heavy", FaultConfig::heavy()),
+            ("timeouts", timeouts),
+        ] {
+            let fp = FaultPlane::new(5, fc);
+            let (got, got_tally) = engine.sample_windows_tallied(&windows, Some(&fp));
+            let (want, want_tally, deepest) = faulted_oracle(&engine, &windows, &fp);
+            assert_eq!(got_tally, want_tally, "{name}: fault tally");
+            assert!(
+                want_tally.lost > 0 && want_tally.retries > 0,
+                "{name}: {want_tally:?}"
+            );
+            let bits = |v: &[f64]| v.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+            for (g_rows, w_rows) in got.iter().zip(&want) {
+                assert_eq!(g_rows.len(), w_rows.len());
+                for (g, (medians, samples)) in g_rows.iter().zip(w_rows) {
+                    assert_eq!(&g.route_samples, samples, "{name} window {}", g.window.0);
+                    assert_eq!(
+                        bits(&g.route_median_ms),
+                        bits(medians),
+                        "{name} window {}: {:?} != {medians:?}",
+                        g.window.0,
+                        g.route_median_ms,
+                    );
+                }
+            }
+            if name == "timeouts" {
+                assert!(want_tally.timeouts > 0, "the low timeout must fire");
+                assert_eq!(deepest, 2, "some probe must reach its second retry");
+                assert!(
+                    want.iter()
+                        .flatten()
+                        .any(|(m, _)| m.iter().any(|m| m.is_finite())),
+                    "some windows must survive the timeout"
+                );
+            }
+        }
     }
 }

@@ -186,15 +186,18 @@ impl FaultPlane {
     }
 
     /// Whether the route identified by `route_key` is withdrawn at `t`.
+    /// Loops that ask about one route at many times resolve its
+    /// [`route_churn`](Self::route_churn) once instead.
     pub fn route_withdrawn(&self, route_key: u64, t: SimTime) -> bool {
-        let events = self.churn_events(route_key);
-        let m = t.minutes();
-        // First event with start_min > m; the only candidate is the one
-        // before it (starts are strictly increasing).
-        let i = events.partition_point(|e| e.start_min <= m);
-        i.checked_sub(1)
-            .and_then(|i| events.get(i))
-            .is_some_and(|e| m < e.end_min)
+        self.route_churn(route_key).withdrawn_at(t)
+    }
+
+    /// The withdrawal process of one route, resolved once: the cache
+    /// lookup happens here, and every later query is lock-free.
+    pub fn route_churn(&self, route_key: u64) -> RouteChurn {
+        RouteChurn {
+            events: self.churn_events(route_key),
+        }
     }
 
     /// All withdrawal intervals of a route across the horizon, start-sorted
@@ -236,6 +239,25 @@ impl FaultPlane {
             t += dur + exp(next_u01(), mean_gap_min);
         }
         events
+    }
+}
+
+/// One route's withdrawal intervals (see [`FaultPlane::route_churn`]).
+#[derive(Debug, Clone)]
+pub struct RouteChurn {
+    events: Arc<[Outage]>,
+}
+
+impl RouteChurn {
+    /// Whether the route is withdrawn at `t`.
+    pub fn withdrawn_at(&self, t: SimTime) -> bool {
+        let m = t.minutes();
+        // First event with start_min > m; the only candidate is the one
+        // before it (starts are strictly increasing).
+        let i = self.events.partition_point(|e| e.start_min <= m);
+        i.checked_sub(1)
+            .and_then(|i| self.events.get(i))
+            .is_some_and(|e| m < e.end_min)
     }
 }
 
@@ -399,6 +421,12 @@ mod tests {
         let before = SimTime::from_minutes((e.start_min - 1.0).max(0.0));
         assert!(p.route_withdrawn(rk, mid));
         assert!(!p.route_withdrawn(rk, before));
+        let churn = p.route_churn(rk);
+        assert!(churn.withdrawn_at(mid));
+        assert!(!churn.withdrawn_at(before));
+        // Intervals are half-open: withdrawn from the start, back at the end.
+        assert!(churn.withdrawn_at(SimTime::from_minutes(e.start_min)));
+        assert!(!churn.withdrawn_at(SimTime::from_minutes(e.end_min)));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use congestion::{
 };
 pub use plan::{CongestionPlan, DiurnalTable, OffsetTable, PathPlan, PathPlanBatch, UtilProbe};
 pub use failure::{FailureConfig, FailureKey, FailureModel, Outage};
-pub use fault::{FaultConfig, FaultLevel, FaultPlane, MAX_BASE_RTT_MS};
+pub use fault::{FaultConfig, FaultLevel, FaultPlane, RouteChurn, MAX_BASE_RTT_MS};
 pub use goodput::goodput_mbps;
 pub use path::{realize_path, RealizeSpec, RealizedPath, Segment, TracerouteHop};
 pub use rtt::{

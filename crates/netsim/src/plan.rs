@@ -233,7 +233,7 @@ pub struct PathPlanBatch {
     term_amp: Vec<f64>,
     /// Per term: index into the [`OffsetTable`] rows.
     term_offset_idx: Vec<u32>,
-    /// Per term: the raw UTC offset (for off-table times, e.g. retries).
+    /// Per term: the raw UTC offset (for the table-free `det_rtt_ms_at`).
     term_offset_hours: Vec<f64>,
     /// Per term: `term_ev_start[i]..term_ev_start[i+1]` indexes the event
     /// arrays (start-sorted, non-overlapping, as in [`KeyProcess`]).
@@ -348,10 +348,10 @@ impl PathPlanBatch {
         rtt
     }
 
-    /// Deterministic RTT of `route` at an arbitrary `t` not covered by the
-    /// table (the fault plane's retry/backoff path re-observes a window a
-    /// little later). Computes each term's diurnal factor inline; still
-    /// bit-identical to [`PathPlan::rtt_ms`].
+    /// Deterministic RTT of `route` at an arbitrary `t`, without a
+    /// [`DiurnalTable`]: the table-free reference for oracles. Computes
+    /// each term's diurnal factor inline; still bit-identical to
+    /// [`PathPlan::rtt_ms`].
     pub fn det_rtt_ms_at(&self, route: usize, t: SimTime) -> f64 {
         let m = t.minutes();
         let mut rtt = self.base_rtt[route];

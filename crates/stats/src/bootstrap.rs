@@ -5,7 +5,7 @@
 //! We compute per-group CIs for the median by the percentile bootstrap,
 //! with an explicit seed so the whole figure is reproducible.
 
-use crate::quantile::{median, quantile_sorted};
+use crate::quantile::quantile_sorted;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -67,52 +67,89 @@ impl ConfidenceInterval {
 ///
 /// `resamples` controls the bootstrap replication count (the paper's scale
 /// would use thousands; 200 is plenty for figure shape). Returns `None` on
-/// empty input. For a single sample the interval is degenerate.
+/// empty input or zero resamples (no replicate medians, so no interval).
+/// For a single sample the interval is degenerate.
+///
+/// A resample is a multiset of input indices, so it is never
+/// materialized: the input is argsorted once by `total_cmp`, each draw
+/// bumps its index's count, and the replicate median is read off the
+/// counts accumulated in value order. The order statistics, and so the
+/// interpolated median, are bit-identical to copying the resample and
+/// running [`quantile_select`](crate::quantile_select) on the copy.
 pub fn bootstrap_median_ci(
     values: &[f64],
     level: f64,
     resamples: usize,
     seed: u64,
 ) -> Option<ConfidenceInterval> {
-    let point = median(values)?;
-    if values.len() == 1 {
-        return Some(ConfidenceInterval {
-            lower: point,
-            point,
-            upper: point,
-            level,
-        });
+    if values.is_empty() || resamples == 0 {
+        return None;
     }
-
+    debug_assert!(values.iter().all(|v| !v.is_nan()), "NaN in bootstrap input");
     SCRATCH.with_borrow_mut(|scratch| {
-        let BootstrapScratch { raw, buf, medians } = scratch;
-        let mut rng = StdRng::seed_from_u64(seed);
-        // One batched pass over the generator: selection consumes no
-        // randomness, so front-loading every draw leaves the stream order —
-        // and therefore the resampled indices — exactly as the interleaved
-        // draw-then-select loop produced them.
-        let n = resamples * values.len();
-        raw.clear();
-        raw.reserve(n);
-        for _ in 0..n {
-            raw.push(rng.next_u64());
+        let BootstrapScratch {
+            order,
+            sorted,
+            counts,
+            medians,
+        } = scratch;
+        let n = values.len();
+        order.clear();
+        order.extend(0..n as u32);
+        order.sort_unstable_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+        sorted.clear();
+        sorted.extend(order.iter().map(|&i| values[i as usize]));
+        counts.clear();
+        counts.resize(n, 0);
+        // `median` is `quantile_sorted` over this same `total_cmp` order.
+        let point = quantile_sorted(sorted, 0.5);
+        if n == 1 {
+            return Some(ConfidenceInterval {
+                lower: point,
+                point,
+                upper: point,
+                level,
+            });
         }
+
+        // `quantile_select`'s bracketing order statistics for q = 0.5.
+        let pos = 0.5 * (n - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        let frac = pos - lo as f64;
+
+        let mut rng = StdRng::seed_from_u64(seed);
         // `gen_range(0..len)` is `next_u64() % len`; the divisor is loop-
         // invariant, so hoist the division out of the ~len × resamples
         // draws.
-        let index = FastRem::new(values.len() as u64);
-        buf.resize(values.len(), 0.0);
+        let index = FastRem::new(n as u64);
         medians.clear();
         medians.reserve(resamples);
-        for r in 0..resamples {
-            let draws = &raw[r * values.len()..(r + 1) * values.len()];
-            for (slot, &bits) in buf.iter_mut().zip(draws) {
-                *slot = values[index.rem(bits) as usize];
+        for _ in 0..resamples {
+            for _ in 0..n {
+                counts[index.rem(rng.next_u64()) as usize] += 1;
             }
-            // O(n) selection; bit-identical to sort + quantile_sorted, and
-            // buf is refilled next iteration so the partial reorder is
-            // harmless.
-            medians.push(crate::quantile_select(buf, 0.5));
+            // Walking the counts in value order, the `lo`-th smallest draw
+            // (0-based) sits at the first rank whose cumulative count
+            // passes `lo`; likewise `hi`.
+            let mut k = 0;
+            let mut cum = counts[order[0] as usize] as usize;
+            while cum <= lo {
+                k += 1;
+                cum += counts[order[k] as usize] as usize;
+            }
+            let lo_v = sorted[k];
+            let median = if lo == hi {
+                lo_v
+            } else {
+                while cum <= hi {
+                    k += 1;
+                    cum += counts[order[k] as usize] as usize;
+                }
+                lo_v * (1.0 - frac) + sorted[k] * frac
+            };
+            medians.push(median);
+            counts.fill(0);
         }
         medians.sort_by(|a, b| a.total_cmp(b));
 
@@ -128,29 +165,117 @@ pub fn bootstrap_median_ci(
 
 /// Reused bootstrap buffers, one set per thread: the egress study runs one
 /// `bootstrap_median_ci` per ⟨PoP, prefix⟩ group (hundreds to thousands per
-/// campaign), and the three buffers would otherwise be reallocated per
-/// group.
+/// campaign), and the buffers would otherwise be reallocated per group.
+#[derive(Default)]
 struct BootstrapScratch {
-    /// Raw generator output, one `u64` per resampled index.
-    raw: Vec<u64>,
-    /// One resample of `values`.
-    buf: Vec<f64>,
+    /// Input indices in `total_cmp` order of their values.
+    order: Vec<u32>,
+    /// The input in that order: `sorted[k] == values[order[k]]`.
+    sorted: Vec<f64>,
+    /// Per input index, how often the current resample drew it.
+    counts: Vec<u32>,
     /// The bootstrap replicate medians.
     medians: Vec<f64>,
 }
 
 thread_local! {
-    static SCRATCH: std::cell::RefCell<BootstrapScratch> =
-        std::cell::RefCell::new(BootstrapScratch {
-            raw: Vec::new(),
-            buf: Vec::new(),
-            medians: Vec::new(),
-        });
+    static SCRATCH: std::cell::RefCell<BootstrapScratch> = Default::default();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantile::median;
+    use proptest::prelude::*;
+
+    /// The copy-and-quickselect bootstrap the rank-count loop replaced:
+    /// every resample copied into a buffer, its median by
+    /// `quantile_select`.
+    fn reference_ci(
+        values: &[f64],
+        level: f64,
+        resamples: usize,
+        seed: u64,
+    ) -> Option<ConfidenceInterval> {
+        let point = median(values)?;
+        if resamples == 0 {
+            return None;
+        }
+        if values.len() == 1 {
+            return Some(ConfidenceInterval {
+                lower: point,
+                point,
+                upper: point,
+                level,
+            });
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let index = FastRem::new(values.len() as u64);
+        let mut buf = vec![0.0; values.len()];
+        let mut medians: Vec<f64> = (0..resamples)
+            .map(|_| {
+                for slot in buf.iter_mut() {
+                    *slot = values[index.rem(rng.next_u64()) as usize];
+                }
+                crate::quantile_select(&mut buf, 0.5)
+            })
+            .collect();
+        medians.sort_by(|a, b| a.total_cmp(b));
+        let alpha = (1.0 - level.clamp(0.0, 1.0)) / 2.0;
+        Some(ConfidenceInterval {
+            lower: quantile_sorted(&medians, alpha),
+            point,
+            upper: quantile_sorted(&medians, 1.0 - alpha),
+            level,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Rank-count and copy-and-select agree bit for bit, including on
+        /// heavy ties, signed zeros and negative values.
+        #[test]
+        fn rank_count_matches_copy_and_select(
+            n in 2usize..301,
+            tied in 0u8..2,
+            resample_idx in 0usize..2,
+            level_idx in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let resamples = [1, 120][resample_idx];
+            let level = [0.90, 0.95, 0.99][level_idx];
+            let mut state = seed;
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                    if tied == 1 {
+                        [-0.0, 0.0, -3.5][(state >> 40) as usize % 3]
+                    } else {
+                        (u - 0.4) * 50.0
+                    }
+                })
+                .collect();
+            let got = bootstrap_median_ci(&values, level, resamples, seed).unwrap();
+            let want = reference_ci(&values, level, resamples, seed).unwrap();
+            for (g, w) in [
+                (got.lower, want.lower),
+                (got.point, want.point),
+                (got.upper, want.upper),
+            ] {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "n={} got {:?} want {:?}", n, got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_resamples_returns_none() {
+        assert!(bootstrap_median_ci(&[1.0, 2.0], 0.95, 0, 1).is_none());
+        assert!(bootstrap_median_ci(&[7.0], 0.95, 0, 1).is_none());
+    }
 
     #[test]
     fn fast_rem_matches_hardware_remainder() {
