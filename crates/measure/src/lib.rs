@@ -16,13 +16,23 @@
 //!   vantage points to Premium- and Standard-tier VMs.
 
 //!
-//! All three pipelines optionally consume a
-//! [`FaultPlane`](bb_netsim::FaultPlane): probes are lost, time out, and
-//! retry with bounded backoff; routes are withdrawn mid-window by churn.
-//! Measurements that do not survive are emitted as `NaN` (never silently
-//! averaged) and per-campaign fault tallies land in `bb_exec::timing`
-//! counters (`faults:*`). With no fault plane the pipelines run the exact
-//! pre-fault code path, byte for byte.
+//! All three pipelines measure the same way: each compiles its routes into
+//! [`PathPlanBatch`]es, reads diurnal factors from one [`Sampler`]'s
+//! tables, and draws MinRTT jitter through the batched kernel.
+//!
+//! All three optionally consume a [`FaultPlane`]: probes are lost, time
+//! out, and retry with bounded backoff; routes are withdrawn mid-window by
+//! churn. Measurements that do not survive are emitted as `NaN` (never
+//! silently averaged) and per-campaign fault tallies land in
+//! `bb_exec::timing` counters (`faults:*`). With no fault plane the
+//! pipelines run the exact pre-fault code path, byte for byte.
+
+use bb_netsim::{
+    batch_session_median_z, batch_session_min_z, DiurnalTable, FaultPlane, JitterScratch,
+    PathPlanBatch, RttModel, SimTime,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 pub mod beacon;
 pub mod probe;
@@ -80,40 +90,6 @@ pub mod progress {
         *HOOK.write().unwrap_or_else(|e| e.into_inner()) = None;
         WINDOWS.store(0, Ordering::Relaxed);
     }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::sync::atomic::AtomicUsize;
-
-        #[test]
-        fn hook_fires_every_n_windows() {
-            // Serialize against other tests via the write lock semantics:
-            // this test owns the global hook for its duration.
-            reset();
-            let fired = Arc::new(AtomicUsize::new(0));
-            let f = fired.clone();
-            set_hook(
-                3,
-                Arc::new(move |_| {
-                    f.fetch_add(1, Ordering::Relaxed);
-                }),
-            );
-            let base = windows_done();
-            for _ in 0..10 {
-                window_done();
-            }
-            assert_eq!(windows_done() - base, 10);
-            // 10 ticks at every=3 crosses at least three multiples of 3.
-            assert!(fired.load(Ordering::Relaxed) >= 3);
-            reset();
-            let before = fired.load(Ordering::Relaxed);
-            window_done();
-            window_done();
-            window_done();
-            assert_eq!(fired.load(Ordering::Relaxed), before, "reset removes hook");
-        }
-    }
 }
 
 pub use beacon::{run_beacons, BeaconConfig, BeaconMeasurement};
@@ -156,11 +132,11 @@ impl FaultTally {
 }
 
 /// One faulted measurement: run up to `1 + max_retries` attempts of
-/// `attempt -> Option<rtt>` (the closure returns `None` for a sample that
-/// exceeded the measurement timeout), skipping attempts lost in flight.
-/// Returns the first surviving RTT; `tally` absorbs losses and retries.
+/// `attempt -> rtt`, skipping attempts lost in flight and discarding RTTs
+/// above the measurement timeout. Returns the first surviving RTT; `tally`
+/// absorbs losses, timeouts and retries.
 pub(crate) fn faulted_attempts(
-    fp: &bb_netsim::FaultPlane,
+    fp: &FaultPlane,
     probe_key: u64,
     tally: &mut FaultTally,
     mut attempt_rtt: impl FnMut(u32) -> f64,
@@ -182,4 +158,177 @@ pub(crate) fn faulted_attempts(
         return Some(rtt);
     }
     None
+}
+
+/// When retry `attempt` of a faulted probe re-observes a path first
+/// observed at `t`: `attempt` backoffs later.
+fn retry_time(fp: &FaultPlane, t: SimTime, attempt: u32) -> SimTime {
+    t + attempt as f64 * fp.config().retry_backoff_min
+}
+
+/// The log-normal jitter of a standard-normal deviate `z`.
+pub(crate) fn jitter_of(model: &RttModel, z: f64) -> f64 {
+    model.jitter_median_ms * (model.jitter_sigma * z).exp()
+}
+
+/// Batch jitter-kernel counters, accumulated per task and merged like
+/// [`FaultTally`]. Only spray publishes them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KernelTally {
+    /// Batch kernel invocations.
+    pub batches: usize,
+    /// Deviates the batch kernels resolved through libm.
+    pub exact_evals: usize,
+}
+
+impl KernelTally {
+    pub fn merge(&mut self, other: KernelTally) {
+        self.batches += other.batches;
+        self.exact_evals += other.exact_evals;
+    }
+
+    pub fn publish(&self) {
+        if self.batches > 0 {
+            bb_exec::timing::add_count("kernel:spray:batches", self.batches);
+            bb_exec::timing::add_count("kernel:spray:exact_evals", self.exact_evals);
+        }
+    }
+}
+
+/// One task's sampling state: the jitter kernel's reused buffers, the
+/// faulted path's per-attempt RTT memo and kept-session buffer, and the
+/// task's tallies. Nothing allocates per call once the buffers have grown.
+#[derive(Default)]
+pub(crate) struct TaskScratch {
+    jitter: JitterScratch,
+    min_z: Vec<f64>,
+    attempt_det: Vec<Option<f64>>,
+    kept: Vec<f64>,
+    pub faults: FaultTally,
+    pub kernel: KernelTally,
+}
+
+impl TaskScratch {
+    /// The minimum deviate of each of `sessions` sessions of `samples`
+    /// draws from `rng`, in the scalar session walk's stream order.
+    pub fn min_z(&mut self, rng: &mut StdRng, sessions: usize, samples: usize) -> &[f64] {
+        self.kernel.batches += 1;
+        self.kernel.exact_evals +=
+            batch_session_min_z(rng, sessions, samples, &mut self.jitter, &mut self.min_z);
+        &self.min_z
+    }
+
+    /// The median of [`min_z`](Self::min_z)'s session minima (odd
+    /// `sessions`), drawing the same stream.
+    pub fn median_z(&mut self, rng: &mut StdRng, sessions: usize, samples: usize) -> f64 {
+        let (z, evals) = batch_session_median_z(rng, sessions, samples, &mut self.jitter);
+        self.kernel.batches += 1;
+        self.kernel.exact_evals += evals;
+        z
+    }
+}
+
+/// The sample times of one campaign call, tabulated for every attempt a
+/// probe can make, and the MinRTT sampling all three pipelines share.
+///
+/// Built once per call, before the `par_map`: attempt 0 observes the
+/// sample times themselves, and under a fault plane retry `a` re-observes
+/// them `a` backoffs later. Each attempt gets one [`DiurnalTable`], so no
+/// attempt evaluates a sine.
+pub(crate) struct Sampler {
+    rtt_model: RttModel,
+    /// Draws per session.
+    samples: usize,
+    /// Per attempt: the instants it observes and their diurnal table.
+    attempts: Vec<(Vec<SimTime>, DiurnalTable)>,
+}
+
+impl Sampler {
+    pub fn new(times: Vec<SimTime>, faults: Option<&FaultPlane>, samples: usize) -> Self {
+        let retries = faults.map_or(Vec::new(), |fp| {
+            (1..=fp.config().max_retries)
+                .map(|a| times.iter().map(|&t| retry_time(fp, t, a)).collect())
+                .collect()
+        });
+        let attempts = std::iter::once(times)
+            .chain(retries)
+            .map(|at: Vec<SimTime>| {
+                let table = DiurnalTable::build(&at);
+                (at, table)
+            })
+            .collect();
+        Sampler {
+            rtt_model: RttModel::default(),
+            samples,
+            attempts,
+        }
+    }
+
+    /// The `i`-th sample time.
+    pub fn time(&self, i: usize) -> SimTime {
+        self.attempts[0].0[i]
+    }
+
+    /// The diurnal factors of the `i`-th sample time.
+    pub fn row(&self, i: usize) -> &[f64] {
+        self.attempts[0].1.row(i)
+    }
+
+    /// Deterministic RTT of `route` as attempt `attempt` observes sample
+    /// `i`.
+    pub fn det(&self, batch: &PathPlanBatch, route: usize, i: usize, attempt: u32) -> f64 {
+        let (times, table) = &self.attempts[attempt as usize];
+        batch.det_rtt_ms(route, times[i], table.row(i))
+    }
+
+    /// The MinRTTs of `out.len()` sessions over `det`: each the jitter of
+    /// the minimum of `samples` deviates drawn from `rng`.
+    pub fn min_rtts(&self, task: &mut TaskScratch, rng: &mut StdRng, det: f64, out: &mut [f64]) {
+        let min_z = task.min_z(rng, out.len(), self.samples);
+        for (rtt, &z) in out.iter_mut().zip(min_z) {
+            *rtt = det + jitter_of(&self.rtt_model, z);
+        }
+    }
+
+    /// One session's MinRTT over `det`.
+    pub fn min_rtt(&self, task: &mut TaskScratch, rng: &mut StdRng, det: f64) -> f64 {
+        let mut rtt = [0.0];
+        self.min_rtts(task, rng, det, &mut rtt);
+        rtt[0]
+    }
+
+    /// Faulted probes of `route` at sample `i`, one per `(probe key,
+    /// seed)` in `probes`; returns the RTTs that survive. Each probe runs
+    /// [`faulted_attempts`], attempt `a` drawing one session from
+    /// `derive_seed(seed, a)` over the route's RTT at the attempt's
+    /// instant plus `extras`, added in order. Each attempt's RTT is
+    /// computed on first use and shared by every probe of the call.
+    pub fn faulted<'t>(
+        &self,
+        fp: &FaultPlane,
+        task: &'t mut TaskScratch,
+        (batch, route, i): (&PathPlanBatch, usize, usize),
+        extras: &[f64],
+        probes: impl IntoIterator<Item = (u64, u64)>,
+    ) -> &'t mut [f64] {
+        debug_assert_eq!(self.attempts.len(), fp.config().max_retries as usize + 1);
+        task.attempt_det.clear();
+        task.attempt_det.resize(self.attempts.len(), None);
+        task.kept.clear();
+        for (probe_key, seed) in probes {
+            // A copy, because the attempt closure borrows all of `task`.
+            let mut faults = task.faults;
+            let got = faulted_attempts(fp, probe_key, &mut faults, |attempt| {
+                let det = *task.attempt_det[attempt as usize].get_or_insert_with(|| {
+                    let det = self.det(batch, route, i, attempt);
+                    extras.iter().fold(det, |det, &x| det + x)
+                });
+                let mut rng = StdRng::seed_from_u64(bb_exec::derive_seed(seed, attempt as u64));
+                self.min_rtt(task, &mut rng, det)
+            });
+            task.faults = faults;
+            task.kept.extend(got);
+        }
+        &mut task.kept
+    }
 }

@@ -11,10 +11,10 @@
 use bb_bgp::{provider_rib, Announcement, ProviderRouteClass};
 use bb_cdn::Provider;
 use bb_geo::CityId;
+use crate::{jitter_of, KernelTally, Sampler, TaskScratch};
 use bb_netsim::{
-    batch_session_median_z, batch_session_min_z, realize_path, CongestionKey, CongestionModel,
-    CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable, PathPlan, PathPlanBatch,
-    RealizeSpec, RealizedPath, RouteChurn, RttModel, SimTime, UtilProbe, Window,
+    realize_path, CongestionKey, CongestionModel, FaultPlane, PathPlanBatch, RealizeSpec,
+    RealizedPath, RttModel, SimTime, Window,
 };
 use bb_topology::{AsId, InterconnectId, Topology};
 use bb_workload::{PrefixId, Workload};
@@ -93,15 +93,14 @@ type JitterTable = Vec<Vec<f64>>;
 
 /// Everything the jitter term of a window median depends on. Congestion is
 /// absent on purpose: it enters the median only through `det`, so campaigns
-/// that differ only in congestion share one table. The memo's `HashMap`
-/// compares whole keys by equality, never by hash alone.
+/// that differ only in congestion share one table. The jitter model is
+/// absent because every campaign runs `RttModel::default()`. The memo's
+/// `HashMap` compares whole keys by equality, never by hash alone.
 #[derive(PartialEq, Eq, Hash)]
 struct JitterKey {
     seed: u64,
     sessions_per_window: usize,
     rtt_samples_per_session: usize,
-    /// `RttModel` `(jitter_sigma, jitter_median_ms)` bits.
-    rtt_model: (u64, u64),
     /// Routes per target, in target order.
     routes: Vec<usize>,
     windows: Vec<Window>,
@@ -122,17 +121,6 @@ fn cell_seed(seed: u64, w: Window, ti: usize, ri: usize) -> u64 {
         bb_exec::derive_seed(bb_exec::derive_seed(seed, w.0 as u64), ti as u64),
         ri as u64,
     )
-}
-
-/// When retry `attempt` of a faulted probe re-observes a window whose
-/// midpoint is `t`: `attempt` backoffs later.
-fn retry_time(fp: &FaultPlane, t: SimTime, attempt: u32) -> SimTime {
-    t + attempt as f64 * fp.config().retry_backoff_min
-}
-
-/// The log-normal jitter of a standard-normal deviate `z`.
-fn jitter_of(model: &RttModel, z: f64) -> f64 {
-    model.jitter_median_ms * (model.jitter_sigma * z).exp()
 }
 
 /// One pre-realized route of a ⟨PoP, prefix⟩.
@@ -185,38 +173,12 @@ impl SprayDataset {
     }
 }
 
-/// Per-task batch-kernel counters, merged and published once per campaign
-/// (same accumulate-then-publish shape as `FaultTally`, so worker count
-/// never changes the reported totals).
-#[derive(Debug, Default, Clone, Copy)]
-struct KernelTally {
-    /// Batch kernel invocations (`batch_session_min_z` or
-    /// `batch_session_median_z`).
-    batches: usize,
-    /// Deviates the batch kernels resolved through libm.
-    exact_evals: usize,
-}
-
-impl KernelTally {
-    fn merge(&mut self, other: KernelTally) {
-        self.batches += other.batches;
-        self.exact_evals += other.exact_evals;
-    }
-
-    fn publish(&self) {
-        if self.batches > 0 {
-            bb_exec::timing::add_count("kernel:spray:batches", self.batches);
-            bb_exec::timing::add_count("kernel:spray:exact_evals", self.exact_evals);
-        }
-    }
-}
-
 /// A spray campaign compiled for repeated (streaming) window sampling.
 ///
 /// `repro serve` advances windows forever; recompiling routes and plans
 /// per window chunk would dominate. The engine front-loads everything the
-/// per-window loop needs — targets, compiled plan batches, the interned
-/// UTC-offset table, per-target client metadata — and then
+/// per-window loop needs — targets, compiled plan batches, per-target
+/// client metadata — and then
 /// [`sample_windows`](Self::sample_windows) evaluates any window set
 /// against it. The batch entry point [`spray`] is a thin wrapper
 /// (build engine, sample the full campaign window list once), so the
@@ -226,8 +188,6 @@ pub struct SprayEngine {
     cfg: SprayConfig,
     targets: Vec<SprayTarget>,
     batches: Vec<PathPlanBatch>,
-    offsets: OffsetTable,
-    rtt_model: RttModel,
     /// Per-target `(client UTC offset, prefix weight)` — the only
     /// workload/topology facts the window loop consumes.
     client: Vec<(f64, f64)>,
@@ -249,43 +209,20 @@ impl SprayEngine {
             None => build_targets(topo, provider, workload, cfg.top_k),
         });
 
-        // Compile every route's measurement plan once, then re-lay the
-        // compiled plans out as per-target structure-of-arrays batches: the
-        // per-window query is a linear pass over flat term lanes, with no
-        // topology lookups, no model lock, and no Arc chases on the hot
-        // path.
-        struct RoutePlan {
-            rtt: PathPlan,
-            egress_util: UtilProbe,
-        }
-        let (batches, offsets) = bb_exec::timing::time("spray:plan", || {
-            let cplan = CongestionPlan::new(congestion);
-            let plans: Vec<Vec<RoutePlan>> = bb_exec::par_map(&targets, |_, target| {
-                let lastmile = CongestionKey::LastMile(target.prefix.lastmile_code());
-                target
-                    .routes
-                    .iter()
-                    .map(|route| {
-                        let link_city = topo.link(route.egress_link).city;
-                        let link_offset = topo.atlas.city(link_city).region.utc_offset_hours();
-                        RoutePlan {
-                            rtt: cplan.compile_path(topo, &route.path, Some(lastmile)),
-                            egress_util: cplan
-                                .probe(CongestionKey::Link(route.egress_link), link_offset),
-                        }
-                    })
-                    .collect()
-            });
-            let mut offsets = OffsetTable::new();
-            let batches: Vec<PathPlanBatch> = plans
-                .iter()
-                .map(|rps| {
-                    let pairs: Vec<(&PathPlan, Option<&UtilProbe>)> =
-                        rps.iter().map(|rp| (&rp.rtt, Some(&rp.egress_util))).collect();
-                    PathPlanBatch::from_route_plans(&pairs, &mut offsets)
-                })
-                .collect();
-            (batches, offsets)
+        // Compile every target's routes once into a structure-of-arrays
+        // batch: the per-window query is a linear pass over flat term
+        // lanes, with no topology lookups, no model lock, and no Arc chases
+        // on the hot path.
+        let batches = bb_exec::timing::time("spray:plan", || {
+            bb_exec::par_map(&targets, |_, target| {
+                let lastmile = Some(CongestionKey::LastMile(target.prefix.lastmile_code()));
+                let routes = target.routes.iter();
+                PathPlanBatch::compile(
+                    topo,
+                    congestion,
+                    routes.map(|r| (&r.path, lastmile, Some(r.egress_link))),
+                )
+            })
         });
         let client: Vec<(f64, f64)> = targets
             .iter()
@@ -302,8 +239,6 @@ impl SprayEngine {
             cfg: cfg.clone(),
             targets,
             batches,
-            offsets,
-            rtt_model: RttModel::default(),
             client,
         }
     }
@@ -362,33 +297,18 @@ impl SprayEngine {
         faults: Option<&FaultPlane>,
     ) -> (Vec<Vec<WindowRow>>, crate::FaultTally) {
         let cfg = &self.cfg;
-        let rtt_model = &self.rtt_model;
-        // Diurnal factors for every (window midpoint, UTC offset) pair are
-        // tabulated once per call — the sine that used to run per term per
-        // window runs once per table cell. The factors depend only on the
-        // (time, offset) pair, so chunked tabulation reads the same bits
-        // the whole-campaign table would.
+        // Diurnal factors for every (window midpoint, region) pair, and for
+        // every retry's re-observation instant, are tabulated once per call.
+        // The factors depend only on the instant, so chunked tabulation
+        // reads the same bits the whole-campaign table would.
         let times: Vec<SimTime> = windows.iter().map(|w| w.midpoint()).collect();
-        let diurnal = DiurnalTable::build(&times, &self.offsets);
-        // A faulted retry re-observes its window `attempt · backoff`
-        // minutes after the midpoint, the same instant for every session
-        // of every target: one more table per retry level, so no attempt
-        // evaluates a sine.
-        let retry_diurnal: Vec<DiurnalTable> = faults.map_or_else(Vec::new, |fp| {
-            (1..=fp.config().max_retries)
-                .map(|attempt| {
-                    let shifted: Vec<SimTime> =
-                        times.iter().map(|&t| retry_time(fp, t, attempt)).collect();
-                    DiurnalTable::build(&shifted, &self.offsets)
-                })
-                .collect()
-        });
+        let sampler = Sampler::new(times, faults, cfg.rtt_samples_per_session);
 
         // The log-normal jitter map `z ↦ median·exp(sigma·z)` is monotone
-        // non-decreasing for sigma, median ≥ 0 (the engine always runs
+        // non-decreasing for sigma, median ≥ 0 (every campaign runs
         // `RttModel::default()`), so (a) each session's min
         // jitter is the jitter of the session's min deviate (one exp per
-        // session — `sample_min_rtt` has always exploited this) and (b)
+        // session, as the scalar session walk has always done) and (b)
         // with an odd session count the window median — an exact order
         // statistic under `quantile_select` — commutes with the map and
         // with adding `det`: the median is `det + J`, and the jitter term
@@ -406,21 +326,14 @@ impl SprayEngine {
                 bb_exec::par_map(&self.targets, |ti, target| {
             let (client_offset, prefix_weight) = self.client[ti];
             let batch = &self.batches[ti];
-
-            // Scratch reused across every (window, route) of this target:
-            // session values, batch kernel lanes, per-session minima, and
-            // the fault path's kept-session buffer. Nothing allocates
-            // inside the window loop except the per-row output vectors.
+            let routes = target.routes.len();
+            let mut task = TaskScratch::default();
             let mut sessions = vec![0.0_f64; cfg.sessions_per_window];
-            let mut jscratch = JitterScratch::default();
-            let mut min_z: Vec<f64> = Vec::with_capacity(cfg.sessions_per_window);
-            let mut kept: Vec<f64> = Vec::with_capacity(cfg.sessions_per_window);
             // Faulted path: churn is a property of the route, not the
             // window, so each route's key and withdrawal intervals resolve
-            // once per target. `det` is shared by every session of a
-            // (window, route, attempt) and computed on first use.
-            let routes: Vec<(u64, RouteChurn)> = faults.map_or_else(Vec::new, |fp| {
-                (0..target.routes.len())
+            // once per target.
+            let churn: Vec<_> = faults.map_or_else(Vec::new, |fp| {
+                (0..routes)
                     .map(|ri| {
                         let key = FaultPlane::stream_key(&[
                             target.pop.0 as u64,
@@ -431,115 +344,57 @@ impl SprayEngine {
                     })
                     .collect()
             });
-            let mut attempt_det: Vec<Option<f64>> = vec![None; retry_diurnal.len() + 1];
-            let mut tally = crate::FaultTally::default();
-            let mut ktally = KernelTally::default();
             let mut rows = Vec::with_capacity(windows.len());
             for (wi, &w) in windows.iter().enumerate() {
-                let t = w.midpoint();
-                let drow = diurnal.row(wi);
-                let mut medians = Vec::with_capacity(target.routes.len());
-                let mut utils = Vec::with_capacity(target.routes.len());
-                let mut counts = Vec::with_capacity(target.routes.len());
-                for ri in 0..target.routes.len() {
-                    match faults {
+                let t = sampler.time(wi);
+                let drow = sampler.row(wi);
+                let mut medians = Vec::with_capacity(routes);
+                let mut utils = Vec::with_capacity(routes);
+                let mut counts = Vec::with_capacity(routes);
+                for ri in 0..routes {
+                    let (median, count) = match faults {
                         None => {
                             let det = batch.det_rtt_ms(ri, t, drow);
-                            let med = match &jitter {
-                                Some(table) => det + table[ti][wi * target.routes.len() + ri],
+                            let median = match &jitter {
+                                Some(table) => det + table[ti][wi * routes + ri],
                                 None => {
                                     // Even session count: the median
                                     // averages two sessions, so the map
                                     // runs per session.
-                                    let mut rng =
-                                        StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
-                                    ktally.batches += 1;
-                                    ktally.exact_evals += batch_session_min_z(
-                                        &mut rng,
-                                        cfg.sessions_per_window,
-                                        cfg.rtt_samples_per_session,
-                                        &mut jscratch,
-                                        &mut min_z,
-                                    );
-                                    for (slot, &z) in sessions.iter_mut().zip(&min_z) {
-                                        *slot = det + jitter_of(rtt_model, z);
-                                    }
+                                    let seed = cell_seed(cfg.seed, w, ti, ri);
+                                    let mut rng = StdRng::seed_from_u64(seed);
+                                    sampler.min_rtts(&mut task, &mut rng, det, &mut sessions);
                                     bb_stats::quantile::quantile_select(&mut sessions, 0.5)
                                 }
                             };
-                            medians.push(med);
-                            counts.push(cfg.sessions_per_window as u32);
+                            (median, cfg.sessions_per_window)
+                        }
+                        // No path: every session of the window is lost
+                        // outright, no retry can help.
+                        Some(_) if churn[ri].1.withdrawn_at(t) => {
+                            task.faults.lost += cfg.sessions_per_window;
+                            task.faults.dropped += 1;
+                            (f64::NAN, 0)
                         }
                         Some(fp) => {
-                            let route_rng_seed = cell_seed(cfg.seed, w, ti, ri);
-                            let (route_key, churn) = &routes[ri];
-                            if churn.withdrawn_at(t) {
-                                // No path: every session of the window is
-                                // lost outright, no retry can help.
-                                tally.lost += cfg.sessions_per_window;
-                                tally.dropped += 1;
-                                medians.push(f64::NAN);
-                                counts.push(0);
+                            let (route_key, seed) = (churn[ri].0, cell_seed(cfg.seed, w, ti, ri));
+                            let probes = (0..cfg.sessions_per_window).map(|s| {
+                                let probe_key =
+                                    FaultPlane::stream_key(&[route_key, w.0 as u64, s as u64]);
+                                (probe_key, bb_exec::derive_seed(seed, s as u64))
+                            });
+                            let kept = sampler.faulted(fp, &mut task, (batch, ri, wi), &[], probes);
+                            let n = kept.len();
+                            if n < fp.config().min_samples_per_window {
+                                task.faults.dropped += 1;
+                                (f64::NAN, n)
                             } else {
-                                kept.clear();
-                                attempt_det.fill(None);
-                                for s in 0..cfg.sessions_per_window {
-                                    let probe_key = FaultPlane::stream_key(&[
-                                        *route_key,
-                                        w.0 as u64,
-                                        s as u64,
-                                    ]);
-                                    let got = crate::faulted_attempts(
-                                        fp,
-                                        probe_key,
-                                        &mut tally,
-                                        |attempt| {
-                                            // Retries re-observe the path a
-                                            // little later (backoff).
-                                            let det = *attempt_det[attempt as usize]
-                                                .get_or_insert_with(|| match attempt {
-                                                    0 => batch.det_rtt_ms(ri, t, drow),
-                                                    a => batch.det_rtt_ms(
-                                                        ri,
-                                                        retry_time(fp, t, a),
-                                                        retry_diurnal[a as usize - 1].row(wi),
-                                                    ),
-                                                });
-                                            let mut rng =
-                                                StdRng::seed_from_u64(bb_exec::derive_seed(
-                                                    bb_exec::derive_seed(
-                                                        route_rng_seed,
-                                                        s as u64,
-                                                    ),
-                                                    attempt as u64,
-                                                ));
-                                            ktally.batches += 1;
-                                            ktally.exact_evals += batch_session_min_z(
-                                                &mut rng,
-                                                1,
-                                                cfg.rtt_samples_per_session,
-                                                &mut jscratch,
-                                                &mut min_z,
-                                            );
-                                            det + jitter_of(rtt_model, min_z[0])
-                                        },
-                                    );
-                                    if let Some(v) = got {
-                                        kept.push(v);
-                                    }
-                                }
-                                counts.push(kept.len() as u32);
-                                if kept.len() < fp.config().min_samples_per_window {
-                                    tally.dropped += 1;
-                                    medians.push(f64::NAN);
-                                } else {
-                                    medians.push(bb_stats::quantile::quantile_select(
-                                        &mut kept, 0.5,
-                                    ));
-                                }
+                                (bb_stats::quantile::quantile_select(kept, 0.5), n)
                             }
                         }
-                    }
+                    };
+                    medians.push(median);
+                    counts.push(count as u32);
                     utils.push(batch.probe_util(ri, t, drow));
                 }
                 let volume =
@@ -555,7 +410,7 @@ impl SprayEngine {
                 });
                 crate::progress::window_done();
             }
-            (rows, tally, ktally)
+            (rows, task.faults, task.kernel)
                 })
             });
         let mut tally = crate::FaultTally::default();
@@ -591,10 +446,6 @@ impl SprayEngine {
             seed: cfg.seed,
             sessions_per_window: cfg.sessions_per_window,
             rtt_samples_per_session: cfg.rtt_samples_per_session,
-            rtt_model: (
-                self.rtt_model.jitter_sigma.to_bits(),
-                self.rtt_model.jitter_median_ms.to_bits(),
-            ),
             routes: self.targets.iter().map(|t| t.routes.len()).collect(),
             windows: windows.to_vec(),
         };
@@ -621,26 +472,23 @@ impl SprayEngine {
     /// odd session count only (see `sample_windows`).
     fn jitter_pass(&self, windows: &[Window]) -> JitterTable {
         let cfg = &self.cfg;
+        let model = RttModel::default();
         let per_target: Vec<(Vec<f64>, KernelTally)> = bb_exec::timing::time("spray:jitter", || {
             bb_exec::par_map(&self.targets, |ti, target| {
-                let mut jscratch = JitterScratch::default();
-                let mut ktally = KernelTally::default();
+                let mut task = TaskScratch::default();
                 let mut table = Vec::with_capacity(windows.len() * target.routes.len());
                 for &w in windows {
                     for ri in 0..target.routes.len() {
                         let mut rng = StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
-                        let (z, evals) = batch_session_median_z(
+                        let z = task.median_z(
                             &mut rng,
                             cfg.sessions_per_window,
                             cfg.rtt_samples_per_session,
-                            &mut jscratch,
                         );
-                        ktally.batches += 1;
-                        ktally.exact_evals += evals;
-                        table.push(jitter_of(&self.rtt_model, z));
+                        table.push(jitter_of(&model, z));
                     }
                 }
-                (table, ktally)
+                (table, task.kernel)
             })
         });
         let mut ktally = KernelTally::default();
@@ -777,7 +625,8 @@ pub fn build_targets(
 mod tests {
     use super::*;
     use bb_cdn::{build_provider, ProviderConfig};
-    use bb_netsim::{sample_min_rtt, CongestionConfig};
+    use bb_netsim::reference::{path_rtt_ms, sample_min_rtt};
+    use bb_netsim::CongestionConfig;
     use bb_topology::{generate, TopologyConfig};
     use bb_workload::{generate_workload, WorkloadConfig};
 
@@ -969,11 +818,29 @@ mod tests {
         }
     }
 
+    /// The reference walk's RTT of `engine`'s route `ri` of target `ti`
+    /// at `t`.
+    fn walk_rtt(
+        (topo, model): (&Topology, &CongestionModel),
+        engine: &SprayEngine,
+        (ti, ri): (usize, usize),
+        t: SimTime,
+    ) -> f64 {
+        let target = &engine.targets[ti];
+        let lastmile = Some(CongestionKey::LastMile(target.prefix.lastmile_code()));
+        path_rtt_ms(topo, model, &target.routes[ri].path, lastmile, t)
+    }
+
     /// Checks a fault-free call against the scalar oracle, bit for bit:
     /// every session through `sample_min_rtt` on its own seeded stream,
-    /// then `quantile_select`. `det` comes from the table-free
-    /// `det_rtt_ms_at`, so the oracle shares neither pass with the engine.
-    fn assert_matches_oracle(engine: &SprayEngine, windows: &[Window], rows: &[Vec<WindowRow>]) {
+    /// then `quantile_select`. `det` comes from the reference walk, so the
+    /// oracle shares neither pass with the engine.
+    fn assert_matches_oracle(
+        world: (&Topology, &CongestionModel),
+        engine: &SprayEngine,
+        windows: &[Window],
+        rows: &[Vec<WindowRow>],
+    ) {
         let cfg = &engine.cfg;
         assert_eq!(rows.len(), engine.targets.len());
         for (ti, target_rows) in rows.iter().enumerate() {
@@ -987,7 +854,7 @@ mod tests {
                         ri as u64,
                     );
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let det = engine.batches[ti].det_rtt_ms_at(ri, w.midpoint());
+                    let det = walk_rtt(world, engine, (ti, ri), w.midpoint());
                     let mut sessions: Vec<f64> = (0..cfg.sessions_per_window)
                         .map(|_| {
                             sample_min_rtt(
@@ -1020,7 +887,8 @@ mod tests {
         let model = CongestionModel::new(8, congestion);
         let engine = SprayEngine::new(topo, provider, workload, &model, cfg);
         let windows = engine.batch_windows();
-        assert_matches_oracle(&engine, &windows, &engine.sample_windows(&windows, None));
+        let rows = engine.sample_windows(&windows, None);
+        assert_matches_oracle((topo, &model), &engine, &windows, &rows);
     }
 
     // The memo is process-wide and tests run concurrently, so every memo
@@ -1124,7 +992,7 @@ mod tests {
         assert_eq!(first, whole);
         assert_eq!(chunked(), whole);
         assert_eq!(jitter_memo_entries(cfg.seed), 1);
-        assert_matches_oracle(&engine, &windows, &whole);
+        assert_matches_oracle((&topo, &model), &engine, &windows, &whole);
     }
 
     #[test]
@@ -1155,11 +1023,12 @@ mod tests {
     type OracleRows = Vec<Vec<(Vec<f64>, Vec<u32>)>>;
 
     /// The faulted path's scalar oracle: per session, `faulted_attempts`
-    /// over `route_withdrawn` and the table-free `det_rtt_ms_at`, each
-    /// attempt through `sample_min_rtt` on its own stream, then
-    /// `quantile_select`. Returns the rows, the fault tally, and the
-    /// highest attempt index any probe reached.
+    /// over the route's churn and the reference walk, each attempt through
+    /// `sample_min_rtt` on its own stream, then `quantile_select`. Returns
+    /// the rows, the fault tally, and the highest attempt index any probe
+    /// reached.
     fn faulted_oracle(
+        world: (&Topology, &CongestionModel),
         engine: &SprayEngine,
         windows: &[Window],
         fp: &FaultPlane,
@@ -1184,7 +1053,7 @@ mod tests {
                                 target.prefix.0 as u64,
                                 ri as u64,
                             ]);
-                            if fp.route_withdrawn(route_key, t) {
+                            if fp.route_churn(route_key).withdrawn_at(t) {
                                 tally.lost += cfg.sessions_per_window;
                                 tally.dropped += 1;
                                 medians.push(f64::NAN);
@@ -1198,7 +1067,7 @@ mod tests {
                                     crate::faulted_attempts(fp, probe_key, &mut tally, |attempt| {
                                         deepest = deepest.max(attempt);
                                         let ta = t + attempt as f64 * fp.config().retry_backoff_min;
-                                        let det = engine.batches[ti].det_rtt_ms_at(ri, ta);
+                                        let det = walk_rtt(world, engine, (ti, ri), ta);
                                         let seed = bb_exec::derive_seed(
                                             bb_exec::derive_seed(
                                                 cell_seed(cfg.seed, w, ti, ri),
@@ -1259,7 +1128,8 @@ mod tests {
         ] {
             let fp = FaultPlane::new(5, fc);
             let (got, got_tally) = engine.sample_windows_tallied(&windows, Some(&fp));
-            let (want, want_tally, deepest) = faulted_oracle(&engine, &windows, &fp);
+            let (want, want_tally, deepest) =
+                faulted_oracle((&topo, &model), &engine, &windows, &fp);
             assert_eq!(got_tally, want_tally, "{name}: fault tally");
             assert!(
                 want_tally.lost > 0 && want_tally.retries > 0,

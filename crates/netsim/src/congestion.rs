@@ -18,14 +18,13 @@
 //! has nothing to exploit. Only link-keyed events (e.g. a congested PNI,
 //! §2.1/§2.2) are route-specific and steerable-around.
 
+use crate::keyed::{splitmix64, KeyedCache};
 use crate::time::SimTime;
 use bb_geo::CityId;
 use bb_topology::InterconnectId;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -154,15 +153,7 @@ impl KeyProcess {
     /// `+=` loop did.
     #[inline]
     pub fn utilization(&self, utc_offset_hours: f64, t: SimTime, max_util: f64) -> f64 {
-        let local_h = t.local_hour(utc_offset_hours);
-        self.utilization_with_diurnal(diurnal_factor(local_h), t, max_util)
-    }
-
-    /// [`utilization`](Self::utilization) with the diurnal factor supplied
-    /// by the caller (batch paths read it from a per-window table instead
-    /// of recomputing the sine per term).
-    #[inline]
-    pub fn utilization_with_diurnal(&self, diurnal: f64, t: SimTime, max_util: f64) -> f64 {
+        let diurnal = diurnal_factor(t.local_hour(utc_offset_hours));
         let mut util = self.base + self.amp * diurnal;
         if let Some(sev) = self.active_severity(t) {
             util += sev;
@@ -213,7 +204,7 @@ pub fn materialize_races_closed() -> usize {
 pub struct CongestionModel {
     seed: u64,
     cfg: CongestionConfig,
-    cache: RwLock<HashMap<u64, Arc<KeyProcess>>>,
+    cache: KeyedCache<KeyProcess>,
 }
 
 impl CongestionModel {
@@ -221,7 +212,7 @@ impl CongestionModel {
         Self {
             seed,
             cfg,
-            cache: RwLock::new(HashMap::new()),
+            cache: KeyedCache::counting_races(&MATERIALIZE_RACES_CLOSED),
         }
     }
 
@@ -262,26 +253,13 @@ impl CongestionModel {
     /// plan compilation performs once per key; queries then go through the
     /// handle with no lock and no hash.
     pub fn process(&self, key: CongestionKey) -> Arc<KeyProcess> {
-        let code = key.encode();
-        if let Some(p) = self.cache.read().get(&code) {
-            return Arc::clone(p);
-        }
-        // Miss: take the write lock, then re-check. Without the re-check a
-        // racing worker could materialize the same key between our read and
-        // write, wasting a full event-list generation.
-        let mut cache = self.cache.write();
-        if let Some(p) = cache.get(&code) {
-            MATERIALIZE_RACES_CLOSED.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
-        let p = Arc::new(self.materialize(key));
-        cache.insert(code, Arc::clone(&p));
-        p
+        self.cache
+            .get_or_make(key.encode(), || Arc::new(self.materialize(key)))
     }
 
     fn materialize(&self, key: CongestionKey) -> KeyProcess {
         let code = key.encode();
-        let mut rng = StdRng::seed_from_u64(splitmix(self.seed ^ code));
+        let mut rng = StdRng::seed_from_u64(splitmix64(self.seed ^ code));
         let base = rng.gen_range(self.cfg.base_util.0..self.cfg.base_util.1);
         let amp = rng.gen_range(self.cfg.diurnal_amp.0..self.cfg.diurnal_amp.1);
         let rate_per_day = match key {
@@ -315,14 +293,6 @@ impl CongestionModel {
 fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -mean * u.ln()
-}
-
-/// SplitMix64 finalizer: decorrelates sequential key codes.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

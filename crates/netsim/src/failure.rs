@@ -9,14 +9,13 @@
 //! repair times, materialized lazily and deterministically exactly like
 //! the congestion processes.
 
+use crate::keyed::{splitmix64, KeyedCache};
 use crate::time::SimTime;
 use bb_geo::CityId;
 use bb_topology::InterconnectId;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What can fail.
@@ -89,7 +88,7 @@ impl Outage {
 pub struct FailureModel {
     seed: u64,
     cfg: FailureConfig,
-    cache: RwLock<HashMap<u64, Arc<[Outage]>>>,
+    cache: KeyedCache<[Outage]>,
 }
 
 impl FailureModel {
@@ -97,7 +96,7 @@ impl FailureModel {
         Self {
             seed,
             cfg,
-            cache: RwLock::new(HashMap::new()),
+            cache: KeyedCache::new(),
         }
     }
 
@@ -110,19 +109,8 @@ impl FailureModel {
     /// `capacity_gbps` applies the small-link reliability penalty for
     /// `FailureKey::Link`s.
     pub fn outages(&self, key: FailureKey, capacity_gbps: f64) -> Arc<[Outage]> {
-        let code = key.encode();
-        if let Some(v) = self.cache.read().get(&code) {
-            return Arc::clone(v);
-        }
-        // Miss: take the write lock, then re-check — a racing worker may
-        // have materialized the same key between our read and write.
-        let mut cache = self.cache.write();
-        if let Some(v) = cache.get(&code) {
-            return Arc::clone(v);
-        }
-        let v: Arc<[Outage]> = self.materialize(key, capacity_gbps).into();
-        cache.insert(code, Arc::clone(&v));
-        v
+        self.cache
+            .get_or_make(key.encode(), || self.materialize(key, capacity_gbps).into())
     }
 
     /// Whether the entity is down at `t`.
@@ -131,7 +119,7 @@ impl FailureModel {
     }
 
     fn materialize(&self, key: FailureKey, capacity_gbps: f64) -> Vec<Outage> {
-        let mut rng = StdRng::seed_from_u64(mix(self.seed ^ key.encode()));
+        let mut rng = StdRng::seed_from_u64(splitmix64(self.seed ^ key.encode()));
         let mtbf_days = match key {
             FailureKey::Site(_) => self.cfg.site_mtbf_days,
             FailureKey::Link(_) => {
@@ -161,13 +149,6 @@ impl FailureModel {
 fn exp(rng: &mut StdRng, mean: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -mean * u.ln()
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

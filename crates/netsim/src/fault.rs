@@ -15,8 +15,8 @@
 //!   two queries for the same probe always agree, no matter which worker
 //!   asks first, so faulted runs stay byte-identical across `--jobs`.
 //! * **Route churn** is a per-route-key Poisson withdrawal process with
-//!   exponential hold times, materialized lazily and cached behind the same
-//!   write-lock double-check pattern as the congestion processes.
+//!   exponential hold times, materialized lazily in the same keyed cache as
+//!   the congestion processes.
 //! * **Timeouts** are a deterministic threshold on the sampled RTT: a probe
 //!   whose MinRTT exceeds the timeout never reports.
 //!
@@ -25,10 +25,9 @@
 //! threshold are flagged (NaN medians) rather than silently averaged.
 
 use crate::failure::Outage;
+use crate::keyed::{splitmix64, KeyedCache};
 use crate::time::SimTime;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Fault-injection intensity selected by `repro --faults`.
@@ -141,7 +140,7 @@ impl FaultConfig {
 pub struct FaultPlane {
     seed: u64,
     cfg: FaultConfig,
-    churn_cache: RwLock<HashMap<u64, Arc<[Outage]>>>,
+    churn_cache: KeyedCache<[Outage]>,
 }
 
 impl FaultPlane {
@@ -149,7 +148,7 @@ impl FaultPlane {
         Self {
             seed,
             cfg,
-            churn_cache: RwLock::new(HashMap::new()),
+            churn_cache: KeyedCache::new(),
         }
     }
 
@@ -162,7 +161,7 @@ impl FaultPlane {
     pub fn stream_key(parts: &[u64]) -> u64 {
         let mut k = 0x_bb_fa_u64;
         for &p in parts {
-            k = mix(k ^ p.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            k = splitmix64(k ^ p.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
         k
     }
@@ -176,20 +175,13 @@ impl FaultPlane {
     /// differing only in bits 48.. replayed another stream's retry draws,
     /// the same aliasing class 5cc3617 fixed in spray's session RNG.
     pub fn lost(&self, stream: u64, attempt: u32) -> bool {
-        let per_stream = mix(self.seed ^ mix(stream));
-        u01(mix(per_stream ^ mix(LOSS_TAG ^ attempt as u64))) < self.cfg.probe_loss
+        let per_stream = splitmix64(self.seed ^ splitmix64(stream));
+        u01(splitmix64(per_stream ^ splitmix64(LOSS_TAG ^ attempt as u64))) < self.cfg.probe_loss
     }
 
     /// Whether a sampled RTT exceeds the measurement timeout.
     pub fn timed_out(&self, rtt_ms: f64) -> bool {
         rtt_ms > self.cfg.timeout_ms
-    }
-
-    /// Whether the route identified by `route_key` is withdrawn at `t`.
-    /// Loops that ask about one route at many times resolve its
-    /// [`route_churn`](Self::route_churn) once instead.
-    pub fn route_withdrawn(&self, route_key: u64, t: SimTime) -> bool {
-        self.route_churn(route_key).withdrawn_at(t)
     }
 
     /// The withdrawal process of one route, resolved once: the cache
@@ -203,24 +195,14 @@ impl FaultPlane {
     /// All withdrawal intervals of a route across the horizon, start-sorted
     /// and disjoint. Shared handle; materialized once per key.
     pub fn churn_events(&self, route_key: u64) -> Arc<[Outage]> {
-        if let Some(v) = self.churn_cache.read().get(&route_key) {
-            return Arc::clone(v);
-        }
-        // Miss: take the write lock, then re-check — a racing worker may
-        // have materialized the same route between our read and write.
-        let mut cache = self.churn_cache.write();
-        if let Some(v) = cache.get(&route_key) {
-            return Arc::clone(v);
-        }
-        let v: Arc<[Outage]> = self.materialize_churn(route_key).into();
-        cache.insert(route_key, Arc::clone(&v));
-        v
+        self.churn_cache
+            .get_or_make(route_key, || self.materialize_churn(route_key).into())
     }
 
     fn materialize_churn(&self, route_key: u64) -> Vec<Outage> {
-        let mut state = mix(self.seed ^ mix(route_key ^ CHURN_TAG));
+        let mut state = splitmix64(self.seed ^ splitmix64(route_key ^ CHURN_TAG));
         let mut next_u01 = move || {
-            state = mix(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            state = splitmix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
             u01(state)
         };
         let mut events = Vec::new();
@@ -264,14 +246,6 @@ impl RouteChurn {
 /// Map a u64 to [0, 1) using the top 53 bits.
 fn u01(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Domain-separation tag keeping churn draws disjoint from loss draws.
@@ -419,8 +393,6 @@ mod tests {
         let e = p.churn_events(rk)[0];
         let mid = SimTime::from_minutes((e.start_min + e.end_min) / 2.0);
         let before = SimTime::from_minutes((e.start_min - 1.0).max(0.0));
-        assert!(p.route_withdrawn(rk, mid));
-        assert!(!p.route_withdrawn(rk, before));
         let churn = p.route_churn(rk);
         assert!(churn.withdrawn_at(mid));
         assert!(!churn.withdrawn_at(before));

@@ -11,12 +11,14 @@
 //!   interconnect, per destination metro, and per last-mile, with diurnal
 //!   swings and transient events. Destination-side keys are shared by *all*
 //!   routes to a client, producing §3.1.1's correlated degradation;
-//! * [`rtt`] turns a realized path plus the congestion state at time *t*
-//!   into an RTT sample, and models TCP MinRTT sampling;
+//! * [`rtt`] holds the RTT floor of a realized path and the batched TCP
+//!   MinRTT jitter kernels;
 //! * [`plan`] compiles the window-invariant part of a measurement —
 //!   topology lookups and congestion-key resolution — once per realized
-//!   path, so the per-window query is a branch-free fold over resolved
-//!   handles (bit-identical to the naive walk);
+//!   path, so the per-window query is a branch-free fold over flat term
+//!   lanes (bit-identical to the reference walk);
+//! * [`reference`] holds the scalar walks the oracles check the compiled
+//!   paths against; no production code calls it;
 //! * [`goodput`] is a Mathis-style throughput model for the paper's
 //!   footnote-3 goodput comparison;
 //! * [`failure`] and [`fault`] inject failures: the former takes down
@@ -32,8 +34,10 @@ pub mod congestion;
 pub mod failure;
 pub mod fault;
 pub mod goodput;
+mod keyed;
 pub mod path;
 pub mod plan;
+pub mod reference;
 pub mod rtt;
 pub mod time;
 
@@ -41,13 +45,13 @@ pub use congestion::{
     diurnal_factor, materialize_races_closed, CongestionConfig, CongestionKey, CongestionModel,
     KeyProcess,
 };
-pub use plan::{CongestionPlan, DiurnalTable, OffsetTable, PathPlan, PathPlanBatch, UtilProbe};
+pub use plan::{DiurnalTable, PathPlanBatch};
 pub use failure::{FailureConfig, FailureKey, FailureModel, Outage};
 pub use fault::{FaultConfig, FaultLevel, FaultPlane, RouteChurn, MAX_BASE_RTT_MS};
 pub use goodput::goodput_mbps;
 pub use path::{realize_path, RealizeSpec, RealizedPath, Segment, TracerouteHop};
 pub use rtt::{
-    batch_session_median_z, batch_session_min_z, path_base_rtt_ms, path_rtt_ms, sample_min_rtt,
-    JitterScratch, RttModel, APPROX_Z_ERR,
+    batch_session_median_z, batch_session_min_z, path_base_rtt_ms, JitterScratch, RttModel,
+    APPROX_Z_ERR,
 };
 pub use time::{SimTime, Window, WINDOW_MINUTES};

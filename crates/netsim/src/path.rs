@@ -14,6 +14,7 @@
 //! inflation) and every crossed interconnect (whose congestion process then
 //! applies), which is all `rtt` needs.
 
+use crate::keyed::splitmix64;
 use bb_geo::CityId;
 use bb_topology::{AsId, ExitPolicy, InterconnectId, Topology};
 use serde::{Deserialize, Serialize};
@@ -264,10 +265,10 @@ fn choose_link<'a>(
 ) -> &'a bb_topology::Interconnect {
     let node = topo.asys(sender);
     if candidates.len() > 1 && node.exit_fidelity < 1.0 {
-        let h = mix(((sender.0 as u64) << 32) ^ current_city.0 as u64);
+        let h = splitmix64(((sender.0 as u64) << 32) ^ current_city.0 as u64);
         let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
         if frac >= node.exit_fidelity {
-            let pick = (mix(h) % candidates.len() as u64) as usize;
+            let pick = (splitmix64(h) % candidates.len() as u64) as usize;
             return candidates[pick];
         }
     }
@@ -284,14 +285,6 @@ fn choose_link<'a>(
             da.total_cmp(&db).then(a.id.cmp(&b.id))
         })
         .unwrap()
-}
-
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

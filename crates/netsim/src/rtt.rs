@@ -13,9 +13,7 @@
 //! the noise but none of the standing queueing — matching how the §3.1
 //! dataset (TCP MinRTT) still sees congestion.
 
-use crate::congestion::{CongestionKey, CongestionModel};
 use crate::path::RealizedPath;
-use crate::time::SimTime;
 use bb_topology::Topology;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -45,81 +43,15 @@ impl Default for RttModel {
     }
 }
 
-/// Deterministic part of a path's RTT at time `t` (no jitter), given the
-/// client's last-mile congestion key.
-pub fn path_rtt_ms(
-    topo: &Topology,
-    model: &CongestionModel,
-    path: &RealizedPath,
-    lastmile: Option<CongestionKey>,
-    t: SimTime,
-) -> f64 {
-    let mut rtt = path_base_rtt_ms(topo, path);
-
-    // Interconnect queueing.
-    for &l in &path.links {
-        let city = topo.link(l).city;
-        let offset = topo.atlas.city(city).region.utc_offset_hours();
-        rtt += model.queueing_delay_ms(CongestionKey::Link(l), offset, t);
-    }
-    // Destination metro queueing (shared by all routes ending there).
-    let final_city = path.final_city();
-    let offset = topo.atlas.city(final_city).region.utc_offset_hours();
-    rtt += model.queueing_delay_ms(CongestionKey::Metro(final_city), offset, t);
-    // Last mile (shared by all routes to this client prefix).
-    if let Some(lm) = lastmile {
-        rtt += model.queueing_delay_ms(lm, offset, t);
-    }
-    rtt
-}
-
 /// Congestion-free floor of a path's RTT: propagation + hop costs + access.
 pub fn path_base_rtt_ms(topo: &Topology, path: &RealizedPath) -> f64 {
     2.0 * path.propagation_ms(topo) + PER_HOP_MS * path.hop_count() as f64 + ACCESS_BASE_MS
 }
 
-/// TCP MinRTT over `samples` probes: deterministic RTT plus the minimum of
-/// `samples` log-normal jitter draws.
-pub fn sample_min_rtt(
-    deterministic_rtt_ms: f64,
-    rtt_model: &RttModel,
-    samples: usize,
-    rng: &mut impl Rng,
-) -> f64 {
-    assert!(samples >= 1);
-    if rtt_model.jitter_sigma >= 0.0 && rtt_model.jitter_median_ms >= 0.0 {
-        // x ↦ median · exp(sigma · x) is monotone for sigma, median ≥ 0, so
-        // the minimum jitter is the jitter of the minimum normal draw: one
-        // exp per session instead of one per sample, same bits.
-        let mut min_z = f64::INFINITY;
-        for _ in 0..samples {
-            min_z = min_z.min(normal_draw(rng));
-        }
-        let min_jitter = rtt_model.jitter_median_ms * (rtt_model.jitter_sigma * min_z).exp();
-        return deterministic_rtt_ms + min_jitter;
-    }
-    let mut min_jitter = f64::INFINITY;
-    for _ in 0..samples {
-        let z = normal_draw(rng);
-        let jitter = rtt_model.jitter_median_ms * (rtt_model.jitter_sigma * z).exp();
-        min_jitter = min_jitter.min(jitter);
-    }
-    deterministic_rtt_ms + min_jitter
-}
-
-/// One standard-normal draw; Box-Muller from two uniforms keeps us off
-/// rand_distr.
-#[inline]
-fn normal_draw(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    box_muller(u1, u2)
-}
-
 /// The Box-Muller deviate of one uniform pair, through libm. Every deviate
 /// the sampling paths report is this expression, evaluated the same way.
 #[inline]
-fn box_muller(u1: f64, u2: f64) -> f64 {
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -312,9 +244,10 @@ impl JitterScratch {
 }
 
 /// Batched session sampling: draw `sessions × samples_per_session` standard
-/// normals from `rng` — in exactly the stream order of `sessions` repeated
-/// [`sample_min_rtt`] calls — and write each session's minimum deviate into
-/// `out_min_z`. Returns the number of deviates evaluated through libm.
+/// normals from `rng` — in exactly the stream order of `sessions` calls of
+/// the scalar session walk in [`reference`](crate::reference) — and write
+/// each session's minimum deviate into `out_min_z`. Returns the number of
+/// deviates evaluated through libm.
 ///
 /// Rank then resolve: every draw gets a branch-free polynomial deviate
 /// [`approx_z`], and only the draws that can be their session's argmin
@@ -356,8 +289,10 @@ pub fn batch_session_median_z(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::congestion::CongestionConfig;
+    use crate::congestion::{CongestionConfig, CongestionKey, CongestionModel};
     use crate::path::{realize_path, RealizeSpec};
+    use crate::reference::{path_rtt_ms, sample_min_rtt};
+    use crate::time::SimTime;
     use bb_bgp::{compute_routes, Announcement};
     use bb_topology::{generate, AsClass, TopologyConfig, Topology};
     use rand::rngs::StdRng;

@@ -14,9 +14,9 @@
 use beating_bgp::bgp::{compute_routes, provider_rib, Announcement};
 use beating_bgp::geo::atlas::AtlasConfig;
 use beating_bgp::geo::Atlas;
+use beating_bgp::netsim::reference::path_rtt_ms;
 use beating_bgp::netsim::{
-    path_rtt_ms, realize_path, CongestionConfig, CongestionKey, CongestionModel, RealizeSpec,
-    SimTime,
+    realize_path, CongestionConfig, CongestionKey, CongestionModel, RealizeSpec, SimTime,
 };
 use beating_bgp::topology::{AsClass, BusinessRel, ExitPolicy, LinkKind, Topology};
 

@@ -26,7 +26,7 @@
 //! --epoch-deadline SECS                                             x
 //! --help, -h                   x       x        x        x          x
 //!
-//! SCALE: test|full|large|planet; LEVEL: off|light|heavy
+//! SCALE: test|full|large, or planet under `propagate` only; LEVEL: off|light|heavy
 //! ```
 //!
 //! Every other flag, a flag missing its value, and a value out of range
@@ -200,6 +200,18 @@ impl Cli {
         std::process::exit(2)
     }
 
+    /// Exit 2 on `--scale planet`, before any world is built. A planet
+    /// campaign's memory grows without bound (it is OOM-killed past 16 GB),
+    /// so only `repro propagate`, which runs no campaign, accepts it.
+    fn refuse_planet_campaign(&self) {
+        if self.opts.scale == Scale::Planet {
+            self.usage(
+                "--scale planet runs only under `repro propagate` until campaigns run in \
+                 bounded memory",
+            );
+        }
+    }
+
     /// The value after `flag`, parsed as `T` and accepted by `check`. A
     /// missing, unparsable or rejected value exits 2 with
     /// `"{cmd}: {flag} needs {what}"`.
@@ -311,7 +323,7 @@ fn parse_args() -> Opts {
             }
             "--help" | "-h" => {
                 println!(
-                    "repro [EXPERIMENT] [--scale test|full|large|planet] [--seed N] [--jobs N] \
+                    "repro [EXPERIMENT] [--scale test|full|large] [--seed N] [--jobs N] \
                      [--timing] [--timing-json PATH] [--csv DIR] \
                      [--faults off|light|heavy] [--keep-going] [--snapshot PATH] \
                      [--checkpoint DIR] [--resume DIR] [--shard I/N]\n\
@@ -380,6 +392,7 @@ fn parse_args() -> Opts {
              checkpoint manifest (stitch the shards with `repro merge`)",
         );
     }
+    cli.refuse_planet_campaign();
     cli.opts
 }
 
@@ -758,6 +771,7 @@ fn run_orchestrate() -> ! {
         }
     }
     let n = n.unwrap_or_else(|| cli.usage("shard count required (e.g. `repro orchestrate 3`)"));
+    cli.refuse_planet_campaign();
     if n == 0 || n > EXPERIMENT_NAMES.len() {
         cli.usage(format_args!(
             "shard count must be 1..={} (one experiment per shard at most)",
@@ -1073,7 +1087,7 @@ fn run_serve() -> ! {
             }
             "--help" | "-h" => help(
                 "repro serve --dir DIR [--windows N] [--epoch K] [--epsilon E] [--mem-limit BYTES]\n\
-                 \u{20}           [--epoch-deadline SECS] [--scale test|full|large|planet] [--seed N]\n\
+                 \u{20}           [--epoch-deadline SECS] [--scale test|full|large] [--seed N]\n\
                  \u{20}           [--jobs N] [--faults off|light|heavy] [--csv DIR]\n\
                  \u{20}           [--timing] [--timing-json PATH]\n\
                  stream the spray campaign in epochs of K windows (default 32), flushing\n\
@@ -1102,6 +1116,7 @@ fn run_serve() -> ! {
              contract and the governor refuses to discard data",
         );
     }
+    cli.refuse_planet_campaign();
     let Opts {
         scale,
         seed,

@@ -53,7 +53,7 @@ fn fig1_and_fig3_identical_for_any_job_count() {
 }
 
 /// The plan-compilation layer must not reintroduce schedule dependence:
-/// spray rows — whose RTTs all flow through compiled `PathPlan`s built
+/// spray rows — whose RTTs all flow through `PathPlanBatch`es compiled
 /// inside `par_map` — are identical for jobs=1 and jobs=4. Rows are
 /// compared via `Debug`, which prints f64 with round-trip precision, so
 /// equality here is bit-equality of every median/utilization/volume.

@@ -49,6 +49,27 @@ fn bad_scale_exits_2() {
     assert_usage_error(&["fig1", "--scale"], "unknown scale");
 }
 
+/// A planet-scale campaign's memory grows without bound, so every
+/// campaign subcommand refuses `--scale planet` before it builds a world or
+/// writes a file; only `repro propagate` accepts it.
+#[test]
+fn planet_scale_campaigns_exit_2() {
+    let dir = std::env::temp_dir().join(format!("bb_planet_refused_{}", std::process::id()));
+    let d = dir.to_str().unwrap();
+    let cases: [&[&str]; 6] = [
+        &["--scale", "planet"],
+        &["all", "--scale", "planet"],
+        &["fig1", "--scale", "planet", "--seed", "7"],
+        &["audit", "--scale", "planet"],
+        &["orchestrate", "2", "--scale", "planet", "--dir", d],
+        &["serve", "--dir", d, "--scale", "planet"],
+    ];
+    for args in cases {
+        assert_usage_error(args, "--scale planet runs only under `repro propagate`");
+    }
+    assert!(!dir.exists(), "a refused campaign wrote {d}");
+}
+
 #[test]
 fn bad_seed_exits_2() {
     assert_usage_error(&["fig1", "--seed", "notanumber"], "--seed needs a number");

@@ -86,10 +86,11 @@ proptest! {
         prop_assert!(d.is_finite() && d >= 0.0);
     }
 
-    /// A compiled `PathPlan` answers bit-identically to the reference
-    /// `path_rtt_ms` walk, for any topology, realized path, congestion
-    /// seed, last-mile key, and query time. This is the contract that lets
-    /// the measurement hot loops use plans instead of the full walk.
+    /// A compiled `PathPlanBatch` answers bit-identically to the reference
+    /// walk, for any topology, set of realized paths, congestion seed,
+    /// last-mile key, and query time, and its probe terms to the model's
+    /// own utilization. This is the contract that lets the measurement hot
+    /// loops use batches instead of the full walk.
     #[test]
     fn path_plan_matches_reference_walk(
         topo_seed in 0u64..20,
@@ -98,7 +99,10 @@ proptest! {
         lastmile in 0u64..20_000,
     ) {
         use beating_bgp::bgp::{compute_routes, Announcement};
-        use beating_bgp::netsim::{path_rtt_ms, realize_path, CongestionPlan, RealizeSpec};
+        use beating_bgp::netsim::reference::path_rtt_ms;
+        use beating_bgp::netsim::{
+            realize_path, DiurnalTable, PathPlanBatch, RealizeSpec, RealizedPath,
+        };
         use beating_bgp::topology::{generate, AsClass, TopologyConfig};
 
         let topo = generate(&TopologyConfig::small(topo_seed));
@@ -107,12 +111,11 @@ proptest! {
         let dst_city = eye.footprint[0];
         let table = compute_routes(&topo, &Announcement::full(&topo, origin));
         let model = CongestionModel::new(model_seed, CongestionConfig::default());
-        let cplan = CongestionPlan::new(&model);
         // Upper half of the range means "no last-mile key", so both arms
         // of the Option are exercised (vendored proptest has no option_of).
         let lm = (lastmile < 10_000).then_some(CongestionKey::LastMile(lastmile));
 
-        let mut checked = 0usize;
+        let mut paths = Vec::new();
         for src in topo.ases() {
             if src.id == origin || src.footprint.is_empty() {
                 continue;
@@ -125,24 +128,36 @@ proptest! {
                 first_link: None,
                 final_entry_links: None,
             };
-            let path = realize_path(&topo, &spec);
-            let plan = cplan.compile_path(&topo, &path, lm);
-            for &h in &hours {
-                let t = SimTime::from_hours(h);
-                let want = path_rtt_ms(&topo, &model, &path, lm, t);
-                let got = plan.rtt_ms(t);
-                prop_assert_eq!(
-                    got.to_bits(), want.to_bits(),
-                    "plan {} != walk {} at h={} (topo {}, model {})",
-                    got, want, h, topo_seed, model_seed
-                );
-            }
-            checked += 1;
-            if checked >= 8 {
+            paths.push(realize_path(&topo, &spec));
+            if paths.len() >= 8 {
                 break; // enough distinct paths per case; keep runtime sane
             }
         }
-        prop_assert!(checked > 0, "no realizable path in topology {}", topo_seed);
+        prop_assert!(!paths.is_empty(), "no realizable path in topology {}", topo_seed);
+        // Every other route probes its first link, so probe terms sit
+        // between some routes' RTT terms and not others'.
+        let probe = |r: usize, p: &RealizedPath| p.links.first().copied().filter(|_| r % 2 == 0);
+        let routes = paths.iter().enumerate().map(|(r, p)| (p, lm, probe(r, p)));
+        let batch = PathPlanBatch::compile(&topo, &model, routes);
+        let times: Vec<SimTime> = hours.iter().map(|&h| SimTime::from_hours(h)).collect();
+        let diurnal = DiurnalTable::build(&times);
+        for (r, path) in paths.iter().enumerate() {
+            for (i, &t) in times.iter().enumerate() {
+                let want = path_rtt_ms(&topo, &model, path, lm, t);
+                let got = batch.det_rtt_ms(r, t, diurnal.row(i));
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "batch {} != walk {} at t={:?} (topo {}, model {})",
+                    got, want, t, topo_seed, model_seed
+                );
+                if let Some(l) = probe(r, path) {
+                    let offset = topo.atlas.city(topo.link(l).city).region.utc_offset_hours();
+                    let want = model.utilization(CongestionKey::Link(l), offset, t);
+                    let got = batch.probe_util(r, t, diurnal.row(i));
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "probe at t={:?}", t);
+                }
+            }
+        }
     }
 
     /// The batched jitter kernel is the scalar session walk, bit for bit:
@@ -154,7 +169,8 @@ proptest! {
         sessions in 1usize..=9,
         samples in 1usize..=8,
     ) {
-        use beating_bgp::netsim::{batch_session_min_z, sample_min_rtt, JitterScratch, RttModel};
+        use beating_bgp::netsim::reference::sample_min_rtt;
+        use beating_bgp::netsim::{batch_session_min_z, JitterScratch, RttModel};
         use rand::rngs::StdRng;
         use rand::{RngCore, SeedableRng};
 
@@ -182,7 +198,8 @@ proptest! {
         half in 0usize..=4,
         samples in 1usize..=8,
     ) {
-        use beating_bgp::netsim::{batch_session_median_z, sample_min_rtt, JitterScratch, RttModel};
+        use beating_bgp::netsim::reference::sample_min_rtt;
+        use beating_bgp::netsim::{batch_session_median_z, JitterScratch, RttModel};
         use beating_bgp::stats::quantile_select;
         use rand::rngs::StdRng;
         use rand::{RngCore, SeedableRng};
