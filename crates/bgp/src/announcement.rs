@@ -9,7 +9,6 @@
 //! choices and therefore anycast catchments.
 
 use bb_topology::{AsId, InterconnectId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Largest prepend an offer may carry. Real routers cap AS-path
@@ -92,7 +91,7 @@ impl std::fmt::Display for AnnouncementError {
 impl std::error::Error for AnnouncementError {}
 
 /// Propagation scope attached to one offer (the community, in BGP terms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Scope {
     /// Normal propagation: the neighbor re-exports per Gao-Rexford rules.
     Global,
@@ -103,7 +102,7 @@ pub enum Scope {
 }
 
 /// One announced interconnect: prepend count plus community scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Offer {
     pub prepend: u32,
     pub scope: Scope,
@@ -119,7 +118,7 @@ impl Offer {
 }
 
 /// An origin AS's announcement configuration for one prefix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Announcement {
     pub origin: AsId,
     /// Announced interconnects → offer. Interconnects of the origin absent

@@ -14,11 +14,10 @@
 //! plus `(offset, len)` spans, addressed by a 4-byte [`EntryHandle`].
 
 use bb_topology::{AsId, InterconnectId};
-use serde::{Deserialize, Serialize};
 
 /// Handle into a [`PathArena`]. Only meaningful together with the arena
 /// (i.e. the `RoutingTable`) it was issued by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathHandle(pub(crate) u32);
 
 impl PathHandle {
@@ -41,7 +40,7 @@ impl PathHandle {
 }
 
 /// Handle into an [`EntryPool`] span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntryHandle(pub(crate) u32);
 
 impl EntryHandle {
@@ -54,7 +53,7 @@ impl EntryHandle {
 }
 
 /// One parent-chain node: `head` prepended onto the path at `parent`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PathNode {
     head: AsId,
     parent: PathHandle,
@@ -62,7 +61,7 @@ struct PathNode {
 
 /// The shared-suffix path forest. `PathHandle::NONE` as a parent marks a
 /// path root (the origin's own one-element path).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathArena {
     nodes: Vec<PathNode>,
 }
@@ -120,7 +119,7 @@ impl PathArena {
 }
 
 /// Pooled entry-link spans.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntryPool {
     spans: Vec<(u32, u32)>,
     pool: Vec<InterconnectId>,

@@ -16,10 +16,9 @@
 //! applied during path realization in `bb-netsim`.
 
 use bb_topology::{AsId, BusinessRel};
-use serde::{Deserialize, Serialize};
 
 /// How a route was learned, in local-preference order (lower = preferred).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RouteClass {
     /// Learned from a customer (or self-originated).
     Customer = 0,

@@ -12,12 +12,11 @@ use crate::decision::RouteClass;
 use crate::propagation::RoutingTable;
 use bb_geo::CityId;
 use bb_topology::{AsId, BusinessRel, InterconnectId, LinkKind, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Route class from the provider's egress-policy perspective
 /// (lower = more preferred under the standard policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProviderRouteClass {
     /// Private network interconnect with a (settlement-free) peer.
     PrivatePeer = 0,
@@ -38,7 +37,7 @@ impl ProviderRouteClass {
 }
 
 /// One route available at a provider PoP toward the client prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateRoute {
     /// The provider-side interconnect the route egresses over.
     pub link: InterconnectId,
@@ -55,7 +54,7 @@ pub struct CandidateRoute {
 }
 
 /// Ranked routes at one PoP toward one client prefix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopRib {
     pub pop_city: CityId,
     /// Routes in policy order: index 0 is BGP's most preferred.

@@ -3,7 +3,6 @@
 use crate::arena::{EntryHandle, PathHandle};
 use crate::decision::RouteClass;
 use bb_topology::AsId;
-use serde::{Deserialize, Serialize};
 
 /// The best route an AS holds toward the origin of one routing computation.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// planet-scale table is one flat `Vec` plus two shared side arrays instead
 /// of ~10⁵ owned vectors. Resolve the handles through the table
 /// (`RoutingTable::as_path`, `RoutingTable::entry_links`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BestRoute {
     /// How this AS learned the route (drives local-pref and export rules).
     pub class: RouteClass,

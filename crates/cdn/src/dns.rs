@@ -13,11 +13,10 @@
 
 use bb_geo::CityId;
 use bb_workload::{LdnsId, PrefixId, Workload};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// What the redirector returns for a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SiteChoice {
     /// Hand out the anycast address (let BGP pick).
     Anycast,

@@ -7,10 +7,8 @@
 //! overloaded (the original Edge Fabric motivation) or when an alternate is
 //! measurably faster (performance-aware mode).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-route observations for one ⟨PoP, prefix⟩ in one window.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RouteWindowStats {
     /// Median TCP MinRTT measured over this route in the window, ms.
     pub median_minrtt_ms: f64,
@@ -19,7 +17,7 @@ pub struct RouteWindowStats {
 }
 
 /// Why the controller moved off BGP's preferred route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetourReason {
     /// Preferred egress interconnect near saturation.
     Overload,
@@ -28,7 +26,7 @@ pub enum DetourReason {
 }
 
 /// The controller's decision for one window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EgressDecision {
     /// Keep BGP's preferred route (index 0).
     KeepBgp,
@@ -47,7 +45,7 @@ impl EgressDecision {
 }
 
 /// The controller configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EgressController {
     /// An alternate must beat the preferred route's median by this much to
     /// justify a performance detour, ms.

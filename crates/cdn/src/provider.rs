@@ -12,10 +12,9 @@ use bb_geo::CityId;
 use bb_topology::{AsClass, AsId, BusinessRel, ExitPolicy, LinkKind, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Provider build-out knobs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderConfig {
     pub seed: u64,
     pub name: String,

@@ -17,10 +17,9 @@ use bb_bgp::{Announcement, RoutingTable};
 use bb_geo::CityId;
 use bb_netsim::RealizedPath;
 use bb_topology::{AsId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// The two cloud networking tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Private WAN from an edge PoP near the client.
     Premium,

@@ -10,7 +10,6 @@
 
 use bb_geo::CityId;
 use bb_topology::Topology;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap};
 
 /// WAN fiber path inflation over great circle (well-engineered backbone).
@@ -42,7 +41,7 @@ const BACKBONE: &[(&str, &str)] = &[
 ];
 
 /// One WAN link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WanLink {
     pub a: CityId,
     pub b: CityId,
@@ -50,7 +49,7 @@ pub struct WanLink {
 }
 
 /// The WAN graph with Dijkstra routing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Wan {
     nodes: Vec<CityId>,
     links: Vec<WanLink>,

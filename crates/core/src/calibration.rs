@@ -12,10 +12,9 @@
 use crate::world::Scenario;
 use bb_measure::spray::build_targets;
 use bb_stats::weighted_quantile;
-use serde::Serialize;
 
 /// The calibration report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Calibration {
     /// Traffic fraction served from a PoP within 500 km (paper: 0.5).
     pub traffic_within_500km: f64,

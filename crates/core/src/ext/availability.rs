@@ -19,10 +19,9 @@ use crate::world::Scenario;
 use bb_cdn::AnycastDeployment;
 use bb_measure::spray::build_targets;
 use bb_netsim::{FailureConfig, FailureKey, FailureModel};
-use serde::Serialize;
 
 /// Recovery-time parameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// BGP withdrawal + reconvergence after a site/link failure, seconds.
     pub bgp_convergence_s: f64,
@@ -44,7 +43,7 @@ impl Default for RecoveryConfig {
 }
 
 /// Study output: expected downtime per client per year, traffic-weighted.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AvailabilityResult {
     /// Site outages simulated across the horizon.
     pub site_outages: usize,

@@ -17,10 +17,9 @@ use bb_cdn::AnycastDeployment;
 use bb_measure::beacon::build_unicast_deployments;
 use bb_measure::{run_beacons, BeaconConfig};
 use bb_workload::generate_workload;
-use serde::Serialize;
 
 /// One adoption level's Fig-4 statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EcsPoint {
     /// ISP-resolver ECS adoption fraction.
     pub adoption: f64,

@@ -14,11 +14,10 @@ use bb_cdn::egress::RouteWindowStats;
 use bb_cdn::EgressController;
 use bb_measure::{spray, SprayConfig, SprayDataset};
 use bb_stats::weighted_quantile;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Study output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FabricResult {
     /// Traffic-weighted mean MinRTT under plain BGP, ms.
     pub bgp_mean_ms: f64,

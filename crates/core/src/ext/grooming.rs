@@ -21,11 +21,10 @@ use bb_netsim::path_base_rtt_ms;
 use bb_stats::weighted_quantile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// One grooming iteration's (kept) state.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GroomingStep {
     pub iteration: usize,
     /// Weighted median catchment penalty (anycast RTT − ideal), ms.

@@ -21,11 +21,10 @@ use bb_measure::beacon::build_unicast_deployments;
 use bb_cdn::dns::TrainingSample;
 use bb_cdn::{AnycastDeployment, DnsRedirector, SiteChoice};
 use bb_stats::weighted_quantile;
-use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
 /// Per-scheme latency summary over the evaluation rounds.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SchemeStats {
     pub name: &'static str,
     /// Weighted median RTT, ms.

@@ -16,14 +16,13 @@ use crate::world::{Scenario, ScenarioConfig};
 use bb_measure::spray::build_targets;
 use bb_netsim::path_base_rtt_ms;
 use bb_stats::weighted_quantile;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Assumed provider-wide egress volume for capacity accounting, Gbps.
 pub const TOTAL_EGRESS_GBPS: f64 = 2000.0;
 
 /// One step of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PeeringStep {
     /// PNI threshold applied (eyeball national share required for a PNI).
     pub pni_min_share: f64,

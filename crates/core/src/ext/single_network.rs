@@ -14,10 +14,9 @@ use bb_geo::CityId;
 use bb_measure::select_vantage_points;
 use bb_netsim::path_base_rtt_ms;
 use bb_stats::weighted_quantile;
-use serde::Serialize;
 
 /// One bucket of the analysis.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SingleNetworkBucket {
     /// Single-network distance share range covered by this bucket.
     pub share_lo: f64,

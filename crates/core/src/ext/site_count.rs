@@ -12,10 +12,9 @@ use bb_cdn::AnycastDeployment;
 use bb_geo::CityId;
 use bb_netsim::path_base_rtt_ms;
 use bb_stats::weighted_quantile;
-use serde::Serialize;
 
 /// One point of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SiteCountPoint {
     pub sites: usize,
     /// Weighted median client RTT, ms.

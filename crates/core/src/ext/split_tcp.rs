@@ -23,7 +23,6 @@ use bb_cdn::{Tier, TierDeployment};
 use bb_geo::CityId;
 use bb_netsim::path_base_rtt_ms;
 use bb_stats::weighted_quantile;
-use serde::Serialize;
 
 /// TCP initial congestion window, segments (RFC 6928).
 pub const INIT_CWND: f64 = 10.0;
@@ -50,7 +49,7 @@ pub fn split_ttlb_ms(front_rtt_ms: f64, backend_rtt_ms: f64, bytes: f64) -> f64 
 }
 
 /// Study output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SplitTcpResult {
     pub object_bytes: f64,
     /// Weighted median TTLB per mode, ms.

@@ -6,7 +6,6 @@
 
 use bb_stats::render::{render_bar_table, render_ccdfs, render_cdfs};
 use bb_stats::{Ccdf, Cdf};
-use serde::Serialize;
 
 /// How much of a figure's input survived the measurement fault plane.
 ///
@@ -14,7 +13,7 @@ use serde::Serialize;
 /// and renders nothing, so pre-fault output stays byte-identical. A figure
 /// built from degraded inputs carries `kept < total` and renders a one-line
 /// partial-data annotation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Coverage {
     /// Inputs (windows, beacons, probes) that survived and were used.
     pub kept: u64,
@@ -143,7 +142,7 @@ impl Fig2 {
 }
 
 /// §3.1.1 episode analysis.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Episodes {
     /// Fraction of degraded windows (preferred route much worse than its
     /// own baseline) where the best alternate degraded too.
@@ -254,7 +253,7 @@ impl Fig4 {
 }
 
 /// One country row of Figure 5.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CountryDiff {
     pub code: &'static str,
     pub name: &'static str,

@@ -5,10 +5,9 @@ use bb_cdn::{build_provider, Provider, ProviderConfig};
 use bb_netsim::{CongestionConfig, CongestionModel, FaultConfig, FaultPlane};
 use bb_topology::{generate, SnapshotConfig, Topology, TopologyConfig};
 use bb_workload::{generate_workload, Workload, WorkloadConfig};
-use serde::Serialize;
 
 /// How big a world to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small topology for tests and quick runs (~100 ASes).
     Test,
@@ -51,7 +50,7 @@ impl std::str::FromStr for Scale {
 }
 
 /// Everything needed to build a [`Scenario`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     pub seed: u64,
     pub topology: TopologyConfig,

@@ -6,10 +6,9 @@ use crate::point::GeoPoint;
 use crate::region::Region;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Configuration for atlas generation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AtlasConfig {
     pub seed: u64,
     /// Scales the number of cities per country (1.0 ⇒ up to ~10 for the
@@ -28,7 +27,7 @@ impl Default for AtlasConfig {
 
 /// Countries plus sampled cities. Cities are stored in one dense vector so
 /// that `CityId` indexes directly; each country's cities are contiguous.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Atlas {
     pub countries: Vec<Country>,
     pub cities: Vec<City>,
@@ -78,10 +77,6 @@ impl Atlas {
 
     pub fn city(&self, id: CityId) -> &City {
         &self.cities[id.index()]
-    }
-
-    pub fn country_of(&self, id: CityId) -> &Country {
-        &self.countries[self.city(id).country]
     }
 
     /// Cities of one country.

@@ -4,10 +4,9 @@
 use crate::country::CountryIdx;
 use crate::point::GeoPoint;
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
 
 /// Dense index of a city within an [`crate::atlas::Atlas`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CityId(pub u32);
 
 impl CityId {
@@ -23,7 +22,7 @@ impl std::fmt::Display for CityId {
 }
 
 /// A city in the synthetic atlas.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct City {
     pub id: CityId,
     /// Synthetic name, e.g. `US-3`. The first city of each country (`XX-0`)

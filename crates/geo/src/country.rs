@@ -7,13 +7,12 @@
 
 use crate::point::GeoPoint;
 use crate::region::Region;
-use serde::Serialize;
 
 /// Index of a country in [`WORLD`].
 pub type CountryIdx = usize;
 
 /// A country in the synthetic atlas.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Country {
     /// ISO-3166-ish two-letter code.
     pub code: &'static str,

@@ -1,14 +1,12 @@
 //! Geographic coordinates and great-circle distance.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometers (IUGG value).
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A point on the Earth's surface, in decimal degrees.
 ///
 /// Latitude is positive north, longitude positive east.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     pub lat_deg: f64,
     pub lon_deg: f64,

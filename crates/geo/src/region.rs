@@ -4,10 +4,8 @@
 //! case study (public Internet beating Google's WAN from India) is a
 //! region-level effect we model explicitly.
 
-use serde::{Deserialize, Serialize};
-
 /// A coarse world region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     NorthAmerica,
     SouthAmerica,

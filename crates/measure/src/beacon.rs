@@ -14,14 +14,13 @@ use bb_topology::Topology;
 use bb_workload::{PrefixId, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Front-end processing time added to every request, ms.
 pub const FRONTEND_PROCESS_MS: f64 = 0.5;
 
 /// Beacon campaign configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BeaconConfig {
     pub seed: u64,
     /// Unicast front-ends measured per client (paper: "a number of nearby
@@ -48,7 +47,7 @@ impl Default for BeaconConfig {
 }
 
 /// One beacon observation: a client prefix's side-by-side measurements.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BeaconMeasurement {
     pub prefix: PrefixId,
     pub weight: f64,

@@ -14,10 +14,9 @@ use bb_topology::{AsClass, AsId, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Probe campaign configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProbeConfig {
     pub seed: u64,
     /// Probe rounds (the paper's campaign: 10/day for 10 months; scale this
@@ -41,7 +40,7 @@ impl Default for ProbeConfig {
 }
 
 /// One ⟨City, AS⟩ vantage point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VantagePoint {
     pub asn: AsId,
     pub city: CityId,
@@ -51,7 +50,7 @@ pub struct VantagePoint {
 }
 
 /// One probe result for one tier.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TierProbe {
     pub vp_index: usize,
     pub tier: Tier,

@@ -20,12 +20,11 @@ use bb_topology::{AsId, InterconnectId, Topology};
 use bb_workload::{PrefixId, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Spray campaign configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SprayConfig {
     pub seed: u64,
     /// Campaign length in days (paper: 10).
@@ -45,7 +44,6 @@ pub struct SprayConfig {
     /// instead of recomputing routes. `None` (default) always builds. The
     /// key must capture every
     /// input that shapes the target set (see `ScenarioConfig::world_key`).
-    #[serde(skip)]
     pub targets_memo: Option<u64>,
 }
 
@@ -141,7 +139,7 @@ pub struct SprayTarget {
 }
 
 /// One aggregated measurement row.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowRow {
     pub window: Window,
     pub pop: CityId,

@@ -24,12 +24,11 @@ use bb_geo::CityId;
 use bb_topology::InterconnectId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What a congestion process is attached to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CongestionKey {
     /// One interconnect between two ASes.
     Link(InterconnectId),
@@ -52,7 +51,7 @@ impl CongestionKey {
 }
 
 /// Tuning knobs for the congestion plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CongestionConfig {
     /// Simulated horizon; events are materialized across it.
     pub horizon_min: f64,
@@ -110,7 +109,7 @@ impl CongestionConfig {
 }
 
 /// One transient congestion event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionEvent {
     pub start_min: f64,
     pub end_min: f64,

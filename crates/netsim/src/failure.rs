@@ -15,11 +15,10 @@ use bb_geo::CityId;
 use bb_topology::InterconnectId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What can fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureKey {
     /// A whole site/PoP (power, fabric, maintenance gone wrong).
     Site(CityId),
@@ -37,7 +36,7 @@ impl FailureKey {
 }
 
 /// Outage process parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureConfig {
     /// Horizon over which outages are materialized, minutes.
     pub horizon_min: f64,
@@ -68,7 +67,7 @@ impl Default for FailureConfig {
 }
 
 /// One outage interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outage {
     pub start_min: f64,
     pub end_min: f64,
@@ -109,8 +108,11 @@ impl FailureModel {
     /// `capacity_gbps` applies the small-link reliability penalty for
     /// `FailureKey::Link`s.
     pub fn outages(&self, key: FailureKey, capacity_gbps: f64) -> Arc<[Outage]> {
-        self.cache
-            .get_or_make(key.encode(), || self.materialize(key, capacity_gbps).into())
+        // The schedule depends on the capacity class as well as the key, so
+        // both name the cache entry.
+        let small = matches!(key, FailureKey::Link(_)) && capacity_gbps < self.cfg.small_link_gbps;
+        let slot = key.encode() | u64::from(small) << 63;
+        self.cache.get_or_make(slot, || self.materialize(key, small).into())
     }
 
     /// Whether the entity is down at `t`.
@@ -118,18 +120,15 @@ impl FailureModel {
         self.outages(key, capacity_gbps).iter().any(|o| o.contains(t))
     }
 
-    fn materialize(&self, key: FailureKey, capacity_gbps: f64) -> Vec<Outage> {
+    /// `small_link` marks a link below `small_link_gbps`.
+    fn materialize(&self, key: FailureKey, small_link: bool) -> Vec<Outage> {
         let mut rng = StdRng::seed_from_u64(splitmix64(self.seed ^ key.encode()));
         let mtbf_days = match key {
             FailureKey::Site(_) => self.cfg.site_mtbf_days,
-            FailureKey::Link(_) => {
-                let base = self.cfg.link_mtbf_days;
-                if capacity_gbps < self.cfg.small_link_gbps {
-                    base * self.cfg.small_link_mtbf_factor
-                } else {
-                    base
-                }
+            FailureKey::Link(_) if small_link => {
+                self.cfg.link_mtbf_days * self.cfg.small_link_mtbf_factor
             }
+            FailureKey::Link(_) => self.cfg.link_mtbf_days,
         };
         let mean_gap_min = mtbf_days * 24.0 * 60.0;
         let mut outages = Vec::new();
@@ -174,6 +173,17 @@ mod tests {
         let a = m.outages(k, 0.0);
         let b = m.outages(k, 0.0);
         assert!(Arc::ptr_eq(&a, &b), "repeat queries must not re-clone");
+    }
+
+    #[test]
+    fn cache_keys_on_capacity_class() {
+        let k = FailureKey::Link(InterconnectId(3));
+        let m = model();
+        let small = m.outages(k, 10.0);
+        let large = m.outages(k, 1000.0);
+        assert_eq!(&*large, &*model().outages(k, 1000.0));
+        assert_eq!(&*small, &*model().outages(k, 10.0));
+        assert!(small.len() > large.len(), "{} vs {}", small.len(), large.len());
     }
 
     #[test]

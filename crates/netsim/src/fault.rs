@@ -27,11 +27,10 @@
 use crate::failure::Outage;
 use crate::keyed::{splitmix64, KeyedCache};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Fault-injection intensity selected by `repro --faults`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultLevel {
     /// No fault plane at all: byte-identical to the pre-fault baseline.
     Off,
@@ -75,7 +74,7 @@ impl std::str::FromStr for FaultLevel {
 }
 
 /// Tuning knobs for the fault plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Per-attempt probe loss probability.
     pub probe_loss: f64,

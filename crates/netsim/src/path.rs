@@ -17,10 +17,9 @@
 use crate::keyed::splitmix64;
 use bb_geo::CityId;
 use bb_topology::{AsId, ExitPolicy, InterconnectId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// One intra-AS carriage segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     pub from: CityId,
     pub to: CityId,
@@ -31,7 +30,7 @@ pub struct Segment {
 }
 
 /// A fully realized path: waypoints, carried segments, crossed links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RealizedPath {
     /// AS-level path in traffic direction.
     pub as_path: Vec<AsId>,
@@ -147,7 +146,7 @@ impl RealizedPath {
 }
 
 /// One hop of a [`RealizedPath::traceroute`] view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracerouteHop {
     pub city: CityId,
     /// AS owning the responding router.

@@ -16,7 +16,6 @@
 use crate::path::RealizedPath;
 use bb_topology::Topology;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Fixed per-AS-boundary router/processing cost, ms (both directions).
@@ -26,7 +25,7 @@ pub const PER_HOP_MS: f64 = 0.25;
 pub const ACCESS_BASE_MS: f64 = 2.0;
 
 /// Knobs for RTT sampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttModel {
     /// Log-normal jitter sigma (per sample).
     pub jitter_sigma: f64,

@@ -3,13 +3,11 @@
 //! The Facebook dataset of §3.1 aggregates measurements in 15-minute
 //! windows over ten days; those constants live here.
 
-use serde::{Deserialize, Serialize};
-
 /// Length of one aggregation window, minutes (§3.1).
 pub const WINDOW_MINUTES: f64 = 15.0;
 
 /// A point in simulation time, in minutes from the epoch of the run.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimTime(pub f64);
 
 impl SimTime {
@@ -63,7 +61,7 @@ impl std::ops::Add<f64> for SimTime {
 }
 
 /// A 15-minute aggregation window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Window(pub u32);
 
 impl Window {

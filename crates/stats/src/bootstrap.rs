@@ -8,7 +8,6 @@
 use crate::quantile::quantile_sorted;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Division-free `n % d` for a loop-invariant divisor (Lemire's fastmod):
 /// `c = ⌊2¹²⁸/d⌋ + 1`, then `n % d = ⌊(c·n mod 2¹²⁸) · d / 2¹²⁸⌋`. Exact
@@ -42,7 +41,7 @@ impl FastRem {
 }
 
 /// A two-sided confidence interval around a point estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     pub lower: f64,
     pub point: f64,

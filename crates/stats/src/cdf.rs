@@ -1,7 +1,5 @@
 //! Weighted empirical CDF / CCDF.
 
-use serde::{Deserialize, Serialize};
-
 /// A weighted empirical cumulative distribution function.
 ///
 /// Built once from (value, weight) samples; queries are O(log n).
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.median(), 1.0);
 /// assert_eq!(cdf.value_at(0.9), 5.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cdf {
     /// Sorted distinct sample values.
     values: Vec<f64>,
@@ -118,7 +116,7 @@ impl Cdf {
 
 /// A weighted empirical CCDF, P(X > x) — the form of Figure 3
 /// ("CCDF of Requests").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ccdf {
     cdf: Cdf,
 }

@@ -1,9 +1,7 @@
 //! Fixed-bin weighted histogram.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with uniform bins plus underflow/overflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -43,10 +41,6 @@ impl Histogram {
             let idx = ((frac * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
             self.bins[idx] += weight;
         }
-    }
-
-    pub fn bin_count(&self) -> usize {
-        self.bins.len()
     }
 
     /// Weight in bin `i`.

@@ -28,7 +28,6 @@
 //! finer one — deterministic, so degraded shards still merge
 //! byte-identically.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Fixed-point weight resolution: weights are stored as multiples of
@@ -39,7 +38,7 @@ const WEIGHT_SCALE: f64 = (1u64 << 20) as f64;
 const MAGIC: &[u8; 8] = b"bbqs/v1\n";
 
 /// A mergeable weighted-quantile sketch with bounded relative error.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
     /// Coarsening level: ε at level L is `eps_at_level(base_eps_bits, L)`.
     level: u32,

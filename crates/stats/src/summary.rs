@@ -1,9 +1,7 @@
 //! Streaming summary statistics (Welford's online algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Incremental count/mean/variance/min/max, mergeable across shards.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -70,10 +68,6 @@ impl Summary {
     /// Sample variance (n−1 denominator).
     pub fn variance(&self) -> Option<f64> {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
     }
 
     pub fn min(&self) -> Option<f64> {

@@ -2,11 +2,10 @@
 
 use crate::ids::AsId;
 use bb_geo::{CityId, CountryIdx};
-use serde::{Deserialize, Serialize};
 
 /// Business class of an AS. Drives relationship generation and default
 /// routing quality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsClass {
     /// Global backbone; peers with all other tier-1s, sells to everyone.
     Tier1,
@@ -37,7 +36,7 @@ impl AsClass {
 /// possible — the behaviour §3.3.2 attributes to tier-1s carrying
 /// Google-bound traffic "the whole way" (possibly because Google pays for
 /// high-end service).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExitPolicy {
     /// Hand off at the interconnect nearest where traffic entered this AS.
     EarlyExit,
@@ -46,7 +45,7 @@ pub enum ExitPolicy {
 }
 
 /// One autonomous system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsNode {
     pub id: AsId,
     pub class: AsClass,

@@ -16,11 +16,10 @@ use bb_geo::{Atlas, CityId, Region};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Knobs for topology generation. Defaults give a ~400-AS Internet that
 /// runs Study A end-to-end in seconds; tests shrink it further.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyConfig {
     pub seed: u64,
     pub atlas: AtlasConfig,

@@ -1,10 +1,8 @@
 //! Newtype identifiers for topology entities.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an autonomous system. Dense index into
 /// [`crate::graph::Topology::ases`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsId(pub u32);
 
 impl AsId {
@@ -21,7 +19,7 @@ impl std::fmt::Display for AsId {
 
 /// Identifier of one physical interconnection between two ASes in one city.
 /// Dense index into [`crate::graph::Topology::links`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InterconnectId(pub u32);
 
 impl InterconnectId {

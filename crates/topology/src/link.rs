@@ -2,12 +2,11 @@
 
 use crate::ids::{AsId, InterconnectId};
 use bb_geo::CityId;
-use serde::{Deserialize, Serialize};
 
 /// The business relationship between an ordered pair of ASes.
 ///
 /// Stored once per AS pair; individual [`Interconnect`]s inherit it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusinessRel {
     /// The first AS is a customer of the second (pays for transit).
     CustomerOf,
@@ -31,7 +30,7 @@ impl BusinessRel {
 /// Physical flavor of an interconnection. The paper's Figure 2 compares
 /// routes by exactly these classes (peer vs transit; private vs public
 /// exchange).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Paid transit link (customer side pays).
     Transit,
@@ -56,7 +55,7 @@ impl LinkKind {
 /// An AS pair may interconnect in many cities; each such point is a separate
 /// `Interconnect` (that multiplicity is what makes hot-potato vs late-exit
 /// choices meaningful).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Interconnect {
     pub id: InterconnectId,
     pub a: AsId,

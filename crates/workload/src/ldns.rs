@@ -13,10 +13,9 @@
 //! which public resolvers do support).
 
 use bb_topology::AsId;
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a resolver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LdnsId(pub u32);
 
 impl LdnsId {
@@ -26,7 +25,7 @@ impl LdnsId {
 }
 
 /// What kind of resolver this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LdnsKind {
     /// The ISP resolver of one eyeball AS.
     Isp(AsId),
@@ -35,7 +34,7 @@ pub enum LdnsKind {
 }
 
 /// One LDNS resolver.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ldns {
     pub id: LdnsId,
     pub kind: LdnsKind,

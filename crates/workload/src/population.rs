@@ -6,11 +6,10 @@ use bb_geo::CityId;
 use bb_topology::{AsClass, AsId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Workload generation knobs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     pub seed: u64,
     /// Log-normal sigma of per-prefix activity (spread of traffic weights

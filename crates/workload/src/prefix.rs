@@ -3,10 +3,9 @@
 
 use bb_geo::CityId;
 use bb_topology::AsId;
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a client prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrefixId(pub u32);
 
 impl PrefixId {
@@ -27,7 +26,7 @@ impl std::fmt::Display for PrefixId {
 }
 
 /// One client prefix: users of one eyeball AS in one metro.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClientPrefix {
     pub id: PrefixId,
     /// The eyeball AS announcing this prefix.

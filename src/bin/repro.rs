@@ -93,7 +93,7 @@
 //! byte-identical to the unsharded run. Any mismatch is a usage error
 //! (exit 2), never a silent partial merge.
 
-use beating_bgp::bench::PerfReport;
+use beating_bgp::bench::{obj, ratio, Json, PerfReport, Registry};
 use beating_bgp::cdn::EgressController;
 use beating_bgp::core::ext::{
     availability, ecs, fabric, grooming, hybrid, peering_reduction, single_network, site_count,
@@ -107,7 +107,7 @@ use beating_bgp::core::export::{
 use beating_bgp::core::{calibration, study_anycast, study_egress, study_tiers};
 use beating_bgp::core::inject::{Injection, Kind};
 use beating_bgp::core::{BbResult, Scale, Scenario, ScenarioConfig};
-use beating_bgp::exec::supervisor::{self, SupervisionReport};
+use beating_bgp::exec::supervisor;
 use beating_bgp::exec::timing;
 use beating_bgp::netsim::{CongestionConfig, FaultLevel};
 use beating_bgp::measure::{BeaconConfig, ProbeConfig, SprayConfig};
@@ -413,83 +413,42 @@ fn build_world_or_exit(cfg: ScenarioConfig) -> Scenario {
     }
 }
 
-/// The perf-report sections every in-process run fills the same way: the
-/// timing registry's phases and counters, the route cache, and the closed
-/// congestion races. Callers add the sections their run produced.
-fn run_report(experiment: &str, scale: Scale, seed: u64, wall_s: f64) -> PerfReport {
-    use beating_bgp::bench::{CounterSample, PhaseTiming, RouteCacheStats};
-    let (hits, misses, resident) = beating_bgp::exec::cache_stats();
-    PerfReport {
-        experiment: experiment.to_string(),
-        scale: scale.as_str().to_string(),
-        seed,
-        jobs: beating_bgp::exec::jobs(),
-        wall_s,
-        phases: timing::snapshot()
-            .into_iter()
-            .map(|(label, total_s, calls)| PhaseTiming {
-                label,
-                total_s,
-                calls,
-            })
-            .collect(),
-        counters: timing::counters()
-            .into_iter()
-            .map(|(label, count)| CounterSample { label, count })
-            .collect(),
-        route_cache: RouteCacheStats {
-            hits: hits as u64,
-            misses: misses as u64,
-            resident: resident as u64,
-        },
-        congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
-        ..PerfReport::default()
+/// How every subcommand ends: `--timing` prints the timing table and then
+/// `text`; `--timing-json` writes the perf report, derived from the
+/// process-wide registries plus the caller's own `sections`. Exits 1 if
+/// the report cannot be written.
+fn finish(
+    opts: &Opts,
+    experiment: &str,
+    jobs: usize,
+    t0: std::time::Instant,
+    text: &str,
+    sections: Vec<(&'static str, Json)>,
+) {
+    if opts.timing {
+        eprint!("{}{text}", timing::report());
     }
-}
-
-/// Finalize `report` and write it to the `--timing-json` path; exit 1 if
-/// the file cannot be written.
-fn write_timing_json(path: &Path, report: PerfReport) {
-    if let Err(e) = std::fs::write(path, report.finalize().to_json()) {
+    let Some(path) = &opts.timing_json else {
+        return;
+    };
+    let report = PerfReport {
+        experiment: experiment.to_string(),
+        scale: opts.scale.as_str().to_string(),
+        seed: opts.seed,
+        jobs,
+        wall_s: t0.elapsed().as_secs_f64(),
+        sections,
+    };
+    let registry = Registry {
+        phases: timing::snapshot(),
+        counters: timing::counters(),
+        route_cache: beating_bgp::exec::cache_stats(),
+        panics_isolated: beating_bgp::exec::panics_isolated(),
+        congestion_races_closed: beating_bgp::netsim::materialize_races_closed(),
+    };
+    if let Err(e) = std::fs::write(path, report.finalize(&registry).to_json()) {
         eprintln!("--timing-json: cannot write {}: {e}", path.display());
         std::process::exit(1);
-    }
-}
-
-/// The campaign's perf report: the shared sections plus fault counts,
-/// supervision, and per-experiment route-cache deltas.
-fn perf_report(
-    args: &Opts,
-    wall_s: f64,
-    supervision: &SupervisionReport,
-    route_cache_by_experiment: Vec<beating_bgp::bench::ExperimentCacheStats>,
-) -> PerfReport {
-    let base = run_report(&args.experiment, args.scale, args.seed, wall_s);
-    let get = |label: &str| {
-        base.counters
-            .iter()
-            .find(|c| c.label == label)
-            .map_or(0, |c| c.count)
-    };
-    PerfReport {
-        route_cache_by_experiment,
-        faults: beating_bgp::bench::FaultStats {
-            samples_lost: get("faults:samples_lost"),
-            timeouts: get("faults:timeouts"),
-            retries: get("faults:retries"),
-            windows_dropped: get("faults:windows_dropped"),
-            panics_isolated: beating_bgp::exec::panics_isolated() as u64,
-        },
-        supervision: beating_bgp::bench::SupervisionStats {
-            attempts: supervision.attempts,
-            retries: supervision.retries,
-            panics_absorbed: supervision.panics_absorbed,
-            recovered: supervision.count("recovered") as u64,
-            failed: supervision.count("failed") as u64,
-            skipped: supervision.count("skipped") as u64,
-            budget_exhausted: supervision.budget_exhausted,
-        },
-        ..base
     }
 }
 
@@ -778,15 +737,15 @@ fn run_orchestrate() -> ! {
             EXPERIMENT_NAMES.len()
         ));
     }
+    let opts = cli.opts;
     let Opts {
         scale,
         seed,
         jobs,
         faults,
-        csv_dir,
-        timing_json,
+        ref csv_dir,
         ..
-    } = cli.opts;
+    } = opts;
     let base = base.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("bb_orchestrate_{seed}_{}", scale.as_str()))
     });
@@ -942,43 +901,30 @@ fn run_orchestrate() -> ! {
         &|| INTERRUPTED.load(Ordering::Relaxed),
         &mut spawn,
     );
-    let wall_s = t0.elapsed().as_secs_f64();
 
     // The structured report is written even for failed or interrupted
     // campaigns — partial results are exactly when the restart/salvage
-    // tallies matter most.
-    let stats = beating_bgp::bench::OrchestrationStats {
-        shards: report.shards.len() as u64,
-        attempts: report.attempts,
-        restarts: report.restarts,
-        crashes_detected: report.crashes_detected,
-        hangs_detected: report.hangs_detected,
-        salvages,
-        budget_exhausted: report.budget_exhausted,
-        per_shard: report
-            .shards
-            .iter()
-            .map(|s| beating_bgp::bench::ShardWall {
-                label: s.label.clone(),
-                attempts: s.attempts as u64,
-                wall_s: s.elapsed_s,
-                outcome: s.outcome.label().to_string(),
-            })
-            .collect(),
+    // tallies matter most. The work ran in the children, so the registries
+    // are empty and `jobs` is the count handed to them.
+    let per_shard = report.shards.iter().map(|s| {
+        obj! {
+            "label": s.label.as_str(),
+            "attempts": u64::from(s.attempts),
+            "wall_s": s.elapsed_s,
+            "outcome": s.outcome.label(),
+        }
+    });
+    let orchestration = obj! {
+        "shards": report.shards.len(),
+        "attempts": report.attempts,
+        "restarts": report.restarts,
+        "crashes_detected": report.crashes_detected,
+        "hangs_detected": report.hangs_detected,
+        "salvages": salvages,
+        "budget_exhausted": report.budget_exhausted,
+        "per_shard": Json::List(per_shard.collect()),
     };
-    if let Some(path) = &timing_json {
-        // The work ran in the children: only the orchestration section.
-        let perf = PerfReport {
-            experiment: "orchestrate".to_string(),
-            scale: scale.as_str().to_string(),
-            seed,
-            jobs,
-            wall_s,
-            orchestration: Some(stats),
-            ..PerfReport::default()
-        };
-        write_timing_json(path, perf);
-    }
+    finish(&opts, "orchestrate", jobs, t0, "", vec![("orchestration", orchestration)]);
     eprintln!(
         "[repro] orchestrate: {} launch(es), {} restart(s), {} crash(es), {} hang(s), \
          {} salvage(s){}",
@@ -1117,16 +1063,15 @@ fn run_serve() -> ! {
         );
     }
     cli.refuse_planet_campaign();
+    let opts = cli.opts;
     let Opts {
         scale,
         seed,
         jobs,
         faults,
-        csv_dir,
-        timing,
-        timing_json,
+        ref csv_dir,
         ..
-    } = cli.opts;
+    } = opts;
 
     beating_bgp::exec::set_jobs(jobs);
     install_signal_drain();
@@ -1352,33 +1297,24 @@ fn run_serve() -> ! {
     }
     print!("{render}");
 
-    let wall_s = t0.elapsed().as_secs_f64();
-    if timing {
-        eprint!("{}", timing::report());
-        eprintln!(
-            "serve: {windows_done} windows in {epochs_flushed} epochs, {coarsenings} \
-             coarsening(s), {compactions} compaction(s), resident {resident_bytes} bytes \
-             (peak {peak_resident})"
-        );
-    }
-    if let Some(path) = &timing_json {
-        let perf = PerfReport {
-            serve: Some(beating_bgp::bench::ServeStats {
-                mode: mode_label.to_string(),
-                epsilon,
-                epsilon_in_force: eps_in_force,
-                windows_done,
-                epochs_flushed,
-                resident_bytes,
-                peak_resident_bytes: peak_resident,
-                governor_coarsenings: coarsenings,
-                deadline_misses,
-                resumed,
-            }),
-            ..run_report("serve", scale, seed, wall_s)
-        };
-        write_timing_json(path, perf);
-    }
+    let text = format!(
+        "serve: {windows_done} windows in {epochs_flushed} epochs, {coarsenings} \
+         coarsening(s), {compactions} compaction(s), resident {resident_bytes} bytes \
+         (peak {peak_resident})\n"
+    );
+    let serve = obj! {
+        "mode": mode_label,
+        "epsilon": epsilon,
+        "epsilon_in_force": eps_in_force,
+        "windows_done": windows_done,
+        "epochs_flushed": epochs_flushed,
+        "resident_bytes": resident_bytes,
+        "peak_resident_bytes": peak_resident,
+        "governor_coarsenings": coarsenings,
+        "deadline_misses": deadline_misses,
+        "resumed": resumed,
+    };
+    finish(&opts, "serve", beating_bgp::exec::jobs(), t0, &text, vec![("serve", serve)]);
     std::process::exit(0);
 }
 
@@ -1417,21 +1353,19 @@ fn run_propagate() -> ! {
             flag => cli.usage(format_args!("unknown argument {flag:?}")),
         }
     }
+    let opts = cli.opts;
     let Opts {
         scale,
         seed,
         jobs,
-        csv_dir,
-        snapshot,
-        timing,
-        timing_json,
+        ref csv_dir,
         ..
-    } = cli.opts;
+    } = opts;
 
     beating_bgp::exec::set_jobs(jobs);
     let t0 = std::time::Instant::now();
     let mut cfg = ScenarioConfig::facebook(seed, scale);
-    cfg.snapshot = snapshot;
+    cfg.snapshot = opts.snapshot.clone();
     eprintln!("[repro] building propagation world…");
     let scenario = timing::time("world:propagate", || build_world_or_exit(cfg));
     let topo = &scenario.topo;
@@ -1546,13 +1480,7 @@ fn run_propagate() -> ! {
     if let Some(dir) = &csv_dir {
         export_or_exit("repro propagate", dir, "propagate.csv", csv.as_bytes());
     }
-    let wall_s = t0.elapsed().as_secs_f64();
-    if timing {
-        eprint!("{}", timing::report());
-    }
-    if let Some(path) = &timing_json {
-        write_timing_json(path, run_report("propagate", scale, seed, wall_s));
-    }
+    finish(&opts, "propagate", beating_bgp::exec::jobs(), t0, "", Vec::new());
     std::process::exit(if failed { 1 } else { 0 });
 }
 
@@ -1706,9 +1634,7 @@ fn main() {
         match timing::time("audit", run) {
             Ok(report) => {
                 print!("{}", report.render());
-                if args.timing {
-                    eprint!("{}", timing::report());
-                }
+                finish(&args, "audit", beating_bgp::exec::jobs(), t0, "", Vec::new());
                 std::process::exit(if report.passed() { 0 } else { 1 });
             }
             Err(e) => {
@@ -2226,17 +2152,11 @@ fn main() {
             out
         });
     // Campaign output order, restricted to experiments that actually ran.
-    let cache_by_exp: Vec<beating_bgp::bench::ExperimentCacheStats> = {
+    let cache_by_exp: Vec<(&str, u64, u64)> = {
         let map = cache_deltas.lock().unwrap_or_else(|e| e.into_inner());
         names
             .iter()
-            .filter_map(|n| {
-                map.get(n).map(|&(hits, misses)| beating_bgp::bench::ExperimentCacheStats {
-                    experiment: n.to_string(),
-                    hits,
-                    misses,
-                })
-            })
+            .filter_map(|n| map.get(n).map(|&(hits, misses)| (*n, hits, misses)))
             .collect()
     };
     beating_bgp::measure::progress::reset();
@@ -2354,44 +2274,51 @@ fn main() {
         );
     }
 
-    let wall_s = t0.elapsed().as_secs_f64();
-    if args.timing {
-        eprint!("{}", timing::report());
-        if !cache_by_exp.is_empty() {
-            eprintln!(
-                "route cache by experiment (deltas{}):",
-                if beating_bgp::exec::jobs() == 1 {
-                    ""
-                } else {
-                    "; approximate under --jobs > 1"
-                }
-            );
-            for e in &cache_by_exp {
-                eprintln!(
-                    "  {:<8} hits {:>6}  misses {:>6}  rate {:>5.1}%",
-                    e.experiment,
-                    e.hits,
-                    e.misses,
-                    e.hit_rate() * 100.0
-                );
-            }
+    let mut text = String::new();
+    if !cache_by_exp.is_empty() {
+        let approx = if beating_bgp::exec::jobs() == 1 {
+            ""
+        } else {
+            "; approximate under --jobs > 1"
+        };
+        text += &format!("route cache by experiment (deltas{approx}):\n");
+        for &(name, hits, misses) in &cache_by_exp {
+            let rate = ratio(hits, hits + misses) * 100.0;
+            text += &format!("  {name:<8} hits {hits:>6}  misses {misses:>6}  rate {rate:>5.1}%\n");
         }
-        eprintln!(
-            "congestion races closed: {}",
-            beating_bgp::netsim::materialize_races_closed()
-        );
-        eprintln!(
-            "supervision: {} attempts, {} retries ({} recovered, {} failed, {} replayed)",
-            sup_report.attempts,
-            sup_report.retries,
-            sup_report.count("recovered"),
-            sup_report.count("failed"),
-            replay.len()
-        );
     }
-    if let Some(path) = &args.timing_json {
-        write_timing_json(path, perf_report(&args, wall_s, &sup_report, cache_by_exp));
-    }
+    text += &format!(
+        "congestion races closed: {}\n\
+         supervision: {} attempts, {} retries ({} recovered, {} failed, {} replayed)\n",
+        beating_bgp::netsim::materialize_races_closed(),
+        sup_report.attempts,
+        sup_report.retries,
+        sup_report.count("recovered"),
+        sup_report.count("failed"),
+        replay.len()
+    );
+    let by_experiment = cache_by_exp.iter().map(|&(name, hits, misses)| {
+        obj! {
+            "experiment": name,
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": ratio(hits, hits + misses),
+        }
+    });
+    let supervision = obj! {
+        "attempts": sup_report.attempts,
+        "retries": sup_report.retries,
+        "panics_absorbed": sup_report.panics_absorbed,
+        "recovered": sup_report.count("recovered"),
+        "failed": sup_report.count("failed"),
+        "skipped": sup_report.count("skipped"),
+        "budget_exhausted": sup_report.budget_exhausted,
+    };
+    let sections = vec![
+        ("route_cache_by_experiment", Json::List(by_experiment.collect())),
+        ("supervision", supervision),
+    ];
+    finish(&args, &args.experiment, beating_bgp::exec::jobs(), t0, &text, sections);
     if !failures.is_empty() {
         // Partial run under --keep-going: survivors printed, but the run
         // as a whole did not reproduce everything asked of it.

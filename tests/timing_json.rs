@@ -106,3 +106,58 @@ fn timing_json_counts_fault_activity_under_light_faults() {
         "light faults lost no samples:\n{j}"
     );
 }
+
+/// The integer that follows the first occurrence of `prefix` in `j`.
+fn number_after(j: &str, prefix: &str) -> u64 {
+    let at = j.find(prefix).unwrap_or_else(|| panic!("missing {prefix} in report:\n{j}"));
+    let rest = &j[at + prefix.len()..];
+    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+    rest[..end].parse().expect("an integer")
+}
+
+#[test]
+fn serve_reports_fault_activity_under_light_faults() {
+    let tag = format!("bb_perf_serve_faults_{}", std::process::id());
+    let dir = std::env::temp_dir().join(&tag);
+    let out_path = std::env::temp_dir().join(format!("{tag}.json"));
+    std::fs::remove_dir_all(&dir).ok();
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["serve", "--scale", "test", "--seed", "42", "--faults", "light"])
+        .args(["--windows", "40", "--epoch", "8", "--dir"])
+        .arg(&dir)
+        .arg("--timing-json")
+        .arg(&out_path)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawn repro");
+    assert!(status.success(), "repro serve exited with {status}");
+
+    let j = std::fs::read_to_string(&out_path).expect("report written");
+    std::fs::remove_file(&out_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The `faults` section is the `faults:*` counters, for serve as for
+    // every other run.
+    let counted = number_after(&j, "{\"label\": \"faults:samples_lost\", \"count\": ");
+    let reported = number_after(&j, "\"faults\": {\"samples_lost\": ");
+    assert!(counted > 0, "light faults lost no samples:\n{j}");
+    assert_eq!(reported, counted, "faults section disagrees with its counter:\n{j}");
+}
+
+#[test]
+fn audit_writes_its_report() {
+    let out_path = std::env::temp_dir().join(format!("bb_perf_audit_{}.json", std::process::id()));
+    std::fs::remove_file(&out_path).ok();
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["audit", "--scale", "test", "--seed", "42", "--timing-json"])
+        .arg(&out_path)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawn repro");
+    assert!(status.success(), "repro audit exited with {status}");
+
+    let j = std::fs::read_to_string(&out_path).expect("audit wrote its report");
+    std::fs::remove_file(&out_path).ok();
+    assert!(j.contains("\"schema\": \"bb-perf-report/v1\""), "{j}");
+    assert!(j.contains("\"experiment\": \"audit\""), "{j}");
+}
