@@ -28,8 +28,8 @@
 //! pipelines run the exact pre-fault code path, byte for byte.
 
 use bb_netsim::{
-    batch_session_median_z, batch_session_min_z, DiurnalTable, FaultPlane, JitterScratch,
-    PathPlanBatch, RttModel, SimTime,
+    batch_session_min_z, DiurnalTable, FaultPlane, JitterScratch, MedianLanes, PathPlanBatch,
+    RttModel, SimTime,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -218,13 +218,20 @@ impl TaskScratch {
         &self.min_z
     }
 
-    /// The median of [`min_z`](Self::min_z)'s session minima (odd
-    /// `sessions`), drawing the same stream.
-    pub fn median_z(&mut self, rng: &mut StdRng, sessions: usize, samples: usize) -> f64 {
-        let (z, evals) = batch_session_median_z(rng, sessions, samples, &mut self.jitter);
-        self.kernel.batches += 1;
-        self.kernel.exact_evals += evals;
-        z
+    /// For each cell seed, the median of the session minima
+    /// [`min_z`](Self::min_z) would draw from `StdRng::seed_from_u64(seed)`
+    /// (odd `sessions`), through the kernel instance `lanes`.
+    pub fn median_z(
+        &mut self,
+        lanes: MedianLanes,
+        seeds: &[u64],
+        sessions: usize,
+        samples: usize,
+    ) -> &[f64] {
+        self.kernel.batches += seeds.len();
+        self.kernel.exact_evals +=
+            lanes.median_z(seeds, sessions, samples, &mut self.jitter, &mut self.min_z);
+        &self.min_z
     }
 }
 

@@ -13,8 +13,8 @@ use bb_cdn::Provider;
 use bb_geo::CityId;
 use crate::{jitter_of, KernelTally, Sampler, TaskScratch};
 use bb_netsim::{
-    realize_path, CongestionKey, CongestionModel, FaultPlane, PathPlanBatch, RealizeSpec,
-    RealizedPath, RttModel, SimTime, Window,
+    realize_path, CongestionKey, CongestionModel, FaultPlane, MedianLanes, PathPlanBatch,
+    RealizeSpec, RealizedPath, RttModel, SimTime, Window,
 };
 use bb_topology::{AsId, InterconnectId, Topology};
 use bb_workload::{PrefixId, Workload};
@@ -471,21 +471,20 @@ impl SprayEngine {
     fn jitter_pass(&self, windows: &[Window]) -> JitterTable {
         let cfg = &self.cfg;
         let model = RttModel::default();
+        let lanes = MedianLanes::detect();
         let per_target: Vec<(Vec<f64>, KernelTally)> = bb_exec::timing::time("spray:jitter", || {
             bb_exec::par_map(&self.targets, |ti, target| {
                 let mut task = TaskScratch::default();
-                let mut table = Vec::with_capacity(windows.len() * target.routes.len());
-                for &w in windows {
-                    for ri in 0..target.routes.len() {
-                        let mut rng = StdRng::seed_from_u64(cell_seed(cfg.seed, w, ti, ri));
-                        let z = task.median_z(
-                            &mut rng,
-                            cfg.sessions_per_window,
-                            cfg.rtt_samples_per_session,
-                        );
-                        table.push(jitter_of(&model, z));
-                    }
-                }
+                let routes = target.routes.len();
+                let seeds: Vec<u64> = windows
+                    .iter()
+                    .flat_map(|&w| (0..routes).map(move |ri| cell_seed(cfg.seed, w, ti, ri)))
+                    .collect();
+                let table = task
+                    .median_z(lanes, &seeds, cfg.sessions_per_window, cfg.rtt_samples_per_session)
+                    .iter()
+                    .map(|&z| jitter_of(&model, z))
+                    .collect();
                 (table, task.kernel)
             })
         });

@@ -51,7 +51,6 @@ pub use fault::{FaultConfig, FaultLevel, FaultPlane, RouteChurn, MAX_BASE_RTT_MS
 pub use goodput::goodput_mbps;
 pub use path::{realize_path, RealizeSpec, RealizedPath, Segment, TracerouteHop};
 pub use rtt::{
-    batch_session_median_z, batch_session_min_z, path_base_rtt_ms, JitterScratch, RttModel,
-    APPROX_Z_ERR,
+    batch_session_min_z, path_base_rtt_ms, JitterScratch, MedianLanes, RttModel, APPROX_Z_ERR,
 };
 pub use time::{SimTime, Window, WINDOW_MINUTES};

@@ -3,7 +3,7 @@
 //! No production code calls this module. Every campaign compiles its paths
 //! into a [`PathPlanBatch`](crate::PathPlanBatch) and draws its jitter
 //! through [`batch_session_min_z`](crate::batch_session_min_z) or
-//! [`batch_session_median_z`](crate::batch_session_median_z). The
+//! [`MedianLanes`](crate::MedianLanes). The
 //! functions here compute the same quantities the obvious way, one sample
 //! at a time, so tests can check the compiled paths against them bit for
 //! bit without sharing code with them.

@@ -119,20 +119,24 @@ fn approx_z(u1: f64, u2: f64) -> f64 {
     (-2.0 * approx_ln(u1)).sqrt() * approx_cos_tau(u2)
 }
 
-/// Reused buffers for [`batch_session_min_z`] and
-/// [`batch_session_median_z`]: the uniforms and ranking deviates of one
-/// batch, plus the per-session lanes of the median path. Hoisted out of
-/// the window loop by callers so the hot path allocates nothing.
+/// Reused buffers for [`batch_session_min_z`] and [`MedianLanes`]: the
+/// uniforms and ranking deviates of one batch or one lane group, plus the
+/// exact minima of a median band. Hoisted out of the window loop by callers
+/// so the hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct JitterScratch {
     u1: Vec<f64>,
     u2: Vec<f64>,
     /// `approx_z` of every draw.
     approx: Vec<f64>,
-    /// Each session's minimum ranking deviate.
-    session_approx: Vec<f64>,
     /// Exact minima of the sessions inside the median band.
     exact: Vec<f64>,
+    /// One lane group's draws and ranking deviates, draw-major.
+    lane_u1: Vec<Lane<f64>>,
+    lane_u2: Vec<Lane<f64>>,
+    lane_approx: Vec<Lane<f64>>,
+    /// Each session's minimum ranking deviate, per lane.
+    lane_session: Vec<Lane<f64>>,
 }
 
 impl JitterScratch {
@@ -199,19 +203,17 @@ impl JitterScratch {
 
     /// Median of the per-session exact minima of the drawn pairs; see
     /// [`batch_session_median_z`].
+    #[cfg(test)]
     fn session_median(&mut self, sessions: usize, per: usize) -> (f64, usize) {
         assert!(sessions % 2 == 1, "median entry point needs an odd session count");
         self.rank();
-        self.session_approx.clear();
-        for s in 0..sessions {
-            let m = self.approx_min(s * per..(s + 1) * per);
-            self.session_approx.push(m);
-        }
+        let ranks: Vec<f64> = (0..sessions)
+            .map(|s| self.approx_min(s * per..(s + 1) * per))
+            .collect();
         let mid = sessions / 2;
         // The ranking median by counting: the value with at most `mid`
         // values below it and more than `mid` at or below it. Quadratic,
         // but cheaper than a selection at single-digit session counts.
-        let ranks = &self.session_approx;
         let approx_median = *ranks
             .iter()
             .find(|&&v| {
@@ -226,8 +228,7 @@ impl JitterScratch {
         let mut below = 0;
         let mut evals = 0;
         self.exact.clear();
-        for s in 0..sessions {
-            let m = self.session_approx[s];
+        for (s, &m) in ranks.iter().enumerate() {
             if m < lo {
                 below += 1;
             } else if m <= hi {
@@ -264,18 +265,327 @@ pub fn batch_session_min_z(
     scratch.session_minima(sessions, samples_per_session, out_min_z)
 }
 
-/// The median of the `sessions` per-session minimum deviates that
-/// [`batch_session_min_z`] would produce — the value
-/// `quantile_select(min_z, 0.5)` selects — and the number of deviates
-/// evaluated through libm. Draws exactly the same stream. `sessions` must
-/// be odd, so the median is one session's value.
+/// Cells per lane group of [`MedianLanes`].
+pub const LANES: usize = 8;
+
+/// One value per lane of a lane group.
+type Lane<T> = [T; LANES];
+
+/// [`LANES`] xoshiro256++ streams stepped in lockstep, structure of
+/// arrays. Each lane is seeded and stepped exactly as the vendored
+/// `StdRng` (xoshiro256++ seeded through SplitMix64), so lane `l` draws
+/// the stream of `StdRng::seed_from_u64(seeds[l])`.
+struct LaneRng {
+    s0: Lane<u64>,
+    s1: Lane<u64>,
+    s2: Lane<u64>,
+    s3: Lane<u64>,
+}
+
+impl LaneRng {
+    /// Seed one lane per entry of `seeds` (at most [`LANES`]); missing
+    /// lanes repeat the first seed and are never read.
+    #[inline(always)]
+    fn new(seeds: &[u64]) -> Self {
+        let mut s = [[0u64; LANES]; 4];
+        for l in 0..LANES {
+            let mut sm = seeds.get(l).copied().unwrap_or(seeds[0]);
+            for word in &mut s {
+                sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = sm;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                word[l] = z ^ (z >> 31);
+            }
+        }
+        let [s0, s1, s2, s3] = s;
+        LaneRng { s0, s1, s2, s3 }
+    }
+
+    /// One xoshiro256++ step of every lane. The new state is built in
+    /// fresh arrays so each word stays one vector register.
+    #[inline(always)]
+    fn next_u64(&mut self) -> Lane<u64> {
+        let (mut out, mut n0, mut n1, mut n2, mut n3) =
+            ([0u64; LANES], [0u64; LANES], [0u64; LANES], [0u64; LANES], [0u64; LANES]);
+        for l in 0..LANES {
+            let (s0, s1, s2, s3) = (self.s0[l], self.s1[l], self.s2[l], self.s3[l]);
+            out[l] = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+            let s2 = s2 ^ s0;
+            let s3 = s3 ^ s1;
+            n1[l] = s1 ^ s2;
+            n0[l] = s0 ^ s3;
+            n2[l] = s2 ^ (s1 << 17);
+            n3[l] = s3.rotate_left(45);
+        }
+        *self = LaneRng { s0: n0, s1: n1, s2: n2, s3: n3 };
+        out
+    }
+}
+
+/// The uniform `rng.gen::<f64>()` makes of the word `bits`.
+#[inline(always)]
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Where a lane group's uniform pairs come from: the cell seeds in
+/// production, crafted pairs in tests.
+trait LaneDraws {
+    /// Start lane group `g` (cells `g·LANES ..`).
+    fn start(&mut self, g: usize);
+    /// The next `(u1, u2)` pair of every lane of the current group.
+    fn pair(&mut self) -> (Lane<f64>, Lane<f64>);
+}
+
+/// Every cell draws the stream of `StdRng::seed_from_u64(seed)`, as the
+/// scalar walk's `normal_draw` does: `u1 = gen_range(ε..1)`, `u2 = gen()`.
+struct SeedDraws<'a> {
+    seeds: &'a [u64],
+    rng: LaneRng,
+}
+
+impl LaneDraws for SeedDraws<'_> {
+    #[inline(always)]
+    fn start(&mut self, g: usize) {
+        self.rng = LaneRng::new(&self.seeds[g * LANES..]);
+    }
+
+    #[inline(always)]
+    fn pair(&mut self) -> (Lane<f64>, Lane<f64>) {
+        let a = self.rng.next_u64();
+        let b = self.rng.next_u64();
+        let (mut u1, mut u2) = ([0.0; LANES], [0.0; LANES]);
+        for l in 0..LANES {
+            u1[l] = f64::EPSILON + (1.0 - f64::EPSILON) * unit_f64(a[l]);
+            u2[l] = unit_f64(b[l]);
+        }
+        (u1, u2)
+    }
+}
+
+/// The lane kernel's body, instantiated by [`MedianLanes`] for the
+/// compilation target's baseline and for AVX-512. For each group of [`LANES`] cells it draws every
+/// lane's uniform pairs in lockstep, ranks them with [`approx_z`], keeps
+/// each session's ranking minimum and counts ranks across lanes without
+/// branches; then, lane by lane, it resolves the median band through
+/// libm exactly as [`JitterScratch`]'s scalar resolve does.
+#[inline(always)]
+fn median_lanes(
+    cells: usize,
+    draws: &mut impl LaneDraws,
+    sessions: usize,
+    per: usize,
+    scratch: &mut JitterScratch,
+    out: &mut Vec<f64>,
+) -> usize {
+    assert!(sessions % 2 == 1, "median entry point needs an odd session count");
+    assert!(per >= 1, "a session draws at least one sample");
+    let mid = sessions / 2;
+    let n = sessions * per;
+    let JitterScratch {
+        exact,
+        lane_u1,
+        lane_u2,
+        lane_approx,
+        lane_session,
+        ..
+    } = scratch;
+    lane_u1.resize(n, [0.0; LANES]);
+    lane_u2.resize(n, [0.0; LANES]);
+    lane_approx.resize(n, [0.0; LANES]);
+    lane_session.resize(sessions, [0.0; LANES]);
+    out.clear();
+    out.reserve(cells);
+    let mut evals = 0;
+    for g in 0..cells.div_ceil(LANES) {
+        let live = (cells - g * LANES).min(LANES);
+        // Draw and rank, keeping each session's ranking minimum. Same
+        // compare-and-select as `approx_min`, so ties keep the same draw.
+        draws.start(g);
+        for (s, session_min) in lane_session.iter_mut().enumerate() {
+            let mut m = [f64::INFINITY; LANES];
+            for d in s * per..(s + 1) * per {
+                let (u1, u2) = draws.pair();
+                let mut z = [0.0; LANES];
+                for l in 0..LANES {
+                    z[l] = approx_z(u1[l], u2[l]);
+                    m[l] = if z[l] < m[l] { z[l] } else { m[l] };
+                }
+                lane_u1[d] = u1;
+                lane_u2[d] = u2;
+                lane_approx[d] = z;
+            }
+            *session_min = m;
+        }
+        // The ranking median by counting: the first session value with at
+        // most `mid` values below it and more than `mid` at or below it.
+        // Walking backwards, the last overwrite is the first match.
+        let mut median = [f64::NAN; LANES];
+        for v in lane_session.iter().rev() {
+            let (mut lt, mut le) = ([0usize; LANES], [0usize; LANES]);
+            for w in lane_session.iter() {
+                for l in 0..LANES {
+                    lt[l] += (w[l] < v[l]) as usize;
+                    le[l] += (w[l] <= v[l]) as usize;
+                }
+            }
+            for l in 0..LANES {
+                median[l] = if lt[l] <= mid && mid < le[l] { v[l] } else { median[l] };
+            }
+        }
+        // The band `|m̃ₛ − M̃| ≤ 2E` around the ranking median, and how
+        // many sessions lie below it.
+        let mut lo = [0.0; LANES];
+        let mut hi = [0.0; LANES];
+        for l in 0..LANES {
+            lo[l] = median[l] - 2.0 * APPROX_Z_ERR;
+            hi[l] = median[l] + 2.0 * APPROX_Z_ERR;
+        }
+        let (mut below, mut band) = ([0usize; LANES], [0usize; LANES]);
+        for m in lane_session.iter() {
+            for l in 0..LANES {
+                below[l] += (m[l] < lo[l]) as usize;
+                band[l] += (m[l] >= lo[l] && m[l] <= hi[l]) as usize;
+            }
+        }
+        for l in 0..live {
+            let in_band = |s: &usize| {
+                let m = lane_session[*s][l];
+                m >= lo[l] && m <= hi[l]
+            };
+            // Only draws with `z̃ ≤ m̃ₛ + 2E` can be session `s`'s argmin
+            // (see `JitterScratch::resolve`).
+            let mut resolve = |s: usize| {
+                let cut = lane_session[s][l] + 2.0 * APPROX_Z_ERR;
+                let mut min_z = f64::INFINITY;
+                for d in s * per..(s + 1) * per {
+                    if lane_approx[d][l] <= cut {
+                        evals += 1;
+                        min_z = min_z.min(box_muller(lane_u1[d][l], lane_u2[d][l]));
+                    }
+                }
+                min_z
+            };
+            let z = if band[l] == 1 {
+                // The common case: the band is the median session alone.
+                let s = (0..sessions).find(in_band).expect("the band holds the median");
+                resolve(s)
+            } else {
+                exact.clear();
+                for s in (0..sessions).filter(in_band) {
+                    exact.push(resolve(s));
+                }
+                let (_, &mut z, _) =
+                    exact.select_nth_unstable_by(mid - below[l], |a, b| a.total_cmp(b));
+                z
+            };
+            out.push(z);
+        }
+    }
+    evals
+}
+
+/// [`median_lanes`] compiled for x86-64-v4's AVX-512 F/DQ/VL: one lane
+/// group fills one 512-bit register per value.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn median_lanes_avx512(
+    cells: usize,
+    draws: &mut impl LaneDraws,
+    sessions: usize,
+    per: usize,
+    scratch: &mut JitterScratch,
+    out: &mut Vec<f64>,
+) -> usize {
+    median_lanes(cells, draws, sessions, per, scratch, out)
+}
+
+/// The lane-batched median kernel: for each cell seed, the median of the
+/// per-session minimum deviates that [`batch_session_min_z`] would draw
+/// from `StdRng::seed_from_u64(seed)`, cells handled [`LANES`] at a time.
 ///
 /// Each session's ranking minimum `m̃ₛ` is within `E = APPROX_Z_ERR` of its
 /// exact minimum `mₛ`, and so is the ranking median `M̃` of the exact
 /// median `M`. The median session therefore lies in the band
 /// `|m̃ₛ − M̃| ≤ 2E`, and a session below the band has `mₛ < M`. Only the
-/// band is resolved: `M` is its `(mid − below)`-th exact value.
-pub fn batch_session_median_z(
+/// band is resolved through libm: `M` is its `(mid − below)`-th exact
+/// value. Ranking uses plain `*` and `+` only, so every instance ranks to
+/// the same bits, and every value is bit-identical to the scalar walk.
+///
+/// One body has two instances: a portable one and an AVX-512 one.
+/// [`detect`](Self::detect) picks the widest the host runs; pick it once
+/// per pass and hand it to every call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MedianLanes {
+    wide: bool,
+}
+
+impl MedianLanes {
+    /// The instance built for the compilation target's baseline.
+    pub fn portable() -> Self {
+        MedianLanes { wide: false }
+    }
+
+    /// The AVX-512 instance, if the host supports it.
+    pub fn wide() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+        {
+            return Some(MedianLanes { wide: true });
+        }
+        None
+    }
+
+    /// The widest instance the host runs.
+    pub fn detect() -> Self {
+        Self::wide().unwrap_or_else(Self::portable)
+    }
+
+    /// Write the median deviate of each cell of `seeds` into `out` (cleared
+    /// first), in order, and return the number of deviates evaluated
+    /// through libm. `sessions` must be odd.
+    pub fn median_z(
+        &self,
+        seeds: &[u64],
+        sessions: usize,
+        samples_per_session: usize,
+        scratch: &mut JitterScratch,
+        out: &mut Vec<f64>,
+    ) -> usize {
+        let mut draws = SeedDraws { seeds, rng: LaneRng::new(&[0]) };
+        self.run(seeds.len(), &mut draws, sessions, samples_per_session, scratch, out)
+    }
+
+    fn run(
+        &self,
+        cells: usize,
+        draws: &mut impl LaneDraws,
+        sessions: usize,
+        per: usize,
+        scratch: &mut JitterScratch,
+        out: &mut Vec<f64>,
+    ) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if self.wide {
+            // SAFETY: `wide` is set only by `MedianLanes::wide`, which
+            // checked that the host has every feature the instance enables.
+            return unsafe { median_lanes_avx512(cells, draws, sessions, per, scratch, out) };
+        }
+        median_lanes(cells, draws, sessions, per, scratch, out)
+    }
+}
+
+/// The median of the `sessions` per-session minimum deviates that
+/// [`batch_session_min_z`] would produce — the value
+/// `quantile_select(min_z, 0.5)` selects — and the number of deviates
+/// evaluated through libm, one cell at a time. The test reference for
+/// [`MedianLanes`], which computes the same thing eight cells at a time.
+/// `sessions` must be odd, so the median is one session's value.
+#[cfg(test)]
+pub(crate) fn batch_session_median_z(
     rng: &mut impl Rng,
     sessions: usize,
     samples_per_session: usize,
@@ -519,6 +829,170 @@ mod tests {
         }
     }
 
+    /// Every instance of the lane kernel this host runs.
+    fn instances() -> Vec<MedianLanes> {
+        std::iter::once(MedianLanes::portable()).chain(MedianLanes::wide()).collect()
+    }
+
+    /// Cells of crafted uniform pairs (`cells[c][draw]`), as lane draws.
+    /// Lanes past the last cell repeat cell 0.
+    struct Crafted<'a> {
+        cells: &'a [Vec<(f64, f64)>],
+        group: usize,
+        draw: usize,
+    }
+
+    impl LaneDraws for Crafted<'_> {
+        fn start(&mut self, g: usize) {
+            self.group = g;
+            self.draw = 0;
+        }
+
+        fn pair(&mut self) -> (Lane<f64>, Lane<f64>) {
+            let (mut u1, mut u2) = ([0.0; LANES], [0.0; LANES]);
+            for l in 0..LANES {
+                let cell = self.cells.get(self.group * LANES + l).unwrap_or(&self.cells[0]);
+                (u1[l], u2[l]) = cell[self.draw];
+            }
+            self.draw += 1;
+            (u1, u2)
+        }
+    }
+
+    /// The lane kernel on crafted cells of `sessions` sessions each must
+    /// give the per-cell reference's median bits and its libm count, on
+    /// every instance.
+    fn check_lanes(cells: &[Vec<(f64, f64)>], sessions: usize) {
+        let per = cells[0].len() / sessions;
+        let mut want = Vec::new();
+        let mut want_evals = 0;
+        for cell in cells {
+            let (z, evals) = crafted(cell).session_median(sessions, per);
+            want.push(z.to_bits());
+            want_evals += evals;
+        }
+        for lanes in instances() {
+            let mut out = Vec::new();
+            let mut draws = Crafted { cells, group: 0, draw: 0 };
+            let evals = lanes.run(
+                cells.len(),
+                &mut draws,
+                sessions,
+                per,
+                &mut JitterScratch::default(),
+                &mut out,
+            );
+            let got: Vec<u64> = out.iter().map(|z| z.to_bits()).collect();
+            assert_eq!(got, want, "{lanes:?} on {cells:?}");
+            assert_eq!(evals, want_evals, "{lanes:?} on {cells:?}");
+        }
+    }
+
+    /// `case` (a list of equal-length sessions) in every lane position of
+    /// two full groups and a remainder, alternating with the same sessions
+    /// in reverse order.
+    fn check_lanes_case(case: &[Vec<(f64, f64)>]) {
+        let flat = case.concat();
+        let reversed: Vec<(f64, f64)> = case.iter().rev().flatten().copied().collect();
+        let cells: Vec<Vec<(f64, f64)>> = (0..2 * LANES + 1)
+            .map(|c| if c % 2 == 0 { flat.clone() } else { reversed.clone() })
+            .collect();
+        check_lanes(&cells, case.len());
+    }
+
+    #[test]
+    fn lane_kernel_resolves_near_ties_and_identical_draws() {
+        for b in twins() {
+            check_lanes_case(&[vec![ANCHOR, b, FILLER]]);
+            check_lanes_case(&[vec![ANCHOR], vec![b], vec![FILLER]]);
+            check_lanes_case(&[vec![FILLER], vec![b], vec![ANCHOR]]);
+        }
+        check_lanes_case(&[vec![ANCHOR, ANCHOR, FILLER]]);
+        check_lanes_case(&[vec![ANCHOR, ANCHOR], vec![ANCHOR, FILLER], vec![FILLER, ANCHOR]]);
+        let (low, high) = ((0.01, 0.5), (0.01, 0.0));
+        for tied in [ANCHOR, twins()[0]] {
+            check_lanes_case(&[
+                vec![high, FILLER],
+                vec![ANCHOR, FILLER],
+                vec![low, FILLER],
+                vec![FILLER, tied],
+                vec![low, high],
+            ]);
+        }
+        // Bands holding every session: the general path, not the
+        // one-session fast path.
+        let twins = twins();
+        for start in 0..twins.len() - 7 {
+            let sessions: Vec<Vec<(f64, f64)>> =
+                twins[start..start + 7].iter().map(|&b| vec![FILLER, b]).collect();
+            check_lanes_case(&sessions);
+        }
+    }
+
+    /// Seeded cells: the lane kernel equals the per-cell reference (bits
+    /// and libm count) and the scalar walk's median, for session counts
+    /// 1–9, 1–6 draws per session, and 1 to `2·LANES + 1` cells.
+    #[test]
+    fn lane_kernel_matches_reference_and_scalar_walk() {
+        let rm = RttModel::default();
+        let mut scratch = JitterScratch::default();
+        let mut out = Vec::new();
+        for sessions in [1, 3, 5, 7, 9] {
+            for samples in 1..=6 {
+                for cells in 1..=2 * LANES + 1 {
+                    let seeds: Vec<u64> = (0..cells as u64)
+                        .map(|c| (sessions * 100 + samples * 10) as u64 ^ (c << 32))
+                        .collect();
+                    let mut want_evals = 0;
+                    let want: Vec<u64> = seeds
+                        .iter()
+                        .map(|&seed| {
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            let scalar: Vec<f64> = (0..sessions)
+                                .map(|_| sample_min_rtt(10.0, &rm, samples, &mut rng))
+                                .collect();
+                            let (z, evals) = batch_session_median_z(
+                                &mut StdRng::seed_from_u64(seed),
+                                sessions,
+                                samples,
+                                &mut scratch,
+                            );
+                            want_evals += evals;
+                            let v = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
+                            assert_eq!(v.to_bits(), median_of(&scalar).to_bits(), "seed {seed}");
+                            z.to_bits()
+                        })
+                        .collect();
+                    for lanes in instances() {
+                        let evals = lanes.median_z(&seeds, sessions, samples, &mut scratch, &mut out);
+                        let got: Vec<u64> = out.iter().map(|z| z.to_bits()).collect();
+                        let shape = (lanes, sessions, samples, cells);
+                        assert_eq!(got, want, "{shape:?}");
+                        assert_eq!(evals, want_evals, "{shape:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each lane steps the vendored `StdRng` stream of its seed, and
+    /// `unit_f64` is `gen::<f64>()` of the same word.
+    #[test]
+    fn lane_rng_draws_the_std_rng_stream() {
+        use rand::Standard01;
+        let seeds: Vec<u64> = (0..LANES as u64).map(|l| l * 0x1234_5678_9abc).collect();
+        let mut lanes = LaneRng::new(&seeds);
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        for _ in 0..1000 {
+            let words = lanes.next_u64();
+            for (l, rng) in rngs.iter_mut().enumerate() {
+                let want = next_of(rng);
+                assert_eq!(words[l], want);
+                assert_eq!(unit_f64(want).to_bits(), f64::from_u64(want).to_bits());
+            }
+        }
+    }
+
     /// Largest `|approx_z − box_muller|` over the pairs of `u1s × u2s`.
     fn max_approx_err(u1s: &[f64], u2s: &[f64]) -> f64 {
         let mut worst = 0.0_f64;
@@ -571,6 +1045,9 @@ mod tests {
     }
 
     /// Release-only sweep: `cargo test --release -p bb-netsim -- --ignored`.
+    /// The ranking bound over 50M draws, then 1M cells through both batch
+    /// entry points, the per-cell median reference and every instance of
+    /// the lane kernel, against the scalar session walk.
     #[test]
     #[ignore]
     fn approx_z_bound_and_kernel_identity_at_scale() {
@@ -586,6 +1063,10 @@ mod tests {
         let rm = RttModel::default();
         let mut scratch = JitterScratch::default();
         let mut min_z = Vec::new();
+        // Per (sessions, samples) shape: the cells of that shape, the
+        // per-cell reference's median bits, and its libm count.
+        let mut shapes: std::collections::BTreeMap<(usize, usize), (Vec<u64>, Vec<u64>, usize)> =
+            Default::default();
         for cell in 0..1_000_000u64 {
             let sessions = 1 + 2 * (cell % 5) as usize;
             let samples = 1 + (cell % 8) as usize;
@@ -600,11 +1081,26 @@ mod tests {
                 assert_eq!(s.to_bits(), batch_v.to_bits(), "cell {cell}");
             }
             let mut median_rng = StdRng::seed_from_u64(cell);
-            let (z, _) = batch_session_median_z(&mut median_rng, sessions, samples, &mut scratch);
+            let (z, evals) =
+                batch_session_median_z(&mut median_rng, sessions, samples, &mut scratch);
             assert_eq!(z.to_bits(), median_of(&min_z).to_bits(), "cell {cell}");
             let next = next_of(&mut scalar_rng);
             assert_eq!(next, next_of(&mut batch_rng));
             assert_eq!(next, next_of(&mut median_rng));
+            let shape = shapes.entry((sessions, samples)).or_default();
+            shape.0.push(cell);
+            shape.1.push(z.to_bits());
+            shape.2 += evals;
+        }
+        // The lane kernel over the same million cells, on every instance.
+        let mut out = Vec::new();
+        for lanes in instances() {
+            for (&(sessions, samples), (seeds, want, want_evals)) in &shapes {
+                let evals = lanes.median_z(seeds, sessions, samples, &mut scratch, &mut out);
+                let got: Vec<u64> = out.iter().map(|z| z.to_bits()).collect();
+                assert!(got == *want, "{lanes:?} at {sessions}x{samples}");
+                assert_eq!(evals, *want_evals, "{lanes:?} at {sessions}x{samples}");
+            }
         }
     }
 

@@ -17,9 +17,10 @@
 //!   associative and commutative *at the byte level*, not merely up to
 //!   float rounding. Shard sketches combine byte-identically no matter
 //!   the merge order.
-//! * **Canonical encoding.** Buckets live in a `BTreeMap`, encode walks
-//!   them in key order, and every float is serialized as raw IEEE bits.
-//!   Equal sketch state ⇒ equal bytes, which is what lets snapshot
+//! * **Canonical encoding.** Buckets live in a vector of `(index,
+//!   weight)` pairs kept sorted by index (found by binary search), encode
+//!   walks them in index order, and every float is serialized as raw IEEE
+//!   bits. Equal sketch state ⇒ equal bytes, which is what lets snapshot
 //!   epochs and audit comparisons diff sketches with `==`.
 //!
 //! Coarsening (the resource governor's degraded mode) halves the bucket
@@ -28,14 +29,28 @@
 //! finer one — deterministic, so degraded shards still merge
 //! byte-identically.
 
-use std::collections::BTreeMap;
-
 /// Fixed-point weight resolution: weights are stored as multiples of
 /// 2⁻²⁰ (≈ 1e-6). Integer arithmetic keeps merges exact.
 const WEIGHT_SCALE: f64 = (1u64 << 20) as f64;
 
 /// Serialization magic for [`QuantileSketch::encode`].
 const MAGIC: &[u8; 8] = b"bbqs/v1\n";
+
+/// Bucket weights as `(index, weight)` pairs, strictly ascending by index.
+type Buckets = Vec<(i32, u64)>;
+
+/// Add `w` to bucket `i`, inserting it in index order if absent.
+fn bump(buckets: &mut Buckets, i: i32, w: u64) {
+    match buckets.binary_search_by_key(&i, |&(k, _)| k) {
+        Ok(at) => buckets[at].1 += w,
+        Err(at) => buckets.insert(at, (i, w)),
+    }
+}
+
+/// The weights of `buckets`.
+fn weights(buckets: &[(i32, u64)]) -> impl DoubleEndedIterator<Item = u64> + '_ {
+    buckets.iter().map(|&(_, w)| w)
+}
 
 /// A mergeable weighted-quantile sketch with bounded relative error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,10 +60,13 @@ pub struct QuantileSketch {
     /// The *declared* base ε (level 0), as raw f64 bits so the struct
     /// stays `Eq` and the encoding stays canonical.
     base_eps_bits: u64,
+    /// `ln γ` at the current level, as raw bits: a function of the two
+    /// fields above, cached so `add` takes one logarithm per value.
+    ln_gamma_bits: u64,
     /// Positive-value buckets: index i covers `(γ^(i−1), γ^i]`.
-    pos: BTreeMap<i32, u64>,
+    pos: Buckets,
     /// Negative-value buckets, keyed by the index of `|v|`.
-    neg: BTreeMap<i32, u64>,
+    neg: Buckets,
     /// Weight at exactly zero.
     zero_w: u64,
     /// Number of `add` calls folded in (merged sketches sum these).
@@ -77,16 +95,24 @@ impl QuantileSketch {
             "sketch eps must be in (0,1), got {eps}; eps = 0 means exact \
              (retained-sample) mode, which is not a sketch"
         );
-        Self {
+        let mut sketch = Self {
             level: 0,
             base_eps_bits: eps.to_bits(),
-            pos: BTreeMap::new(),
-            neg: BTreeMap::new(),
+            ln_gamma_bits: 0,
+            pos: Vec::new(),
+            neg: Vec::new(),
             zero_w: 0,
             count: 0,
             min_bits: f64::INFINITY.to_bits(),
             max_bits: f64::NEG_INFINITY.to_bits(),
-        }
+        };
+        sketch.cache_ln_gamma();
+        sketch
+    }
+
+    /// Recompute the cached `ln γ` after the level changes.
+    fn cache_ln_gamma(&mut self) {
+        self.ln_gamma_bits = self.gamma().ln().to_bits();
     }
 
     /// The error bound currently in force (grows with coarsening).
@@ -111,7 +137,7 @@ impl QuantileSketch {
 
     fn bucket_of(&self, v: f64) -> i32 {
         // Index i covers (γ^(i−1), γ^i]: i = ⌈ln v / ln γ⌉.
-        (v.ln() / self.gamma().ln()).ceil() as i32
+        (v.ln() / f64::from_bits(self.ln_gamma_bits)).ceil() as i32
     }
 
     /// Representative value of bucket `i`: the midpoint `2γ^i/(γ+1)`,
@@ -132,9 +158,11 @@ impl QuantileSketch {
             return;
         }
         if v > 0.0 {
-            *self.pos.entry(self.bucket_of(v)).or_insert(0) += w_fp;
+            let i = self.bucket_of(v);
+            bump(&mut self.pos, i, w_fp);
         } else if v < 0.0 {
-            *self.neg.entry(self.bucket_of(-v)).or_insert(0) += w_fp;
+            let i = self.bucket_of(-v);
+            bump(&mut self.neg, i, w_fp);
         } else {
             self.zero_w += w_fp;
         }
@@ -154,15 +182,17 @@ impl QuantileSketch {
 
     /// Total weight folded in (fixed-point rounding included).
     pub fn total_weight(&self) -> f64 {
-        let fp: u64 = self.pos.values().chain(self.neg.values()).sum::<u64>() + self.zero_w;
+        let fp: u64 = weights(&self.pos).chain(weights(&self.neg)).sum::<u64>() + self.zero_w;
         fp as f64 / WEIGHT_SCALE
     }
 
     /// Resident size in bytes (counter-based accounting for the serve
-    /// resource governor; map overhead estimated per entry).
+    /// resource governor, estimated per bucket). The constants predate
+    /// the vector storage and stay as they are: governor decisions are
+    /// part of the output, so the accounting must not move.
     pub fn resident_bytes(&self) -> u64 {
         const FIXED: u64 = 64;
-        const PER_BUCKET: u64 = 32; // key + weight + BTreeMap node share
+        const PER_BUCKET: u64 = 32;
         FIXED + PER_BUCKET * (self.pos.len() + self.neg.len()) as u64
     }
 
@@ -170,18 +200,24 @@ impl QuantileSketch {
     /// shrinks, ε grows to `2ε/(1+ε²)`. Deterministic: the same state
     /// always coarsens to the same state.
     pub fn coarsen(&mut self) {
-        let fold = |m: &BTreeMap<i32, u64>| {
-            let mut out: BTreeMap<i32, u64> = BTreeMap::new();
-            for (&i, &w) in m {
-                // ⌈i/2⌉ for either sign: (γ^(i−1), γ^i] ⊆ (Γ^(⌈i/2⌉−1), Γ^⌈i/2⌉]
-                // with Γ = γ².
-                *out.entry((i + 1).div_euclid(2)).or_insert(0) += w;
+        let fold = |m: &mut Buckets| {
+            // ⌈i/2⌉ for either sign: (γ^(i−1), γ^i] ⊆ (Γ^(⌈i/2⌉−1), Γ^⌈i/2⌉]
+            // with Γ = γ². The index map is monotone, so folded indices stay
+            // sorted and equal ones are adjacent.
+            let mut out: Buckets = Vec::with_capacity(m.len() / 2 + 1);
+            for &(i, w) in m.iter() {
+                let j = (i + 1).div_euclid(2);
+                match out.last_mut() {
+                    Some(last) if last.0 == j => last.1 += w,
+                    _ => out.push((j, w)),
+                }
             }
-            out
+            *m = out;
         };
-        self.pos = fold(&self.pos);
-        self.neg = fold(&self.neg);
+        fold(&mut self.pos);
+        fold(&mut self.neg);
         self.level += 1;
+        self.cache_ln_gamma();
     }
 
     /// Merge `other` into `self`. Requires the same base ε; sketches at
@@ -207,11 +243,11 @@ impl QuantileSketch {
         } else {
             other
         };
-        for (&i, &w) in &other.pos {
-            *self.pos.entry(i).or_insert(0) += w;
+        for &(i, w) in &other.pos {
+            bump(&mut self.pos, i, w);
         }
-        for (&i, &w) in &other.neg {
-            *self.neg.entry(i).or_insert(0) += w;
+        for &(i, w) in &other.neg {
+            bump(&mut self.neg, i, w);
         }
         self.zero_w += other.zero_w;
         self.count += other.count;
@@ -228,7 +264,7 @@ impl QuantileSketch {
     /// `q·total` (the `weighted_quantile` convention), clamped to the
     /// observed [min, max]. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total: u64 = self.pos.values().chain(self.neg.values()).sum::<u64>() + self.zero_w;
+        let total: u64 = weights(&self.pos).chain(weights(&self.neg)).sum::<u64>() + self.zero_w;
         if total == 0 {
             return None;
         }
@@ -238,7 +274,7 @@ impl QuantileSketch {
         let mut cum = 0u64;
         // Ascending value order: negatives (|v| descending), zero,
         // positives (ascending).
-        for (&i, &w) in self.neg.iter().rev() {
+        for &(i, w) in self.neg.iter().rev() {
             cum += w;
             if cum >= thresh {
                 return Some(self.clamp(-self.rep_of(i)));
@@ -248,7 +284,7 @@ impl QuantileSketch {
         if self.zero_w > 0 && cum >= thresh {
             return Some(self.clamp(0.0));
         }
-        for (&i, &w) in &self.pos {
+        for &(i, w) in &self.pos {
             cum += w;
             if cum >= thresh {
                 return Some(self.clamp(self.rep_of(i)));
@@ -280,7 +316,7 @@ impl QuantileSketch {
             out.extend_from_slice(&v.to_le_bytes());
         }
         for m in [&self.pos, &self.neg] {
-            for (&i, &w) in m {
+            for &(i, w) in m {
                 out.extend_from_slice(&i.to_le_bytes());
                 out.extend_from_slice(&w.to_le_bytes());
             }
@@ -319,7 +355,7 @@ impl QuantileSketch {
         let max_bits = c.u64()?;
         let n_pos = c.u64()? as usize;
         let n_neg = c.u64()? as usize;
-        let mut maps = [BTreeMap::new(), BTreeMap::new()];
+        let mut maps: [Buckets; 2] = [Vec::new(), Vec::new()];
         for (mi, n) in [(0usize, n_pos), (1, n_neg)] {
             let mut prev: Option<i32> = None;
             for _ in 0..n {
@@ -329,23 +365,26 @@ impl QuantileSketch {
                     return None; // not canonical: keys must strictly ascend
                 }
                 prev = Some(i);
-                maps[mi].insert(i, w);
+                maps[mi].push((i, w));
             }
         }
         if c.pos != c.rest.len() {
             return None;
         }
-        let [pos_map, neg_map] = maps;
-        Some(QuantileSketch {
+        let [pos, neg] = maps;
+        let mut sketch = QuantileSketch {
             level: u32::try_from(level).ok()?,
             base_eps_bits,
-            pos: pos_map,
-            neg: neg_map,
+            ln_gamma_bits: 0,
+            pos,
+            neg,
             zero_w,
             count,
             min_bits,
             max_bits,
-        })
+        };
+        sketch.cache_ln_gamma();
+        Some(sketch)
     }
 }
 
@@ -353,6 +392,7 @@ impl QuantileSketch {
 mod tests {
     use super::*;
     use crate::quantile::weighted_quantile;
+    use std::collections::BTreeMap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -471,6 +511,215 @@ mod tests {
         sk.add(f64::INFINITY, 1.0);
         assert_eq!(sk.count(), 0);
         assert!(sk.quantile(0.5).is_none());
+    }
+
+    /// The sketch as it was kept before the sorted-vector storage: buckets
+    /// in `BTreeMap`s, `ln γ` recomputed per value. The reference the
+    /// storage change must match byte for byte.
+    struct MapSketch {
+        level: u32,
+        base_eps_bits: u64,
+        pos: BTreeMap<i32, u64>,
+        neg: BTreeMap<i32, u64>,
+        zero_w: u64,
+        count: u64,
+        min_bits: u64,
+        max_bits: u64,
+    }
+
+    impl MapSketch {
+        fn new(eps: f64) -> Self {
+            MapSketch {
+                level: 0,
+                base_eps_bits: eps.to_bits(),
+                pos: BTreeMap::new(),
+                neg: BTreeMap::new(),
+                zero_w: 0,
+                count: 0,
+                min_bits: f64::INFINITY.to_bits(),
+                max_bits: f64::NEG_INFINITY.to_bits(),
+            }
+        }
+
+        fn gamma(&self) -> f64 {
+            let eps = eps_at_level(f64::from_bits(self.base_eps_bits), self.level);
+            (1.0 + eps) / (1.0 - eps)
+        }
+
+        fn add(&mut self, v: f64, w: f64) {
+            if !v.is_finite() || !(w > 0.0) {
+                return;
+            }
+            let w_fp = (w * WEIGHT_SCALE).round() as u64;
+            if w_fp == 0 {
+                return;
+            }
+            let bucket = |v: f64| (v.ln() / self.gamma().ln()).ceil() as i32;
+            if v > 0.0 {
+                *self.pos.entry(bucket(v)).or_insert(0) += w_fp;
+            } else if v < 0.0 {
+                *self.neg.entry(bucket(-v)).or_insert(0) += w_fp;
+            } else {
+                self.zero_w += w_fp;
+            }
+            self.count += 1;
+            if v < f64::from_bits(self.min_bits) {
+                self.min_bits = v.to_bits();
+            }
+            if v > f64::from_bits(self.max_bits) {
+                self.max_bits = v.to_bits();
+            }
+        }
+
+        fn coarsen(&mut self) {
+            let fold = |m: &BTreeMap<i32, u64>| {
+                let mut out = BTreeMap::new();
+                for (&i, &w) in m {
+                    *out.entry((i + 1).div_euclid(2)).or_insert(0) += w;
+                }
+                out
+            };
+            self.pos = fold(&self.pos);
+            self.neg = fold(&self.neg);
+            self.level += 1;
+        }
+
+        fn merge(&mut self, other: &MapSketch) {
+            while self.level < other.level {
+                self.coarsen();
+            }
+            let mut o = MapSketch {
+                pos: other.pos.clone(),
+                neg: other.neg.clone(),
+                ..*other
+            };
+            while o.level < self.level {
+                o.coarsen();
+            }
+            for (&i, &w) in &o.pos {
+                *self.pos.entry(i).or_insert(0) += w;
+            }
+            for (&i, &w) in &o.neg {
+                *self.neg.entry(i).or_insert(0) += w;
+            }
+            self.zero_w += o.zero_w;
+            self.count += o.count;
+            if f64::from_bits(o.min_bits) < f64::from_bits(self.min_bits) {
+                self.min_bits = o.min_bits;
+            }
+            if f64::from_bits(o.max_bits) > f64::from_bits(self.max_bits) {
+                self.max_bits = o.max_bits;
+            }
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            let total: u64 = self.pos.values().chain(self.neg.values()).sum::<u64>() + self.zero_w;
+            if total == 0 {
+                return None;
+            }
+            let thresh = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+            let (lo, hi) = (f64::from_bits(self.min_bits), f64::from_bits(self.max_bits));
+            let g = self.gamma();
+            let rep = |i: i32| 2.0 * g.powi(i) / (g + 1.0);
+            let mut cum = 0u64;
+            for (&i, &w) in self.neg.iter().rev() {
+                cum += w;
+                if cum >= thresh {
+                    return Some((-rep(i)).clamp(lo, hi));
+                }
+            }
+            cum += self.zero_w;
+            if self.zero_w > 0 && cum >= thresh {
+                return Some(0.0f64.clamp(lo, hi));
+            }
+            for (&i, &w) in &self.pos {
+                cum += w;
+                if cum >= thresh {
+                    return Some(rep(i).clamp(lo, hi));
+                }
+            }
+            Some(hi)
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut out = MAGIC.to_vec();
+            for v in [
+                self.level as u64,
+                self.base_eps_bits,
+                self.zero_w,
+                self.count,
+                self.min_bits,
+                self.max_bits,
+                self.pos.len() as u64,
+                self.neg.len() as u64,
+            ] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            for m in [&self.pos, &self.neg] {
+                for (&i, &w) in m {
+                    out.extend_from_slice(&i.to_le_bytes());
+                    out.extend_from_slice(&w.to_le_bytes());
+                }
+            }
+            out
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Random add / merge / coarsen sequences on two sketches give the
+        /// map reference's bytes after every step, the same quantiles at
+        /// the end, and survive a decode round trip.
+        #[test]
+        fn sorted_buckets_match_the_map_reference(
+            ops in proptest::collection::vec((0u8..13, -1e4f64..1e4, 0.0f64..4.0), 1..300),
+            eps in 0.005f64..0.2,
+        ) {
+            let mut sketches = [QuantileSketch::new(eps), QuantileSketch::new(eps)];
+            let mut maps = [MapSketch::new(eps), MapSketch::new(eps)];
+            for (op, v, w) in ops {
+                // Near-zero magnitudes, exact zeros and weights that round
+                // to nothing all occur.
+                let v = match op % 3 {
+                    0 => v,
+                    1 => v * 1e-3,
+                    _ => (v / 1e3).round(),
+                };
+                let w = if op == 11 { w * 1e-7 } else { w };
+                match op {
+                    0..=8 | 11 => {
+                        let k = (op % 2) as usize;
+                        sketches[k].add(v, w);
+                        maps[k].add(v, w);
+                    }
+                    9 => {
+                        let (a, b) = sketches.split_at_mut(1);
+                        a[0].merge(&b[0]);
+                        let (a, b) = maps.split_at_mut(1);
+                        a[0].merge(&b[0]);
+                    }
+                    _ => {
+                        let k = (op == 12) as usize;
+                        if sketches[k].level() < 4 {
+                            sketches[k].coarsen();
+                            maps[k].coarsen();
+                        }
+                    }
+                }
+                for (sk, map) in sketches.iter().zip(&maps) {
+                    proptest::prop_assert_eq!(sk.encode(), map.encode());
+                }
+            }
+            for (sk, map) in sketches.iter().zip(&maps) {
+                for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0] {
+                    let bits = |x: Option<f64>| x.map(f64::to_bits);
+                    proptest::prop_assert_eq!(bits(sk.quantile(q)), bits(map.quantile(q)));
+                }
+                let back = QuantileSketch::decode(&sk.encode());
+                proptest::prop_assert_eq!(back.as_ref(), Some(sk));
+            }
+        }
     }
 
     #[test]

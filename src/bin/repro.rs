@@ -746,6 +746,7 @@ fn run_orchestrate() -> ! {
         ref csv_dir,
         ..
     } = opts;
+    beating_bgp::exec::set_jobs(jobs);
     let base = base.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("bb_orchestrate_{seed}_{}", scale.as_str()))
     });
@@ -905,7 +906,7 @@ fn run_orchestrate() -> ! {
     // The structured report is written even for failed or interrupted
     // campaigns — partial results are exactly when the restart/salvage
     // tallies matter most. The work ran in the children, so the registries
-    // are empty and `jobs` is the count handed to them.
+    // are empty and `jobs` is the worker count each child resolved.
     let per_shard = report.shards.iter().map(|s| {
         obj! {
             "label": s.label.as_str(),
@@ -924,7 +925,8 @@ fn run_orchestrate() -> ! {
         "budget_exhausted": report.budget_exhausted,
         "per_shard": Json::List(per_shard.collect()),
     };
-    finish(&opts, "orchestrate", jobs, t0, "", vec![("orchestration", orchestration)]);
+    let sections = vec![("orchestration", orchestration)];
+    finish(&opts, "orchestrate", beating_bgp::exec::jobs(), t0, "", sections);
     eprintln!(
         "[repro] orchestrate: {} launch(es), {} restart(s), {} crash(es), {} hang(s), \
          {} salvage(s){}",
@@ -1181,7 +1183,7 @@ fn run_serve() -> ! {
         let flush_started = std::time::Instant::now();
         store.stage(&state, &per_target, hi - lo);
         let staging = flush_started.elapsed();
-        state.ingest(per_target, hi - lo);
+        timing::time("serve:ingest", || state.ingest(per_target, hi - lo));
         let mut rounds = 0;
         if let Some(gov) = &governor {
             rounds = gov.enforce(&mut state);
@@ -2161,6 +2163,56 @@ fn main() {
     };
     beating_bgp::measure::progress::reset();
 
+    let mut text = String::new();
+    if !cache_by_exp.is_empty() {
+        let approx = if beating_bgp::exec::jobs() == 1 {
+            ""
+        } else {
+            "; approximate under --jobs > 1"
+        };
+        text += &format!("route cache by experiment (deltas{approx}):\n");
+        for &(name, hits, misses) in &cache_by_exp {
+            let rate = ratio(hits, hits + misses) * 100.0;
+            text += &format!("  {name:<8} hits {hits:>6}  misses {misses:>6}  rate {rate:>5.1}%\n");
+        }
+    }
+    text += &format!(
+        "congestion races closed: {}\n\
+         supervision: {} attempts, {} retries ({} recovered, {} failed, {} replayed)\n",
+        beating_bgp::netsim::materialize_races_closed(),
+        sup_report.attempts,
+        sup_report.retries,
+        sup_report.count("recovered"),
+        sup_report.count("failed"),
+        replay.len()
+    );
+    let by_experiment = cache_by_exp.iter().map(|&(name, hits, misses)| {
+        obj! {
+            "experiment": name,
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": ratio(hits, hits + misses),
+        }
+    });
+    let supervision = obj! {
+        "attempts": sup_report.attempts,
+        "retries": sup_report.retries,
+        "panics_absorbed": sup_report.panics_absorbed,
+        "recovered": sup_report.count("recovered"),
+        "failed": sup_report.count("failed"),
+        "skipped": sup_report.count("skipped"),
+        "budget_exhausted": sup_report.budget_exhausted,
+    };
+    let sections = vec![
+        ("route_cache_by_experiment", Json::List(by_experiment.collect())),
+        ("supervision", supervision),
+    ];
+    // The report is written on every way out (complete, failed, or
+    // interrupted): a run that did not finish is when the supervision and
+    // fault tallies matter most.
+    let epilogue =
+        || finish(&args, &args.experiment, beating_bgp::exec::jobs(), t0, &text, sections);
+
     // A drain that skipped work means the campaign is incomplete: flush the
     // final manifest, say how to pick the run back up, and exit 130 with
     // NOTHING on stdout — partial stdout is worse than none, and the resume
@@ -2168,6 +2220,7 @@ fn main() {
     let interrupted = outcomes.iter().any(|o| o.is_none());
     if interrupted {
         let Some(shared) = &ck_shared else {
+            epilogue();
             interrupted_exit(
                 false,
                 &[
@@ -2188,6 +2241,7 @@ fn main() {
             .shard
             .map(|(idx, n)| format!(" --shard {idx}/{n}"))
             .unwrap_or_default();
+        epilogue();
         interrupted_exit(
             true,
             &[
@@ -2258,6 +2312,7 @@ fn main() {
             failures.len(),
             shard_names.len()
         );
+        epilogue();
         std::process::exit(1);
     }
     // A shard's stdout is withheld: `repro merge` reassembles the campaign's
@@ -2274,51 +2329,7 @@ fn main() {
         );
     }
 
-    let mut text = String::new();
-    if !cache_by_exp.is_empty() {
-        let approx = if beating_bgp::exec::jobs() == 1 {
-            ""
-        } else {
-            "; approximate under --jobs > 1"
-        };
-        text += &format!("route cache by experiment (deltas{approx}):\n");
-        for &(name, hits, misses) in &cache_by_exp {
-            let rate = ratio(hits, hits + misses) * 100.0;
-            text += &format!("  {name:<8} hits {hits:>6}  misses {misses:>6}  rate {rate:>5.1}%\n");
-        }
-    }
-    text += &format!(
-        "congestion races closed: {}\n\
-         supervision: {} attempts, {} retries ({} recovered, {} failed, {} replayed)\n",
-        beating_bgp::netsim::materialize_races_closed(),
-        sup_report.attempts,
-        sup_report.retries,
-        sup_report.count("recovered"),
-        sup_report.count("failed"),
-        replay.len()
-    );
-    let by_experiment = cache_by_exp.iter().map(|&(name, hits, misses)| {
-        obj! {
-            "experiment": name,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": ratio(hits, hits + misses),
-        }
-    });
-    let supervision = obj! {
-        "attempts": sup_report.attempts,
-        "retries": sup_report.retries,
-        "panics_absorbed": sup_report.panics_absorbed,
-        "recovered": sup_report.count("recovered"),
-        "failed": sup_report.count("failed"),
-        "skipped": sup_report.count("skipped"),
-        "budget_exhausted": sup_report.budget_exhausted,
-    };
-    let sections = vec![
-        ("route_cache_by_experiment", Json::List(by_experiment.collect())),
-        ("supervision", supervision),
-    ];
-    finish(&args, &args.experiment, beating_bgp::exec::jobs(), t0, &text, sections);
+    epilogue();
     if !failures.is_empty() {
         // Partial run under --keep-going: survivors printed, but the run
         // as a whole did not reproduce everything asked of it.

@@ -190,33 +190,45 @@ proptest! {
         prop_assert_eq!(batch_rng.next_u64(), scalar_rng.next_u64());
     }
 
-    /// The median entry point (odd session count) is the median of the
-    /// scalar session minima: `quantile_select(…, 0.5)`, bit for bit.
+    /// The lane-batched median kernel (odd session count), on every
+    /// instance the host runs, gives each cell the median of the scalar
+    /// session minima drawn from its seed: `quantile_select(…, 0.5)`, bit
+    /// for bit, whatever the cell's lane position.
     #[test]
     fn batch_median_z_matches_scalar_median(
         seed in 0u64..u64::MAX,
         half in 0usize..=4,
         samples in 1usize..=8,
+        cells in 1usize..=17,
     ) {
         use beating_bgp::netsim::reference::sample_min_rtt;
-        use beating_bgp::netsim::{batch_session_median_z, JitterScratch, RttModel};
+        use beating_bgp::netsim::{JitterScratch, MedianLanes, RttModel};
         use beating_bgp::stats::quantile_select;
         use rand::rngs::StdRng;
-        use rand::{RngCore, SeedableRng};
+        use rand::SeedableRng;
 
         let sessions = 2 * half + 1;
         let rm = RttModel::default();
-        let mut scalar_rng = StdRng::seed_from_u64(seed);
-        let mut scalar: Vec<f64> = (0..sessions)
-            .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
+        let seeds: Vec<u64> = (0..cells as u64).map(|c| seed ^ c.wrapping_mul(0x9E37)).collect();
+        let want: Vec<u64> = seeds
+            .iter()
+            .map(|&cell_seed| {
+                let mut scalar_rng = StdRng::seed_from_u64(cell_seed);
+                let mut scalar: Vec<f64> = (0..sessions)
+                    .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
+                    .collect();
+                quantile_select(&mut scalar, 0.5).to_bits()
+            })
             .collect();
-        let want = quantile_select(&mut scalar, 0.5);
-        let mut batch_rng = StdRng::seed_from_u64(seed);
-        let (z, _) =
-            batch_session_median_z(&mut batch_rng, sessions, samples, &mut JitterScratch::default());
-        let got = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
-        prop_assert_eq!(got.to_bits(), want.to_bits(), "seed {}", seed);
-        prop_assert_eq!(batch_rng.next_u64(), scalar_rng.next_u64());
+        for lanes in std::iter::once(MedianLanes::portable()).chain(MedianLanes::wide()) {
+            let mut z = Vec::new();
+            lanes.median_z(&seeds, sessions, samples, &mut JitterScratch::default(), &mut z);
+            let got: Vec<u64> = z
+                .iter()
+                .map(|&z| (10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp()).to_bits())
+                .collect();
+            prop_assert_eq!(&got, &want, "{:?} seed {}", lanes, seed);
+        }
     }
 
     /// Quantile edge cases: q=0 is the minimum, q=1 is the maximum, equal

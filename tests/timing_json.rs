@@ -161,3 +161,72 @@ fn audit_writes_its_report() {
     assert!(j.contains("\"schema\": \"bb-perf-report/v1\""), "{j}");
     assert!(j.contains("\"experiment\": \"audit\""), "{j}");
 }
+
+/// The `supervision` section of report `j`, up to its closing brace.
+fn supervision(j: &str) -> &str {
+    let at = j.find("\"supervision\": {").unwrap_or_else(|| panic!("no supervision in:\n{j}"));
+    let rest = &j[at..];
+    &rest[..=rest.find('}').expect("closed section")]
+}
+
+#[test]
+fn failed_and_interrupted_campaigns_still_write_their_report() {
+    let tag = format!("bb_perf_failed_{}", std::process::id());
+    let out_path = std::env::temp_dir().join(format!("{tag}.json"));
+    std::fs::remove_file(&out_path).ok();
+    // Every attempt of fig5 panics, so the campaign fails (exit 1).
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig5", "--scale", "test", "--seed", "42", "--jobs", "1", "--timing-json"])
+        .arg(&out_path)
+        .env("BB_INJECT", "poison:fig5")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn repro");
+    assert_eq!(status.code(), Some(1), "a failed campaign exits 1");
+    let j = std::fs::read_to_string(&out_path).expect("a failed campaign writes its report");
+    std::fs::remove_file(&out_path).ok();
+    let sup = supervision(&j);
+    assert_eq!(number_after(sup, "\"failed\": "), 1, "{sup}");
+    assert_eq!(number_after(sup, "\"attempts\": "), 3, "{sup}");
+
+    // A drain after the first finalized experiment interrupts the
+    // campaign (exit 130); the report says what was skipped.
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["all", "--scale", "test", "--seed", "42", "--jobs", "1", "--timing-json"])
+        .arg(&out_path)
+        .env("BB_INJECT", "unit-limit:1")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn repro");
+    assert_eq!(status.code(), Some(130), "an interrupted campaign exits 130");
+    let j = std::fs::read_to_string(&out_path).expect("an interrupted campaign writes its report");
+    std::fs::remove_file(&out_path).ok();
+    assert!(number_after(supervision(&j), "\"skipped\": ") > 0, "{j}");
+}
+
+#[test]
+fn orchestrate_reports_the_resolved_worker_count() {
+    let tag = format!("bb_perf_orch_{}", std::process::id());
+    let dir = std::env::temp_dir().join(&tag);
+    let out_path = std::env::temp_dir().join(format!("{tag}.json"));
+    std::fs::remove_dir_all(&dir).ok();
+    // No --jobs: the shards use every available core, and the report
+    // says how many that is, as every other subcommand's does.
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["orchestrate", "2", "--scale", "test", "--seed", "42", "--dir"])
+        .arg(&dir)
+        .arg("--timing-json")
+        .arg(&out_path)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn repro");
+    assert!(status.success(), "repro orchestrate exited with {status}");
+    let j = std::fs::read_to_string(&out_path).expect("report written");
+    std::fs::remove_file(&out_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    assert_eq!(number_after(&j, "\"jobs\": "), cores, "{j}");
+}
