@@ -100,7 +100,7 @@ pub fn run_beacons(
         topo, provider, anycast, unicast, workload, congestion, faults, cfg,
     );
     if faults.is_some() {
-        tally.publish();
+        crate::publish_faults(&tally);
     }
     measurements
 }
@@ -211,9 +211,9 @@ fn run_beacons_tallied(
                         let probe_key = FaultPlane::stream_key(&[*route_key, round as u64]);
                         let extras = [2.0 * fes[r].1, FRONTEND_PROCESS_MS];
                         let probes = [(probe_key, cfg.seed ^ probe_key)];
-                        let kept =
-                            sampler.faulted(fp, &mut task, (&batch, r, round), &extras, probes);
-                        kept.first().copied().unwrap_or(f64::NAN)
+                        let (rtt, _) =
+                            sampler.faulted(fp, &mut task, (&batch, r, round), &extras, probes, 1);
+                        rtt.unwrap_or(f64::NAN)
                     })
                     .collect(),
             };

@@ -105,7 +105,7 @@ pub fn probe_tiers(
     let (probes, tally) =
         probe_tiers_tallied(topo, provider, premium, standard, vps, congestion, faults, cfg);
     if faults.is_some() {
-        tally.publish();
+        crate::publish_faults(&tally);
     }
     probes
 }
@@ -170,9 +170,9 @@ fn probe_tiers_tallied(
                         let probe_key = FaultPlane::stream_key(&[route_key, round as u64]);
                         let probes = [(probe_key, cfg.seed ^ probe_key)];
                         let extras = [2.0 * tp.wan_ms];
-                        let kept =
-                            sampler.faulted(fp, &mut task, (&batch, r, round), &extras, probes);
-                        kept.first().copied().unwrap_or(f64::NAN)
+                        let (rtt, _) =
+                            sampler.faulted(fp, &mut task, (&batch, r, round), &extras, probes, 1);
+                        rtt.unwrap_or(f64::NAN)
                     }
                 };
                 out.push(TierProbe {

@@ -11,7 +11,7 @@
 use bb_bgp::{provider_rib, Announcement, ProviderRouteClass};
 use bb_cdn::Provider;
 use bb_geo::CityId;
-use crate::{jitter_of, KernelTally, Sampler, TaskScratch};
+use crate::{KernelTally, Sampler, TaskScratch};
 use bb_netsim::{
     realize_path, CongestionKey, CongestionModel, FaultPlane, MedianLanes, PathPlanBatch,
     RealizeSpec, RealizedPath, RttModel, SimTime, Window,
@@ -282,7 +282,7 @@ impl SprayEngine {
     ) -> Vec<Vec<WindowRow>> {
         let (rows, tally) = self.sample_windows_tallied(windows, faults);
         if faults.is_some() {
-            tally.publish();
+            crate::publish_faults(&tally);
         }
         rows
     }
@@ -381,13 +381,14 @@ impl SprayEngine {
                                     FaultPlane::stream_key(&[route_key, w.0 as u64, s as u64]);
                                 (probe_key, bb_exec::derive_seed(seed, s as u64))
                             });
-                            let kept = sampler.faulted(fp, &mut task, (batch, ri, wi), &[], probes);
-                            let n = kept.len();
-                            if n < fp.config().min_samples_per_window {
-                                task.faults.dropped += 1;
-                                (f64::NAN, n)
-                            } else {
-                                (bb_stats::quantile::quantile_select(kept, 0.5), n)
+                            let min_kept = fp.config().min_samples_per_window;
+                            let cell = (batch, ri, wi);
+                            match sampler.faulted(fp, &mut task, cell, &[], probes, min_kept) {
+                                (Some(median), n) => (median, n),
+                                (None, n) => {
+                                    task.faults.dropped += 1;
+                                    (f64::NAN, n)
+                                }
                             }
                         }
                     };
@@ -483,7 +484,7 @@ impl SprayEngine {
                 let table = task
                     .median_z(lanes, &seeds, cfg.sessions_per_window, cfg.rtt_samples_per_session)
                     .iter()
-                    .map(|&z| jitter_of(&model, z))
+                    .map(|&z| model.jitter(z))
                     .collect();
                 (table, task.kernel)
             })

@@ -174,8 +174,16 @@ impl FaultPlane {
     /// differing only in bits 48.. replayed another stream's retry draws,
     /// the same aliasing class 5cc3617 fixed in spray's session RNG.
     pub fn lost(&self, stream: u64, attempt: u32) -> bool {
-        let per_stream = splitmix64(self.seed ^ splitmix64(stream));
-        u01(splitmix64(per_stream ^ splitmix64(LOSS_TAG ^ attempt as u64))) < self.cfg.probe_loss
+        self.probe_loss(stream).lost(attempt)
+    }
+
+    /// The loss draws of the probe identified by `stream`, with the
+    /// stream's hash computed once for all its attempts.
+    pub(crate) fn probe_loss(&self, stream: u64) -> ProbeLoss {
+        ProbeLoss {
+            per_stream: splitmix64(self.seed ^ splitmix64(stream)),
+            probe_loss: self.cfg.probe_loss,
+        }
     }
 
     /// Whether a sampled RTT exceeds the measurement timeout.
@@ -223,6 +231,20 @@ impl FaultPlane {
     }
 }
 
+/// One probe's loss draws (see [`FaultPlane::probe_loss`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProbeLoss {
+    per_stream: u64,
+    probe_loss: f64,
+}
+
+impl ProbeLoss {
+    /// Whether attempt `attempt` is lost in flight.
+    pub(crate) fn lost(&self, attempt: u32) -> bool {
+        u01(splitmix64(self.per_stream ^ splitmix64(LOSS_TAG ^ attempt as u64))) < self.probe_loss
+    }
+}
+
 /// One route's withdrawal intervals (see [`FaultPlane::route_churn`]).
 #[derive(Debug, Clone)]
 pub struct RouteChurn {
@@ -239,6 +261,31 @@ impl RouteChurn {
         i.checked_sub(1)
             .and_then(|i| self.events.get(i))
             .is_some_and(|e| m < e.end_min)
+    }
+}
+
+/// Fault bookkeeping of a campaign, accumulated per task and merged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultTally {
+    /// Probe attempts that never reported (lost in flight or timed out).
+    pub lost: usize,
+    /// Of `lost`, attempts censored by the measurement timeout — split out
+    /// so a timeout preset eating legitimate long-haul RTTs shows up in
+    /// the telemetry rather than hiding inside generic loss.
+    pub timeouts: usize,
+    /// Retry attempts issued after a lost/timed-out probe.
+    pub retries: usize,
+    /// Aggregation windows flagged degraded (below min-sample threshold or
+    /// route withdrawn).
+    pub dropped: usize,
+}
+
+impl FaultTally {
+    pub fn merge(&mut self, other: FaultTally) {
+        self.lost += other.lost;
+        self.timeouts += other.timeouts;
+        self.retries += other.retries;
+        self.dropped += other.dropped;
     }
 }
 

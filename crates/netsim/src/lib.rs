@@ -47,10 +47,11 @@ pub use congestion::{
 };
 pub use plan::{DiurnalTable, PathPlanBatch};
 pub use failure::{FailureConfig, FailureKey, FailureModel, Outage};
-pub use fault::{FaultConfig, FaultLevel, FaultPlane, RouteChurn, MAX_BASE_RTT_MS};
+pub use fault::{FaultConfig, FaultLevel, FaultPlane, FaultTally, RouteChurn, MAX_BASE_RTT_MS};
 pub use goodput::goodput_mbps;
 pub use path::{realize_path, RealizeSpec, RealizedPath, Segment, TracerouteHop};
 pub use rtt::{
-    batch_session_min_z, path_base_rtt_ms, JitterScratch, MedianLanes, RttModel, APPROX_Z_ERR,
+    batch_session_min_z, path_base_rtt_ms, FaultedMedian, FaultedWindow, JitterScratch,
+    MedianLanes, RttModel, APPROX_Z_ERR,
 };
 pub use time::{SimTime, Window, WINDOW_MINUTES};

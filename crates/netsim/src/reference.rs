@@ -3,12 +3,13 @@
 //! No production code calls this module. Every campaign compiles its paths
 //! into a [`PathPlanBatch`](crate::PathPlanBatch) and draws its jitter
 //! through [`batch_session_min_z`](crate::batch_session_min_z) or
-//! [`MedianLanes`](crate::MedianLanes). The
+//! [`MedianLanes`](crate::MedianLanes), faulted windows included. The
 //! functions here compute the same quantities the obvious way, one sample
-//! at a time, so tests can check the compiled paths against them bit for
-//! bit without sharing code with them.
+//! (or one retry) at a time, so tests can check the compiled paths against
+//! them bit for bit without sharing code with them.
 
 use crate::congestion::{CongestionKey, CongestionModel};
+use crate::fault::{FaultPlane, FaultTally};
 use crate::path::RealizedPath;
 use crate::rtt::{box_muller, path_base_rtt_ms, RttModel};
 use crate::time::SimTime;
@@ -70,6 +71,35 @@ pub fn sample_min_rtt(
         min_jitter = min_jitter.min(jitter);
     }
     deterministic_rtt_ms + min_jitter
+}
+
+/// One faulted measurement: run up to `1 + max_retries` attempts of
+/// `attempt -> rtt`, skipping attempts lost in flight and discarding RTTs
+/// above the measurement timeout. Returns the first surviving RTT; `tally`
+/// absorbs losses, timeouts and retries.
+pub fn faulted_attempts(
+    fp: &FaultPlane,
+    probe_key: u64,
+    tally: &mut FaultTally,
+    mut attempt_rtt: impl FnMut(u32) -> f64,
+) -> Option<f64> {
+    for attempt in 0..=fp.config().max_retries {
+        if attempt > 0 {
+            tally.retries += 1;
+        }
+        if fp.lost(probe_key, attempt) {
+            tally.lost += 1;
+            continue;
+        }
+        let rtt = attempt_rtt(attempt);
+        if fp.timed_out(rtt) {
+            tally.lost += 1;
+            tally.timeouts += 1;
+            continue;
+        }
+        return Some(rtt);
+    }
+    None
 }
 
 /// One standard-normal draw; Box-Muller from two uniforms keeps us off
