@@ -16,6 +16,17 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `bb_exec::derive_seed`, restated so the faulted kernel seeds its
+/// `(session, attempt)` streams with an inlined call: the SplitMix64
+/// finalizer over `seed ^ index·φ`.
+#[inline(always)]
+pub(crate) fn derive_seed(seed: u64, index: u64) -> u64 {
+    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Values materialized once per `u64` key and handed out as shared
 /// handles. A miss takes the write lock and re-checks, so a racing worker
 /// never materializes the same key twice.
