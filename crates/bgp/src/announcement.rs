@@ -16,11 +16,11 @@ use std::collections::BTreeMap;
 /// built on it from overflowing, and bounds the propagation bucket queue.
 pub const MAX_PREPEND: u32 = 255;
 
-/// An announcement that does not belong to the topology it is being
-/// propagated over — built against a different world (easy once CAIDA
-/// snapshots load at runtime) or against a since-mutated one. Surfaced as
-/// a usage error instead of a panic so a planet-scale campaign fails
-/// closed.
+/// An announcement that cannot be propagated over a topology: built
+/// against a different world (easy once CAIDA snapshots load at runtime)
+/// or against a since-mutated one, or offered over a hierarchy that has no
+/// provider-first order. Surfaced as a usage error instead of a panic so a
+/// planet-scale campaign fails closed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnnouncementError {
     /// The origin AS id is out of range for this topology.
@@ -46,6 +46,10 @@ pub enum AnnouncementError {
         link: InterconnectId,
         prepend: u32,
     },
+    /// The topology's customer→provider edges form a cycle through `at`,
+    /// so provider routes have no order to descend in. `validate` and the
+    /// CAIDA ingest reject such topologies; hand-built ones reach here.
+    ProviderCycle { origin: AsId, at: AsId },
 }
 
 impl std::fmt::Display for AnnouncementError {
@@ -83,6 +87,11 @@ impl std::fmt::Display for AnnouncementError {
                 f,
                 "announcement from {origin} prepends {prepend} on {link:?}, above the \
                  limit of {MAX_PREPEND}"
+            ),
+            AnnouncementError::ProviderCycle { origin, at } => write!(
+                f,
+                "cannot propagate the announcement from {origin}: the topology's provider \
+                 hierarchy has a customer→provider cycle through {at}"
             ),
         }
     }

@@ -74,12 +74,20 @@ impl PathArena {
     }
 
     /// Intern the path `[head] ++ materialize(parent)`.
+    ///
+    /// `parent` must be `NONE` or an already interned node, so every node
+    /// comes after its parent in handle order.
     pub fn intern(&mut self, head: AsId, parent: PathHandle) -> PathHandle {
         debug_assert!(parent.is_none() || parent.0 < self.nodes.len() as u32);
         let h = PathHandle(self.nodes.len() as u32);
         assert!(h.is_real(), "path arena overflow");
         self.nodes.push(PathNode { head, parent });
         h
+    }
+
+    /// Release capacity beyond the interned nodes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
     }
 
     pub fn node_count(&self) -> usize {
@@ -89,6 +97,21 @@ impl PathArena {
     /// Bytes held by the arena's node storage.
     pub fn bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<PathNode>()
+    }
+
+    /// Number of ASes on the path at every node, in handle order: one
+    /// forward pass, since a parent always precedes its children.
+    pub(crate) fn path_lens(&self) -> Vec<u32> {
+        let mut lens: Vec<u32> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let up = if node.parent.is_real() {
+                lens[node.parent.0 as usize]
+            } else {
+                0
+            };
+            lens.push(up + 1);
+        }
+        lens
     }
 
     /// Number of ASes on the path at `h` (0 for `NONE`/`CYCLE`).
@@ -171,6 +194,7 @@ mod tests {
         assert_eq!(a.node_count(), 4);
         assert_eq!(a.bytes(), 4 * 8);
         assert_eq!(a.path_len(two), 3);
+        assert_eq!(a.path_lens(), vec![1, 2, 3, 3]);
     }
 
     #[test]

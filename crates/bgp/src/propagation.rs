@@ -2,40 +2,46 @@
 //!
 //! Computes, for one origin announcement, the best route every AS in the
 //! topology holds toward the origin. Propagation happens in the classic
-//! three phases (customer routes bubble up, customer routes cross one peer
-//! edge, then everything flows down to customers), each phase relaxing
-//! routes in order of AS-path length so prepending is honored.
+//! three phases: customer routes bubble up, customer routes cross one peer
+//! edge, then everything flows down to customers.
 //!
 //! The result is valley-free by construction: an AS-level traffic path
 //! climbs customer→provider edges, crosses at most one peer edge, and then
 //! descends provider→customer edges. `valley_free` checks that property and
 //! the test-suite applies it to every path.
 //!
-//! # Planet-scale storage, the frontier worklist and the bucket queue
+//! # Planet-scale storage, the frontier worklist and the descent pass
 //!
 //! Routes live in a flat `Vec<Option<BestRoute>>` of `Copy` records; AS
-//! paths are interned post-fixpoint into a shared-suffix [`PathArena`]
-//! (§DESIGN 5g) and entry links into an [`EntryPool`], so table memory is
-//! O(routed ASes), not O(Σ path lengths). The export rounds between phases
-//! walk only the frontier of ASes that actually hold a route (installation
-//! order is tracked in a worklist) instead of sweeping all `0..n` slots.
-//! Neighbors come from the topology's [`RelAdjacency`], built once per
-//! topology content rather than once per table.
+//! paths are interned into a shared-suffix [`PathArena`] (§DESIGN 5g) and
+//! entry links into an [`EntryPool`], so table memory is O(routed ASes),
+//! not O(Σ path lengths). The export rounds between phases walk only the
+//! frontier of ASes that actually hold a route (installation order is
+//! tracked in a worklist) instead of sweeping all `0..n` slots. Neighbors
+//! come from the topology's [`RelAdjacency`], built once per topology
+//! content rather than once per table.
 //!
-//! Each phase drains a bucket queue indexed by path length. Every
-//! expansion adds exactly one hop, so bucket `L` is complete before it
-//! drains; sorting it by `(via, asn)` expands nodes in the same order a
-//! `(len, via, asn)` min-heap would pop them, which keeps the work
-//! counters ([`RoutingTable::work`]) stable. Because `consider` installs
-//! by a strict total order, the routes themselves do not depend on that
-//! order at all; `tests/proptest_routing.rs` checks them against an
+//! Phase 1 touches only the origin's provider ancestry, so it relaxes a
+//! sparse bucket queue indexed by path length. Phase 3 reaches nearly
+//! every AS, so it is one pull pass instead: each AS is visited after all
+//! of its providers (the topology's cached [`ProviderOrder`], which is id
+//! order for generated worlds) and takes the best of the provider routes
+//! they hold, then interns its path on the spot. A topology whose
+//! customer→provider edges cycle has no such order and fails closed with
+//! [`AnnouncementError::ProviderCycle`].
+//!
+//! Both fold each AS's candidates in the arrival order of a `(len, via,
+//! asn)` min-heap relaxation, which keeps the work counters
+//! ([`RoutingTable::work`]) stable. Because `consider` installs by a strict
+//! total order, the routes themselves do not depend on that order at all;
+//! `tests/proptest_routing.rs` checks routes and counters against an
 //! independent heap-and-sweep oracle written over the public API.
 
 use crate::announcement::{Announcement, AnnouncementError, Scope};
 use crate::arena::{EntryHandle, EntryPool, PathArena, PathHandle};
 use crate::decision::RouteClass;
 use crate::route::BestRoute;
-use bb_topology::{AsId, BusinessRel, InterconnectId, RelAdjacency, Topology};
+use bb_topology::{AsId, BusinessRel, InterconnectId, ProviderOrder, RelAdjacency, Topology};
 
 /// Why a path could not be produced for an AS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +73,7 @@ pub struct RoutingTable {
     best: Vec<Option<BestRoute>>,
     paths: PathArena,
     entries: EntryPool,
-    /// First AS found on a via cycle during finalize, if any.
+    /// First AS found on a via cycle while interning, if any.
     cycle: Option<AsId>,
     /// Work done reaching the fixpoint: (candidates considered, installed).
     work: (u64, u64),
@@ -143,10 +149,11 @@ impl RoutingTable {
     /// AS (24-byte vec header + 4 bytes per hop) — the pre-interning
     /// layout, used for the `rib:*` memory counters.
     pub fn naive_path_bytes(&self) -> usize {
+        let lens = self.paths.path_lens();
         self.best
             .iter()
             .filter_map(|r| r.as_ref())
-            .map(|r| 24 + 4 * self.paths.path_len(r.path))
+            .map(|r| 24 + 4 * lens.get(r.path.0 as usize).map_or(0, |&l| l as usize))
             .sum()
     }
 
@@ -157,15 +164,31 @@ impl RoutingTable {
     }
 }
 
-/// Fixpoint state: flat route slots plus the worklist of routed ASes in
-/// installation order (the frontier the export rounds walk).
+/// Fixpoint state: flat route slots, the worklist of routed ASes in
+/// first-installation order (the frontier the export rounds walk), and the
+/// arena final routes are interned into.
 struct Builder {
     origin: AsId,
     best: Vec<Option<BestRoute>>,
     routed: Vec<AsId>,
     entries: EntryPool,
+    paths: PathArena,
+    /// First AS found on a via cycle while interning, if any.
+    cycle: Option<AsId>,
     considered: u64,
     installed: u64,
+}
+
+/// The route `via` offers one hop further, as a `class` route.
+fn hop(class: RouteClass, via_len: u32, via: AsId) -> BestRoute {
+    BestRoute {
+        class,
+        path_len: via_len + 1,
+        via: Some(via),
+        path: PathHandle::NONE,
+        entry: EntryHandle::NONE,
+        no_export: false,
+    }
 }
 
 impl Builder {
@@ -175,6 +198,8 @@ impl Builder {
             best: vec![None; n],
             routed: Vec::new(),
             entries: EntryPool::default(),
+            paths: PathArena::with_capacity(n),
+            cycle: None,
             considered: 0,
             installed: 0,
         };
@@ -186,46 +211,39 @@ impl Builder {
     /// Install `cand` at `asn` if it beats the incumbent under the decision
     /// process (with the per-AS hashed tie-break). Returns whether it was
     /// installed. The order is strict and total over distinct candidates,
-    /// so the fixpoint does not depend on arrival order.
+    /// so the fixpoint does not depend on arrival order. A first install
+    /// joins the `routed` worklist.
     fn consider(&mut self, asn: AsId, cand: BestRoute) -> bool {
         self.considered += 1;
-        match &self.best[asn.index()] {
+        let wins = match &self.best[asn.index()] {
             None => {
-                self.best[asn.index()] = Some(cand);
                 self.routed.push(asn);
-                self.installed += 1;
                 true
             }
             Some(inc) => {
                 let inc_key = (inc.class, inc.path_len, inc.via.unwrap_or(AsId(u32::MAX)));
                 let cand_key = (cand.class, cand.path_len, cand.via.unwrap_or(AsId(u32::MAX)));
-                if crate::decision::better_at(asn, cand_key, inc_key) {
-                    self.best[asn.index()] = Some(cand);
-                    self.installed += 1;
-                    true
-                } else {
-                    false
-                }
+                crate::decision::better_at(asn, cand_key, inc_key)
             }
+        };
+        if wins {
+            self.best[asn.index()] = Some(cand);
+            self.installed += 1;
         }
+        wins
     }
 
-    /// Relaxation of one phase on AS-path length: starting from `seeds`,
-    /// routes of `class` spread to every neighbor toward which the holder
-    /// has relationship `toward`.
+    /// Phase 1: starting from `seeds`, customer routes climb every
+    /// customer→provider edge, relaxed on AS-path length.
     ///
     /// `buckets[len]` queues the `(via, asn)` keys of routes installed at
     /// that length. Expanding a length-`len` route only ever queues length
-    /// `len + 1`, so each bucket is final when its turn comes. Parallel
-    /// links repeat a neighbor in its row; the repeat never strictly beats
-    /// the copy it duplicates, so it is counted but not installed.
-    fn relax_phase(
-        &mut self,
-        adj: &RelAdjacency,
-        toward: BusinessRel,
-        seeds: Vec<(AsId, BestRoute)>,
-        class: RouteClass,
-    ) {
+    /// `len + 1`, so each bucket is final when its turn comes; sorting it
+    /// expands ASes in `(len, via, asn)` order, the arrival order the work
+    /// counters are defined over. Parallel links repeat a neighbor in its
+    /// row; the repeat never strictly beats the copy it duplicates, so it
+    /// is counted but not installed.
+    fn climb(&mut self, adj: &RelAdjacency, seeds: Vec<(AsId, BestRoute)>) {
         fn enqueue(buckets: &mut Vec<Vec<(u32, u32)>>, len: u32, via: u32, asn: AsId) {
             let len = len as usize;
             if buckets.len() <= len {
@@ -251,23 +269,14 @@ impl Builder {
                 let Some(cur) = self.best[asn.index()] else {
                     continue;
                 };
-                if cur.class != class
-                    || cur.path_len != len_u32
+                if cur.path_len != len_u32
                     || cur.via.map_or(u32::MAX, |v| v.0) != via
                     || cur.no_export
                 {
                     continue;
                 }
-                for &nxt in adj.row(asn, toward) {
-                    let cand = BestRoute {
-                        class,
-                        path_len: len_u32 + 1,
-                        via: Some(asn),
-                        path: PathHandle::NONE,
-                        entry: EntryHandle::NONE,
-                        no_export: false,
-                    };
-                    if self.consider(nxt, cand) {
+                for &nxt in adj.row(asn, BusinessRel::CustomerOf) {
+                    if self.consider(nxt, hop(RouteClass::Customer, len_u32, asn)) {
                         enqueue(&mut buckets, len_u32 + 1, asn.0, nxt);
                     }
                 }
@@ -276,44 +285,137 @@ impl Builder {
         }
     }
 
-    /// Intern every routed AS's via chain into the shared-suffix arena.
-    /// Runs post-fixpoint so the arena reflects final routes only; a via
-    /// cycle (impossible from propagation, possible from corruption)
-    /// poisons the affected chains instead of diverging.
-    fn finalize(mut self) -> RoutingTable {
-        let n = self.best.len();
-        let mut paths = PathArena::with_capacity(self.routed.len());
-        // 0 = unvisited, 1 = on the current walk, 2 = resolved.
-        let mut state = vec![0u8; n];
-        let mut handle = vec![PathHandle::NONE; n];
-        let mut cycle = None;
-        let mut stack: Vec<u32> = Vec::new();
-        for start in 0..n {
-            if self.best[start].is_none() || state[start] == 2 {
+    /// One export round: every AS in `routed[..upto]` offers its route one
+    /// hop further to each neighbor it has relationship `toward` with, as
+    /// a `class` route — except the origin (the announcement governs its
+    /// exports), NO_EXPORT holders and, with `customer_only`, non-customer
+    /// routes. Exporters go in installation order. Offers cannot change an
+    /// exporter's own route (a peer offer never beats a customer route, a
+    /// provider offer never beats either), so they go straight into
+    /// `consider`.
+    fn export(
+        &mut self,
+        adj: &RelAdjacency,
+        upto: usize,
+        toward: BusinessRel,
+        class: RouteClass,
+        customer_only: bool,
+    ) {
+        for i in 0..upto {
+            let asn = self.routed[i];
+            let route = self.best[asn.index()].expect("routed ASes hold a route");
+            if route.is_origin() || route.no_export {
                 continue;
             }
-            let mut cur = start;
+            if customer_only && route.class != RouteClass::Customer {
+                continue;
+            }
+            for &nxt in adj.row(asn, toward) {
+                self.consider(nxt, hop(class, route.path_len, asn));
+            }
+        }
+    }
+
+    /// Phase 3's cascade as one pull pass: visit every AS after all of its
+    /// providers, fold the provider routes they hold into its own, then
+    /// intern its path (its via is interned already).
+    ///
+    /// Each AS hears its offers in the arrival order a `(len, via, asn)`
+    /// push relaxation would give it: the announcement's seeds and the
+    /// exports of routes held before phase 3 (both folded by the caller),
+    /// then its providers' provider routes by `(path_len, via, provider)`.
+    /// `installed` counts strict improvements, so that order keeps it
+    /// bit-identical; `considered` is the same edge set either way.
+    fn descend(&mut self, adj: &RelAdjacency, order: &ProviderOrder) {
+        let mut offers = Vec::new();
+        match order.permutation() {
+            None => {
+                for i in 0..self.best.len() {
+                    self.pull(adj, AsId(i as u32), &mut offers);
+                }
+            }
+            Some(perm) => {
+                for &asn in perm {
+                    self.pull(adj, asn, &mut offers);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn pull(&mut self, adj: &RelAdjacency, asn: AsId, offers: &mut Vec<(u32, u32, AsId)>) {
+        offers.clear();
+        for &p in adj.row(asn, BusinessRel::CustomerOf) {
+            // Customer and peer routes (the origin's included) were
+            // exported before the pass; NO_EXPORT routes stop at `p`.
+            if let Some(r) = &self.best[p.index()] {
+                if r.class == RouteClass::Provider && !r.no_export {
+                    offers.push((r.path_len, r.via.map_or(u32::MAX, |v| v.0), p));
+                }
+            }
+        }
+        offers.sort_unstable();
+        for &(len, _, p) in offers.iter() {
+            self.consider(asn, hop(RouteClass::Provider, len, p));
+        }
+        let Some(route) = self.best[asn.index()] else {
+            return;
+        };
+        if route.class != RouteClass::Provider {
+            return; // interned before the pass
+        }
+        let via = route.via.expect("provider routes have a next hop");
+        let parent = self.best[via.index()].map_or(PathHandle::CYCLE, |r| r.path);
+        debug_assert!(
+            !parent.is_none(),
+            "{via} is visited before its customer {asn}"
+        );
+        let path = if parent.is_cycle() {
+            PathHandle::CYCLE
+        } else {
+            self.paths.intern(asn, parent)
+        };
+        if let Some(r) = &mut self.best[asn.index()] {
+            r.path = path;
+        }
+    }
+
+    /// Intern the via chain of every AS on the `routed` worklist. Runs
+    /// once those routes are final — after phase 2, since the descent
+    /// never replaces a customer or peer route — so the walk covers the
+    /// few ASes routed by then, not every slot. A via cycle (impossible
+    /// from propagation, possible from corruption) poisons the affected
+    /// chains instead of diverging.
+    fn intern_routed(&mut self) {
+        // Marks an AS on the current walk; never escapes this function.
+        const WALKING: PathHandle = PathHandle(u32::MAX - 2);
+        for &asn in &self.routed {
+            if let Some(r) = &mut self.best[asn.index()] {
+                r.path = PathHandle::NONE;
+            }
+        }
+        let mut stack: Vec<u32> = Vec::new();
+        for i in 0..self.routed.len() {
+            let mut cur = self.routed[i].index();
             let mut parent = loop {
-                match state[cur] {
-                    2 => break handle[cur],
-                    1 => {
+                let r = self.best[cur].as_mut().expect("walks stay on routed ASes");
+                match r.path {
+                    PathHandle::NONE => {}
+                    WALKING => {
                         // The walk bit its own tail: poison the chain.
-                        if cycle.is_none() {
-                            cycle = Some(AsId(cur as u32));
-                        }
+                        self.cycle.get_or_insert(AsId(cur as u32));
                         break PathHandle::CYCLE;
                     }
-                    _ => {}
+                    done => break done,
                 }
-                state[cur] = 1;
+                r.path = WALKING;
+                let via = r.via;
                 stack.push(cur as u32);
-                match self.best[cur].and_then(|r| r.via) {
+                match via {
                     None => break PathHandle::NONE,
                     Some(v) if self.best[v.index()].is_none() => {
                         // Dangling via — treat like a poisoned chain.
-                        if cycle.is_none() {
-                            cycle = Some(AsId(cur as u32));
-                        }
+                        self.cycle.get_or_insert(AsId(cur as u32));
                         break PathHandle::CYCLE;
                     }
                     Some(v) => cur = v.index(),
@@ -324,24 +426,24 @@ impl Builder {
                 let h = if parent.is_cycle() {
                     PathHandle::CYCLE
                 } else {
-                    paths.intern(AsId(node), parent)
+                    self.paths.intern(AsId(node), parent)
                 };
-                handle[node as usize] = h;
-                state[node as usize] = 2;
+                if let Some(r) = &mut self.best[node as usize] {
+                    r.path = h;
+                }
                 parent = h;
             }
         }
-        for i in 0..n {
-            if let Some(r) = &mut self.best[i] {
-                r.path = handle[i];
-            }
-        }
+    }
+
+    fn finish(mut self) -> RoutingTable {
+        self.paths.shrink_to_fit();
         RoutingTable {
             origin: self.origin,
             best: self.best,
-            paths,
+            paths: self.paths,
             entries: self.entries,
-            cycle,
+            cycle: self.cycle,
             work: (self.considered, self.installed),
         }
     }
@@ -377,10 +479,12 @@ pub fn try_compute_routes(
     announcement: &Announcement,
 ) -> Result<RoutingTable, AnnouncementError> {
     announcement.validate(topo)?;
-    let n = topo.as_count();
     let origin = announcement.origin;
+    let order = topo
+        .provider_order()
+        .map_err(|at| AnnouncementError::ProviderCycle { origin, at })?;
     let adj = topo.rel_adjacency();
-    let mut b = Builder::new(n, origin);
+    let mut b = Builder::new(topo.as_count(), origin);
 
     // --- Seed first hops from the announcement. ---
     // The class at a first-hop neighbor is determined by how it relates to
@@ -412,78 +516,36 @@ pub fn try_compute_routes(
     }
 
     // --- Phase 1: customer routes climb provider edges. ---
-    b.relax_phase(
-        adj,
-        BusinessRel::CustomerOf,
-        customer_seeds,
-        RouteClass::Customer,
-    );
+    b.climb(adj, customer_seeds);
 
     // --- Phase 2: customer routes cross one peer edge. ---
-    // Candidates: every AS holding a customer route (incl. the origin via
-    // the announcement seeds above, which already carry entry links)
-    // exports to its peers. Peer routes do not propagate further among
-    // peers, so this is a single relaxation round, not a search.
-    let mut peer_candidates: Vec<(AsId, BestRoute)> = peer_seeds;
-    // Walks only the routed worklist.
-    let export_across = |b: &Builder,
-                         toward: BusinessRel,
-                         class: RouteClass,
-                         customer_only: bool,
-                         out: &mut Vec<(AsId, BestRoute)>| {
-        for &asn in &b.routed {
-            let route = b.best[asn.index()].expect("routed ASes hold a route");
-            if route.is_origin() || route.no_export {
-                continue; // origin's exports are governed by the announcement;
-                          // NO_EXPORT routes stop here
-            }
-            if customer_only && route.class != RouteClass::Customer {
-                continue;
-            }
-            for &nxt in adj.row(asn, toward) {
-                out.push((
-                    nxt,
-                    BestRoute {
-                        class,
-                        path_len: route.path_len + 1,
-                        via: Some(asn),
-                        path: PathHandle::NONE,
-                        entry: EntryHandle::NONE,
-                        no_export: false,
-                    },
-                ));
-            }
-        }
-    };
-    export_across(
-        &b,
-        BusinessRel::Peer,
-        RouteClass::Peer,
-        true,
-        &mut peer_candidates,
-    );
-    for (asn, cand) in peer_candidates {
-        b.consider(asn, cand);
+    // Every AS holding a customer route exports to its peers. Peer routes
+    // do not propagate further among peers, so this is a single round,
+    // not a search.
+    let exporters = b.routed.len();
+    for (asn, route) in peer_seeds {
+        b.consider(asn, route);
     }
+    b.export(adj, exporters, BusinessRel::Peer, RouteClass::Peer, true);
+    // Every route held now is final: provider routes never beat them.
+    b.intern_routed();
 
     // --- Phase 3: everything descends customer edges. ---
     // Every routed AS exports to its customers; provider routes cascade.
-    let mut provider_cands: Vec<(AsId, BestRoute)> = provider_seeds;
-    export_across(
-        &b,
+    let exporters = b.routed.len();
+    for (asn, route) in provider_seeds {
+        b.consider(asn, route);
+    }
+    b.export(
+        adj,
+        exporters,
         BusinessRel::ProviderOf,
         RouteClass::Provider,
         false,
-        &mut provider_cands,
     );
-    b.relax_phase(
-        adj,
-        BusinessRel::ProviderOf,
-        provider_cands,
-        RouteClass::Provider,
-    );
+    b.descend(adj, order);
 
-    Ok(b.finalize())
+    Ok(b.finish())
 }
 
 /// Check the valley-free property of a traffic path `p = [src, ..., origin]`:
@@ -689,10 +751,13 @@ mod tests {
 
     #[test]
     fn work_counters_are_pinned() {
-        // The bucket queue must expand nodes in the order the former
-        // `(len, via, asn)` min-heap popped them. Origin AS34's install
-        // count depends on that order (an unsorted drain gives 156, not
-        // 164), so drift shows up here as a changed counter.
+        // Every AS must hear its candidates in the order a `(len, via,
+        // asn)` min-heap relaxation delivers them: phase 1's bucket drain
+        // and the descent's per-AS fold (seeds, then pre-descent exports in
+        // installation order, then provider routes by `(len, via, asn)`)
+        // both replay it. The install counts depend on that order (folding
+        // AS33's provider offers in adjacency order gives 141, not 121),
+        // so drift shows up here as a changed counter.
         let t = topo();
         let pinned = [
             (AsId(33), (470, 121), (470, 116)),
@@ -759,7 +824,7 @@ mod tests {
 
     #[test]
     fn via_cycle_reports_instead_of_panicking() {
-        // Corrupt a finished table into a 2-cycle and re-finalize: as_path
+        // Corrupt a finished table into a 2-cycle and re-intern: as_path
         // must degrade to a structured error naming a cycle member, not
         // panic (the release-mode failure the old bare assert! allowed).
         let t = topo();
@@ -778,7 +843,8 @@ mod tests {
         }
         builder.best[a.index()].as_mut().unwrap().via = Some(b);
         builder.best[b.index()].as_mut().unwrap().via = Some(a);
-        let poisoned = builder.finalize();
+        builder.intern_routed();
+        let poisoned = builder.finish();
         let err = poisoned.as_path_checked(a).unwrap_err();
         assert!(matches!(err, PathError::ViaCycle(at) if at == a || at == b));
         assert_eq!(poisoned.as_path(a), None);
@@ -818,6 +884,77 @@ mod tests {
         assert!(matches!(err, AnnouncementError::ForeignLink { .. }), "{err}");
         // Errors render with enough context to act on.
         assert!(err.to_string().contains("announce"), "{err}");
+    }
+
+    /// A tier-1 above a 3-cycle of customer→provider edges, shaped like
+    /// `bb_topology::validate`'s `provider_cycle_detected` world.
+    fn provider_cycle_world() -> (Topology, AsId, [AsId; 3]) {
+        use bb_geo::atlas::AtlasConfig;
+        use bb_geo::Atlas;
+        use bb_topology::{ExitPolicy, LinkKind};
+        let atlas = Atlas::generate(&AtlasConfig {
+            seed: 1,
+            city_density: 0.3,
+        });
+        let c0 = atlas.cities[0].id;
+        let mut t = Topology::new(atlas);
+        let t1 = t.add_as(AsClass::Tier1, "t", vec![c0], ExitPolicy::EarlyExit, 1.1, None, 0.0);
+        let x = t.add_as(AsClass::Transit, "x", vec![c0], ExitPolicy::EarlyExit, 1.2, None, 0.0);
+        let y = t.add_as(AsClass::Transit, "y", vec![c0], ExitPolicy::EarlyExit, 1.2, None, 0.0);
+        let z = t.add_as(AsClass::Transit, "z", vec![c0], ExitPolicy::EarlyExit, 1.2, None, 0.0);
+        for (a, b) in [(x, t1), (x, y), (y, z), (z, x)] {
+            t.add_interconnect(a, b, BusinessRel::CustomerOf, LinkKind::Transit, c0, 10.0);
+        }
+        (t, t1, [x, y, z])
+    }
+
+    #[test]
+    fn provider_cycle_fails_closed() {
+        let (t, t1, cycle) = provider_cycle_world();
+        for origin in [t1, cycle[0], cycle[2]] {
+            let err = try_compute_routes(&t, &Announcement::full(&t, origin)).unwrap_err();
+            assert!(
+                matches!(err, AnnouncementError::ProviderCycle { origin: o, at }
+                    if o == origin && cycle.contains(&at)),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("cycle"), "{err}");
+        }
+        // The announcement is checked first: a foreign one still says so.
+        let ghost = AsId(t.as_count() as u32);
+        let err = try_compute_routes(&t, &Announcement::empty(ghost)).unwrap_err();
+        assert!(matches!(err, AnnouncementError::UnknownOrigin { .. }), "{err}");
+    }
+
+    #[test]
+    fn descent_follows_provider_order_not_ids() {
+        // Ids run against the hierarchy: E (0) buys from T (1), which buys
+        // from P (2); F (3) buys from P and originates. The descent must
+        // still visit P before T before E.
+        use bb_geo::atlas::AtlasConfig;
+        use bb_geo::Atlas;
+        use bb_topology::{ExitPolicy, LinkKind};
+        let atlas = Atlas::generate(&AtlasConfig {
+            seed: 2,
+            city_density: 0.3,
+        });
+        let c0 = atlas.cities[0].id;
+        let mut t = Topology::new(atlas);
+        let e = t.add_as(AsClass::Eyeball, "E", vec![c0], ExitPolicy::EarlyExit, 1.4, Some(0), 1.0);
+        let tr = t.add_as(AsClass::Transit, "T", vec![c0], ExitPolicy::EarlyExit, 1.2, None, 0.0);
+        let p = t.add_as(AsClass::Tier1, "P", vec![c0], ExitPolicy::EarlyExit, 1.1, None, 0.0);
+        let f = t.add_as(AsClass::Eyeball, "F", vec![c0], ExitPolicy::EarlyExit, 1.4, Some(0), 1.0);
+        for (a, b) in [(e, tr), (tr, p), (f, p)] {
+            t.add_interconnect(a, b, BusinessRel::CustomerOf, LinkKind::Transit, c0, 10.0);
+        }
+        assert!(!t.provider_order().unwrap().is_identity());
+        let table = compute_routes(&t, &Announcement::full(&t, f));
+        assert_eq!(table.reachable_count(), 4);
+        assert_eq!(table.as_path(e).unwrap(), vec![e, tr, p, f]);
+        let r = table.route(e).unwrap();
+        assert_eq!((r.class, r.path_len, r.via), (RouteClass::Provider, 3, Some(tr)));
+        // F's seed reaches P; P's export reaches T and F; T's reaches E.
+        assert_eq!(table.work(), (4, 3));
     }
 
     #[test]

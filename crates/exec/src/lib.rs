@@ -607,6 +607,37 @@ mod tests {
     }
 
     #[test]
+    fn try_cached_routes_rejects_provider_cycle() {
+        use bb_topology::{AsClass, BusinessRel, ExitPolicy, LinkKind, Topology};
+        // A tier-1 above a 3-cycle of customer→provider edges; no
+        // validation runs on a hand-built world.
+        let atlas = bb_topology::generate(&bb_topology::TopologyConfig::small(23)).atlas;
+        let c0 = atlas.cities[0].id;
+        let mut topo = Topology::new(atlas);
+        let mut add = |name: &str, class| {
+            topo.add_as(class, name, vec![c0], ExitPolicy::EarlyExit, 1.2, None, 0.0)
+        };
+        let t1 = add("t", AsClass::Tier1);
+        let cycle = ["x", "y", "z"].map(|name| add(name, AsClass::Transit));
+        let [x, y, z] = cycle;
+        for (a, b) in [(x, t1), (x, y), (y, z), (z, x)] {
+            topo.add_interconnect(a, b, BusinessRel::CustomerOf, LinkKind::Transit, c0, 10.0);
+        }
+        let (_, misses0, _) = cache_stats();
+        for _ in 0..2 {
+            let err = try_cached_routes(&topo, &Announcement::full(&topo, t1)).unwrap_err();
+            assert!(
+                matches!(err, AnnouncementError::ProviderCycle { origin, at }
+                    if origin == t1 && cycle.contains(&at)),
+                "{err:?}"
+            );
+        }
+        // Nothing was cached: each call computed, and failed, afresh.
+        let (_, misses1, _) = cache_stats();
+        assert!(misses1 - misses0 >= 2);
+    }
+
+    #[test]
     fn miss_publishes_rib_counters() {
         let topo = bb_topology::generate(&bb_topology::TopologyConfig::small(29));
         let ann = Announcement::full(&topo, topo.ases()[1].id);

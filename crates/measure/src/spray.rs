@@ -375,10 +375,13 @@ impl SprayEngine {
                             (f64::NAN, 0)
                         }
                         Some(fp) => {
-                            let (route_key, seed) = (churn[ri].0, cell_seed(cfg.seed, w, ti, ri));
+                            // The sessions share the (route, window) prefix
+                            // of their key; hash it once.
+                            let window_key = FaultPlane::stream_key(&[churn[ri].0, w.0 as u64]);
+                            let seed = cell_seed(cfg.seed, w, ti, ri);
                             let probes = (0..cfg.sessions_per_window).map(|s| {
                                 let probe_key =
-                                    FaultPlane::stream_key(&[route_key, w.0 as u64, s as u64]);
+                                    FaultPlane::stream_key_extend(window_key, &[s as u64]);
                                 (probe_key, bb_exec::derive_seed(seed, s as u64))
                             });
                             let min_kept = fp.config().min_samples_per_window;

@@ -158,11 +158,16 @@ impl FaultPlane {
     /// Stable key for a route (or any measured stream) from its identifying
     /// parts — chained SplitMix64, so adjacent part tuples land far apart.
     pub fn stream_key(parts: &[u64]) -> u64 {
-        let mut k = 0x_bb_fa_u64;
-        for &p in parts {
-            k = splitmix64(k ^ p.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-        k
+        Self::stream_key_extend(0x_bb_fa, parts)
+    }
+
+    /// Continue the fold of `key` (a [`FaultPlane::stream_key`] result)
+    /// over more parts: `stream_key_extend(stream_key(&[a, b]), &[c])`
+    /// equals `stream_key(&[a, b, c])`, so a shared prefix hashes once.
+    pub fn stream_key_extend(key: u64, parts: &[u64]) -> u64 {
+        parts.iter().fold(key, |k, &p| {
+            splitmix64(k ^ p.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        })
     }
 
     /// Whether attempt `attempt` of the probe identified by `stream` is
@@ -462,5 +467,19 @@ mod tests {
             FaultPlane::stream_key(&[3, 2, 1])
         );
         assert_ne!(FaultPlane::stream_key(&[0]), FaultPlane::stream_key(&[0, 0]));
+    }
+
+    #[test]
+    fn stream_key_extend_continues_the_fold() {
+        let parts = [7u64, 0, u64::MAX, 42, 1 << 63];
+        for split in 0..=parts.len() {
+            let (head, tail) = parts.split_at(split);
+            assert_eq!(
+                FaultPlane::stream_key_extend(FaultPlane::stream_key(head), tail),
+                FaultPlane::stream_key(&parts),
+                "split at {split}"
+            );
+        }
+        assert_eq!(FaultPlane::stream_key_extend(9, &[]), 9);
     }
 }

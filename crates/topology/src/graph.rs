@@ -67,6 +67,75 @@ impl RelAdjacency {
     }
 }
 
+/// A provider-first visiting order of a topology's ASes: every AS comes
+/// after all of its providers, so a pass in this order sees each
+/// provider's final state before any of its customers.
+///
+/// Generated worlds number every provider below its customers; for them
+/// the order is id order and no permutation is stored.
+#[derive(Debug, Clone)]
+pub struct ProviderOrder {
+    /// `None` when id order already is provider-first.
+    perm: Option<Vec<AsId>>,
+}
+
+impl ProviderOrder {
+    /// Kahn's algorithm over the customer→provider edges. A cycle leaves
+    /// its members (and everything below them) unemitted; the error names
+    /// an AS on the cycle.
+    fn build(adj: &RelAdjacency, n: usize) -> Result<ProviderOrder, AsId> {
+        let providers = |i: usize| adj.row(AsId(i as u32), BusinessRel::CustomerOf);
+        if (0..n).all(|i| providers(i).iter().all(|p| p.index() < i)) {
+            return Ok(ProviderOrder { perm: None });
+        }
+        // Unemitted provider entries per AS (parallel links count once per
+        // interconnect on both sides, so the counts drain exactly).
+        let mut pending: Vec<u32> = (0..n).map(|i| providers(i).len() as u32).collect();
+        let mut perm: Vec<AsId> = (0..n)
+            .filter(|&i| pending[i] == 0)
+            .map(|i| AsId(i as u32))
+            .collect();
+        let mut next = 0;
+        while next < perm.len() {
+            let p = perm[next];
+            next += 1;
+            for &c in adj.row(p, BusinessRel::ProviderOf) {
+                pending[c.index()] -= 1;
+                if pending[c.index()] == 0 {
+                    perm.push(c);
+                }
+            }
+        }
+        if perm.len() == n {
+            return Ok(ProviderOrder { perm: Some(perm) });
+        }
+        // Every unemitted AS has an unemitted provider: climbing those
+        // must revisit an AS within n steps, and that AS is on a cycle.
+        let mut seen = vec![false; n];
+        let mut cur = (0..n).find(|&i| pending[i] > 0).expect("an AS was left unemitted");
+        while !seen[cur] {
+            seen[cur] = true;
+            cur = providers(cur)
+                .iter()
+                .find(|p| pending[p.index()] > 0)
+                .expect("an unemitted AS has an unemitted provider")
+                .index();
+        }
+        Err(AsId(cur as u32))
+    }
+
+    /// The order as an explicit permutation of AS ids; `None` means id
+    /// order `0..as_count`.
+    pub fn permutation(&self) -> Option<&[AsId]> {
+        self.perm.as_deref()
+    }
+
+    /// Whether the order is plain id order.
+    pub fn is_identity(&self) -> bool {
+        self.perm.is_none()
+    }
+}
+
 /// The full AS-level topology, including the geographic atlas it is
 /// embedded in.
 ///
@@ -91,6 +160,9 @@ pub struct Topology {
     /// Built on first [`Topology::rel_adjacency`] call; `add_as` and
     /// `add_interconnect` drop it.
     rel_adj: OnceLock<RelAdjacency>,
+    /// Built on first [`Topology::provider_order`] call; dropped with
+    /// `rel_adj`.
+    provider_order: OnceLock<Result<ProviderOrder, AsId>>,
 }
 
 impl Topology {
@@ -104,6 +176,7 @@ impl Topology {
             rels: HashMap::new(),
             content_hash: FNV_OFFSET,
             rel_adj: OnceLock::new(),
+            provider_order: OnceLock::new(),
         }
     }
 
@@ -192,7 +265,7 @@ impl Topology {
             exit_fidelity,
         });
         self.adj.push(Vec::new());
-        self.rel_adj.take();
+        self.drop_caches();
         id
     }
 
@@ -254,8 +327,13 @@ impl Topology {
         });
         self.adj[a.index()].push((b, id));
         self.adj[b.index()].push((a, id));
-        self.rel_adj.take();
+        self.drop_caches();
         id
+    }
+
+    fn drop_caches(&mut self) {
+        self.rel_adj.take();
+        self.provider_order.take();
     }
 
     /// Override an AS's exit fidelity (see `AsNode::exit_fidelity`).
@@ -316,6 +394,16 @@ impl Topology {
     pub fn rel_adjacency(&self) -> &RelAdjacency {
         self.rel_adj
             .get_or_init(|| RelAdjacency::build(&self.adj, &self.links))
+    }
+
+    /// A provider-first order of the ASes, built on first use and kept
+    /// like [`Topology::rel_adjacency`]. `Err` names an AS on a
+    /// customer→provider cycle, for which no such order exists.
+    pub fn provider_order(&self) -> Result<&ProviderOrder, AsId> {
+        self.provider_order
+            .get_or_init(|| ProviderOrder::build(self.rel_adjacency(), self.ases.len()))
+            .as_ref()
+            .map_err(|&at| at)
     }
 
     /// Distinct neighbor ASes of `asn`.

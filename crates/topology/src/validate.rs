@@ -74,34 +74,9 @@ pub fn validate(topo: &Topology) -> Result<(), Vec<TopologyError>> {
         }
     }
 
-    // Cycle detection on customer→provider edges (DFS coloring).
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color = vec![Color::White; topo.as_count()];
-    fn dfs(
-        topo: &Topology,
-        asn: AsId,
-        color: &mut [Color],
-        errors: &mut Vec<TopologyError>,
-    ) {
-        color[asn.index()] = Color::Gray;
-        for prov in topo.providers_of(asn) {
-            match color[prov.index()] {
-                Color::White => dfs(topo, prov, color, errors),
-                Color::Gray => errors.push(TopologyError::ProviderCycle(prov)),
-                Color::Black => {}
-            }
-        }
-        color[asn.index()] = Color::Black;
-    }
-    for node in topo.ases() {
-        if color[node.id.index()] == Color::White {
-            dfs(topo, node.id, &mut color, &mut errors);
-        }
+    // A customer→provider cycle leaves no provider-first order.
+    if let Err(at) = topo.provider_order() {
+        errors.push(TopologyError::ProviderCycle(at));
     }
 
     if errors.is_empty() {
@@ -176,7 +151,7 @@ mod tests {
         let errs = validate(&topo).unwrap_err();
         assert!(errs
             .iter()
-            .any(|e| matches!(e, TopologyError::ProviderCycle(_))));
+            .any(|e| matches!(e, TopologyError::ProviderCycle(at) if [x, y, z].contains(at))));
     }
 
     #[test]

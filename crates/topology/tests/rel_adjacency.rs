@@ -1,6 +1,8 @@
 //! The cached per-relationship adjacency rows (`Topology::rel_adjacency`)
 //! must always equal the relationship-filtered `adjacency()`, survive
-//! mutation of the topology, and stay private to each clone.
+//! mutation of the topology, and stay private to each clone; the cached
+//! provider-first order (`Topology::provider_order`) must follow mutation
+//! the same way.
 
 use bb_geo::atlas::AtlasConfig;
 use bb_topology::{
@@ -160,4 +162,69 @@ fn clone_mutation_leaves_original_rows() {
         assert_rows_match(&topo);
         assert_rows_match(&copy);
     }
+}
+
+/// Every AS comes after all of its providers in `order`.
+fn assert_provider_first(topo: &Topology) {
+    let order = topo.provider_order().expect("no provider cycle");
+    let ids: Vec<AsId> = match order.permutation() {
+        Some(perm) => perm.to_vec(),
+        None => topo.ases().iter().map(|a| a.id).collect(),
+    };
+    assert_eq!(ids.len(), topo.as_count());
+    let mut pos = vec![usize::MAX; topo.as_count()];
+    for (i, asn) in ids.iter().enumerate() {
+        assert_eq!(pos[asn.index()], usize::MAX, "{asn} listed twice");
+        pos[asn.index()] = i;
+    }
+    for node in topo.ases() {
+        for p in topo.providers_of(node.id) {
+            assert!(pos[p.index()] < pos[node.id.index()], "{p} after its customer {}", node.id);
+        }
+    }
+}
+
+#[test]
+fn add_interconnect_drops_provider_order() {
+    let mut cycles = 0;
+    for mut topo in [generated(), snapshot()] {
+        assert_provider_first(&topo);
+        // A new AS (the highest id) becomes AS0's provider: id order is no
+        // longer provider-first, and a stale cached order would say it is.
+        let city = topo.asys(AsId(0)).footprint[0];
+        let top = topo.add_as(
+            AsClass::Tier1,
+            "top",
+            vec![city],
+            ExitPolicy::LateExit,
+            1.1,
+            None,
+            0.0,
+        );
+        assert_provider_first(&topo);
+        let before = topo.provider_order().unwrap().permutation().map(<[AsId]>::to_vec);
+        topo.add_interconnect(
+            AsId(0),
+            top,
+            BusinessRel::CustomerOf,
+            LinkKind::Transit,
+            city,
+            10.0,
+        );
+        let order = topo.provider_order().unwrap();
+        assert!(!order.is_identity());
+        assert_ne!(order.permutation().map(<[AsId]>::to_vec), before);
+        assert_provider_first(&topo);
+        // Closing a cycle through `top` leaves no order at all.
+        let below = topo.customers_of(AsId(0));
+        if let Some(&c) = below.first() {
+            let c_city = topo.asys(c).footprint[0];
+            topo.extend_footprint(top, c_city);
+            topo.add_interconnect(top, c, BusinessRel::CustomerOf, LinkKind::Transit, c_city, 1.0);
+            let at = topo.provider_order().unwrap_err();
+            assert!([top, AsId(0), c].contains(&at), "{at} is not on the cycle");
+            cycles += 1;
+        }
+    }
+    assert!(cycles > 0, "no world closed a cycle");
 }

@@ -27,33 +27,62 @@ struct OracleRoute {
     entry_links: Vec<InterconnectId>,
 }
 
+/// The oracle's table: routes per AS, plus the work it took in
+/// `RoutingTable::work` terms (candidates considered, installed).
+struct Oracle {
+    routes: Vec<Option<OracleRoute>>,
+    work: (u64, u64),
+}
+
 /// Gao-Rexford propagation written from the public API alone:
 /// `adjacency`, `relationship`, `offers_by_neighbor` and `better_at`. It
-/// shares no adjacency rows or queue with `compute_routes`. Each phase is a
-/// `(len, via, asn)` min-heap relaxation, and the exports between phases
-/// sweep the whole table in AS order.
-fn oracle(topo: &Topology, ann: &Announcement) -> Vec<Option<OracleRoute>> {
+/// shares no adjacency rows, queue or visiting order with
+/// `compute_routes`. Each phase is a `(len, via, asn)` min-heap
+/// relaxation, and the exports between phases sweep every routed AS in
+/// the order it first received a route: the arrival order the work
+/// counters are defined over.
+fn oracle(topo: &Topology, ann: &Announcement) -> Oracle {
+    struct State {
+        best: Vec<Option<OracleRoute>>,
+        /// Routed ASes in first-installation order.
+        routed: Vec<AsId>,
+        considered: u64,
+        installed: u64,
+    }
+    impl State {
+        fn consider(&mut self, asn: AsId, cand: OracleRoute) -> bool {
+            let key = |r: &OracleRoute| (r.class, r.path_len, r.via.unwrap_or(AsId(u32::MAX)));
+            self.considered += 1;
+            let wins = match &self.best[asn.index()] {
+                None => {
+                    self.routed.push(asn);
+                    true
+                }
+                Some(inc) => better_at(asn, key(&cand), key(inc)),
+            };
+            if wins {
+                self.best[asn.index()] = Some(cand);
+                self.installed += 1;
+            }
+            wins
+        }
+    }
+
     let n = topo.as_count();
     let origin = ann.origin;
-    let mut best: Vec<Option<OracleRoute>> = vec![None; n];
-    best[origin.index()] = Some(OracleRoute {
+    let mut st = State {
+        best: vec![None; n],
+        routed: vec![origin],
+        considered: 0,
+        installed: 0,
+    };
+    st.best[origin.index()] = Some(OracleRoute {
         class: RouteClass::Customer,
         path_len: 0,
         via: None,
         no_export: false,
         entry_links: Vec::new(),
     });
-    let key = |r: &OracleRoute| (r.class, r.path_len, r.via.unwrap_or(AsId(u32::MAX)));
-    let consider = |best: &mut Vec<Option<OracleRoute>>, asn: AsId, cand: OracleRoute| {
-        let wins = match &best[asn.index()] {
-            None => true,
-            Some(inc) => better_at(asn, key(&cand), key(inc)),
-        };
-        if wins {
-            best[asn.index()] = Some(cand);
-        }
-        wins
-    };
     // Neighbors toward which `asn` has relationship `rel`, once per link.
     let toward = |asn: AsId, rel: BusinessRel| -> Vec<AsId> {
         topo.adjacency(asn)
@@ -69,20 +98,17 @@ fn oracle(topo: &Topology, ann: &Announcement) -> Vec<Option<OracleRoute>> {
         no_export: false,
         entry_links: Vec::new(),
     };
-    let relax = |best: &mut Vec<Option<OracleRoute>>,
-                 seeds: Vec<(AsId, OracleRoute)>,
-                 class: RouteClass,
-                 rel: BusinessRel| {
+    let relax = |st: &mut State, seeds: Vec<(AsId, OracleRoute)>, class: RouteClass, rel: BusinessRel| {
         let mut heap = BinaryHeap::new();
         for (asn, route) in seeds {
             let k = (route.path_len, route.via.map_or(u32::MAX, |v| v.0), asn.0);
-            if consider(best, asn, route) {
+            if st.consider(asn, route) {
                 heap.push(Reverse(k));
             }
         }
         while let Some(Reverse((len, via, asn))) = heap.pop() {
             let asn = AsId(asn);
-            let cur = best[asn.index()].as_ref().expect("queued ASes hold routes");
+            let cur = st.best[asn.index()].as_ref().expect("queued ASes hold routes");
             let stale = cur.class != class
                 || cur.path_len != len
                 || cur.via.map_or(u32::MAX, |v| v.0) != via;
@@ -90,7 +116,7 @@ fn oracle(topo: &Topology, ann: &Announcement) -> Vec<Option<OracleRoute>> {
                 continue;
             }
             for nxt in toward(asn, rel) {
-                if consider(best, nxt, hop(class, asn, len)) {
+                if st.consider(nxt, hop(class, asn, len)) {
                     heap.push(Reverse((len + 1, asn.0, nxt.0)));
                 }
             }
@@ -98,24 +124,22 @@ fn oracle(topo: &Topology, ann: &Announcement) -> Vec<Option<OracleRoute>> {
     };
     // Every exporting AS (not the origin, not NO_EXPORT, optionally only
     // customer routes) offers its route one hop further toward `rel`.
-    let sweep =
-        |best: &[Option<OracleRoute>], class: RouteClass, rel: BusinessRel, customer_only: bool| {
-            let mut out = Vec::new();
-            for (i, route) in best.iter().enumerate() {
-                let asn = AsId(i as u32);
-                let Some(route) = route else { continue };
-                if asn == origin || route.no_export {
-                    continue;
-                }
-                if customer_only && route.class != RouteClass::Customer {
-                    continue;
-                }
-                for nxt in toward(asn, rel) {
-                    out.push((nxt, hop(class, asn, route.path_len)));
-                }
+    let sweep = |st: &State, class: RouteClass, rel: BusinessRel, customer_only: bool| {
+        let mut out = Vec::new();
+        for &asn in &st.routed {
+            let route = st.best[asn.index()].as_ref().expect("routed ASes hold routes");
+            if asn == origin || route.no_export {
+                continue;
             }
-            out
-        };
+            if customer_only && route.class != RouteClass::Customer {
+                continue;
+            }
+            for nxt in toward(asn, rel) {
+                out.push((nxt, hop(class, asn, route.path_len)));
+            }
+        }
+        out
+    };
 
     let mut seeds: [Vec<(AsId, OracleRoute)>; 3] = Default::default();
     for offer in ann.offers_by_neighbor(topo) {
@@ -136,28 +160,31 @@ fn oracle(topo: &Topology, ann: &Announcement) -> Vec<Option<OracleRoute>> {
     }
     let [customer_seeds, mut peer_cands, mut provider_cands] = seeds;
     relax(
-        &mut best,
+        &mut st,
         customer_seeds,
         RouteClass::Customer,
         BusinessRel::CustomerOf,
     );
-    peer_cands.extend(sweep(&best, RouteClass::Peer, BusinessRel::Peer, true));
+    peer_cands.extend(sweep(&st, RouteClass::Peer, BusinessRel::Peer, true));
     for (asn, cand) in peer_cands {
-        consider(&mut best, asn, cand);
+        st.consider(asn, cand);
     }
     provider_cands.extend(sweep(
-        &best,
+        &st,
         RouteClass::Provider,
         BusinessRel::ProviderOf,
         false,
     ));
     relax(
-        &mut best,
+        &mut st,
         provider_cands,
         RouteClass::Provider,
         BusinessRel::ProviderOf,
     );
-    best
+    Oracle {
+        routes: st.best,
+        work: (st.considered, st.installed),
+    }
 }
 
 /// The oracle's AS path from `asn` to the origin, following `via`.
@@ -175,14 +202,18 @@ fn oracle_path(routes: &[Option<OracleRoute>], asn: AsId) -> Option<Vec<AsId>> {
 }
 
 /// Assert `table` equals the oracle on every observable: route class,
-/// path length, via, NO_EXPORT marking, entry links, and the materialized
-/// AS path.
+/// path length, via, NO_EXPORT marking, entry links, the materialized
+/// AS path, and the work counters.
 fn assert_matches_oracle(
     topo: &Topology,
     table: &RoutingTable,
     ann: &Announcement,
 ) -> Result<(), TestCaseError> {
-    let expected = oracle(topo, ann);
+    let Oracle {
+        routes: expected,
+        work,
+    } = oracle(topo, ann);
+    prop_assert_eq!(table.work(), work, "work counters diverged");
     prop_assert_eq!(
         table.reachable_count(),
         expected.iter().filter(|r| r.is_some()).count()
@@ -242,6 +273,49 @@ fn engineered(topo: &Topology, origin: AsId, knobs: u64, prepend: u32) -> Announ
         }
     }
     ann
+}
+
+/// `topo` rebuilt with its ASes inserted in a seeded shuffle of their
+/// old ids: the same graph, attributes and links, under new ids.
+/// Generated worlds number every provider below its customers; a shuffled
+/// copy does not, so propagation has to take the general provider-first
+/// order.
+fn shuffled(topo: &Topology, seed: u64) -> Topology {
+    let rank = |a: AsId| {
+        let mut z = seed ^ (a.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31), a)
+    };
+    let mut old: Vec<AsId> = topo.ases().iter().map(|a| a.id).collect();
+    old.sort_by_key(|&a| rank(a));
+    let mut out = Topology::new(topo.atlas.clone());
+    let mut new_id = vec![AsId(u32::MAX); topo.as_count()];
+    for &a in &old {
+        let node = topo.asys(a);
+        let id = out.add_as(
+            node.class,
+            node.name.clone(),
+            node.footprint.clone(),
+            node.exit_policy,
+            node.intra_inflation,
+            node.home_country,
+            node.user_share,
+        );
+        out.set_exit_fidelity(id, node.exit_fidelity);
+        new_id[a.index()] = id;
+    }
+    for l in topo.links() {
+        out.add_interconnect(
+            new_id[l.a.index()],
+            new_id[l.b.index()],
+            l.rel,
+            l.kind,
+            l.city,
+            l.capacity_gbps,
+        );
+    }
+    out
 }
 
 #[test]
@@ -421,6 +495,23 @@ proptest! {
         let origin = topo.ases_of_class(AsClass::Eyeball).next().unwrap().id;
         let ann = engineered(&topo, origin, knobs, prepend);
         // Everything withheld still has to agree: only the origin routes.
+        assert_matches_oracle(&topo, &compute_routes(&topo, &ann), &ann)?;
+    }
+
+    /// Differential oracle on a shuffled-id world, whose provider-first
+    /// order is not id order: routes, paths and work counters still match.
+    #[test]
+    fn shuffled_ids_equal_reference(
+        seed in 0u64..5000,
+        shuffle in 0u64..u64::MAX,
+        knobs in 0u64..u64::MAX,
+    ) {
+        let topo = shuffled(&world(seed), shuffle);
+        prop_assert!(!topo.provider_order().unwrap().is_identity());
+        let origin = topo.ases_of_class(AsClass::Eyeball).next().unwrap().id;
+        let full = Announcement::full(&topo, origin);
+        assert_matches_oracle(&topo, &compute_routes(&topo, &full), &full)?;
+        let ann = engineered(&topo, origin, knobs, 2);
         assert_matches_oracle(&topo, &compute_routes(&topo, &ann), &ann)?;
     }
 
