@@ -949,11 +949,11 @@ fn ablation_relation(seed: u64, poison: bool) -> RuleReport {
 
 /// `meta.shard_independent`: a campaign split across shard checkpoints and
 /// stitched back through `merge_shards` must reproduce the unsharded
-/// manifest byte-for-byte — the sharding plane may move work between
+/// checkpoint byte-for-byte — the sharding plane may move work between
 /// processes, never change bytes. The relation builds three units from a
 /// real Test-scale spray, shards them with a deliberate overlap (so the
-/// duplicate-agreement check is exercised, not just coverage), merges, and
-/// compares encodings.
+/// duplicate-agreement check is exercised, not just coverage), reads each
+/// shard back from the records it wrote, merges, and compares encodings.
 fn shard_relation(seed: u64, poison: bool) -> RuleReport {
     use bb_core::checkpoint::{merge_shards, CampaignKey, Checkpoint, UnitResult};
     let mut rule = Rule::new("meta.shard_independent");
@@ -977,26 +977,28 @@ fn shard_relation(seed: u64, poison: bool) -> RuleReport {
     full.record("u0", unit(0, n / 3));
     full.record("u1", unit(n / 3, 2 * n / 3));
     full.record("u2", unit(2 * n / 3, n));
-    full.windows_done = 3;
 
-    let mut a = Checkpoint::new(key.clone());
-    a.record("u0", full.units["u0"].clone());
-    a.record("u1", full.units["u1"].clone());
-    a.windows_done = 2;
-    let mut b = Checkpoint::new(key);
-    // `u1` appears in both shards: the merge must verify the copies agree
-    // byte-for-byte. The poison corrupts exactly this duplicated copy.
+    // Shard A appended u0 then u1; shard B u2 then u1 — `u1` appears in
+    // both shards, so the merge must verify the copies agree byte-for-byte.
+    // The poison corrupts exactly this duplicated copy.
     let mut dup = full.units["u1"].clone();
     if poison {
         dup.stdout.push('x');
     }
-    b.record("u1", dup);
-    b.record("u2", full.units["u2"].clone());
-    b.windows_done = 1;
-
-    match merge_shards(&[a, b]) {
+    let a = [
+        Checkpoint::header(&key),
+        full.units["u0"].encode("u0"),
+        full.units["u1"].encode("u1"),
+    ];
+    let b = [Checkpoint::header(&key), full.units["u2"].encode("u2"), dup.encode("u1")];
+    let shards = [a.concat(), b.concat()].map(|bytes| Checkpoint::decode(&bytes));
+    let merged = match shards {
+        [Ok((a, _)), Ok((b, _))] => merge_shards(&[a, b]),
+        [Err(e), _] | [_, Err(e)] => Err(e),
+    };
+    match merged {
         Ok(merged) => rule.check(merged.encode() == full.encode(), || {
-            "merged shard manifest differs from the unsharded manifest".to_string()
+            "merged shard checkpoint differs from the unsharded checkpoint".to_string()
         }),
         Err(e) => rule.check(false, || format!("shard merge rejected: {e}")),
     }
@@ -1004,14 +1006,14 @@ fn shard_relation(seed: u64, poison: bool) -> RuleReport {
 }
 
 /// `meta.orchestrated_identity`: the orchestrator's whole recovery ladder —
-/// a shard manifest torn mid-write, salvaged to its valid prefix, the
-/// dropped unit recomputed and re-recorded, shards merged — must reproduce
-/// the unsharded manifest byte-for-byte. Crash recovery may re-do work,
+/// a shard checkpoint torn mid-append, its torn tail dropped, the dropped
+/// unit recomputed and re-appended, shards merged — must reproduce the
+/// unsharded checkpoint byte-for-byte. Crash recovery may re-do work,
 /// never change bytes. Emulated in-process on a Test-scale spray with the
 /// exact primitives the binary uses: the tear is the chaos injector's
-/// (16 bytes off the tail), the recovery is `decode_salvaging`, and the
-/// poison corrupts the *re-recorded* unit — a recovery that recomputed
-/// different bytes.
+/// (16 bytes off the tail), the recovery is `Checkpoint::decode`'s
+/// torn-tail rule, and the poison corrupts the *re-appended* unit — a
+/// recovery that recomputed different bytes.
 fn orchestrated_identity_relation(seed: u64, poison: bool) -> RuleReport {
     use bb_core::checkpoint::{merge_shards, CampaignKey, Checkpoint, UnitResult};
     let mut rule = Rule::new("meta.orchestrated_identity");
@@ -1031,49 +1033,52 @@ fn orchestrated_identity_relation(seed: u64, poison: bool) -> RuleReport {
         files: vec![(format!("slice_{lo}.csv"), format!("{lo}..{hi}").into_bytes())],
     };
     let key = CampaignKey::new(seed, "test", "off", "u0,u1,u2", true);
-    // The unsharded reference manifest.
+    // The unsharded reference checkpoint.
     let mut full = Checkpoint::new(key.clone());
     full.record("u0", unit(0, n / 3));
     full.record("u1", unit(n / 3, 2 * n / 3));
     full.record("u2", unit(2 * n / 3, n));
-    full.windows_done = 3;
 
-    // Shard A flushed u0 and u1, then its manifest was torn 16 bytes short
-    // (the chaos injector's exact damage): u1's trailing record is cut.
-    let mut a = Checkpoint::new(key.clone());
-    a.record("u0", full.units["u0"].clone());
-    a.record("u1", full.units["u1"].clone());
-    a.windows_done = 2;
-    let bytes = a.encode();
-    let (mut recovered, salvage) = match Checkpoint::decode_salvaging(&bytes[..bytes.len() - 16]) {
+    // Shard A appended u0 and u1, then its checkpoint was torn 16 bytes
+    // short (the chaos injector's exact damage): u1's last record is cut.
+    let a = [
+        Checkpoint::header(&key),
+        full.units["u0"].encode("u0"),
+        full.units["u1"].encode("u1"),
+    ]
+    .concat();
+    let torn = &a[..a.len() - 16];
+    let (recovered, intact) = match Checkpoint::decode(torn) {
         Ok(x) => x,
         Err(e) => {
-            rule.check(false, || format!("salvage rejected the torn manifest: {e}"));
+            rule.check(false, || format!("recovery rejected the torn checkpoint: {e}"));
             return rule.finish();
         }
     };
-    rule.check(salvage.is_some(), || {
-        "a 16-byte tear decoded clean — salvage saw no damage".to_string()
+    rule.check(intact < torn.len(), || {
+        "a 16-byte tear decoded clean — recovery saw no torn tail".to_string()
     });
     rule.check(
         recovered.units.len() == 1 && recovered.units.contains_key("u0"),
-        || format!("salvage kept {:?}, expected exactly [u0]", recovered.units.keys()),
+        || format!("recovery kept {:?}, expected exactly [u0]", recovered.units.keys()),
     );
-    // The restarted worker recomputes the dropped unit and records it again.
+    // The restarted worker truncates the torn tail, recomputes the dropped
+    // unit and appends it again.
     let mut redone = full.units["u1"].clone();
     if poison {
         redone.stdout.push('x'); // recovery that recomputed different bytes
     }
-    recovered.record("u1", redone);
-
+    let resumed = [&torn[..intact], &redone.encode("u1")].concat();
     // Shard B was healthy all along.
-    let mut b = Checkpoint::new(key);
-    b.record("u2", full.units["u2"].clone());
-    b.windows_done = 1;
+    let b = [Checkpoint::header(&key), full.units["u2"].encode("u2")].concat();
 
-    match merge_shards(&[recovered, b]) {
+    let merged = match (Checkpoint::decode(&resumed), Checkpoint::decode(&b)) {
+        (Ok((a, _)), Ok((b, _))) => merge_shards(&[a, b]),
+        (Err(e), _) | (_, Err(e)) => Err(e),
+    };
+    match merged {
         Ok(merged) => rule.check(merged.encode() == full.encode(), || {
-            "salvaged-and-recovered merge differs from the unsharded manifest".to_string()
+            "recovered-and-merged checkpoint differs from the unsharded checkpoint".to_string()
         }),
         Err(e) => rule.check(false, || format!("recovered merge rejected: {e}")),
     }

@@ -1,14 +1,15 @@
-//! Campaign checkpoint manifests: crash-safe save, validated resume.
+//! Campaign checkpoints: an append-only journal of completed units,
+//! validated on resume.
 //!
 //! A long campaign (`repro all`) is a sequence of *units* — one per
 //! experiment — each producing a stdout block and optionally rendered CSV
-//! files. After every completed unit the harness serializes all completed
-//! results into a `checkpoint.bbck` manifest in the checkpoint directory,
-//! written with the same atomic temp-file+rename writer as the CSV exports
-//! ([`crate::export::write_atomic_bytes`]), so a crash mid-flush never
-//! leaves a torn manifest.
+//! files. A checkpointed run keeps them in `checkpoint.bbck` in its
+//! checkpoint directory: a fresh `--checkpoint` writes the header (the
+//! [`CampaignKey`]) atomically, and every unit that completes is appended
+//! to it as checksummed records and `sync_data`ed ([`Checkpoint::create`]). A
+//! unit costs the bytes it adds, never a rewrite of the units before it.
 //!
-//! **Keying rule.** A manifest is only valid for the exact campaign that
+//! **Keying rule.** A checkpoint is only valid for the exact campaign that
 //! wrote it. The [`CampaignKey`] captures everything that feeds unit
 //! output: seed, scale, fault profile, the selected experiment set, whether
 //! CSV was captured, and [`CODE_SCHEMA`] — a version bumped whenever *any*
@@ -19,73 +20,71 @@
 //! is deliberately *not* in the key: output is byte-identical across job
 //! counts, so resuming with a different `--jobs` is sound.
 //!
-//! (The ISSUE sketch keyed on "topology uid", but `Topology::uid` is a
-//! process-local counter, not a content hash — useless across processes.
-//! The topology is a pure function of `(scale, seed)`, which the key
-//! already pins; see DESIGN.md §5b.)
+//! (`Topology::uid` is a process-local counter, not a content hash, so it
+//! cannot key a file across processes. The topology is a pure function of
+//! `(scale, seed)`, which the key already pins; see DESIGN.md §5b.)
 //!
-//! **Format.** `bbck/v1` is the [`crate::framed`] shape: a line-oriented
-//! header with length-prefixed raw blobs, so stdout and CSV bytes
-//! round-trip exactly (no escaping, no encoding). Every blob carries an
-//! FNV-1a 64 checksum verified on load:
+//! **Format.** `bbck/v2` is the [`crate::framed`] shape: a line-oriented
+//! header closed by its checksum, then length-prefixed raw blobs, so
+//! stdout and CSV bytes round-trip exactly (no escaping, no encoding).
+//! Every record's checksum covers its head line's name and length as well
+//! as its bytes:
 //!
 //! ```text
-//! bbck/v1
+//! bbck/v2
 //! seed 42
 //! scale full
 //! faults off
 //! experiments calib,fig1,...
 //! csv 1
-//! code_schema 3
-//! windows_done 1234
+//! code_schema 1
+//! sum 5d1c...                      ← fnv64 of the header lines above
 //! unit fig1 1 812 c0ffee...        ← name, file count, stdout len, fnv64
 //! <812 raw stdout bytes>\n
 //! file fig1.csv 4096 deadbeef...   ← name, len, fnv64
 //! <4096 raw bytes>\n
-//! end
+//! unit calib 0 240 ...             ← the next unit to complete
+//! ...
 //! ```
 //!
-//! **Durability.** [`write_atomic_bytes`] gives the manifest the full
-//! crash-safety ladder: the bytes are written to a same-directory temp
-//! file, fsynced, renamed over the target, and then the *containing
-//! directory* is fsynced too — without that last step a power loss right
-//! after the rename can forget the directory entry and the manifest
-//! vanishes even though its blocks were on disk. Once `save` returns, the
-//! manifest survives a crash at any instant.
+//! Units appear in completion order; a unit's `file` records follow its
+//! `unit` record. There is no `end` line: the file is always a header plus
+//! the units completed so far.
 //!
-//! **Salvage.** A manifest can still arrive torn when the filesystem
-//! itself tears it (power loss on a non-journaling filesystem, a partial
-//! copy between machines). Because units are appended in sorted order and
-//! every record is length-prefixed, such damage is always a *truncated
-//! tail*: [`Checkpoint::load_salvaging`] parses the valid prefix of unit
-//! records and reports the dropped trailing record as a [`Salvage`]
-//! instead of rejecting the whole manifest. Mid-record corruption (a
-//! checksum mismatch with the bytes fully present) is still rejected —
-//! that is damage, not truncation, and replaying it would violate the
-//! byte-identity contract.
+//! **Torn tails.** A crash (or a full disk) mid-append leaves the last unit
+//! cut off by end of file. [`Checkpoint::decode`] reads units under
+//! [`crate::framed`]'s one torn-tail rule, the rule the serve journal
+//! follows too: a unit whose records are cut off is dropped, and the
+//! length of the intact prefix is returned so `--resume` can truncate the
+//! file to it before appending ([`Checkpoint::resume`]). Damage with the
+//! bytes fully present — a checksum mismatch, a malformed line, a torn or
+//! damaged header — is an error: replaying corrupt bytes would break
+//! byte-identity.
+//!
+//! **Shards.** A `--shard I/N` run's checkpoint holds the records that
+//! shard wrote, under the key of the **whole** campaign; [`merge_shards`]
+//! unions them by unit name.
 //!
 //! **Heartbeats.** Orchestrated shard runs (`repro orchestrate`) also
-//! keep a tiny `heartbeat.bbhb` record next to the manifest: progress
+//! keep a tiny `heartbeat.bbhb` record next to the checkpoint: progress
 //! counters plus a wall timestamp, rewritten atomically every few
 //! thousand measurement windows. The supervisor treats a heartbeat whose
 //! *content* stops changing as a hung shard; the file is advisory
 //! telemetry, never part of the campaign output.
 
 use crate::error::{BbError, BbResult};
-use crate::export::write_atomic_bytes;
+use crate::export::AppendFile;
 use crate::framed::{self, FieldFn, Flag, Format, Key, Reader, Writer};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-pub use crate::framed::fnv1a;
-
-/// Manifest file name inside a checkpoint directory.
+/// Checkpoint file name inside a checkpoint directory.
 pub const MANIFEST_NAME: &str = "checkpoint.bbck";
 
-/// On-disk format of the manifest.
+/// On-disk format of the checkpoint.
 pub const FORMAT: Format = Format {
-    version: "bbck/v1",
-    noun: "manifest",
+    version: "bbck/v2",
+    noun: "checkpoint",
     refusal: "refusing to salvage",
 };
 
@@ -113,7 +112,7 @@ pub struct CampaignKey {
     pub experiments: String,
     /// Whether unit results carry rendered CSV bytes.
     pub csv: bool,
-    /// [`CODE_SCHEMA`] of the build that wrote the manifest.
+    /// [`CODE_SCHEMA`] of the build that wrote the checkpoint.
     pub code_schema: u32,
 }
 
@@ -165,16 +164,29 @@ pub struct UnitResult {
     pub files: Vec<(String, Vec<u8>)>,
 }
 
-/// A campaign checkpoint: the key plus every completed unit so far.
+impl UnitResult {
+    /// The unit's records, as appended after a checkpoint's header:
+    /// `unit {name} {files}` with its stdout, then one `file {fname}`
+    /// record per file.
+    pub fn encode(&self, name: &str) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.blob(
+            format_args!("unit {name} {}", self.files.len()),
+            self.stdout.as_bytes(),
+        );
+        for (fname, bytes) in &self.files {
+            w.blob(format_args!("file {fname}"), bytes);
+        }
+        w.finish()
+    }
+}
+
+/// A campaign's completed units, as a checkpoint holds them.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     pub key: CampaignKey,
-    /// Completed units by experiment name. `BTreeMap` so the manifest is
-    /// byte-identical regardless of completion order.
+    /// Completed units by experiment name.
     pub units: BTreeMap<String, UnitResult>,
-    /// Measurement windows completed across the campaign (progress
-    /// telemetry from the window-granular hooks, not part of the key).
-    pub windows_done: u64,
 }
 
 impl Checkpoint {
@@ -182,7 +194,6 @@ impl Checkpoint {
         Self {
             key,
             units: BTreeMap::new(),
-            windows_done: 0,
         }
     }
 
@@ -191,185 +202,139 @@ impl Checkpoint {
         self.units.insert(name.into(), unit);
     }
 
-    /// The cached result for `name`, if that unit completed.
-    pub fn get(&self, name: &str) -> Option<&UnitResult> {
-        self.units.get(name)
+    /// Record `unit` unless a different unit of that name is already
+    /// here: the same unit twice is harmless, two versions of it are not.
+    fn union(&mut self, name: &str, unit: UnitResult, source: &str) -> BbResult<()> {
+        match self.units.get(name) {
+            Some(have) if *have != unit => Err(BbError::checkpoint(format!(
+                "unit {name} differs between {source} (same key, different bytes — \
+                 corrupt checkpoint or non-deterministic build)"
+            ))),
+            Some(_) => Ok(()),
+            None => {
+                self.units.insert(name.to_string(), unit);
+                Ok(())
+            }
+        }
     }
 
-    /// Reject the manifest unless its key matches `expect` exactly, naming
-    /// the first mismatching field.
+    /// Reject the checkpoint unless its key matches `expect` exactly,
+    /// naming the first mismatching field.
     pub fn validate(&self, expect: &CampaignKey) -> BbResult<()> {
         framed::validate(&FORMAT, &self.key, expect)
     }
 
-    /// Serialize to `bbck/v1` bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    /// A checkpoint's header: format line, key, checksum.
+    pub fn header(key: &CampaignKey) -> Vec<u8> {
         let mut w = Writer::new(FORMAT.version);
-        w.key(&self.key);
-        w.field("windows_done", self.windows_done);
-        for (name, unit) in &self.units {
-            w.blob(
-                format_args!("unit {name} {}", unit.files.len()),
-                unit.stdout.as_bytes(),
-            );
-            for (fname, bytes) in &unit.files {
-                w.blob(format_args!("file {fname}"), bytes);
-            }
-        }
-        w.end()
+        w.key(key);
+        w.sum();
+        w.finish()
     }
 
-    /// Atomically write the manifest into `dir`.
-    pub fn save(&self, dir: &Path) -> BbResult<()> {
+    /// The header, then every unit in name order: the file a run that
+    /// completed its units in that order leaves behind.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Self::header(&self.key);
+        for (name, unit) in &self.units {
+            out.extend(unit.encode(name));
+        }
+        out
+    }
+
+    /// Start a fresh checkpoint in `dir` for the campaign `key`: its
+    /// header, written atomically (replacing any checkpoint there), open
+    /// for one [`UnitResult::encode`] append per completed unit.
+    pub fn create(dir: &Path, key: &CampaignKey) -> BbResult<AppendFile> {
         std::fs::create_dir_all(dir)
             .map_err(|e| BbError::io(format!("create checkpoint dir {}", dir.display()), e))?;
-        write_atomic_bytes(&dir.join(MANIFEST_NAME), &self.encode())
+        AppendFile::create(&dir.join(MANIFEST_NAME), &Self::header(key))
     }
 
-    /// Load and parse the manifest from `dir`. Parse/checksum failures are
-    /// [`BbError::Checkpoint`]; a missing file is [`BbError::Io`].
-    pub fn load(dir: &Path) -> BbResult<Checkpoint> {
-        Self::decode(&framed::read(dir, MANIFEST_NAME)?)
+    /// Pick up the checkpoint in `dir` for the campaign `key`: its units,
+    /// the bytes of the torn tail cut from the file (`0` if none), and the
+    /// file open for appends after the last whole unit. A stale key or
+    /// damaged bytes is an error, and the file is left as it was.
+    pub fn resume(dir: &Path, key: &CampaignKey) -> BbResult<(Checkpoint, u64, AppendFile)> {
+        let bytes = framed::read(dir, MANIFEST_NAME)?;
+        let (ck, intact) = Self::decode(&bytes)?;
+        ck.validate(key)?;
+        let torn = (bytes.len() - intact) as u64;
+        let file = AppendFile::reopen(&dir.join(MANIFEST_NAME), intact as u64, torn > 0)?;
+        Ok((ck, torn, file))
     }
 
-    /// Like [`Checkpoint::load`], but a manifest whose trailing record is
-    /// cut off at EOF loads the valid prefix instead of failing (see
-    /// [`Checkpoint::decode_salvaging`]).
-    pub fn load_salvaging(dir: &Path) -> BbResult<(Checkpoint, Option<Salvage>)> {
-        Self::decode_salvaging(&framed::read(dir, MANIFEST_NAME)?)
+    /// Load the checkpoint in `dir` and the bytes of its torn tail (`0`
+    /// for a whole file). A missing file is [`BbError::Io`].
+    pub fn load(dir: &Path) -> BbResult<(Checkpoint, u64)> {
+        let bytes = framed::read(dir, MANIFEST_NAME)?;
+        let (ck, intact) = Self::decode(&bytes)?;
+        Ok((ck, (bytes.len() - intact) as u64))
     }
 
-    /// Parse `bbck/v1` bytes. Any damage — truncation included — is an
-    /// error; use [`Checkpoint::decode_salvaging`] to recover the valid
-    /// prefix of a torn manifest.
-    pub fn decode(bytes: &[u8]) -> BbResult<Checkpoint> {
-        let (ck, salvage) = Self::decode_salvaging(bytes)?;
-        salvage.map_or(Ok(ck), |s| {
-            Err(BbError::checkpoint(format!(
-                "truncated manifest ({})",
-                s.dropped
-            )))
-        })
-    }
-
-    /// Parse `bbck/v1` bytes, salvaging a torn tail.
-    ///
-    /// Truncation at EOF is the one kind of damage the format can prove
-    /// harmless to recover from: records are appended in sorted order and
-    /// every blob is length-prefixed, so a cut manifest is a valid prefix
-    /// followed by one incomplete trailing record. That record is dropped
-    /// and described in the returned [`Salvage`]; the kept units all passed
-    /// their checksums. Damage *within* the data — a checksum mismatch, a
-    /// malformed line with its bytes fully present, a torn header — is
-    /// still an error: replaying corrupt bytes would break byte-identity.
-    pub fn decode_salvaging(bytes: &[u8]) -> BbResult<(Checkpoint, Option<Salvage>)> {
+    /// Parse `bbck/v2` bytes: every whole unit, and the length of the
+    /// intact prefix. A unit cut off by end of file is a torn tail and is
+    /// dropped (see the module docs); any other damage — a torn or
+    /// checksum-failing header included — is an error naming its byte
+    /// offset.
+    pub fn decode(bytes: &[u8]) -> BbResult<(Checkpoint, usize)> {
         // A torn header is never salvageable: without the full key the
-        // prefix cannot be validated.
+        // units cannot be validated.
         let mut r = Reader::open(bytes, FORMAT)?;
-        let key = r.key()?;
-        let windows_done = r.field("windows_done")?;
-        let mut units = BTreeMap::new();
-        let salvage = parse_units(&mut r, &mut units)?.map(|(start, dropped)| Salvage {
-            dropped,
-            kept_units: units.len(),
-            bytes_dropped: bytes.len() - start,
-        });
-        Ok((
-            Checkpoint {
-                key,
-                units,
-                windows_done,
-            },
-            salvage,
-        ))
+        let mut ck = Checkpoint::new(r.key()?);
+        r.sum()?;
+        let intact = r.entries(|r| {
+            let Some((name, unit)) = read_unit(r)? else { return Ok(None) };
+            ck.union(&name, unit, "records of one checkpoint")?;
+            Ok(Some(()))
+        })?;
+        Ok((ck, intact))
     }
 }
 
-/// What [`Checkpoint::decode_salvaging`] recovered from a torn manifest:
-/// the valid prefix was kept, one incomplete trailing record was dropped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Salvage {
-    /// Human-readable description of the torn trailing record.
-    pub dropped: String,
-    /// Units that survived in the valid prefix (all checksums verified).
-    pub kept_units: usize,
-    /// Bytes discarded from the tail of the manifest.
-    pub bytes_dropped: usize,
-}
-
-impl std::fmt::Display for Salvage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "kept {} unit(s), dropped torn trailing record ({}; {} bytes discarded)",
-            self.kept_units, self.dropped, self.bytes_dropped
-        )
-    }
-}
-
-/// Read unit records into `units` up to `end`. A trailing record that runs
-/// past EOF — truncation, the only damage
-/// [`Checkpoint::decode_salvaging`] recovers from — ends the read with its
-/// start offset and a description of what was cut. Corruption with the
-/// bytes fully present (checksum mismatch, malformed line) is an `Err`.
-fn parse_units(
-    r: &mut Reader<'_>,
-    units: &mut BTreeMap<String, UnitResult>,
-) -> BbResult<Option<(usize, String)>> {
-    loop {
-        let start = r.pos();
-        let torn = |what: &str| Ok(Some((start, format!("{what} cut at EOF"))));
-        let Some(line) = r.line_opt()? else {
-            return torn("record header");
-        };
-        if line == "end" {
-            return Ok(None);
-        }
-        let unit = framed::record(&line).and_then(|(head, len, sum)| match head[..] {
-            ["unit", name, n_files] => {
-                Some((name.to_string(), n_files.parse::<u64>().ok()?, len, sum))
-            }
+/// Read one unit's records; `None` if the file ends inside them.
+fn read_unit(r: &mut Reader<'_>) -> BbResult<Option<(String, UnitResult)>> {
+    let start = r.pos();
+    let Some(line) = r.line_opt()? else { return Ok(None) };
+    let unit = framed::record(&line).and_then(|head| match head.tokens[..] {
+        ["unit", name, n_files] => Some((name.to_string(), n_files.parse::<u64>().ok()?, head)),
+        _ => None,
+    });
+    let Some((name, n_files, head)) = unit else {
+        return Err(BbError::checkpoint(format!(
+            "expected a `unit` record at byte offset {start}, got {line:?}"
+        )));
+    };
+    let Some(stdout) = r.blob(&head, &format!("stdout of unit {name}"))? else {
+        return Ok(None);
+    };
+    let stdout = String::from_utf8(stdout.to_vec())
+        .map_err(|_| BbError::checkpoint(format!("unit {name} stdout is not UTF-8")))?;
+    // The file count comes off the file: files are read one record at a
+    // time, never preallocated from it.
+    let mut files = Vec::new();
+    for _ in 0..n_files {
+        let at = r.pos();
+        let Some(fline) = r.line_opt()? else { return Ok(None) };
+        let file = framed::record(&fline).and_then(|head| match head.tokens[..] {
+            ["file", fname] => Some((fname, head)),
             _ => None,
         });
-        let Some((name, n_files, len, sum)) = unit else {
+        let Some((fname, head)) = file else {
             return Err(BbError::checkpoint(format!(
-                "expected `unit` or `end`, got {line:?}"
+                "expected `file` in unit {name} at byte offset {at}, got {fline:?}"
             )));
         };
-        let what = format!("stdout of unit {name}");
-        let Some(stdout) = r.blob(len, sum, &what)? else {
-            return torn(&what);
+        let Some(blob) = r.blob(&head, &format!("file {fname} of unit {name}"))? else {
+            return Ok(None);
         };
-        let stdout = String::from_utf8(stdout.to_vec())
-            .map_err(|_| BbError::checkpoint(format!("unit {name} stdout is not UTF-8")))?;
-        // The file count comes off the file: files are read one record at
-        // a time, never preallocated from it.
-        let mut files = Vec::new();
-        for _ in 0..n_files {
-            let Some(fline) = r.line_opt()? else {
-                return torn(&format!("file record of unit {name}"));
-            };
-            let file = framed::record(&fline).and_then(|(head, len, sum)| match head[..] {
-                ["file", fname] => Some((fname, len, sum)),
-                _ => None,
-            });
-            let Some((fname, len, sum)) = file else {
-                return Err(BbError::checkpoint(format!(
-                    "expected `file` in unit {name}, got {fline:?}"
-                )));
-            };
-            let what = format!("file {fname} of unit {name}");
-            let Some(blob) = r.blob(len, sum, &what)? else {
-                return torn(&what);
-            };
-            files.push((fname.to_string(), blob.to_vec()));
-        }
-        units.insert(name, UnitResult { stdout, files });
+        files.push((fname.to_string(), blob.to_vec()));
     }
+    Ok(Some((name, UnitResult { stdout, files })))
 }
 
 /// Per-shard liveness record for orchestrated runs: progress counters plus
-/// a wall timestamp, rewritten next to the manifest every few thousand
+/// a wall timestamp, rewritten next to the checkpoint every few thousand
 /// measurement windows. Advisory telemetry only — the orchestrator detects
 /// a hung shard by watching the *content* stop changing against its own
 /// monotonic clock, so nothing ever parses it.
@@ -410,9 +375,8 @@ impl Heartbeat {
     /// reader never sees a half-written record). Deliberately *not* fsynced:
     /// a heartbeat is a liveness signal consumed by a live watcher on the
     /// same system, where rename alone guarantees readers see whole records
-    /// — durability after power loss buys nothing, and paying the manifest
-    /// writer's sync cost every beat would make heartbeats expensive enough
-    /// to throttle.
+    /// — durability after power loss buys nothing, and paying an fsync
+    /// every beat would make heartbeats expensive enough to throttle.
     ///
     /// Concurrent savers are safe: each call writes its own temp file
     /// (pid plus a process-wide counter), so two beats racing in one
@@ -446,43 +410,32 @@ impl Heartbeat {
 
 /// Stitch shard checkpoints back into one campaign checkpoint.
 ///
-/// Every shard of a `repro all --shard i/N` run writes a standard `bbck/v1`
-/// manifest whose key names the **full** selected experiment list (not the
-/// shard's slice), so shards of the same campaign carry identical keys and
-/// a shard of a *different* campaign can never slip in. The merge enforces:
+/// Every shard of a `repro all --shard i/N` run writes a standard `bbck/v2`
+/// checkpoint whose key names the **full** selected experiment list (not
+/// the shard's slice), so shards of the same campaign carry identical keys
+/// and a shard of a *different* campaign can never slip in. The merge is a
+/// union keyed by unit name, and enforces:
 ///
 /// * all shard keys identical, and written by this build's
 ///   [`CODE_SCHEMA`] (first mismatching field named),
 /// * units present in more than one shard byte-identical across them,
 /// * together the shards cover every experiment in the key.
 ///
-/// The result is exactly the checkpoint a single unsharded `--checkpoint`
-/// run would have written: same key, same units, `windows_done` summed.
+/// The result holds exactly the units a single unsharded `--checkpoint`
+/// run would have written, under the same key.
 pub fn merge_shards(shards: &[Checkpoint]) -> BbResult<Checkpoint> {
     let first = shards
         .first()
-        .ok_or_else(|| BbError::checkpoint("no shard manifests to merge"))?;
+        .ok_or_else(|| BbError::checkpoint("no shard checkpoints to merge"))?;
     first.validate(&CampaignKey {
         code_schema: CODE_SCHEMA,
         ..first.key.clone()
     })?;
-    for s in &shards[1..] {
-        s.validate(&first.key)?;
-    }
     let mut merged = Checkpoint::new(first.key.clone());
     for s in shards {
-        merged.windows_done += s.windows_done;
+        s.validate(&first.key)?;
         for (name, unit) in &s.units {
-            if merged.units.get(name).is_some_and(|have| have != unit) {
-                return Err(BbError::checkpoint(format!(
-                    "unit {name} differs between shards (same key, different \
-                     bytes — corrupt shard or non-deterministic build)"
-                )));
-            }
-            merged
-                .units
-                .entry(name.clone())
-                .or_insert_with(|| unit.clone());
+            merged.union(name, unit.clone(), "shards")?;
         }
     }
     let missing = first.key.missing(|e| merged.units.contains_key(e));
@@ -505,7 +458,6 @@ mod tests {
 
     fn sample() -> Checkpoint {
         let mut ck = Checkpoint::new(key());
-        ck.windows_done = 1234;
         ck.record(
             "fig1",
             UnitResult {
@@ -527,37 +479,19 @@ mod tests {
         ck
     }
 
+    fn decode_whole(bytes: &[u8]) -> BbResult<Checkpoint> {
+        let (ck, intact) = Checkpoint::decode(bytes)?;
+        assert_eq!(intact, bytes.len(), "no torn tail expected");
+        Ok(ck)
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let ck = sample();
-        let decoded = Checkpoint::decode(&ck.encode()).unwrap();
+        let decoded = decode_whole(&ck.encode()).unwrap();
         assert_eq!(decoded.key, ck.key);
-        assert_eq!(decoded.windows_done, 1234);
         assert_eq!(decoded.units, ck.units);
-    }
-
-    #[test]
-    fn encoding_is_deterministic_regardless_of_insertion_order() {
-        let a = sample();
-        let mut b = Checkpoint::new(key());
-        b.windows_done = 1234;
-        // Insert in the opposite order.
-        for name in ["calib", "fig1"] {
-            b.record(name, a.units[name].clone());
-        }
-        assert_eq!(a.encode(), b.encode());
-    }
-
-    #[test]
-    fn save_load_via_atomic_writer() {
-        let dir = std::env::temp_dir().join(format!("bb_ckpt_test_{}", std::process::id()));
-        let ck = sample();
-        ck.save(&dir).unwrap();
-        assert!(!dir.join(format!("{MANIFEST_NAME}.tmp")).exists());
-        let loaded = Checkpoint::load(&dir).unwrap();
-        assert_eq!(loaded.units, ck.units);
-        loaded.validate(&key()).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(decoded.encode(), ck.encode());
     }
 
     #[test]
@@ -587,88 +521,33 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_blob_is_rejected_by_checksum() {
-        let ck = sample();
-        let mut bytes = ck.encode();
-        // Flip a byte inside the fig1.csv payload.
-        let needle = b"point,1,0.5";
-        let at = bytes
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .unwrap();
-        bytes[at] ^= 0x20;
-        let err = Checkpoint::decode(&bytes).unwrap_err().to_string();
-        assert!(err.contains("checksum mismatch"), "{err}");
-    }
-
-    #[test]
-    fn truncated_manifest_is_rejected() {
-        let bytes = sample().encode();
-        for cut in [bytes.len() - 5, bytes.len() / 2, 3] {
-            assert!(
-                Checkpoint::decode(&bytes[..cut]).is_err(),
-                "cut at {cut} must not parse"
-            );
-        }
-    }
-
-    #[test]
-    fn torn_trailing_record_is_salvaged() {
+    fn torn_tail_drops_only_the_cut_unit() {
         let ck = sample();
         let bytes = ck.encode();
-
-        // Intact manifest: no salvage, everything kept.
-        let (full, salvage) = Checkpoint::decode_salvaging(&bytes).unwrap();
-        assert!(salvage.is_none());
-        assert_eq!(full.units, ck.units);
-
-        // Cut inside the trailing unit's last blob: the valid prefix
-        // (calib — units are sorted, fig1 is trailing) survives.
-        let (pre, salvage) = Checkpoint::decode_salvaging(&bytes[..bytes.len() - 5]).unwrap();
-        let salvage = salvage.expect("torn tail must be reported");
-        assert_eq!(salvage.kept_units, 1);
-        assert!(pre.units.contains_key("calib"));
-        assert!(!pre.units.contains_key("fig1"));
-        assert_eq!(pre.key, ck.key);
-        assert!(salvage.bytes_dropped > 0);
-
-        // Cut exactly before the `end` marker: all units survive, only the
-        // terminator record is reported dropped.
-        let (all, salvage) = Checkpoint::decode_salvaging(&bytes[..bytes.len() - 4]).unwrap();
-        assert_eq!(all.units, ck.units);
-        let salvage = salvage.expect("missing end marker is a torn tail");
-        assert_eq!(salvage.kept_units, 2);
-        assert!(salvage.dropped.contains("cut at EOF"), "{}", salvage.dropped);
-
-        // Every cut point after the header yields a valid (possibly empty)
-        // prefix, never an error.
-        let header_len = bytes
-            .windows(5)
-            .position(|w| w == b"unit ")
-            .unwrap();
-        for cut in header_len..bytes.len() {
-            let (pre, _) = Checkpoint::decode_salvaging(&bytes[..cut])
+        let header = Checkpoint::header(&ck.key).len();
+        // Units are encoded in name order: calib, then fig1.
+        let calib_end = bytes.windows(10).position(|w| w == b"unit fig1 ").unwrap();
+        for cut in header..bytes.len() {
+            let (pre, intact) = Checkpoint::decode(&bytes[..cut])
                 .unwrap_or_else(|e| panic!("cut at {cut} must salvage, got {e}"));
-            assert!(pre.units.len() <= 2);
+            let want: &[&str] = if cut < calib_end { &[] } else { &["calib"] };
+            assert_eq!(pre.units.keys().collect::<Vec<_>>(), want, "cut at {cut}");
+            assert_eq!(intact, if cut < calib_end { header } else { calib_end });
+            assert_eq!(pre.key, ck.key);
         }
-
         // A torn *header* is not salvageable: without the full key the
-        // prefix cannot be validated against the campaign.
-        assert!(Checkpoint::decode_salvaging(&bytes[..3]).is_err());
-        assert!(Checkpoint::decode_salvaging(b"bbck/v1\nseed 42\n").is_err());
+        // units cannot be validated against the campaign.
+        for cut in [3, 10, header - 1] {
+            assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
-    fn zero_length_manifest_is_rejected_with_diagnosis() {
-        for decode in [
-            Checkpoint::decode(b"").map(|_| ()),
-            Checkpoint::decode_salvaging(b"").map(|_| ()),
-        ] {
-            let err = decode.unwrap_err().to_string();
-            assert!(err.contains("empty"), "{err}");
-            assert!(err.contains("0 bytes"), "{err}");
-            assert!(err.contains("byte offset 0"), "{err}");
-        }
+    fn zero_length_checkpoint_is_rejected_with_diagnosis() {
+        let err = Checkpoint::decode(b"").unwrap_err().to_string();
+        assert!(err.contains("empty"), "{err}");
+        assert!(err.contains("0 bytes"), "{err}");
+        assert!(err.contains("byte offset 0"), "{err}");
     }
 
     #[test]
@@ -678,61 +557,108 @@ mod tests {
         // where the parser stood when it ran out of newline.
         let err = Checkpoint::decode(&bytes[..10]).unwrap_err().to_string();
         assert!(err.contains("byte offset 8"), "{err}");
-        let err = Checkpoint::decode_salvaging(&bytes[..10])
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("byte offset 8"), "{err}");
+    }
+
+    #[test]
+    fn flipped_header_digit_is_rejected_with_offset() {
+        let bytes = sample().encode();
+        let mut bad = bytes.clone();
+        bad["bbck/v2\nseed 4".len()] ^= 1; // `seed 42` → `seed 43`
+        let err = Checkpoint::decode(&bad).unwrap_err().to_string();
+        assert!(err.contains("header checksum mismatch"), "{err}");
+        let sum_at = Checkpoint::header(&key()).len() - "sum 0123456789abcdef\n".len();
+        assert!(err.contains(&format!("byte offset {sum_at}")), "{err}");
     }
 
     #[test]
     fn checksum_mismatch_names_the_byte_offset() {
         let ck = sample();
         let bytes = ck.encode();
-        // Corrupt the *first* byte of each blob, so the last preceding
-        // newline is the record-header line's terminator and the expected
-        // blob offset can be computed independently of the parser.
-        for (needle, expect_unit) in [
-            (b"series,x,y".as_slice(), "file fig1.csv"),
-            (b"Figure 1".as_slice(), "stdout of unit fig1"),
+        // Corrupt the first byte of a blob, or a byte of its record's head
+        // (`fig1` → `fig3` in `unit fig1`, `fig1.csv` → `fig3.csv`): the
+        // checksum covers both. The blob starts after the record line.
+        for (needle, skip, expect) in [
+            (&b"series,x,y"[..], 0, "file fig1.csv of unit fig1"),
+            (b"Figure 1", 0, "stdout of unit fig1"),
+            (b"unit fig1 ", 8, "stdout of unit fig3"),
+            (b"file fig1.csv", 8, "file fig3.csv of unit fig1"),
         ] {
             let mut corrupt = bytes.clone();
             let at = corrupt
                 .windows(needle.len())
                 .position(|w| w == needle)
-                .unwrap();
-            corrupt[at] ^= 0x20;
-            // The corrupted byte sits inside the blob, so the reported
-            // blob offset must be at or before it.
-            let blob_start = corrupt[..at].iter().rposition(|&b| b == b'\n').unwrap() + 1;
-            for decode in [
-                Checkpoint::decode(&corrupt).map(|_| ()),
-                Checkpoint::decode_salvaging(&corrupt).map(|_| ()),
-            ] {
-                let err = decode.unwrap_err().to_string();
-                assert!(err.contains(expect_unit), "{err}");
-                assert!(
-                    err.contains(&format!("byte offset {blob_start}")),
-                    "expected offset {blob_start} in: {err}"
-                );
-                assert!(err.contains("mid-file corruption"), "{err}");
-            }
+                .unwrap()
+                + skip;
+            corrupt[at] ^= 0x02;
+            let line_at = corrupt[..at].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+            let blob_at = if skip == 0 {
+                line_at
+            } else {
+                at + corrupt[at..].iter().position(|&b| b == b'\n').unwrap() + 1
+            };
+            let err = Checkpoint::decode(&corrupt).unwrap_err().to_string();
+            assert!(err.contains("checksum mismatch"), "{err}");
+            assert!(err.contains(expect), "{err}");
+            assert!(
+                err.contains(&format!("blob at byte offset {blob_at}")),
+                "expected offset {blob_at} in: {err}"
+            );
+            assert!(err.contains("mid-file corruption"), "{err}");
         }
     }
 
     #[test]
-    fn corruption_is_not_salvaged() {
+    fn conflicting_duplicate_unit_is_rejected() {
         let ck = sample();
         let mut bytes = ck.encode();
-        // Checksum mismatch with the bytes fully present: damage, not
-        // truncation — salvaging decode must reject it like strict decode.
-        let needle = b"point,1,0.5";
-        let at = bytes
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .unwrap();
-        bytes[at] ^= 0x20;
-        let err = Checkpoint::decode_salvaging(&bytes).unwrap_err().to_string();
-        assert!(err.contains("checksum mismatch"), "{err}");
+        // The same unit twice is harmless; two versions of it are not.
+        let twice = [bytes.clone(), ck.units["calib"].encode("calib")].concat();
+        assert_eq!(decode_whole(&twice).unwrap().units, ck.units);
+        let other = UnitResult {
+            stdout: "other".into(),
+            files: vec![],
+        };
+        bytes.extend(other.encode("calib"));
+        let err = Checkpoint::decode(&bytes).unwrap_err().to_string();
+        assert!(err.contains("unit calib differs"), "{err}");
+    }
+
+    #[test]
+    fn log_appends_units_and_resume_truncates_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("bb_ckpt_log_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ck = sample();
+        let mut log = Checkpoint::create(&dir, &key()).unwrap();
+        for (name, unit) in &ck.units {
+            log.append(&[&unit.encode(name)]).unwrap();
+        }
+        drop(log);
+        let path = dir.join(MANIFEST_NAME);
+        assert_eq!(std::fs::read(&path).unwrap(), ck.encode());
+        assert!(!dir.join(format!("{MANIFEST_NAME}.tmp")).exists());
+
+        // Tear the last unit: resume keeps calib, cuts the file back to it,
+        // and appends after it.
+        let bytes = ck.encode();
+        std::fs::write(&path, &bytes[..bytes.len() - 16]).unwrap();
+        let (pre, torn, mut log) = Checkpoint::resume(&dir, &key()).unwrap();
+        assert_eq!(pre.units.keys().collect::<Vec<_>>(), ["calib"]);
+        let calib_end = bytes.windows(10).position(|w| w == b"unit fig1 ").unwrap();
+        assert_eq!(torn as usize, bytes.len() - 16 - calib_end);
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, calib_end);
+        log.append(&[&ck.units["fig1"].encode("fig1")]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        // A stale key is refused and leaves the file alone.
+        let mut other = key();
+        other.seed = 7;
+        let err = Checkpoint::resume(&dir, &other).unwrap_err().to_string();
+        assert!(err.contains("seed mismatch"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // A fresh log replaces the checkpoint with a bare header.
+        drop(Checkpoint::create(&dir, &key()).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), Checkpoint::header(&key()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -793,15 +719,17 @@ mod tests {
     }
 
     #[test]
-    fn wrong_format_version_is_rejected() {
-        let err = Checkpoint::decode(b"bbck/v99\n").unwrap_err().to_string();
-        assert!(err.contains("unsupported format"), "{err}");
+    fn older_format_version_is_rejected_naming_it() {
+        let mut v1 = b"bbck/v1\n".to_vec();
+        v1.extend_from_slice(&sample().encode()["bbck/v2\n".len()..]);
+        let err = Checkpoint::decode(&v1).unwrap_err().to_string();
+        assert!(err.contains("unsupported format \"bbck/v1\""), "{err}");
+        assert!(err.contains("bbck/v2"), "{err}");
     }
 
     #[test]
     fn merge_shards_reassembles_the_campaign() {
-        let full = sample(); // key covers calib,fig1,fig2 — add fig2 first
-        let mut full = full;
+        let mut full = sample(); // key covers calib,fig1,fig2 — add fig2
         full.record(
             "fig2",
             UnitResult {
@@ -810,21 +738,17 @@ mod tests {
             },
         );
         let mut a = Checkpoint::new(key());
-        a.windows_done = 100;
         a.record("calib", full.units["calib"].clone());
         a.record("fig1", full.units["fig1"].clone());
         let mut b = Checkpoint::new(key());
-        b.windows_done = 34;
         b.record("fig2", full.units["fig2"].clone());
 
         let merged = merge_shards(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(merged.units, full.units);
-        assert_eq!(merged.windows_done, 134);
-        // Order-independent (byte-identical manifest either way).
+        // Order-independent (byte-identical encoding either way).
         let again = merge_shards(&[b.clone(), a.clone()]).unwrap();
         assert_eq!(again.encode(), merged.encode());
-        // Duplicate shards are tolerated when their units agree byte-for-byte
-        // (windows_done, an advisory progress counter, double-counts).
+        // Duplicate shards are tolerated when their units agree byte-for-byte.
         let dup = merge_shards(&[b, a.clone(), a]).unwrap();
         assert_eq!(dup.units, merged.units);
     }
@@ -856,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_manifest_is_io_not_checkpoint() {
+    fn missing_checkpoint_is_io_not_checkpoint() {
         let err = Checkpoint::load(Path::new("/nonexistent_bb_ckpt")).unwrap_err();
         assert!(matches!(err, BbError::Io { .. }), "{err:?}");
     }

@@ -28,11 +28,11 @@ pub enum BbError {
         /// Minimum the analysis needs.
         needed: usize,
     },
-    /// A checkpoint manifest could not be used: stale key, corrupt blob,
-    /// unsupported format version. Stale checkpoints are *rejected*, never
+    /// A persisted file (checkpoint, snapshot, journal) could not be used:
+    /// stale key, corrupt blob, unsupported format version. Stale checkpoints are *rejected*, never
     /// silently reused, so the reason spells out which field mismatched.
     Checkpoint {
-        /// Why the manifest was rejected.
+        /// Why the file was rejected.
         reason: String,
     },
     /// The caller asked for something the inputs cannot satisfy — an

@@ -17,15 +17,15 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of durable writes. Every writer that must never
-/// tear a file — CSV exports, checkpoint manifests, serve snapshots,
-/// heartbeats — and every serve journal append bumps this exactly once per
-/// attempt, which is what makes the `BB_INJECT` `enospc:N` fault below
-/// deterministic at `--jobs 1`.
+/// tear a file — CSV exports, checkpoint and journal headers, serve
+/// snapshots, heartbeats — and every [`AppendFile::append`] bumps this
+/// exactly once per attempt, which is what makes the `BB_INJECT`
+/// `enospc:N` fault below deterministic at `--jobs 1`.
 static DURABLE_WRITES: AtomicU64 = AtomicU64::new(0);
 
 /// Deterministic disk-full injection point, consulted by every atomic
-/// writer before it creates its temp file and by [`append_synced`] before
-/// it writes. Failing *before* the first filesystem touch is the strictest
+/// writer before it creates its temp file and by [`AppendFile::append`]
+/// before it writes. Failing *before* the first filesystem touch is the strictest
 /// fail-closed shape: the prior artifact at `path` is untouched, no `.tmp`
 /// sibling is left behind, and no rename can tear. Returns the injected error on the `enospc:N` write, `None`
 /// otherwise.
@@ -54,8 +54,9 @@ pub fn csv_field(s: &str) -> String {
 /// The temp file lives in the same directory as `path` (renames across
 /// filesystems are not atomic), named after the target with a `.tmp`
 /// suffix so concurrent exports to different files never collide. Shared
-/// by the CSV exporters, the checkpoint manifest writer, and the harness's
-/// replay path — everything that must never leave a torn file behind.
+/// by the CSV exporters, the checkpoint and journal headers, the serve
+/// snapshots, and the harness's replay path — everything that must never
+/// leave a torn file behind.
 ///
 /// Durability ladder: the temp file is fsynced before the rename (so the
 /// new name can never point at unwritten blocks), and the containing
@@ -95,24 +96,64 @@ pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> BbResult<()> {
     Ok(())
 }
 
-/// Append `parts` to `file` (opened for append at `path`) and `sync_data`
-/// it — the serve journal's one non-atomic write. A crash mid-append
-/// leaves a torn tail for the reader to salvage; an injected ENOSPC fails
-/// before anything is written.
-pub(crate) fn append_synced(
-    file: &mut std::fs::File,
-    path: &Path,
-    parts: &[&[u8]],
-) -> BbResult<()> {
-    if let Some(e) = injected_enospc(path) {
-        return Err(e);
+/// An append-only file — a campaign checkpoint or a serve journal — open
+/// for synced appends. It is created whole by [`write_atomic_bytes`] and
+/// then only grows: [`AppendFile::append`] is its one non-atomic write.
+#[derive(Debug)]
+pub struct AppendFile {
+    file: std::fs::File,
+    path: std::path::PathBuf,
+    len: u64,
+}
+
+impl AppendFile {
+    /// Atomically write `bytes` as `path`, then open it for appends.
+    pub fn create(path: &Path, bytes: &[u8]) -> BbResult<Self> {
+        write_atomic_bytes(path, bytes)?;
+        Self::reopen(path, bytes.len() as u64, false)
     }
-    for part in parts {
-        file.write_all(part)
-            .map_err(|e| BbError::io(format!("append {}", path.display()), e))?;
+
+    /// Open `path` for appends after its first `intact` bytes, cutting a
+    /// `torn` tail past them (a crash mid-append) away and syncing the cut.
+    pub fn reopen(path: &Path, intact: u64, torn: bool) -> BbResult<Self> {
+        let io = |what: &str, e| BbError::io(format!("{what} {}", path.display()), e);
+        let file = std::fs::OpenOptions::new().append(true).open(path);
+        let file = file.map_err(|e| io("open", e))?;
+        if torn {
+            file.set_len(intact)
+                .and_then(|()| file.sync_data())
+                .map_err(|e| io("truncate", e))?;
+        }
+        Ok(AppendFile {
+            file,
+            path: path.to_path_buf(),
+            len: intact,
+        })
     }
-    file.sync_data()
-        .map_err(|e| BbError::io(format!("sync {}", path.display()), e))
+
+    /// Bytes in the file, torn tail excluded.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Append `parts` and `sync_data` the file. A crash mid-append leaves a
+    /// torn tail for the reader to drop; an injected ENOSPC fails before
+    /// anything is written.
+    pub fn append(&mut self, parts: &[&[u8]]) -> BbResult<()> {
+        if let Some(e) = injected_enospc(&self.path) {
+            return Err(e);
+        }
+        let path = self.path.display();
+        for part in parts {
+            self.file
+                .write_all(part)
+                .map_err(|e| BbError::io(format!("append {path}"), e))?;
+            self.len += part.len() as u64;
+        }
+        self.file
+            .sync_data()
+            .map_err(|e| BbError::io(format!("sync {path}"), e))
+    }
 }
 
 /// Coverage disclosure as a leading `#` comment line, so CSV consumers can

@@ -1,12 +1,24 @@
-//! The one codec behind every text-framed file: `bbck/v1` checkpoint
-//! manifests, `bbsn/v1` serve snapshots and `bbhb/v1` heartbeats. A file is
-//! a format line, `name value` fields (its [`Key`] first), blob records
-//! `{head} {len} {fnv64:016x}\n<len raw bytes>\n`, and `end` (heartbeats
-//! have none). The [`Reader`] fails closed: lengths are checked against
-//! the bytes left without overflowing, nothing is preallocated from a
-//! count read off the file, and every error names what was bad — for a
-//! blob, its byte offset. A blob cut off by end of file is `None`, so the
-//! caller decides whether a torn tail is salvaged or refused.
+//! The one codec behind every text-framed file: `bbck/v2` campaign
+//! checkpoints, `bbsn/v2` serve snapshots, `bbjn/v2` serve journals and
+//! (fields only) `bbhb/v1` heartbeats:
+//!
+//! ```text
+//! bbck/v2                    ← format line
+//! seed 42                    ← `name value` fields, the [`Key`] first
+//! sum 5d1c...                ← fnv64 of every header byte above
+//! unit fig1 1 812 c0ffee...  ← blob record: head, length, and the fnv64
+//! <812 raw bytes>\n             of this line up to it, then of the blob
+//! ```
+//!
+//! The [`Reader`] fails closed: lengths are checked against the bytes left
+//! without overflowing, nothing is preallocated from a count read off the
+//! file, and every error names what was bad and its byte offset.
+//!
+//! **The torn-tail rule.** An append-only file (a checkpoint, a journal)
+//! may end in an entry cut off by a crash mid-append. [`Reader::entries`]
+//! stops at it and returns where the intact prefix ends, for a resume to
+//! truncate the file to; damage with the bytes fully present is an error.
+//! An atomic file (a snapshot) has no torn tail: a cut blob is an error.
 
 use crate::error::{BbError, BbResult};
 use std::fmt::Display;
@@ -14,10 +26,11 @@ use std::io::Write as _;
 use std::path::Path;
 use std::str::FromStr;
 
-/// FNV-1a 64-bit hash — the checksum guarding every blob.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash of the concatenated `parts` — the checksum guarding
+/// every header and record.
+pub fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().flat_map(|p| p.iter()) {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -28,7 +41,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Format {
     pub version: &'static str,
-    /// What errors call the file (`manifest`, `snapshot`).
+    /// What errors call the file (`checkpoint`, `snapshot`).
     pub noun: &'static str,
     /// How errors say that damage is not recovered from.
     pub refusal: &'static str,
@@ -106,7 +119,9 @@ pub fn validate<K: Key>(format: &Format, have: &K, want: &K) -> BbResult<()> {
     )))
 }
 
-/// Builds a framed file in memory.
+/// Builds a framed file in memory (`default()`: records to append after a
+/// header already on disk).
+#[derive(Default)]
 pub struct Writer(Vec<u8>);
 
 impl Writer {
@@ -125,6 +140,12 @@ impl Writer {
         for (name, text) in values(key) {
             self.field(name, text);
         }
+    }
+
+    /// Close the header: a `sum` line checksumming every byte so far.
+    pub fn sum(&mut self) {
+        let sum = fnv1a(&[&self.0]);
+        self.field("sum", format_args!("{sum:016x}"));
     }
 
     /// A blob record: `{head} {len} {fnv}`, the raw bytes, then `\n`.
@@ -146,9 +167,11 @@ impl Writer {
     }
 }
 
-/// The line announcing a blob record: `{head} {len} {fnv}\n`.
-pub(crate) fn blob_head(head: impl Display, bytes: &[u8]) -> String {
-    format!("{head} {} {:016x}\n", bytes.len(), fnv1a(bytes))
+/// The line announcing a blob record: `{head} {len} {fnv}\n`, the
+/// checksum taken over the line up to it, then the blob.
+pub fn blob_head(head: impl Display, bytes: &[u8]) -> String {
+    let covered = format!("{head} {} ", bytes.len());
+    format!("{covered}{:016x}\n", fnv1a(&[covered.as_bytes(), bytes]))
 }
 
 /// Read `dir/name`; a missing file is [`BbError::Io`].
@@ -157,13 +180,25 @@ pub fn read(dir: &Path, name: &str) -> BbResult<Vec<u8>> {
     std::fs::read(&path).map_err(|e| BbError::io(format!("read {}", path.display()), e))
 }
 
-/// Split a blob record line into its head's space-separated tokens and
-/// the blob's length and checksum; `None` if the line is not one.
-pub fn record(line: &str) -> Option<(Vec<&str>, usize, u64)> {
-    let mut tok = line.rsplitn(3, ' ');
-    let sum = u64::from_str_radix(tok.next()?, 16).ok()?;
-    let len = tok.next()?.parse().ok()?;
-    Some((tok.next()?.split(' ').collect(), len, sum))
+/// A blob record's line, split: the head's space-separated tokens
+/// (`unit`, `fig1`, `1`), the blob's length and the record checksum.
+pub struct Head<'l> {
+    pub tokens: Vec<&'l str>,
+    pub len: usize,
+    covered: &'l str,
+    sum: u64,
+}
+
+/// Split a blob record line; `None` if the line is not one.
+pub fn record(line: &str) -> Option<Head<'_>> {
+    let (head, sum) = line.rsplit_once(' ')?;
+    let (tokens, len) = head.rsplit_once(' ')?;
+    Some(Head {
+        tokens: tokens.split(' ').collect(),
+        len: len.parse().ok()?,
+        covered: &line[..head.len() + 1],
+        sum: u64::from_str_radix(sum, 16).ok()?,
+    })
 }
 
 /// Parses a framed file (see the module docs).
@@ -230,16 +265,31 @@ impl<'a> Reader<'a> {
 
     /// Header line `{name} {value}` into `v`.
     fn set(&mut self, name: &str, v: &mut dyn Field) -> BbResult<()> {
+        let at = self.pos;
         let line = self.line()?;
         match line.split_once(' ') {
             Some((key, text)) if key == name && v.set(text) => Ok(()),
-            Some((key, text)) if key == name => {
-                Err(BbError::checkpoint(format!("bad {name} value {text:?}")))
-            }
+            Some((key, text)) if key == name => Err(BbError::checkpoint(format!(
+                "bad {name} value {text:?} at byte offset {at}"
+            ))),
             _ => Err(BbError::checkpoint(format!(
-                "expected {name} line, got {line:?}"
+                "expected {name} line at byte offset {at}, got {line:?}"
             ))),
         }
+    }
+
+    /// The `sum` line closing the header: the checksum of every byte
+    /// before it. A mismatch means a damaged header field.
+    pub fn sum(&mut self) -> BbResult<()> {
+        let at = self.pos;
+        if self.field::<String>("sum")? == format!("{:016x}", fnv1a(&[&self.bytes[..at]])) {
+            return Ok(());
+        }
+        let Format { noun, refusal, .. } = self.format;
+        Err(BbError::checkpoint(format!(
+            "header checksum mismatch: the {noun} header (bytes 0..{at}) does not \
+             match its sum line at byte offset {at} — a damaged header field, {refusal}"
+        )))
     }
 
     /// Header line `{name} {value}`, value parsed.
@@ -256,16 +306,19 @@ impl<'a> Reader<'a> {
         Ok(key)
     }
 
-    /// The blob a record announced: `len` bytes and a `\n`, checked
-    /// against `sum`; `None` if the file ends first. A length no file can
-    /// hold, a missing terminator or a checksum mismatch is an error
-    /// naming `what` and the blob's byte offset.
-    pub fn blob(&mut self, len: usize, sum: u64, what: &str) -> BbResult<Option<&'a [u8]>> {
-        let at = self.pos;
+    /// The blob `head` announced: `len` bytes and a `\n`, checked against
+    /// the record's checksum; `None` if the file ends first. A length no
+    /// file can hold, a missing terminator or a checksum mismatch is an
+    /// error naming `what`, the blob's byte offset and its record line's.
+    pub fn blob(&mut self, head: &Head<'_>, what: &str) -> BbResult<Option<&'a [u8]>> {
+        let (at, len) = (self.pos, head.len);
         let corrupt = |why: String| {
+            let before = &self.bytes[..at.saturating_sub(1)];
+            let line = before.iter().rposition(|&b| b == b'\n');
             BbError::checkpoint(format!(
-                "{why} in {what} (blob at byte offset {at}, mid-file corruption — \
-                 not a torn tail, {})",
+                "{why} in {what} (blob at byte offset {at}, record line at byte offset {}; \
+                 mid-file corruption — not a torn tail, {})",
+                line.map_or(0, |i| i + 1),
                 self.format.refusal
             ))
         };
@@ -283,11 +336,27 @@ impl<'a> Reader<'a> {
                 "missing newline after blob (bad length?)".to_string(),
             ));
         }
-        if fnv1a(blob) != sum {
+        if fnv1a(&[head.covered.as_bytes(), blob]) != head.sum {
             return Err(corrupt("checksum mismatch".to_string()));
         }
         self.pos += len + 1;
         Ok(Some(blob))
+    }
+
+    /// Read entries until end of file — the one torn-tail rule (see the
+    /// module docs). `entry` reads one entry and returns `None` if the
+    /// file ends inside it. Returns the length of the intact prefix: the
+    /// end of the last whole entry.
+    pub fn entries(
+        &mut self,
+        mut entry: impl FnMut(&mut Self) -> BbResult<Option<()>>,
+    ) -> BbResult<usize> {
+        loop {
+            let start = self.pos;
+            if start == self.bytes.len() || entry(self)?.is_none() {
+                return Ok(start);
+            }
+        }
     }
 }
 
@@ -304,15 +373,19 @@ mod tests {
     fn sample() -> Vec<u8> {
         let mut w = Writer::new(F.version);
         w.field("seed", 42);
+        w.sum();
         w.blob("data x", b"a\nb");
         w.end()
     }
 
     #[test]
     fn writer_emits_the_framed_shape() {
-        let fnv = fnv1a(b"a\nb");
-        let want = format!("bbxx/v1\nseed 42\ndata x 3 {fnv:016x}\na\nb\nend\n");
+        let header = "bbxx/v1\nseed 42\n";
+        let sum = fnv1a(&[header.as_bytes()]);
+        let rec = fnv1a(&[b"data x 3 a\nb"]);
+        let want = format!("{header}sum {sum:016x}\ndata x 3 {rec:016x}\na\nb\nend\n");
         assert_eq!(sample(), want.into_bytes());
+        assert_eq!(fnv1a(&[b"data x ", b"3 ", b"a\nb"]), rec);
     }
 
     #[test]
@@ -320,24 +393,81 @@ mod tests {
         let bytes = sample();
         let mut r = Reader::open(&bytes, F).unwrap();
         assert_eq!(r.field::<u64>("seed").unwrap(), 42);
+        r.sum().unwrap();
         let line = r.line().unwrap();
-        let (head, len, sum) = record(&line).unwrap();
-        assert_eq!(head, ["data", "x"]);
-        assert_eq!(r.blob(len, sum, "data").unwrap(), Some(&b"a\nb"[..]));
+        let head = record(&line).unwrap();
+        assert_eq!((&head.tokens[..], head.len), (&["data", "x"][..], 3));
+        assert_eq!(r.blob(&head, "data").unwrap(), Some(&b"a\nb"[..]));
         assert_eq!(r.line_opt().unwrap().as_deref(), Some("end"));
+    }
+
+    #[test]
+    fn flipped_header_or_head_bytes_fail_their_checksum() {
+        let bytes = sample();
+        // `seed 42` → `seed 43`: still a number, so only the sum sees it.
+        let mut bad = bytes.clone();
+        bad[14] ^= 1;
+        let mut r = Reader::open(&bad, F).unwrap();
+        assert_eq!(r.field::<u64>("seed").unwrap(), 43);
+        let err = r.sum().unwrap_err().to_string();
+        assert!(err.contains("header checksum mismatch"), "{err}");
+        assert!(err.contains("byte offset 16"), "{err}");
+        // `data x` → `data y`: the head is covered by the record checksum.
+        let at = bytes.windows(6).position(|w| w == b"data x").unwrap() + 5;
+        let mut bad = bytes.clone();
+        bad[at] ^= 1;
+        let mut r = Reader::open(&bad, F).unwrap();
+        r.field::<u64>("seed").unwrap();
+        r.sum().unwrap();
+        let line = r.line().unwrap();
+        let err = r.blob(&record(&line).unwrap(), "data").unwrap_err().to_string();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        assert!(err.contains(&format!("record line at byte offset {}", at - 5)), "{err}");
     }
 
     #[test]
     fn blob_lengths_never_overflow_or_overread() {
         let bytes = sample();
+        let line = |len: usize| format!("data {len} 0000000000000000");
         for len in [usize::MAX, usize::MAX - 1, isize::MAX as usize + 1] {
             let mut r = Reader::open(&bytes, F).unwrap();
-            let err = r.blob(len, 0, "data").unwrap_err().to_string();
+            let line = line(len);
+            let err = r.blob(&record(&line).unwrap(), "data").unwrap_err().to_string();
             assert!(err.contains("impossible length"), "{err}");
             assert!(err.contains("byte offset 8"), "{err}");
         }
         let mut r = Reader::open(&bytes, F).unwrap();
-        assert_eq!(r.blob(bytes.len(), 0, "data").unwrap(), None);
+        let line = line(bytes.len());
+        assert_eq!(r.blob(&record(&line).unwrap(), "data").unwrap(), None);
+    }
+
+    #[test]
+    fn entries_stop_at_a_torn_tail() {
+        let mut w = Writer::new(F.version);
+        w.sum();
+        w.blob("n 1", b"x");
+        w.blob("n 2", b"yz");
+        let bytes = w.finish();
+        let first_end = bytes.len() - blob_head("n 2", b"yz").len() - 3;
+        let read = |bytes: &[u8]| {
+            let mut r = Reader::open(bytes, F).unwrap();
+            r.sum().unwrap();
+            let mut n = 0;
+            let intact = r
+                .entries(|r| {
+                    let Some(line) = r.line_opt()? else { return Ok(None) };
+                    let head = record(&line).unwrap();
+                    let blob = r.blob(&head, "n")?;
+                    n += usize::from(blob.is_some());
+                    Ok(blob.map(|_| ()))
+                })
+                .unwrap();
+            (n, intact)
+        };
+        assert_eq!(read(&bytes), (2, bytes.len()));
+        for cut in first_end..bytes.len() {
+            assert_eq!(read(&bytes[..cut]), (1, first_end), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -347,8 +477,8 @@ mod tests {
             err.contains("empty") && err.contains("byte offset 0"),
             "{err}"
         );
-        let err = Reader::open(b"bbxx/v2\n", F).err().unwrap().to_string();
-        assert!(err.contains("unsupported format"), "{err}");
+        let err = Reader::open(b"bbxx/v0\n", F).err().unwrap().to_string();
+        assert!(err.contains("unsupported format \"bbxx/v0\""), "{err}");
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! congestion) each study runs on; [`figures`] holds the figure data types
 //! and their ASCII rendering; [`export`] writes figure data as CSV.
 //! [`serve`] and [`snapshot`] are the streaming plane: bounded-memory
-//! campaign state and the crash-safe `bbsn/v1` epoch flushes behind
-//! `repro serve`. [`framed`] is the one codec under checkpoint manifests,
-//! snapshots and heartbeats. [`inject`] is the one registry of deliberate
+//! campaign state and the crash-safe `bbsn/v2` / `bbjn/v2` epoch flushes
+//! behind `repro serve`. [`framed`] is the one codec under campaign
+//! checkpoints, snapshots, journals and heartbeats, with the one torn-tail
+//! rule of the append-only ones. [`inject`] is the one registry of deliberate
 //! faults (`BB_INJECT`) that proves each recovery path.
 
 pub mod calibration;

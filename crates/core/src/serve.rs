@@ -18,9 +18,10 @@
 //!   declared ε and an explicit sketch-mode disclosure.
 //!
 //! Both representations serialize to a canonical binary blob
-//! ([`ServeState::encode`]) carried inside the `bbsn/v1` snapshot, and each
-//! epoch's rows to a record that [`EpochStore`] appends to the `bbjn/v1`
-//! journal ([`crate::snapshot`]). Every float crosses as raw IEEE bits, so a kill-and-resume run —
+//! ([`ServeState::encode`]) carried inside the `bbsn/v2` snapshot, and each
+//! epoch's rows to a record that [`EpochStore`] appends to the `bbjn/v2`
+//! journal ([`crate::snapshot`]). Every float crosses as raw IEEE bits, so
+//! a kill-and-resume run —
 //! snapshot decoded, journal records replayed through
 //! [`ServeState::ingest`] — reconstructs bit-identical accumulator state
 //! and its eventual output matches an uninterrupted run byte for byte.
@@ -33,7 +34,7 @@
 //! is as deterministic and resumable as everything else.
 
 use crate::error::{BbError, BbResult};
-use crate::export::append_synced;
+use crate::export::AppendFile;
 use crate::figures::{Coverage, Fig1};
 use crate::framed;
 use crate::snapshot::{
@@ -44,7 +45,6 @@ use crate::study_egress::MEANINGFUL_MS;
 use bb_measure::{SprayTarget, WindowRow};
 use bb_netsim::Window;
 use bb_stats::{Cdf, QuantileSketch};
-use std::fs::File;
 use std::path::{Path, PathBuf};
 
 /// How a serve run aggregates the window stream.
@@ -756,23 +756,11 @@ impl Resumed {
         // torn tail (if any) is cut off.
         if base == snapshot_epoch {
             let path = dir.join(JOURNAL_NAME);
-            let file = open_append(&path)?;
-            if self.torn_bytes > 0 {
-                file.set_len(journal.intact_len as u64)
-                    .and_then(|()| file.sync_data())
-                    .map_err(|e| BbError::io(format!("truncate {}", path.display()), e))?;
-            }
-            self.store.journal = Some((file, journal.intact_len as u64));
+            let torn = self.torn_bytes > 0;
+            self.store.journal = Some(AppendFile::reopen(&path, journal.intact_len as u64, torn)?);
         }
         Ok(())
     }
-}
-
-fn open_append(path: &Path) -> BbResult<File> {
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(|e| BbError::io(format!("open {}", path.display()), e))
 }
 
 /// What [`EpochStore::commit`] wrote for one epoch.
@@ -794,9 +782,9 @@ pub struct EpochStore {
     key: ServeKey,
     /// Epoch and byte size of the snapshot on disk; `None` before the first.
     snapshot: Option<(u64, u64)>,
-    /// The journal open for appends and its length; `None` when the next
-    /// record must create it (none yet, or it extends an older snapshot).
-    journal: Option<(File, u64)>,
+    /// The journal open for appends; `None` when the next record must
+    /// create it (none yet, or it extends an older snapshot).
+    journal: Option<AppendFile>,
     /// The staged epoch record, reused across epochs.
     record: Vec<u8>,
 }
@@ -837,11 +825,11 @@ impl EpochStore {
         let bytes = (head.len() + self.record.len() + 1) as u64;
         if let Some((base, snapshot_len)) = self.snapshot {
             let journal_len = match &self.journal {
-                Some((_, len)) => *len,
+                Some(journal) => journal.len(),
                 None => Journal::header(&self.key, base).len() as u64,
             };
             if journal_len + bytes <= COMPACT_RATIO * snapshot_len {
-                self.append(base, epoch, &head).map_err(|e| ("journal append", e))?;
+                self.append(base, &head).map_err(|e| ("journal append", e))?;
                 return Ok(Flush::Journal { bytes });
             }
         }
@@ -861,33 +849,22 @@ impl EpochStore {
             return Ok(Flush::Snapshot);
         }
         let header = Journal::header(&self.key, epoch);
-        let path = self.dir.join(JOURNAL_NAME);
-        let file = save_in(&self.dir, JOURNAL_NAME, &header)
-            .and_then(|()| open_append(&path))
+        let journal = AppendFile::create(&self.dir.join(JOURNAL_NAME), &header)
             .map_err(|e| ("journal reset", e))?;
-        self.journal = Some((file, header.len() as u64));
+        self.journal = Some(journal);
         Ok(Flush::Compaction)
     }
 
-    /// Append the staged record of `epoch` under its record line `head`,
-    /// creating the journal (based on snapshot epoch `base`) if the store
-    /// has none open.
-    fn append(&mut self, base: u64, epoch: u64, head: &str) -> BbResult<()> {
-        let path = self.dir.join(JOURNAL_NAME);
-        if let Some((file, len)) = &mut self.journal {
-            append_synced(file, &path, &[head.as_bytes(), &self.record, b"\n"])?;
-            *len += (head.len() + self.record.len() + 1) as u64;
-            return Ok(());
+    /// Append the staged record under its record line `head`, creating
+    /// the journal (based on snapshot epoch `base`) if the store has none
+    /// open.
+    fn append(&mut self, base: u64, head: &str) -> BbResult<()> {
+        if let Some(journal) = &mut self.journal {
+            return journal.append(&[head.as_bytes(), &self.record, b"\n"]);
         }
-        let bytes = Journal {
-            key: self.key.clone(),
-            base_epoch: base,
-            records: vec![(epoch, &self.record)],
-            intact_len: 0,
-        }
-        .encode();
-        save_in(&self.dir, JOURNAL_NAME, &bytes)?;
-        self.journal = Some((open_append(&path)?, bytes.len() as u64));
+        let header = Journal::header(&self.key, base);
+        let bytes = [&header, head.as_bytes(), &self.record, b"\n"].concat();
+        self.journal = Some(AppendFile::create(&self.dir.join(JOURNAL_NAME), &bytes)?);
         Ok(())
     }
 }

@@ -1,4 +1,4 @@
-//! Serve persistence: `bbsn/v1` snapshots and the `bbjn/v1` epoch journal.
+//! Serve persistence: `bbsn/v2` snapshots and the `bbjn/v2` epoch journal.
 //!
 //! `repro serve` advances measurement windows forever and must survive a
 //! SIGKILL at any instant without losing or corrupting results. Its serve
@@ -9,10 +9,10 @@
 //!   same atomic temp-file + fsync + rename + dir-fsync ladder as every
 //!   other artifact ([`crate::export::write_atomic_bytes`]);
 //! * `journal.bbjn` — one checksummed record per epoch flushed since that
-//!   snapshot, appended and `sync_data`ed. A record holds only what the
-//!   epoch added (its rows, as [`crate::serve::ServeState::ingest`] reads
-//!   them, and the governor's coarsening rounds), so an epoch costs
-//!   O(epoch) bytes, not O(run).
+//!   snapshot, appended and `sync_data`ed ([`crate::export::AppendFile`]).
+//!   A record holds only what the epoch added (its rows, as
+//!   [`crate::serve::ServeState::ingest`] reads them, and the governor's
+//!   coarsening rounds), so an epoch costs O(epoch) bytes, not O(run).
 //!
 //! The first epoch with no snapshot on disk writes one. Once the journal
 //! would grow past [`COMPACT_RATIO`] times the last snapshot's size, the
@@ -22,7 +22,7 @@
 //! restart resumes from them and replays forward to byte-identical
 //! eventual output.
 //!
-//! **Keying rule.** Like checkpoint manifests, a snapshot (and a journal)
+//! **Keying rule.** Like campaign checkpoints, a snapshot (and a journal)
 //! is valid only for the exact campaign that wrote it. The [`ServeKey`]
 //! pins seed, scale, fault profile, the sketch ε (as raw bits — `0` means
 //! exact mode), the epoch size, CSV capture, the governor's memory limit
@@ -34,11 +34,12 @@
 //! extending a campaign past its old horizon is the whole point of a
 //! streaming daemon, and windows already sampled are never re-sampled.
 //!
-//! **Snapshot format.** `bbsn/v1` is the [`crate::framed`] shape that
-//! `bbck/v1` also uses: the key, three counters, one state blob, `end`.
+//! **Snapshot format.** `bbsn/v2` is the [`crate::framed`] shape that
+//! `bbck/v2` also uses: the key, three counters, the header checksum, one
+//! state record, `end`.
 //!
 //! ```text
-//! bbsn/v1
+//! bbsn/v2
 //! seed 42
 //! scale test
 //! faults heavy
@@ -50,7 +51,8 @@
 //! windows_done 150
 //! epochs 6
 //! coarsenings 0
-//! state 8192 c0ffee...          ← blob length, fnv64
+//! sum 5d1c...                   ← fnv64 of the header lines above
+//! state 8192 c0ffee...          ← blob length, fnv64 of head and blob
 //! <8192 raw state bytes>\n
 //! end
 //! ```
@@ -60,29 +62,30 @@
 //! damage or foreign bytes — it is rejected outright and the daemon exits
 //! rather than resume from a state it cannot trust.
 //!
-//! **Journal format.** `bbjn/v1` is the same key, the epoch of the
-//! snapshot it extends, then one record per epoch, with no `end`:
+//! **Journal format.** `bbjn/v2` is the same key, the epoch of the
+//! snapshot it extends and the header checksum, then one record per
+//! epoch, with no `end`:
 //!
 //! ```text
-//! bbjn/v1
+//! bbjn/v2
 //! seed 42
 //! ...                           ← the snapshot's key fields
 //! code_schema 1
 //! base_epoch 6
-//! epoch 7 2320 9a1c...          ← record blob length, fnv64
+//! sum 0b7e...
+//! epoch 7 2320 9a1c...          ← record blob length, fnv64 of head and blob
 //! <2320 raw record bytes>\n
 //! epoch 8 2320 57e0...
 //! ...
 //! ```
 //!
-//! Appends are the one write that is not atomic, so a crash mid-append
-//! leaves a torn last record. [`Journal::decode`] salvages it the way
-//! [`crate::checkpoint::Checkpoint::decode_salvaging`] salvages a torn
-//! manifest: the whole records before it are kept, and the resume
-//! truncates the file to them. Damage with the bytes fully present — a
-//! checksum mismatch, a malformed record line, an epoch out of sequence —
-//! is an error. [`crate::serve::ServeState::resume`] is the one entry
-//! point a restarting daemon calls.
+//! A crash mid-append leaves a torn last record. [`Journal::decode`] reads
+//! the records under [`crate::framed`]'s one torn-tail rule, the rule a
+//! campaign checkpoint follows too: the whole records before the torn one
+//! are kept, and the resume truncates the file to them. Damage with the
+//! bytes fully present — a checksum mismatch, a malformed record line, an
+//! epoch out of sequence — is an error. [`crate::serve::ServeState::resume`]
+//! is the one entry point a restarting daemon calls.
 
 use crate::checkpoint::CODE_SCHEMA;
 use crate::error::{BbError, BbResult};
@@ -98,14 +101,14 @@ pub const JOURNAL_NAME: &str = "journal.bbjn";
 
 /// On-disk format of the snapshot.
 pub const FORMAT: Format = Format {
-    version: "bbsn/v1",
+    version: "bbsn/v2",
     noun: "snapshot",
     refusal: "refusing to resume",
 };
 
 /// On-disk format of the journal.
 pub const JOURNAL_FORMAT: Format = Format {
-    version: "bbjn/v1",
+    version: "bbjn/v2",
     noun: "journal",
     refusal: "refusing to resume",
 };
@@ -207,18 +210,19 @@ impl Snapshot {
         framed::validate(&FORMAT, &self.key, expect)
     }
 
-    /// Serialize to `bbsn/v1` bytes.
+    /// Serialize to `bbsn/v2` bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(FORMAT.version);
         w.key(&self.key);
         w.field("windows_done", self.windows_done);
         w.field("epochs", self.epochs);
         w.field("coarsenings", self.coarsenings);
+        w.sum();
         w.blob("state", &self.state);
         w.end()
     }
 
-    /// Parse `bbsn/v1` bytes. Strict: any damage — truncation included —
+    /// Parse `bbsn/v2` bytes. Strict: any damage — truncation included —
     /// is an error. Snapshots are written atomically, so there is no
     /// torn-tail case worth salvaging; a bad snapshot means the daemon
     /// must not resume from it.
@@ -228,15 +232,16 @@ impl Snapshot {
         let windows_done = r.field("windows_done")?;
         let epochs = r.field("epochs")?;
         let coarsenings = r.field("coarsenings")?;
+        r.sum()?;
         let line = r.line()?;
-        let state = framed::record(&line).filter(|(head, ..)| head == &["state"]);
-        let Some((_, len, sum)) = state else {
+        let state = framed::record(&line).filter(|head| head.tokens == ["state"]);
+        let Some(head) = state else {
             return Err(BbError::checkpoint(format!(
                 "expected the state record, got {line:?}"
             )));
         };
         let at = r.pos();
-        let state = r.blob(len, sum, "serve state")?.ok_or_else(|| {
+        let state = r.blob(&head, "serve state")?.ok_or_else(|| {
             BbError::checkpoint(format!(
                 "truncated snapshot (state blob at byte offset {at})"
             ))
@@ -258,10 +263,6 @@ impl Snapshot {
         save_in(dir, SNAPSHOT_NAME, &self.encode())
     }
 
-    /// Load the snapshot from `dir`. A missing file is [`BbError::Io`].
-    pub fn load(dir: &Path) -> BbResult<Snapshot> {
-        Self::decode(&framed::read(dir, SNAPSHOT_NAME)?)
-    }
 }
 
 /// Atomically write `bytes` as `dir/name`, creating `dir` if needed.
@@ -271,7 +272,7 @@ pub(crate) fn save_in(dir: &Path, name: &str, bytes: &[u8]) -> BbResult<()> {
     write_atomic_bytes(&dir.join(name), bytes)
 }
 
-/// A decoded `bbjn/v1` journal; record blobs borrow the file's bytes.
+/// A decoded `bbjn/v2` journal; record blobs borrow the file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Journal<'a> {
     pub key: ServeKey,
@@ -286,11 +287,12 @@ pub struct Journal<'a> {
 }
 
 impl<'a> Journal<'a> {
-    /// A journal's header: format line, key, base epoch.
+    /// A journal's header: format line, key, base epoch, checksum.
     pub fn header(key: &ServeKey, base_epoch: u64) -> Vec<u8> {
         let mut w = Writer::new(JOURNAL_FORMAT.version);
         w.key(key);
         w.field("base_epoch", base_epoch);
+        w.sum();
         w.finish()
     }
 
@@ -303,29 +305,28 @@ impl<'a> Journal<'a> {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Self::header(&self.key, self.base_epoch);
         for &(epoch, blob) in &self.records {
-            out.extend_from_slice(Self::record_head(epoch, blob).as_bytes());
-            out.extend_from_slice(blob);
-            out.push(b'\n');
+            out.extend([Self::record_head(epoch, blob).as_bytes(), blob, b"\n"].concat());
         }
         out
     }
 
-    /// Parse `bbjn/v1` bytes, salvaging a torn last record (see the module
+    /// Parse `bbjn/v2` bytes, salvaging a torn last record (see the module
     /// docs). A torn header, a malformed record line, a checksum mismatch
     /// or an epoch out of sequence is an error naming its byte offset.
     pub fn decode(bytes: &'a [u8]) -> BbResult<Journal<'a>> {
         let mut r = Reader::open(bytes, JOURNAL_FORMAT)?;
         let key = r.key()?;
         let base_epoch: u64 = r.field("base_epoch")?;
+        r.sum()?;
         let mut records = Vec::new();
-        let intact_len = loop {
+        let intact_len = r.entries(|r| {
             let start = r.pos();
-            let Some(line) = r.line_opt()? else { break start };
-            let epoch = framed::record(&line).and_then(|(head, len, sum)| match head[..] {
-                ["epoch", n] => Some((n.parse::<u64>().ok()?, len, sum)),
+            let Some(line) = r.line_opt()? else { return Ok(None) };
+            let epoch = framed::record(&line).and_then(|head| match head.tokens[..] {
+                ["epoch", n] => Some((n.parse::<u64>().ok()?, head)),
                 _ => None,
             });
-            let Some((epoch, len, sum)) = epoch else {
+            let Some((epoch, head)) = epoch else {
                 return Err(BbError::checkpoint(format!(
                     "expected an `epoch` record at journal byte offset {start}, got {line:?}"
                 )));
@@ -338,9 +339,10 @@ impl<'a> Journal<'a> {
                 )));
             }
             let what = format!("journal record for epoch {epoch}");
-            let Some(blob) = r.blob(len, sum, &what)? else { break start };
+            let Some(blob) = r.blob(&head, &what)? else { return Ok(None) };
             records.push((epoch, blob));
-        };
+            Ok(Some(()))
+        })?;
         Ok(Journal {
             key,
             base_epoch,
@@ -418,6 +420,18 @@ mod tests {
     }
 
     #[test]
+    fn flipped_header_digit_is_rejected_with_offset() {
+        let bytes = sample().encode();
+        let at = bytes.windows(14).position(|w| w == b"epochs 6\ncoars").unwrap();
+        let mut bad = bytes.clone();
+        bad[at + 7] ^= 1; // `epochs 6` → `epochs 7`
+        let err = Snapshot::decode(&bad).unwrap_err().to_string();
+        assert!(err.contains("header checksum mismatch"), "{err}");
+        let sum_at = bytes.windows(4).position(|w| w == b"sum ").unwrap();
+        assert!(err.contains(&format!("byte offset {sum_at}")), "{err}");
+    }
+
+    #[test]
     fn corrupt_state_blob_is_rejected_with_offset() {
         let s = sample();
         let mut bytes = s.encode();
@@ -447,8 +461,8 @@ mod tests {
         };
         let bytes = j.encode();
         let header = Journal::header(&key, 3);
-        let tail = "mem_limit 0\ncode_schema 1\nbase_epoch 3\n";
-        assert!(String::from_utf8_lossy(&header).ends_with(tail));
+        let tail = "mem_limit 0\ncode_schema 1\nbase_epoch 3\nsum ";
+        assert!(String::from_utf8_lossy(&header).contains(tail));
         assert!(bytes[header.len()..].starts_with(Journal::record_head(4, blobs[0]).as_bytes()));
         let back = Journal::decode(&bytes).unwrap();
         assert_eq!((back.records.clone(), back.intact_len), (j.records.clone(), bytes.len()));
@@ -468,7 +482,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let s = sample();
         s.save(&dir).expect("save");
-        let back = Snapshot::load(&dir).expect("load");
+        let back = Snapshot::decode(&framed::read(&dir, SNAPSHOT_NAME).unwrap()).expect("load");
         assert_eq!(back, s);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -213,7 +213,7 @@ enum Event {
 ///
 /// `spawn(shard, attempt)` launches the child for `attempt` (0 = first
 /// launch); it owns all child-specific setup — argv, env hooks, resume
-/// decisions, pre-launch manifest salvage. A spawn error counts as a crash
+/// decisions, pre-launch checkpoint salvage. A spawn error counts as a crash
 /// of that attempt. `cancel()` turning true kills all running children.
 pub fn orchestrate(
     specs: &[ShardSpec],

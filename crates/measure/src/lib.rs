@@ -42,12 +42,12 @@ pub mod spray;
 /// The measurement pipelines tick [`progress::window_done`] once per
 /// completed aggregation unit (a spray ⟨target, window⟩, a beacon
 /// ⟨prefix, round⟩, a tier probe). A harness that wants intra-experiment
-/// checkpoints registers a hook fired every N ticks; with no hook
+/// liveness registers a hook fired every N ticks; with no hook
 /// installed the cost is one relaxed `fetch_add` per window — zero
 /// synchronization, zero I/O — so `--checkpoint`-off runs pay nothing.
 ///
-/// The tick count is *telemetry*, not payload: it feeds the checkpoint
-/// manifest's `windows_done` field and progress displays, never figure
+/// The tick count is *telemetry*, not payload: it feeds the heartbeat's
+/// `windows` field and progress displays, never figure
 /// data, so its (deterministic) value has no byte-identity obligations
 /// beyond being stable for a given campaign.
 pub mod progress {

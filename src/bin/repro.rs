@@ -75,17 +75,18 @@
 //! Experiments run *supervised* (`bb_exec::supervisor`): a panicked or
 //! failed experiment is retried up to twice with deterministic seed-keyed
 //! backoff under a campaign-wide retry budget. With `--checkpoint DIR`,
-//! every completed experiment is flushed to a versioned `checkpoint.bbck`
-//! manifest (atomic temp-file+rename), and `--resume DIR` replays
-//! completed units byte-identically instead of recomputing them. SIGINT
-//! and SIGTERM trigger a graceful drain: in-flight experiments finish,
-//! the checkpoint is flushed, and the run exits 130 with an
+//! every completed experiment is appended to a versioned `checkpoint.bbck`
+//! journal (a synced append behind an atomically written header), and
+//! `--resume DIR` replays completed units byte-identically instead of
+//! recomputing them. SIGINT and SIGTERM trigger a graceful drain:
+//! in-flight experiments finish and are appended, and the run exits 130
+//! with an
 //! `=== INTERRUPTED (resumable) ===` block on stderr.
 //!
 //! `--shard I/N` splits the selected campaign across processes: shard I
 //! runs the contiguous slice `[I·n/N, (I+1)·n/N)` of the experiment list,
 //! prints nothing on stdout, and writes its units into the standard
-//! checkpoint manifest (`--checkpoint` is therefore required). Every shard
+//! checkpoint (`--checkpoint` is therefore required). Every shard
 //! of one campaign carries an *identical* campaign key naming the full
 //! experiment list, so `repro merge DIR...` can verify the shards belong
 //! together, that they cover every experiment, and that duplicated units
@@ -100,6 +101,7 @@ use beating_bgp::core::ext::{
     split_tcp,
 };
 use beating_bgp::core::checkpoint::{CampaignKey, Checkpoint, Heartbeat, UnitResult};
+use beating_bgp::core::export::AppendFile;
 use beating_bgp::core::export::{
     fig1_csv_bytes, fig2_csv_bytes, fig3_csv_bytes, fig4_csv_bytes, fig5_csv_bytes,
     write_atomic_bytes,
@@ -146,9 +148,9 @@ struct Opts {
     experiment: String,
     /// Keep running surviving experiments when one fails or panics.
     keep_going: bool,
-    /// Flush a checkpoint manifest here after every completed experiment.
+    /// Append every completed experiment to a checkpoint here.
     checkpoint: Option<PathBuf>,
-    /// Resume from the checkpoint manifest in this directory (implies
+    /// Resume from the checkpoint in this directory (implies
     /// checkpointing back to the same directory).
     resume: Option<PathBuf>,
     /// `(index, count)` from `--shard I/N`: run only slice I of the
@@ -350,8 +352,8 @@ fn parse_args() -> Opts {
                      --snapshot PATH  build the worlds from a CAIDA-style AS-relationship\n\
                      {0:11}snapshot (a|b|-1 provider-customer, a|b|0 peer) instead of\n\
                      {0:11}the generated topology; bad snapshots are usage errors\n\
-                     --checkpoint DIR  flush a resumable checkpoint manifest after each\n\
-                     {0:11}completed experiment; SIGINT/SIGTERM drain gracefully\n\
+                     --checkpoint DIR  append each completed experiment to a resumable\n\
+                     {0:11}checkpoint in DIR; SIGINT/SIGTERM drain gracefully\n\
                      --resume DIR  replay completed experiments from DIR's checkpoint\n\
                      {0:11}(stale checkpoints are rejected, exit 2), continue the rest\n\
                      --shard I/N  run slice I of the selected experiments into the\n\
@@ -389,7 +391,7 @@ fn parse_args() -> Opts {
     if o.shard.is_some() && o.checkpoint.is_none() && o.resume.is_none() {
         cli.usage(
             "--shard requires --checkpoint DIR: a shard's only output is its \
-             checkpoint manifest (stitch the shards with `repro merge`)",
+             checkpoint (stitch the shards with `repro merge`)",
         );
     }
     cli.refuse_planet_campaign();
@@ -510,10 +512,10 @@ fn spray_cfg(scale: Scale) -> SprayConfig {
 
 /// `repro merge SHARD_DIR... [--csv DIR] [--report]`: stitch shard
 /// checkpoints into the campaign's stdout, byte-identical to the unsharded
-/// run. Every validation failure — unreadable manifest, mismatched
+/// run. Every validation failure — unreadable checkpoint, mismatched
 /// campaign keys, coverage gaps, conflicting duplicate units, schema
 /// drift — is a usage error (exit 2); a partial merge is never printed.
-/// With `--report`, a per-shard diagnosis (salvaged/unreadable manifests,
+/// With `--report`, a per-shard diagnosis (salvaged/unreadable checkpoints,
 /// key mismatches, which experiments are missing) is printed to stderr
 /// before any exit-2, instead of only the first error encountered.
 fn run_merge() -> ! {
@@ -527,8 +529,8 @@ fn run_merge() -> ! {
                 "repro merge SHARD_DIR... [--csv DIR] [--report]\n\
                  stitch shard checkpoints (written by `repro --shard I/N --checkpoint`)\n\
                  into the campaign's stdout, byte-identical to the unsharded run;\n\
-                 --csv re-emits the CSV exports captured in the shard manifests\n\
-                 --report prints a per-shard diagnosis (salvaged/corrupt manifests,\n\
+                 --csv re-emits the CSV exports captured in the shard checkpoints\n\
+                 --report prints a per-shard diagnosis (salvaged/corrupt checkpoints,\n\
                  missing experiments, key mismatches) before any failure exit\n\
                  exit codes: 0 ok, 2 shards invalid/incomplete/mismatched",
             ),
@@ -540,41 +542,41 @@ fn run_merge() -> ! {
     if dirs.is_empty() {
         cli.usage("no shard directories given");
     }
-    let shards = if report {
-        merge_report(&dirs)
-    } else {
-        load_shards("repro merge", &dirs)
-    };
+    let shards = load_shards("repro merge", &dirs, report);
     finish_merge("repro merge", &dirs, shards, cli.opts.csv_dir.as_deref())
 }
 
-/// Strict-load every shard manifest; an unreadable one exits 2.
-fn load_shards(who: &str, dirs: &[PathBuf]) -> Vec<Checkpoint> {
-    let load = |d: &PathBuf| {
-        Checkpoint::load(d).unwrap_or_else(|e| {
-            eprintln!("{who}: {}: {e}", d.display());
-            std::process::exit(2);
-        })
+/// Load every shard checkpoint. An unreadable one exits 2, and so does a
+/// torn one unless `report` keeps its whole units — when the other shards
+/// overlap the dropped unit, the merge still completes. With `report`, a
+/// per-shard diagnosis goes to stderr first (load status, units present,
+/// key mismatches, campaign-level coverage gaps).
+fn load_shards(who: &str, dirs: &[PathBuf], report: bool) -> Vec<Checkpoint> {
+    let loads: Vec<_> = dirs.iter().map(|d| Checkpoint::load(d)).collect();
+    if report {
+        merge_report(dirs, &loads);
+    }
+    let load = |(d, load): (&PathBuf, BbResult<(Checkpoint, u64)>)| {
+        let e = match load {
+            Ok((ck, torn)) if torn == 0 || report => return ck,
+            Ok((_, torn)) => format!(
+                "torn tail of {torn} bytes after the last whole unit (rerun the shard \
+                 with --resume to repair it, or merge with --report to use the rest)"
+            ),
+            Err(e) => e.to_string(),
+        };
+        eprintln!("{who}: {}: {e}", d.display());
+        std::process::exit(2);
     };
-    dirs.iter().map(load).collect()
+    dirs.iter().zip(loads).map(load).collect()
 }
 
-/// The `--report` loading path: examine every shard directory with the
-/// salvaging parser, print a per-shard diagnosis to stderr (load status,
-/// units present, key mismatches, campaign-level coverage gaps), then
-/// either return the usable manifests or exit 2 if any was unreadable.
-/// Salvaged manifests proceed with their valid prefix — when the other
-/// shards overlap the dropped units, the merge still completes.
-fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
-    use beating_bgp::core::checkpoint::Salvage;
-    let loads: Vec<Result<(Checkpoint, Option<Salvage>), String>> = dirs
-        .iter()
-        .map(|d| Checkpoint::load_salvaging(d).map_err(|e| e.to_string()))
-        .collect();
+/// `repro merge --report`'s per-shard diagnosis of `loads`, on stderr.
+fn merge_report(dirs: &[PathBuf], loads: &[BbResult<(Checkpoint, u64)>]) {
     eprintln!("[repro] merge report ({} shard dir(s)):", dirs.len());
-    for (d, load) in dirs.iter().zip(&loads) {
+    for (d, load) in dirs.iter().zip(loads) {
         match load {
-            Ok((ck, None)) => {
+            Ok((ck, 0)) => {
                 let names: Vec<&str> = ck.units.keys().map(String::as_str).collect();
                 eprintln!(
                     "  {}: ok — {} unit(s): {}",
@@ -583,9 +585,9 @@ fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
                     if names.is_empty() { "(none)".to_string() } else { names.join(",") }
                 );
             }
-            Ok((ck, Some(s))) => {
+            Ok((ck, torn)) => {
                 eprintln!(
-                    "  {}: SALVAGED — {s}; {} unit(s) usable",
+                    "  {}: SALVAGED — dropped a {torn}-byte torn tail; {} unit(s) usable",
                     d.display(),
                     ck.units.len()
                 );
@@ -596,7 +598,7 @@ fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
     // Campaign-level view against the first readable key: which
     // experiments no shard provides, and which shards disagree on the key.
     if let Some((first, _)) = loads.iter().flatten().next() {
-        for (d, load) in dirs.iter().zip(&loads) {
+        for (d, load) in dirs.iter().zip(loads) {
             if let Ok((ck, _)) = load {
                 if let Err(e) = ck.validate(&first.key) {
                     eprintln!("  {}: key mismatch — {e}", d.display());
@@ -612,15 +614,9 @@ fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
             eprintln!("  campaign: missing {}", missing.join(","));
         }
     }
-    let unreadable = loads.iter().filter(|l| l.is_err()).count();
-    if unreadable > 0 {
-        eprintln!("repro merge: {unreadable} shard manifest(s) unreadable");
-        std::process::exit(2);
-    }
-    loads.into_iter().map(|l| l.unwrap().0).collect()
 }
 
-/// Validate and merge loaded shard manifests, emit the campaign stdout
+/// Validate and merge loaded shard checkpoints, emit the campaign stdout
 /// (and captured CSVs), and exit. Shared by `repro merge` and the
 /// auto-merge at the end of `repro orchestrate`. Merge failures exit 2.
 fn finish_merge(
@@ -651,7 +647,7 @@ fn finish_merge(
         }
     }
     eprintln!(
-        "[repro] merged {} shard manifest(s): {} experiments, seed {}, scale {}, faults {}",
+        "[repro] merged {} shard checkpoint(s): {} experiments, seed {}, scale {}, faults {}",
         dirs.len(),
         merged.units.len(),
         merged.key.seed,
@@ -669,7 +665,7 @@ fn finish_merge(
 /// exit), a hang (heartbeat content stale past `--hang-timeout`), or a
 /// fatal usage error (exit 2, never retried). Crashed and hung children
 /// restart with bounded, seed-keyed backoff from their own checkpoints
-/// (salvaging torn manifests first), then the shards auto-merge — stdout is
+/// (dropping torn tails first), then the shards auto-merge — stdout is
 /// byte-identical to the unsharded run. `--chaos light|heavy` switches on a
 /// deterministic fault plan, keyed entirely on the seed:
 ///
@@ -677,7 +673,7 @@ fn finish_merge(
 ///   slice on its first launch.
 /// * **heavy** — one derived shard stalls (10-minute sleep → stale
 ///   heartbeat → killed), every other shard crashes partway through, and
-///   the first crashed shard's manifest is torn by 16 bytes before its
+///   the first crashed shard's checkpoint is torn by 16 bytes before its
 ///   restart, forcing the salvage path.
 ///
 /// Faults are injected only into each shard's *first* launch, as the
@@ -709,12 +705,12 @@ fn run_orchestrate() -> ! {
                  \u{20}                   [--chaos off|light|heavy] [--hang-timeout SECS]\n\
                  \u{20}                   [--timing-json PATH]\n\
                  spawn N shard processes (repro all --shard I/N), monitor heartbeats,\n\
-                 restart crashed/hung shards from their checkpoints (torn manifests\n\
+                 restart crashed/hung shards from their checkpoints (torn tails\n\
                  are salvaged), then merge — stdout is byte-identical to `repro all`.\n\
                  --dir DIR    shard checkpoints live here (default: a seed/scale-keyed\n\
                  \u{20}            temp directory; reruns resume from it)\n\
                  --chaos L    deterministic fault plan: light = one shard crashes;\n\
-                 \u{20}            heavy = one stalls, the rest crash, one manifest torn\n\
+                 \u{20}            heavy = one stalls, the rest crash, one checkpoint torn\n\
                  exit codes: 0 ok, 1 shard failed permanently (partial checkpoints\n\
                  kept), 2 usage error, 130 interrupted (children killed, resumable)",
             ),
@@ -787,7 +783,7 @@ fn run_orchestrate() -> ! {
             (0..n).map(|i| if i == stalled { stall(i) } else { crash(i) }).collect()
         }
     };
-    // Heavy chaos also tears the first crashing shard's manifest before its
+    // Heavy chaos also tears the first crashing shard's checkpoint before its
     // restart, forcing the salvage path end to end.
     let tear_victim: Option<usize> = match chaos {
         FaultLevel::Heavy => plan.iter().position(|f| f.crash.is_some()),
@@ -822,9 +818,9 @@ fn run_orchestrate() -> ! {
         let manifest = dir.join(MANIFEST_NAME);
         if attempt > 0 {
             if tear_victim == Some(i) && !torn {
-                // Chaos tear: chop 16 bytes off the manifest tail, exactly
-                // the damage an interrupted write leaves. The child's
-                // salvaging --resume must absorb it.
+                // Chaos tear: chop 16 bytes off the checkpoint, exactly the
+                // damage an interrupted append leaves. The child's --resume
+                // must drop the torn unit and recompute it.
                 torn = true;
                 if let Ok(bytes) = std::fs::read(&manifest) {
                     if bytes.len() > 16 {
@@ -837,10 +833,10 @@ fn run_orchestrate() -> ! {
                 }
             }
             // Count salvage events for the orchestration report: the child
-            // re-saves the manifest whole, so peek before it launches.
-            if let Ok((_, Some(s))) = Checkpoint::load_salvaging(&dir) {
+            // truncates the torn tail on resume, so peek before it launches.
+            if let Ok((_, torn @ 1..)) = Checkpoint::load(&dir) {
                 salvages += 1;
-                eprintln!("[repro] shard {i}/{n}: manifest torn, will salvage ({s})");
+                eprintln!("[repro] shard {i}/{n}: checkpoint torn, will salvage ({torn} bytes)");
             }
         }
         let mut cmd = Command::new(&exe);
@@ -853,7 +849,7 @@ fn run_orchestrate() -> ! {
             .arg(faults.as_str())
             .arg("--shard")
             .arg(format!("{i}/{n}"));
-        // Resume whenever a manifest exists (even a torn one — the child
+        // Resume whenever a checkpoint exists (even a torn one — the child
         // salvages it); otherwise start a fresh checkpoint.
         if manifest.exists() {
             cmd.arg("--resume").arg(&dir);
@@ -863,7 +859,7 @@ fn run_orchestrate() -> ! {
         if jobs != 0 {
             cmd.arg("--jobs").arg(jobs.to_string());
         }
-        // Shards must capture CSV exports in their manifests (the campaign
+        // Shards must capture CSV exports in their checkpoints (the campaign
         // key records whether CSV was on) so the merge can re-emit them.
         if csv_dir.is_some() {
             let shard_csv = dir.join("csv");
@@ -971,11 +967,11 @@ fn run_orchestrate() -> ! {
         std::process::exit(1);
     }
 
-    // Every shard completed: strict-load the manifests (salvage was a
-    // restart-time concern; a completed shard's manifest must be whole)
+    // Every shard completed: strict-load the checkpoints (salvage was a
+    // restart-time concern; a completed shard's checkpoint must be whole)
     // and emit the campaign output.
     let dirs: Vec<PathBuf> = (0..n).map(shard_dir).collect();
-    let shards = load_shards("repro orchestrate", &dirs);
+    let shards = load_shards("repro orchestrate", &dirs, false);
     finish_merge("repro orchestrate", &dirs, shards, csv_dir.as_deref())
 }
 
@@ -983,8 +979,8 @@ fn run_orchestrate() -> ! {
 ///
 /// Advances measurement windows on the simulated clock in epochs of
 /// `--epoch K` windows. Every epoch is flushed durably: the first as a
-/// `bbsn/v1` snapshot of the whole state (atomic temp-file + fsync +
-/// rename + dir-fsync), the rest as one fsynced `bbjn/v1` journal record
+/// `bbsn/v2` snapshot of the whole state (atomic temp-file + fsync +
+/// rename + dir-fsync), the rest as one fsynced `bbjn/v2` journal record
 /// of the epoch's rows, compacted into a new snapshot once the journal
 /// outgrows the last one. A SIGKILL at any instant costs at most one epoch
 /// of deterministically-resampled work: restarting with the same `--dir`
@@ -1929,7 +1925,7 @@ fn main() {
     // The slice bounds are `[I·n/N, (I+1)·n/N)`, so the N slices tile the
     // list exactly. The campaign key (below) still names the FULL selected
     // list: every shard of one campaign carries an identical key, which is
-    // what lets `repro merge` verify the manifests belong together and
+    // what lets `repro merge` verify the checkpoints belong together and
     // that, combined, they cover everything.
     let shard_names: Vec<&'static str> = match args.shard {
         Some((idx, n)) => {
@@ -1947,9 +1943,9 @@ fn main() {
     };
 
     // --- Checkpoint / resume wiring. ---
-    // The campaign key pins everything that feeds unit output; a manifest
-    // whose key mismatches is rejected (exit 2), never silently reused.
-    // `--resume DIR` implies continuing to checkpoint into DIR.
+    // The campaign key pins everything that feeds unit output; a
+    // checkpoint whose key mismatches is rejected (exit 2), never silently
+    // reused. `--resume DIR` implies continuing to checkpoint into DIR.
     let ckpt_dir = args.resume.clone().or_else(|| args.checkpoint.clone());
     let campaign_key = CampaignKey::new(
         args.seed,
@@ -1958,60 +1954,11 @@ fn main() {
         names.join(","),
         args.csv_dir.is_some(),
     );
-    let mut replay: std::collections::BTreeMap<&'static str, UnitResult> =
-        std::collections::BTreeMap::new();
-    let ck_shared: Option<Arc<(std::path::PathBuf, Mutex<Checkpoint>)>> = match &ckpt_dir {
-        None => None,
-        Some(dir) => {
-            install_signal_drain();
-            let ck = if args.resume.is_some() {
-                match Checkpoint::load_salvaging(dir).and_then(|(ck, salvage)| {
-                    ck.validate(&campaign_key)?;
-                    Ok((ck, salvage))
-                }) {
-                    Ok((ck, salvage)) => {
-                        if let Some(s) = &salvage {
-                            // A manifest torn by a crash mid-write is
-                            // salvaged to its valid prefix; re-save it whole
-                            // immediately, so a second crash before the
-                            // first flush cannot tear the torn file further.
-                            eprintln!("[repro] warning: checkpoint salvaged: {s}");
-                            if let Err(e) = ck.save(dir) {
-                                eprintln!(
-                                    "[repro] warning: could not re-save salvaged checkpoint: {e}"
-                                );
-                            }
-                        }
-                        for name in &names {
-                            if let Some(unit) = ck.get(name) {
-                                replay.insert(name, unit.clone());
-                            }
-                        }
-                        eprintln!(
-                            "[repro] resuming: {}/{} experiments already completed in {}",
-                            replay.len(),
-                            names.len(),
-                            dir.display()
-                        );
-                        ck
-                    }
-                    Err(e) => {
-                        eprintln!("--resume: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else {
-                Checkpoint::new(campaign_key.clone())
-            };
-            Some(Arc::new((dir.clone(), Mutex::new(ck))))
-        }
-    };
-    // Checkpoint writers fail *closed*: a flush that cannot land means the
-    // manifest on disk is stale, and limping on would silently discard
-    // completed experiments at the next resume. The atomic writer
-    // guarantees the previous manifest is still whole, so exiting 1 here
-    // (with the failing path in the message) loses at most the window
-    // since the last successful flush — rerunning resumes from it.
+    // Checkpoint writers fail *closed*: a unit that cannot be appended
+    // would be silently recomputed at the next resume at best. Every unit
+    // appended before the failure is intact (a torn append is truncated
+    // by the resume), so exiting 1 here with the failing path in the
+    // message loses only the unit in flight — rerunning resumes from it.
     fn write_failed(what: &str, e: beating_bgp::core::BbError, intact: &str, dir: &Path) -> ! {
         eprintln!("repro: {what} failed: {e}");
         eprintln!(
@@ -2020,27 +1967,54 @@ fn main() {
         );
         std::process::exit(1)
     }
-    let flush = |shared: &(std::path::PathBuf, Mutex<Checkpoint>)| {
-        let mut ck = shared.1.lock().unwrap_or_else(|e| e.into_inner());
-        ck.windows_done = beating_bgp::measure::progress::windows_done();
-        timing::time("checkpoint:flush", || {
-            if let Err(e) = ck.save(&shared.0) {
-                write_failed("checkpoint flush", e, "previous manifest", &shared.0);
-            }
-        });
+    let mut replay: std::collections::BTreeMap<&'static str, UnitResult> =
+        std::collections::BTreeMap::new();
+    let ck_shared: Option<Arc<(std::path::PathBuf, Mutex<AppendFile>)>> = match &ckpt_dir {
+        None => None,
+        Some(dir) => {
+            install_signal_drain();
+            let log = if args.resume.is_some() {
+                let (mut ck, torn, log) =
+                    Checkpoint::resume(dir, &campaign_key).unwrap_or_else(|e| {
+                        eprintln!("--resume: {e}");
+                        std::process::exit(2);
+                    });
+                if torn > 0 {
+                    eprintln!("[repro] warning: checkpoint salvaged: cut a {torn}-byte torn tail");
+                }
+                for name in &names {
+                    if let Some(unit) = ck.units.remove(*name) {
+                        replay.insert(name, unit);
+                    }
+                }
+                eprintln!(
+                    "[repro] resuming: {}/{} experiments already completed in {}",
+                    replay.len(),
+                    names.len(),
+                    dir.display()
+                );
+                log
+            } else {
+                Checkpoint::create(dir, &campaign_key).unwrap_or_else(|e| {
+                    eprintln!("repro: checkpoint create failed: {e}");
+                    std::process::exit(1)
+                })
+            };
+            Some(Arc::new((dir.clone(), Mutex::new(log))))
+        }
     };
     // Liveness heartbeat: a tiny progress record (`heartbeat.bbhb`)
     // rewritten atomically but *without* fsync — the orchestrator watches
     // its content for change to tell a slow shard from a hung one.
     // `units_done` counts finalized experiments, bumped in `on_final`
-    // below. Like the manifest flush it fails closed: a heartbeat that
+    // below. Like the unit appends it fails closed: a heartbeat that
     // cannot be written is the same disk failure that will eat the next
-    // manifest flush, and a clean exit 1 now (prior artifacts intact)
-    // beats a torn write later.
+    // append, and a clean exit 1 now (prior artifacts intact) beats a torn
+    // write later.
     let units_done = Arc::new(AtomicUsize::new(0));
     let beat = {
         let units = Arc::clone(&units_done);
-        move |shared: &(std::path::PathBuf, Mutex<Checkpoint>)| {
+        move |shared: &(std::path::PathBuf, Mutex<AppendFile>)| {
             let hb = Heartbeat::now(
                 beating_bgp::measure::progress::windows_done(),
                 units.load(Ordering::Relaxed) as u64,
@@ -2054,28 +2028,15 @@ fn main() {
     };
     // Window-granular progress inside a study: every 2048 completed
     // measurement windows the heartbeat is refreshed (cheap: ~60 bytes, no
-    // fsync), and every 32768 the full manifest is re-flushed, so even a
-    // kill in the middle of one long experiment leaves a fresh manifest.
-    // Without --checkpoint no hook is installed and the pipelines pay one
-    // relaxed counter increment per window — nothing else. The flush
-    // interval is sized so periodic flushes stay well under the 2%
-    // wall-clock budget the bench smoke enforces (each flush rewrites and
-    // fsyncs the whole manifest).
+    // fsync). Without --checkpoint no hook is installed and the pipelines
+    // pay one relaxed counter increment per window — nothing else.
     if let Some(shared) = &ck_shared {
         // Startup heartbeat: the orchestrator sees liveness before the
         // first window completes (world-building can take a while).
         beat(shared);
         let s = Arc::clone(shared);
         let b = beat.clone();
-        beating_bgp::measure::progress::set_hook(
-            2_048,
-            Arc::new(move |n| {
-                b(&s);
-                if n % 32_768 == 0 {
-                    flush(&s);
-                }
-            }),
-        );
+        beating_bgp::measure::progress::set_hook(2_048, Arc::new(move |_| b(&s)));
     }
 
     // Experiments still to run (this shard's slice, minus anything already
@@ -2100,12 +2061,13 @@ fn main() {
     };
     let on_final = |i: usize, outcome: &Result<BbResult<UnitResult>, _>| {
         if let (Ok(Ok(unit)), Some(shared)) = (outcome, &ck_shared) {
-            {
-                let mut ck = shared.1.lock().unwrap_or_else(|e| e.into_inner());
-                ck.record(run_list[i].0, unit.clone());
-            }
+            timing::time("checkpoint:flush", || {
+                let mut log = shared.1.lock().unwrap_or_else(|e| e.into_inner());
+                if let Err(e) = log.append(&[&unit.encode(run_list[i].0)]) {
+                    write_failed("checkpoint flush", e, "every unit appended before it", &shared.0);
+                }
+            });
             units_done.fetch_add(1, Ordering::Relaxed);
-            flush(shared);
             beat(shared);
             // The injected crash fires only after the unit was flushed, so
             // every crash leaves resumable progress behind — the property
@@ -2216,10 +2178,11 @@ fn main() {
     let epilogue =
         || finish(&args, &args.experiment, beating_bgp::exec::jobs(), t0, &text, sections);
 
-    // A drain that skipped work means the campaign is incomplete: flush the
-    // final manifest, say how to pick the run back up, and exit 130 with
-    // NOTHING on stdout — partial stdout is worse than none, and the resume
-    // path reproduces the full byte-identical output anyway.
+    // A drain that skipped work means the campaign is incomplete (every
+    // finalized unit is already appended): say how to pick the run back
+    // up, and exit 130 with NOTHING on stdout — partial stdout is worse
+    // than none, and the resume path reproduces the full byte-identical
+    // output anyway.
     let interrupted = outcomes.iter().any(|o| o.is_none());
     if interrupted {
         let Some(shared) = &ck_shared else {
@@ -2233,13 +2196,7 @@ fn main() {
                 ],
             );
         };
-        flush(shared);
-        let done = shared
-            .1
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .units
-            .len();
+        let done = replay.len() + units_done.load(Ordering::Relaxed);
         let shard_suffix = args
             .shard
             .map(|(idx, n)| format!(" --shard {idx}/{n}"))
@@ -2319,7 +2276,7 @@ fn main() {
         std::process::exit(1);
     }
     // A shard's stdout is withheld: `repro merge` reassembles the campaign's
-    // full output from the manifests, byte-identical to an unsharded run —
+    // full output from the checkpoints, byte-identical to an unsharded run —
     // partial per-shard stdout would only invite accidental concatenation.
     if args.shard.is_none() {
         print!("{stdout}");

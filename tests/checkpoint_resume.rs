@@ -12,6 +12,7 @@
 //! set, so the drain/flush/exit-130 path is identical, without the races of
 //! killing a half-started process from a test.
 
+use beating_bgp::core::checkpoint::Checkpoint;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -214,14 +215,13 @@ fn stale_checkpoint_is_rejected_not_reused() {
     assert_eq!(wrong_exp.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&wrong_exp.stderr).contains("experiments mismatch"));
 
-    // Wrong code-schema version: tamper the manifest's header line as a
-    // stand-in for "written by an older build".
+    // Wrong code-schema version: re-encode the checkpoint with another
+    // schema as a stand-in for "written by an older build" (its header
+    // checksum matches, as an older build's would).
     let manifest = ck.join("checkpoint.bbck");
-    let text = std::fs::read(&manifest).unwrap();
-    let patched = String::from_utf8(text)
-        .unwrap()
-        .replacen("code_schema ", "code_schema 99", 1);
-    std::fs::write(&manifest, patched).unwrap();
+    let (mut old, _) = Checkpoint::decode(&std::fs::read(&manifest).unwrap()).unwrap();
+    old.key.code_schema = 99;
+    std::fs::write(&manifest, old.encode()).unwrap();
     let wrong_schema = run(
         &[
             "calib", "--scale", "test", "--seed", "42",
@@ -234,7 +234,7 @@ fn stale_checkpoint_is_rejected_not_reused() {
     assert!(err.contains("code_schema"), "{err}");
 
     // Truncated/corrupt manifest: also rejected, exit 2.
-    std::fs::write(&manifest, b"bbck/v1\nseed 42\n").unwrap();
+    std::fs::write(&manifest, b"bbck/v2\nseed 42\n").unwrap();
     let corrupt = run(
         &[
             "calib", "--scale", "test", "--seed", "42",
@@ -290,8 +290,8 @@ fn zero_length_manifest_is_rejected_with_diagnosis() {
 }
 
 /// The header `repro calib --scale test --seed 42 --checkpoint` writes.
-const CALIB_HEADER: &str = "bbck/v1\nseed 42\nscale test\nfaults off\nexperiments calib\n\
-                            csv 0\ncode_schema 1\nwindows_done 0\n";
+const CALIB_HEADER: &str = "bbck/v2\nseed 42\nscale test\nfaults off\nexperiments calib\n\
+                            csv 0\ncode_schema 1\nsum 8fd23227b7c455e0\n";
 
 #[test]
 fn crafted_manifests_fail_closed_on_resume() {
@@ -303,7 +303,7 @@ fn crafted_manifests_fail_closed_on_resume() {
     // allocation; both must be named as the bad record.
     for (record, named) in [
         ("unit calib 0 18446744073709551615 0\nend\n", "impossible length"),
-        ("unit calib 99999999999999999 0 cbf29ce484222325\n\nend\n", "expected `file`"),
+        ("unit calib 99999999999999999 0 888277013a417429\n\nend\n", "expected `file`"),
     ] {
         std::fs::write(ck.join("checkpoint.bbck"), format!("{CALIB_HEADER}{record}")).unwrap();
         let out = run(
@@ -339,7 +339,8 @@ fn mid_file_corruption_is_rejected_with_byte_offset_not_salvaged() {
     // is mid-file corruption: a checksum mismatch naming the blob's byte
     // offset, never a salvage of the damaged prefix.
     let manifest = ck.join("checkpoint.bbck");
-    let mut bytes = std::fs::read(&manifest).unwrap();
+    let seeded = std::fs::read(&manifest).unwrap();
+    let mut bytes = seeded.clone();
     let rec = bytes
         .windows(6)
         .position(|w| w == b"\nunit ")
@@ -348,19 +349,73 @@ fn mid_file_corruption_is_rejected_with_byte_offset_not_salvaged() {
     bytes[blob_at + 2] ^= 0x20;
     std::fs::write(&manifest, &bytes).unwrap();
 
-    let out = run(
-        &[
-            "calib", "--scale", "test", "--seed", "42",
-            "--resume", ck.to_str().unwrap(),
-        ],
-        &[],
-    );
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
+    let resume = || {
+        let out = run(
+            &[
+                "calib", "--scale", "test", "--seed", "42",
+                "--resume", ck.to_str().unwrap(),
+            ],
+            &[],
+        );
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        assert!(out.stdout.is_empty());
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let err = resume();
     assert!(err.contains("checksum mismatch"), "{err}");
     assert!(err.contains(&format!("byte offset {blob_at}")), "{err}");
     assert!(err.contains("mid-file corruption"), "{err}");
 
+    // `seed 42` → `seed 43` in the header: a well-formed value only the
+    // header checksum catches, named with its sum line's byte offset.
+    let mut bytes = seeded.clone();
+    bytes["bbck/v2\nseed 4".len()] ^= 1;
+    std::fs::write(&manifest, &bytes).unwrap();
+    let err = resume();
+    let sum_at = seeded.windows(5).position(|w| w == b"\nsum ").unwrap() + 1;
+    assert!(err.contains("header checksum mismatch"), "{err}");
+    assert!(err.contains(&format!("byte offset {sum_at}")), "{err}");
+
+    // The same checkpoint under the previous format line: no v1 reader.
+    let mut bytes = b"bbck/v1".to_vec();
+    bytes.extend_from_slice(&seeded["bbck/v2".len()..]);
+    std::fs::write(&manifest, &bytes).unwrap();
+    let err = resume();
+    assert!(err.contains("unsupported format \"bbck/v1\""), "{err}");
+
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn flipped_unit_name_is_rejected_not_replayed_as_another_unit() {
+    let base = tmpdir("headflip");
+    let ck = base.join("ck");
+    let seeded = run(
+        &["all", "--scale", "test", "--seed", "42", "--checkpoint", ck.to_str().unwrap()],
+        &[],
+    );
+    assert!(seeded.status.success(), "{seeded:?}");
+
+    // One bit turns `unit fig3 …` into `unit fig1 …`. Were record heads
+    // unchecked, fig3's stdout would replay as Figure 1's block.
+    let manifest = ck.join("checkpoint.bbck");
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    let rec = bytes
+        .windows(10)
+        .position(|w| w == b"\nunit fig3")
+        .expect("checkpoint has a fig3 record")
+        + 1;
+    bytes[rec + "unit fig".len()] ^= 0x02;
+    std::fs::write(&manifest, &bytes).unwrap();
+    let out = run(
+        &["all", "--scale", "test", "--seed", "42", "--resume", ck.to_str().unwrap()],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "a refused resume must print nothing");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("checksum mismatch in stdout of unit fig1"), "{err}");
+    assert!(err.contains(&format!("record line at byte offset {rec}")), "{err}");
     std::fs::remove_dir_all(&base).ok();
 }
 

@@ -1,8 +1,8 @@
 //! Deterministic disk-full injection (`BB_INJECT=enospc:<n>`): the n-th
 //! durable write of the process fails with an injected ENOSPC *before*
 //! anything touches the filesystem. Every durable writer — CSV exports,
-//! checkpoint manifests, heartbeats, serve snapshots, serve journal
-//! appends — must fail closed: exit 1, the failing path named on stderr,
+//! checkpoint headers and unit appends, heartbeats, serve snapshots, serve
+//! journal appends — must fail closed: exit 1, the failing path named on stderr,
 //! the previous artifact intact, and no `.tmp` sibling left behind. The
 //! orchestrator scrubs `BB_INJECT` from its children so a parent-level
 //! injection never cascades into shards. (A malformed count is a usage error on every subcommand, too:
@@ -70,15 +70,17 @@ fn checkpoint_flush_enospc_fails_closed_then_resumes_identically() {
     let clean = run(&["all", "--scale", "test", "--seed", "42", "--jobs", "1"], &[]);
     assert!(clean.status.success(), "{clean:?}");
 
-    // Trip the third atomic write: the first manifest flush has already
-    // landed, so the fail-closed contract has a prior artifact to protect.
+    // Trip the fifth durable write — the header (#1), the startup beat
+    // (#2), the first unit's append (#3) and its beat (#4) have landed — so
+    // the second unit's append fails with a prior artifact to protect.
     let tripped = run(
         &["all", "--scale", "test", "--seed", "42", "--jobs", "1",
           "--checkpoint", ck.to_str().unwrap()],
-        &[("BB_INJECT", "enospc:3")],
+        &[("BB_INJECT", "enospc:5")],
     );
     assert_eq!(tripped.status.code(), Some(1), "{tripped:?}");
     let err = String::from_utf8_lossy(&tripped.stderr);
+    assert!(err.contains("checkpoint flush failed"), "{err}");
     assert!(err.contains("No space left on device"), "{err}");
     assert!(err.contains(&ck.display().to_string()), "failing dir not named:\n{err}");
     assert!(ck.join("checkpoint.bbck").exists(), "prior manifest must survive");

@@ -1,28 +1,30 @@
-//! Mutation tests of the persisted-state decoders: `bbck/v1` checkpoint
-//! manifests, `bbsn/v1` serve snapshots, the `bbsv/v1` serve-state blob
-//! they carry, and the `bbjn/v1` serve journal.
+//! Mutation tests of the persisted-state decoders: `bbck/v2` campaign
+//! checkpoints, `bbsn/v2` serve snapshots, the `bbsv/v1` serve-state blob
+//! they carry, and the `bbjn/v2` serve journal.
 //!
 //! Encoded values are damaged by random truncation, bit flips and splices.
 //! Whatever the damage, a decoder returns — it never panics and never
 //! aborts on an allocation sized by a damaged count. Beyond that:
 //!
-//! * a truncated manifest is an error to the strict decoder, and the
-//!   salvaging decoder either rejects it or keeps a prefix of the
-//!   original units, reporting the salvage;
+//! * a checkpoint or journal cut anywhere past its header decodes to a
+//!   prefix of its whole units or records (a torn tail), and one cut
+//!   inside the header is an error;
 //! * a truncated snapshot or state blob is always an error;
-//! * a journal cut anywhere past its header decodes to a prefix of its
-//!   whole records (a torn tail), and one cut inside the header is an
-//!   error;
 //! * a flipped byte inside a checksummed blob is always an error, and for
 //!   a journal record it names the record's byte offset;
+//! * a flipped byte in a checkpoint record's head (its unit or file name
+//!   and file count) is an error: the record checksum covers the head;
+//! * a flipped byte anywhere in a checkpoint, snapshot or journal header
+//!   is an error: the header checksum covers every field;
 //! * a journal whose epochs are not contiguous is an error.
 //!
-//! Header fields carry no checksum, so a flipped digit there may decode to
-//! a different value; nothing here asserts otherwise. Three crafted
-//! inputs — a huge blob length, file count and target count — are named
-//! cases.
+//! A flipped blob *length* in the last record may read as a record cut
+//! off by end of file: that is the torn-tail rule, and it drops the unit
+//! rather than replaying it. Three crafted inputs — a huge blob length,
+//! file count and target count — are named cases.
 
-use beating_bgp::core::checkpoint::{fnv1a, CampaignKey, Checkpoint, UnitResult};
+use beating_bgp::core::checkpoint::{CampaignKey, Checkpoint, UnitResult};
+use beating_bgp::core::framed::fnv1a;
 use beating_bgp::core::serve::{ServeMode, ServeState};
 use beating_bgp::core::snapshot::{Journal, ServeKey, Snapshot};
 use beating_bgp::geo::CityId;
@@ -72,12 +74,23 @@ impl Gen {
 
 const EXPERIMENTS: [&str; 5] = ["calib", "fig1", "fig2", "fig3", "xpeer"];
 
-fn checkpoint(seed: u64) -> Checkpoint {
+/// A campaign checkpoint as a run leaves it: the header, then some of the
+/// experiments' units in a seed-chosen completion order.
+struct Campaign {
+    key: CampaignKey,
+    units: Vec<(String, UnitResult)>,
+    bytes: Vec<u8>,
+}
+
+fn campaign(seed: u64) -> Campaign {
     let mut g = Gen::new(seed);
     let key = CampaignKey::new(g.next(), "test", "heavy", EXPERIMENTS.join(","), true);
-    let mut ck = Checkpoint::new(key);
-    ck.windows_done = g.below(1 << 20);
-    for name in EXPERIMENTS {
+    let mut names: Vec<&str> = EXPERIMENTS.to_vec();
+    for i in (1..names.len()).rev() {
+        names.swap(i, g.below(i as u64 + 1) as usize);
+    }
+    let mut units = Vec::new();
+    for name in names {
         if g.below(4) == 0 {
             continue;
         }
@@ -88,39 +101,55 @@ fn checkpoint(seed: u64) -> Checkpoint {
             stdout: g.text(96),
             files,
         };
-        ck.record(name, unit);
+        units.push((name.to_string(), unit));
     }
-    ck
+    let mut bytes = Checkpoint::header(&key);
+    for (name, unit) in &units {
+        bytes.extend(unit.encode(name));
+    }
+    Campaign { key, units, bytes }
 }
 
-/// Byte ranges of every blob in `ck.encode()`, laid out independently of
-/// the decoder from the documented `bbck/v1` shape.
-fn blob_ranges(ck: &Checkpoint) -> Vec<Range<usize>> {
-    let header = Checkpoint::new(ck.key.clone()).encode().len() - "end\n".len();
-    let header = header + ck.windows_done.to_string().len() - 1;
-    let mut pos = header;
-    let mut ranges = Vec::new();
-    let mut blob = |line: String, bytes: &[u8], pos: &mut usize| {
+/// Where each part of a checkpoint's records lies, laid out independently
+/// of the decoder from the documented `bbck/v2` shape.
+#[derive(Default)]
+struct Layout {
+    /// Byte offset where each count of whole units ends (`[0]`: header).
+    ends: Vec<usize>,
+    /// Every blob's bytes.
+    blobs: Vec<Range<usize>>,
+    /// Every record head's `unit NAME NFILES` / `file NAME` bytes.
+    heads: Vec<Range<usize>>,
+}
+
+fn layout(c: &Campaign) -> Layout {
+    let mut pos = c.bytes.windows(5).position(|w| w == b"\nsum ").unwrap() + 1;
+    pos += c.bytes[pos..].iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut out = Layout {
+        ends: vec![pos],
+        ..Layout::default()
+    };
+    let mut record = |head: String, bytes: &[u8], pos: &mut usize| {
+        // The checksum covers the line up to it, then the blob.
+        let covered = format!("{head} {} ", bytes.len());
+        let line = format!("{covered}{:016x}\n", fnv1a(&[covered.as_bytes(), bytes]));
+        assert_eq!(&c.bytes[*pos..*pos + line.len()], line.as_bytes());
+        out.heads.push(*pos..*pos + head.len());
         *pos += line.len();
-        ranges.push(*pos..*pos + bytes.len());
+        out.blobs.push(*pos..*pos + bytes.len());
         *pos += bytes.len() + 1;
     };
-    for (name, unit) in &ck.units {
+    for (name, unit) in &c.units {
         let stdout = unit.stdout.as_bytes();
-        let line = format!(
-            "unit {name} {} {} {:016x}\n",
-            unit.files.len(),
-            stdout.len(),
-            fnv1a(stdout)
-        );
-        blob(line, stdout, &mut pos);
+        record(format!("unit {name} {}", unit.files.len()), stdout, &mut pos);
         for (fname, bytes) in &unit.files {
-            let line = format!("file {fname} {} {:016x}\n", bytes.len(), fnv1a(bytes));
-            blob(line, bytes, &mut pos);
+            record(format!("file {fname}"), bytes, &mut pos);
         }
+        out.ends.push(pos);
     }
-    ranges.retain(|r| !r.is_empty());
-    ranges
+    assert_eq!(pos, c.bytes.len());
+    out.blobs.retain(|r| !r.is_empty());
+    out
 }
 
 fn rows(g: &mut Gen, n_routes: usize, windows: Range<u32>) -> Vec<WindowRow> {
@@ -212,7 +241,6 @@ fn spliced(bytes: &[u8], from: usize, len: usize, to: usize, insert: bool) -> Ve
 /// Every decoder on `bytes`; each must return, whatever it returns.
 fn decode_all(bytes: &[u8]) {
     let _ = Checkpoint::decode(bytes);
-    let _ = Checkpoint::decode_salvaging(bytes);
     let _ = Snapshot::decode(bytes);
     let _ = ServeState::decode(bytes);
     let _ = Journal::decode(bytes);
@@ -221,43 +249,93 @@ fn decode_all(bytes: &[u8]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A cut manifest never decodes strictly; salvaged, it keeps a prefix
-    /// of the original units and says so.
+    /// A checkpoint cut past its header keeps the whole units before the
+    /// cut, in completion order, and reports where the intact bytes end;
+    /// cut inside it, it is an error.
     #[test]
     fn truncated_checkpoint_is_rejected_or_salvaged_to_a_prefix(
         seed in 0u64..u64::MAX,
         cut in 0.0f64..1.0,
     ) {
-        let ck = checkpoint(seed);
-        let bytes = ck.encode();
-        let torn = &bytes[..at(cut, bytes.len())];
-        prop_assert!(Checkpoint::decode(torn).is_err());
-        if let Ok((pre, salvage)) = Checkpoint::decode_salvaging(torn) {
-            prop_assert!(salvage.is_some(), "a cut manifest decoded without a salvage");
-            prop_assert_eq!(&pre.key, &ck.key);
-            let kept: Vec<_> = pre.units.iter().collect();
-            let prefix: Vec<_> = ck.units.iter().take(kept.len()).collect();
-            prop_assert_eq!(kept, prefix);
+        let c = campaign(seed);
+        let ends = layout(&c).ends;
+        let (whole, intact) = Checkpoint::decode(&c.bytes).unwrap();
+        prop_assert_eq!(intact, c.bytes.len());
+        prop_assert_eq!(whole.units.len(), c.units.len());
+        let cut = at(cut, c.bytes.len());
+        match Checkpoint::decode(&c.bytes[..cut]) {
+            Err(_) => prop_assert!(cut < ends[0], "cut at {} past the header", cut),
+            Ok((pre, intact)) => {
+                let kept = ends.iter().filter(|&&end| end <= cut).count() - 1;
+                prop_assert_eq!(&pre.key, &c.key);
+                let want = c.units[..kept].iter().cloned().collect();
+                prop_assert_eq!(pre.units, want);
+                prop_assert_eq!(intact, ends[kept]);
+            }
         }
     }
 
-    /// A flipped bit inside any stdout or file blob fails its checksum.
+    /// A flipped bit inside any stdout or file blob fails its checksum,
+    /// naming the blob's byte offset.
     #[test]
     fn flipped_checkpoint_blob_byte_is_rejected(
         seed in 0u64..u64::MAX,
         pick in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let ck = checkpoint(seed);
-        let bytes = ck.encode();
-        prop_assert_eq!(Checkpoint::decode(&bytes).unwrap().units, ck.units.clone());
-        let blobs: Vec<usize> = blob_ranges(&ck).into_iter().flatten().collect();
+        let c = campaign(seed);
+        let blobs: Vec<(usize, usize)> = layout(&c)
+            .blobs
+            .into_iter()
+            .flat_map(|r| r.clone().map(move |i| (i, r.start)))
+            .collect();
         if !blobs.is_empty() {
-            let bad = flipped(&bytes, blobs[at(pick, blobs.len())], bit);
-            let err = Checkpoint::decode(&bad).unwrap_err().to_string();
+            let (i, blob_at) = blobs[at(pick, blobs.len())];
+            let err = Checkpoint::decode(&flipped(&c.bytes, i, bit)).unwrap_err().to_string();
             prop_assert!(err.contains("checksum mismatch"), "{}", err);
-            prop_assert!(Checkpoint::decode_salvaging(&bad).is_err());
+            prop_assert!(err.contains(&format!("blob at byte offset {blob_at}")), "{}", err);
         }
+    }
+
+    /// A flipped bit in a record's head — `unit NAME NFILES` or `file NAME`
+    /// — is an error naming a byte offset, never a unit replayed under
+    /// another name.
+    #[test]
+    fn flipped_checkpoint_head_byte_is_rejected(
+        seed in 0u64..u64::MAX,
+        pick in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let c = campaign(seed);
+        let heads: Vec<usize> = layout(&c).heads.into_iter().flatten().collect();
+        if !heads.is_empty() {
+            let i = heads[at(pick, heads.len())];
+            let err = Checkpoint::decode(&flipped(&c.bytes, i, bit)).unwrap_err().to_string();
+            prop_assert!(err.contains("byte offset"), "{}", err);
+        }
+    }
+
+    /// A flipped bit anywhere in a header — format line, key fields, other
+    /// fields, the checksum line — is an error, for every framed kind.
+    #[test]
+    fn flipped_header_byte_is_rejected(
+        seed in 0u64..u64::MAX,
+        pick in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let header_len = |bytes: &[u8]| {
+            let sum = bytes.windows(5).position(|w| w == b"\nsum ").unwrap() + 1;
+            sum + bytes[sum..].iter().position(|&b| b == b'\n').unwrap() + 1
+        };
+        let c = campaign(seed);
+        let i = at(pick, header_len(&c.bytes));
+        prop_assert!(Checkpoint::decode(&flipped(&c.bytes, i, bit)).is_err());
+        let snap = snapshot(seed).encode();
+        let i = at(pick, header_len(&snap));
+        prop_assert!(Snapshot::decode(&flipped(&snap, i, bit)).is_err());
+        let journal = journal(seed);
+        let i = at(pick, header_len(&journal));
+        prop_assert!(Journal::decode(&flipped(&journal, i, bit)).is_err());
     }
 
     /// A cut snapshot is always rejected, and so is a flipped bit in its
@@ -381,7 +459,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         for bytes in [
-            checkpoint(seed).encode(),
+            campaign(seed).bytes,
             snapshot(seed).encode(),
             serve_state(seed).encode(),
             journal(seed),
@@ -395,32 +473,23 @@ proptest! {
     }
 }
 
-const CALIB_HEADER: &str = "bbck/v1\nseed 42\nscale test\nfaults off\nexperiments calib\n\
-                            csv 0\ncode_schema 1\nwindows_done 0\n";
+/// The header `repro calib --scale test --seed 42 --checkpoint` writes.
+const CALIB_HEADER: &str = "bbck/v2\nseed 42\nscale test\nfaults off\nexperiments calib\n\
+                            csv 0\ncode_schema 1\nsum 8fd23227b7c455e0\n";
 
 #[test]
 fn crafted_huge_blob_length_is_rejected() {
     let bytes = format!("{CALIB_HEADER}unit calib 0 18446744073709551615 0\nend\n");
-    for err in [
-        Checkpoint::decode(bytes.as_bytes()).unwrap_err(),
-        Checkpoint::decode_salvaging(bytes.as_bytes()).unwrap_err(),
-    ] {
-        let err = err.to_string();
-        assert!(err.contains("impossible length"), "{err}");
-        assert!(err.contains("unit calib"), "{err}");
-    }
+    let err = Checkpoint::decode(bytes.as_bytes()).unwrap_err().to_string();
+    assert!(err.contains("impossible length"), "{err}");
+    assert!(err.contains("unit calib"), "{err}");
 }
 
 #[test]
 fn crafted_huge_file_count_is_rejected() {
-    let bytes = format!("{CALIB_HEADER}unit calib 99999999999999999 0 cbf29ce484222325\n\nend\n");
-    for err in [
-        Checkpoint::decode(bytes.as_bytes()).unwrap_err(),
-        Checkpoint::decode_salvaging(bytes.as_bytes()).unwrap_err(),
-    ] {
-        let err = err.to_string();
-        assert!(err.contains("expected `file` in unit calib"), "{err}");
-    }
+    let bytes = format!("{CALIB_HEADER}unit calib 99999999999999999 0 888277013a417429\n\nend\n");
+    let err = Checkpoint::decode(bytes.as_bytes()).unwrap_err().to_string();
+    assert!(err.contains("expected `file` in unit calib"), "{err}");
 }
 
 #[test]

@@ -304,7 +304,7 @@ fn stale_snapshot_is_rejected_not_reused() {
 
 #[test]
 fn crafted_state_blob_fails_closed_on_resume() {
-    use beating_bgp::core::checkpoint::fnv1a;
+    use beating_bgp::core::framed::blob_head;
     let base = tmpdir("crafted");
     let dir = base.join("sd");
     let args = |windows| {
@@ -329,7 +329,7 @@ fn crafted_state_blob_fails_closed_on_resume() {
     // Magic (8), mode (1), eps (8), windows_done (8), then the count.
     state[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
     let mut crafted = bytes[..line_at].to_vec();
-    crafted.extend(format!("state {} {:016x}\n", state.len(), fnv1a(&state)).bytes());
+    crafted.extend(blob_head("state", &state).bytes());
     crafted.extend(&state);
     crafted.extend(b"\nend\n");
     std::fs::write(&snap, &crafted).unwrap();
@@ -344,6 +344,7 @@ fn crafted_state_blob_fails_closed_on_resume() {
 
 #[test]
 fn journal_damage_fails_closed_and_a_torn_tail_resumes() {
+    use beating_bgp::core::snapshot::Journal;
     let base = tmpdir("journal");
     let args = |dir: &Path| {
         [
@@ -395,8 +396,11 @@ fn journal_damage_fails_closed_and_a_torn_tail_resumes() {
             }
             1 => bytes[third + "epoch ".len()] = b'4',
             _ => {
-                let at = bytes.windows(8).position(|w| w == b"seed 42\n").unwrap();
-                bytes.splice(at..at + 8, *b"seed 7\n");
+                // Another campaign's journal: a whole header, checksum
+                // included, keyed on seed 7.
+                let mut journal = Journal::decode(&bytes).unwrap();
+                journal.key.seed = 7;
+                bytes = journal.encode();
             }
         }
         std::fs::write(dir.join("journal.bbjn"), &bytes).unwrap();

@@ -146,13 +146,13 @@ fn merge_rejects_mismatched_and_incomplete_shards() {
 #[test]
 fn crafted_manifests_fail_closed_in_merge() {
     let base = tmpdir("crafted");
-    let header = "bbck/v1\nseed 42\nscale test\nfaults off\nexperiments calib\n\
-                  csv 0\ncode_schema 1\nwindows_done 0\n";
+    let header = "bbck/v2\nseed 42\nscale test\nfaults off\nexperiments calib\n\
+                  csv 0\ncode_schema 1\nsum 8fd23227b7c455e0\n";
     // A blob length no file can hold, and a file count far past the
     // records present: the strict decoder names the bad record, exit 2.
     for (record, named) in [
         ("unit calib 0 18446744073709551615 0\nend\n", "impossible length"),
-        ("unit calib 99999999999999999 0 cbf29ce484222325\n\nend\n", "expected `file`"),
+        ("unit calib 99999999999999999 0 888277013a417429\n\nend\n", "expected `file`"),
     ] {
         std::fs::write(base.join("checkpoint.bbck"), format!("{header}{record}")).unwrap();
         let out = run(&["merge", base.to_str().unwrap()]);
