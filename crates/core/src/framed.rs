@@ -18,6 +18,8 @@
 //! may end in an entry cut off by a crash mid-append. [`Reader::entries`]
 //! stops at it and returns where the intact prefix ends, for a resume to
 //! truncate the file to; damage with the bytes fully present is an error.
+//! So is a last record whose length runs past end of file while the bytes
+//! left check out as that record under their actual length.
 //! An atomic file (a snapshot) has no torn tail: a cut blob is an error.
 
 use crate::error::{BbError, BbResult};
@@ -327,7 +329,20 @@ impl<'a> Reader<'a> {
         if len > isize::MAX as usize {
             return Err(corrupt(format!("impossible length {len}")));
         }
-        if len >= self.bytes.len() - at {
+        let rest = &self.bytes[at..];
+        if len >= rest.len() {
+            // A torn tail, unless the bytes to end of file are one whole
+            // record under their actual length: then the length is damaged.
+            if let [blob @ .., b'\n'] = rest {
+                let covered = format!("{} {} ", head.tokens.join(" "), blob.len());
+                if fnv1a(&[covered.as_bytes(), blob]) == head.sum {
+                    return Err(corrupt(format!(
+                        "record length {len} runs past end of file, but the {} bytes left \
+                         match the record checksum (a damaged length)",
+                        blob.len()
+                    )));
+                }
+            }
             return Ok(None);
         }
         let blob = &self.bytes[at..at + len];
@@ -453,20 +468,31 @@ mod tests {
             let mut r = Reader::open(bytes, F).unwrap();
             r.sum().unwrap();
             let mut n = 0;
-            let intact = r
-                .entries(|r| {
-                    let Some(line) = r.line_opt()? else { return Ok(None) };
-                    let head = record(&line).unwrap();
-                    let blob = r.blob(&head, "n")?;
-                    n += usize::from(blob.is_some());
-                    Ok(blob.map(|_| ()))
-                })
-                .unwrap();
-            (n, intact)
+            let intact = r.entries(|r| {
+                let Some(line) = r.line_opt()? else { return Ok(None) };
+                let head = record(&line).unwrap();
+                let blob = r.blob(&head, "n")?;
+                n += usize::from(blob.is_some());
+                Ok(blob.map(|_| ()))
+            });
+            intact.map(|intact| (n, intact))
         };
-        assert_eq!(read(&bytes), (2, bytes.len()));
+        assert_eq!(read(&bytes).unwrap(), (2, bytes.len()));
         for cut in first_end..bytes.len() {
-            assert_eq!(read(&bytes[..cut]), (1, first_end), "cut at {cut}");
+            assert_eq!(read(&bytes[..cut]).unwrap(), (1, first_end), "cut at {cut}");
+        }
+        // A raised length on the last record leaves a whole record under
+        // its actual length: a damaged length, named with both byte
+        // offsets, not a torn tail. Cut short, it is a torn tail again.
+        for raised in [b'3', b'9'] {
+            let mut bad = bytes.clone();
+            bad[first_end + "n 2 ".len()] = raised;
+            let err = read(&bad).unwrap_err().to_string();
+            assert!(err.contains("a damaged length"), "{err}");
+            assert!(err.contains(&format!("record line at byte offset {first_end}")), "{err}");
+            let blob_at = bytes.len() - 3;
+            assert!(err.contains(&format!("blob at byte offset {blob_at}")), "{err}");
+            assert_eq!(read(&bad[..bad.len() - 1]).unwrap(), (1, first_end));
         }
     }
 

@@ -12,8 +12,6 @@ use bb_geo::{CityId, Region};
 use bb_netsim::{CongestionKey, CongestionModel, FaultPlane, PathPlanBatch, SimTime};
 use bb_topology::Topology;
 use bb_workload::{PrefixId, Workload};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// Front-end processing time added to every request, ms.
@@ -122,9 +120,9 @@ fn run_beacons_tallied(
         .collect();
     let sampler = Sampler::new(times, faults, cfg.samples);
 
-    // One task per prefix; the RNG is keyed on (seed, prefix id, round), so
-    // output is identical for every worker count, and the in-order flatten
-    // reproduces the sequential prefix-major row order.
+    // One task per prefix; the draws are keyed on (seed, prefix id, round),
+    // so output is identical for every worker count, and the in-order
+    // flatten reproduces the sequential prefix-major row order.
     let per_prefix = bb_exec::par_map(&workload.prefixes, |_, prefix| {
         let lastmile = CongestionKey::LastMile(prefix.id.lastmile_code());
         // Cache the services once per prefix (routing is static).
@@ -184,23 +182,23 @@ fn run_beacons_tallied(
         });
 
         let mut task = TaskScratch::default();
+        // Fault-free, every round's beacons come from one kernel call: one
+        // cell per round, one session per front-end, anycast first.
+        let mut fault_free = Vec::new();
+        if faults.is_none() {
+            let seeds: Vec<u64> = (0..cfg.rounds)
+                .map(|round| cfg.seed ^ (prefix.id.0 as u64) << 20 ^ round as u64)
+                .collect();
+            let det = |round, r: usize| {
+                sampler.det(&batch, r, round, 0) + 2.0 * fes[r].1 + FRONTEND_PROCESS_MS
+            };
+            sampler.session_rtts(&mut task, &seeds, fes.len(), det, &mut fault_free);
+        }
         let mut rows = Vec::with_capacity(cfg.rounds);
         for round in 0..cfg.rounds {
             let t = sampler.time(round);
             let mut rtts: Vec<f64> = match faults {
-                None => {
-                    let mut rng = StdRng::seed_from_u64(
-                        cfg.seed ^ (prefix.id.0 as u64) << 20 ^ round as u64,
-                    );
-                    (0..fes.len())
-                        .map(|r| {
-                            let det = sampler.det(&batch, r, round, 0)
-                                + 2.0 * fes[r].1
-                                + FRONTEND_PROCESS_MS;
-                            sampler.min_rtt(&mut task, &mut rng, det)
-                        })
-                        .collect()
-                }
+                None => fault_free[round * fes.len()..][..fes.len()].to_vec(),
                 Some(fp) => (0..fes.len())
                     .map(|r| {
                         let (route_key, churn) = &churn[r];
@@ -260,6 +258,8 @@ mod tests {
     use bb_netsim::CongestionConfig;
     use bb_topology::{generate, TopologyConfig};
     use bb_workload::{generate_workload, WorkloadConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn campaign() -> (Topology, Vec<BeaconMeasurement>) {
         let mut topo = generate(&TopologyConfig::small(91));
@@ -479,10 +479,6 @@ mod tests {
         let sites = provider.pops.clone();
         let anycast = AnycastDeployment::deploy(&topo, &provider, &sites);
         let unicast = build_unicast_deployments(&topo, &provider, &sites);
-        let cfg = BeaconConfig {
-            rounds: 4,
-            ..Default::default()
-        };
         // Heavy never times out on this world, so the last config forces
         // timeouts and a second retry.
         let timeouts = FaultConfig {
@@ -490,48 +486,56 @@ mod tests {
             timeout_ms: 70.0,
             ..FaultConfig::heavy()
         };
-        for (name, fc) in [
-            ("off", None),
-            ("light", Some(FaultConfig::light())),
-            ("heavy", Some(FaultConfig::heavy())),
-            ("timeouts", Some(timeouts)),
-        ] {
-            let plane = fc.map(|fc| FaultPlane::new(5, fc));
-            let (rows, got_tally) = run_beacons_tallied(
-                &topo, &provider, &anycast, &unicast, &workload, &congestion, plane.as_ref(),
-                &cfg,
-            );
-            let (want, want_tally, deepest) = beacon_oracle(
-                (&topo, &provider, &workload, &congestion),
-                (&anycast, &unicast),
-                &rows,
-                plane.as_ref(),
-                &cfg,
-            );
-            assert!(rows.len() > 100, "{name}: {} rows", rows.len());
-            assert_eq!(got_tally, want_tally, "{name}: fault tally");
-            for (row, want) in rows.iter().zip(&want) {
-                let got: Vec<u64> = std::iter::once(row.anycast_rtt_ms)
-                    .chain(row.unicast_rtt_ms.iter().map(|&(_, r)| r))
-                    .map(f64::to_bits)
-                    .collect();
-                let want: Vec<u64> = want.iter().map(|r| r.to_bits()).collect();
-                assert_eq!(got, want, "{name}: prefix {:?} at {:?}", row.prefix, row.time);
-            }
-            match name {
-                "off" => assert_eq!(want_tally, crate::FaultTally::default()),
-                _ => assert!(
-                    want_tally.lost > 0 && want_tally.retries > 0,
-                    "{name}: {want_tally:?}"
-                ),
-            }
-            if name == "timeouts" {
-                assert!(want_tally.timeouts > 0, "the low timeout must fire");
-                assert_eq!(deepest, 2, "some beacon must reach its second retry");
-                assert!(
-                    rows.iter().any(|r| r.anycast_rtt_ms.is_finite()),
-                    "some beacons must survive the timeout"
+        // 17 rounds are two full lane groups of cells and a one-cell remainder.
+        for rounds in [4, 17] {
+            let cfg = BeaconConfig {
+                rounds,
+                ..Default::default()
+            };
+            for (name, fc) in [
+                ("off", None),
+                ("light", Some(FaultConfig::light())),
+                ("heavy", Some(FaultConfig::heavy())),
+                ("timeouts", Some(timeouts.clone())),
+            ] {
+                let plane = fc.map(|fc| FaultPlane::new(5, fc));
+                let (rows, got_tally) = run_beacons_tallied(
+                    &topo, &provider, &anycast, &unicast, &workload, &congestion, plane.as_ref(),
+                    &cfg,
                 );
+                let (want, want_tally, deepest) = beacon_oracle(
+                    (&topo, &provider, &workload, &congestion),
+                    (&anycast, &unicast),
+                    &rows,
+                    plane.as_ref(),
+                    &cfg,
+                );
+                assert!(rows.len() > 100, "{name}, {rounds} rounds: {} rows", rows.len());
+                assert_eq!(got_tally, want_tally, "{name}, {rounds} rounds: fault tally");
+                for (row, want) in rows.iter().zip(&want) {
+                    let got: Vec<u64> = std::iter::once(row.anycast_rtt_ms)
+                        .chain(row.unicast_rtt_ms.iter().map(|&(_, r)| r))
+                        .map(f64::to_bits)
+                        .collect();
+                    let want: Vec<u64> = want.iter().map(|r| r.to_bits()).collect();
+                    let at = (row.prefix, row.time);
+                    assert_eq!(got, want, "{name}, {rounds} rounds: prefix and time {at:?}");
+                }
+                match name {
+                    "off" => assert_eq!(want_tally, crate::FaultTally::default()),
+                    _ => assert!(
+                        want_tally.lost > 0 && want_tally.retries > 0,
+                        "{name}, {rounds} rounds: {want_tally:?}"
+                    ),
+                }
+                if name == "timeouts" {
+                    assert!(want_tally.timeouts > 0, "the low timeout must fire");
+                    assert_eq!(deepest, 2, "some beacon must reach its second retry");
+                    assert!(
+                        rows.iter().any(|r| r.anycast_rtt_ms.is_finite()),
+                        "some beacons must survive the timeout"
+                    );
+                }
             }
         }
     }

@@ -18,7 +18,9 @@
 //!
 //! All three pipelines measure the same way: each compiles its routes into
 //! [`PathPlanBatch`]es, reads diurnal factors from one [`Sampler`]'s
-//! tables, and draws MinRTT jitter through the batched kernel.
+//! tables, and draws MinRTT jitter through the lane kernels of
+//! [`MedianLanes`]: session minima, window medians and faulted windows,
+//! one call per task wherever the task's cells are known up front.
 //!
 //! All three optionally consume a [`FaultPlane`]: probes are lost, time
 //! out, and retry with bounded backoff; routes are withdrawn mid-window by
@@ -28,10 +30,9 @@
 //! pipelines run the exact pre-fault code path, byte for byte.
 
 use bb_netsim::{
-    batch_session_min_z, DiurnalTable, FaultPlane, FaultTally, FaultedWindow, JitterScratch,
-    MedianLanes, PathPlanBatch, RttModel, SimTime,
+    DiurnalTable, FaultPlane, FaultTally, FaultedWindow, JitterScratch, MedianLanes,
+    PathPlanBatch, RttModel, SimTime,
 };
-use rand::rngs::StdRng;
 
 pub mod beacon;
 pub mod probe;
@@ -111,14 +112,14 @@ fn retry_time(fp: &FaultPlane, t: SimTime, attempt: u32) -> SimTime {
     t + attempt as f64 * fp.config().retry_backoff_min
 }
 
-/// Batch jitter-kernel counters, accumulated per task and merged like
-/// [`FaultTally`]. Only spray publishes them.
+/// Lane-kernel counters ([`MedianLanes`]), accumulated per task and merged
+/// like [`FaultTally`]. Every pipeline counts; only spray publishes them.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct KernelTally {
-    /// Kernel work units: one per `min_z` batch, per median cell and per
-    /// faulted window.
+    /// Kernel work units: one per session-minima cell, per median cell and
+    /// per faulted window.
     pub batches: usize,
-    /// Deviates the batch kernels resolved through libm.
+    /// Deviates the kernels resolved through libm.
     pub exact_evals: usize,
 }
 
@@ -142,25 +143,17 @@ impl KernelTally {
 #[derive(Default)]
 pub(crate) struct TaskScratch {
     jitter: JitterScratch,
-    min_z: Vec<f64>,
+    /// The kernels' output.
+    z: Vec<f64>,
     probes: Vec<(u64, u64)>,
     pub faults: FaultTally,
     pub kernel: KernelTally,
 }
 
 impl TaskScratch {
-    /// The minimum deviate of each of `sessions` sessions of `samples`
-    /// draws from `rng`, in the scalar session walk's stream order.
-    pub fn min_z(&mut self, rng: &mut StdRng, sessions: usize, samples: usize) -> &[f64] {
-        self.kernel.batches += 1;
-        self.kernel.exact_evals +=
-            batch_session_min_z(rng, sessions, samples, &mut self.jitter, &mut self.min_z);
-        &self.min_z
-    }
-
-    /// For each cell seed, the median of the session minima
-    /// [`min_z`](Self::min_z) would draw from `StdRng::seed_from_u64(seed)`
-    /// (odd `sessions`), through the kernel instance `lanes`.
+    /// For each cell seed, the median of its session minima (odd
+    /// `sessions`), through the kernel instance `lanes`; see
+    /// [`MedianLanes::median_z`].
     pub fn median_z(
         &mut self,
         lanes: MedianLanes,
@@ -170,8 +163,8 @@ impl TaskScratch {
     ) -> &[f64] {
         self.kernel.batches += seeds.len();
         self.kernel.exact_evals +=
-            lanes.median_z(seeds, sessions, samples, &mut self.jitter, &mut self.min_z);
-        &self.min_z
+            lanes.median_z(seeds, sessions, samples, &mut self.jitter, &mut self.z);
+        &self.z
     }
 }
 
@@ -184,7 +177,7 @@ impl TaskScratch {
 /// attempt evaluates a sine.
 pub(crate) struct Sampler {
     rtt_model: RttModel,
-    /// The lane-kernel instance the faulted path runs.
+    /// The lane-kernel instance every draw runs.
     lanes: MedianLanes,
     /// Draws per session.
     samples: usize,
@@ -231,20 +224,25 @@ impl Sampler {
         batch.det_rtt_ms(route, times[i], table.row(i))
     }
 
-    /// The MinRTTs of `out.len()` sessions over `det`: each the jitter of
-    /// the minimum of `samples` deviates drawn from `rng`.
-    pub fn min_rtts(&self, task: &mut TaskScratch, rng: &mut StdRng, det: f64, out: &mut [f64]) {
-        let min_z = task.min_z(rng, out.len(), self.samples);
-        for (rtt, &z) in out.iter_mut().zip(min_z) {
-            *rtt = det + self.rtt_model.jitter(z);
-        }
-    }
-
-    /// One session's MinRTT over `det`.
-    pub fn min_rtt(&self, task: &mut TaskScratch, rng: &mut StdRng, det: f64) -> f64 {
-        let mut rtt = [0.0];
-        self.min_rtts(task, rng, det, &mut rtt);
-        rtt[0]
+    /// The MinRTTs of `sessions` sessions per cell of `seeds`, cell-major,
+    /// into `out`: session `s` of cell `c` reports `det(c, s)` plus the
+    /// jitter of the minimum of `samples` deviates drawn from the cell's
+    /// seed; see [`MedianLanes::min_z`].
+    pub fn session_rtts(
+        &self,
+        task: &mut TaskScratch,
+        seeds: &[u64],
+        sessions: usize,
+        det: impl Fn(usize, usize) -> f64,
+        out: &mut Vec<f64>,
+    ) {
+        task.kernel.batches += seeds.len();
+        task.kernel.exact_evals +=
+            self.lanes.min_z(seeds, sessions, self.samples, &mut task.jitter, &mut task.z);
+        out.clear();
+        out.extend(task.z.iter().enumerate().map(|(i, &z)| {
+            det(i / sessions, i % sessions) + self.rtt_model.jitter(z)
+        }));
     }
 
     /// Faulted probes of `route` at sample `i`, one per `(probe key,

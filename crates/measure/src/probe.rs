@@ -127,7 +127,7 @@ fn probe_tiers_tallied(
         .collect();
     let sampler = Sampler::new(times, faults, cfg.pings);
 
-    // One task per vantage point; the RNG is keyed on (seed, vp index,
+    // One task per vantage point; the draws are keyed on (seed, vp index,
     // round, tier), so output is identical for every worker count, and the
     // in-order flatten reproduces the sequential vp-major row order.
     let per_vp: Vec<(Vec<TierProbe>, crate::FaultTally)> = bb_exec::par_map(vps, |vi, vp| {
@@ -141,6 +141,24 @@ fn probe_tiers_tallied(
         // Compile the tier paths once; rounds query the batch.
         let paths = tiers.iter().map(|(_, tp)| (&tp.path, Some(lastmile), None));
         let batch = PathPlanBatch::compile(topo, congestion, paths);
+        // Fault-free, every probe comes from one kernel call: one cell per
+        // (tier, round), tier-major, of one session.
+        let mut fault_free = Vec::new();
+        if faults.is_none() {
+            let seeds: Vec<u64> = tiers
+                .iter()
+                .flat_map(|&(tier, _)| {
+                    (0..cfg.rounds).map(move |round| {
+                        cfg.seed ^ (vi as u64) << 24 ^ (round as u64) << 2 ^ tier as u64
+                    })
+                })
+                .collect();
+            let det = |c, _| {
+                let (r, round) = (c / cfg.rounds, c % cfg.rounds);
+                sampler.det(&batch, r, round, 0) + 2.0 * tiers[r].1.wan_ms
+            };
+            sampler.session_rtts(&mut task, &seeds, 1, det, &mut fault_free);
+        }
         for (r, (tier, tp)) in tiers.iter().enumerate() {
             let ingress_distance_km = topo
                 .atlas
@@ -155,13 +173,7 @@ fn probe_tiers_tallied(
             for round in 0..cfg.rounds {
                 let t = sampler.time(round);
                 let rtt_ms = match &churn {
-                    None => {
-                        let det = sampler.det(&batch, r, round, 0) + 2.0 * tp.wan_ms;
-                        let mut rng = StdRng::seed_from_u64(
-                            cfg.seed ^ (vi as u64) << 24 ^ (round as u64) << 2 ^ *tier as u64,
-                        );
-                        sampler.min_rtt(&mut task, &mut rng, det)
-                    }
+                    None => fault_free[r * cfg.rounds + round],
                     Some((_, churn)) if churn.withdrawn_at(t) => {
                         task.faults.lost += 1;
                         f64::NAN
@@ -404,10 +416,6 @@ mod tests {
         let standard = TierDeployment::deploy(&topo, &provider, dc, Tier::Standard);
         let vps = select_vantage_points(&topo, 7);
         let congestion = CongestionModel::new(10, CongestionConfig::default());
-        let cfg = ProbeConfig {
-            rounds: 6,
-            ..Default::default()
-        };
         // Heavy never times out on this world, so the last config forces
         // timeouts and a second retry.
         let timeouts = FaultConfig {
@@ -415,46 +423,55 @@ mod tests {
             timeout_ms: 70.0,
             ..FaultConfig::heavy()
         };
-        for (name, fc) in [
-            ("off", None),
-            ("light", Some(FaultConfig::light())),
-            ("heavy", Some(FaultConfig::heavy())),
-            ("timeouts", Some(timeouts)),
-        ] {
-            let plane = fc.map(|fc| FaultPlane::new(5, fc));
-            let (rows, got_tally) = probe_tiers_tallied(
-                &topo, &provider, &premium, &standard, &vps, &congestion, plane.as_ref(), &cfg,
-            );
-            let (want, want_tally, deepest) = probe_oracle(
-                (&topo, &provider, &congestion),
-                (&premium, &standard),
-                &vps,
-                &rows,
-                plane.as_ref(),
-                &cfg,
-            );
-            assert!(rows.len() > 100, "{name}: {} rows", rows.len());
-            assert_eq!(got_tally, want_tally, "{name}: fault tally");
-            let bits = |v: &mut dyn Iterator<Item = f64>| v.map(f64::to_bits).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&mut rows.iter().map(|r| r.rtt_ms)),
-                bits(&mut want.iter().copied()),
-                "{name}: RTTs"
-            );
-            match name {
-                "off" => assert_eq!(want_tally, crate::FaultTally::default()),
-                _ => assert!(
-                    want_tally.lost > 0 && want_tally.retries > 0,
-                    "{name}: {want_tally:?}"
-                ),
-            }
-            if name == "timeouts" {
-                assert!(want_tally.timeouts > 0, "the low timeout must fire");
-                assert_eq!(deepest, 2, "some probe must reach its second retry");
-                assert!(
-                    rows.iter().any(|r| r.rtt_ms.is_finite()),
-                    "some probes must survive the timeout"
+        // 17 rounds per tier span whole lane groups of cells and a remainder.
+        for rounds in [6, 17] {
+            let cfg = ProbeConfig {
+                rounds,
+                ..Default::default()
+            };
+            for (name, fc) in [
+                ("off", None),
+                ("light", Some(FaultConfig::light())),
+                ("heavy", Some(FaultConfig::heavy())),
+                ("timeouts", Some(timeouts.clone())),
+            ] {
+                let plane = fc.map(|fc| FaultPlane::new(5, fc));
+                let (rows, got_tally) = probe_tiers_tallied(
+                    &topo, &provider, &premium, &standard, &vps, &congestion, plane.as_ref(),
+                    &cfg,
                 );
+                let (want, want_tally, deepest) = probe_oracle(
+                    (&topo, &provider, &congestion),
+                    (&premium, &standard),
+                    &vps,
+                    &rows,
+                    plane.as_ref(),
+                    &cfg,
+                );
+                assert!(rows.len() > 100, "{name}, {rounds} rounds: {} rows", rows.len());
+                assert_eq!(got_tally, want_tally, "{name}, {rounds} rounds: fault tally");
+                let bits =
+                    |v: &mut dyn Iterator<Item = f64>| v.map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&mut rows.iter().map(|r| r.rtt_ms)),
+                    bits(&mut want.iter().copied()),
+                    "{name}, {rounds} rounds: RTTs"
+                );
+                match name {
+                    "off" => assert_eq!(want_tally, crate::FaultTally::default()),
+                    _ => assert!(
+                        want_tally.lost > 0 && want_tally.retries > 0,
+                        "{name}, {rounds} rounds: {want_tally:?}"
+                    ),
+                }
+                if name == "timeouts" {
+                    assert!(want_tally.timeouts > 0, "the low timeout must fire");
+                    assert_eq!(deepest, 2, "some probe must reach its second retry");
+                    assert!(
+                        rows.iter().any(|r| r.rtt_ms.is_finite()),
+                        "some probes must survive the timeout"
+                    );
+                }
             }
         }
     }

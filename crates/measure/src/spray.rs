@@ -18,8 +18,6 @@ use bb_netsim::{
 };
 use bb_topology::{AsId, InterconnectId, Topology};
 use bb_workload::{PrefixId, Workload};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -326,7 +324,7 @@ impl SprayEngine {
             let batch = &self.batches[ti];
             let routes = target.routes.len();
             let mut task = TaskScratch::default();
-            let mut sessions = vec![0.0_f64; cfg.sessions_per_window];
+            let mut sessions = Vec::with_capacity(cfg.sessions_per_window);
             // Faulted path: churn is a property of the route, not the
             // window, so each route's key and withdrawal intervals resolve
             // once per target.
@@ -359,9 +357,10 @@ impl SprayEngine {
                                     // Even session count: the median
                                     // averages two sessions, so the map
                                     // runs per session.
-                                    let seed = cell_seed(cfg.seed, w, ti, ri);
-                                    let mut rng = StdRng::seed_from_u64(seed);
-                                    sampler.min_rtts(&mut task, &mut rng, det, &mut sessions);
+                                    let seeds = [cell_seed(cfg.seed, w, ti, ri)];
+                                    let n = cfg.sessions_per_window;
+                                    let out = &mut sessions;
+                                    sampler.session_rtts(&mut task, &seeds, n, |_, _| det, out);
                                     bb_stats::quantile::quantile_select(&mut sessions, 0.5)
                                 }
                             };
@@ -630,6 +629,8 @@ mod tests {
     use bb_netsim::CongestionConfig;
     use bb_topology::{generate, TopologyConfig};
     use bb_workload::{generate_workload, WorkloadConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// A Test-scale world (the topology `Scale::Test` generates).
     fn world() -> (Topology, Provider, Workload) {

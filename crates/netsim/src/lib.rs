@@ -51,7 +51,7 @@ pub use fault::{FaultConfig, FaultLevel, FaultPlane, FaultTally, RouteChurn, MAX
 pub use goodput::goodput_mbps;
 pub use path::{realize_path, RealizeSpec, RealizedPath, Segment, TracerouteHop};
 pub use rtt::{
-    batch_session_min_z, path_base_rtt_ms, FaultedMedian, FaultedWindow, JitterScratch,
-    MedianLanes, RttModel, APPROX_Z_ERR,
+    path_base_rtt_ms, FaultedMedian, FaultedWindow, JitterScratch, MedianLanes, RttModel,
+    APPROX_Z_ERR,
 };
 pub use time::{SimTime, Window, WINDOW_MINUTES};

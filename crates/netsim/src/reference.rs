@@ -2,11 +2,11 @@
 //!
 //! No production code calls this module. Every campaign compiles its paths
 //! into a [`PathPlanBatch`](crate::PathPlanBatch) and draws its jitter
-//! through [`batch_session_min_z`](crate::batch_session_min_z) or
-//! [`MedianLanes`](crate::MedianLanes), faulted windows included. The
-//! functions here compute the same quantities the obvious way, one sample
-//! (or one retry) at a time, so tests can check the compiled paths against
-//! them bit for bit without sharing code with them.
+//! through the lane kernels of [`MedianLanes`](crate::MedianLanes): session
+//! minima, window medians and faulted windows. The functions here compute
+//! the same quantities the obvious way, one sample (or one retry) at a
+//! time, so tests can check the compiled paths against them bit for bit
+//! without sharing code with them.
 
 use crate::congestion::{CongestionKey, CongestionModel};
 use crate::fault::{FaultPlane, FaultTally};

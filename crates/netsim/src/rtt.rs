@@ -17,8 +17,6 @@ use crate::fault::{FaultPlane, FaultTally, ProbeLoss};
 use crate::keyed::derive_seed;
 use crate::path::RealizedPath;
 use bb_topology::Topology;
-use rand::Rng;
-use std::ops::Range;
 
 /// Fixed per-AS-boundary router/processing cost, ms (both directions).
 pub const PER_HOP_MS: f64 = 0.25;
@@ -65,8 +63,8 @@ pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Bound on `|approx_z(u1, u2) − box_muller(u1, u2)|` over `u1 ∈ [ε, 1)`,
-/// `u2 ∈ [0, 1)`.
+/// Bound on `|z̃ − box_muller(u1, u2)|`, `z̃ = key_z(approx_key(u1, u2))`
+/// the ranking deviate, over `u1 ∈ [ε, 1)`, `u2 ∈ [0, 1)`.
 ///
 /// The truncation errors are `2·|s|¹⁵/(15·(1 − s²)) ≤ 4.6e-13` for the ln
 /// series (`|s| ≤ 3 − 2√2`) and `(π/2)¹⁷/17! ≤ 6.1e-12` for the sine series.
@@ -133,18 +131,12 @@ fn approx_key(u1: f64, u2: f64) -> f64 {
     -2.0 * approx_ln(u1) * c * c.abs()
 }
 
-/// The ranking deviate of a ranking key. Monotone non-decreasing, so the
-/// deviate of the minimum key is the minimum deviate, bit for bit.
+/// The ranking deviate of a ranking key: `z̃ = sgn(c)·√(−2·ln~ u1 · c²)`,
+/// within [`APPROX_Z_ERR`] of [`box_muller`]. Monotone non-decreasing, so
+/// the deviate of the minimum key is the minimum deviate, bit for bit.
 #[inline(always)]
 fn key_z(key: f64) -> f64 {
     key.abs().sqrt().copysign(key)
-}
-
-/// The ranking deviate `z̃ = sgn(c)·√(−2·ln~ u1 · c²)`, `c = cos~(τ·u2)`,
-/// within [`APPROX_Z_ERR`] of [`box_muller`].
-#[inline(always)]
-fn approx_z(u1: f64, u2: f64) -> f64 {
-    key_z(approx_key(u1, u2))
 }
 
 /// Largest jitter sigma the faulted kernel accepts. Deviates stay within
@@ -188,16 +180,12 @@ fn approx_exp(x: f64) -> f64 {
     p * f64::from_bits(t.to_bits().wrapping_add(1023) << 52)
 }
 
-/// Reused buffers for [`batch_session_min_z`] and [`MedianLanes`]: the
-/// uniforms and ranking deviates of one batch or of a call's lane groups,
-/// plus the exact values of a median band. Hoisted out of the window loop
-/// by callers so the hot path allocates nothing.
+/// Reused buffers for [`MedianLanes`]: the lane groups' uniforms, ranking
+/// keys and session minima, the faulted kernel's per-stream state, and the
+/// exact values of a median band. Hoisted out of the window loop by callers
+/// so the hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct JitterScratch {
-    u1: Vec<f64>,
-    u2: Vec<f64>,
-    /// `approx_z` of every draw.
-    approx: Vec<f64>,
     /// Exact values inside the median band.
     exact: Vec<f64>,
     /// The lane groups' draws and ranking keys, draw-major.
@@ -294,132 +282,6 @@ impl Streams {
         self.resolved[g][l] = true;
         evals
     }
-}
-
-impl JitterScratch {
-    /// Draw `n` Box-Muller uniform pairs in the scalar path's stream order.
-    fn draw(&mut self, rng: &mut impl Rng, n: usize) {
-        self.u1.clear();
-        self.u2.clear();
-        self.u1.reserve(n);
-        self.u2.reserve(n);
-        for _ in 0..n {
-            self.u1.push(rng.gen_range(f64::EPSILON..1.0));
-            self.u2.push(rng.gen::<f64>());
-        }
-    }
-
-    /// Rank every drawn pair with [`approx_z`].
-    fn rank(&mut self) {
-        self.approx.resize(self.u1.len(), 0.0);
-        for ((a, &u1), &u2) in self.approx.iter_mut().zip(&self.u1).zip(&self.u2) {
-            *a = approx_z(u1, u2);
-        }
-    }
-
-    /// Minimum ranking deviate of draws `range`. Ranking deviates are
-    /// never NaN, so a plain compare replaces `f64::min`'s NaN handling.
-    fn approx_min(&self, range: Range<usize>) -> f64 {
-        self.approx[range].iter().fold(f64::INFINITY, |m, &a| if a < m { a } else { m })
-    }
-
-    /// Exact minimum deviate of draws `range`, whose ranking minimum is
-    /// `approx_min`, and the number of libm evaluations it took. Only a
-    /// draw with `z̃ ≤ approx_min + 2·APPROX_Z_ERR` can be the argmin: the
-    /// argmin `i*` has `z̃ᵢ* ≤ zᵢ* + E ≤ zⱼ + E ≤ z̃ⱼ + 2E` for every `j`.
-    /// `f64::min` returns one of its inputs, so folding those draws yields
-    /// the exact minimum's bits.
-    fn resolve(&self, range: Range<usize>, approx_min: f64) -> (f64, usize) {
-        let cut = approx_min + 2.0 * APPROX_Z_ERR;
-        let mut min_z = f64::INFINITY;
-        let mut evals = 0;
-        for i in range {
-            if self.approx[i] <= cut {
-                evals += 1;
-                min_z = min_z.min(box_muller(self.u1[i], self.u2[i]));
-            }
-        }
-        (min_z, evals)
-    }
-
-    /// Per-session exact minima of the drawn pairs; see
-    /// [`batch_session_min_z`].
-    fn session_minima(&mut self, sessions: usize, per: usize, out_min_z: &mut Vec<f64>) -> usize {
-        self.rank();
-        let mut evals = 0;
-        out_min_z.clear();
-        out_min_z.reserve(sessions);
-        for s in 0..sessions {
-            let range = s * per..(s + 1) * per;
-            let (min_z, n) = self.resolve(range.clone(), self.approx_min(range));
-            evals += n;
-            out_min_z.push(min_z);
-        }
-        evals
-    }
-
-    /// Median of the per-session exact minima of the drawn pairs; see
-    /// [`batch_session_median_z`].
-    #[cfg(test)]
-    fn session_median(&mut self, sessions: usize, per: usize) -> (f64, usize) {
-        assert!(sessions % 2 == 1, "median entry point needs an odd session count");
-        self.rank();
-        let ranks: Vec<f64> = (0..sessions)
-            .map(|s| self.approx_min(s * per..(s + 1) * per))
-            .collect();
-        let mid = sessions / 2;
-        // The ranking median by counting: the value with at most `mid`
-        // values below it and more than `mid` at or below it. Quadratic,
-        // but cheaper than a selection at single-digit session counts.
-        let approx_median = *ranks
-            .iter()
-            .find(|&&v| {
-                let (lt, le) = ranks.iter().fold((0, 0), |(lt, le), &w| {
-                    (lt + (w < v) as usize, le + (w <= v) as usize)
-                });
-                lt <= mid && mid < le
-            })
-            .expect("an odd, non-empty session set has a median");
-        let lo = approx_median - 2.0 * APPROX_Z_ERR;
-        let hi = approx_median + 2.0 * APPROX_Z_ERR;
-        let mut below = 0;
-        let mut evals = 0;
-        self.exact.clear();
-        for (s, &m) in ranks.iter().enumerate() {
-            if m < lo {
-                below += 1;
-            } else if m <= hi {
-                let (min_z, n) = self.resolve(s * per..(s + 1) * per, m);
-                evals += n;
-                self.exact.push(min_z);
-            }
-        }
-        let (_, &mut median, _) =
-            self.exact.select_nth_unstable_by(mid - below, |a, b| a.total_cmp(b));
-        (median, evals)
-    }
-}
-
-/// Batched session sampling: draw `sessions × samples_per_session` standard
-/// normals from `rng` — in exactly the stream order of `sessions` calls of
-/// the scalar session walk in [`reference`](crate::reference) — and write
-/// each session's minimum deviate into `out_min_z`. Returns the number of
-/// deviates evaluated through libm.
-///
-/// Rank then resolve: every draw gets a branch-free polynomial deviate
-/// [`approx_z`], and only the draws that can be their session's argmin
-/// (see `JitterScratch::resolve`) are evaluated exactly, by the scalar
-/// path's own expression. The approximations only choose which draws skip
-/// libm, so every value is bit-identical to the scalar walk.
-pub fn batch_session_min_z(
-    rng: &mut impl Rng,
-    sessions: usize,
-    samples_per_session: usize,
-    scratch: &mut JitterScratch,
-    out_min_z: &mut Vec<f64>,
-) -> usize {
-    scratch.draw(rng, sessions * samples_per_session);
-    scratch.session_minima(sessions, samples_per_session, out_min_z)
 }
 
 /// Cells per lane group of [`MedianLanes`].
@@ -549,8 +411,11 @@ fn rank_draws(
 }
 
 /// The exact minimum deviate of lane `l`'s draws, whose ranking minimum is
-/// `rank`, and the number of libm evaluations it took. Only draws with
-/// `z̃ ≤ rank + 2E` can be the argmin (see `JitterScratch::resolve`).
+/// `rank`, and the number of libm evaluations it took. Only a draw with
+/// `z̃ ≤ rank + 2E` (`E = APPROX_Z_ERR`) can be the argmin: the argmin `i*`
+/// has `z̃ᵢ* ≤ zᵢ* + E ≤ zⱼ + E ≤ z̃ⱼ + 2E` for every `j`. `f64::min`
+/// returns one of its inputs, so folding those draws yields the exact
+/// minimum's bits.
 #[inline(always)]
 fn resolve_lane(
     u1: &[Lane<f64>],
@@ -571,15 +436,16 @@ fn resolve_lane(
     (min_z, evals)
 }
 
-/// The lane kernel's body, instantiated by [`MedianLanes`] for the
+/// The session kernels' body, instantiated by [`MedianLanes`] for the
 /// compilation target's baseline and for AVX-512. For each group of
 /// [`LANES`] cells it draws every lane's uniform pairs in lockstep, ranks
-/// them with [`approx_z`], keeps each session's ranking minimum and counts
-/// ranks across lanes without branches; then, lane by lane, it resolves
-/// the median band through libm exactly as [`JitterScratch`]'s scalar
-/// resolve does.
+/// them with [`approx_key`] and keeps each session's ranking minimum. For
+/// session minima (`MEDIAN` false) it then resolves every session of every
+/// lane through libm with [`resolve_lane`]. For the median it counts ranks
+/// across lanes without branches, then, lane by lane, resolves only the
+/// median band.
 #[inline(always)]
-fn median_lanes(
+fn session_lanes<const MEDIAN: bool>(
     seeds: &[u64],
     draws: &mut impl LaneDraws,
     sessions: usize,
@@ -587,7 +453,7 @@ fn median_lanes(
     scratch: &mut JitterScratch,
     out: &mut Vec<f64>,
 ) -> usize {
-    assert!(sessions % 2 == 1, "median entry point needs an odd session count");
+    assert!(!MEDIAN || sessions % 2 == 1, "median entry point needs an odd session count");
     assert!(per >= 1, "a session draws at least one sample");
     let mid = sessions / 2;
     let n = sessions * per;
@@ -604,7 +470,7 @@ fn median_lanes(
     lane_key.resize(n, [0.0; LANES]);
     lane_session.resize(sessions, [0.0; LANES]);
     out.clear();
-    out.reserve(seeds.len());
+    out.reserve(if MEDIAN { seeds.len() } else { seeds.len() * sessions });
     let mut evals = 0;
     for group in seeds.chunks(LANES) {
         // Draw and rank, keeping each session's ranking minimum.
@@ -617,6 +483,23 @@ fn median_lanes(
                 &mut lane_u2[d.clone()],
                 &mut lane_key[d],
             );
+        }
+        if !MEDIAN {
+            for l in 0..group.len() {
+                for (s, session_min) in lane_session.iter().enumerate() {
+                    let d = s * per..(s + 1) * per;
+                    let (z, k) = resolve_lane(
+                        &lane_u1[d.clone()],
+                        &lane_u2[d.clone()],
+                        &lane_key[d],
+                        l,
+                        session_min[l],
+                    );
+                    evals += k;
+                    out.push(z);
+                }
+            }
+            continue;
         }
         // The ranking median by counting: the first session value with at
         // most `mid` values below it and more than `mid` at or below it.
@@ -685,11 +568,11 @@ fn median_lanes(
     evals
 }
 
-/// [`median_lanes`] compiled for x86-64-v4's AVX-512 F/DQ/VL: one lane
+/// [`session_lanes`] compiled for x86-64-v4's AVX-512 F/DQ/VL: one lane
 /// group fills one 512-bit register per value.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn median_lanes_avx512(
+fn session_lanes_avx512<const MEDIAN: bool>(
     seeds: &[u64],
     draws: &mut impl LaneDraws,
     sessions: usize,
@@ -697,7 +580,7 @@ fn median_lanes_avx512(
     scratch: &mut JitterScratch,
     out: &mut Vec<f64>,
 ) -> usize {
-    median_lanes(seeds, draws, sessions, per, scratch, out)
+    session_lanes::<MEDIAN>(seeds, draws, sessions, per, scratch, out)
 }
 
 /// One faulted measurement call: probes of one route at one instant, each
@@ -750,7 +633,7 @@ fn next_attempt(
 }
 
 /// The faulted window kernel's body, instantiated by [`MedianLanes`] like
-/// [`median_lanes`]; see [`MedianLanes::faulted_median`].
+/// [`session_lanes`]; see [`MedianLanes::faulted_median`].
 #[inline(always)]
 fn faulted_lanes(
     w: &FaultedWindow,
@@ -926,7 +809,7 @@ fn faulted_lanes(
     FaultedMedian { median: Some(median), kept: n, exact_evals: evals }
 }
 
-/// [`faulted_lanes`] compiled for AVX-512, as [`median_lanes_avx512`].
+/// [`faulted_lanes`] compiled for AVX-512, as [`session_lanes_avx512`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn faulted_lanes_avx512(
@@ -939,22 +822,31 @@ fn faulted_lanes_avx512(
     faulted_lanes(w, draws, det, tally, scratch)
 }
 
-/// The lane-batched kernels: for each cell seed, the median of the
-/// per-session minimum deviates that [`batch_session_min_z`] would draw
-/// from `StdRng::seed_from_u64(seed)`, cells handled [`LANES`] at a time
-/// ([`median_z`](Self::median_z)); and the median RTT of one faulted
-/// window, its `(session, attempt)` streams handled [`LANES`] at a time
-/// ([`faulted_median`](Self::faulted_median)).
+/// The lane-batched kernels, one per measurement shape. A cell seed draws
+/// its sessions' uniform pairs from `StdRng::seed_from_u64(seed)` in the
+/// scalar session walk's stream order (`sessions × samples` Box-Muller
+/// pairs, session-major), and cells are handled [`LANES`] at a time:
+/// - [`min_z`](Self::min_z): every session's minimum deviate;
+/// - [`median_z`](Self::median_z): the median of those minima;
+/// - [`faulted_median`](Self::faulted_median): the median RTT of one
+///   faulted window, its `(session, attempt)` streams handled [`LANES`]
+///   at a time.
 ///
-/// Each session's ranking minimum `m̃ₛ` is within `E = APPROX_Z_ERR` of its
-/// exact minimum `mₛ`, and so is the ranking median `M̃` of the exact
-/// median `M`. The median session therefore lies in the band
-/// `|m̃ₛ − M̃| ≤ 2E`, and a session below the band has `mₛ < M`. Only the
-/// band is resolved through libm: `M` is its `(mid − below)`-th exact
-/// value. The faulted kernel carries the same bound to RTT bounds, see
-/// [`faulted_median`](Self::faulted_median). Ranking uses plain `*`, `+`
-/// and correctly rounded `√` only, so every instance ranks to the same
-/// bits, and every value is bit-identical to the scalar walk.
+/// Rank then resolve: every draw gets a branch-free polynomial deviate
+/// ([`key_z`]) within `E = APPROX_Z_ERR` of its exact deviate, and only
+/// the draws that can decide a result are evaluated through libm, by the
+/// scalar walk's own expression; the approximations only choose which
+/// draws skip libm. A session minimum resolves the draws within `2E` of
+/// its ranking minimum (see [`resolve_lane`]). For the median, each
+/// session's ranking minimum `m̃ₛ` is within `E` of its exact minimum `mₛ`,
+/// and so is the ranking median `M̃` of the exact median `M`. The median
+/// session therefore lies in the band `|m̃ₛ − M̃| ≤ 2E`, and a session
+/// below the band has `mₛ < M`. Only the band is resolved: `M` is its
+/// `(mid − below)`-th exact value. The faulted kernel carries the same
+/// bound to RTT bounds, see [`faulted_median`](Self::faulted_median).
+/// Ranking uses plain `*`, `+` and correctly rounded `√` only, so every
+/// instance ranks to the same bits, and every value is bit-identical to
+/// the scalar walk.
 ///
 /// One body per kernel has two instances: a portable one and an AVX-512
 /// one. [`detect`](Self::detect) picks the widest the host runs; pick it
@@ -999,10 +891,10 @@ impl MedianLanes {
         out: &mut Vec<f64>,
     ) -> usize {
         let mut draws = SeedDraws { rng: LaneRng::new(&[0]) };
-        self.run(seeds, &mut draws, sessions, samples_per_session, scratch, out)
+        self.run::<true>(seeds, &mut draws, sessions, samples_per_session, scratch, out)
     }
 
-    fn run(
+    fn run<const MEDIAN: bool>(
         &self,
         seeds: &[u64],
         draws: &mut impl LaneDraws,
@@ -1015,9 +907,26 @@ impl MedianLanes {
         if self.wide {
             // SAFETY: `wide` is set only by `MedianLanes::wide`, which
             // checked that the host has every feature the instance enables.
-            return unsafe { median_lanes_avx512(seeds, draws, sessions, per, scratch, out) };
+            return unsafe {
+                session_lanes_avx512::<MEDIAN>(seeds, draws, sessions, per, scratch, out)
+            };
         }
-        median_lanes(seeds, draws, sessions, per, scratch, out)
+        session_lanes::<MEDIAN>(seeds, draws, sessions, per, scratch, out)
+    }
+
+    /// Write the minimum deviate of every session of each cell of `seeds`
+    /// into `out` (cleared first), cell-major (`out[c · sessions + s]`),
+    /// and return the number of deviates evaluated through libm.
+    pub fn min_z(
+        &self,
+        seeds: &[u64],
+        sessions: usize,
+        samples_per_session: usize,
+        scratch: &mut JitterScratch,
+        out: &mut Vec<f64>,
+    ) -> usize {
+        let mut draws = SeedDraws { rng: LaneRng::new(&[0]) };
+        self.run::<false>(seeds, &mut draws, sessions, samples_per_session, scratch, out)
     }
 
     /// The median RTT of the probes of `window` that report, as the scalar
@@ -1072,23 +981,6 @@ impl MedianLanes {
     }
 }
 
-/// The median of the `sessions` per-session minimum deviates that
-/// [`batch_session_min_z`] would produce — the value
-/// `quantile_select(min_z, 0.5)` selects — and the number of deviates
-/// evaluated through libm, one cell at a time. The test reference for
-/// [`MedianLanes`], which computes the same thing eight cells at a time.
-/// `sessions` must be odd, so the median is one session's value.
-#[cfg(test)]
-pub(crate) fn batch_session_median_z(
-    rng: &mut impl Rng,
-    sessions: usize,
-    samples_per_session: usize,
-    scratch: &mut JitterScratch,
-) -> (f64, usize) {
-    scratch.draw(rng, sessions * samples_per_session);
-    scratch.session_median(sessions, samples_per_session)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1100,8 +992,9 @@ mod tests {
     use bb_bgp::{compute_routes, Announcement};
     use bb_topology::{generate, AsClass, TopologyConfig, Topology};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+    use std::ops::Range;
 
     fn world() -> (Topology, RealizedPath) {
         let topo = generate(&TopologyConfig::small(17));
@@ -1180,30 +1073,132 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_min_z_matches_scalar_sample_min_rtt() {
-        let rm = RttModel::default();
-        let mut scratch = JitterScratch::default();
-        let mut min_z = Vec::new();
-        for (sessions, samples) in [(1, 1), (3, 5), (7, 5), (8, 4), (5, 1)] {
-            for seed in 0..50u64 {
-                let mut scalar_rng = StdRng::seed_from_u64(seed);
-                let scalar: Vec<f64> = (0..sessions)
-                    .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
-                    .collect();
-                let mut batch_rng = StdRng::seed_from_u64(seed);
-                batch_session_min_z(&mut batch_rng, sessions, samples, &mut scratch, &mut min_z);
-                assert_eq!(min_z.len(), sessions);
-                for (s, &z) in scalar.iter().zip(&min_z) {
-                    let batch_v = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
-                    assert_eq!(s.to_bits(), batch_v.to_bits(), "seed {seed}");
-                }
-                // Same stream position afterwards: the batch consumed
-                // exactly the scalar path's draws.
-                use crate::rtt::tests::next_of;
-                assert_eq!(next_of(&mut scalar_rng), next_of(&mut batch_rng));
+    /// The ranking deviate of a pair.
+    fn approx_z(u1: f64, u2: f64) -> f64 {
+        key_z(approx_key(u1, u2))
+    }
+
+    /// The per-cell scalar kernel the lane kernels are checked against, bit
+    /// for bit and libm count for libm count: one cell's uniform pairs,
+    /// drawn or crafted, ranked with `approx_z` one draw at a time, each
+    /// session resolved from its ranking minimum as [`resolve_lane`] does.
+    #[derive(Default)]
+    struct Cell {
+        u1: Vec<f64>,
+        u2: Vec<f64>,
+        /// `approx_z` of every draw.
+        approx: Vec<f64>,
+        /// Exact values inside the median band.
+        exact: Vec<f64>,
+    }
+
+    impl Cell {
+        /// `n` Box-Muller uniform pairs in the scalar walk's stream order.
+        fn drawn(rng: &mut impl Rng, n: usize) -> Self {
+            let (mut u1, mut u2) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for _ in 0..n {
+                u1.push(rng.gen_range(f64::EPSILON..1.0));
+                u2.push(rng.gen::<f64>());
+            }
+            Cell { u1, u2, ..Cell::default() }
+        }
+
+        /// Crafted uniform pairs, as if drawn.
+        fn crafted(pairs: &[(f64, f64)]) -> Self {
+            Cell {
+                u1: pairs.iter().map(|p| p.0).collect(),
+                u2: pairs.iter().map(|p| p.1).collect(),
+                ..Cell::default()
             }
         }
+
+        /// Rank every pair with `approx_z`.
+        fn rank(&mut self) {
+            self.approx = self.u1.iter().zip(&self.u2).map(|(&u1, &u2)| approx_z(u1, u2)).collect();
+        }
+
+        /// Minimum ranking deviate of draws `range`.
+        fn approx_min(&self, range: Range<usize>) -> f64 {
+            self.approx[range].iter().fold(f64::INFINITY, |m, &a| if a < m { a } else { m })
+        }
+
+        /// Exact minimum deviate of draws `range`, whose ranking minimum is
+        /// `approx_min`, and its libm count; see [`resolve_lane`].
+        fn resolve(&self, range: Range<usize>, approx_min: f64) -> (f64, usize) {
+            let cut = approx_min + 2.0 * APPROX_Z_ERR;
+            let mut min_z = f64::INFINITY;
+            let mut evals = 0;
+            for i in range {
+                if self.approx[i] <= cut {
+                    evals += 1;
+                    min_z = min_z.min(box_muller(self.u1[i], self.u2[i]));
+                }
+            }
+            (min_z, evals)
+        }
+
+        /// Every session's exact minimum, and the libm count.
+        fn session_minima(&mut self, sessions: usize, per: usize) -> (Vec<f64>, usize) {
+            self.rank();
+            let mut evals = 0;
+            let minima = (0..sessions)
+                .map(|s| {
+                    let range = s * per..(s + 1) * per;
+                    let (min_z, n) = self.resolve(range.clone(), self.approx_min(range));
+                    evals += n;
+                    min_z
+                })
+                .collect();
+            (minima, evals)
+        }
+
+        /// The median of the session minima (odd `sessions`), resolving
+        /// only the band around the ranking median, and the libm count.
+        fn session_median(&mut self, sessions: usize, per: usize) -> (f64, usize) {
+            assert!(sessions % 2 == 1, "median entry point needs an odd session count");
+            self.rank();
+            let ranks: Vec<f64> = (0..sessions)
+                .map(|s| self.approx_min(s * per..(s + 1) * per))
+                .collect();
+            let mid = sessions / 2;
+            let approx_median = *ranks
+                .iter()
+                .find(|&&v| {
+                    let (lt, le) = ranks.iter().fold((0, 0), |(lt, le), &w| {
+                        (lt + (w < v) as usize, le + (w <= v) as usize)
+                    });
+                    lt <= mid && mid < le
+                })
+                .expect("an odd, non-empty session set has a median");
+            let lo = approx_median - 2.0 * APPROX_Z_ERR;
+            let hi = approx_median + 2.0 * APPROX_Z_ERR;
+            let mut below = 0;
+            let mut evals = 0;
+            self.exact.clear();
+            for (s, &m) in ranks.iter().enumerate() {
+                if m < lo {
+                    below += 1;
+                } else if m <= hi {
+                    let (min_z, n) = self.resolve(s * per..(s + 1) * per, m);
+                    evals += n;
+                    self.exact.push(min_z);
+                }
+            }
+            let (_, &mut median, _) =
+                self.exact.select_nth_unstable_by(mid - below, |a, b| a.total_cmp(b));
+            (median, evals)
+        }
+    }
+
+    /// The per-cell reference of [`MedianLanes::min_z`]: the session minima
+    /// of `sessions × per` draws from `rng`, and the libm count.
+    fn batch_session_min_z(rng: &mut StdRng, sessions: usize, per: usize) -> (Vec<f64>, usize) {
+        Cell::drawn(rng, sessions * per).session_minima(sessions, per)
+    }
+
+    /// The per-cell reference of [`MedianLanes::median_z`] (odd `sessions`).
+    fn batch_session_median_z(rng: &mut StdRng, sessions: usize, per: usize) -> (f64, usize) {
+        Cell::drawn(rng, sessions * per).session_median(sessions, per)
     }
 
     /// Median of an odd-length slice under `total_cmp`.
@@ -1213,36 +1208,12 @@ mod tests {
         v[v.len() / 2]
     }
 
-    /// Scratch holding crafted uniform pairs, as if drawn.
-    fn crafted(pairs: &[(f64, f64)]) -> JitterScratch {
-        JitterScratch {
-            u1: pairs.iter().map(|p| p.0).collect(),
-            u2: pairs.iter().map(|p| p.1).collect(),
-            ..JitterScratch::default()
-        }
-    }
-
     fn exact_min(pairs: &[(f64, f64)]) -> f64 {
         pairs.iter().fold(f64::INFINITY, |m, &(u1, u2)| m.min(box_muller(u1, u2)))
     }
 
-    /// Both entry points on crafted equal-length sessions must equal the
-    /// exact fold (and, for an odd count, its median) bit for bit. Returns
-    /// the median path's libm evaluation count.
-    fn check_resolve(sessions: &[Vec<(f64, f64)>]) -> usize {
-        let per = sessions[0].len();
-        let pairs = sessions.concat();
-        let want: Vec<f64> = sessions.iter().map(|s| exact_min(s)).collect();
-        let mut got = Vec::new();
-        crafted(&pairs).session_minima(sessions.len(), per, &mut got);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want), "{sessions:?}");
-        if sessions.len() % 2 == 0 {
-            return 0;
-        }
-        let (median, evals) = crafted(&pairs).session_median(sessions.len(), per);
-        assert_eq!(median.to_bits(), median_of(&want).to_bits(), "{sessions:?}");
-        evals
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// A draw whose exact deviate is within ulps of `a`'s but which comes
@@ -1278,51 +1249,6 @@ mod tests {
             .collect();
         assert!(twins.len() >= 20, "only {} near twins", twins.len());
         twins
-    }
-
-    #[test]
-    fn resolve_near_tie_draws() {
-        for b in twins() {
-            check_resolve(&[vec![ANCHOR, b, FILLER]]);
-            check_resolve(&[vec![b, FILLER, ANCHOR]]);
-            check_resolve(&[vec![ANCHOR], vec![b], vec![FILLER]]);
-            check_resolve(&[vec![FILLER], vec![b], vec![ANCHOR]]);
-        }
-    }
-
-    #[test]
-    fn resolve_identical_draws() {
-        check_resolve(&[vec![ANCHOR, ANCHOR, FILLER]]);
-        check_resolve(&[vec![FILLER, ANCHOR, ANCHOR]]);
-        check_resolve(&[vec![ANCHOR, ANCHOR], vec![ANCHOR, FILLER], vec![FILLER, ANCHOR]]);
-    }
-
-    #[test]
-    fn resolve_sessions_tied_at_median() {
-        let low = (0.01, 0.5);
-        let high = (0.01, 0.0);
-        let twin = twins()[0];
-        for tied in [ANCHOR, twin] {
-            check_resolve(&[
-                vec![high, FILLER],
-                vec![ANCHOR, FILLER],
-                vec![low, FILLER],
-                vec![FILLER, tied],
-                vec![low, high],
-            ]);
-        }
-    }
-
-    #[test]
-    fn resolve_band_holding_every_session() {
-        let twins = twins();
-        for start in 0..twins.len() - 7 {
-            let sessions: Vec<Vec<(f64, f64)>> = twins[start..start + 7]
-                .iter()
-                .map(|&b| vec![FILLER, b])
-                .collect();
-            assert!(check_resolve(&sessions) >= 7, "every session is in the band");
-        }
     }
 
     /// Every instance of the lane kernel this host runs.
@@ -1368,55 +1294,71 @@ mod tests {
         }
     }
 
-    /// The lane kernel on crafted cells of `sessions` sessions each must
-    /// give the per-cell reference's median bits and its libm count, on
-    /// every instance.
-    fn check_lanes(cells: &[Vec<(f64, f64)>], sessions: usize) {
+    /// The lane kernels on crafted cells of `sessions` sessions each, on
+    /// every instance: `min_z` must give every session's exact minimum
+    /// (the fold of `box_muller` over its draws) and `median_z` (odd
+    /// `sessions`) their median, both with the per-cell reference's libm
+    /// count. Returns the median reference's libm count.
+    fn check_lanes(cells: &[Vec<(f64, f64)>], sessions: usize) -> usize {
         let per = cells[0].len() / sessions;
-        let mut want = Vec::new();
-        let mut want_evals = 0;
-        for cell in cells {
-            let (z, evals) = crafted(cell).session_median(sessions, per);
-            want.push(z.to_bits());
-            want_evals += evals;
+        let minima: Vec<Vec<f64>> =
+            cells.iter().map(|cell| cell.chunks(per).map(exact_min).collect()).collect();
+        let (mut min_evals, mut median_evals, mut medians) = (0, 0, Vec::new());
+        for (cell, want) in cells.iter().zip(&minima) {
+            let (got, evals) = Cell::crafted(cell).session_minima(sessions, per);
+            assert_eq!(bits(&got), bits(want), "{cell:?}");
+            min_evals += evals;
+            if sessions % 2 == 1 {
+                let (median, evals) = Cell::crafted(cell).session_median(sessions, per);
+                assert_eq!(median.to_bits(), median_of(want).to_bits(), "{cell:?}");
+                medians.push(median);
+                median_evals += evals;
+            }
         }
+        let seeds: Vec<u64> = (0..cells.len() as u64).collect();
+        let (mut scratch, mut out) = (JitterScratch::default(), Vec::new());
         for lanes in instances() {
-            let mut out = Vec::new();
-            let seeds: Vec<u64> = (0..cells.len() as u64).collect();
-            let evals = lanes.run(
-                &seeds,
-                &mut Crafted::new(cells),
-                sessions,
-                per,
-                &mut JitterScratch::default(),
-                &mut out,
-            );
-            let got: Vec<u64> = out.iter().map(|z| z.to_bits()).collect();
-            assert_eq!(got, want, "{lanes:?} on {cells:?}");
-            assert_eq!(evals, want_evals, "{lanes:?} on {cells:?}");
+            let draws = &mut Crafted::new(cells);
+            let evals = lanes.run::<false>(&seeds, draws, sessions, per, &mut scratch, &mut out);
+            assert_eq!(bits(&out), bits(&minima.concat()), "{lanes:?} on {cells:?}");
+            assert_eq!(evals, min_evals, "{lanes:?} on {cells:?}");
+            if sessions % 2 == 1 {
+                let draws = &mut Crafted::new(cells);
+                let evals = lanes.run::<true>(&seeds, draws, sessions, per, &mut scratch, &mut out);
+                assert_eq!(bits(&out), bits(&medians), "{lanes:?} on {cells:?}");
+                assert_eq!(evals, median_evals, "{lanes:?} on {cells:?}");
+            }
         }
+        median_evals
     }
 
     /// `case` (a list of equal-length sessions) in every lane position of
     /// two full groups and a remainder, alternating with the same sessions
-    /// in reverse order.
-    fn check_lanes_case(case: &[Vec<(f64, f64)>]) {
+    /// in reverse order. Returns the median reference's libm count.
+    fn check_lanes_case(case: &[Vec<(f64, f64)>]) -> usize {
         let flat = case.concat();
         let reversed: Vec<(f64, f64)> = case.iter().rev().flatten().copied().collect();
         let cells: Vec<Vec<(f64, f64)>> = (0..2 * LANES + 1)
             .map(|c| if c % 2 == 0 { flat.clone() } else { reversed.clone() })
             .collect();
-        check_lanes(&cells, case.len());
+        check_lanes(&cells, case.len())
     }
 
+    /// Near-tie and identical draws within and across sessions, sessions
+    /// tied at the median, and bands holding every session: both lane
+    /// kernels resolve them to the exact fold's bits in every lane
+    /// position, with the per-cell reference's libm count.
     #[test]
     fn lane_kernel_resolves_near_ties_and_identical_draws() {
         for b in twins() {
             check_lanes_case(&[vec![ANCHOR, b, FILLER]]);
+            check_lanes_case(&[vec![b, FILLER, ANCHOR]]);
             check_lanes_case(&[vec![ANCHOR], vec![b], vec![FILLER]]);
             check_lanes_case(&[vec![FILLER], vec![b], vec![ANCHOR]]);
+            check_lanes_case(&[vec![ANCHOR, FILLER], vec![b, ANCHOR]]);
         }
         check_lanes_case(&[vec![ANCHOR, ANCHOR, FILLER]]);
+        check_lanes_case(&[vec![FILLER, ANCHOR, ANCHOR]]);
         check_lanes_case(&[vec![ANCHOR, ANCHOR], vec![ANCHOR, FILLER], vec![FILLER, ANCHOR]]);
         let (low, high) = ((0.01, 0.5), (0.01, 0.0));
         for tied in [ANCHOR, twins()[0]] {
@@ -1434,50 +1376,61 @@ mod tests {
         for start in 0..twins.len() - 7 {
             let sessions: Vec<Vec<(f64, f64)>> =
                 twins[start..start + 7].iter().map(|&b| vec![FILLER, b]).collect();
-            check_lanes_case(&sessions);
+            let evals = check_lanes_case(&sessions);
+            assert!(evals >= 7 * (2 * LANES + 1), "every session is in the band");
         }
     }
 
-    /// Seeded cells: the lane kernel equals the per-cell reference (bits
-    /// and libm count) and the scalar walk's median, for session counts
-    /// 1–9, 1–6 draws per session, and 1 to `2·LANES + 1` cells.
+    /// Seeded cells: both lane kernels equal the per-cell reference (bits
+    /// and libm count) and the scalar walk, for session counts 1–9 (the
+    /// median for odd counts), 1–6 draws per session, and 1 to
+    /// `2·LANES + 1` cells. The reference draws exactly the scalar walk's
+    /// stream.
     #[test]
     fn lane_kernel_matches_reference_and_scalar_walk() {
         let rm = RttModel::default();
+        let rtt = |z: f64| 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
         let mut scratch = JitterScratch::default();
         let mut out = Vec::new();
-        for sessions in [1, 3, 5, 7, 9] {
+        for sessions in 1..=9 {
             for samples in 1..=6 {
                 for cells in 1..=2 * LANES + 1 {
                     let seeds: Vec<u64> = (0..cells as u64)
                         .map(|c| (sessions * 100 + samples * 10) as u64 ^ (c << 32))
                         .collect();
-                    let mut want_evals = 0;
-                    let want: Vec<u64> = seeds
-                        .iter()
-                        .map(|&seed| {
+                    let (mut minima, mut min_evals) = (Vec::new(), 0);
+                    let (mut medians, mut median_evals) = (Vec::new(), 0);
+                    for &seed in &seeds {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let scalar: Vec<f64> = (0..sessions)
+                            .map(|_| sample_min_rtt(10.0, &rm, samples, &mut rng))
+                            .collect();
+                        let mut batch_rng = StdRng::seed_from_u64(seed);
+                        let (min_z, evals) = batch_session_min_z(&mut batch_rng, sessions, samples);
+                        let want: Vec<f64> = min_z.iter().map(|&z| rtt(z)).collect();
+                        assert_eq!(bits(&want), bits(&scalar), "seed {seed}");
+                        assert_eq!(next_of(&mut rng), next_of(&mut batch_rng), "seed {seed}");
+                        minima.extend(min_z);
+                        min_evals += evals;
+                        if sessions % 2 == 1 {
                             let mut rng = StdRng::seed_from_u64(seed);
-                            let scalar: Vec<f64> = (0..sessions)
-                                .map(|_| sample_min_rtt(10.0, &rm, samples, &mut rng))
-                                .collect();
-                            let (z, evals) = batch_session_median_z(
-                                &mut StdRng::seed_from_u64(seed),
-                                sessions,
-                                samples,
-                                &mut scratch,
-                            );
-                            want_evals += evals;
-                            let v = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
-                            assert_eq!(v.to_bits(), median_of(&scalar).to_bits(), "seed {seed}");
-                            z.to_bits()
-                        })
-                        .collect();
+                            let (z, evals) = batch_session_median_z(&mut rng, sessions, samples);
+                            assert_eq!(rtt(z).to_bits(), median_of(&scalar).to_bits());
+                            medians.push(z);
+                            median_evals += evals;
+                        }
+                    }
                     for lanes in instances() {
-                        let evals = lanes.median_z(&seeds, sessions, samples, &mut scratch, &mut out);
-                        let got: Vec<u64> = out.iter().map(|z| z.to_bits()).collect();
                         let shape = (lanes, sessions, samples, cells);
-                        assert_eq!(got, want, "{shape:?}");
-                        assert_eq!(evals, want_evals, "{shape:?}");
+                        let evals = lanes.min_z(&seeds, sessions, samples, &mut scratch, &mut out);
+                        assert_eq!(bits(&out), bits(&minima), "{shape:?}");
+                        assert_eq!(evals, min_evals, "{shape:?}");
+                        if sessions % 2 == 1 {
+                            let evals =
+                                lanes.median_z(&seeds, sessions, samples, &mut scratch, &mut out);
+                            assert_eq!(bits(&out), bits(&medians), "{shape:?}");
+                            assert_eq!(evals, median_evals, "{shape:?}");
+                        }
                     }
                 }
             }
@@ -1485,20 +1438,18 @@ mod tests {
     }
 
     /// The faulted kernel's reference: `faulted_attempts` per probe, each
-    /// attempt's session minimum from `session_min(stream seed)` and its
-    /// RTT `det(a) + jitter(z)`, then `quantile_select` over the kept RTTs.
-    /// Returns the median bits (when at least `min_kept`, and one, report),
-    /// the kept count and the tally.
+    /// attempt's RTT `attempt_rtt(a, stream seed)`, then `quantile_select`
+    /// over the kept RTTs. Returns the median bits (when at least
+    /// `min_kept`, and one, report), the kept count and the tally.
     fn faulted_reference(
         w: &FaultedWindow,
-        det: &dyn Fn(u32) -> f64,
-        mut session_min: impl FnMut(u64) -> f64,
+        mut attempt_rtt: impl FnMut(u32, u64) -> f64,
     ) -> (Option<u64>, usize, FaultTally) {
         let mut tally = FaultTally::default();
         let mut kept = Vec::new();
         for &(key, seed) in w.probes {
             kept.extend(faulted_attempts(w.plane, key, &mut tally, |a| {
-                det(a) + w.model.jitter(session_min(bb_exec::derive_seed(seed, a as u64)))
+                attempt_rtt(a, bb_exec::derive_seed(seed, a as u64))
             }));
         }
         let n = kept.len();
@@ -1586,10 +1537,8 @@ mod tests {
                 min_kept: min_kept(n),
                 probes: &probes,
             };
-            let want = faulted_reference(&w, &crafted_det, |seed| {
-                let mut min_z = Vec::new();
-                crafted(&cells[index[&seed]]).session_minima(1, per, &mut min_z);
-                min_z[0]
+            let want = faulted_reference(&w, |a, seed| {
+                crafted_det(a) + model.jitter(exact_min(&cells[index[&seed]]))
             });
             for lanes in instances() {
                 let draws = Crafted::keyed(&cells, &index);
@@ -1715,13 +1664,12 @@ mod tests {
     }
 
     /// `windows` seeded faulted windows through every instance, against the
-    /// reference drawing each session through `batch_session_min_z`. The
-    /// windows must include timeouts, even kept counts and dropped windows.
-    fn check_seeded_windows(windows: std::ops::Range<u64>) {
+    /// reference drawing each attempt's session through `sample_min_rtt`.
+    /// The windows must include timeouts, even kept counts and dropped
+    /// windows.
+    fn check_seeded_windows(windows: Range<u64>) {
         let model = RttModel::default();
         let lanes = instances();
-        let mut scratch = JitterScratch::default();
-        let mut min_z = Vec::new();
         let (mut timeouts, mut even, mut dropped) = (0, 0, 0);
         for i in windows {
             let (cfg, probes, samples, min_kept) = seeded_window(i);
@@ -1733,10 +1681,9 @@ mod tests {
                 min_kept,
                 probes: &probes,
             };
-            let want = faulted_reference(&w, &seeded_det, |seed| {
+            let want = faulted_reference(&w, |a, seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                batch_session_min_z(&mut rng, 1, samples, &mut scratch, &mut min_z);
-                min_z[0]
+                sample_min_rtt(seeded_det(a), &model, samples, &mut rng)
             });
             for &lanes in &lanes {
                 let (median, kept, tally, _) = faulted_on(lanes, &w, &seeded_det, None);
@@ -1854,9 +1801,9 @@ mod tests {
     }
 
     /// Release-only sweep: `cargo test --release -p bb-netsim -- --ignored`.
-    /// The ranking bound over 50M draws, then 1M cells through both batch
-    /// entry points, the per-cell median reference and every instance of
-    /// the lane kernel, against the scalar session walk.
+    /// The ranking bound over 50M draws, then 1M cells through the per-cell
+    /// references and every instance of both lane kernels, against the
+    /// scalar session walk.
     #[test]
     #[ignore]
     fn approx_z_bound_and_kernel_identity_at_scale() {
@@ -1870,12 +1817,17 @@ mod tests {
         assert!(worst <= APPROX_Z_ERR / 1000.0, "max |z~ - z| = {worst:e}");
 
         let rm = RttModel::default();
-        let mut scratch = JitterScratch::default();
-        let mut min_z = Vec::new();
-        // Per (sessions, samples) shape: the cells of that shape, the
-        // per-cell reference's median bits, and its libm count.
-        let mut shapes: std::collections::BTreeMap<(usize, usize), (Vec<u64>, Vec<u64>, usize)> =
-            Default::default();
+        /// The cells of one `(sessions, samples)` shape, and the per-cell
+        /// references' bits and libm counts: session minima, then medians.
+        #[derive(Default)]
+        struct Shape {
+            seeds: Vec<u64>,
+            minima: Vec<u64>,
+            min_evals: usize,
+            medians: Vec<u64>,
+            median_evals: usize,
+        }
+        let mut shapes: std::collections::BTreeMap<(usize, usize), Shape> = Default::default();
         for cell in 0..1_000_000u64 {
             let sessions = 1 + 2 * (cell % 5) as usize;
             let samples = 1 + (cell % 8) as usize;
@@ -1884,36 +1836,41 @@ mod tests {
                 .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
                 .collect();
             let mut batch_rng = StdRng::seed_from_u64(cell);
-            batch_session_min_z(&mut batch_rng, sessions, samples, &mut scratch, &mut min_z);
+            let (min_z, min_evals) = batch_session_min_z(&mut batch_rng, sessions, samples);
             for (s, &z) in scalar.iter().zip(&min_z) {
                 let batch_v = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
                 assert_eq!(s.to_bits(), batch_v.to_bits(), "cell {cell}");
             }
             let mut median_rng = StdRng::seed_from_u64(cell);
-            let (z, evals) =
-                batch_session_median_z(&mut median_rng, sessions, samples, &mut scratch);
+            let (z, median_evals) = batch_session_median_z(&mut median_rng, sessions, samples);
             assert_eq!(z.to_bits(), median_of(&min_z).to_bits(), "cell {cell}");
             let next = next_of(&mut scalar_rng);
             assert_eq!(next, next_of(&mut batch_rng));
             assert_eq!(next, next_of(&mut median_rng));
             let shape = shapes.entry((sessions, samples)).or_default();
-            shape.0.push(cell);
-            shape.1.push(z.to_bits());
-            shape.2 += evals;
+            shape.seeds.push(cell);
+            shape.minima.extend(bits(&min_z));
+            shape.min_evals += min_evals;
+            shape.medians.push(z.to_bits());
+            shape.median_evals += median_evals;
         }
-        // The lane kernel over the same million cells, on every instance.
+        // Both lane kernels over the same million cells, on every instance.
+        let mut scratch = JitterScratch::default();
         let mut out = Vec::new();
         for lanes in instances() {
-            for (&(sessions, samples), (seeds, want, want_evals)) in &shapes {
-                let evals = lanes.median_z(seeds, sessions, samples, &mut scratch, &mut out);
-                let got: Vec<u64> = out.iter().map(|z| z.to_bits()).collect();
-                assert!(got == *want, "{lanes:?} at {sessions}x{samples}");
-                assert_eq!(evals, *want_evals, "{lanes:?} at {sessions}x{samples}");
+            for (&(sessions, samples), want) in &shapes {
+                let at = format!("{lanes:?} at {sessions}x{samples}");
+                let evals = lanes.min_z(&want.seeds, sessions, samples, &mut scratch, &mut out);
+                assert!(bits(&out) == want.minima, "{at}");
+                assert_eq!(evals, want.min_evals, "{at}");
+                let evals = lanes.median_z(&want.seeds, sessions, samples, &mut scratch, &mut out);
+                assert!(bits(&out) == want.medians, "{at}");
+                assert_eq!(evals, want.median_evals, "{at}");
             }
         }
     }
 
-    pub(crate) fn next_of(rng: &mut StdRng) -> u64 {
+    fn next_of(rng: &mut StdRng) -> u64 {
         use rand::RngCore;
         rng.next_u64()
     }

@@ -383,6 +383,30 @@ fn mid_file_corruption_is_rejected_with_byte_offset_not_salvaged() {
     let err = resume();
     assert!(err.contains("unsupported format \"bbck/v1\""), "{err}");
 
+    // The last record's length raised past end of file. The bytes after
+    // its line still check out as the record under their actual length,
+    // so this is a damaged length, not a crash mid-append: refused with
+    // both byte offsets, and the file is not cut.
+    let rec = seeded.windows(6).rposition(|w| w == b"\nunit ").unwrap() + 1;
+    let nl = rec + seeded[rec..].iter().position(|&b| b == b'\n').unwrap();
+    let line = std::str::from_utf8(&seeded[rec..nl]).unwrap();
+    let mut tokens: Vec<&str> = line.split(' ').collect();
+    let len_at = tokens.len() - 2;
+    let len: usize = tokens[len_at].parse().unwrap();
+    assert_eq!(nl + 1 + len + 1, seeded.len(), "the unit record is the last record");
+    let raised = (len + 500).to_string();
+    tokens[len_at] = &raised;
+    let mut bytes = seeded[..rec].to_vec();
+    bytes.extend_from_slice(tokens.join(" ").as_bytes());
+    let blob_at = bytes.len() + 1;
+    bytes.extend_from_slice(&seeded[nl..]);
+    std::fs::write(&manifest, &bytes).unwrap();
+    let err = resume();
+    assert!(err.contains("a damaged length"), "{err}");
+    assert!(err.contains(&format!("blob at byte offset {blob_at}")), "{err}");
+    assert!(err.contains(&format!("record line at byte offset {rec}")), "{err}");
+    assert_eq!(std::fs::read(&manifest).unwrap(), bytes, "a refused resume must not cut the file");
+
     std::fs::remove_dir_all(&base).ok();
 }
 

@@ -160,34 +160,42 @@ proptest! {
         }
     }
 
-    /// The batched jitter kernel is the scalar session walk, bit for bit:
-    /// `batch_session_min_z` yields each session's `sample_min_rtt` and
-    /// leaves the RNG stream where the scalar walk leaves it.
+    /// The lane-batched session-minima kernel, on every instance the host
+    /// runs, is the scalar session walk, bit for bit: each cell's sessions
+    /// are the `sample_min_rtt`s drawn in turn from its seed, cell-major,
+    /// whatever the cell's lane position.
     #[test]
-    fn batch_min_z_matches_scalar_walk(
+    fn min_z_matches_scalar_walk(
         seed in 0u64..u64::MAX,
         sessions in 1usize..=9,
         samples in 1usize..=8,
+        cells in 1usize..=17,
     ) {
         use beating_bgp::netsim::reference::sample_min_rtt;
-        use beating_bgp::netsim::{batch_session_min_z, JitterScratch, RttModel};
+        use beating_bgp::netsim::{JitterScratch, MedianLanes, RttModel};
         use rand::rngs::StdRng;
-        use rand::{RngCore, SeedableRng};
+        use rand::SeedableRng;
 
         let rm = RttModel::default();
-        let mut scalar_rng = StdRng::seed_from_u64(seed);
-        let scalar: Vec<f64> = (0..sessions)
-            .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
+        let seeds: Vec<u64> = (0..cells as u64).map(|c| seed ^ c.wrapping_mul(0x9E37)).collect();
+        let want: Vec<u64> = seeds
+            .iter()
+            .flat_map(|&cell_seed| {
+                let mut scalar_rng = StdRng::seed_from_u64(cell_seed);
+                (0..sessions)
+                    .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng).to_bits())
+                    .collect::<Vec<_>>()
+            })
             .collect();
-        let mut batch_rng = StdRng::seed_from_u64(seed);
-        let mut min_z = Vec::new();
-        batch_session_min_z(&mut batch_rng, sessions, samples, &mut JitterScratch::default(), &mut min_z);
-        prop_assert_eq!(min_z.len(), sessions);
-        for (s, &z) in scalar.iter().zip(&min_z) {
-            let batch = 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
-            prop_assert_eq!(batch.to_bits(), s.to_bits(), "seed {}", seed);
+        for lanes in std::iter::once(MedianLanes::portable()).chain(MedianLanes::wide()) {
+            let mut z = Vec::new();
+            lanes.min_z(&seeds, sessions, samples, &mut JitterScratch::default(), &mut z);
+            let got: Vec<u64> = z
+                .iter()
+                .map(|&z| (10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp()).to_bits())
+                .collect();
+            prop_assert_eq!(&got, &want, "{:?} seed {}", lanes, seed);
         }
-        prop_assert_eq!(batch_rng.next_u64(), scalar_rng.next_u64());
     }
 
     /// The lane-batched median kernel (odd session count), on every
@@ -351,8 +359,8 @@ proptest! {
 
     /// The faulted window kernel, on every instance the host runs, is the
     /// scalar retry walk: `faulted_attempts` per probe, each attempt one
-    /// `batch_session_min_z` session over the attempt's deterministic RTT,
-    /// then `quantile_select` over the kept RTTs. Same median bits, kept
+    /// `sample_min_rtt` session over the attempt's deterministic RTT, then
+    /// `quantile_select` over the kept RTTs. Same median bits, kept
     /// count and fault tally, whatever the loss rate, retry count and
     /// timeout.
     #[test]
@@ -366,10 +374,10 @@ proptest! {
         min_kept in 0usize..=10,
     ) {
         use beating_bgp::exec::derive_seed;
-        use beating_bgp::netsim::reference::faulted_attempts;
+        use beating_bgp::netsim::reference::{faulted_attempts, sample_min_rtt};
         use beating_bgp::netsim::{
-            batch_session_min_z, FaultConfig, FaultPlane, FaultTally, FaultedWindow,
-            JitterScratch, MedianLanes, RttModel,
+            FaultConfig, FaultPlane, FaultTally, FaultedWindow, JitterScratch, MedianLanes,
+            RttModel,
         };
         use beating_bgp::stats::quantile_select;
         use rand::rngs::StdRng;
@@ -399,13 +407,10 @@ proptest! {
 
         let mut want_tally = FaultTally::default();
         let mut kept = Vec::new();
-        let mut scratch = JitterScratch::default();
-        let mut min_z = Vec::new();
         for &(key, session_seed) in &probes {
             kept.extend(faulted_attempts(&plane, key, &mut want_tally, |attempt| {
                 let mut rng = StdRng::seed_from_u64(derive_seed(session_seed, attempt as u64));
-                batch_session_min_z(&mut rng, 1, samples, &mut scratch, &mut min_z);
-                det(attempt) + model.jitter(min_z[0])
+                sample_min_rtt(det(attempt), &model, samples, &mut rng)
             }));
         }
         let n = kept.len();
