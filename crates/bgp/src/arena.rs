@@ -90,10 +90,6 @@ impl PathArena {
         self.nodes.shrink_to_fit();
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Bytes held by the arena's node storage.
     pub fn bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<PathNode>()
@@ -191,7 +187,6 @@ mod tests {
         assert_eq!(a.materialize(two).unwrap(), vec![AsId(9), AsId(3), AsId(7)]);
         assert_eq!(a.materialize(sibling).unwrap(), vec![AsId(4), AsId(3), AsId(7)]);
         // Four paths with 9 total hops stored as 4 nodes.
-        assert_eq!(a.node_count(), 4);
         assert_eq!(a.bytes(), 4 * 8);
         assert_eq!(a.path_len(two), 3);
         assert_eq!(a.path_lens(), vec![1, 2, 3, 3]);

@@ -115,11 +115,6 @@ impl RoutingTable {
             .ok_or(PathError::Unrouted(asn))
     }
 
-    /// The AS at which a via cycle was detected, if the table is poisoned.
-    pub fn via_cycle(&self) -> Option<AsId> {
-        self.cycle
-    }
-
     /// Number of ASes holding a route.
     pub fn reachable_count(&self) -> usize {
         self.best.iter().filter(|r| r.is_some()).count()
@@ -849,7 +844,7 @@ mod tests {
         assert!(matches!(err, PathError::ViaCycle(at) if at == a || at == b));
         assert_eq!(poisoned.as_path(a), None);
         assert_eq!(poisoned.as_path(b), None);
-        assert!(poisoned.via_cycle().is_some());
+        assert!(matches!(poisoned.as_path_checked(b), Err(PathError::ViaCycle(_))));
         // Chains not touching the cycle still materialize.
         assert_eq!(poisoned.as_path(o).unwrap(), vec![o]);
     }

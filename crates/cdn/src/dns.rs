@@ -141,21 +141,13 @@ impl DnsRedirector {
             .map(|&(ldns, frac)| (self.resolve(workload, ldns, prefix), frac))
             .collect()
     }
-
-    /// Number of resolvers mapped away from anycast.
-    pub fn redirected_ldns_count(&self) -> usize {
-        self.per_ldns
-            .values()
-            .filter(|c| !matches!(c, SiteChoice::Anycast))
-            .count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bb_topology::{generate, TopologyConfig};
-    use bb_workload::{generate_workload, WorkloadConfig};
+    use bb_workload::{generate_workload, LdnsKind, WorkloadConfig};
 
     fn setup() -> (Workload, Vec<TrainingSample>) {
         let topo = generate(&TopologyConfig::small(61));
@@ -187,7 +179,7 @@ mod tests {
     fn ecs_resolver_gets_per_prefix_answers() {
         let (w, samples) = setup();
         let r = DnsRedirector::train(&w, &samples);
-        let public = w.ldns.iter().find(|l| l.is_public()).unwrap().id;
+        let public = w.ldns.iter().find(|l| l.kind == LdnsKind::Public).unwrap().id;
         // Per-prefix: even → unicast A, odd → anycast.
         let even_p = w.prefixes.iter().find(|p| p.id.0 % 2 == 0).unwrap().id;
         let odd_p = w.prefixes.iter().find(|p| p.id.0 % 2 == 1).unwrap().id;
@@ -204,7 +196,7 @@ mod tests {
         let isp = w
             .ldns
             .iter()
-            .find(|l| !l.is_public() && {
+            .find(|l| l.kind != LdnsKind::Public && {
                 let clients = w.clients_of_ldns(l.id);
                 let has_even = clients.iter().any(|&(p, _)| p.0 % 2 == 0);
                 let has_odd = clients.iter().any(|&(p, _)| p.0 % 2 == 1);
@@ -253,6 +245,10 @@ mod tests {
             })
             .collect();
         let r = DnsRedirector::train(&w, &samples);
-        assert_eq!(r.redirected_ldns_count(), 0);
+        for p in &w.prefixes {
+            for (choice, _) in r.choices_for(&w, p.id) {
+                assert_eq!(choice, SiteChoice::Anycast);
+            }
+        }
     }
 }

@@ -214,35 +214,12 @@ impl Wan {
     /// One-way WAN latency between two PoPs, ms (Dijkstra over link
     /// latencies). `None` if either city is not a PoP.
     pub fn path_ms(&self, from: CityId, to: CityId) -> Option<f64> {
-        let (path, ms) = self.dijkstra(from, to)?;
-        let _ = path;
-        Some(ms)
+        self.dijkstra(from, to).map(|(_, ms)| ms)
     }
 
     /// The city waypoints of the best WAN path.
     pub fn path(&self, from: CityId, to: CityId) -> Option<Vec<CityId>> {
         self.dijkstra(from, to).map(|(p, _)| p)
-    }
-
-    /// Total WAN path distance, km.
-    pub fn path_km(&self, from: CityId, to: CityId) -> Option<f64> {
-        let (path, _) = self.dijkstra(from, to)?;
-        Some(
-            path.windows(2)
-                .map(|w| {
-                    let li = self.link_between(w[0], w[1]).expect("consecutive waypoints linked");
-                    self.links[li].km
-                })
-                .sum(),
-        )
-    }
-
-    fn link_between(&self, a: CityId, b: CityId) -> Option<usize> {
-        let i = self.node_index(a)?;
-        self.adj[i]
-            .iter()
-            .find(|&&(j, _)| self.nodes[j] == b)
-            .map(|&(_, li)| li)
     }
 
     fn dijkstra(&self, from: CityId, to: CityId) -> Option<(Vec<CityId>, f64)> {
@@ -385,7 +362,15 @@ mod tests {
                 "India→US WAN path should transit Singapore: {path:?}"
             );
             // And it must be substantially longer than great-circle.
-            let km = p.wan.path_km(inn, us).unwrap();
+            let km: f64 = path
+                .windows(2)
+                .map(|w| {
+                    let link = p.wan.links().iter().find(|l| {
+                        (l.a, l.b) == (w[0], w[1]) || (l.a, l.b) == (w[1], w[0])
+                    });
+                    link.expect("consecutive waypoints linked").km
+                })
+                .sum();
             let gc = topo
                 .atlas
                 .city(inn)

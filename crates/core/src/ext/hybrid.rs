@@ -14,7 +14,6 @@
 //!   prediction can't clearly help;
 //! * **oracle** — per-measurement best option (the Fig 3 upper bound).
 
-use crate::study_anycast;
 use crate::world::Scenario;
 use bb_measure::{run_beacons, BeaconConfig};
 use bb_measure::beacon::build_unicast_deployments;
@@ -209,20 +208,6 @@ pub fn run(scenario: &Scenario, beacon_cfg: &BeaconConfig, margin_ms: f64) -> Ve
         .collect()
 }
 
-/// Convenience: run with the Fig 4 analysis reused (for tests comparing
-/// against the study's own numbers).
-pub fn run_default(scenario: &Scenario) -> Vec<SchemeStats> {
-    let _ = study_anycast::run; // same world, same campaign defaults
-    run(
-        scenario,
-        &BeaconConfig {
-            rounds: 6,
-            ..Default::default()
-        },
-        10.0,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +215,11 @@ mod tests {
 
     fn schemes() -> Vec<SchemeStats> {
         let s = Scenario::build(ScenarioConfig::microsoft(29, Scale::Test));
-        run_default(&s)
+        let cfg = BeaconConfig {
+            rounds: 6,
+            ..Default::default()
+        };
+        run(&s, &cfg, 10.0)
     }
 
     fn get<'a>(v: &'a [SchemeStats], name: &str) -> &'a SchemeStats {

@@ -41,10 +41,10 @@ use crate::snapshot::{
     save_in, Journal, ServeKey, Snapshot, COMPACT_RATIO, JOURNAL_FORMAT, JOURNAL_NAME,
     SNAPSHOT_NAME,
 };
-use crate::study_egress::MEANINGFUL_MS;
+use crate::study_egress::{Fig1Point, WindowGate};
 use bb_measure::{SprayTarget, WindowRow};
 use bb_netsim::Window;
-use bb_stats::{Cdf, QuantileSketch};
+use bb_stats::QuantileSketch;
 use std::path::{Path, PathBuf};
 
 /// How a serve run aggregates the window stream.
@@ -191,10 +191,9 @@ impl ServeState {
                 assert_eq!(groups.len(), per_target.len(), "target count changed");
                 for (g, chunk) in groups.iter_mut().zip(&per_target) {
                     for row in chunk {
-                        // Mirror the batch analyzer's row gate exactly
-                        // (study_egress::analyze): <2 routes is not a
-                        // comparison; NaN medians are degraded windows.
-                        if row.route_median_ms.len() < 2 {
+                        // The batch analyzer's row gate.
+                        let gate = WindowGate::of(&row.route_median_ms);
+                        if gate == WindowGate::NoAlternate {
                             continue;
                         }
                         g.windows_total += 1;
@@ -203,12 +202,9 @@ impl ServeState {
                                 g.routes[ri].add(m, 1.0);
                             }
                         }
-                        let preferred = row.route_median_ms[0];
-                        let best_alt =
-                            bb_stats::min_finite(row.route_median_ms[1..].iter().copied());
-                        if !preferred.is_finite() || !best_alt.is_finite() {
+                        let WindowGate::Kept { preferred, best_alt } = gate else {
                             continue;
-                        }
+                        };
                         g.windows_kept += 1;
                         g.diff.add(preferred - best_alt, 1.0);
                         g.volume += row.volume;
@@ -394,38 +390,20 @@ impl ServeState {
 
     fn fig1_of_groups(groups: &[GroupSketch]) -> BbResult<Fig1> {
         let mut point = Vec::new();
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
+        let mut band = Vec::new();
         let mut windows_total = 0u64;
         let mut windows_kept = 0u64;
-        let mut used_groups = 0usize;
         for g in groups {
             windows_total += g.windows_total;
             windows_kept += g.windows_kept;
             if g.windows_kept == 0 {
                 continue;
             }
-            used_groups += 1;
-            let med = g.diff.quantile(0.5).expect("kept windows imply data");
-            let lo = g.diff.quantile(0.25).expect("kept windows imply data");
-            let hi = g.diff.quantile(0.75).expect("kept windows imply data");
-            point.push((med, g.volume));
-            lower.push((lo, g.volume));
-            upper.push((hi, g.volume));
+            let q = |p| g.diff.quantile(p).expect("kept windows imply data");
+            point.push((q(0.5), g.volume));
+            band.push((q(0.25), q(0.75), g.volume));
         }
-        let too_few = || BbError::insufficient("fig1 route-diff CDF", used_groups, 1);
-        let diff = Cdf::from_weighted(&point).ok_or_else(too_few)?;
-        let frac_improvable_5ms = 1.0 - diff.fraction_leq(MEANINGFUL_MS - 1e-9);
-        let frac_bgp_good = diff.fraction_leq(1.0);
-        Ok(Fig1 {
-            ci_lower: Cdf::from_weighted(&lower).ok_or_else(too_few)?,
-            ci_upper: Cdf::from_weighted(&upper).ok_or_else(too_few)?,
-            diff,
-            frac_improvable_5ms,
-            frac_bgp_good,
-            groups: used_groups,
-            coverage: Coverage::new(windows_kept, windows_total),
-        })
+        Fig1Point::new(&point, Coverage::new(windows_kept, windows_total))?.with_band(&band)
     }
 
     /// The disclosure lines a sketch-mode figure must carry: declared ε,

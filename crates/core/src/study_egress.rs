@@ -53,14 +53,89 @@ struct GroupAgg {
 /// variant on top.
 pub struct EgressSummary {
     groups: BTreeMap<(bb_geo::CityId, bb_workload::PrefixId), GroupAgg>,
-    coverage: Coverage,
-    /// Fig 1's point CDF: each group's median window diff, by traffic.
+    pub fig1: Fig1Point,
+    pub episodes: Episodes,
+}
+
+/// Fig 1's verdict on one spray window, from its route medians (preferred
+/// first). The batch analyzer and `repro serve`'s sketch path both read
+/// every window through [`WindowGate::of`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum WindowGate {
+    /// Fewer than 2 routes: no alternate to compare against, not counted.
+    NoAlternate,
+    /// Counted, but the fault plane degraded the preferred route or every
+    /// alternate (NaN medians).
+    Degraded,
+    /// Usable: the preferred route's median and the best alternate's.
+    Kept { preferred: f64, best_alt: f64 },
+}
+
+impl WindowGate {
+    pub(crate) fn of(route_median_ms: &[f64]) -> WindowGate {
+        if route_median_ms.len() < 2 {
+            return WindowGate::NoAlternate;
+        }
+        let preferred = route_median_ms[0];
+        // min_finite yields NaN (never ±inf) when every alternate degraded,
+        // so this is_finite gate is the single NaN-policy check.
+        let best_alt = bb_stats::min_finite(route_median_ms[1..].iter().copied());
+        if preferred.is_finite() && best_alt.is_finite() {
+            WindowGate::Kept { preferred, best_alt }
+        } else {
+            WindowGate::Degraded
+        }
+    }
+}
+
+/// Fig 1 before its band: the traffic-weighted CDF of each group's median
+/// window diff and the two headline fractions read off it. Both analyzers
+/// build the figure through [`Fig1Point::new`] and
+/// [`Fig1Point::with_band`].
+pub struct Fig1Point {
     diff: Cdf,
     /// As [`Fig1::frac_improvable_5ms`].
     pub frac_improvable_5ms: f64,
     /// As [`Fig1::frac_bgp_good`].
     frac_bgp_good: f64,
-    pub episodes: Episodes,
+    groups: usize,
+    coverage: Coverage,
+}
+
+impl Fig1Point {
+    /// `point` holds one `(median diff, traffic volume)` per group with a
+    /// kept window. Errors with [`BbError::InsufficientData`] when it is
+    /// empty.
+    pub(crate) fn new(point: &[(f64, f64)], coverage: Coverage) -> BbResult<Fig1Point> {
+        let diff = Cdf::from_weighted(point)
+            .ok_or_else(|| BbError::insufficient("fig1 route-diff CDF", point.len(), 1))?;
+        Ok(Fig1Point {
+            frac_improvable_5ms: 1.0 - diff.fraction_leq(MEANINGFUL_MS - 1e-9),
+            frac_bgp_good: diff.fraction_leq(1.0),
+            diff,
+            groups: point.len(),
+            coverage,
+        })
+    }
+
+    /// The whole figure: `band` holds each group's `(lower, upper, traffic
+    /// volume)`, in the order of `point`.
+    pub(crate) fn with_band(self, band: &[(f64, f64, f64)]) -> BbResult<Fig1> {
+        let cdf_of = |pick: fn(&(f64, f64, f64)) -> f64| {
+            let pts: Vec<(f64, f64)> = band.iter().map(|b| (pick(b), b.2)).collect();
+            Cdf::from_weighted(&pts)
+                .ok_or_else(|| BbError::insufficient("fig1 route-diff CDF", self.groups, 1))
+        };
+        Ok(Fig1 {
+            ci_lower: cdf_of(|b| b.0)?,
+            ci_upper: cdf_of(|b| b.1)?,
+            diff: self.diff,
+            frac_improvable_5ms: self.frac_improvable_5ms,
+            frac_bgp_good: self.frac_bgp_good,
+            groups: self.groups,
+            coverage: self.coverage,
+        })
+    }
 }
 
 /// Run the full study.
@@ -122,21 +197,16 @@ fn summarize(dataset: &SprayDataset) -> BbResult<EgressSummary> {
     let mut windows_total = 0u64;
     let mut windows_kept = 0u64;
     for row in &dataset.rows {
-        if row.route_median_ms.len() < 2 {
-            continue; // no alternate to compare against
-        }
-        windows_total += 1;
-        let classes = &classes_by_key[&(row.pop, row.prefix)];
-        // Degraded windows carry NaN medians; a window is usable only when
-        // the preferred route and at least one alternate survived.
-        let preferred = row.route_median_ms[0];
-        // min_finite yields NaN (never ±inf) when every alternate degraded,
-        // so the is_finite gate below is the single NaN-policy check.
-        let best_alt = bb_stats::min_finite(row.route_median_ms[1..].iter().copied());
-        if !preferred.is_finite() || !best_alt.is_finite() {
+        let gate = WindowGate::of(&row.route_median_ms);
+        if gate == WindowGate::NoAlternate {
             continue;
         }
+        windows_total += 1;
+        let WindowGate::Kept { preferred, best_alt } = gate else {
+            continue;
+        };
         windows_kept += 1;
+        let classes = &classes_by_key[&(row.pop, row.prefix)];
 
         let agg = groups
             .entry((row.pop, row.prefix))
@@ -191,11 +261,7 @@ fn summarize(dataset: &SprayDataset) -> BbResult<EgressSummary> {
             (median, agg.volume)
         })
         .collect();
-    let coverage = Coverage::new(windows_kept, windows_total);
-    let diff = Cdf::from_weighted(&point)
-        .ok_or_else(|| BbError::insufficient("fig1 route-diff CDF", groups.len(), 1))?;
-    let frac_improvable_5ms = 1.0 - diff.fraction_leq(MEANINGFUL_MS - 1e-9);
-    let frac_bgp_good = diff.fraction_leq(1.0);
+    let fig1 = Fig1Point::new(&point, Coverage::new(windows_kept, windows_total))?;
 
     // --- §3.1.1 episodes ---
     let mut degraded_windows = 0usize;
@@ -247,10 +313,7 @@ fn summarize(dataset: &SprayDataset) -> BbResult<EgressSummary> {
 
     Ok(EgressSummary {
         groups,
-        coverage,
-        diff,
-        frac_improvable_5ms,
-        frac_bgp_good,
+        fig1,
         episodes,
     })
 }
@@ -264,12 +327,10 @@ pub fn analyze(
 ) -> BbResult<EgressStudy> {
     let EgressSummary {
         groups,
-        coverage,
-        diff,
-        frac_improvable_5ms,
-        frac_bgp_good,
+        fig1,
         episodes,
     } = summarize(&dataset)?;
+    let coverage = fig1.coverage;
 
     // --- Figure 1's bootstrap band ---
     // Per-group bootstrap CIs are independent and seeded per (pop, prefix):
@@ -287,22 +348,12 @@ pub fn analyze(
         })
     });
     bb_exec::timing::add_count("kernel:bootstrap:batches", keys.len());
-    let mut lower = Vec::new();
-    let mut upper = Vec::new();
-    for (agg, ci) in groups.values().zip(&cis) {
-        lower.push((ci.lower, agg.volume));
-        upper.push((ci.upper, agg.volume));
-    }
-    let too_few = || BbError::insufficient("fig1 route-diff CDF", groups.len(), 1);
-    let fig1 = Fig1 {
-        ci_lower: Cdf::from_weighted(&lower).ok_or_else(too_few)?,
-        ci_upper: Cdf::from_weighted(&upper).ok_or_else(too_few)?,
-        diff,
-        frac_improvable_5ms,
-        frac_bgp_good,
-        groups: groups.len(),
-        coverage,
-    };
+    let band: Vec<(f64, f64, f64)> = groups
+        .values()
+        .zip(&cis)
+        .map(|(agg, ci)| (ci.lower, ci.upper, agg.volume))
+        .collect();
+    let fig1 = fig1.with_band(&band)?;
 
     // --- Figure 2 ---
     let collect_class = |f: &dyn Fn(&GroupAgg) -> &Vec<f64>| -> Option<Cdf> {
@@ -340,13 +391,11 @@ pub fn analyze(
         let mut per_group: BTreeMap<(bb_geo::CityId, bb_workload::PrefixId), (Vec<f64>, f64)> =
             BTreeMap::new();
         for row in &dataset.rows {
-            if row.route_median_ms.len() < 2 {
-                continue;
-            }
             // goodput_mbps asserts rtt > 0, so degraded (NaN) medians must
-            // be filtered before the call, not after.
-            if !row.route_median_ms[0].is_finite() {
-                continue; // window degraded away by the fault plane
+            // be filtered before the call, not after: Fig 1's gate keeps
+            // only windows whose preferred route and some alternate survived.
+            if !matches!(WindowGate::of(&row.route_median_ms), WindowGate::Kept { .. }) {
+                continue;
             }
             let gp = |i: usize| {
                 bb_netsim::goodput_mbps(row.route_median_ms[i], row.route_util[i], 200.0)
@@ -356,9 +405,6 @@ pub fn analyze(
                 .filter(|&i| row.route_median_ms[i].is_finite())
                 .map(gp)
                 .fold(f64::NEG_INFINITY, f64::max);
-            if !best_alt.is_finite() {
-                continue; // no alternate survived the fault plane
-            }
             let entry = per_group
                 .entry((row.pop, row.prefix))
                 .or_insert((Vec::new(), 0.0));

@@ -1,8 +1,8 @@
 //! Supervised execution: retries, deterministic backoff, graceful drain.
 //!
-//! [`supervise`] runs items on a work-claiming loop like
-//! [`par_map`](crate::par_map)'s, isolates each attempt's panic, and adds
-//! a supervision policy:
+//! [`supervise`] runs each item as the closure of
+//! [`par_map`](crate::par_map), so it shares that work-claiming loop,
+//! isolates each attempt's panic, and adds a supervision policy:
 //!
 //! * **a panicked item is re-run** with bounded per-item retries and a
 //!   campaign-wide retry budget;
@@ -31,9 +31,8 @@
 //! *processes* (crash/hang detection via heartbeats, checkpoint-resumed
 //! restarts) instead of in-process work items.
 
-use crate::{jobs, run_attempt, ItemFailure};
+use crate::{par_map, run_attempt, ItemFailure};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::atomic::AtomicUsize;
 use std::time::Duration;
 
 /// Retry policy for one supervised campaign.
@@ -63,15 +62,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Policy that never retries (plain isolation).
-    pub fn no_retries() -> Self {
-        Self {
-            max_retries: 0,
-            retry_budget: 0,
-            ..Self::default()
-        }
-    }
-
     /// Backoff before retrying item `index` after `failed_attempts`
     /// attempts have failed (so `failed_attempts >= 1`). Exponential in the
     /// attempt count with multiplicative jitter in `[0.5, 1.0)`, derived
@@ -157,39 +147,23 @@ where
     R: Send,
     F: Fn(usize, u32, &T) -> R + Sync,
 {
-    let n = items.len();
-    let cursor = AtomicUsize::new(0);
     let budget = AtomicI64::new(policy.retry_budget as i64);
     let budget_exhausted = AtomicBool::new(false);
     let total_attempts = AtomicU64::new(0);
     let total_retries = AtomicU64::new(0);
     let total_panics = AtomicU64::new(0);
 
-    // Each finalized item's outcome and attempt count.
-    let mut slots: Vec<Option<(Result<R, ItemFailure>, u32)>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-
-    // Same disjoint-slot contract as `par_map`: the claim counter gives
-    // every index to exactly one worker, and the scope joins all workers
-    // before `slots` is read.
-    struct SlotPtr<S>(*mut Option<S>);
-    unsafe impl<S: Send> Sync for SlotPtr<S> {}
-    let slot_ptr = SlotPtr(slots.as_mut_ptr());
-    let slot_ref = &slot_ptr;
-
-    let worker = |_w: usize| loop {
+    // Each finalized item's outcome and attempt count; `None` once the
+    // campaign drains.
+    let slots = par_map(items, |i, item| {
         if cancel() {
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
+            return None;
         }
         let mut attempts = 0u32;
         let outcome = loop {
             attempts += 1;
             total_attempts.fetch_add(1, Ordering::Relaxed);
-            match run_attempt(i, || f(i, attempts - 1, &items[i])) {
+            match run_attempt(i, || f(i, attempts - 1, item)) {
                 Ok(r) => break Ok(r),
                 Err(fail) => {
                     total_panics.fetch_add(1, Ordering::Relaxed);
@@ -208,23 +182,8 @@ where
             }
         };
         on_final(i, &outcome);
-        // SAFETY: `i` came from a unique fetch_add claim; no other worker
-        // touches this slot, and the scope outlives every worker.
-        unsafe {
-            *slot_ref.0.add(i) = Some((outcome, attempts));
-        }
-    };
-
-    let workers = jobs().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        worker(0);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                scope.spawn(move || worker(w));
-            }
-        });
-    }
+        Some((outcome, attempts))
+    });
 
     let (results, items) = slots
         .into_iter()
@@ -374,29 +333,44 @@ mod tests {
 
     #[test]
     fn cancel_drains_instead_of_aborting() {
-        crate::set_jobs(1);
         let items: Vec<u64> = (0..10).collect();
-        let finalized = AtomicUsize::new(0);
-        let (results, report) = supervise(
-            &items,
-            &RetryPolicy::no_retries(),
-            &|| finalized.load(Ordering::Relaxed) >= 3,
-            &|_, _| {
-                finalized.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, _, &x| x + 1,
-        );
-        crate::set_jobs(0);
-        let done = results.iter().filter(|r| r.is_some()).count();
-        assert_eq!(done, 3, "drain finishes in-flight items, claims no more");
-        assert_eq!(report.count("skipped"), 7);
-        assert_eq!(report.attempts, 3);
-        // Completed items are correct and in order.
-        for (i, r) in results.iter().take(3).enumerate() {
-            assert_eq!(*r.as_ref().unwrap().as_ref().unwrap(), i as u64 + 1);
-        }
-        for item in report.items.iter().skip(3) {
-            assert_eq!(*item, Disposition::Skipped);
+        for jobs in [1usize, 2] {
+            crate::set_jobs(jobs);
+            let finals: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let finalized = AtomicUsize::new(0);
+            let (results, report) = supervise(
+                &items,
+                &RetryPolicy { max_retries: 0, ..Default::default() },
+                &|| finalized.load(Ordering::Relaxed) >= 3,
+                &|i, _| {
+                    finals[i].fetch_add(1, Ordering::Relaxed);
+                    finalized.fetch_add(1, Ordering::Relaxed);
+                },
+                |_, _, &x| x + 1,
+            );
+            crate::set_jobs(0);
+            let done = results.iter().filter(|r| r.is_some()).count();
+            if jobs == 1 {
+                assert_eq!(done, 3, "drain finishes in-flight items, claims no more");
+            } else {
+                // Each worker finishes the item it holds when cancel turns.
+                assert!((3..items.len()).contains(&done), "jobs={jobs}: {done} finalized");
+            }
+            assert_eq!(report.count("skipped"), items.len() - done, "jobs={jobs}");
+            assert_eq!(report.attempts, done as u64, "jobs={jobs}");
+            for (i, r) in results.iter().enumerate() {
+                match r {
+                    Some(outcome) => {
+                        assert_eq!(*outcome.as_ref().unwrap(), i as u64 + 1, "jobs={jobs}");
+                        assert_eq!(report.items[i], Disposition::Succeeded, "jobs={jobs}");
+                        assert_eq!(finals[i].load(Ordering::Relaxed), 1, "jobs={jobs}: item {i}");
+                    }
+                    None => {
+                        assert_eq!(report.items[i], Disposition::Skipped, "jobs={jobs}");
+                        assert_eq!(finals[i].load(Ordering::Relaxed), 0, "jobs={jobs}: item {i}");
+                    }
+                }
+            }
         }
     }
 
@@ -406,7 +380,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let (results, _) = supervise(
             &items,
-            &RetryPolicy::no_retries(),
+            &RetryPolicy { max_retries: 0, ..Default::default() },
             &|| false,
             &|i, outcome| {
                 calls.fetch_add(1, Ordering::Relaxed);

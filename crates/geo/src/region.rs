@@ -46,12 +46,6 @@ impl Region {
         }
     }
 
-    /// Whether this region is "Asia" in the paper's Figure 5 coloring
-    /// (the paper does not split South Asia out; we do internally).
-    pub fn is_asia(&self) -> bool {
-        matches!(self, Region::EastAsia | Region::SouthAsia)
-    }
-
     /// Rough UTC offset of the region's population center, in hours. Used by
     /// the diurnal congestion model to phase local peak hours.
     pub fn utc_offset_hours(&self) -> f64 {
@@ -83,14 +77,6 @@ mod tests {
         use std::collections::HashSet;
         let set: HashSet<_> = Region::ALL.iter().collect();
         assert_eq!(set.len(), Region::ALL.len());
-    }
-
-    #[test]
-    fn asia_classification() {
-        assert!(Region::EastAsia.is_asia());
-        assert!(Region::SouthAsia.is_asia());
-        assert!(!Region::Europe.is_asia());
-        assert!(!Region::Oceania.is_asia());
     }
 
     #[test]

@@ -227,14 +227,17 @@ fn run_beacons_tallied(
             });
             crate::progress::window_done();
         }
-        Some((rows, task.faults))
+        Some((rows, task.faults, task.kernel))
     });
     let mut tally = crate::FaultTally::default();
+    let mut ktally = crate::KernelTally::default();
     let mut measurements: Vec<BeaconMeasurement> = Vec::new();
-    for (prefix_rows, prefix_tally) in per_prefix.into_iter().flatten() {
+    for (prefix_rows, prefix_tally, prefix_ktally) in per_prefix.into_iter().flatten() {
         measurements.extend(prefix_rows);
         tally.merge(prefix_tally);
+        ktally.merge(prefix_ktally);
     }
+    ktally.publish("beacon");
     let draws: usize = measurements.iter().map(|m| 1 + m.unicast_rtt_ms.len()).sum();
     bb_exec::timing::add_count("samples:beacon", draws * cfg.samples);
     (measurements, tally)

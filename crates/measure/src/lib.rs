@@ -113,7 +113,7 @@ fn retry_time(fp: &FaultPlane, t: SimTime, attempt: u32) -> SimTime {
 }
 
 /// Lane-kernel counters ([`MedianLanes`]), accumulated per task and merged
-/// like [`FaultTally`]. Every pipeline counts; only spray publishes them.
+/// like [`FaultTally`]; each pipeline publishes its own.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct KernelTally {
     /// Kernel work units: one per session-minima cell, per median cell and
@@ -129,10 +129,11 @@ impl KernelTally {
         self.exact_evals += other.exact_evals;
     }
 
-    pub fn publish(&self) {
+    /// Add to `kernel:{pipeline}:batches` and `kernel:{pipeline}:exact_evals`.
+    pub fn publish(&self, pipeline: &str) {
         if self.batches > 0 {
-            bb_exec::timing::add_count("kernel:spray:batches", self.batches);
-            bb_exec::timing::add_count("kernel:spray:exact_evals", self.exact_evals);
+            bb_exec::timing::add_count(&format!("kernel:{pipeline}:batches"), self.batches);
+            bb_exec::timing::add_count(&format!("kernel:{pipeline}:exact_evals"), self.exact_evals);
         }
     }
 }

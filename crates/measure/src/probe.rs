@@ -130,7 +130,7 @@ fn probe_tiers_tallied(
     // One task per vantage point; the draws are keyed on (seed, vp index,
     // round, tier), so output is identical for every worker count, and the
     // in-order flatten reproduces the sequential vp-major row order.
-    let per_vp: Vec<(Vec<TierProbe>, crate::FaultTally)> = bb_exec::par_map(vps, |vi, vp| {
+    let per_vp = bb_exec::par_map(vps, |vi, vp| {
         let mut out = Vec::new();
         let mut task = TaskScratch::default();
         let lastmile = CongestionKey::LastMile(0x_caa0_0000 | vi as u64);
@@ -199,14 +199,17 @@ fn probe_tiers_tallied(
                 crate::progress::window_done();
             }
         }
-        (out, task.faults)
+        (out, task.faults, task.kernel)
     });
     let mut tally = crate::FaultTally::default();
+    let mut ktally = crate::KernelTally::default();
     let mut probes: Vec<TierProbe> = Vec::new();
-    for (vp_probes, vp_tally) in per_vp {
+    for (vp_probes, vp_tally, vp_ktally) in per_vp {
         probes.extend(vp_probes);
         tally.merge(vp_tally);
+        ktally.merge(vp_ktally);
     }
+    ktally.publish("probe");
     bb_exec::timing::add_count("samples:probe", probes.len() * cfg.pings);
     (probes, tally)
 }

@@ -422,7 +422,7 @@ impl SprayEngine {
             tally.merge(target_tally);
             ktally.merge(target_ktally);
         }
-        ktally.publish();
+        ktally.publish("spray");
 
         let route_windows: usize =
             self.targets.iter().map(|t| t.routes.len()).sum::<usize>() * windows.len();
@@ -499,17 +499,9 @@ impl SprayEngine {
                 jitter
             })
             .collect();
-        ktally.publish();
+        ktally.publish("spray");
         table
     }
-}
-
-#[cfg(test)]
-fn jitter_memo_entries(seed: u64) -> usize {
-    JITTER_CACHE.get().map_or(0, |cache| {
-        let cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.keys().filter(|k| k.seed == seed).count()
-    })
 }
 
 /// Run the spray campaign.
@@ -631,6 +623,13 @@ mod tests {
     use bb_workload::{generate_workload, WorkloadConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn jitter_memo_entries(seed: u64) -> usize {
+        JITTER_CACHE.get().map_or(0, |cache| {
+            let cache = cache.lock().unwrap_or_else(|e| e.into_inner());
+            cache.keys().filter(|k| k.seed == seed).count()
+        })
+    }
 
     /// A Test-scale world (the topology `Scale::Test` generates).
     fn world() -> (Topology, Provider, Workload) {

@@ -238,11 +238,6 @@ impl CongestionModel {
         self.cfg.queue_d0_ms * rho * rho / (1.0 - rho)
     }
 
-    /// Whether a transient event is active on `key` at `t`.
-    pub fn event_active(&self, key: CongestionKey, t: SimTime) -> bool {
-        self.process(key).active_severity(t).is_some()
-    }
-
     /// All events of a key (for analysis / tests).
     pub fn events(&self, key: CongestionKey) -> Vec<CongestionEvent> {
         self.process(key).events.clone()
@@ -369,7 +364,7 @@ mod tests {
         let e = m.events(key)[0];
         let during = SimTime::from_minutes((e.start_min + e.end_min) / 2.0);
         let before = SimTime::from_minutes((e.start_min - 1.0).max(0.0));
-        assert!(m.event_active(key, during));
+        assert!(m.process(key).active_severity(during).is_some());
         // Compare at the same local hour modulo small diurnal drift: severity
         // (≥0.25) dwarfs any diurnal delta over one minute.
         assert!(

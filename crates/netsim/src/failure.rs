@@ -115,11 +115,6 @@ impl FailureModel {
         self.cache.get_or_make(slot, || self.materialize(key, small).into())
     }
 
-    /// Whether the entity is down at `t`.
-    pub fn is_down(&self, key: FailureKey, capacity_gbps: f64, t: SimTime) -> bool {
-        self.outages(key, capacity_gbps).iter().any(|o| o.contains(t))
-    }
-
     /// `small_link` marks a link below `small_link_gbps`.
     fn materialize(&self, key: FailureKey, small_link: bool) -> Vec<Outage> {
         let mut rng = StdRng::seed_from_u64(splitmix64(self.seed ^ key.encode()));
@@ -235,15 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn is_down_tracks_intervals() {
+    fn outages_track_intervals() {
         let m = model();
         let k = FailureKey::Site(CityId(1));
         let v = m.outages(k, 0.0);
+        let down = |t| v.iter().any(|o| o.contains(t));
         if let Some(o) = v.first() {
             let mid = SimTime::from_minutes((o.start_min + o.end_min) / 2.0);
-            assert!(m.is_down(k, 0.0, mid));
+            assert!(down(mid));
             let before = SimTime::from_minutes((o.start_min - 1.0).max(0.0));
-            assert!(!m.is_down(k, 0.0, before));
+            assert!(!down(before));
         }
     }
 }

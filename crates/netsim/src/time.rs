@@ -37,11 +37,6 @@ impl SimTime {
         self.0 / (24.0 * 60.0)
     }
 
-    /// Hour-of-day in UTC, in [0, 24).
-    pub fn utc_hour(&self) -> f64 {
-        self.hours().rem_euclid(24.0)
-    }
-
     /// Hour-of-day at a location `utc_offset_hours` east of UTC.
     pub fn local_hour(&self, utc_offset_hours: f64) -> f64 {
         (self.hours() + utc_offset_hours).rem_euclid(24.0)
@@ -95,9 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn utc_hour_wraps() {
-        assert_eq!(SimTime::from_hours(25.0).utc_hour(), 1.0);
-        assert_eq!(SimTime::from_hours(24.0).utc_hour(), 0.0);
+    fn local_hour_wraps_at_utc() {
+        assert_eq!(SimTime::from_hours(25.0).local_hour(0.0), 1.0);
+        assert_eq!(SimTime::from_hours(24.0).local_hour(0.0), 0.0);
     }
 
     #[test]

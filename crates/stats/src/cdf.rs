@@ -41,7 +41,7 @@ impl Cdf {
             // Clamp every entry (not just the last) against floating-point
             // drift: a partial sum landing above `total` would otherwise
             // yield an intermediate fraction > 1.0, which turns
-            // `fraction_geq`/`Ccdf::fraction_gt` negative. Also enforce
+            // `Ccdf::fraction_gt` negative. Also enforce
             // monotonicity so queries binary-searching `cum_frac` stay
             // well-defined under any summation order.
             let frac = (cum / total).min(1.0).max(prev);
@@ -68,14 +68,6 @@ impl Cdf {
         match self.values.partition_point(|&v| v <= x) {
             0 => 0.0,
             i => self.cum_frac[i - 1],
-        }
-    }
-
-    /// P(X ≥ x): fraction of weight at or above `x` (for CCDF-style reads).
-    pub fn fraction_geq(&self, x: f64) -> f64 {
-        match self.values.partition_point(|&v| v < x) {
-            0 => 1.0,
-            i => 1.0 - self.cum_frac[i - 1],
         }
     }
 
@@ -212,11 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn fraction_geq_counts_equal_values() {
+    fn fraction_leq_counts_equal_values() {
         let cdf = Cdf::from_values(&[1.0, 2.0, 2.0, 3.0]).unwrap();
-        assert!((cdf.fraction_geq(2.0) - 0.75).abs() < 1e-12);
-        assert!((cdf.fraction_geq(2.1) - 0.25).abs() < 1e-12);
-        assert_eq!(cdf.fraction_geq(0.0), 1.0);
+        assert!((cdf.fraction_leq(2.0) - 0.75).abs() < 1e-12);
+        assert!((cdf.fraction_leq(1.9) - 0.25).abs() < 1e-12);
+        assert_eq!(cdf.fraction_leq(3.0), 1.0);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! * weighted and unweighted quantiles ([`quantile`]),
 //! * weighted CDF/CCDF construction ([`cdf`]),
 //! * bootstrap confidence intervals ([`bootstrap`]) for the Fig 1 band,
-//! * streaming summaries ([`summary`]), histograms ([`histogram`]),
 //! * mergeable bounded-memory quantile sketches ([`sketch`]) for
 //!   `repro serve`'s unbounded campaigns,
 //! * ASCII rendering of figures ([`render`]) for the `repro` binary.
@@ -16,18 +15,14 @@
 
 pub mod bootstrap;
 pub mod cdf;
-pub mod histogram;
 pub mod quantile;
 pub mod render;
 pub mod sketch;
-pub mod summary;
 
 pub use bootstrap::{bootstrap_median_ci, ConfidenceInterval};
 pub use cdf::{Ccdf, Cdf};
-pub use histogram::Histogram;
 pub use quantile::{
     median, median_unsorted, min_finite, quantile, quantile_select, quantile_unsorted,
     weighted_median, weighted_quantile,
 };
 pub use sketch::QuantileSketch;
-pub use summary::Summary;

@@ -439,11 +439,6 @@ impl Topology {
         self.rel_filtered(asn, BusinessRel::ProviderOf)
     }
 
-    /// Peers of `asn`.
-    pub fn peers_of(&self, asn: AsId) -> Vec<AsId> {
-        self.rel_filtered(asn, BusinessRel::Peer)
-    }
-
     fn rel_filtered(&self, asn: AsId, rel: BusinessRel) -> Vec<AsId> {
         let mut v: Vec<AsId> = self
             .neighbors(asn)
@@ -457,14 +452,6 @@ impl Topology {
     /// ASes of a given class.
     pub fn ases_of_class(&self, class: AsClass) -> impl Iterator<Item = &AsNode> {
         self.ases.iter().filter(move |a| a.class == class)
-    }
-
-    /// Interconnect cities shared between `a` and `b` (where links exist).
-    pub fn interconnect_cities(&self, a: AsId, b: AsId) -> Vec<CityId> {
-        let mut v: Vec<CityId> = self.links_between(a, b).iter().map(|l| l.city).collect();
-        v.sort();
-        v.dedup();
-        v
     }
 }
 
@@ -514,7 +501,7 @@ mod tests {
         assert_eq!(t.relationship(t1, e1), Some(BusinessRel::ProviderOf));
         assert_eq!(t.providers_of(e1), vec![t1]);
         assert_eq!(t.customers_of(t1), vec![e1]);
-        assert!(t.peers_of(e1).is_empty());
+        assert_eq!(t.neighbors(e1), vec![t1], "no peers beside its provider");
     }
 
     #[test]
@@ -531,7 +518,8 @@ mod tests {
         t.add_interconnect(a, b, BusinessRel::Peer, LinkKind::PublicPeering, c0, 100.0);
         t.add_interconnect(a, b, BusinessRel::Peer, LinkKind::PrivatePeering, c1, 200.0);
         assert_eq!(t.links_between(a, b).len(), 2);
-        assert_eq!(t.interconnect_cities(a, b).len(), 2);
+        let cities: Vec<CityId> = t.links_between(a, b).iter().map(|l| l.city).collect();
+        assert_eq!(cities, vec![c0, c1]);
         assert_eq!(t.neighbors(a), vec![b]);
     }
 

@@ -42,30 +42,3 @@ pub struct Ldns {
     /// ISP resolvers essentially never do (§3.2.1).
     pub sends_ecs: bool,
 }
-
-impl Ldns {
-    pub fn is_public(&self) -> bool {
-        matches!(self.kind, LdnsKind::Public)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn public_detection() {
-        let p = Ldns {
-            id: LdnsId(0),
-            kind: LdnsKind::Public,
-            sends_ecs: true,
-        };
-        let i = Ldns {
-            id: LdnsId(1),
-            kind: LdnsKind::Isp(AsId(3)),
-            sends_ecs: false,
-        };
-        assert!(p.is_public());
-        assert!(!i.is_public());
-    }
-}

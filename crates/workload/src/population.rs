@@ -57,11 +57,6 @@ impl Workload {
         self.prefixes.iter().map(|p| p.weight).sum()
     }
 
-    /// Prefixes of one eyeball AS.
-    pub fn prefixes_of(&self, asn: AsId) -> impl Iterator<Item = &ClientPrefix> {
-        self.prefixes.iter().filter(move |p| p.asn == asn)
-    }
-
     /// The resolvers of one prefix.
     pub fn resolvers_of(&self, id: PrefixId) -> &[(LdnsId, f64)] {
         &self.prefix_ldns[id.index()]
@@ -196,7 +191,7 @@ mod tests {
         let (topo, w) = workload();
         for eye in topo.ases_of_class(AsClass::Eyeball) {
             assert!(
-                w.prefixes_of(eye.id).count() > 0,
+                w.prefixes.iter().any(|p| p.asn == eye.id),
                 "{} must have prefixes",
                 eye.name
             );
@@ -253,7 +248,7 @@ mod tests {
     #[test]
     fn public_resolver_serves_many_ases() {
         let (_, w) = workload();
-        let public = w.ldns.iter().find(|l| l.is_public()).unwrap();
+        let public = w.ldns.iter().find(|l| l.kind == LdnsKind::Public).unwrap();
         let clients = w.clients_of_ldns(public.id);
         let ases: std::collections::HashSet<AsId> =
             clients.iter().map(|&(p, _)| w.prefix(p).asn).collect();

@@ -1857,7 +1857,7 @@ fn main() {
                 let default = &correlated.fig1;
                 for (label, improvable, episodes) in [
                     ("correlated (default)", default.frac_improvable_5ms, &correlated.episodes),
-                    ("independent", independent.frac_improvable_5ms, &independent.episodes),
+                    ("independent", independent.fig1.frac_improvable_5ms, &independent.episodes),
                 ] {
                     writeln!(
                         out,

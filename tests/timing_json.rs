@@ -145,6 +145,29 @@ fn serve_reports_fault_activity_under_light_faults() {
 }
 
 #[test]
+fn beacon_and_probe_kernels_publish_their_counters() {
+    for (experiment, pipeline) in [("fig3", "beacon"), ("fig5", "probe")] {
+        let out_path = std::env::temp_dir()
+            .join(format!("bb_perf_kernel_{experiment}_{}.json", std::process::id()));
+        let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([experiment, "--scale", "test", "--seed", "42", "--timing-json"])
+            .arg(&out_path)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("spawn repro");
+        assert!(status.success(), "repro {experiment} exited with {status}");
+
+        let j = std::fs::read_to_string(&out_path).expect("report written");
+        std::fs::remove_file(&out_path).ok();
+        for counter in ["batches", "exact_evals"] {
+            let label = format!("{{\"label\": \"kernel:{pipeline}:{counter}\", \"count\": ");
+            let n = number_after(&j, &label);
+            assert!(n > 0, "{experiment}: kernel:{pipeline}:{counter} is 0:\n{j}");
+        }
+    }
+}
+
+#[test]
 fn audit_writes_its_report() {
     let out_path = std::env::temp_dir().join(format!("bb_perf_audit_{}.json", std::process::id()));
     std::fs::remove_file(&out_path).ok();
