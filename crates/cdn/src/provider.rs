@@ -236,7 +236,7 @@ pub fn build_provider(topo: &mut Topology, cfg: &ProviderConfig) -> Provider {
         }
     }
 
-    let wan = Wan::generate(topo, &pop_cities, cfg.seed ^ 0x_3a3a);
+    let wan = Wan::generate(topo, &pop_cities);
     Provider {
         asn,
         name: cfg.name.clone(),

@@ -10,7 +10,8 @@
 
 use bb_geo::CityId;
 use bb_topology::Topology;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// WAN fiber path inflation over great circle (well-engineered backbone).
 pub const WAN_INFLATION: f64 = 1.08;
@@ -48,21 +49,32 @@ pub struct WanLink {
     pub km: f64,
 }
 
-/// The WAN graph with Dijkstra routing.
+/// The WAN graph, compiled when it is built into an all-pairs table of
+/// one-way latencies and best-path predecessors.
 #[derive(Debug, Clone)]
 pub struct Wan {
     nodes: Vec<CityId>,
     links: Vec<WanLink>,
     /// node index → (neighbor index, link index)
     adj: Vec<Vec<(usize, usize)>>,
+    /// `CityId` index → node index; [`NOT_A_POP`] for a city without a PoP.
+    slot: Vec<u32>,
+    /// Row-major n×n one-way latency, ms: source row × destination column.
+    dist: Vec<f64>,
+    /// Row-major n×n predecessor of each destination on the source row's
+    /// best path ([`NOT_A_POP`] on the diagonal and when unreachable).
+    prev: Vec<u32>,
 }
+
+const NOT_A_POP: u32 = u32::MAX;
 
 impl Wan {
     /// Build the WAN over `pops`: intra-region nearest-neighbor links plus
-    /// the fixed inter-region backbone, patched to connectivity.
-    pub fn generate(topo: &Topology, pops: &[CityId], _seed: u64) -> Wan {
+    /// the fixed inter-region backbone, patched to connectivity, then
+    /// compiled into its all-pairs table.
+    pub fn generate(topo: &Topology, pops: &[CityId]) -> Wan {
         let nodes: Vec<CityId> = pops.to_vec();
-        let index: HashMap<CityId, usize> = nodes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        let slot = slots(&nodes);
         let mut links: Vec<WanLink> = Vec::new();
         let mut have: std::collections::HashSet<(usize, usize)> = Default::default();
 
@@ -115,30 +127,35 @@ impl Wan {
         // Inter-region backbone.
         for &(ca, cb) in BACKBONE {
             let pa = bb_geo::country::by_code(ca)
-                .map(|(ci, _)| topo.atlas.main_metro(ci).id)
-                .filter(|c| index.contains_key(c));
+                .and_then(|(ci, _)| slot_of(&slot, topo.atlas.main_metro(ci).id));
             let pb = bb_geo::country::by_code(cb)
-                .map(|(ci, _)| topo.atlas.main_metro(ci).id)
-                .filter(|c| index.contains_key(c));
+                .and_then(|(ci, _)| slot_of(&slot, topo.atlas.main_metro(ci).id));
             if let (Some(a), Some(b)) = (pa, pb) {
-                add(&mut links, &mut have, index[&a], index[&b]);
+                add(&mut links, &mut have, a, b);
             }
         }
 
-        let mut wan = Wan::from_parts(nodes, links);
+        let mut wan = Wan::from_parts(nodes, slot, links);
         wan.patch_connectivity(topo);
+        wan.compile();
         wan
     }
 
-    fn from_parts(nodes: Vec<CityId>, links: Vec<WanLink>) -> Wan {
-        let index: HashMap<CityId, usize> = nodes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    fn from_parts(nodes: Vec<CityId>, slot: Vec<u32>, links: Vec<WanLink>) -> Wan {
         let mut adj = vec![Vec::new(); nodes.len()];
         for (li, l) in links.iter().enumerate() {
-            let (i, j) = (index[&l.a], index[&l.b]);
+            let (i, j) = (slot[l.a.index()] as usize, slot[l.b.index()] as usize);
             adj[i].push((j, li));
             adj[j].push((i, li));
         }
-        Wan { nodes, links, adj }
+        Wan {
+            nodes,
+            links,
+            adj,
+            slot,
+            dist: Vec::new(),
+            prev: Vec::new(),
+        }
     }
 
     /// Join disconnected components with the shortest cross-component link.
@@ -208,23 +225,101 @@ impl Wan {
     }
 
     fn node_index(&self, c: CityId) -> Option<usize> {
-        self.nodes.iter().position(|&n| n == c)
+        slot_of(&self.slot, c)
     }
 
-    /// One-way WAN latency between two PoPs, ms (Dijkstra over link
+    /// One-way WAN latency between two PoPs, ms (shortest path over link
     /// latencies). `None` if either city is not a PoP.
     pub fn path_ms(&self, from: CityId, to: CityId) -> Option<f64> {
-        self.dijkstra(from, to).map(|(_, ms)| ms)
+        let (src, dst) = (self.node_index(from)?, self.node_index(to)?);
+        let ms = self.dist[src * self.nodes.len() + dst];
+        (!ms.is_infinite()).then_some(ms)
     }
 
     /// The city waypoints of the best WAN path.
     pub fn path(&self, from: CityId, to: CityId) -> Option<Vec<CityId>> {
-        self.dijkstra(from, to).map(|(p, _)| p)
+        let (src, dst) = (self.node_index(from)?, self.node_index(to)?);
+        let n = self.nodes.len();
+        if self.dist[src * n + dst].is_infinite() {
+            return None;
+        }
+        let prev = &self.prev[src * n..(src + 1) * n];
+        let mut path = vec![self.nodes[dst]];
+        let mut cur = dst;
+        while cur != src {
+            cur = prev[cur] as usize;
+            path.push(self.nodes[cur]);
+        }
+        path.reverse();
+        Some(path)
     }
 
-    fn dijkstra(&self, from: CityId, to: CityId) -> Option<(Vec<CityId>, f64)> {
-        let src = self.node_index(from)?;
-        let dst = self.node_index(to)?;
+    /// Fill the all-pairs table: one full single-source Dijkstra per PoP.
+    /// A destination's distance is final when it is popped, and later
+    /// relaxations only replace on a strictly shorter sum, so each entry
+    /// (and its predecessor chain) has the bits an early-exit search for
+    /// that one pair would return. a→b and b→a are searched separately:
+    /// their sums run in opposite orders and may differ in the last bit.
+    fn compile(&mut self) {
+        let n = self.nodes.len();
+        let weight: Vec<f64> = self
+            .links
+            .iter()
+            .map(|l| bb_geo::propagation_delay_ms(l.km, WAN_INFLATION))
+            .collect();
+        self.dist = vec![f64::INFINITY; n * n];
+        self.prev = vec![NOT_A_POP; n * n];
+        // Min-heap on (dist, node) via the ordered bits of non-negative floats.
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        for src in 0..n {
+            let dist = &mut self.dist[src * n..(src + 1) * n];
+            let prev = &mut self.prev[src * n..(src + 1) * n];
+            dist[src] = 0.0;
+            heap.push(Reverse((0, src)));
+            while let Some(Reverse((dbits, u))) = heap.pop() {
+                let d = f64::from_bits(dbits);
+                if d > dist[u] {
+                    continue;
+                }
+                for &(v, li) in &self.adj[u] {
+                    let nd = d + weight[li];
+                    if nd < dist[v] {
+                        dist[v] = nd;
+                        prev[v] = u as u32;
+                        heap.push(Reverse((nd.to_bits(), v)));
+                    }
+                }
+            }
+        }
+        bb_exec::timing::add_count("wan:dijkstra", n);
+    }
+}
+
+/// `CityId` index → position in `nodes`, [`NOT_A_POP`] elsewhere.
+fn slots(nodes: &[CityId]) -> Vec<u32> {
+    let len = nodes.iter().map(|c| c.index() + 1).max().unwrap_or(0);
+    let mut slot = vec![NOT_A_POP; len];
+    for (i, c) in nodes.iter().enumerate() {
+        slot[c.index()] = i as u32;
+    }
+    slot
+}
+
+fn slot_of(slot: &[u32], c: CityId) -> Option<usize> {
+    match slot.get(c.index()) {
+        Some(&i) if i != NOT_A_POP => Some(i as usize),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+impl Wan {
+    /// The reference search the all-pairs table replaced: one early-exit
+    /// Dijkstra per query, link weights recomputed on every relaxation,
+    /// endpoints found by a scan of `nodes` rather than the slot table.
+    fn early_exit_dijkstra(&self, from: CityId, to: CityId) -> Option<(Vec<CityId>, f64)> {
+        let src = self.nodes.iter().position(|&n| n == from)?;
+        let dst = self.nodes.iter().position(|&n| n == to)?;
         let n = self.nodes.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev = vec![usize::MAX; n];
@@ -338,6 +433,52 @@ mod tests {
         let bc = p.wan.path_ms(b, c).unwrap();
         let ac = p.wan.path_ms(a, c).unwrap();
         assert!(ac <= ab + bc + 1e-9);
+    }
+
+    /// The compiled table answers every ordered pair, a→a and cities
+    /// without a PoP included, with the bits and waypoints of the
+    /// early-exit search it replaced, for all three provider shapes at
+    /// small and full topology.
+    #[test]
+    fn table_matches_early_exit_search_bit_for_bit() {
+        let shapes: [fn(u64) -> ProviderConfig; 3] = [
+            ProviderConfig::facebook_like,
+            ProviderConfig::microsoft_like,
+            ProviderConfig::google_like,
+        ];
+        let full = TopologyConfig {
+            seed: 7,
+            ..Default::default()
+        };
+        for topo_cfg in [TopologyConfig::small(43), full] {
+            for shape in shapes {
+                let mut topo = generate(&topo_cfg);
+                let p = build_provider(&mut topo, &shape(topo_cfg.seed));
+                let mut cities = p.pops.clone();
+                cities.extend(
+                    topo.atlas
+                        .cities
+                        .iter()
+                        .map(|c| c.id)
+                        .filter(|&c| !p.has_pop(c))
+                        .take(8),
+                );
+                assert!(cities.len() > p.pops.len(), "{}: no non-PoP city", p.name);
+                cities.push(CityId(u32::MAX));
+                for &a in &cities {
+                    for &b in &cities {
+                        let want = p.wan.early_exit_dijkstra(a, b);
+                        assert_eq!(
+                            p.wan.path_ms(a, b).map(f64::to_bits),
+                            want.as_ref().map(|(_, ms)| ms.to_bits()),
+                            "{}: {a}->{b}",
+                            p.name
+                        );
+                        assert_eq!(p.wan.path(a, b), want.map(|(path, _)| path));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,12 +31,9 @@ use std::str::FromStr;
 /// FNV-1a 64-bit hash of the concatenated `parts` — the checksum guarding
 /// every header and record.
 pub fn fnv1a(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in parts.iter().flat_map(|p| p.iter()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    parts
+        .iter()
+        .fold(bb_topology::FNV_OFFSET, |h, p| bb_topology::fnv1a_fold(h, p))
 }
 
 /// One file kind: its format line and how its errors name it.

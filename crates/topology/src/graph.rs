@@ -203,19 +203,11 @@ impl Topology {
     }
 
     fn fold_word(&mut self, w: u64) {
-        let mut h = self.content_hash;
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.content_hash = h;
+        self.fold_bytes(&w.to_le_bytes());
     }
 
     fn fold_bytes(&mut self, bytes: &[u8]) {
-        let mut h = self.content_hash;
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.content_hash = h;
+        self.content_hash = fnv1a_fold(self.content_hash, bytes);
     }
 
     /// Add an AS; its `id` field is assigned here.
@@ -455,8 +447,17 @@ impl Topology {
     }
 }
 
-const FNV_OFFSET: u64 = 0x_cbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0x_cbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64-bit hash `h` over `bytes`. The one FNV-1a fold:
+/// topology fingerprints and every persisted-file checksum go through it.
+#[inline]
+pub fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 fn next_uid() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -551,6 +552,19 @@ mod tests {
         let a = t.add_as(AsClass::Tier1, "a", vec![c0], ExitPolicy::LateExit, 1.1, None, 0.0);
         let b = t.add_as(AsClass::Tier1, "b", vec![c0], ExitPolicy::LateExit, 1.1, None, 0.0);
         t.add_interconnect(a, b, BusinessRel::Peer, LinkKind::PublicPeering, c1, 1.0);
+    }
+
+    /// FNV-1a's published test vector, and two pinned fingerprints: a
+    /// change to the fold's bytes, or to what a topology folds, fails here.
+    #[test]
+    fn fnv1a_fold_is_fnv1a_and_fingerprints_are_pinned() {
+        assert_eq!(fnv1a_fold(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv1a_fold(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let foo = fnv1a_fold(FNV_OFFSET, b"foo");
+        assert_eq!(fnv1a_fold(fnv1a_fold(FNV_OFFSET, b"fo"), b"o"), foo);
+        assert_eq!(tiny().fingerprint(), 0x3986_1b20_a3e7_883d);
+        let small = crate::generate(&crate::TopologyConfig::small(43));
+        assert_eq!(small.fingerprint(), 0xc02a_515f_669c_7a26);
     }
 
     #[test]

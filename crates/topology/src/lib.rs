@@ -31,6 +31,6 @@ pub use caida::{
     build_from_snapshot, load_snapshot_file, parse_caida, CaidaError, CaidaGraph, SnapshotConfig,
 };
 pub use generator::{generate, TopologyConfig};
-pub use graph::{ProviderOrder, RelAdjacency, Topology};
+pub use graph::{fnv1a_fold, ProviderOrder, RelAdjacency, Topology, FNV_OFFSET};
 pub use ids::{AsId, InterconnectId};
 pub use link::{BusinessRel, Interconnect, LinkKind};
