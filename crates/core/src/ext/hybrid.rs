@@ -14,13 +14,13 @@
 //!   prediction can't clearly help;
 //! * **oracle** — per-measurement best option (the Fig 3 upper bound).
 
+use crate::study_anycast::{served_rtt_ms, train_redirector};
 use crate::world::Scenario;
 use bb_measure::{run_beacons, BeaconConfig};
 use bb_measure::beacon::build_unicast_deployments;
-use bb_cdn::dns::TrainingSample;
-use bb_cdn::{AnycastDeployment, DnsRedirector, SiteChoice};
+use bb_cdn::{AnycastDeployment, SiteChoice};
 use bb_stats::weighted_quantile;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Per-scheme latency summary over the evaluation rounds.
 #[derive(Debug, Clone)]
@@ -68,7 +68,8 @@ pub fn run(scenario: &Scenario, beacon_cfg: &BeaconConfig, margin_ms: f64) -> Ve
         .filter(|m| m.is_complete())
         .collect();
 
-    // Same train/test split as the Fig 4 analysis (even/odd rounds).
+    // Fig 4's even/odd train/test split, but with rounds ranked over the
+    // complete measurements only (Fig 4 ranks them over all of them).
     let mut round_times: Vec<u64> = measurements
         .iter()
         .map(|m| m.time.minutes().to_bits())
@@ -80,35 +81,7 @@ pub fn run(scenario: &Scenario, beacon_cfg: &BeaconConfig, margin_ms: f64) -> Ve
     };
     let (train, test): (Vec<_>, Vec<_>) = measurements.iter().partition(|m| round_of(m) % 2 == 0);
 
-    // Train per-prefix medians. BTreeMaps keep sample order hash-free.
-    let mut per_prefix: BTreeMap<bb_workload::PrefixId, Vec<&bb_measure::BeaconMeasurement>> =
-        BTreeMap::new();
-    for m in &train {
-        per_prefix.entry(m.prefix).or_default().push(m);
-    }
-    let samples: Vec<TrainingSample> = per_prefix
-        .iter()
-        .map(|(&prefix, ms)| {
-            let med = |mut v: Vec<f64>| bb_stats::quantile_select(&mut v, 0.5);
-            let mut per_site: BTreeMap<bb_geo::CityId, Vec<f64>> = BTreeMap::new();
-            for m in ms {
-                for &(s, r) in &m.unicast_rtt_ms {
-                    // A complete measurement can still have individual
-                    // unicast probes lost to the fault plane (NaN).
-                    if r.is_finite() {
-                        per_site.entry(s).or_default().push(r);
-                    }
-                }
-            }
-            TrainingSample {
-                prefix,
-                weight: ms[0].weight,
-                anycast_rtt_ms: med(ms.iter().map(|m| m.anycast_rtt_ms).collect()),
-                unicast_rtt_ms: per_site.into_iter().map(|(s, v)| (s, med(v))).collect(),
-            }
-        })
-        .collect();
-    let redirector = DnsRedirector::train(&scenario.workload, &samples);
+    let (samples, redirector) = train_redirector(scenario, &train);
 
     // The hybrid uses the same training data but only redirects a resolver
     // when the predicted gain clears the margin. Implemented by
@@ -134,28 +107,7 @@ pub fn run(scenario: &Scenario, beacon_cfg: &BeaconConfig, margin_ms: f64) -> Ve
     for m in &test {
         let w = m.weight;
         total_w += w;
-        let rtt_of = |choice: SiteChoice| -> f64 {
-            match choice {
-                SiteChoice::Anycast => m.anycast_rtt_ms,
-                SiteChoice::Unicast(site) => m
-                    .unicast_rtt_ms
-                    .iter()
-                    .find(|&&(s, r)| s == site && r.is_finite())
-                    .map(|&(_, r)| r)
-                    .unwrap_or_else(|| {
-                        let client_city = scenario.workload.prefix(m.prefix).city;
-                        m.anycast_rtt_ms
-                            + bb_geo::min_rtt_ms(
-                                scenario
-                                    .topo
-                                    .atlas
-                                    .city(site)
-                                    .location
-                                    .distance_km(&scenario.topo.atlas.city(client_city).location),
-                            )
-                    }),
-            }
-        };
+        let rtt_of = |choice: SiteChoice| served_rtt_ms(scenario, m, choice);
 
         // anycast
         points.entry("anycast").or_default().push((m.anycast_rtt_ms, w));

@@ -113,38 +113,7 @@ pub fn analyze(
         .filter(|m| m.is_complete())
         .partition(|m| round_of(m) % 2 == 0);
 
-    // Training samples: per-prefix medians over the training rounds.
-    // BTreeMaps keep sample/figure order independent of hash state.
-    let mut per_prefix_train: BTreeMap<bb_workload::PrefixId, Vec<&BeaconMeasurement>> =
-        BTreeMap::new();
-    for m in &train {
-        per_prefix_train.entry(m.prefix).or_default().push(m);
-    }
-    let samples: Vec<TrainingSample> = per_prefix_train
-        .iter()
-        .map(|(&prefix, ms)| {
-            let anycast_med = median(ms.iter().map(|m| m.anycast_rtt_ms));
-            // Median per unicast site across the rounds.
-            let mut per_site: BTreeMap<CityId, Vec<f64>> = BTreeMap::new();
-            for m in ms {
-                for &(s, r) in &m.unicast_rtt_ms {
-                    if r.is_finite() {
-                        per_site.entry(s).or_default().push(r);
-                    }
-                }
-            }
-            TrainingSample {
-                prefix,
-                weight: ms[0].weight,
-                anycast_rtt_ms: anycast_med,
-                unicast_rtt_ms: per_site
-                    .into_iter()
-                    .map(|(s, v)| (s, median(v.into_iter())))
-                    .collect(),
-            }
-        })
-        .collect();
-    let redirector = DnsRedirector::train(&scenario.workload, &samples);
+    let (_, redirector) = train_redirector(scenario, &train);
 
     // Test: per prefix, collect (anycast, predicted) series over test rounds.
     let mut per_prefix_test: BTreeMap<bb_workload::PrefixId, Vec<&BeaconMeasurement>> =
@@ -163,35 +132,7 @@ pub fn analyze(
             // Expected RTT across the prefix's resolver mix.
             let mut acc = 0.0;
             for &(choice, frac) in &choices {
-                let rtt = match choice {
-                    SiteChoice::Anycast => m.anycast_rtt_ms,
-                    SiteChoice::Unicast(site) => m
-                        .unicast_rtt_ms
-                        .iter()
-                        .find(|&&(s, r)| s == site && r.is_finite())
-                        .map(|&(_, r)| r)
-                        // Predicted site not among this client's nearby
-                        // measured ones — the misdirection case. Its RTT is
-                        // dominated by the detour: approximate with the
-                        // anycast RTT plus the extra great-circle RTT to
-                        // that site.
-                        .unwrap_or_else(|| {
-                            let client_city =
-                                scenario.workload.prefix(prefix).city;
-                            let extra = bb_geo::min_rtt_ms(
-                                scenario
-                                    .topo
-                                    .atlas
-                                    .city(site)
-                                    .location
-                                    .distance_km(
-                                        &scenario.topo.atlas.city(client_city).location,
-                                    ),
-                            );
-                            m.anycast_rtt_ms + extra
-                        }),
-                };
-                acc += frac * rtt;
+                acc += frac * served_rtt_ms(scenario, m, choice);
             }
             predicted_series.push(acc);
         }
@@ -223,6 +164,69 @@ pub fn analyze(
         redirector,
         measurements,
     })
+}
+
+/// Fig 4's training step: per-prefix medians over the `train` rounds (the
+/// anycast RTT, and each unicast site's finite RTTs), and the LDNS
+/// redirector trained on them. BTreeMaps keep sample order hash-free.
+pub(crate) fn train_redirector(
+    scenario: &Scenario,
+    train: &[&BeaconMeasurement],
+) -> (Vec<TrainingSample>, DnsRedirector) {
+    let mut per_prefix: BTreeMap<bb_workload::PrefixId, Vec<&BeaconMeasurement>> = BTreeMap::new();
+    for m in train {
+        per_prefix.entry(m.prefix).or_default().push(m);
+    }
+    let samples: Vec<TrainingSample> = per_prefix
+        .iter()
+        .map(|(&prefix, ms)| {
+            let mut per_site: BTreeMap<CityId, Vec<f64>> = BTreeMap::new();
+            for m in ms {
+                for &(s, r) in &m.unicast_rtt_ms {
+                    // A complete measurement can still have individual
+                    // unicast probes lost to the fault plane (NaN).
+                    if r.is_finite() {
+                        per_site.entry(s).or_default().push(r);
+                    }
+                }
+            }
+            TrainingSample {
+                prefix,
+                weight: ms[0].weight,
+                anycast_rtt_ms: median(ms.iter().map(|m| m.anycast_rtt_ms)),
+                unicast_rtt_ms: per_site
+                    .into_iter()
+                    .map(|(s, v)| (s, median(v.into_iter())))
+                    .collect(),
+            }
+        })
+        .collect();
+    let redirector = DnsRedirector::train(&scenario.workload, &samples);
+    (samples, redirector)
+}
+
+/// The RTT measurement `m` sees when served by `choice`. A predicted site
+/// not among the client's measured ones (or whose probe was lost) is the
+/// misdirection case: its RTT is dominated by the detour, approximated as
+/// the anycast RTT plus the great-circle RTT from the client to that site.
+pub(crate) fn served_rtt_ms(scenario: &Scenario, m: &BeaconMeasurement, choice: SiteChoice) -> f64 {
+    match choice {
+        SiteChoice::Anycast => m.anycast_rtt_ms,
+        SiteChoice::Unicast(site) => m
+            .unicast_rtt_ms
+            .iter()
+            .find(|&&(s, r)| s == site && r.is_finite())
+            .map(|&(_, r)| r)
+            .unwrap_or_else(|| {
+                let atlas = &scenario.topo.atlas;
+                let client_city = scenario.workload.prefix(m.prefix).city;
+                let km = atlas
+                    .city(site)
+                    .location
+                    .distance_km(&atlas.city(client_city).location);
+                m.anycast_rtt_ms + bb_geo::min_rtt_ms(km)
+            }),
+    }
 }
 
 fn median(values: impl Iterator<Item = f64>) -> f64 {

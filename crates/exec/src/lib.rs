@@ -140,12 +140,13 @@ where
 // Panic isolation
 // ---------------------------------------------------------------------------
 
-/// Why one attempt of a [`supervisor::supervise`] item failed: it panicked.
+/// Why the last attempt of a supervised item failed: it panicked, or (for
+/// an orchestrated shard) its process crashed or hung.
 #[derive(Debug, Clone)]
 pub struct ItemFailure {
     /// Input index of the failed item.
     pub index: usize,
-    /// Panic payload, if it was a `&str`/`String`.
+    /// Panic payload, if it was a `&str`/`String`, or the attempt's error.
     pub message: String,
     /// Wall-clock the failing attempt ran before dying — supervision
     /// reports and `=== EXPERIMENT FAILED ===` blocks can say which unit

@@ -1,18 +1,20 @@
-//! Process-level supervision: the [`supervisor`](crate::supervisor) ledger
-//! design, one level up.
+//! Process-level supervision: whole shard **processes** restarted through
+//! the [`supervisor`](crate::supervisor) retry ledger.
 //!
 //! [`supervise`](crate::supervisor::supervise) keeps *threads* honest inside
 //! one process; [`orchestrate`] keeps whole worker **processes** honest. The
-//! orchestrator spawns one child per shard (via a caller-supplied closure —
-//! this module knows nothing about argv or checkpoints), then runs a poll
-//! loop that classifies every way a worker can go wrong:
+//! orchestrator runs one scoped thread per shard, so every shard runs at
+//! once whatever the `par_map` worker count. Each thread spawns its child
+//! (via a caller-supplied closure — this module knows nothing about argv or
+//! checkpoints) and blocks on it, classifying every way a worker can go
+//! wrong:
 //!
-//! * **crash** — the child exits nonzero (or dies to a signal). Retryable:
-//!   the shard is respawned after deterministic backoff and resumes from
-//!   its own checkpoint.
+//! * **crash** — the child exits nonzero (or dies to a signal), or the
+//!   spawn fails. Retryable: the shard is respawned after deterministic
+//!   backoff and resumes from its own checkpoint.
 //! * **hang** — the child is alive but its heartbeat file's *content* stops
 //!   changing for longer than `hang_timeout`. The orchestrator kills it and
-//!   treats it as a crash. Staleness is judged against the orchestrator's
+//!   retries it like a crash. Staleness is judged against the orchestrator's
 //!   own monotonic clock from the moment the content last changed — the
 //!   timestamp inside the heartbeat is never parsed, so writer and watcher
 //!   need no clock agreement.
@@ -20,19 +22,19 @@
 //!   ([`FATAL_EXIT`] = 2). Deterministic: respawning reproduces it, so the
 //!   shard fails immediately without burning the restart budget.
 //!
-//! Restarts are bounded twice by the same [`RetryPolicy`] thread-level
-//! retries use: a per-shard `max_retries` and a campaign-wide
-//! `retry_budget`. Backoff
-//! before restart `k` of shard `i` reuses [`RetryPolicy::backoff`] — the
-//! delay is derived purely from `(jitter_seed, i, k)`, so a chaos run
-//! replays the same restart schedule every time.
+//! A crash or hang is an attempt that returned `Err` to the supervisor's
+//! retry ledger, which owns the rest: the per-shard `max_retries`, the
+//! campaign-wide `retry_budget`, and the [`RetryPolicy::backoff`] sleep
+//! before restart `k` of shard `i` — derived purely from
+//! `(jitter_seed, i, k)`, so a chaos run replays the same restart schedule
+//! every time.
 //!
 //! Cancellation kills all running children and reports the campaign
 //! cancelled; because workers checkpoint after every finalized unit, a
 //! later orchestrated run resumes from what the dead workers had saved.
 
-use crate::supervisor::RetryPolicy;
-use std::path::PathBuf;
+use crate::supervisor::{Ledger, RetryPolicy};
+use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::{Duration, Instant};
 
@@ -64,7 +66,7 @@ pub struct OrchestratorPolicy {
     /// A running child whose heartbeat content is unchanged for this long
     /// is killed and restarted.
     pub hang_timeout: Duration,
-    /// Poll-loop sleep between liveness sweeps.
+    /// Sleep between one shard's liveness checks.
     pub poll_interval: Duration,
 }
 
@@ -113,7 +115,9 @@ pub struct ShardReport {
     pub index: usize,
     /// Label copied from the [`ShardSpec`].
     pub label: String,
-    /// Launches actually performed (first launch + restarts).
+    /// Attempts the retry ledger ran (first launch + restarts). A spawn
+    /// error is an attempt, and so is a restart that cancellation stopped
+    /// before it launched.
     pub attempts: u32,
     /// Crash events observed (nonzero exits, signal deaths, spawn errors).
     pub crashes: u32,
@@ -132,7 +136,7 @@ pub struct ShardReport {
 pub struct OrchestratorReport {
     /// One entry per input shard, in input order.
     pub shards: Vec<ShardReport>,
-    /// Total child launches across all shards.
+    /// Total attempts across all shards (each shard's first + restarts).
     pub attempts: u64,
     /// Total restarts (launches beyond each shard's first).
     pub restarts: u64,
@@ -162,49 +166,50 @@ impl OrchestratorReport {
     }
 }
 
-/// Heartbeat watch: last observed content and when it last changed,
-/// against the orchestrator's own monotonic clock.
-struct HbWatch {
-    content: Vec<u8>,
-    changed_at: Instant,
-}
-
-impl HbWatch {
-    fn start(path: &PathBuf) -> Self {
-        Self {
-            content: std::fs::read(path).unwrap_or_default(),
-            changed_at: Instant::now(),
-        }
-    }
-
-    /// Re-read the heartbeat; returns how long the content has been static.
-    fn staleness(&mut self, path: &PathBuf) -> Duration {
-        let now = std::fs::read(path).unwrap_or_default();
-        if now != self.content {
-            self.content = now;
-            self.changed_at = Instant::now();
-        }
-        self.changed_at.elapsed()
-    }
-}
-
-enum State {
-    /// Waiting to (re)launch: `attempt` is the next launch's index.
-    Pending { attempt: u32, not_before: Instant },
-    Running {
-        child: Child,
-        attempt: u32,
-        started: Instant,
-        watch: HbWatch,
-    },
-    Done(ShardOutcome),
-}
-
-/// Everything a liveness sweep can observe about one child.
-enum Event {
-    Exited(Option<i32>),
+/// How one launch of a shard ended.
+enum Exit {
+    Code(Option<i32>),
     Hung,
-    StillRunning,
+    Cancelled,
+}
+
+/// Block on `child` until it exits, its heartbeat goes stale, or `cancel()`
+/// turns true; a hung or cancelled child is killed.
+fn watch(
+    child: &mut Child,
+    heartbeat: &Path,
+    policy: &OrchestratorPolicy,
+    cancel: &dyn Fn() -> bool,
+) -> Exit {
+    // The heartbeat's content as last read, and when it last changed by
+    // the orchestrator's own monotonic clock.
+    let read = || std::fs::read(heartbeat).unwrap_or_default();
+    let (mut content, mut changed_at) = (read(), Instant::now());
+    let exit = loop {
+        if cancel() {
+            break Exit::Cancelled;
+        }
+        match child.try_wait() {
+            Ok(Some(status)) => return Exit::Code(status.code()),
+            Ok(None) => {
+                let now = read();
+                if now != content {
+                    content = now;
+                    changed_at = Instant::now();
+                }
+                if changed_at.elapsed() > policy.hang_timeout {
+                    break Exit::Hung;
+                }
+                std::thread::sleep(policy.poll_interval);
+            }
+            // try_wait error: the child is lost to us — kill it and treat
+            // it as a signal death.
+            Err(_) => break Exit::Code(None),
+        }
+    };
+    let _ = child.kill();
+    let _ = child.wait();
+    exit
 }
 
 /// Spawn and supervise one child process per shard until every shard is
@@ -213,245 +218,111 @@ enum Event {
 ///
 /// `spawn(shard, attempt)` launches the child for `attempt` (0 = first
 /// launch); it owns all child-specific setup — argv, env hooks, resume
-/// decisions, pre-launch checkpoint salvage. A spawn error counts as a crash
-/// of that attempt. `cancel()` turning true kills all running children.
+/// decisions, pre-launch checkpoint salvage — and is called from each
+/// shard's own thread. A spawn error counts as a crash of that attempt.
+/// `cancel()` turning true kills all running children; a shard whose
+/// restart is due after that is not launched, and the attempt counts as
+/// cancelled.
 pub fn orchestrate(
     specs: &[ShardSpec],
     policy: &OrchestratorPolicy,
-    cancel: &dyn Fn() -> bool,
-    spawn: &mut dyn FnMut(usize, u32) -> std::io::Result<Child>,
+    cancel: &(dyn Fn() -> bool + Sync),
+    spawn: &(dyn Fn(usize, u32) -> std::io::Result<Child> + Sync),
 ) -> OrchestratorReport {
-    let retry = &policy.retry;
-    let mut budget = retry.retry_budget as i64;
-    let mut budget_exhausted = false;
-    let mut cancelled = false;
+    let ledger = Ledger::new(&policy.retry);
+    let shards: Vec<ShardReport> = std::thread::scope(|scope| {
+        let threads: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(index, spec)| {
+                let ledger = &ledger;
+                scope.spawn(move || run_shard(index, spec, policy, ledger, cancel, spawn))
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("shard watcher panicked outside the ledger"))
+            .collect()
+    });
 
-    struct Stat {
-        attempts: u32,
-        crashes: u32,
-        hangs: u32,
-        elapsed_s: f64,
-        error: Option<String>,
-    }
-    let mut stats: Vec<Stat> = specs
-        .iter()
-        .map(|_| Stat {
-            attempts: 0,
-            crashes: 0,
-            hangs: 0,
-            elapsed_s: 0.0,
-            error: None,
-        })
-        .collect();
-    let now = Instant::now();
-    let mut states: Vec<State> = specs
-        .iter()
-        .map(|_| State::Pending {
-            attempt: 0,
-            not_before: now,
-        })
-        .collect();
-
-    loop {
-        if !cancelled && cancel() {
-            cancelled = true;
-            for (i, state) in states.iter_mut().enumerate() {
-                if let State::Running { child, started, .. } = state {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    stats[i].elapsed_s += started.elapsed().as_secs_f64();
-                }
-                if !matches!(state, State::Done(_)) {
-                    *state = State::Done(ShardOutcome::Cancelled);
-                }
-            }
-        }
-
-        let mut all_done = true;
-        for i in 0..specs.len() {
-            match &mut states[i] {
-                State::Done(_) => continue,
-                State::Pending { attempt, not_before } => {
-                    all_done = false;
-                    if Instant::now() < *not_before {
-                        continue;
-                    }
-                    let attempt = *attempt;
-                    stats[i].attempts += 1;
-                    match spawn(i, attempt) {
-                        Ok(child) => {
-                            states[i] = State::Running {
-                                child,
-                                attempt,
-                                started: Instant::now(),
-                                watch: HbWatch::start(&specs[i].heartbeat),
-                            };
-                        }
-                        Err(e) => {
-                            stats[i].crashes += 1;
-                            let msg = format!("spawn failed: {e}");
-                            states[i] = next_state(
-                                i,
-                                attempt,
-                                msg,
-                                retry,
-                                &mut budget,
-                                &mut budget_exhausted,
-                                &mut stats[i].error,
-                            );
-                        }
-                    }
-                }
-                State::Running {
-                    child,
-                    attempt,
-                    started,
-                    watch,
-                } => {
-                    all_done = false;
-                    let event = match child.try_wait() {
-                        Ok(Some(status)) => Event::Exited(status.code()),
-                        Ok(None) => {
-                            if watch.staleness(&specs[i].heartbeat) > policy.hang_timeout {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                Event::Hung
-                            } else {
-                                Event::StillRunning
-                            }
-                        }
-                        // try_wait error: the child is lost to us — kill and
-                        // treat as a signal-death crash.
-                        Err(_) => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            Event::Exited(None)
-                        }
-                    };
-                    let attempt = *attempt;
-                    match event {
-                        Event::StillRunning => {}
-                        Event::Exited(Some(0)) => {
-                            stats[i].elapsed_s += started.elapsed().as_secs_f64();
-                            states[i] = State::Done(ShardOutcome::Completed);
-                        }
-                        Event::Exited(Some(FATAL_EXIT)) => {
-                            stats[i].elapsed_s += started.elapsed().as_secs_f64();
-                            stats[i].error =
-                                Some(format!("exit {FATAL_EXIT} (deterministic, not retried)"));
-                            states[i] = State::Done(ShardOutcome::Fatal);
-                        }
-                        Event::Exited(code) => {
-                            stats[i].elapsed_s += started.elapsed().as_secs_f64();
-                            stats[i].crashes += 1;
-                            let msg = match code {
-                                Some(c) => format!("exit {c}"),
-                                None => "killed by signal".to_string(),
-                            };
-                            states[i] = next_state(
-                                i,
-                                attempt,
-                                msg,
-                                retry,
-                                &mut budget,
-                                &mut budget_exhausted,
-                                &mut stats[i].error,
-                            );
-                        }
-                        Event::Hung => {
-                            stats[i].elapsed_s += started.elapsed().as_secs_f64();
-                            stats[i].hangs += 1;
-                            let msg = format!(
-                                "heartbeat stale for {:.1}s (hung, killed)",
-                                policy.hang_timeout.as_secs_f64()
-                            );
-                            states[i] = next_state(
-                                i,
-                                attempt,
-                                msg,
-                                retry,
-                                &mut budget,
-                                &mut budget_exhausted,
-                                &mut stats[i].error,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if all_done {
-            break;
-        }
-        std::thread::sleep(policy.poll_interval);
-    }
-
-    let mut attempts = 0u64;
-    let mut restarts = 0u64;
-    let mut crashes = 0u64;
-    let mut hangs = 0u64;
-    let shards: Vec<ShardReport> = states
-        .into_iter()
-        .zip(stats)
-        .enumerate()
-        .map(|(index, (state, stat))| {
-            let outcome = match state {
-                State::Done(o) => o,
-                // Unreachable: the loop only exits when every state is Done.
-                _ => ShardOutcome::Cancelled,
-            };
-            attempts += stat.attempts as u64;
-            restarts += stat.attempts.saturating_sub(1) as u64;
-            crashes += stat.crashes as u64;
-            hangs += stat.hangs as u64;
-            ShardReport {
-                index,
-                label: specs[index].label.clone(),
-                attempts: stat.attempts,
-                crashes: stat.crashes,
-                hangs: stat.hangs,
-                elapsed_s: stat.elapsed_s,
-                outcome,
-                error: stat.error,
-            }
-        })
-        .collect();
-
+    let totals = ledger.report(Vec::new());
     OrchestratorReport {
-        shards,
-        attempts,
-        restarts,
-        crashes_detected: crashes,
-        hangs_detected: hangs,
+        attempts: totals.attempts,
+        restarts: totals.retries,
+        crashes_detected: shards.iter().map(|s| s.crashes as u64).sum(),
+        hangs_detected: shards.iter().map(|s| s.hangs as u64).sum(),
         restart_budget: policy.retry.retry_budget,
-        budget_exhausted,
-        cancelled,
+        budget_exhausted: totals.budget_exhausted,
+        cancelled: shards.iter().any(|s| s.outcome == ShardOutcome::Cancelled),
+        shards,
     }
 }
 
-/// Decide what follows a failed attempt: a backoff-delayed restart, or a
-/// permanent `Failed` when the shard's restarts or the campaign budget are
-/// exhausted. `attempt` is the index of the launch that just failed.
-fn next_state(
+/// Launch and watch shard `index` through the ledger until it completes,
+/// fails for good, exits fatally, or is cancelled.
+fn run_shard(
     index: usize,
-    attempt: u32,
-    msg: String,
-    retry: &RetryPolicy,
-    budget: &mut i64,
-    budget_exhausted: &mut bool,
-    error: &mut Option<String>,
-) -> State {
-    *error = Some(msg);
-    if attempt >= retry.max_retries {
-        return State::Done(ShardOutcome::Failed);
-    }
-    if *budget <= 0 {
-        *budget_exhausted = true;
-        return State::Done(ShardOutcome::Failed);
-    }
-    *budget -= 1;
-    State::Pending {
-        attempt: attempt + 1,
-        not_before: Instant::now() + retry.backoff(index, attempt + 1),
+    spec: &ShardSpec,
+    policy: &OrchestratorPolicy,
+    ledger: &Ledger,
+    cancel: &dyn Fn() -> bool,
+    spawn: &dyn Fn(usize, u32) -> std::io::Result<Child>,
+) -> ShardReport {
+    let (mut crashes, mut hangs, mut elapsed_s) = (0u32, 0u32, 0.0f64);
+    let mut error: Option<String> = None;
+    let (outcome, attempts) = ledger.run(index, |attempt| {
+        if cancel() {
+            return Ok(ShardOutcome::Cancelled);
+        }
+        let mut child = match spawn(index, attempt) {
+            Ok(child) => child,
+            Err(e) => {
+                crashes += 1;
+                return Err(format!("spawn failed: {e}"));
+            }
+        };
+        let started = Instant::now();
+        let exit = watch(&mut child, &spec.heartbeat, policy, cancel);
+        elapsed_s += started.elapsed().as_secs_f64();
+        let fail = match exit {
+            Exit::Cancelled => return Ok(ShardOutcome::Cancelled),
+            Exit::Code(Some(0)) => return Ok(ShardOutcome::Completed),
+            Exit::Code(Some(FATAL_EXIT)) => {
+                error = Some(format!("exit {FATAL_EXIT} (deterministic, not retried)"));
+                return Ok(ShardOutcome::Fatal);
+            }
+            Exit::Code(code) => {
+                crashes += 1;
+                match code {
+                    Some(c) => format!("exit {c}"),
+                    None => "killed by signal".to_string(),
+                }
+            }
+            Exit::Hung => {
+                hangs += 1;
+                format!(
+                    "heartbeat stale for {:.1}s (hung, killed)",
+                    policy.hang_timeout.as_secs_f64()
+                )
+            }
+        };
+        // A recovered shard keeps naming what its last restart recovered from.
+        error = Some(fail.clone());
+        Err(fail)
+    });
+    let outcome = outcome.unwrap_or_else(|fail| {
+        error = Some(fail.message);
+        ShardOutcome::Failed
+    });
+    ShardReport {
+        index,
+        label: spec.label.clone(),
+        attempts,
+        crashes,
+        hangs,
+        elapsed_s,
+        outcome,
+        error,
     }
 }
 
@@ -491,7 +362,7 @@ mod tests {
     #[test]
     fn crash_is_restarted_until_success() {
         let (specs, dir) = specs(2, "crash");
-        let report = orchestrate(&specs, &quick_policy(), &|| false, &mut |i, attempt| {
+        let report = orchestrate(&specs, &quick_policy(), &|| false, &|i, attempt| {
             // Shard 1 crashes on its first launch only.
             if i == 1 && attempt == 0 {
                 sh("exit 7")
@@ -513,7 +384,7 @@ mod tests {
     #[test]
     fn spawn_error_counts_as_crash_and_is_retried() {
         let (specs, dir) = specs(1, "spawnerr");
-        let report = orchestrate(&specs, &quick_policy(), &|| false, &mut |_, attempt| {
+        let report = orchestrate(&specs, &quick_policy(), &|| false, &|_, attempt| {
             if attempt == 0 {
                 Err(std::io::Error::other("no such binary"))
             } else {
@@ -534,7 +405,7 @@ mod tests {
             ..quick_policy()
         };
         let started = Instant::now();
-        let report = orchestrate(&specs, &policy, &|| false, &mut |_, attempt| {
+        let report = orchestrate(&specs, &policy, &|| false, &|_, attempt| {
             // First launch hangs forever without ever beating; the restart
             // completes instantly.
             if attempt == 0 {
@@ -569,7 +440,7 @@ mod tests {
         // so the content keeps changing and the watcher stays satisfied.
         let script =
             format!("i=0; while [ $i -lt 10 ]; do i=$((i+1)); echo $i > {hb}; sleep 0.1; done");
-        let report = orchestrate(&specs, &policy, &|| false, &mut |_, _| sh(&script));
+        let report = orchestrate(&specs, &policy, &|| false, &|_, _| sh(&script));
         assert!(report.all_completed(), "{report:?}");
         assert_eq!(report.hangs_detected, 0, "{report:?}");
         assert_eq!(report.restarts, 0);
@@ -579,7 +450,7 @@ mod tests {
     #[test]
     fn fatal_exit_is_not_retried() {
         let (specs, dir) = specs(2, "fatal");
-        let report = orchestrate(&specs, &quick_policy(), &|| false, &mut |i, _| {
+        let report = orchestrate(&specs, &quick_policy(), &|| false, &|i, _| {
             if i == 0 {
                 sh("exit 2")
             } else {
@@ -607,7 +478,7 @@ mod tests {
             },
             ..quick
         };
-        let report = orchestrate(&specs, &policy, &|| false, &mut |_, _| sh("exit 1"));
+        let report = orchestrate(&specs, &policy, &|| false, &|_, _| sh("exit 1"));
         assert_eq!(report.count("failed"), 2);
         assert!(report.budget_exhausted);
         assert_eq!(report.restarts, 1, "exactly the budget is spent");
@@ -617,7 +488,7 @@ mod tests {
     #[test]
     fn per_shard_restart_cap_holds() {
         let (specs, dir) = specs(1, "cap");
-        let report = orchestrate(&specs, &quick_policy(), &|| false, &mut |_, _| sh("exit 3"));
+        let report = orchestrate(&specs, &quick_policy(), &|| false, &|_, _| sh("exit 3"));
         assert_eq!(report.shards[0].outcome, ShardOutcome::Failed);
         assert_eq!(report.shards[0].attempts, 3, "1 launch + max_retries");
         assert_eq!(report.shards[0].crashes, 3);
@@ -632,7 +503,7 @@ mod tests {
             &specs,
             &quick_policy(),
             &|| started.elapsed() > Duration::from_millis(150),
-            &mut |_, _| sh("sleep 60"),
+            &|_, _| sh("sleep 60"),
         );
         assert!(report.cancelled);
         assert_eq!(report.count("cancelled"), 2);
@@ -644,8 +515,33 @@ mod tests {
     }
 
     #[test]
+    fn every_shard_runs_at_once_whatever_the_worker_count() {
+        // One shard more than `par_map` would run at once by default: each
+        // shard drops a marker and waits for every other shard's, so the
+        // campaign completes only if all of them are alive together.
+        let n = std::thread::available_parallelism().map_or(1, |p| p.get()) + 1;
+        let (specs, dir) = specs(n, "together");
+        let d = dir.display();
+        let policy = quick_policy();
+        let started = Instant::now();
+        let report = orchestrate(&specs, &policy, &|| false, &|i, _| {
+            sh(&format!(
+                "touch {d}/m{i}; while [ $(ls {d}/m* | wc -l) -lt {n} ]; do sleep 0.02; done"
+            ))
+        });
+        assert!(report.all_completed(), "{report:?}");
+        assert_eq!(report.restarts, 0, "{report:?}");
+        assert!(
+            started.elapsed() < policy.hang_timeout / 2,
+            "shards waited on each other for {:?}",
+            started.elapsed()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn empty_input_is_a_completed_campaign() {
-        let report = orchestrate(&[], &quick_policy(), &|| false, &mut |_, _| sh("true"));
+        let report = orchestrate(&[], &quick_policy(), &|| false, &|_, _| sh("true"));
         assert!(report.all_completed());
         assert_eq!(report.attempts, 0);
         assert!(!report.cancelled);

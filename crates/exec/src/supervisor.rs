@@ -26,14 +26,14 @@
 //! the value a successful item produces — so stdout/CSV byte-identity
 //! across `--jobs` is preserved.
 //!
-//! The same retry-budget/ledger design exists one level up in
-//! [`orchestrator`](crate::orchestrator), which supervises whole shard
-//! *processes* (crash/hang detection via heartbeats, checkpoint-resumed
-//! restarts) instead of in-process work items.
+//! The budget, the per-item cap, the backoff sleep and the tallies live in
+//! one retry ledger, [`Ledger`]. [`orchestrator`](crate::orchestrator)
+//! restarts whole shard *processes* through the same ledger: a crashed or
+//! hung shard is an attempt that returned `Err`.
 
 use crate::{par_map, run_attempt, ItemFailure};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Retry policy for one supervised campaign.
 #[derive(Debug, Clone)]
@@ -126,12 +126,92 @@ impl SupervisionReport {
     }
 }
 
+/// The retry ledger one campaign's items share: the campaign-wide budget,
+/// the per-item cap, the backoff sleep and the campaign's tallies.
+/// [`supervise`] runs each work item through it, and
+/// [`orchestrate`](crate::orchestrator::orchestrate) each shard process.
+pub(crate) struct Ledger<'p> {
+    policy: &'p RetryPolicy,
+    budget: AtomicI64,
+    budget_exhausted: AtomicBool,
+    attempts: AtomicU64,
+    retries: AtomicU64,
+    panics: AtomicU64,
+}
+
+impl<'p> Ledger<'p> {
+    pub(crate) fn new(policy: &'p RetryPolicy) -> Self {
+        Self {
+            policy,
+            budget: AtomicI64::new(policy.retry_budget as i64),
+            budget_exhausted: AtomicBool::new(false),
+            attempts: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+        }
+    }
+
+    /// Run item `index` until an attempt succeeds or a retry is denied,
+    /// returning the final outcome and how many attempts ran. `attempt(k)`
+    /// runs attempt `k` (from 0); it fails by panicking or by returning
+    /// `Err(message)`, and both cost a retry alike. Only panics count
+    /// toward `panics_absorbed`.
+    pub(crate) fn run<R>(
+        &self,
+        index: usize,
+        mut attempt: impl FnMut(u32) -> Result<R, String>,
+    ) -> (Result<R, ItemFailure>, u32) {
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            self.attempts.fetch_add(1, Ordering::Relaxed);
+            let started = Instant::now();
+            let fail = match run_attempt(index, || attempt(attempts - 1)) {
+                Ok(Ok(r)) => return (Ok(r), attempts),
+                Ok(Err(message)) => ItemFailure {
+                    index,
+                    message,
+                    elapsed: started.elapsed(),
+                },
+                Err(fail) => {
+                    self.panics.fetch_add(1, Ordering::Relaxed);
+                    fail
+                }
+            };
+            if attempts > self.policy.max_retries {
+                return (Err(fail), attempts);
+            }
+            // Claim one unit of the campaign-wide retry budget.
+            if self.budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
+                self.budget.fetch_add(1, Ordering::Relaxed);
+                self.budget_exhausted.store(true, Ordering::Relaxed);
+                return (Err(fail), attempts);
+            }
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(self.policy.backoff(index, attempts));
+        }
+    }
+
+    /// The campaign's tallies, with `items` as the per-item dispositions.
+    pub(crate) fn report(&self, items: Vec<Disposition>) -> SupervisionReport {
+        SupervisionReport {
+            items,
+            attempts: self.attempts.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            panics_absorbed: self.panics.load(Ordering::Relaxed),
+            budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// Run `f` over `items` with panic isolation, supervised retries, and
 /// drain-style cancellation. See the module docs for the policy.
 ///
 /// `f` receives `(index, attempt, &item)` with `attempt` starting at 0, so
 /// callers can make attempt-dependent behavior (or test hooks) explicit.
-/// `on_final(index, &outcome)` fires exactly once per *finalized* item, from
+/// Only a panic fails an attempt: whatever `f` returns, an `Err` included,
+/// is the item's result. `on_final(index, &outcome)` fires exactly once per
+/// *finalized* item, from
 /// the worker that ran it, as soon as its disposition is known; it is never
 /// called for skipped items. The returned vector is in input order; `None`
 /// marks an item skipped by cancellation.
@@ -147,40 +227,14 @@ where
     R: Send,
     F: Fn(usize, u32, &T) -> R + Sync,
 {
-    let budget = AtomicI64::new(policy.retry_budget as i64);
-    let budget_exhausted = AtomicBool::new(false);
-    let total_attempts = AtomicU64::new(0);
-    let total_retries = AtomicU64::new(0);
-    let total_panics = AtomicU64::new(0);
-
+    let ledger = Ledger::new(policy);
     // Each finalized item's outcome and attempt count; `None` once the
     // campaign drains.
     let slots = par_map(items, |i, item| {
         if cancel() {
             return None;
         }
-        let mut attempts = 0u32;
-        let outcome = loop {
-            attempts += 1;
-            total_attempts.fetch_add(1, Ordering::Relaxed);
-            match run_attempt(i, || f(i, attempts - 1, item)) {
-                Ok(r) => break Ok(r),
-                Err(fail) => {
-                    total_panics.fetch_add(1, Ordering::Relaxed);
-                    if attempts > policy.max_retries {
-                        break Err(fail);
-                    }
-                    // Claim one unit of the campaign-wide retry budget.
-                    if budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
-                        budget.fetch_add(1, Ordering::Relaxed);
-                        budget_exhausted.store(true, Ordering::Relaxed);
-                        break Err(fail);
-                    }
-                    total_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(policy.backoff(i, attempts));
-                }
-            }
-        };
+        let (outcome, attempts) = ledger.run(i, |attempt| Ok(f(i, attempt, item)));
         on_final(i, &outcome);
         Some((outcome, attempts))
     });
@@ -199,20 +253,13 @@ where
             None => (None, Disposition::Skipped),
         })
         .unzip();
-    let report = SupervisionReport {
-        items,
-        attempts: total_attempts.load(Ordering::Relaxed),
-        retries: total_retries.load(Ordering::Relaxed),
-        panics_absorbed: total_panics.load(Ordering::Relaxed),
-        budget_exhausted: budget_exhausted.load(Ordering::Relaxed),
-    };
-    (results, report)
+    (results, ledger.report(items))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     fn quiet_policy() -> RetryPolicy {
         RetryPolicy {
@@ -453,6 +500,49 @@ mod tests {
         }
         crate::set_jobs(0);
         assert_eq!(runs[0], runs[1]);
+    }
+
+    #[test]
+    fn ledger_charges_an_error_like_a_panic() {
+        let policy = RetryPolicy {
+            max_retries: 1,
+            retry_budget: 2,
+            backoff_base: Duration::from_millis(40),
+            jitter_seed: 42,
+        };
+        let ledger = Ledger::new(&policy);
+        let backoff = policy.backoff(0, 1);
+        // Item 0 twice over: once failing by `Err` on both attempts, once
+        // panicking first and returning `Err` on its retry. Each hits the
+        // per-item cap after one retry and waits `backoff(0, 1)` before it.
+        let mut starts: Vec<Vec<Instant>> = vec![Vec::new(), Vec::new()];
+        let (errs, err_attempts) = ledger.run(0, |_| -> Result<(), String> {
+            starts[0].push(Instant::now());
+            Err("refused".to_string())
+        });
+        let (panics, panic_attempts) = hushed(|| {
+            ledger.run(0, |attempt| -> Result<(), String> {
+                starts[1].push(Instant::now());
+                if attempt == 0 {
+                    panic!("crashed");
+                }
+                Err("refused again".to_string())
+            })
+        });
+        assert_eq!((err_attempts, panic_attempts), (2, 2), "1 attempt + max_retries");
+        assert_eq!(errs.unwrap_err().message, "refused");
+        assert_eq!(panics.unwrap_err().message, "refused again");
+        for (kind, s) in ["err", "panic"].iter().zip(&starts) {
+            assert!(s[1] - s[0] >= backoff, "{kind}: waited {:?} < {backoff:?}", s[1] - s[0]);
+        }
+        // Both retries came out of the budget of 2: a third item gets none.
+        let (_, attempts) = ledger.run(1, |_| -> Result<(), String> { Err("no".to_string()) });
+        assert_eq!(attempts, 1, "budget spent");
+        let report = ledger.report(Vec::new());
+        assert_eq!(report.attempts, 5);
+        assert_eq!(report.retries, 2);
+        assert_eq!(report.panics_absorbed, 1, "only the panic counts");
+        assert!(report.budget_exhausted);
     }
 
     #[test]

@@ -116,7 +116,7 @@ use beating_bgp::measure::{BeaconConfig, ProbeConfig, SprayConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Names of every experiment in `repro all`, in output order. Must match
@@ -126,6 +126,13 @@ const EXPERIMENT_NAMES: [&str; 18] = [
     "calib", "fig1", "fig2", "s311", "fig3", "fig4", "fig5", "goodput", "xonenet", "xpeer",
     "xgroom", "xsites", "xecs", "xavail", "xhybrid", "xfabric", "xablate", "xsplit",
 ];
+
+/// Slice `index` of `count` of a campaign's experiment list: the bounds
+/// are `[I·n/N, (I+1)·n/N)`, so the N slices tile the list exactly.
+/// `--shard I/N` runs it, and `repro orchestrate` plans its chaos on it.
+fn shard_slice<T>(items: &[T], index: usize, count: usize) -> &[T] {
+    &items[index * items.len() / count..(index + 1) * items.len() / count]
+}
 
 /// Every option `repro` parses into one place. [`Cli::shared`] fills the
 /// flags several subcommands share (see the table in the header); each
@@ -749,13 +756,10 @@ fn run_orchestrate() -> ! {
 
     // --- Chaos plan: which shard gets which first-launch fault. ---
     // Victims and crash points are derived from the campaign seed alone, so
-    // one seed replays one fault schedule. Slice bounds mirror the --shard
-    // arithmetic over EXPERIMENT_NAMES (debug-asserted in `main` to match
-    // the real experiment list).
-    let slice = |i: usize| -> &'static [&'static str] {
-        let total = EXPERIMENT_NAMES.len();
-        &EXPERIMENT_NAMES[i * total / n..(i + 1) * total / n]
-    };
+    // one seed replays one fault schedule. Shard slices are cut from
+    // EXPERIMENT_NAMES (debug-asserted in `main` to match the real
+    // experiment list).
+    let slice = |i: usize| shard_slice(&EXPERIMENT_NAMES, i, n);
     // Crash after 1..=slice_len finalized units: always after *some*
     // progress was flushed (so recovery resumes, never thrashes), possibly
     // after all of it (restart finds the shard complete — also legal).
@@ -810,18 +814,18 @@ fn run_orchestrate() -> ! {
         base.display()
     );
 
-    let mut salvages = 0u64;
-    let mut torn = false;
-    let mut spawn = |i: usize, attempt: u32| -> std::io::Result<std::process::Child> {
+    // Each shard's watcher thread calls `spawn`, so its tallies are atomic.
+    let salvages = AtomicU64::new(0);
+    let torn = AtomicBool::new(false);
+    let spawn = |i: usize, attempt: u32| -> std::io::Result<std::process::Child> {
         let dir = shard_dir(i);
         std::fs::create_dir_all(&dir)?;
         let manifest = dir.join(MANIFEST_NAME);
         if attempt > 0 {
-            if tear_victim == Some(i) && !torn {
+            if tear_victim == Some(i) && !torn.swap(true, Ordering::Relaxed) {
                 // Chaos tear: chop 16 bytes off the checkpoint, exactly the
                 // damage an interrupted append leaves. The child's --resume
                 // must drop the torn unit and recompute it.
-                torn = true;
                 if let Ok(bytes) = std::fs::read(&manifest) {
                     if bytes.len() > 16 {
                         let _ = std::fs::write(&manifest, &bytes[..bytes.len() - 16]);
@@ -835,7 +839,7 @@ fn run_orchestrate() -> ! {
             // Count salvage events for the orchestration report: the child
             // truncates the torn tail on resume, so peek before it launches.
             if let Ok((_, torn @ 1..)) = Checkpoint::load(&dir) {
-                salvages += 1;
+                salvages.fetch_add(1, Ordering::Relaxed);
                 eprintln!("[repro] shard {i}/{n}: checkpoint torn, will salvage ({torn} bytes)");
             }
         }
@@ -896,8 +900,9 @@ fn run_orchestrate() -> ! {
         &specs,
         &policy,
         &|| INTERRUPTED.load(Ordering::Relaxed),
-        &mut spawn,
+        &spawn,
     );
+    let salvages = salvages.into_inner();
 
     // The structured report is written even for failed or interrupted
     // campaigns — partial results are exactly when the restart/salvage
@@ -1152,19 +1157,6 @@ fn run_serve() -> ! {
     let mut deadline_misses = 0u64;
     let mut peak_resident = state.resident_bytes();
 
-    // Snapshot, journal and heartbeat writers fail closed (exit 1, named
-    // path): the epochs flushed before are still whole on disk, so a rerun
-    // resumes from them and loses at most this epoch.
-    let write_failed = |what: &str, e: beating_bgp::core::BbError, intact: &str| -> ! {
-        eprintln!("repro serve: {what} failed: {e}");
-        eprintln!(
-            "repro serve: {intact} in {} is intact; rerun the same command to \
-             resume after freeing space",
-            dir.display()
-        );
-        std::process::exit(1)
-    };
-
     while state.windows_done() < total_windows && !INTERRUPTED.load(Ordering::Relaxed) {
         let started = std::time::Instant::now();
         let lo = state.windows_done();
@@ -1201,7 +1193,18 @@ fn run_serve() -> ! {
         let flushed = store.commit(&state, epochs_flushed, coarsenings, rounds);
         timing::record("serve:flush", staging + commit_started.elapsed());
         match flushed {
-            Err((what, e)) => write_failed(what, e, "every epoch flushed before it"),
+            // Snapshot and journal writers fail closed (exit 1, named path):
+            // the epochs flushed before are still whole on disk, so a rerun
+            // resumes from them and loses at most this epoch.
+            Err((what, e)) => {
+                eprintln!("repro serve: {what} failed: {e}");
+                eprintln!(
+                    "repro serve: every epoch flushed before it in {} is intact; rerun \
+                     the same command to resume after freeing space",
+                    dir.display()
+                );
+                std::process::exit(1)
+            }
             Ok(Flush::Journal { bytes }) => {
                 timing::add_count("serve:journal_bytes", bytes as usize);
             }
@@ -1210,10 +1213,6 @@ fn run_serve() -> ! {
                 timing::add_count("serve:compactions", 1);
             }
             Ok(Flush::Snapshot) => {}
-        }
-        let hb = Heartbeat::now(state.windows_done(), epochs_flushed);
-        if let Err(e) = hb.save(&dir) {
-            write_failed("heartbeat write", e, "this epoch's flush");
         }
         // Live sketch-mode figure export at every epoch boundary: the
         // whole point of the sketch is that a current figure is always
@@ -1922,22 +1921,20 @@ fn main() {
     }
 
     // --- Sharding: run one contiguous slice of the campaign. ---
-    // The slice bounds are `[I·n/N, (I+1)·n/N)`, so the N slices tile the
-    // list exactly. The campaign key (below) still names the FULL selected
-    // list: every shard of one campaign carries an identical key, which is
-    // what lets `repro merge` verify the checkpoints belong together and
-    // that, combined, they cover everything.
+    // The campaign key (below) still names the FULL selected list: every
+    // shard of one campaign carries an identical key, which is what lets
+    // `repro merge` verify the checkpoints belong together and that,
+    // combined, they cover everything.
     let shard_names: Vec<&'static str> = match args.shard {
         Some((idx, n)) => {
-            let lo = idx * names.len() / n;
-            let hi = (idx + 1) * names.len() / n;
+            let slice = shard_slice(&names, idx, n);
             eprintln!(
                 "[repro] shard {idx}/{n}: running {} of {} experiments: {}",
-                hi - lo,
+                slice.len(),
                 names.len(),
-                names[lo..hi].join(",")
+                slice.join(",")
             );
-            names[lo..hi].to_vec()
+            slice.to_vec()
         }
         None => names.clone(),
     };

@@ -119,8 +119,8 @@ fn serve_snapshot_enospc_fails_closed_with_empty_dir() {
 }
 
 #[test]
-fn serve_heartbeat_enospc_fails_closed_then_resumes_identically() {
-    let base = tmpdir("beat");
+fn serve_second_epoch_enospc_fails_closed_then_resumes_identically() {
+    let base = tmpdir("epoch2");
     let dir = base.join("sd");
 
     let clean = run(
@@ -131,8 +131,8 @@ fn serve_heartbeat_enospc_fails_closed_then_resumes_identically() {
     );
     assert!(clean.status.success(), "{clean:?}");
 
-    // Write #1 is epoch 1's snapshot, write #2 its heartbeat: the snapshot
-    // survives the heartbeat failure and seeds the resume.
+    // Write #1 is epoch 1's snapshot, write #2 epoch 2's journal (exact
+    // mode): the snapshot survives the journal failure and seeds the resume.
     let tripped = run(
         &["serve", "--scale", "test", "--seed", "42", "--jobs", "1",
           "--windows", "16", "--epoch", "8", "--dir", dir.to_str().unwrap()],
@@ -140,7 +140,8 @@ fn serve_heartbeat_enospc_fails_closed_then_resumes_identically() {
     );
     assert_eq!(tripped.status.code(), Some(1), "{tripped:?}");
     let err = String::from_utf8_lossy(&tripped.stderr);
-    assert!(err.contains("heartbeat write failed"), "{err}");
+    assert!(err.contains("journal append failed"), "{err}");
+    assert!(err.contains("journal.bbjn"), "failing path not named:\n{err}");
     assert!(dir.join("snapshot.bbsn").exists(), "epoch snapshot must survive");
     no_tmp_files(&dir);
 
@@ -171,9 +172,9 @@ fn serve_journal_append_enospc_fails_closed_then_resumes_identically() {
     let clean = run_in(&base.join("clean"), &[]);
     assert!(clean.status.success(), "{clean:?}");
 
-    // Epoch 1 writes the snapshot (#1) and heartbeat (#2), epoch 2 creates
-    // the journal (#3) and beats (#4): write #5 is epoch 3's append.
-    let tripped = run_in(&dir, &[("BB_INJECT", "enospc:5")]);
+    // Epoch 1 writes the snapshot (#1) and epoch 2 creates the journal
+    // (#2): write #3 is epoch 3's append.
+    let tripped = run_in(&dir, &[("BB_INJECT", "enospc:3")]);
     assert_eq!(tripped.status.code(), Some(1), "{tripped:?}");
     let err = String::from_utf8_lossy(&tripped.stderr);
     assert!(err.contains("journal append failed"), "{err}");
