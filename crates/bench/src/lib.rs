@@ -157,6 +157,9 @@ pub struct PerfReport {
     pub jobs: usize,
     /// End-to-end wall-clock of the run, seconds.
     pub wall_s: f64,
+    /// Peak resident set of the process, MiB ([`peak_rss_mb`]); the report
+    /// omits the field when it is `None`.
+    pub peak_rss_mb: Option<f64>,
     /// The caller's own sections, keyed by one of `route_cache_by_experiment`
     /// (per-experiment route-cache deltas, in campaign output order),
     /// `supervision` (supervised-retry tallies), `orchestration` (`repro
@@ -219,6 +222,9 @@ impl PerfReport {
             ("seed", self.seed.into()),
             ("jobs", self.jobs.into()),
             ("wall_s", self.wall_s.into()),
+        ];
+        doc.extend(self.peak_rss_mb.map(|mb| ("peak_rss_mb", mb.into())));
+        doc.extend([
             ("total_samples", total_samples.into()),
             ("samples_per_sec", samples_per_sec.into()),
             ("plan_compile_s", phase_s(":plan").into()),
@@ -262,7 +268,7 @@ impl PerfReport {
                     }
                 }),
             ),
-        ];
+        ]);
         for key in ["orchestration", "serve"] {
             doc.extend(take(key).map(|section| (key, section)));
         }
@@ -291,6 +297,19 @@ impl PerfReport {
         ));
         Json::Obj(doc)
     }
+}
+
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`), in
+/// MiB; `None` where that file is unreadable.
+pub fn peak_rss_mb() -> Option<f64> {
+    vm_hwm_mb(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM:  <n> kB` line of a `/proc/<pid>/status` text, in MiB.
+fn vm_hwm_mb(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib as f64 / 1024.0)
 }
 
 /// Format an f64 as a JSON number. NaN/inf have no JSON representation;
@@ -340,6 +359,7 @@ mod tests {
             seed: 42,
             jobs: 1,
             wall_s: 2.0,
+            peak_rss_mb: None,
             sections: vec![
                 (
                     "route_cache_by_experiment",
@@ -429,6 +449,7 @@ mod tests {
             seed: 7,
             jobs: 2,
             wall_s: 4.0,
+            peak_rss_mb: Some(48.5),
             sections: vec![
                 (
                     "supervision",
@@ -486,6 +507,7 @@ mod tests {
   "seed": 7,
   "jobs": 2,
   "wall_s": 4,
+  "peak_rss_mb": 48.5,
   "total_samples": 1200,
   "samples_per_sec": 300,
   "plan_compile_s": null,
@@ -707,6 +729,19 @@ mod tests {
         assert_eq!(json_f64(-0.0), "0");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn peak_rss_is_read_from_vm_hwm_and_omitted_when_unknown() {
+        let status = "Name:\trepro\nVmPeak:\t  90000 kB\nVmHWM:\t   51200 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(vm_hwm_mb(status), Some(50.0));
+        assert_eq!(vm_hwm_mb("VmRSS:\t 1024 kB\n"), None);
+        assert_eq!(vm_hwm_mb("VmHWM:\t lots kB\n"), None);
+        if let Some(mb) = peak_rss_mb() {
+            assert!(mb > 0.0, "{mb}");
+        }
+        let j = sample_report().finalize(&sample_registry()).to_json();
+        assert!(!j.contains("peak_rss_mb"), "{j}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::snapshot::{
     SNAPSHOT_NAME,
 };
 use crate::study_egress::{Fig1Point, WindowGate};
-use bb_measure::{SprayTarget, WindowRow};
+use bb_measure::{RouteVals, SprayTarget, WindowRow, MAX_ROUTES};
 use bb_netsim::Window;
 use bb_stats::QuantileSketch;
 use std::path::{Path, PathBuf};
@@ -664,13 +664,16 @@ impl<'a> ByteCursor<'a> {
     fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
     }
-    /// A [`put_row`] row. Its route count comes off the bytes, so vectors
-    /// grow as values are read, never preallocated from it.
+    /// A [`put_row`] row. Its route count comes off the bytes; one above
+    /// [`MAX_ROUTES`] is damage, never a row.
     fn row(&mut self) -> Option<WindowRow> {
         let window = Window(self.u32()?);
         let pop = bb_geo::CityId(self.u32()?);
         let prefix = bb_workload::PrefixId(self.u32()?);
-        let n_routes = self.u32()?;
+        let n_routes = self.u32()? as usize;
+        if n_routes > MAX_ROUTES {
+            return None;
+        }
         let route_median_ms = (0..n_routes).map(|_| self.f64()).collect::<Option<_>>()?;
         let route_util = (0..n_routes).map(|_| self.f64()).collect::<Option<_>>()?;
         let route_samples = (0..n_routes).map(|_| self.u32()).collect::<Option<_>>()?;
@@ -686,15 +689,19 @@ impl<'a> ByteCursor<'a> {
     }
     /// A sketch-mode record row: `n_routes` medians and the volume — all
     /// that sketch-mode [`ServeState::ingest`] reads, so the rest is left
-    /// empty.
+    /// empty. `n_routes` comes off a decoded state, so one above
+    /// [`MAX_ROUTES`] is damage too.
     fn sketch_row(&mut self, n_routes: usize) -> Option<WindowRow> {
+        if n_routes > MAX_ROUTES {
+            return None;
+        }
         Some(WindowRow {
             window: Window(0),
             pop: bb_geo::CityId(0),
             prefix: bb_workload::PrefixId(0),
             route_median_ms: (0..n_routes).map(|_| self.f64()).collect::<Option<_>>()?,
-            route_util: Vec::new(),
-            route_samples: Vec::new(),
+            route_util: RouteVals::default(),
+            route_samples: RouteVals::default(),
             volume: self.f64()?,
         })
     }
@@ -888,7 +895,7 @@ mod tests {
             window: Window(window),
             pop: bb_geo::CityId(3),
             prefix: bb_workload::PrefixId(7),
-            route_median_ms: medians.to_vec(),
+            route_median_ms: medians.iter().copied().collect(),
             route_util: medians.iter().map(|_| 0.5).collect(),
             route_samples: medians.iter().map(|_| 5).collect(),
             volume,
@@ -906,7 +913,7 @@ mod tests {
         let mut s = ServeState::new(ServeMode::Exact, &[3]);
         let mut c = chunk(0..8);
         // NaN medians (degraded windows) must roundtrip too.
-        c[0][2].route_median_ms[1] = f64::NAN;
+        c[0][2] = row(2, &[42.0, f64::NAN, 45.0], c[0][2].volume);
         s.ingest(c, 8);
         let bytes = s.encode();
         let back = ServeState::decode(&bytes).expect("roundtrip");
@@ -1021,6 +1028,31 @@ mod tests {
         record[8..16].copy_from_slice(&(MAX_COARSEN_LEVEL as u64 + 1).to_le_bytes());
         let err = s.replay_record(1, &record).unwrap_err().to_string();
         assert!(err.contains("bottomed out"), "{err}");
+    }
+
+    #[test]
+    fn records_of_more_routes_than_a_row_holds_are_corrupt() {
+        let routes = MAX_ROUTES + 1;
+        let f64s = |n: usize| (0..n).flat_map(|_| 40f64.to_bits().to_le_bytes());
+        // Sketch mode: a state whose target has 4 route sketches (only a
+        // damaged snapshot can hold one) and a record of 4 medians and
+        // the volume.
+        let mut s = ServeState::new(ServeMode::Sketch { eps: 0.02 }, &[routes]);
+        let mut record = [1u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+        record.extend(f64s(routes + 1));
+        let err = s.replay_record(1, &record).unwrap_err().to_string();
+        assert!(err.contains("corrupt journal record for epoch 1"), "{err}");
+        // Exact mode: a whole row claiming 4 routes, values and all.
+        let mut e = ServeState::new(ServeMode::Exact, &[3]);
+        let mut record = [1u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+        for field in [0u32, 3, 7, routes as u32] {
+            record.extend_from_slice(&field.to_le_bytes());
+        }
+        record.extend(f64s(2 * routes));
+        record.extend((0..routes).flat_map(|_| 5u32.to_le_bytes()));
+        record.extend(f64s(1));
+        let err = e.replay_record(1, &record).unwrap_err().to_string();
+        assert!(err.contains("corrupt journal record for epoch 1"), "{err}");
     }
 
     #[test]

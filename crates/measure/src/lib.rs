@@ -94,7 +94,9 @@ pub mod progress {
 
 pub use beacon::{run_beacons, BeaconConfig, BeaconMeasurement};
 pub use probe::{probe_tiers, select_vantage_points, ProbeConfig, TierProbe, VantagePoint};
-pub use spray::{spray, SprayConfig, SprayDataset, SprayEngine, SprayTarget, WindowRow};
+pub use spray::{
+    spray, RouteVals, SprayConfig, SprayDataset, SprayEngine, SprayTarget, WindowRow, MAX_ROUTES,
+};
 
 /// Publish a campaign's fault tally into the timing counters. Called only
 /// when a fault plane is active, so fault-free runs keep their counter set

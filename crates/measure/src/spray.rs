@@ -33,7 +33,9 @@ pub struct SprayConfig {
     pub sessions_per_window: usize,
     /// TCP MinRTT samples per session.
     pub rtt_samples_per_session: usize,
-    /// Routes sprayed per ⟨PoP, prefix⟩ (paper: top 3).
+    /// Routes sprayed per ⟨PoP, prefix⟩ (paper: top 3). At most
+    /// [`MAX_ROUTES`], which rows hold inline; `SprayEngine::new` panics
+    /// above it.
     pub top_k: usize,
     /// World fingerprint for the process-wide target memo. `Some(key)`
     /// lets repeat campaigns over a content-identical world (same
@@ -108,6 +110,11 @@ struct JitterKey {
 static JITTER_CACHE: OnceLock<Mutex<HashMap<JitterKey, Arc<OnceLock<Arc<JitterTable>>>>>> =
     OnceLock::new();
 
+/// Targets per `par_map` of the window loop. `spray` moves each chunk's
+/// rows into its output before sampling the next, so at most one chunk's
+/// per-target vectors sit beside the output.
+const TARGET_CHUNK: usize = 64;
+
 /// RNG seed of one (window, target, route) cell: sampling is keyed on the
 /// cell, never on worker schedule or call chunking. Chained SplitMix64
 /// mixing keeps the streams of adjacent cells uncorrelated; a single
@@ -136,21 +143,93 @@ pub struct SprayTarget {
     pub routes: Vec<SprayRoute>,
 }
 
-/// One aggregated measurement row.
-#[derive(Debug, Clone, PartialEq)]
+/// Most routes sprayed per ⟨PoP, prefix⟩: the paper's top 3, and the cap
+/// on [`SprayConfig::top_k`]. A row holds its per-route values inline.
+pub const MAX_ROUTES: usize = 3;
+
+/// Per-route values of one row, stored inline: up to [`MAX_ROUTES`]
+/// values, no heap. It reads as the slice of its live values (`Deref`,
+/// iteration, `Debug` and `PartialEq` all see `[T]`), so the unused tail
+/// never shows.
+#[derive(Clone, Copy)]
+pub struct RouteVals<T> {
+    len: u8,
+    vals: [T; MAX_ROUTES],
+}
+
+impl<T> RouteVals<T> {
+    /// Append one route's value. Panics past [`MAX_ROUTES`]: the engine
+    /// caps `top_k` there, and the decoders check route counts first.
+    pub fn push(&mut self, v: T) {
+        assert!((self.len as usize) < MAX_ROUTES, "more than {MAX_ROUTES} routes");
+        self.vals[self.len as usize] = v;
+        self.len += 1;
+    }
+}
+
+impl<T: Copy + Default> Default for RouteVals<T> {
+    fn default() -> Self {
+        RouteVals {
+            len: 0,
+            vals: [T::default(); MAX_ROUTES],
+        }
+    }
+}
+
+impl<T> std::ops::Deref for RouteVals<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.vals[..self.len as usize]
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for RouteVals<T> {
+    /// Panics on more than [`MAX_ROUTES`] items.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut out = RouteVals::default();
+        for v in iter {
+            out.push(v);
+        }
+        out
+    }
+}
+
+impl<'a, T> IntoIterator for &'a RouteVals<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for RouteVals<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl<T: PartialEq> PartialEq for RouteVals<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// One aggregated measurement row: a fixed-size record, so a campaign's
+/// rows are one flat allocation.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowRow {
     pub window: Window,
     pub pop: CityId,
     pub prefix: PrefixId,
     /// Median MinRTT per route, in RIB policy order (index 0 = BGP
     /// preferred).
-    pub route_median_ms: Vec<f64>,
+    pub route_median_ms: RouteVals<f64>,
     /// Egress-link utilization per route at the window midpoint.
-    pub route_util: Vec<f64>,
+    pub route_util: RouteVals<f64>,
     /// Sessions that survived the fault plane per route. Degraded routes
     /// (below the per-window minimum) carry a `NaN` median; fault-free runs
     /// always report the full session count.
-    pub route_samples: Vec<u32>,
+    pub route_samples: RouteVals<u32>,
     /// Traffic volume of the prefix in this window (weighting).
     pub volume: f64,
 }
@@ -198,6 +277,13 @@ impl SprayEngine {
         congestion: &CongestionModel,
         cfg: &SprayConfig,
     ) -> Self {
+        // Invariant, not input validation: no flag or file sets `top_k`;
+        // only code does, and rows hold at most `MAX_ROUTES` routes inline.
+        assert!(
+            cfg.top_k <= MAX_ROUTES,
+            "top_k {} exceeds MAX_ROUTES {MAX_ROUTES}",
+            cfg.top_k
+        );
         let targets = bb_exec::timing::time("spray:targets", || match cfg.targets_memo {
             Some(world_key) => {
                 (*cached_targets(world_key, topo, provider, workload, cfg.top_k)).clone()
@@ -278,20 +364,24 @@ impl SprayEngine {
         windows: &[Window],
         faults: Option<&FaultPlane>,
     ) -> Vec<Vec<WindowRow>> {
-        let (rows, tally) = self.sample_windows_tallied(windows, faults);
-        if faults.is_some() {
-            crate::publish_faults(&tally);
-        }
-        rows
+        let mut out = Vec::with_capacity(self.targets.len());
+        self.sample_chunks(windows, faults, |chunk| out.extend(chunk));
+        out
     }
 
-    /// [`sample_windows`](Self::sample_windows), returning the call's fault
-    /// tally instead of publishing it.
-    fn sample_windows_tallied(
+    /// The one sampling loop behind [`sample_windows`](Self::sample_windows)
+    /// and [`spray`]. It runs over the targets [`TARGET_CHUNK`] at a time
+    /// and hands each chunk's per-target row vectors to `sink`, in target
+    /// order, before sampling the next chunk. The jitter table, the diurnal
+    /// table, the `spray:windows` span and the tally publishes are per
+    /// call, not per chunk. Returns the call's fault tally (published too,
+    /// for a faulted call).
+    fn sample_chunks(
         &self,
         windows: &[Window],
         faults: Option<&FaultPlane>,
-    ) -> (Vec<Vec<WindowRow>>, crate::FaultTally) {
+        mut sink: impl FnMut(Vec<Vec<WindowRow>>),
+    ) -> crate::FaultTally {
         let cfg = &self.cfg;
         // Diurnal factors for every (window midpoint, region) pair, and for
         // every retry's re-observation instant, are tabulated once per call.
@@ -315,11 +405,8 @@ impl SprayEngine {
         let jitter = (faults.is_none() && cfg.sessions_per_window % 2 == 1)
             .then(|| self.jitter_table(windows));
 
-        // One task per target; the in-order merge keeps the row order of
-        // the old sequential nesting (target-major, window-minor).
-        let per_target: Vec<(Vec<WindowRow>, crate::FaultTally, KernelTally)> =
-            bb_exec::timing::time("spray:windows", || {
-                bb_exec::par_map(&self.targets, |ti, target| {
+        // One task per target: its rows, window-ordered.
+        let target_rows = |ti: usize, target: &SprayTarget| {
             let (client_offset, prefix_weight) = self.client[ti];
             let batch = &self.batches[ti];
             let routes = target.routes.len();
@@ -344,9 +431,16 @@ impl SprayEngine {
             for (wi, &w) in windows.iter().enumerate() {
                 let t = sampler.time(wi);
                 let drow = sampler.row(wi);
-                let mut medians = Vec::with_capacity(routes);
-                let mut utils = Vec::with_capacity(routes);
-                let mut counts = Vec::with_capacity(routes);
+                let mut row = WindowRow {
+                    window: w,
+                    pop: target.pop,
+                    prefix: target.prefix,
+                    route_median_ms: RouteVals::default(),
+                    route_util: RouteVals::default(),
+                    route_samples: RouteVals::default(),
+                    volume: prefix_weight
+                        * bb_workload::diurnal_activity(t.local_hour(client_offset)),
+                };
                 for ri in 0..routes {
                     let (median, count) = match faults {
                         None => {
@@ -394,35 +488,37 @@ impl SprayEngine {
                             }
                         }
                     };
-                    medians.push(median);
-                    counts.push(count as u32);
-                    utils.push(batch.probe_util(ri, t, drow));
+                    row.route_median_ms.push(median);
+                    row.route_samples.push(count as u32);
+                    row.route_util.push(batch.probe_util(ri, t, drow));
                 }
-                let volume =
-                    prefix_weight * bb_workload::diurnal_activity(t.local_hour(client_offset));
-                rows.push(WindowRow {
-                    window: w,
-                    pop: target.pop,
-                    prefix: target.prefix,
-                    route_median_ms: medians,
-                    route_util: utils,
-                    route_samples: counts,
-                    volume,
-                });
+                rows.push(row);
                 crate::progress::window_done();
             }
             (rows, task.faults, task.kernel)
-                })
-            });
+        };
+
         let mut tally = crate::FaultTally::default();
         let mut ktally = KernelTally::default();
-        let mut out: Vec<Vec<WindowRow>> = Vec::with_capacity(per_target.len());
-        for (target_rows, target_tally, target_ktally) in per_target {
-            out.push(target_rows);
-            tally.merge(target_tally);
-            ktally.merge(target_ktally);
-        }
+        // Chunks run in target order and `par_map` returns in input order,
+        // so rows stay target-major, window-minor.
+        bb_exec::timing::time("spray:windows", || {
+            for (ci, chunk) in self.targets.chunks(TARGET_CHUNK).enumerate() {
+                let first = ci * TARGET_CHUNK;
+                let per_target = bb_exec::par_map(chunk, |i, t| target_rows(first + i, t));
+                let mut rows = Vec::with_capacity(per_target.len());
+                for (target_rows, target_tally, target_ktally) in per_target {
+                    rows.push(target_rows);
+                    tally.merge(target_tally);
+                    ktally.merge(target_ktally);
+                }
+                sink(rows);
+            }
+        });
         ktally.publish("spray");
+        if faults.is_some() {
+            crate::publish_faults(&tally);
+        }
 
         let route_windows: usize =
             self.targets.iter().map(|t| t.routes.len()).sum::<usize>() * windows.len();
@@ -430,7 +526,7 @@ impl SprayEngine {
             "samples:spray",
             route_windows * cfg.sessions_per_window * cfg.rtt_samples_per_session,
         );
-        (out, tally)
+        tally
     }
 
     /// The jitter table of `windows`. A whole-campaign call goes through
@@ -522,8 +618,10 @@ pub fn spray(
 ) -> SprayDataset {
     let engine = SprayEngine::new(topo, provider, workload, congestion, cfg);
     let windows = engine.batch_windows();
-    let per_target = engine.sample_windows(&windows, faults);
-    let rows: Vec<WindowRow> = per_target.into_iter().flatten().collect();
+    // Rows are written once, into one allocation: each chunk's per-target
+    // vectors are moved in and dropped before the next chunk is sampled.
+    let mut rows = Vec::with_capacity(engine.targets.len() * windows.len());
+    engine.sample_chunks(&windows, faults, |chunk| rows.extend(chunk.into_iter().flatten()));
     SprayDataset {
         targets: engine.into_targets(),
         rows,
@@ -755,6 +853,60 @@ mod tests {
         );
         let ds2 = spray(&topo, &provider, &workload, &congestion, Some(&plane2), &cfg);
         assert_eq!(format!("{:?}", ds.rows), format!("{:?}", ds2.rows));
+    }
+
+    #[test]
+    fn window_row_is_flat() {
+        // Rows are fixed-size records: no per-route heap vectors.
+        fn copy<T: Copy>() {}
+        copy::<WindowRow>();
+        assert!(std::mem::size_of::<WindowRow>() <= 104);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_ROUTES")]
+    fn top_k_above_max_routes_panics() {
+        let (topo, provider, workload) = world();
+        let congestion = CongestionModel::new(8, CongestionConfig::default());
+        let cfg = SprayConfig {
+            top_k: MAX_ROUTES + 1,
+            ..Default::default()
+        };
+        SprayEngine::new(&topo, &provider, &workload, &congestion, &cfg);
+    }
+
+    #[test]
+    fn spray_rows_are_the_flattened_sample_windows_rows() {
+        use bb_netsim::FaultConfig;
+        let (topo, provider, workload) = world();
+        let congestion = CongestionModel::new(8, CongestionConfig::default());
+        let cfg = SprayConfig {
+            seed: 0x_7177_0008,
+            days: 0.5,
+            window_stride: 8,
+            sessions_per_window: 5,
+            ..Default::default()
+        };
+        let engine = SprayEngine::new(&topo, &provider, &workload, &congestion, &cfg);
+        assert!(engine.targets().len() > TARGET_CHUNK, "the world spans several chunks");
+        let windows = engine.batch_windows();
+        let heavy = FaultPlane::new(5, FaultConfig::heavy());
+        // Debug text, not `==`: degraded windows carry NaN medians.
+        let text = |rows: &[WindowRow]| format!("{rows:?}");
+        for faults in [None, Some(&heavy)] {
+            let mut runs = Vec::new();
+            for jobs in [1, 2] {
+                bb_exec::set_jobs(jobs);
+                let ds = spray(&topo, &provider, &workload, &congestion, faults, &cfg);
+                let per_target = engine.sample_windows(&windows, faults);
+                let flat: Vec<WindowRow> = per_target.into_iter().flatten().collect();
+                assert_eq!(ds.rows.len(), engine.targets().len() * windows.len());
+                assert_eq!(text(&ds.rows), text(&flat), "faults {}, jobs {jobs}", faults.is_some());
+                runs.push(text(&ds.rows));
+            }
+            assert_eq!(runs[0], runs[1], "faults {}: --jobs 1 vs 2", faults.is_some());
+        }
+        bb_exec::set_jobs(0);
     }
 
     #[test]
@@ -1128,7 +1280,8 @@ mod tests {
             ("timeouts", timeouts),
         ] {
             let fp = FaultPlane::new(5, fc);
-            let (got, got_tally) = engine.sample_windows_tallied(&windows, Some(&fp));
+            let mut got = Vec::new();
+            let got_tally = engine.sample_chunks(&windows, Some(&fp), |chunk| got.extend(chunk));
             let (want, want_tally, deepest) =
                 faulted_oracle((&topo, &model), &engine, &windows, &fp);
             assert_eq!(got_tally, want_tally, "{name}: fault tally");
@@ -1140,7 +1293,7 @@ mod tests {
             for (g_rows, w_rows) in got.iter().zip(&want) {
                 assert_eq!(g_rows.len(), w_rows.len());
                 for (g, (medians, samples)) in g_rows.iter().zip(w_rows) {
-                    assert_eq!(&g.route_samples, samples, "{name} window {}", g.window.0);
+                    assert_eq!(&g.route_samples[..], samples, "{name} window {}", g.window.0);
                     assert_eq!(
                         bits(&g.route_median_ms),
                         bits(medians),

@@ -446,6 +446,7 @@ fn finish(
         seed: opts.seed,
         jobs,
         wall_s: t0.elapsed().as_secs_f64(),
+        peak_rss_mb: beating_bgp::bench::peak_rss_mb(),
         sections,
     };
     let registry = Registry {

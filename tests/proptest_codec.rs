@@ -20,15 +20,16 @@
 //!
 //! A flipped blob *length* in the last record may read as a record cut
 //! off by end of file: that is the torn-tail rule, and it drops the unit
-//! rather than replaying it. Three crafted inputs — a huge blob length,
-//! file count and target count — are named cases.
+//! rather than replaying it. Four crafted inputs — a huge blob length,
+//! file count and target count, and a row of more routes than a row
+//! holds — are named cases.
 
 use beating_bgp::core::checkpoint::{CampaignKey, Checkpoint, UnitResult};
 use beating_bgp::core::framed::fnv1a;
 use beating_bgp::core::serve::{ServeMode, ServeState};
 use beating_bgp::core::snapshot::{Journal, ServeKey, Snapshot};
 use beating_bgp::geo::CityId;
-use beating_bgp::measure::WindowRow;
+use beating_bgp::measure::{WindowRow, MAX_ROUTES};
 use beating_bgp::netsim::Window;
 use beating_bgp::workload::PrefixId;
 use proptest::prelude::*;
@@ -165,7 +166,7 @@ fn rows(g: &mut Gen, n_routes: usize, windows: Range<u32>) -> Vec<WindowRow> {
                 prefix: PrefixId(g.below(500) as u32),
                 route_util: medians.iter().map(|_| g.below(100) as f64 / 100.0).collect(),
                 route_samples: medians.iter().map(|_| 5).collect(),
-                route_median_ms: medians,
+                route_median_ms: medians.into_iter().collect(),
                 volume: g.below(1000) as f64 / 10.0,
             }
         })
@@ -502,4 +503,39 @@ fn crafted_huge_target_count_is_rejected() {
         let err = ServeState::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains("corrupt serve state"), "{err}");
     }
+}
+
+/// An exact-mode state blob of one target and one well-formed row that
+/// claims `routes` routes and carries every value they need.
+fn one_row_state(routes: u32) -> Vec<u8> {
+    let mut bytes = b"bbsv/v1\n".to_vec();
+    bytes.push(0); // exact mode
+    bytes.extend_from_slice(&0f64.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&1u64.to_le_bytes()); // windows_done
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // targets
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // rows of target 0
+    for field in [0u32, 3, 7, routes] {
+        bytes.extend_from_slice(&field.to_le_bytes()); // window, pop, prefix, routes
+    }
+    for _ in 0..routes {
+        bytes.extend_from_slice(&40f64.to_bits().to_le_bytes()); // medians
+    }
+    for _ in 0..routes {
+        bytes.extend_from_slice(&0.5f64.to_bits().to_le_bytes()); // utils
+    }
+    for _ in 0..routes {
+        bytes.extend_from_slice(&5u32.to_le_bytes()); // samples
+    }
+    bytes.extend_from_slice(&1f64.to_bits().to_le_bytes()); // volume
+    bytes
+}
+
+#[test]
+fn crafted_row_of_four_routes_is_rejected() {
+    let fits = one_row_state(MAX_ROUTES as u32);
+    assert_eq!(ServeState::decode(&fits).expect("a 3-route row").encode(), fits);
+    let err = ServeState::decode(&one_row_state(MAX_ROUTES as u32 + 1))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("corrupt serve state"), "{err}");
 }
