@@ -13,9 +13,7 @@
 use crate::error::BbResult;
 use crate::study_anycast;
 use crate::world::Scenario;
-use bb_cdn::AnycastDeployment;
-use bb_measure::beacon::build_unicast_deployments;
-use bb_measure::{run_beacons, BeaconConfig};
+use bb_measure::{BeaconConfig, BeaconMeasurement};
 use bb_workload::generate_workload;
 
 /// One adoption level's Fig-4 statistics.
@@ -43,28 +41,29 @@ impl EcsPoint {
     }
 }
 
-/// Sweep ECS adoption. The beacon campaign is collected once (it does not
-/// depend on resolvers); only the workload's resolver flags and the
-/// redirector retraining vary per step.
+/// Sweep ECS adoption over a fresh beacon campaign
+/// ([`study_anycast::collect`]); [`sweep`] does the rest.
 pub fn run(
     scenario: &Scenario,
     beacon_cfg: &BeaconConfig,
     adoptions: &[f64],
 ) -> BbResult<Vec<EcsPoint>> {
-    let sites = scenario.provider.pops.clone();
-    let anycast = AnycastDeployment::deploy(&scenario.topo, &scenario.provider, &sites);
-    let unicast = build_unicast_deployments(&scenario.topo, &scenario.provider, &sites);
-    let measurements = run_beacons(
-        &scenario.topo,
-        &scenario.provider,
-        &anycast,
-        &unicast,
-        &scenario.workload,
-        &scenario.congestion,
-        scenario.fault_plane(),
-        beacon_cfg,
-    );
+    sweep(
+        scenario,
+        &study_anycast::collect(scenario, beacon_cfg),
+        adoptions,
+    )
+}
 
+/// Sweep ECS adoption over an already-collected beacon campaign. The
+/// campaign does not depend on resolvers, so one serves every level: only
+/// the workload's resolver flags and the redirector retraining vary per
+/// step.
+pub fn sweep(
+    scenario: &Scenario,
+    measurements: &[BeaconMeasurement],
+    adoptions: &[f64],
+) -> BbResult<Vec<EcsPoint>> {
     adoptions
         .iter()
         .map(|&adoption| {
@@ -76,26 +75,15 @@ pub fn run(
             let workload = generate_workload(&scenario.topo, &wl_cfg);
             debug_assert_eq!(workload.prefixes.len(), scenario.workload.prefixes.len());
 
-            // Re-run the Fig 4 analysis against the modified workload.
-            let shadow = Scenario {
-                config: scenario.config.clone(),
-                topo: scenario.topo.clone(),
-                provider: scenario.provider.clone(),
-                workload,
-                congestion: bb_netsim::CongestionModel::new(
-                    scenario.config.seed ^ 0x_c01d,
-                    scenario.config.congestion.clone(),
-                ),
-                // The measurements already carry any fault effects; the
-                // re-analysis itself draws nothing new.
-                faults: None,
-            };
-            let study = study_anycast::analyze(&shadow, measurements.clone())?;
+            // Re-run the Fig 4 analysis against the modified workload. The
+            // measurements already carry any fault effects; the
+            // re-analysis itself draws nothing new.
+            let (fig4, _) = study_anycast::fig4(&scenario.topo, &workload, measurements)?;
             Ok(EcsPoint {
                 adoption,
-                improved: study.fig4.frac_improved,
-                worse: study.fig4.frac_worse,
-                median_gain_ms: study.fig4.median_improvement.median(),
+                improved: fig4.frac_improved,
+                worse: fig4.frac_worse,
+                median_gain_ms: fig4.median_improvement.median(),
             })
         })
         .collect()

@@ -8,6 +8,7 @@
 //! rises — "BGP may perform best when it selects routes that spend much of
 //! their journey on a single large provider".
 
+use crate::study_tiers::default_datacenter;
 use crate::world::Scenario;
 use bb_cdn::{Tier, TierDeployment};
 use bb_geo::CityId;
@@ -37,19 +38,11 @@ impl SingleNetworkBucket {
 }
 
 /// Run the analysis for the Standard tier toward `datacenter` (defaults to
-/// the US main metro when `None`).
+/// the US main metro, or the provider's first PoP, when `None`).
 pub fn run(scenario: &Scenario, datacenter: Option<CityId>) -> Vec<SingleNetworkBucket> {
     let topo = &scenario.topo;
     let provider = &scenario.provider;
-    let dc = datacenter.unwrap_or_else(|| {
-        let (us, _) = bb_geo::country::by_code("US").expect("US exists");
-        let m = topo.atlas.main_metro(us).id;
-        if provider.has_pop(m) {
-            m
-        } else {
-            provider.pops[0]
-        }
-    });
+    let dc = datacenter.unwrap_or_else(|| default_datacenter(scenario));
     let standard = TierDeployment::deploy(topo, provider, dc, Tier::Standard);
     let vps = select_vantage_points(topo, scenario.config.seed ^ 0x_99);
 

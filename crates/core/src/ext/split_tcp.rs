@@ -18,6 +18,7 @@
 //! is where the split wins; the backend choice then decides the residual
 //! one-way transit time.
 
+use crate::study_tiers::default_datacenter;
 use crate::world::Scenario;
 use bb_cdn::{Tier, TierDeployment};
 use bb_geo::CityId;
@@ -85,15 +86,7 @@ impl SplitTcpResult {
 pub fn run(scenario: &Scenario, object_bytes: f64, datacenter: Option<CityId>) -> SplitTcpResult {
     let topo = &scenario.topo;
     let provider = &scenario.provider;
-    let dc = datacenter.unwrap_or_else(|| {
-        let (us, _) = bb_geo::country::by_code("US").expect("US exists");
-        let m = topo.atlas.main_metro(us).id;
-        if provider.has_pop(m) {
-            m
-        } else {
-            provider.pops[0]
-        }
-    });
+    let dc = datacenter.unwrap_or_else(|| default_datacenter(scenario));
 
     // Client→origin end-to-end (Standard-tier = public Internet to the DC)
     // and client→edge (Premium-tier entry = nearest edge PoP).

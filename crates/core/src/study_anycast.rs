@@ -17,6 +17,8 @@ use bb_geo::{CityId, Region};
 use bb_measure::beacon::build_unicast_deployments;
 use bb_measure::{run_beacons, BeaconConfig, BeaconMeasurement};
 use bb_stats::{Ccdf, Cdf};
+use bb_topology::Topology;
+use bb_workload::Workload;
 use std::collections::BTreeMap;
 
 /// Results of the anycast study.
@@ -27,13 +29,20 @@ pub struct AnycastStudy {
     pub measurements: Vec<BeaconMeasurement>,
 }
 
-/// Run the full study: deploy anycast from every PoP, beacon campaign,
-/// train/test split, figures.
+/// Run the full study: beacon campaign, train/test split, figures.
 pub fn run(scenario: &Scenario, beacon_cfg: &BeaconConfig) -> BbResult<AnycastStudy> {
-    let sites = scenario.provider.pops.clone();
-    let anycast = AnycastDeployment::deploy(&scenario.topo, &scenario.provider, &sites);
-    let unicast = build_unicast_deployments(&scenario.topo, &scenario.provider, &sites);
-    let measurements = run_beacons(
+    analyze(scenario, collect(scenario, beacon_cfg))
+}
+
+/// The beacon campaign every anycast what-if reads: deploy anycast and one
+/// unicast address from every PoP, then measure each client prefix against
+/// both. Figures 3 and 4, the ECS sweep and the hybrid comparison all
+/// evaluate one such campaign.
+pub fn collect(scenario: &Scenario, beacon_cfg: &BeaconConfig) -> Vec<BeaconMeasurement> {
+    let sites = &scenario.provider.pops;
+    let anycast = AnycastDeployment::deploy(&scenario.topo, &scenario.provider, sites);
+    let unicast = build_unicast_deployments(&scenario.topo, &scenario.provider, sites);
+    run_beacons(
         &scenario.topo,
         &scenario.provider,
         &anycast,
@@ -42,8 +51,7 @@ pub fn run(scenario: &Scenario, beacon_cfg: &BeaconConfig) -> BbResult<AnycastSt
         &scenario.congestion,
         scenario.fault_plane(),
         beacon_cfg,
-    );
-    analyze(scenario, measurements)
+    )
 }
 
 /// Analyze an already-collected beacon campaign.
@@ -56,10 +64,7 @@ pub fn analyze(
     scenario: &Scenario,
     measurements: Vec<BeaconMeasurement>,
 ) -> BbResult<AnycastStudy> {
-    let coverage = Coverage::new(
-        measurements.iter().filter(|m| m.is_complete()).count() as u64,
-        measurements.len() as u64,
-    );
+    let coverage = coverage(&measurements);
 
     // --- Figure 3: per-measurement penalty CCDFs, weighted by traffic. ---
     let penalty_points = |filter: &dyn Fn(&BeaconMeasurement) -> bool| -> Vec<(f64, f64)> {
@@ -95,25 +100,34 @@ pub fn analyze(
         coverage,
     };
 
-    // --- Figure 4: train on even rounds, test on odd rounds. ---
-    let mut round_times: Vec<u64> = measurements
-        .iter()
-        .map(|m| m.time.minutes().to_bits())
-        .collect();
-    round_times.sort_unstable();
-    round_times.dedup();
-    let round_of = |m: &BeaconMeasurement| {
-        round_times
-            .binary_search(&m.time.minutes().to_bits())
-            .unwrap()
-    };
+    let (fig4, redirector) = fig4(&scenario.topo, &scenario.workload, &measurements)?;
+    Ok(AnycastStudy {
+        fig3,
+        fig4,
+        redirector,
+        measurements,
+    })
+}
 
-    let (train, test): (Vec<&BeaconMeasurement>, Vec<&BeaconMeasurement>) = measurements
-        .iter()
-        .filter(|m| m.is_complete())
-        .partition(|m| round_of(m) % 2 == 0);
+/// The share of `measurements` that are complete.
+fn coverage(measurements: &[BeaconMeasurement]) -> Coverage {
+    Coverage::new(
+        measurements.iter().filter(|m| m.is_complete()).count() as u64,
+        measurements.len() as u64,
+    )
+}
 
-    let (_, redirector) = train_redirector(scenario, &train);
+/// Figure 4 over `measurements`, with the LDNS redirector trained on their
+/// even rounds: train on even rounds, test on odd rounds. It reads the
+/// world only through `topo` and `workload`, so a what-if can re-run it
+/// against a regenerated workload.
+pub(crate) fn fig4(
+    topo: &Topology,
+    workload: &Workload,
+    measurements: &[BeaconMeasurement],
+) -> BbResult<(Fig4, DnsRedirector)> {
+    let (train, test) = split_rounds(measurements.iter());
+    let (_, redirector) = train_redirector(workload, &train);
 
     // Test: per prefix, collect (anycast, predicted) series over test rounds.
     let mut per_prefix_test: BTreeMap<bb_workload::PrefixId, Vec<&BeaconMeasurement>> =
@@ -124,7 +138,7 @@ pub fn analyze(
     let mut med_points = Vec::new();
     let mut p75_points = Vec::new();
     for (&prefix, ms) in &per_prefix_test {
-        let choices = redirector.choices_for(&scenario.workload, prefix);
+        let choices = redirector.choices_for(workload, prefix);
         let mut anycast_series = Vec::new();
         let mut predicted_series = Vec::new();
         for m in ms {
@@ -132,7 +146,7 @@ pub fn analyze(
             // Expected RTT across the prefix's resolver mix.
             let mut acc = 0.0;
             for &(choice, frac) in &choices {
-                acc += frac * served_rtt_ms(scenario, m, choice);
+                acc += frac * served_rtt_ms(topo, workload, m, choice);
             }
             predicted_series.push(acc);
         }
@@ -141,8 +155,7 @@ pub fn analyze(
         med_points.push((q(&anycast_series, 0.5) - q(&predicted_series, 0.5), w));
         p75_points.push((q(&anycast_series, 0.75) - q(&predicted_series, 0.75), w));
     }
-    let too_few =
-        || BbError::insufficient("fig4 improvement CDF", med_points.len(), 1);
+    let too_few = || BbError::insufficient("fig4 improvement CDF", med_points.len(), 1);
     let median_improvement = Cdf::from_weighted(&med_points).ok_or_else(too_few)?;
     let p75_improvement = Cdf::from_weighted(&p75_points).ok_or_else(too_few)?;
     // The paper reads improvement/worse straight off the CDF's sign
@@ -155,22 +168,38 @@ pub fn analyze(
         p75_improvement,
         frac_improved,
         frac_worse,
-        coverage,
+        coverage: coverage(measurements),
     };
+    Ok((fig4, redirector))
+}
 
-    Ok(AnycastStudy {
-        fig3,
-        fig4,
-        redirector,
-        measurements,
-    })
+/// Fig 4's train/test split. Rounds are ranked by time over every one of
+/// `measurements`; the complete ones are split into even rounds (train)
+/// and odd rounds (test).
+pub(crate) fn split_rounds<'a>(
+    measurements: impl Iterator<Item = &'a BeaconMeasurement> + Clone,
+) -> (Vec<&'a BeaconMeasurement>, Vec<&'a BeaconMeasurement>) {
+    let mut round_times: Vec<u64> = measurements
+        .clone()
+        .map(|m| m.time.minutes().to_bits())
+        .collect();
+    round_times.sort_unstable();
+    round_times.dedup();
+    // Every measurement's time is in the list, so this is its rank.
+    let round_of = |m: &BeaconMeasurement| {
+        let t = m.time.minutes().to_bits();
+        round_times.partition_point(|&r| r < t)
+    };
+    measurements
+        .filter(|m| m.is_complete())
+        .partition(|m| round_of(m) % 2 == 0)
 }
 
 /// Fig 4's training step: per-prefix medians over the `train` rounds (the
 /// anycast RTT, and each unicast site's finite RTTs), and the LDNS
 /// redirector trained on them. BTreeMaps keep sample order hash-free.
 pub(crate) fn train_redirector(
-    scenario: &Scenario,
+    workload: &Workload,
     train: &[&BeaconMeasurement],
 ) -> (Vec<TrainingSample>, DnsRedirector) {
     let mut per_prefix: BTreeMap<bb_workload::PrefixId, Vec<&BeaconMeasurement>> = BTreeMap::new();
@@ -201,7 +230,7 @@ pub(crate) fn train_redirector(
             }
         })
         .collect();
-    let redirector = DnsRedirector::train(&scenario.workload, &samples);
+    let redirector = DnsRedirector::train(workload, &samples);
     (samples, redirector)
 }
 
@@ -209,7 +238,12 @@ pub(crate) fn train_redirector(
 /// not among the client's measured ones (or whose probe was lost) is the
 /// misdirection case: its RTT is dominated by the detour, approximated as
 /// the anycast RTT plus the great-circle RTT from the client to that site.
-pub(crate) fn served_rtt_ms(scenario: &Scenario, m: &BeaconMeasurement, choice: SiteChoice) -> f64 {
+pub(crate) fn served_rtt_ms(
+    topo: &Topology,
+    workload: &Workload,
+    m: &BeaconMeasurement,
+    choice: SiteChoice,
+) -> f64 {
     match choice {
         SiteChoice::Anycast => m.anycast_rtt_ms,
         SiteChoice::Unicast(site) => m
@@ -218,8 +252,8 @@ pub(crate) fn served_rtt_ms(scenario: &Scenario, m: &BeaconMeasurement, choice: 
             .find(|&&(s, r)| s == site && r.is_finite())
             .map(|&(_, r)| r)
             .unwrap_or_else(|| {
-                let atlas = &scenario.topo.atlas;
-                let client_city = scenario.workload.prefix(m.prefix).city;
+                let atlas = &topo.atlas;
+                let client_city = workload.prefix(m.prefix).city;
                 let km = atlas
                     .city(site)
                     .location

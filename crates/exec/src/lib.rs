@@ -418,9 +418,8 @@ pub mod timing {
 /// or retrying work on a wall-clock signal would make results depend on
 /// machine speed, breaking byte-identity. So the watchdog is strictly
 /// *observational*: each missed deadline bumps a counter (visible in
-/// `--timing`/`--timing-json` and to the PR 7 supervisor's stall
-/// heuristics via the heartbeat it feeds) and warns on stderr, and the
-/// epoch's results land unchanged.
+/// `--timing`/`--timing-json`, and as `deadline_misses` in `repro serve`'s
+/// report) and warns on stderr, and the epoch's results land unchanged.
 pub mod watchdog {
     use std::time::{Duration, Instant};
 

@@ -95,7 +95,7 @@ pub fn bootstrap_median_ci(
         sorted.extend(order.iter().map(|&i| values[i as usize]));
         counts.clear();
         counts.resize(n, 0);
-        // `median` is `quantile_sorted` over this same `total_cmp` order.
+        // The point estimate: the median of this same `total_cmp` order.
         let point = quantile_sorted(sorted, 0.5);
         if n == 1 {
             return Some(ConfidenceInterval {
@@ -179,7 +179,6 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantile::median;
     use proptest::prelude::*;
 
     fn width(ci: &ConfidenceInterval) -> f64 {
@@ -195,7 +194,7 @@ mod tests {
         resamples: usize,
         seed: u64,
     ) -> Option<ConfidenceInterval> {
-        let point = median(values)?;
+        let point = crate::median_unsorted(values)?;
         if resamples == 0 {
             return None;
         }

@@ -22,7 +22,7 @@ pub mod sketch;
 pub use bootstrap::{bootstrap_median_ci, ConfidenceInterval};
 pub use cdf::{Ccdf, Cdf};
 pub use quantile::{
-    median, median_unsorted, min_finite, quantile, quantile_select, quantile_unsorted,
+    median_unsorted, min_finite, quantile_select, quantile_unsorted,
     weighted_median, weighted_quantile,
 };
 pub use sketch::QuantileSketch;

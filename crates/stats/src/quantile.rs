@@ -5,21 +5,9 @@
 //! the q-quantile is the smallest value v such that samples ≤ v carry at
 //! least a q-fraction of total weight.
 
-/// Unweighted quantile with linear interpolation between order statistics.
-///
-/// `q` is clamped to [0, 1]. Returns `None` on empty input. NaNs are
-/// rejected with a panic in debug builds and sorted last in release builds.
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    debug_assert!(values.iter().all(|v| !v.is_nan()), "NaN in quantile input");
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    Some(quantile_sorted(&sorted, q))
-}
-
-/// Quantile of an already-sorted slice (ascending). Panics on empty input.
+/// Unweighted quantile of an already-sorted slice (ascending), with linear
+/// interpolation between order statistics: the reference the selection
+/// forms below match. `q` is clamped to [0, 1]. Panics on empty input.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let q = q.clamp(0.0, 1.0);
@@ -34,11 +22,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Median shortcut.
-pub fn median(values: &[f64]) -> Option<f64> {
-    quantile(values, 0.5)
-}
-
 std::thread_local! {
     static SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -46,8 +29,9 @@ std::thread_local! {
 /// Quantile of an unsorted slice without the clone-and-full-sort pattern:
 /// the input is copied into a reusable thread-local scratch buffer and the
 /// order statistics bracketing the quantile position are found with O(n)
-/// selection. Returns exactly the same value as `quantile` for the same
-/// input.
+/// selection. Returns exactly what `quantile_sorted` returns over a sorted
+/// copy, and `None` on empty input. NaNs are rejected with a panic in debug
+/// builds and ordered by `total_cmp` in release builds.
 pub fn quantile_unsorted(values: &[f64], q: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
@@ -152,43 +136,43 @@ mod tests {
 
     #[test]
     fn empty_inputs_return_none() {
-        assert!(quantile(&[], 0.5).is_none());
+        assert!(quantile_unsorted(&[], 0.5).is_none());
         assert!(weighted_quantile(&[], 0.5).is_none());
         assert!(weighted_quantile(&[(1.0, 0.0)], 0.5).is_none());
     }
 
     #[test]
     fn single_value() {
-        assert_eq!(quantile(&[42.0], 0.0), Some(42.0));
-        assert_eq!(quantile(&[42.0], 0.5), Some(42.0));
-        assert_eq!(quantile(&[42.0], 1.0), Some(42.0));
+        assert_eq!(quantile_unsorted(&[42.0], 0.0), Some(42.0));
+        assert_eq!(quantile_unsorted(&[42.0], 0.5), Some(42.0));
+        assert_eq!(quantile_unsorted(&[42.0], 1.0), Some(42.0));
     }
 
     #[test]
     fn median_of_odd_and_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
+        assert_eq!(median_unsorted(&[3.0, 1.0, 2.0]), Some(2.0));
+        assert_eq!(median_unsorted(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
     }
 
     #[test]
     fn interpolation_between_order_statistics() {
         // 0.25 quantile of [0, 10]: position 0.25 -> 2.5
-        let v = quantile(&[0.0, 10.0], 0.25).unwrap();
+        let v = quantile_unsorted(&[0.0, 10.0], 0.25).unwrap();
         assert!((v - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn quantile_extremes_are_min_max() {
         let data = [5.0, -3.0, 7.0, 1.0];
-        assert_eq!(quantile(&data, 0.0), Some(-3.0));
-        assert_eq!(quantile(&data, 1.0), Some(7.0));
+        assert_eq!(quantile_unsorted(&data, 0.0), Some(-3.0));
+        assert_eq!(quantile_unsorted(&data, 1.0), Some(7.0));
     }
 
     #[test]
     fn q_is_clamped() {
         let data = [1.0, 2.0];
-        assert_eq!(quantile(&data, -3.0), Some(1.0));
-        assert_eq!(quantile(&data, 42.0), Some(2.0));
+        assert_eq!(quantile_unsorted(&data, -3.0), Some(1.0));
+        assert_eq!(quantile_unsorted(&data, 42.0), Some(2.0));
     }
 
     #[test]
@@ -205,7 +189,7 @@ mod tests {
         // With step-function semantics the weighted median of 5 equal
         // weights is the 3rd order statistic.
         assert_eq!(weighted_median(&items), Some(5.0));
-        assert_eq!(median(&values), Some(5.0));
+        assert_eq!(median_unsorted(&values), Some(5.0));
     }
 
     #[test]
@@ -229,18 +213,31 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             values.push(((x >> 33) % 1000) as f64 / 7.0 - 50.0);
         }
+        let sorted = |v: &[f64]| {
+            let mut v = v.to_vec();
+            v.sort_by(|a, b| a.total_cmp(b));
+            v
+        };
+        let all = sorted(&values);
         for i in 0..=40 {
             let q = i as f64 / 40.0;
-            assert_eq!(quantile_unsorted(&values, q), quantile(&values, q), "q={q}");
+            assert_eq!(
+                quantile_unsorted(&values, q),
+                Some(quantile_sorted(&all, q)),
+                "q={q}"
+            );
         }
         // Tiny inputs and edge quantiles.
         for n in 1..6 {
             let small = &values[..n];
             for q in [0.0, 0.1, 0.5, 0.9, 1.0] {
-                assert_eq!(quantile_unsorted(small, q), quantile(small, q));
+                assert_eq!(
+                    quantile_unsorted(small, q),
+                    Some(quantile_sorted(&sorted(small), q))
+                );
             }
         }
-        assert_eq!(median_unsorted(&values), median(&values));
+        assert_eq!(median_unsorted(&values), Some(quantile_sorted(&all, 0.5)));
         assert!(quantile_unsorted(&[], 0.5).is_none());
     }
 

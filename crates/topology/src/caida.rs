@@ -214,10 +214,10 @@ pub fn build_from_snapshot(text: &str, cfg: &SnapshotConfig) -> Result<Topology,
 
     // Degree per ASN (transit + peer edges alike).
     use std::collections::BTreeMap;
-    let mut degree: BTreeMap<u32, usize> = graph.asns.iter().map(|&a| (a, 0)).collect();
+    let mut degree: BTreeMap<u32, usize> = BTreeMap::new();
     for e in &graph.edges {
-        *degree.get_mut(&e.a).unwrap() += 1;
-        *degree.get_mut(&e.b).unwrap() += 1;
+        *degree.entry(e.a).or_default() += 1;
+        *degree.entry(e.b).or_default() += 1;
     }
 
     // Optional deterministic core cut: highest degree first, lower ASN wins

@@ -1,6 +1,7 @@
 //! Mutation tests of the persisted-state decoders: `bbck/v2` campaign
 //! checkpoints, `bbsn/v2` serve snapshots, the `bbsv/v1` serve-state blob
-//! they carry, and the `bbjn/v2` serve journal.
+//! they carry, and the `bbjn/v2` serve journal — and of the CAIDA
+//! AS-relationship reader `--snapshot` feeds.
 //!
 //! Encoded values are damaged by random truncation, bit flips and splices.
 //! Whatever the damage, a decoder returns — it never panics and never
@@ -23,6 +24,11 @@
 //! rather than replaying it. Four crafted inputs — a huge blob length,
 //! file count and target count, and a row of more routes than a row
 //! holds — are named cases.
+//!
+//! A damaged CAIDA snapshot parses and builds to a `CaidaError` or a
+//! topology, never a panic, and `repro calib --snapshot` on one exits 0 or
+//! 2. A self link, a duplicate link, an unknown relationship code, an ASN
+//! past `u32` and non-UTF-8 bytes are named cases.
 
 use beating_bgp::core::checkpoint::{CampaignKey, Checkpoint, UnitResult};
 use beating_bgp::core::framed::fnv1a;
@@ -31,6 +37,8 @@ use beating_bgp::core::snapshot::{Journal, ServeKey, Snapshot};
 use beating_bgp::geo::CityId;
 use beating_bgp::measure::{WindowRow, MAX_ROUTES};
 use beating_bgp::netsim::Window;
+use beating_bgp::topology::{build_from_snapshot, load_snapshot_file, parse_caida};
+use beating_bgp::topology::{CaidaError, SnapshotConfig};
 use beating_bgp::workload::PrefixId;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -212,6 +220,58 @@ fn journal(seed: u64) -> Vec<u8> {
         intact_len: 0,
     }
     .encode()
+}
+
+/// A well-formed CAIDA snapshot of up to 40 ASes: comments, blank lines,
+/// provider→customer links only from earlier to later ASes (so the first
+/// AS heads a hierarchy), peer links between unlinked pairs, and repeated
+/// lines.
+fn caida_text(seed: u64) -> String {
+    let mut g = Gen::new(seed);
+    let n = 2 + g.below(39) as usize;
+    let asns: Vec<u64> = (0..n as u64).map(|i| 1 + i * 7 + g.below(7)).collect();
+    let mut linked = std::collections::BTreeSet::new();
+    let mut text = String::from("# source: generated\n");
+    for i in 1..n {
+        let provider = g.below(i as u64) as usize;
+        linked.insert((provider, i));
+        text += &format!("{}|{}|-1\n", asns[provider], asns[i]);
+        match g.below(4) {
+            0 => text += "\n",
+            1 => {
+                let peer = g.below(i as u64) as usize;
+                if linked.insert((peer, i)) {
+                    text += &format!("{}|{}|0\n", asns[i], asns[peer]);
+                }
+            }
+            2 => text += &format!("{}|{}|-1\n", asns[provider], asns[i]),
+            _ => {}
+        }
+    }
+    text
+}
+
+/// A small atlas, so a build costs little.
+fn caida_cfg(seed: u64) -> SnapshotConfig {
+    let mut cfg = SnapshotConfig {
+        seed,
+        ..SnapshotConfig::default()
+    };
+    cfg.atlas.city_density = 0.3;
+    cfg
+}
+
+/// Parse and build `bytes` as a snapshot; each must return. A snapshot
+/// that parses has as many ASes as it names, unless the build rejects it.
+fn read_caida(bytes: &[u8], seed: u64) {
+    let text = String::from_utf8_lossy(bytes);
+    let parsed = parse_caida(&text);
+    let built = build_from_snapshot(&text, &caida_cfg(seed));
+    match (parsed, built) {
+        (Ok(graph), Ok(topo)) => assert_eq!(graph.asns.len(), topo.as_count()),
+        (Err(e), Ok(_)) => panic!("parse failed ({e}) but the build succeeded"),
+        _ => {}
+    }
 }
 
 /// Index `frac` of the way into `0..len` (`len > 0`).
@@ -472,6 +532,107 @@ proptest! {
             decode_all(&bytes[at(b, n)..]);
         }
     }
+
+    /// A generated snapshot parses and builds; truncated, bit-flipped and
+    /// spliced, it still returns a topology or a `CaidaError`.
+    #[test]
+    fn mutated_caida_snapshot_never_panics(
+        seed in 0u64..u64::MAX,
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+        len in 1usize..64,
+        bit in 0u8..8,
+    ) {
+        let text = caida_text(seed);
+        let graph = parse_caida(&text).expect("a generated snapshot parses");
+        let topo = build_from_snapshot(&text, &caida_cfg(seed)).expect("and builds");
+        prop_assert_eq!(graph.asns.len(), topo.as_count());
+        let bytes = text.into_bytes();
+        let n = bytes.len();
+        read_caida(&bytes[..at(a, n)], seed);
+        read_caida(&flipped(&bytes, at(a, n), bit), seed);
+        read_caida(&spliced(&bytes, at(a, n), len, at(b, n), true), seed);
+        read_caida(&spliced(&bytes, at(a, n), len, at(b, n), false), seed);
+    }
+}
+
+/// The named CAIDA cases: each is a `CaidaError` naming its line, or (an
+/// identical repeat) the line is dropped.
+#[test]
+fn crafted_caida_lines_are_rejected_or_deduplicated() {
+    let syntax = |text: &str, want: &str| match parse_caida(text) {
+        Err(CaidaError::Syntax { line: 2, msg }) => assert!(msg.contains(want), "{text:?}: {msg}"),
+        other => panic!("{text:?}: {other:?}"),
+    };
+    syntax("1|2|-1\n3|3|-1\n", "self-loop on AS3");
+    syntax("1|2|-1\n2|3|1\n", "unknown relationship code \"1\"");
+    syntax("1|2|-1\n2|3|-2\n", "unknown relationship code \"-2\"");
+    syntax("1|2|-1\n2|3|\n", "unknown relationship code \"\"");
+    syntax("1|2|-1\n2|4294967296|-1\n", "bad ASN \"4294967296\"");
+    syntax("1|2|-1\n2|3\n", "expected 3 '|'-separated fields, got 2");
+    let repeated = parse_caida("1|2|-1\n1|2|-1\n2|3|0\n3|2|0\n").expect("repeats are dropped");
+    assert_eq!(repeated.edges.len(), 2);
+    for text in ["1|2|-1\n2|1|-1\n", "1|2|-1\n1|2|0\n"] {
+        match parse_caida(text) {
+            Err(CaidaError::Conflict { line: 2, .. }) => {}
+            other => panic!("{text:?}: {other:?}"),
+        }
+    }
+    // Non-UTF-8 bytes fail to read, named as an I/O error.
+    let dir = std::env::temp_dir().join(format!("bb_caida_utf8_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("as-rel.txt");
+    std::fs::write(&path, b"1|2|-1\n\xff\xfe|3|-1\n").unwrap();
+    match load_snapshot_file(&path, &caida_cfg(1)) {
+        Err(CaidaError::Io(e)) => assert!(e.contains("as-rel.txt"), "{e}"),
+        other => panic!("non-UTF-8 snapshot: {:?}", other.map(|t| t.as_count())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro calib --snapshot` over damaged snapshots: every run builds a
+/// world and succeeds (exit 0) or names a usage error (exit 2), never
+/// panics (exit 101).
+#[test]
+fn repro_on_a_mutated_caida_snapshot_exits_0_or_2() {
+    let dir = std::env::temp_dir().join(format!("bb_caida_repro_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut g = Gen::new(0xca1d);
+    let mut exits = Vec::new();
+    for case in 0..25u64 {
+        let bytes = caida_text(case).into_bytes();
+        let n = bytes.len() as u64;
+        let (i, j) = (g.below(n) as usize, g.below(n) as usize);
+        let damaged = match case % 5 {
+            0 => bytes[..i].to_vec(),
+            // Cut after a whole line: a smaller snapshot that still parses.
+            1 => bytes[..=i + bytes[i..].iter().position(|&b| b == b'\n').unwrap()].to_vec(),
+            2 => flipped(&bytes, i, g.below(8) as u8),
+            3 => spliced(&bytes, i, 1 + g.below(32) as usize, j, true),
+            _ => b"1|2|-1\n\xff|3|-1\n".to_vec(),
+        };
+        let path = dir.join(format!("case{case}.txt"));
+        std::fs::write(&path, &damaged).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["calib", "--scale", "test", "--snapshot"])
+            .arg(&path)
+            .env_remove("BB_INJECT")
+            .output()
+            .expect("spawn repro");
+        let code = out.status.code();
+        assert!(
+            matches!(code, Some(0 | 2)),
+            "case {case} exited {code:?}:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        exits.push(code);
+    }
+    // Both outcomes occur, so the cases reach past the parser.
+    assert!(
+        exits.contains(&Some(0)) && exits.contains(&Some(2)),
+        "{exits:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The header `repro calib --scale test --seed 42 --checkpoint` writes.
